@@ -2,8 +2,11 @@
 
 Every subcommand reads a model JSON via --model and emits either a bare
 number (choquet, extremal, cdf) or a JSON/CSV artifact.  Artifacts embed
-a provenance block {tool, version, seed, model_sha256, generated_at};
+a provenance block {tool, version, seed, model_sha256, generated_at},
+plus the random stream version `stream` when a seed is given;
 --deterministic drops the timestamp so repeated runs are byte-identical.
+`simulate` writes the mean, p50, p99 and max of its LePage term counts to
+stderr.
 
 Exit codes: 0 success, 1 failed verification-style checks, 2 malformed
 input (with a JSONPath-precise message on stderr), 3 refused carrier
@@ -43,6 +46,7 @@ from .setfun import (
     mobius_inverse,
 )
 from .simulate import (
+    STREAM_VERSION,
     SampleBatch,
     SimConfig,
     SpectralSampler,
@@ -101,6 +105,8 @@ def _provenance(seed: Optional[int], obj, deterministic: bool) -> dict:
         "seed": seed,
         "model_sha256": model_hash(obj) if obj is not None else None,
     }
+    if seed is not None:
+        prov["stream"] = STREAM_VERSION
     if not deterministic:
         prov["generated_at"] = datetime.datetime.now(datetime.timezone.utc).isoformat()
     return prov
@@ -290,6 +296,9 @@ def cmd_simulate(args) -> int:
             "provenance": prov,
         }
         _emit_json(payload, args.out)
+    p50, p99 = np.percentile(batch.terms, [50, 99])
+    print(f"terms per sample: mean {batch.terms.mean():.6g}, p50 {p50:g}, "
+          f"p99 {p99:g}, max {batch.terms.max()}", file=sys.stderr)
     return 0
 
 

@@ -2,36 +2,43 @@
 
 The target law is X = sup_i Gamma_i^{-1} Y_i where Gamma_1 < Gamma_2 < ..
 are the arrivals of a unit Poisson process and the Y_i are iid spectral
-draws.  Two samplers:
+draws.  One engine, `_lepage`, runs every sampler:
 
-* simulate_crsm: Y = theta(E) * indicator(Xi) with Xi distributed as the
-  normalized Mobius measure nu / theta(E) of a completely alternating
-  capacity.  The resulting X is the Choquet random sup-measure of theta:
-  P(X(K_i) <= a_i for all i) = exp(-sum_F nu(F) max{1/a_i : F meets K_i}).
+* simulate_crsm: Y = theta(E) * indicator(Xi), Xi ~ nu / theta(E) for the
+  Mobius measure nu of a completely alternating capacity; X is its Choquet
+  random sup-measure, P(X(K_i) <= a_i for all i) =
+  exp(-sum_F nu(F) max{1/a_i : F meets K_i}).
 * simulate_spectral: arbitrary nonnegative spectral draws with a declared
-  essential bound B.
+  essential bound B; `couple` adds the lower and upper coupling columns.
 
 Exactness of the stopping rule: every term is bounded by bound/Gamma_n,
-so once every point that can be positive at all is positive and
-bound/Gamma_n has dropped strictly below the smallest running maximum, no
-later term can change any coordinate.  "Exact" mode stops there; the
-tail is provably irrelevant, not just negligible.  "Truncated" mode keeps
-exactly n_terms terms of the same substream, so a truncated sample is
-pathwise dominated by its exact twin.
+so once every point that can be positive is positive and bound/Gamma_n
+has dropped strictly below the smallest running maximum, no later term
+can change any coordinate (for the CRSM: N = T + 1, T the term at which
+every relevant point has been hit).  "Exact" mode records that stop term
+per sample and may apply later terms of the same round, which changes no
+bit; "truncated" mode keeps exactly n_terms terms of the same stream, so
+a truncated sample is pathwise dominated by its exact twin.
 
-Randomness contract: sample j of a run with seed s is generated from the
-counter-based generator Philox(key=[s, j]), independent of all other
-samples and bit-reproducible across runs, platforms and sample counts.
-Within a substream the draws occur in a fixed documented order (chunked
-exponential spacings and uniform pairs for the CRSM path; one spacing
-then one spectral draw per term otherwise).
+Randomness contract, stream version 2: block b of BLOCK consecutive
+samples draws from substream(seed, 2b).  Each of its BULK_ROUNDS rounds
+draws a (ROUND, BLOCK) array of inverse-CDF exponential spacings, then a
+(ROUND, BLOCK) array of pick uniforms, so every (round, lane) has a fixed
+stream place.  A sample j still running after the bulk rounds continues
+on substream(seed, 2j + 1), in chunks of TAIL, 2 TAIL, .. TAIL_MAX terms,
+spacings first, then picks; odd keys never collide with even block keys.
+A pick maps one uniform by searchsorted on the normalized cumulative
+weights (CRSM atoms in ascending mask order).  So sample j depends only
+on (seed, j), not on the sample count, the other samples or the mode.  A
+black-box draw callable runs on the continuation streams from the first
+term, one call per term in place of the pick uniforms.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -40,6 +47,14 @@ from .setfun import Capacity, mobius_inverse
 from .tdf import SpectralTDF
 
 CA_SIM_TOL = 1e-9
+
+STREAM_VERSION = 2
+BLOCK = 1024            # samples per block stream
+ROUND = 8               # terms per bulk round
+BULK_ROUNDS = 8         # bulk rounds per block before continuation streams
+TAIL = 64               # first continuation chunk; chunks double ...
+TAIL_MAX = 8192         # ... up to this many terms
+_CELLS = 1 << 15        # cap on terms x lanes x width of one engine step
 
 
 class MaxTermsExceeded(RuntimeError):
@@ -70,7 +85,7 @@ class SimConfig:
 
 
 def substream(seed: int, index: int) -> np.random.Generator:
-    """Counter-based per-sample generator; key = (run seed, sample index)."""
+    """Counter-based generator keyed by (run seed, stream index)."""
     return np.random.Generator(np.random.Philox(key=[seed, index]))
 
 
@@ -81,6 +96,8 @@ class SampleBatch:
     values[j, i] = X_j({x_i}); the sup-measure of any set is the row max
     over the mask.  first_atoms carries the first LePage atom Xi_1 of each
     sample (CRSM runs only), which is exactly the argmax set of X_j.
+    terms[j] is the LePage term count of sample j: its exact stop term, or
+    n_terms in truncated mode.  It is deterministic given (seed, j).
     """
 
     carrier: Carrier
@@ -89,6 +106,7 @@ class SampleBatch:
     mode: str
     n_terms: Optional[int] = None
     first_atoms: Optional[np.ndarray] = None
+    terms: Optional[np.ndarray] = None
 
     @property
     def n(self) -> int:
@@ -109,61 +127,199 @@ class SampleBatch:
         return (self.values * v[None, :]).max(axis=1)
 
 
-class _AliasTable:
-    """Vose alias method over positive weights; two uniforms per pick."""
-
-    def __init__(self, weights: np.ndarray):
-        w = np.asarray(weights, dtype=float)
-        if np.any(w < 0) or w.sum() <= 0:
-            raise ValueError("alias table needs nonnegative weights with positive sum")
-        k = len(w)
-        scaled = w * (k / w.sum())
-        self.prob = np.ones(k)
-        self.alias = np.arange(k)
-        small = [i for i in range(k) if scaled[i] < 1.0]
-        large = [i for i in range(k) if scaled[i] >= 1.0]
-        scaled = scaled.copy()
-        while small and large:
-            s = small.pop()
-            l = large.pop()
-            self.prob[s] = scaled[s]
-            self.alias[s] = l
-            scaled[l] -= 1.0 - scaled[s]
-            (small if scaled[l] < 1.0 else large).append(l)
-        self.k = k
-
-    def pick(self, u1: float, u2: float) -> int:
-        i = min(int(u1 * self.k), self.k - 1)
-        return int(i if u2 < self.prob[i] else self.alias[i])
+def _batch(carrier: Carrier, values: np.ndarray, config: SimConfig,
+           terms: np.ndarray, first: Optional[np.ndarray] = None) -> SampleBatch:
+    values = np.ascontiguousarray(values)
+    for arr in (values, terms, first):
+        if arr is not None:
+            arr.setflags(write=False)
+    return SampleBatch(carrier, values, config.seed, config.mode, config.n_terms,
+                       first, terms)
 
 
-class _TermStream:
-    """Buffered (spacing, uniform pair) draws for one sample substream.
+def _mask_of(flags: np.ndarray) -> int:
+    """Bit mask of the True entries of a boolean vector."""
+    return int(np.bitwise_or.reduce(np.left_shift(1, np.flatnonzero(flags))))
 
-    Buffers start at 8 terms and double, so the value consumed by term i
-    depends only on (seed, sample index, i): exact and truncated runs of
-    the same substream see identical terms.
+
+def _bits(mask: int, d: int) -> np.ndarray:
+    """Boolean vector of the bits of mask over d points."""
+    return (mask >> np.arange(d)) & 1 == 1
+
+
+class _AtomTable:
+    """rows[k] with probability weights[k]: a uniform u picks the first row
+    whose normalized cumulative weight exceeds u."""
+
+    def __init__(self, rows: np.ndarray, weights: np.ndarray):
+        cum = np.cumsum(weights, dtype=float)
+        self.rows = rows
+        self.cum = cum / cum[-1]
+
+    def pick(self, u):
+        return np.searchsorted(self.cum, u, side="right")
+
+    def __call__(self, gen: np.random.Generator) -> np.ndarray:
+        return self.rows[self.pick(gen.random())]
+
+
+class _FirstHit:
+    """CRSM kernel: X({x}) = theta(E)/Gamma_{tau_x}, tracked by coverage."""
+
+    width = 1
+
+    def __init__(self, theta: Capacity, n: int, exact: bool):
+        masks, weights, relevant = _crsm_atoms(theta)
+        d = theta.carrier.size
+        self.table = _AtomTable(masks, weights)
+        self.total, self.relevant, self.exact = theta.total, relevant, exact
+        self.shifts = np.arange(d)
+        self.x = np.zeros((n, d))
+        self.first = np.zeros(n, dtype=np.int64)
+        ratios = self.total / theta.singletons()[_bits(relevant, d)]
+        self.cost = (f"; expected terms E[N] in [{1 + ratios.max():.6g}, "
+                     f"{1 + ratios.sum():.6g}] (1 + max_x theta(E)/theta({{x}}) <= "
+                     f"E[N] <= 1 + sum_x theta(E)/theta({{x}}))")
+
+    def step(self, lanes, g, u):
+        m = self.table.rows[self.table.pick(u)]
+        fresh = self.first[lanes] == 0
+        self.first[lanes[fresh]] = m[0, fresh]
+        before = (self.x[lanes] > 0.0) @ (1 << self.shifts)   # points already hit
+        cov = np.bitwise_or.accumulate(m, axis=0, out=m)
+        cov |= before
+        new = cov.copy()
+        new[1:] &= ~cov[:-1]
+        new[0] &= ~before
+        tn, ln = np.nonzero(new)
+        r, i = np.nonzero((new[tn, ln][:, None] >> self.shifts) & 1)
+        self.x[lanes[ln[r]], i] = self.total / g[tn[r], ln[r]]
+        if not self.exact:
+            return None
+        # all hit at term T: the check at term T + 1 is the first to pass
+        full = cov == self.relevant
+        return np.where(full[-1], full.argmax(axis=0) + 2, 0)
+
+
+def _coupled_rows(y: np.ndarray) -> np.ndarray:
+    """[Y, Y(E) on the argmax of Y, Y(E) on the support of Y] per row."""
+    peak = y.max(axis=-1, keepdims=True)
+    return np.concatenate([y, np.where(y == peak, peak, 0.0),
+                           np.where(y > 0.0, peak, 0.0)], axis=-1)
+
+
+class _RunningMax:
+    """Spectral kernel: X = max_n Y_n / Gamma_n, optionally widened to the
+    coupling columns (X, lower, upper)."""
+
+    cost = ""
+
+    def __init__(self, sampler: "SpectralSampler", n: int, exact: bool,
+                 coupled: bool):
+        d = sampler.carrier.size
+        self.table = sampler.draw if isinstance(sampler.draw, _AtomTable) else None
+        self.checked_draw = sampler.checked_draw
+        self.coupled, self.exact, self.bound = coupled, exact, sampler.bound
+        self.width = 3 * d if coupled else d
+        self.x = np.zeros((n, self.width))
+        live = np.flatnonzero(~_bits(sampler.structural_zeros, d))
+        self.stop = live if not coupled else np.concatenate(
+            [live, d + np.flatnonzero(_bits(sampler.argmax_reachable, d))])
+
+    def draw(self, gen, t):
+        return np.array([self.checked_draw(gen) for _ in range(t)])
+
+    def step(self, lanes, g, p):
+        y = p if self.table is None else self.table.rows[self.table.pick(p)]
+        if self.coupled:
+            y = _coupled_rows(y)
+        np.divide(y, g[:, :, None], out=y)
+        run = np.maximum.accumulate(y, axis=0, out=y)
+        np.maximum(run, self.x[lanes], out=run)
+        self.x[lanes] = run[-1]
+        if not self.exact:
+            return None
+        ok = self.bound / g < run[:, :, self.stop].min(axis=2)
+        return np.where(ok.any(axis=0), ok.argmax(axis=0) + 1, 0)
+
+
+def _lepage(kernel, config: SimConfig) -> np.ndarray:
+    """Run every sample through kernel in the stream-2 layout; returns the
+    term counts.
+
+    A kernel holds its samples' state, `table` (the _AtomTable its picks
+    index, or None for a black-box draw(gen, t)), the per-lane `width` of
+    one term's temporaries and a `cost` note for MaxTermsExceeded.
+    step(lanes, g, p) applies terms with arrivals g (terms, lanes) and
+    picks p; in exact mode it returns each lane's stop term counted from
+    the step's first term, 0 while the lane runs on.
     """
+    n = config.samples
+    exact = config.mode == "exact"
+    limit = config.max_terms if exact else config.n_terms
+    terms = np.full(n, limit, dtype=np.int64)
+    gamma = np.zeros(BLOCK)     # arrival time so far, by lane of the block
+    spacings, uniforms = np.empty((ROUND, BLOCK)), np.empty((ROUND, BLOCK))
 
-    def __init__(self, gen: np.random.Generator, chunk: int = 8):
-        self.gen = gen
-        self.e = gen.standard_exponential(chunk)
-        self.u = gen.random((chunk, 2))
-        self.pos = 0
+    def advance(lanes, done, e, p):
+        """Apply terms done+1 .. done+len(e); True where a lane runs on."""
+        e[0] += gamma[lanes % BLOCK]
+        g = np.cumsum(e, axis=0, out=e)
+        gamma[lanes % BLOCK] = g[-1]
+        stop = kernel.step(lanes, g, p)
+        if not exact:
+            return np.full(lanes.size, done + len(g) < limit)
+        stopped = stop > 0
+        end = done + stop
+        terms[lanes[stopped]] = end[stopped]
+        late = np.where(stopped, end > limit, done + len(g) >= limit)
+        if late.any():
+            raise MaxTermsExceeded(f"sample {lanes[late][0]} did not stop within "
+                                   f"{limit} terms{kernel.cost}")
+        return ~stopped
 
-    def next_term(self) -> tuple[float, float, float]:
-        if self.pos == len(self.e):
-            grow = len(self.e)
-            self.e = np.concatenate([self.e, self.gen.standard_exponential(grow)])
-            self.u = np.concatenate([self.u, self.gen.random((grow, 2))])
-        e = self.e[self.pos]
-        u1, u2 = self.u[self.pos]
-        self.pos += 1
-        return float(e), float(u1), float(u2)
+    def sweep(lanes, done, t, draws):
+        """advance() over groups of lanes that keep temporaries near _CELLS."""
+        step = max(1, _CELLS // (t * kernel.width))
+        keep = np.empty(lanes.size, dtype=bool)
+        for s in range(0, lanes.size, step):
+            part = slice(s, s + step)
+            keep[part] = advance(lanes[part], done, *draws(part))
+        return lanes[keep], keep
+
+    for b0 in range(0, n, BLOCK):
+        lanes = np.arange(b0, min(b0 + BLOCK, n))
+        gamma[:] = 0.0
+        done = 0
+        if kernel.table is not None:
+            gen = substream(config.seed, 2 * (b0 // BLOCK))
+            for _ in range(BULK_ROUNDS):
+                gen.standard_exponential(out=spacings, method="inv")
+                gen.random(out=uniforms)
+                t = ROUND if exact else min(ROUND, limit - done)
+                cols = lanes - b0
+                lanes, _ = sweep(lanes, done, t, lambda part: (
+                    spacings[:t, cols[part]], uniforms[:t, cols[part]]))
+                done += ROUND
+                if not lanes.size:
+                    break
+        gens = [substream(config.seed, 2 * j + 1) for j in lanes.tolist()]
+        size = TAIL
+        while lanes.size:
+            t = size if exact else min(size, limit - done)
+            lanes, keep = sweep(lanes, done, t, lambda part: (
+                np.stack([g.standard_exponential(size, method="inv")[:t]
+                          for g in gens[part]], axis=1),
+                np.stack([g.random(t) if kernel.table is not None
+                          else kernel.draw(g, t) for g in gens[part]], axis=1)))
+            gens = [g for g, k in zip(gens, keep) if k]
+            done += size
+            size = min(2 * size, TAIL_MAX)
+    return terms
 
 
 def _crsm_atoms(theta: Capacity) -> tuple[np.ndarray, np.ndarray, int]:
-    """Positive Mobius atoms (masks, weights) and the relevant-point mask.
+    """Positive Mobius atoms (masks ascending, weights), relevant-point mask.
 
     Refuses capacities that are not completely alternating within
     CA_SIM_TOL; weights inside the tolerance band are clamped to zero.
@@ -178,62 +334,21 @@ def _crsm_atoms(theta: Capacity) -> tuple[np.ndarray, np.ndarray, int]:
         raise ValueError("capacity is identically zero; nothing to simulate")
     w = np.clip(nu.weights, 0.0, None)
     masks = np.flatnonzero(w > 0).astype(np.int64)
-    weights = w[masks]
-    relevant = 0
-    for m in masks:
-        relevant |= int(m)
-    return masks, weights, relevant
+    return masks, w[masks], int(np.bitwise_or.reduce(masks))
 
 
 def simulate_crsm(theta: Capacity, config: SimConfig) -> SampleBatch:
     """Sample the Choquet random sup-measure of a CA capacity.
 
     Atom sets arrive as Xi ~ nu/theta(E) with common magnitude
-    theta(E)/Gamma_n.  Stopping rule (exact mode): first n with
-    theta(E)/Gamma_n strictly below the running maximum at every point
-    with theta({x}) > 0; all coordinates are exact from that term on.
+    theta(E)/Gamma_n, so X({x}) = theta(E)/Gamma_{tau_x} at the first term
+    tau_x whose atom contains x.  Exact mode stops at N = T + 1, T the
+    term at which every point with theta({x}) > 0 has been hit; E[N] lies
+    between 1 + max_x theta(E)/theta({x}) and 1 + sum_x theta(E)/theta({x}).
     """
-    masks, weights, relevant = _crsm_atoms(theta)
-    d = theta.carrier.size
-    total = theta.total
-    alias = _AliasTable(weights)
-    rel_idx = np.fromiter(iter_bits(relevant), dtype=np.int64)
-    exact = config.mode == "exact"
-    limit = config.max_terms if exact else config.n_terms
-
-    out = np.empty((config.samples, d))
-    firsts = np.empty(config.samples, dtype=np.int64)
-    for j in range(config.samples):
-        stream = _TermStream(substream(config.seed, j))
-        x = np.zeros(d)
-        gamma = 0.0
-        covered = 0
-        first = 0
-        n = 0
-        while True:
-            if n >= limit:
-                if exact:
-                    raise MaxTermsExceeded(
-                        f"sample {j} did not stop within {limit} terms")
-                break
-            e, u1, u2 = stream.next_term()
-            gamma += e
-            n += 1
-            mask = int(masks[alias.pick(u1, u2)])
-            if first == 0:
-                first = mask
-            val = total / gamma
-            for i in iter_bits(mask):
-                if x[i] < val:
-                    x[i] = val
-            covered |= mask
-            if exact and covered & relevant == relevant and val < x[rel_idx].min():
-                break
-        out[j] = x
-        firsts[j] = first
-    out.setflags(write=False)
-    return SampleBatch(theta.carrier, out, config.seed, config.mode,
-                       config.n_terms, firsts)
+    kernel = _FirstHit(theta, config.samples, config.mode == "exact")
+    terms = _lepage(kernel, config)
+    return _batch(theta.carrier, kernel.x, config, terms, kernel.first)
 
 
 @dataclass(frozen=True)
@@ -243,8 +358,10 @@ class SpectralSampler:
     draw(gen) returns one nonnegative vector.  bound is an essential sup
     of max_x Y_x (required for exact stopping); structural_zeros masks the
     points with Y_x = 0 almost surely; argmax_reachable masks the points
-    that can ever realize the maximum of Y (needed by `couple`).  Each
-    draw is validated against these declarations.
+    that can ever realize the maximum of Y (needed by `couple`).  A finite
+    atom table (from_atoms / from_tdf / from_capacity) is validated against
+    these declarations once, at construction; a black-box draw callable is
+    validated on every draw.
     """
 
     carrier: Carrier
@@ -259,20 +376,24 @@ class SpectralSampler:
             self.carrier.validate_mask(self.argmax_reachable)
         if self.bound is not None and not (self.bound > 0 and math.isfinite(self.bound)):
             raise ValueError(f"bound must be positive finite, got {self.bound}")
+        if isinstance(self.draw, _AtomTable):
+            self._check_rows(self.draw.rows)
 
-    def checked_draw(self, gen: np.random.Generator) -> np.ndarray:
-        y = np.asarray(self.draw(gen), dtype=float)
-        if y.shape != (self.carrier.size,):
-            raise ValueError(f"spectral draw has shape {y.shape}")
+    def _check_rows(self, y: np.ndarray) -> None:
+        """Validate draws (..., d) against the declarations."""
         if np.any(y < 0) or not np.all(np.isfinite(y)):
             raise ValueError("spectral draw must be nonnegative finite")
         if self.bound is not None and np.any(y > self.bound * (1 + 1e-12)):
             raise ValueError(
                 f"spectral draw exceeds declared bound {self.bound}")
-        if self.structural_zeros:
-            idx = list(iter_bits(self.structural_zeros))
-            if np.any(y[idx] != 0.0):
-                raise ValueError("spectral draw is positive at a declared structural zero")
+        if np.any(y[..., _bits(self.structural_zeros, self.carrier.size)] != 0.0):
+            raise ValueError("spectral draw is positive at a declared structural zero")
+
+    def checked_draw(self, gen: np.random.Generator) -> np.ndarray:
+        y = np.asarray(self.draw(gen), dtype=float)
+        if y.shape != (self.carrier.size,):
+            raise ValueError(f"spectral draw has shape {y.shape}")
+        self._check_rows(y)
         return y
 
     @classmethod
@@ -284,75 +405,34 @@ class SpectralSampler:
     @classmethod
     def from_tdf(cls, law: SpectralTDF) -> "SpectralSampler":
         atoms = law.atoms
-        alias = _AliasTable(law.probs)
-
-        def draw(gen: np.random.Generator) -> np.ndarray:
-            u = gen.random(2)
-            return atoms[alias.pick(u[0], u[1])]
-
-        peaks = atoms.max(axis=1)
-        zeros_mask = 0
-        for i in np.flatnonzero(atoms.max(axis=0) == 0.0):
-            zeros_mask |= 1 << int(i)
-        reach = 0
-        for k in range(atoms.shape[0]):
-            if peaks[k] > 0:
-                for i in np.flatnonzero(atoms[k] == peaks[k]):
-                    reach |= 1 << int(i)
-        return cls(law.carrier, draw, float(peaks.max()), zeros_mask, reach)
+        peaks = atoms.max(axis=1, keepdims=True)
+        zeros = _mask_of(atoms.max(axis=0) == 0.0)
+        reach = _mask_of(((atoms == peaks) & (peaks > 0)).any(axis=0))
+        return cls(law.carrier, _AtomTable(atoms, law.probs), float(peaks.max()),
+                   zeros, reach)
 
     @classmethod
     def from_capacity(cls, theta: Capacity) -> "SpectralSampler":
         """Indicator atoms theta(E) * 1_F with F ~ nu/theta(E): the CRSM law."""
         masks, weights, _ = _crsm_atoms(theta)
-        d = theta.carrier.size
-        atoms = np.zeros((len(masks), d))
-        for k, m in enumerate(masks):
-            for i in iter_bits(int(m)):
-                atoms[k, i] = theta.total
+        atoms = theta.total * ((masks[:, None] >> np.arange(theta.carrier.size)) & 1)
         return cls.from_tdf(SpectralTDF(theta.carrier, weights / weights.sum(), atoms))
 
 
 def simulate_spectral(sampler: SpectralSampler, config: SimConfig) -> SampleBatch:
     """LePage series with arbitrary spectral draws.
 
-    Exact mode needs the declared bound; stopping mirrors simulate_crsm
-    with bound/Gamma_n in place of theta(E)/Gamma_n.
+    Exact mode needs the declared bound; it stops at the first n with
+    bound/Gamma_n strictly below the running maximum at every point that
+    is not a structural zero.
     """
     if config.mode == "exact" and sampler.bound is None:
         raise ValueError("exact mode needs a declared spectral bound")
-    d = sampler.carrier.size
-    live = sampler.carrier.full_mask & ~sampler.structural_zeros
-    if live == 0:
+    if sampler.carrier.full_mask & ~sampler.structural_zeros == 0:
         raise ValueError("every point is a structural zero; nothing to simulate")
-    live_idx = np.fromiter(iter_bits(live), dtype=np.int64)
-    exact = config.mode == "exact"
-    limit = config.max_terms if exact else config.n_terms
-
-    out = np.empty((config.samples, d))
-    for j in range(config.samples):
-        gen = substream(config.seed, j)
-        x = np.zeros(d)
-        gamma = 0.0
-        n = 0
-        while True:
-            if n >= limit:
-                if exact:
-                    raise MaxTermsExceeded(
-                        f"sample {j} did not stop within {limit} terms")
-                break
-            gamma += float(gen.standard_exponential())
-            n += 1
-            y = sampler.checked_draw(gen)
-            np.maximum(x, y / gamma, out=x)
-            if exact:
-                room = sampler.bound / gamma
-                mins = x[live_idx].min()
-                if mins > 0.0 and room < mins:
-                    break
-        out[j] = x
-    out.setflags(write=False)
-    return SampleBatch(sampler.carrier, out, config.seed, config.mode, config.n_terms)
+    kernel = _RunningMax(sampler, config.samples, config.mode == "exact", False)
+    terms = _lepage(kernel, config)
+    return _batch(sampler.carrier, kernel.x, config, terms)
 
 
 def simulate_model(model, config: SimConfig) -> SampleBatch:
@@ -406,10 +486,7 @@ def argmax_set(x: np.ndarray, rel_tol: float = 0.0) -> int:
         raise ValueError("argmax of the zero vector is undefined")
     if not 0.0 <= rel_tol < 1.0:
         raise ValueError("rel_tol must lie in [0, 1)")
-    mask = 0
-    for i in np.flatnonzero(x >= (1.0 - rel_tol) * m):
-        mask |= 1 << int(i)
-    return mask
+    return _mask_of(x >= (1.0 - rel_tol) * m)
 
 
 @dataclass(frozen=True)
@@ -477,12 +554,13 @@ class Coupling:
 
 
 def couple(sampler: SpectralSampler, config: SimConfig) -> Coupling:
-    """Simulate (lower, X, upper) from one substream per sample.
+    """Simulate (lower, X, upper) in one pass of the LePage engine.
 
-    Requires a finitely-described sampler: a declared bound and the
+    Each draw is widened to (Y, lower, upper) columns and the pass runs
+    until the exact stop of X and of lower; X is therefore bit-equal to
+    simulate_spectral(sampler, config).  Requires a declared bound and the
     argmax-reachable mask (both derived automatically by from_atoms /
-    from_tdf / from_capacity).  Black-box draw callables without these
-    declarations are rejected.
+    from_tdf / from_capacity); samplers without these are rejected.
     """
     if sampler.bound is None or sampler.argmax_reachable is None:
         raise ValueError(
@@ -490,53 +568,10 @@ def couple(sampler: SpectralSampler, config: SimConfig) -> Coupling:
             "sampler from atoms / a TDF / a capacity")
     if sampler.argmax_reachable == 0:
         raise ValueError("no point can realize the spectral argmax")
-    d = sampler.carrier.size
-    live = sampler.carrier.full_mask & ~sampler.structural_zeros
-    live_idx = np.fromiter(iter_bits(live), dtype=np.int64)
-    am_idx = np.fromiter(iter_bits(sampler.argmax_reachable), dtype=np.int64)
-    exact_mode = config.mode == "exact"
-    limit = config.max_terms if exact_mode else config.n_terms
-
-    lo = np.empty((config.samples, d))
-    mid = np.empty((config.samples, d))
-    hi = np.empty((config.samples, d))
-    for j in range(config.samples):
-        gen = substream(config.seed, j)
-        xl = np.zeros(d)
-        x = np.zeros(d)
-        xu = np.zeros(d)
-        gamma = 0.0
-        n = 0
-        while True:
-            if n >= limit:
-                if exact_mode:
-                    raise MaxTermsExceeded(
-                        f"sample {j} did not stop within {limit} terms")
-                break
-            gamma += float(gen.standard_exponential())
-            n += 1
-            y = sampler.checked_draw(gen)
-            peak = y.max()
-            if peak > 0.0:
-                contrib = peak / gamma
-                np.maximum(x, y / gamma, out=x)
-                support = y > 0.0
-                np.maximum(xu, np.where(support, contrib, 0.0), out=xu)
-                at_peak = y == peak
-                np.maximum(xl, np.where(at_peak, contrib, 0.0), out=xl)
-            if exact_mode:
-                room = sampler.bound / gamma
-                m_x = x[live_idx].min()
-                m_l = xl[am_idx].min()
-                if m_x > 0.0 and m_l > 0.0 and room < m_x and room < m_l:
-                    break
-        lo[j] = xl
-        mid[j] = x
-        hi[j] = xu
-    for arr in (lo, mid, hi):
-        arr.setflags(write=False)
-    mk = lambda a: SampleBatch(sampler.carrier, a, config.seed, config.mode,
-                               config.n_terms)
+    kernel = _RunningMax(sampler, config.samples, config.mode == "exact", True)
+    terms = _lepage(kernel, config)
+    mid, lo, hi = np.split(kernel.x, 3, axis=1)
+    mk = lambda a: _batch(sampler.carrier, a, config, terms)
     return Coupling(mk(lo), mk(mid), mk(hi))
 
 

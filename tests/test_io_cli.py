@@ -243,10 +243,13 @@ def test_cli_simulate_estimate_roundtrip(theta2_file, tmp_path, capsys):
 def test_cli_simulate_json_format(theta2_file, capsys):
     assert main(["simulate", "--model", theta2_file, "--samples", "5",
                  "--seed", "0", "--format", "json", "--deterministic"]) == 0
-    payload = json.loads(capsys.readouterr().out)
+    out = capsys.readouterr()
+    payload = json.loads(out.out)
     assert len(payload["samples"]) == 5
     assert payload["provenance"]["seed"] == 0
+    assert payload["provenance"]["stream"] == 2
     assert "generated_at" not in payload["provenance"]
+    assert out.err.startswith("terms per sample: mean ")
 
 
 def test_cli_deterministic_byte_identical(theta2_file, tmp_path):
