@@ -137,6 +137,26 @@ class Carrier:
         """Canonical JSON key for a subset: comma-joined sorted labels."""
         return ",".join(sorted(self.labels_of(mask)))
 
+    def subset_keys(self) -> np.ndarray:
+        """subset_key of every mask 0..2**d - 1, as an object array.
+
+        Keys are built by doubling once per label in sorted label order,
+        where appending the next label keeps each key sorted; a second
+        doubling maps carrier masks to masks over that sorted order.
+        """
+        order = sorted(range(self.size), key=self.labels.__getitem__)
+        keys = np.array([""], dtype=object)
+        for i in order:
+            more = keys + ("," + self.labels[i])
+            more[0] = self.labels[i]
+            keys = np.concatenate([keys, more])
+        rank = np.empty(self.size, dtype=np.int64)
+        rank[order] = np.arange(self.size)
+        sorted_mask = np.zeros(1, dtype=np.int64)
+        for r in rank.tolist():
+            sorted_mask = np.concatenate([sorted_mask, sorted_mask | (1 << r)])
+        return keys[sorted_mask]
+
     def mask_from_key(self, key: str) -> int:
         return self.mask_of(key.split(","))
 
@@ -169,12 +189,8 @@ def mask_size(mask: int) -> int:
 
 
 def popcounts(size: int) -> np.ndarray:
-    """Vector of bit counts for masks 0..size-1 (SWAR, no Python loop)."""
-    v = np.arange(size, dtype=np.uint32)
-    v = v - ((v >> 1) & 0x55555555)
-    v = (v & 0x33333333) + ((v >> 2) & 0x33333333)
-    v = (v + (v >> 4)) & 0x0F0F0F0F
-    return ((v * 0x01010101) >> 24).astype(np.int64)
+    """Bit counts of the masks 0..size-1 as a uint8 vector."""
+    return np.bitwise_count(np.arange(size, dtype=np.uint32))
 
 
 def enumerate_subsets(carrier: Carrier, nonempty_only: bool = False) -> range:

@@ -448,7 +448,8 @@ def build_parser() -> argparse.ArgumentParser:
             sp.add_argument("--model", required=True, help="model JSON path")
         sp.add_argument("--out", help="write the artifact to this path")
         sp.add_argument("--tolerance", type=float, default=1e-9,
-                        help="lattice comparison tolerance")
+                        help="relative lattice comparison tolerance: exact checks "
+                             "allow tol * max(1, theta(E))")
         sp.add_argument("--deterministic", action="store_true",
                         help="suppress timestamps for byte-stable output")
         if sim:

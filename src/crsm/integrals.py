@@ -28,7 +28,7 @@ from typing import Callable, Optional, Union
 import numpy as np
 
 from .carrier import Carrier, PointFunction, as_values
-from .setfun import Capacity
+from .setfun import Capacity, _singleton_table, _sweep
 
 Evaluatable = Union["Callable[[np.ndarray], float]", object]
 
@@ -87,21 +87,13 @@ def extremal_integral(f, theta: Capacity) -> float:
 def extremal_integral_setform(f, theta: Capacity) -> float:
     """Debug oracle: max over nonempty K of theta(K) * min over K of f.
 
-    Walks all 2**d - 1 subsets; intended for cross-checking the threshold
-    form on small carriers, not for production use.
+    Builds min over K of f for all 2**d - 1 subsets with one minimum
+    sweep; intended for cross-checking the threshold form on small
+    carriers, not for production use.
     """
     v = _vals(f, theta.carrier)
-    d = theta.carrier.size
-    best = 0.0
-    mins = np.empty(1 << d)
-    mins[0] = np.inf
-    for m in range(1, 1 << d):
-        low = m & -m
-        mins[m] = min(mins[m ^ low], v[low.bit_length() - 1])
-        cand = float(theta.table[m]) * mins[m]
-        if cand > best:
-            best = cand
-    return best
+    mins = _sweep(_singleton_table(v, np.inf), theta.carrier.size, np.minimum)
+    return max(0.0, float(np.max(theta.table[1:] * mins[1:])))
 
 
 def comonotonic(f, g, carrier: Optional[Carrier] = None) -> bool:

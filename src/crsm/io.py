@@ -33,8 +33,7 @@ from typing import Union
 
 import numpy as np
 
-from .carrier import (Carrier, CarrierSizeError, TorusTag, canonical_json,
-                      enumerate_subsets)
+from .carrier import Carrier, CarrierSizeError, TorusTag, canonical_json
 from .setfun import Capacity, MobiusMeasure, mobius_inverse
 from .tdf import (
     ChoquetTDF,
@@ -133,13 +132,13 @@ def _parse_subset_table(carrier: Carrier, table_obj, path: str,
             raise SchemaError(loc, f"subset {carrier.subset_key(mask)!r} given twice")
         seen.add(mask)
         arr[mask] = _number(val, loc, nonneg=nonneg)
-    if require_complete:
-        missing = [carrier.subset_key(m) for m in enumerate_subsets(carrier, True)
-                   if m not in seen]
-        if missing:
-            shown = ", ".join(repr(k) for k in missing[:5])
-            more = "" if len(missing) <= 5 else f" (+{len(missing) - 5} more)"
-            raise SchemaError(path, f"missing subsets: {shown}{more}")
+    if require_complete and len(seen) < size - 1:
+        given = np.zeros(size, dtype=bool)
+        given[list(seen)] = True
+        missing = np.flatnonzero(~given[1:]) + 1
+        shown = ", ".join(repr(carrier.subset_key(int(m))) for m in missing[:5])
+        more = "" if len(missing) <= 5 else f" (+{len(missing) - 5} more)"
+        raise SchemaError(path, f"missing subsets: {shown}{more}")
     return arr
 
 
@@ -306,17 +305,17 @@ def parse_mobius(obj, path: str = "$") -> MobiusMeasure:
 
 
 def capacity_to_json(theta: Capacity) -> dict:
-    table = {theta.carrier.subset_key(m): float(theta.table[m])
-             for m in enumerate_subsets(theta.carrier, nonempty_only=True)}
+    keys = theta.carrier.subset_keys()
+    table = dict(zip(keys[1:].tolist(), theta.table[1:].tolist()))
     return {"kind": "table", "carrier": theta.carrier.to_json(), "table": table}
 
 
 def mobius_to_json(nu: MobiusMeasure, drop_zeros: bool = True) -> dict:
-    weights = {}
-    for m in enumerate_subsets(nu.carrier, nonempty_only=True):
-        w = float(nu.weights[m])
-        if w != 0.0 or not drop_zeros:
-            weights[nu.carrier.subset_key(m)] = w
+    masks = np.arange(1, 1 << nu.carrier.size)
+    if drop_zeros:
+        masks = masks[nu.weights[masks] != 0.0]
+    keys = nu.carrier.subset_keys()
+    weights = dict(zip(keys[masks].tolist(), nu.weights[masks].tolist()))
     return {"kind": "mobius", "carrier": nu.carrier.to_json(), "weights": weights}
 
 

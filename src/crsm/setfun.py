@@ -38,7 +38,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .carrier import Carrier, mask_size, popcounts
+from .carrier import Carrier
 
 # Default comparison slack for the exact lattice calculus.  Checks that
 # involve Monte Carlo use their own, looser tolerances.
@@ -86,6 +86,14 @@ class Capacity:
         """theta(E)."""
         return float(self.table[-1])
 
+    def atol(self, tol: float) -> float:
+        """Absolute slack of the relative tolerance tol: tol * max(1, theta(E)).
+
+        Rounding in the lattice sweeps grows with the values swept, so every
+        exact check on this capacity compares against this slack.
+        """
+        return tol * max(1.0, self.total)
+
     def singletons(self) -> np.ndarray:
         """theta({x}) in carrier order."""
         d = self.carrier.size
@@ -122,33 +130,73 @@ class MobiusMeasure:
         return float(self.weights[idx]), idx
 
 
-def _lattice_transform(arr: np.ndarray, d: int, sign: int) -> np.ndarray:
-    """Subset-sum zeta transform (sign=+1) or its Mobius inverse (sign=-1).
+# Pairs per chunk in _halves: a chunk of each half and any temporary made
+# from it stay in cache, so a check over the halves reads the table once
+# per bit instead of also writing and rereading a half-size temporary.
+_CHUNK = 1 << 15
 
-    Views the table as a d-dimensional 2x2x..x2 cube and sweeps one axis at
-    a time, O(d * 2**d).
+
+def _halves(arr: np.ndarray, d: int):
+    """Yield (lo, hi) views of arr pairing each mask without bit b (lo)
+    with the mask plus b (hi), for b from the highest bit down.
+
+    The last axis of arr holds the 2**d masks and must be C-contiguous with
+    any leading (batch) axes.  Each bit comes in chunks of at most _CHUNK
+    pairs.  The views are never 0-d, even at d = 1, so out= can always
+    write to them.
     """
-    out = arr.astype(float).reshape((2,) * d)
-    for axis in range(d):
-        hi = [slice(None)] * d
-        lo = [slice(None)] * d
-        hi[axis] = 1
-        lo[axis] = 0
-        if sign > 0:
-            out[tuple(hi)] += out[tuple(lo)]
-        else:
-            out[tuple(hi)] -= out[tuple(lo)]
-    return out.reshape(-1)
+    for b in reversed(range(d)):
+        pairs = arr.reshape(-1, 2, 1 << b)
+        rows = max(1, _CHUNK >> b)
+        cols = min(1 << b, _CHUNK)
+        # runs of one or two masks go as one strided 1-D view per offset:
+        # a 2-D view with so short an inner loop is several times slower
+        runs = range(1 << b) if b < 2 else [slice(c, c + cols)
+                                            for c in range(0, 1 << b, cols)]
+        for r in range(0, pairs.shape[0], rows):
+            for c in runs:
+                yield pairs[r:r + rows, 0, c], pairs[r:r + rows, 1, c]
+
+
+def _sweep(arr: np.ndarray, d: int, ufunc: np.ufunc) -> np.ndarray:
+    """In place: hi = ufunc(hi, lo) for every pair of _halves; returns arr.
+
+    This is the d * 2**(d-1) subset sweep of Bjorklund, Husfeldt, Kaski
+    and Koivisto (STOC 2007): with add it is the zeta transform, with
+    subtract the Mobius inverse, and with maximum, minimum or bitwise_or
+    it spreads values from the singletons to every set.  The bits always
+    go from the highest down, so add and subtract keep one fixed rounding
+    order.
+    """
+    for lo, hi in _halves(arr, d):
+        ufunc(hi, lo, out=hi)
+    return arr
+
+
+def _singleton_table(values: np.ndarray, fill) -> np.ndarray:
+    """(..., 2**d) table with values[..., i] at mask 1 << i and fill at
+    every other mask, the empty set included."""
+    values = np.asarray(values)
+    d = values.shape[-1]
+    out = np.full(values.shape[:-1] + (1 << d,), fill, dtype=values.dtype)
+    out[..., np.left_shift(1, np.arange(d))] = values
+    return out
+
+
+def _additive_table(weights: np.ndarray) -> np.ndarray:
+    """table[K] = sum of weights over the points of K, by one zeta sweep."""
+    weights = np.asarray(weights, dtype=float)
+    return _sweep(_singleton_table(weights, 0.0), weights.shape[-1], np.add)
 
 
 def subset_zeta(arr: np.ndarray, d: int) -> np.ndarray:
     """h[A] = sum of arr[F] over F subset of A."""
-    return _lattice_transform(arr, d, +1)
+    return _sweep(np.array(arr, dtype=float), d, np.add)
 
 
 def subset_mobius(arr: np.ndarray, d: int) -> np.ndarray:
     """Inverse of subset_zeta: out[F] = sum over A subset of F of (-1)**|F\\A| arr[A]."""
-    return _lattice_transform(arr, d, -1)
+    return _sweep(np.array(arr, dtype=float), d, np.subtract)
 
 
 def subset_max(singles: np.ndarray) -> np.ndarray:
@@ -159,22 +207,9 @@ def subset_max(singles: np.ndarray) -> np.ndarray:
     Requires singles >= 0.
     """
     singles = np.asarray(singles, dtype=float)
-    batched = singles.ndim == 2
-    stack = singles if batched else singles[None, :]
-    m, d = stack.shape
-    out = np.full((m, 1 << d), -np.inf)
-    out[:, 0] = 0.0
-    for i in range(d):
-        out[:, 1 << i] = stack[:, i]
-    cube = out.reshape((m,) + (2,) * d)
-    for axis in range(1, d + 1):
-        hi = [slice(None)] * (d + 1)
-        lo = [slice(None)] * (d + 1)
-        hi[axis] = 1
-        lo[axis] = 0
-        np.maximum(cube[tuple(hi)], cube[tuple(lo)], out=cube[tuple(hi)])
-    flat = cube.reshape(m, 1 << d)
-    return flat if batched else flat[0]
+    out = _singleton_table(singles, -np.inf)
+    out[..., 0] = 0.0
+    return _sweep(out, singles.shape[-1], np.maximum)
 
 
 def mobius_inverse(theta: Capacity) -> MobiusMeasure:
@@ -187,7 +222,7 @@ def mobius_inverse(theta: Capacity) -> MobiusMeasure:
     d = theta.carrier.size
     # complement(mask) = full - mask, so the complement table is a reversal
     g = theta.table[-1] - theta.table[::-1]
-    nu = subset_mobius(g, d)
+    nu = _sweep(g, d, np.subtract)
     nu[0] = 0.0  # g(0) = 0 exactly, but keep the slot clean
     return MobiusMeasure(theta.carrier, nu)
 
@@ -253,37 +288,40 @@ class Classification:
 
 def classify(theta: Capacity, tol: float = DEFAULT_TOL) -> Classification:
     """Check monotone / completely alternating / maxitive / additive, all
-    exhaustively over the subset lattice, each within tol.
+    exhaustively over the subset lattice, each within the relative
+    tolerance tol (slack tol * max(1, theta(E)), see Capacity.atol).
 
-    Complete alternation is certified through the Mobius measure (nu >= -tol
-    entrywise), which is equivalent to every successive difference of order
-    >= 2 being nonpositive.  Maxitivity uses the singleton criterion
-    theta(K) = max over x in K of theta({x}), which is equivalent to the
-    pairwise max property on a finite lattice.  Additivity means nu carried
-    by singletons.
+    Monotonicity compares theta(K) with theta(K + x) for every x not in K,
+    on views of the table (_halves).  Complete alternation is certified
+    through the Mobius measure (nu >= -slack entrywise), which is
+    equivalent to every successive difference of order >= 2 being
+    nonpositive.  Maxitivity uses the singleton criterion theta(K) = max
+    over x in K of theta({x}), which is equivalent to the pairwise max
+    property on a finite lattice.  Additivity means nu carried by
+    singletons.
     """
     d = theta.carrier.size
     table = theta.table
-    size = 1 << d
+    atol = theta.atol(tol)
 
-    monotone = True
-    idx = np.arange(size)
-    for i in range(d):
-        bit = 1 << i
-        without = idx[(idx & bit) == 0]
-        if np.any(table[without] - table[without | bit] > tol):
-            monotone = False
-            break
+    monotone = not any(np.any(lo - hi > atol) for lo, hi in _halves(table, d))
 
     nu = mobius_inverse(theta)
     min_w, witness = nu.min_weight()
-    completely_alternating = min_w >= -tol
+    completely_alternating = min_w >= -atol
 
-    best = subset_max(theta.singletons())
-    maxitive = bool(np.all(np.abs(table - best) <= tol))
+    # E is the cheapest witness against each of the two criteria below
+    # (a nonsingleton once d >= 2), so most capacities skip the full pass
+    singles = theta.singletons()
+    maxitive = bool(abs(theta.total - max(0.0, singles.max())) <= atol)
+    if maxitive:
+        maxitive = bool(np.all(np.abs(table - subset_max(singles)) <= atol))
 
-    nonsingleton = popcounts(size) >= 2
-    additive = bool(np.all(np.abs(nu.weights[nonsingleton]) <= tol))
+    additive = d == 1 or bool(abs(nu.weights[-1]) <= atol)
+    if additive:
+        off = np.abs(nu.weights)
+        off[np.left_shift(1, np.arange(d))] = 0.0
+        additive = bool(off.max() <= atol)
 
     return Classification(monotone, completely_alternating, maxitive, additive,
                           min_w, witness)

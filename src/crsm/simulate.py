@@ -321,12 +321,13 @@ def _lepage(kernel, config: SimConfig) -> np.ndarray:
 def _crsm_atoms(theta: Capacity) -> tuple[np.ndarray, np.ndarray, int]:
     """Positive Mobius atoms (masks ascending, weights), relevant-point mask.
 
-    Refuses capacities that are not completely alternating within
-    CA_SIM_TOL; weights inside the tolerance band are clamped to zero.
+    Refuses capacities that are not completely alternating within the
+    relative tolerance CA_SIM_TOL (slack CA_SIM_TOL * max(1, theta(E)));
+    negative weights inside that band are clamped to zero.
     """
     nu = mobius_inverse(theta)
     min_w, witness = nu.min_weight()
-    if min_w < -CA_SIM_TOL:
+    if min_w < -theta.atol(CA_SIM_TOL):
         raise ValueError(
             f"capacity is not completely alternating (mobius weight {min_w:.3g} "
             f"at mask {witness:#x}); no random sup-measure to simulate")
@@ -660,7 +661,7 @@ def independence_on_disjoint(theta: Capacity, parts: Sequence[int],
     for p in parts:
         touches += ((all_masks & p) != 0).astype(np.int64)
     cross_mass = float(np.abs(nu.weights[touches >= 2]).sum())
-    expect_independent = cross_mass <= CA_SIM_TOL
+    expect_independent = cross_mass <= theta.atol(CA_SIM_TOL)
 
     if batch is None:
         batch = simulate_crsm(theta, config)

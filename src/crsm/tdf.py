@@ -56,7 +56,7 @@ import numpy as np
 
 from .carrier import Carrier, as_values, iter_bits
 from .integrals import _as_functional, _vals, choquet_integral
-from .setfun import Capacity, classify, mobius_inverse, subset_max, subset_zeta
+from .setfun import Capacity, _additive_table, mobius_inverse, subset_max
 
 MAX_ALTERNATION_ORDER = 5
 
@@ -196,10 +196,7 @@ def extremal_coefficients(ell: TailDependenceFunctional) -> Capacity:
         per_atom = subset_max(ell.atoms)  # (m, 2**d) subset maxima
         return Capacity(ell.carrier, ell.probs @ per_atom)
     if isinstance(ell, LebesgueTDF):
-        d = ell.carrier.size
-        singles = np.zeros(1 << d)
-        singles[np.left_shift(1, np.arange(d))] = ell.mu.weights
-        return Capacity(ell.carrier, subset_zeta(singles, d))
+        return Capacity(ell.carrier, _additive_table(ell.mu.weights))
     raise TypeError(f"unsupported functional {type(ell).__name__}")
 
 
@@ -306,14 +303,15 @@ def dual_greedy(theta: Capacity, f, tol: float = 1e-9) -> tuple[DiscreteMeasure,
     The value f . mu then equals the Choquet integral, which is the exact
     optimum.  Feasibility of mu is re-verified exhaustively over the whole
     lattice; a violation means the alternation certificate lied and raises.
+    tol is relative: both checks allow a slack of tol * max(1, theta(E)).
     """
     v = _vals(f, theta.carrier)
-    cls = classify(theta, tol=tol)
-    if not cls.completely_alternating:
+    atol = theta.atol(tol)
+    min_w, witness = mobius_inverse(theta).min_weight()
+    if min_w < -atol:
         raise ValueError(
             f"dual_greedy needs a completely alternating capacity "
-            f"(mobius weight {cls.min_mobius_weight:.3g} at witness mask "
-            f"{cls.min_mobius_witness:#x})")
+            f"(mobius weight {min_w:.3g} at witness mask {witness:#x})")
     d = theta.carrier.size
     order = np.argsort(-v, kind="stable")
     weights = np.zeros(d)
@@ -326,25 +324,20 @@ def dual_greedy(theta: Capacity, f, tol: float = 1e-9) -> tuple[DiscreteMeasure,
         prev = cur
     # CA makes the chain increments nonnegative; anything below rounding
     # dust means the certificate and the table disagree
-    if weights.min() < -1e-7:
+    if weights.min() < -theta.atol(1e-7):
         raise RuntimeError(
             f"capacity decreases along the greedy chain "
             f"(increment {weights.min():.3g})")
     weights = np.clip(weights, 0.0, None)
     mu = DiscreteMeasure(theta.carrier, weights)
-    sums = subset_zeta(_singleton_table(d, weights), d)
-    if np.any(sums - theta.table > tol):
-        worst = int(np.argmax(sums - theta.table))
+    excess = _additive_table(weights)
+    excess -= theta.table
+    if np.any(excess > atol):
+        worst = int(np.argmax(excess))
         raise RuntimeError(
             f"greedy measure violates feasibility at mask {worst:#x}; "
-            f"capacity is not completely alternating within {tol}")
+            f"capacity is not completely alternating within {atol:.3g}")
     return mu, float(v @ weights)
-
-
-def _singleton_table(d: int, weights: np.ndarray) -> np.ndarray:
-    t = np.zeros(1 << d)
-    t[np.left_shift(1, np.arange(d))] = weights
-    return t
 
 
 def dual_oracle(theta: Capacity, f, method: str = "exact",

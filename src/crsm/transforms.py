@@ -39,7 +39,7 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from .carrier import Carrier, TorusTag, popcounts
-from .setfun import Capacity, subset_zeta
+from .setfun import Capacity, _additive_table, _singleton_table, _sweep
 from .tdf import DiscreteMeasure
 
 
@@ -121,9 +121,10 @@ def exchangeable_capacity(carrier: Union[Carrier, int],
         raise ValueError("mixing probabilities must be nonnegative and sum to 1")
     if not (scale > 0 and math.isfinite(scale)):
         raise ValueError(f"scale must be positive finite, got {scale}")
-    sizes = popcounts(1 << carr.size)
-    survival = (1.0 - vals)[None, :] ** sizes[:, None]  # (2**d, m)
-    table = scale * (1.0 - survival @ probs)
+    # theta depends on K only through |K|: d + 1 values, gathered by size
+    sizes = np.arange(carr.size + 1)
+    survival = (1.0 - vals)[None, :] ** sizes[:, None]  # (d + 1, m)
+    table = (scale * (1.0 - survival @ probs))[popcounts(1 << carr.size)]
     table[0] = 0.0
     return Capacity(carr, table)
 
@@ -177,10 +178,7 @@ def distortion_capacity(mu: Union[DiscreteMeasure, Sequence[float]],
         if carrier is None:
             raise ValueError("plain weight vectors need an explicit carrier")
         meas = DiscreteMeasure(carrier, np.asarray(mu, dtype=float))
-    d = meas.carrier.size
-    singles = np.zeros(1 << d)
-    singles[np.left_shift(1, np.arange(d))] = meas.weights
-    sums = subset_zeta(singles, d)
+    sums = _additive_table(meas.weights)
     if kind == "power":
         if not 0.0 < alpha < 1.0:
             raise ValueError(f"power distortion needs alpha in (0, 1), got {alpha}")
@@ -238,24 +236,20 @@ def torus_storm_capacity(n: int,
     if not (scale > 0 and math.isfinite(scale)):
         raise ValueError(f"scale must be positive finite, got {scale}")
     table = np.zeros(1 << d)
-    counts = np.empty(1 << d, dtype=np.int64)
     for (points, q) in shapes:
         idxs = {_point_index(pt, n, dim) for pt in points}
         if not idxs:
             raise ValueError("shapes must be nonempty")
-        # hit[x] = mask of shifts v with x in shape + v, i.e. v = x - s
+        # hit[x] = mask of shifts v with x in shape + v, i.e. v = x - s;
+        # reach[K] = OR of hit over K, the shifts whose shape meets K
         hit = np.zeros(d, dtype=np.int64)
         for x in range(d):
             m = 0
             for s in idxs:
                 m |= 1 << _shift_diff(x, s, n, dim)
             hit[x] = m
-        reach = np.zeros(1 << d, dtype=np.int64)
-        for mask in range(1, 1 << d):
-            low = mask & -mask
-            reach[mask] = reach[mask ^ low] | hit[low.bit_length() - 1]
-        _popcount_into(reach, counts)
-        table += q * counts
+        reach = _sweep(_singleton_table(hit, 0), d, np.bitwise_or)
+        table += q * np.bitwise_count(reach)
     table *= scale
     table[0] = 0.0
     return Capacity(carr, table)
@@ -270,32 +264,23 @@ def _shift_diff(x: int, s: int, n: int, dim: int) -> int:
     return ((xi - si) % n) * n + (xj - sj) % n
 
 
-def _popcount_into(masks: np.ndarray, out: np.ndarray) -> None:
-    v = masks.astype(np.uint32)
-    v = v - ((v >> np.uint32(1)) & np.uint32(0x55555555))
-    v = (v & np.uint32(0x33333333)) + ((v >> np.uint32(2)) & np.uint32(0x33333333))
-    v = (v + (v >> np.uint32(4))) & np.uint32(0x0F0F0F0F)
-    out[:] = ((v * np.uint32(0x01010101)) >> np.uint32(24)).astype(np.int64)
-
-
 def check_stationary(theta: Capacity) -> bool:
     """Exact shift-invariance of a capacity on a torus-tagged carrier.
 
-    Compares theta(K + v) == theta(K) bitwise for every subset and every
-    group shift; no tolerance, since the constructors above produce
-    exactly equal floats for shifted arguments.
+    Compares theta(K + v) == theta(K) bitwise for every subset and each
+    generating shift v (one step along each torus axis); equality is
+    transitive, so this holds for every group shift exactly when it holds
+    for the generators.  No tolerance, since the constructors above
+    produce exactly equal floats for shifted arguments.
     """
     tag = theta.carrier.torus
     if tag is None:
         raise ValueError("carrier lacks torus tag")
     d = theta.carrier.size
-    size = 1 << d
-    for shift in tag.shifts():
-        perm = tag.shift_permutation(shift)
-        shifted = np.zeros(size, dtype=np.int64)
-        for mask in range(1, size):
-            low = mask & -mask
-            shifted[mask] = shifted[mask ^ low] | (1 << perm[low.bit_length() - 1])
+    for shift in ((1,),) if tag.dim == 1 else ((1, 0), (0, 1)):
+        # shifted[K] = mask of K + shift, the OR of the moved point bits
+        bits = np.left_shift(1, tag.shift_permutation(shift))
+        shifted = _sweep(_singleton_table(bits, 0), d, np.bitwise_or)
         if not np.array_equal(theta.table[shifted], theta.table):
             return False
     return True

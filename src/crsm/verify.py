@@ -3,7 +3,8 @@
 Each check compares an exact quantity (Mobius roundtrip, closed-form
 Frechet scale, joint CDF, independence of the argmax, the continuity
 modulus, factorization over disjoint parts) against the simulation at an
-explicit threshold.  Exact lattice identities use the calculus tolerance;
+explicit threshold.  Exact lattice identities use the relative calculus
+tolerance (slack tol * max(1, theta(E)), see Capacity.atol);
 Monte Carlo comparisons use 3-sigma bands for scale estimates and 4-sigma
 bands for probability and correlation statistics, so a healthy model
 fails any single check with probability well under 1e-4.
@@ -92,14 +93,15 @@ def verify_model(model: Model, samples: int = 20000, seed: int = 1,
     theta = extremal_coefficients(ell)
 
     if isinstance(model, Capacity):
+        atol = model.atol(tol)
         nu = mobius_inverse(model)
         back = capacity_from_measure(nu)
         err = float(np.max(np.abs(back.table - model.table)))
-        checks.append(CheckResult("mobius-roundtrip", err, tol, err <= tol))
+        checks.append(CheckResult("mobius-roundtrip", err, atol, err <= atol))
         min_w, witness = nu.min_weight()
-        ca = min_w >= -tol
+        ca = min_w >= -atol
         checks.append(CheckResult(
-            "complete-alternation", min_w, -tol, ca,
+            "complete-alternation", min_w, -atol, ca,
             f"witness {{{','.join(sorted(carrier.labels_of(witness)))}}}" if not ca else ""))
         if not ca:
             return checks

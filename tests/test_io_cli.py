@@ -167,6 +167,23 @@ def test_mobius_json_roundtrip_drops_zeros():
     assert helper["weights"] == obj["weights"]
 
 
+def test_json_keys_follow_subset_key_on_unsorted_labels():
+    carrier = Carrier(("z", "b", "ab", "a", "q", "B"))
+    table = np.arange(1 << carrier.size, dtype=float)
+    theta = Capacity(carrier, table)
+    obj = capacity_to_json(theta)
+    masks = range(1, 1 << carrier.size)
+    assert list(obj["table"]) == [carrier.subset_key(m) for m in masks]
+    assert list(obj["table"].values()) == table[1:].tolist()
+    assert np.array_equal(parse_capacity(obj).table, table)
+    nu = mobius_inverse(theta)
+    full = mobius_to_json(nu, drop_zeros=False)["weights"]
+    assert list(full) == [carrier.subset_key(m) for m in masks]
+    kept = mobius_to_json(nu)["weights"]
+    assert kept == {k: w for k, w in full.items() if w != 0.0}
+    assert len(kept) < len(full)
+
+
 def test_parse_pairs():
     c = Carrier(("a", "b"))
     pairs = parse_pairs([{"set": ["a"], "level": 2.0},

@@ -14,6 +14,7 @@ from crsm.carrier import Carrier, mask_size
 from crsm.setfun import (
     Capacity,
     MobiusMeasure,
+    _sweep,
     capacity_from_measure,
     check_complete_alternation_direct,
     classify,
@@ -69,6 +70,48 @@ def test_zeta_mobius_inverse_pair():
         assert np.allclose(h, brute_zeta(w, d), atol=1e-12)
         back = subset_mobius(h.copy(), d)
         assert np.allclose(back, w, atol=1e-10)
+
+
+SWEEP_UFUNCS = (np.add, np.subtract, np.maximum, np.minimum, np.bitwise_or)
+
+
+def brute_sweep(row: np.ndarray, d: int, ufunc) -> np.ndarray:
+    """Per-mask oracle: the sweep over bit b folds out[m ^ 1 << b] into
+    out[m] for every m holding b, highest bit first."""
+    out = row.copy()
+    for b in reversed(range(d)):
+        for m in range(1 << d):
+            if m >> b & 1:
+                out[m] = ufunc(out[m], out[m ^ (1 << b)])
+    return out
+
+
+@pytest.mark.parametrize("ufunc", SWEEP_UFUNCS, ids=lambda u: u.__name__)
+def test_sweep_matches_per_mask_oracle(ufunc):
+    rng = np.random.default_rng(11)
+    for d in range(1, 9):
+        if ufunc is np.bitwise_or:
+            rows = rng.integers(0, 1 << 30, size=(3, 1 << d))
+        else:
+            rows = rng.normal(size=(3, 1 << d))
+        single = _sweep(rows[0].copy(), d, ufunc)
+        batch = _sweep(rows.copy(), d, ufunc)
+        for i in range(3):
+            expect = brute_sweep(rows[i], d, ufunc)
+            # the oracle folds in the same order, so even add and subtract
+            # agree bit for bit
+            assert np.array_equal(batch[i], expect)
+        assert np.array_equal(single, batch[0])
+
+
+def test_sweep_d1_writes_in_place():
+    # at d = 1 an integer index would give a 0-d scalar, not a view
+    arr = np.array([2.0, 5.0])
+    assert _sweep(arr, 1, np.subtract) is arr
+    assert arr.tolist() == [2.0, 3.0]
+    stack = np.array([[1.0, 4.0], [3.0, 2.0]])
+    _sweep(stack, 1, np.maximum)
+    assert stack.tolist() == [[1.0, 4.0], [3.0, 3.0]]
 
 
 def test_subset_max_matches_bruteforce():
@@ -134,6 +177,19 @@ def test_classify_families():
 
     nonmono = Capacity(c, [0.0, 1.0, 1.0, 0.5])
     assert not classify(nonmono).monotone
+
+
+@pytest.mark.parametrize("d", [2, 5, 8])
+def test_classify_flags_nonmonotone_top_bit(d):
+    # a single drop in the pair (K, K + top point) is the only violation
+    table = np.arange(1 << d, dtype=float)
+    top = 1 << (d - 1)
+    low = top - 1
+    table[low] = table[low | top] + 1e-3
+    theta = Capacity(carrier_of(d), table)
+    assert not classify(theta).monotone
+    table[low] = table[low | top] + 0.5e-9
+    assert classify(Capacity(carrier_of(d), table)).monotone
 
 
 def test_avar_frozen_values():

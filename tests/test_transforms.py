@@ -254,3 +254,77 @@ def test_torus_size_cap():
         torus_storm_capacity(25, [([0], 1.0)])
     with pytest.raises(CarrierSizeError):
         torus_storm_capacity(5, [([(0, 0)], 1.0)], dim=2)
+
+
+def loop_storm_table(n, shapes, dim=1, scale=1.0):
+    """The per-mask storm construction: reach[K] = reach[K - low] | hit[low]
+    over all 2**d masks, then a popcount per mask."""
+    d = n ** dim
+
+    def index(pt):
+        if dim == 1:
+            return int(pt) % n
+        return (int(pt[0]) % n) * n + int(pt[1]) % n
+
+    def diff(x, s):
+        if dim == 1:
+            return (x - s) % n
+        (xi, xj), (si, sj) = divmod(x, n), divmod(s, n)
+        return ((xi - si) % n) * n + (xj - sj) % n
+
+    table = np.zeros(1 << d)
+    for points, q in shapes:
+        idxs = {index(pt) for pt in points}
+        hit = [sum(1 << diff(x, s) for s in idxs) for x in range(d)]
+        reach = [0] * (1 << d)
+        for mask in range(1, 1 << d):
+            low = mask & -mask
+            reach[mask] = reach[mask ^ low] | hit[low.bit_length() - 1]
+        table += q * np.array([bin(r).count("1") for r in reach], dtype=np.int64)
+    table *= scale
+    table[0] = 0.0
+    return table
+
+
+def loop_stationary(theta):
+    """Every group shift against the per-mask shifted-mask table."""
+    tag = theta.carrier.torus
+    size = 1 << theta.carrier.size
+    for shift in tag.shifts():
+        perm = tag.shift_permutation(shift)
+        shifted = np.zeros(size, dtype=np.int64)
+        for mask in range(1, size):
+            low = mask & -mask
+            shifted[mask] = shifted[mask ^ low] | (1 << int(perm[low.bit_length() - 1]))
+        if not np.array_equal(theta.table[shifted], theta.table):
+            return False
+    return True
+
+
+STORM_CASES = [
+    (n, [([0, 1 % n], 0.3), ([0, 2 % n, 3 % n], 0.7)], 1, 1.7) for n in range(1, 9)
+] + [
+    (3, [([(0, 0), (0, 1)], 0.25), ([(1, 1), (2, 0), (0, 2)], 0.75)], 2, 2.5),
+]
+
+
+@pytest.mark.parametrize("n, shapes, dim, scale", STORM_CASES)
+def test_storm_sweep_matches_per_mask_loop(n, shapes, dim, scale):
+    theta = torus_storm_capacity(n, shapes, dim=dim, scale=scale)
+    assert np.array_equal(theta.table, loop_storm_table(n, shapes, dim, scale))
+    assert check_stationary(theta)
+
+
+@pytest.mark.parametrize("n, shapes, dim, scale", [STORM_CASES[4], STORM_CASES[-1]])
+def test_stationary_breaks_on_any_perturbed_entry(n, shapes, dim, scale):
+    theta = torus_storm_capacity(n, shapes, dim=dim, scale=scale)
+    full = theta.carrier.full_mask
+    for mask in range(1, full):  # E is its own shift, so skip it
+        table = theta.table.copy()
+        table[mask] = np.nextafter(table[mask], np.inf)
+        moved = Capacity(theta.carrier, table)
+        assert not check_stationary(moved)
+        assert not loop_stationary(moved)
+    table = theta.table.copy()
+    table[full] += 1.0
+    assert check_stationary(Capacity(theta.carrier, table))
