@@ -8,8 +8,6 @@ __version__ = "0.1.0"
 from .carrier import (
     Carrier,
     CarrierSizeError,
-    PointFunction,
-    SupMeasureVector,
     TorusTag,
     enumerate_subsets,
     sup_integral,
@@ -46,7 +44,6 @@ from .tdf import (
 )
 from .transforms import (
     BernsteinFunction,
-    bernstein_eval,
     check_stationary,
     compose_capacity,
     distortion_capacity,

@@ -1,4 +1,4 @@
-"""Finite carrier spaces and the vectors living on them.
+"""Finite carrier spaces and the arrays living on them.
 
 A carrier is an ordered tuple of distinct point labels.  Subsets of the
 carrier are plain Python ints used as bitmasks: bit ``i`` set means the
@@ -7,13 +7,10 @@ package indexes tables of length ``2**d`` by these masks, so carriers are
 capped at d = 24 points (a 16M-entry table) and anything larger is refused
 up front.
 
-Nonnegative functions on the carrier come in two flavours that share the
-same array representation:
-
-* a point function ``f``: the integrand of the nonlinear integrals,
-* a sup-measure vector ``g``: the values ``g({x})`` of a maxitive set
-  function, evaluated on sets via ``sup_integral`` (max over the set,
-  0 on the empty set).
+A nonnegative function on the carrier, such as the integrand f of the
+nonlinear integrals or the point values g({x}) of a sup-measure, is a
+plain float array in carrier order (see ``as_values``); a sup-measure is
+evaluated on a set by ``sup_integral``, the max over the set.
 """
 
 from __future__ import annotations
@@ -176,6 +173,13 @@ class Carrier:
         return cls(tuple(obj))
 
 
+def as_carrier(carrier: "Carrier | int") -> Carrier:
+    """The carrier itself, or the carrier x0, .., x{d-1} for an int d."""
+    if isinstance(carrier, Carrier):
+        return carrier
+    return Carrier(tuple(f"x{i}" for i in range(carrier)))
+
+
 def iter_bits(mask: int) -> Iterator[int]:
     """Indices of set bits, lowest first."""
     while mask:
@@ -232,40 +236,6 @@ def as_values(carrier: Carrier, values: "np.ndarray | Sequence[float] | dict[str
         raise ValueError(f"{name} must be nonnegative")
     arr.setflags(write=False)
     return arr
-
-
-@dataclass(frozen=True)
-class PointFunction:
-    """Nonnegative function on the carrier, stored in carrier order."""
-
-    carrier: Carrier
-    values: np.ndarray
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "values", as_values(self.carrier, self.values, "point function"))
-
-    def __call__(self, label: str) -> float:
-        return float(self.values[self.carrier.index_of(label)])
-
-    def to_json(self) -> dict[str, float]:
-        return {lb: float(v) for lb, v in zip(self.carrier.labels, self.values)}
-
-
-@dataclass(frozen=True)
-class SupMeasureVector:
-    """Values g({x}) of a sup-measure; sets get the max over their points."""
-
-    carrier: Carrier
-    values: np.ndarray
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "values", as_values(self.carrier, self.values, "sup-measure vector"))
-
-    def __call__(self, mask: int) -> float:
-        return sup_integral(self.values, mask)
-
-    def to_json(self) -> dict[str, float]:
-        return {lb: float(v) for lb, v in zip(self.carrier.labels, self.values)}
 
 
 def sup_integral(g: np.ndarray, mask: int) -> float:

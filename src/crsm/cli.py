@@ -20,7 +20,6 @@ import datetime
 import io as _io
 import json
 import sys
-from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -63,39 +62,6 @@ from .verify import coupling_violations, verify_model
 # `check --direct` on d > 3 are randomized too; those validate their own
 # seed because the need depends on other flags.
 RANDOMIZED_COMMANDS = frozenset({"simulate", "couple", "argmax-test", "verify"})
-
-
-@dataclass(frozen=True)
-class ExperimentSpec:
-    """One CLI invocation: command, model, entropy, and output routing."""
-
-    command: str
-    model: Optional[str]
-    seed: Optional[int]
-    samples: Optional[int]
-    tolerance: float
-    out: Optional[str]
-    format: str = "json"
-    deterministic: bool = False
-
-    def __post_init__(self):
-        if self.command in RANDOMIZED_COMMANDS and self.seed is None:
-            raise ValueError(
-                f"{self.command} is randomized: --seed is required "
-                f"(no implicit entropy)")
-
-
-def spec_from_args(args) -> ExperimentSpec:
-    return ExperimentSpec(
-        command=args.command,
-        model=getattr(args, "model", None),
-        seed=getattr(args, "seed", None),
-        samples=getattr(args, "samples", None),
-        tolerance=getattr(args, "tolerance", 1e-9),
-        out=getattr(args, "out", None),
-        format=getattr(args, "format", "json"),
-        deterministic=getattr(args, "deterministic", False),
-    )
 
 
 def _provenance(seed: Optional[int], obj, deterministic: bool) -> dict:
@@ -229,7 +195,7 @@ def cmd_dual(args) -> int:
     model, obj = _load_model(args.model)
     theta = _require_capacity(model, "dual")
     f = _parse_point_values(theta.carrier, _inline_json(args.f, "--f"), "$.f")
-    mu, value = dual_greedy(theta, f)
+    mu, value = dual_greedy(theta, f, tol=args.tolerance)
     oracle_value = None
     if args.oracle != "none":
         if args.oracle == "sampled" and args.seed is None:
@@ -307,7 +273,7 @@ def _read_batch_csv(path: str) -> tuple[Carrier, np.ndarray]:
     rows = []
     try:
         with open(path) as fh:
-            for line in fh:
+            for lineno, line in enumerate(fh, 1):
                 line = line.strip()
                 if not line or line.startswith("#"):
                     continue
@@ -318,6 +284,9 @@ def _read_batch_csv(path: str) -> tuple[Carrier, np.ndarray]:
                                                f"(header starts with {cells[0]!r})")
                     labels = cells[1:]
                     continue
+                if len(cells) != len(labels) + 1:
+                    raise ValueError(f"line {lineno} has {len(cells) - 1} values "
+                                     f"for {len(labels)} carrier points")
                 rows.append([float(c) for c in cells[1:]])
     except FileNotFoundError:
         raise SchemaError("$", f"cannot read {path}: no such file") from None
@@ -325,12 +294,7 @@ def _read_batch_csv(path: str) -> tuple[Carrier, np.ndarray]:
         raise SchemaError("$", f"bad CSV row in {path}: {e}") from None
     if labels is None or not rows:
         raise SchemaError("$", f"{path} contains no samples")
-    carrier = Carrier(tuple(labels))
-    values = np.array(rows)
-    if values.shape[1] != carrier.size:
-        raise SchemaError("$", f"row width {values.shape[1]} does not match "
-                               f"{carrier.size} carrier points")
-    return carrier, values
+    return Carrier(tuple(labels)), np.array(rows)
 
 
 def cmd_estimate(args) -> int:
@@ -443,13 +407,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--version", action="version", version=f"crsm {__version__}")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, model=True, sim=False, seeded=False):
+    def common(sp, model=True, sim=False, checks=False):
         if model:
             sp.add_argument("--model", required=True, help="model JSON path")
         sp.add_argument("--out", help="write the artifact to this path")
-        sp.add_argument("--tolerance", type=float, default=1e-9,
-                        help="relative lattice comparison tolerance: exact checks "
-                             "allow tol * max(1, theta(E))")
+        if checks:
+            sp.add_argument("--tolerance", type=float, default=1e-9,
+                            help="relative lattice comparison tolerance: exact "
+                                 "checks allow tol * max(1, theta(E))")
         sp.add_argument("--deterministic", action="store_true",
                         help="suppress timestamps for byte-stable output")
         if sim:
@@ -458,11 +423,11 @@ def build_parser() -> argparse.ArgumentParser:
                             help="'exact' or 'truncated:K'")
             sp.add_argument("--max-terms", type=int, default=1_000_000,
                             dest="max_terms")
-        if sim or seeded:
+        if sim or checks:
             sp.add_argument("--seed", type=int, default=None)
 
     sp = sub.add_parser("check", help="classify a capacity / probe a functional")
-    common(sp, seeded=True)
+    common(sp, checks=True)
     sp.add_argument("--direct", action="store_true",
                     help="also run the successive-difference search")
     sp.add_argument("--order", type=int, default=3)
@@ -484,7 +449,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(fn=cmd_extremal)
 
     sp = sub.add_parser("dual", help="greedy dual measure and oracle value")
-    common(sp, seeded=True)
+    common(sp, checks=True)
     sp.add_argument("--f", required=True, help="point values (JSON or @file)")
     sp.add_argument("--oracle", choices=["exact", "sampled", "none"],
                     default="none")
@@ -521,7 +486,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(fn=cmd_argmax_test)
 
     sp = sub.add_parser("verify", help="run the self-verification battery")
-    common(sp, seeded=True)
+    common(sp, checks=True)
     sp.add_argument("--samples", type=int, default=20000)
     sp.set_defaults(fn=cmd_verify)
 
@@ -536,7 +501,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        spec_from_args(args)
+        if args.command in RANDOMIZED_COMMANDS and args.seed is None:
+            raise ValueError(f"{args.command} is randomized: --seed is required "
+                             f"(no implicit entropy)")
         return args.fn(args)
     except CarrierSizeError as e:
         print(f"error: {e}", file=sys.stderr)

@@ -23,21 +23,15 @@ of a black-box functional gets falsified here.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Union
+from typing import Optional, Union
 
 import numpy as np
 
-from .carrier import Carrier, PointFunction, as_values
+from .carrier import Carrier, as_carrier, as_values
 from .setfun import Capacity, _singleton_table, _sweep
-
-Evaluatable = Union["Callable[[np.ndarray], float]", object]
 
 
 def _vals(f, carrier: Carrier) -> np.ndarray:
-    if isinstance(f, PointFunction):
-        if f.carrier != carrier:
-            raise ValueError("point function lives on a different carrier")
-        return f.values
     return as_values(carrier, f, "integrand")
 
 
@@ -96,22 +90,13 @@ def extremal_integral_setform(f, theta: Capacity) -> float:
     return max(0.0, float(np.max(theta.table[1:] * mins[1:])))
 
 
-def comonotonic(f, g, carrier: Optional[Carrier] = None) -> bool:
+def comonotonic(f, g) -> bool:
     """True iff no pair of points is ordered oppositely by f and g.
 
     Exact O(d**2) check: (f(x)-f(y))*(g(x)-g(y)) >= 0 for all x, y.
     """
-    if carrier is None:
-        for h in (f, g):
-            if isinstance(h, PointFunction):
-                carrier = h.carrier
-                break
-    if carrier is None:
-        fv = np.asarray(f, dtype=float)
-        gv = np.asarray(g, dtype=float)
-    else:
-        fv = _vals(f, carrier)
-        gv = _vals(g, carrier)
+    fv = np.asarray(f, dtype=float)
+    gv = np.asarray(g, dtype=float)
     df = fv[:, None] - fv[None, :]
     dg = gv[:, None] - gv[None, :]
     return bool(np.all(df * dg >= 0.0))
@@ -139,15 +124,13 @@ def comonotone_formula(f, theta: Capacity) -> float:
     return total
 
 
-def _as_functional(ell, carrier: Optional[Carrier]):
+def _as_functional(ell, carrier: Optional[Union[Carrier, int]]):
     """Normalize a functional argument to (callable on arrays, carrier)."""
     if hasattr(ell, "eval") and hasattr(ell, "carrier"):
         return (lambda x: float(ell.eval(x))), ell.carrier
     if carrier is None:
         raise ValueError("plain callables need an explicit carrier")
-    if isinstance(carrier, int):
-        carrier = Carrier(tuple(f"x{i}" for i in range(carrier)))
-    return (lambda x: float(ell(x))), carrier
+    return (lambda x: float(ell(x))), as_carrier(carrier)
 
 
 @dataclass(frozen=True)

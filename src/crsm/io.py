@@ -33,8 +33,8 @@ from typing import Union
 
 import numpy as np
 
-from .carrier import Carrier, CarrierSizeError, TorusTag, canonical_json
-from .setfun import Capacity, MobiusMeasure, mobius_inverse
+from .carrier import MAX_CARRIER_SIZE, Carrier, CarrierSizeError, TorusTag, canonical_json
+from .setfun import Capacity, MobiusMeasure
 from .tdf import (
     ChoquetTDF,
     DiscreteMeasure,
@@ -207,9 +207,9 @@ def parse_capacity(obj, path: str = "$") -> Capacity:
         dim = obj.get("dim", 1)
         if dim not in (1, 2):
             raise SchemaError(f"{path}.dim", f"expected 1 or 2, got {dim!r}")
-        if n ** dim > 24:
-            raise CarrierSizeError(
-                f"torus with {n ** dim} points exceeds the carrier cap of 24")
+        if n ** dim > MAX_CARRIER_SIZE:
+            raise CarrierSizeError(f"torus with {n ** dim} points exceeds "
+                                   f"the carrier cap of {MAX_CARRIER_SIZE}")
         shapes_obj = _need(obj, "shapes", path)
         if not isinstance(shapes_obj, list) or not shapes_obj:
             raise SchemaError(f"{path}.shapes", "expected a nonempty list of shapes")
@@ -365,8 +365,3 @@ def load_json_file(path: str) -> dict:
         raise SchemaError("$", f"cannot read {path}: no such file") from None
     except json.JSONDecodeError as e:
         raise SchemaError("$", f"invalid JSON in {path}: {e}") from None
-
-
-def mobius_of_capacity_json(obj) -> dict:
-    theta = parse_capacity(obj)
-    return mobius_to_json(mobius_inverse(theta))

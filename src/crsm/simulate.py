@@ -360,8 +360,8 @@ class SpectralSampler:
     of max_x Y_x (required for exact stopping); structural_zeros masks the
     points with Y_x = 0 almost surely; argmax_reachable masks the points
     that can ever realize the maximum of Y (needed by `couple`).  A finite
-    atom table (from_atoms / from_tdf / from_capacity) is validated against
-    these declarations once, at construction; a black-box draw callable is
+    atom table (from_tdf / from_capacity) is validated against these
+    declarations once, at construction; a black-box draw callable is
     validated on every draw.
     """
 
@@ -398,13 +398,8 @@ class SpectralSampler:
         return y
 
     @classmethod
-    def from_atoms(cls, carrier: Carrier, probs, atoms) -> "SpectralSampler":
-        """Finite spectral law; bound, zeros and argmax reach are derived."""
-        law = SpectralTDF(carrier, np.asarray(probs, float), np.asarray(atoms, float))
-        return cls.from_tdf(law)
-
-    @classmethod
     def from_tdf(cls, law: SpectralTDF) -> "SpectralSampler":
+        """Finite spectral law; bound, zeros and argmax reach are derived."""
         atoms = law.atoms
         peaks = atoms.max(axis=1, keepdims=True)
         zeros = _mask_of(atoms.max(axis=0) == 0.0)
@@ -560,8 +555,8 @@ def couple(sampler: SpectralSampler, config: SimConfig) -> Coupling:
     Each draw is widened to (Y, lower, upper) columns and the pass runs
     until the exact stop of X and of lower; X is therefore bit-equal to
     simulate_spectral(sampler, config).  Requires a declared bound and the
-    argmax-reachable mask (both derived automatically by from_atoms /
-    from_tdf / from_capacity); samplers without these are rejected.
+    argmax-reachable mask (both derived automatically by from_tdf /
+    from_capacity); samplers without these are rejected.
     """
     if sampler.bound is None or sampler.argmax_reachable is None:
         raise ValueError(

@@ -38,7 +38,7 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .carrier import Carrier, TorusTag, popcounts
+from .carrier import Carrier, TorusTag, as_carrier, popcounts
 from .setfun import Capacity, _additive_table, _singleton_table, _sweep
 from .tdf import DiscreteMeasure
 
@@ -84,22 +84,12 @@ class BernsteinFunction:
         return float(out) if out.ndim == 0 else out
 
 
-def bernstein_eval(g: BernsteinFunction, t):
-    return g(t)
-
-
 def compose_capacity(g: BernsteinFunction, theta: Capacity) -> Capacity:
     """g o theta, tablewise.  Preserves complete alternation."""
     table = g(theta.table)
     table = np.asarray(table, dtype=float).copy()
     table[0] = 0.0  # g(0) = 0 identically; keep the slot exact
     return Capacity(theta.carrier, table)
-
-
-def _resolve_carrier(carrier: Union[Carrier, int]) -> Carrier:
-    if isinstance(carrier, Carrier):
-        return carrier
-    return Carrier(tuple(f"x{i}" for i in range(carrier)))
 
 
 def exchangeable_capacity(carrier: Union[Carrier, int],
@@ -110,7 +100,7 @@ def exchangeable_capacity(carrier: Union[Carrier, int],
     zeta is a finite mixing law [(value, prob), ..] with values in [0, 1]
     and probs summing to 1.
     """
-    carr = _resolve_carrier(carrier)
+    carr = as_carrier(carrier)
     if not zeta:
         raise ValueError("mixing law needs at least one atom")
     vals = np.array([v for v, _ in zeta], dtype=float)
@@ -137,7 +127,7 @@ def subset_size_capacity(carrier: Union[Carrier, int],
     theta(K) = scale * P(the random set meets K)
              = scale * (1 - p_0 - sum_{k=1}^{d-|K|} C(d-|K|, k)/C(d, k) p_k).
     """
-    carr = _resolve_carrier(carrier)
+    carr = as_carrier(carrier)
     d = carr.size
     p = np.asarray(p, dtype=float)
     if p.shape != (d + 1,):

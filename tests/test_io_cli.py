@@ -10,7 +10,6 @@ from crsm.cli import main
 from crsm.io import (
     SchemaError,
     capacity_to_json,
-    mobius_of_capacity_json,
     mobius_to_json,
     model_hash,
     parse_bernstein,
@@ -163,8 +162,6 @@ def test_mobius_json_roundtrip_drops_zeros():
     assert obj["weights"] == {"a": 0.5, "b": 0.5, "a,b": 0.5}
     nu2 = parse_mobius(obj)
     assert np.array_equal(nu2.weights, nu.weights)
-    helper = mobius_of_capacity_json(THETA2)
-    assert helper["weights"] == obj["weights"]
 
 
 def test_json_keys_follow_subset_key_on_unsorted_labels():
@@ -280,10 +277,40 @@ def test_cli_deterministic_byte_identical(theta2_file, tmp_path):
 
 
 def test_cli_randomized_commands_require_seed(theta2_file, capsys):
-    assert main(["simulate", "--model", theta2_file, "--samples", "5"]) == 2
-    assert "--seed" in capsys.readouterr().err
+    extra = {"argmax-test": ["--set", '["a"]']}
+    for command in ("simulate", "couple", "argmax-test", "verify"):
+        argv = [command, "--model", theta2_file, "--samples", "5"]
+        assert main(argv + extra.get(command, [])) == 2
+        err = capsys.readouterr().err
+        assert f"{command} is randomized: --seed is required" in err
     assert main(["dual", "--model", theta2_file, "--f", '{"a":1,"b":1}',
                  "--oracle", "sampled"]) == 2
+
+
+def test_cli_tolerance_only_on_exact_check_commands(tmp_path, theta2_file, capsys):
+    # nu({a,b}) = -1e-6: outside the default slack 1e-9 * 2, inside 1e-5 * 2
+    near = tmp_path / "near.json"
+    near.write_text(json.dumps({"kind": "table", "carrier": ["a", "b"],
+                                "table": {"a": 1.0, "b": 1.0, "a,b": 2.0 + 1e-6}}))
+    argv = ["dual", "--model", str(near), "--f", '{"a":2,"b":1}', "--deterministic"]
+    assert main(argv) == 2
+    assert "completely alternating" in capsys.readouterr().err
+    assert main(argv + ["--tolerance", "1e-5"]) == 0
+    assert json.loads(capsys.readouterr().out)["greedy"] == pytest.approx(3.0 + 1e-6)
+    with pytest.raises(SystemExit) as exc:
+        main(["simulate", "--model", theta2_file, "--seed", "0",
+              "--tolerance", "1e-6"])
+    assert exc.value.code == 2
+    assert "--tolerance" in capsys.readouterr().err
+
+
+def test_cli_estimate_rejects_ragged_csv(tmp_path, capsys):
+    csv = tmp_path / "ragged.csv"
+    csv.write_text("# provenance: {}\nsample_index,a,b\n0,1.0,2.0\n1,3.0\n")
+    assert main(["estimate", "--batch", str(csv), "--set", '["a"]']) == 2
+    err = capsys.readouterr().err
+    assert "line 4 has 1 values for 2 carrier points" in err
+    assert "inhomogeneous" not in err
 
 
 def test_cli_dual(theta2_file, capsys):

@@ -12,7 +12,6 @@ from crsm.setfun import Capacity, classify, mobius_inverse
 from crsm.tdf import DiscreteMeasure
 from crsm.transforms import (
     BernsteinFunction,
-    bernstein_eval,
     check_stationary,
     compose_capacity,
     distortion_capacity,
@@ -63,11 +62,11 @@ def test_bernstein_validation():
     assert BernsteinFunction()(3.0) == 0.0
 
 
-def test_bernstein_eval_matches_closed_form():
+def test_bernstein_function_matches_closed_form():
     g = BernsteinFunction(drift=0.25, atoms=[(1.0, 2.0), (3.0, 0.5)])
     for t in (0.0, 0.3, 1.7, 10.0):
         expect = 0.25 * t + 2.0 * (1 - math.exp(-t)) + 0.5 * (1 - math.exp(-3 * t))
-        assert bernstein_eval(g, t) == pytest.approx(expect, rel=1e-15)
+        assert g(t) == pytest.approx(expect, rel=1e-15)
 
 
 def test_compose_additive_with_sqrt():
