@@ -8,6 +8,11 @@ plus the random stream version `stream` when a seed is given;
 `simulate` writes the mean, p50, p99 and max of its LePage term counts to
 stderr.
 
+Simulation CSV: a `# provenance:` line, the header `sample_index,<labels>`,
+then one row per sample, each value in Python's shortest round-trip
+`repr`, so `estimate` reads back bit-equal values.  The reader ignores `#`
+lines and blank lines anywhere and never parses the index column.
+
 Exit codes: 0 success, 1 failed verification-style checks, 2 malformed
 input (with a JSONPath-precise message on stderr), 3 refused carrier
 size.
@@ -17,10 +22,10 @@ from __future__ import annotations
 
 import argparse
 import datetime
-import io as _io
 import json
 import sys
-from typing import Optional
+from itertools import islice
+from typing import Optional, TextIO
 
 import numpy as np
 
@@ -232,14 +237,27 @@ def _config_from_args(args) -> SimConfig:
                      n_terms=n_terms, max_terms=args.max_terms)
 
 
-def _batch_csv(batch: SampleBatch, prov: dict) -> str:
-    buf = _io.StringIO()
-    buf.write("# provenance: " + json.dumps(prov, sort_keys=True) + "\n")
-    buf.write("sample_index," + ",".join(batch.carrier.labels) + "\n")
-    for j in range(batch.n):
-        row = ",".join(repr(float(v)) for v in batch.values[j])
-        buf.write(f"{j},{row}\n")
-    return buf.getvalue()
+# Values per block that the CSV writer formats, or the reader parses, at once.
+# Their temporary Python objects take about 100 bytes per value, so a block
+# stays under 1 MB whatever N and d are.
+_CSV_BLOCK_VALUES = 8192
+
+
+def _csv_block_rows(d: int) -> int:
+    return max(1, _CSV_BLOCK_VALUES // max(d, 1))
+
+
+def _write_batch_csv(out: TextIO, batch: SampleBatch, prov: dict) -> None:
+    out.write("# provenance: " + json.dumps(prov, sort_keys=True) + "\n")
+    out.write("sample_index," + ",".join(batch.carrier.labels) + "\n")
+    d = batch.carrier.size
+    step = _csv_block_rows(d)
+    for start in range(0, batch.n, step):
+        block = batch.values[start:start + step]
+        cells = map(repr, block.ravel().tolist())
+        # zip takes d cells from the one iterator per row, after the index.
+        rows = zip(map(str, range(start, start + len(block))), *[cells] * d)
+        out.write("\n".join(map(",".join, rows)) + "\n")
 
 
 def cmd_simulate(args) -> int:
@@ -248,17 +266,16 @@ def cmd_simulate(args) -> int:
     batch = simulate_model(model, config)
     prov = _provenance(args.seed, obj, args.deterministic)
     if args.format == "csv":
-        text = _batch_csv(batch, prov)
         if args.out:
             with open(args.out, "w") as fh:
-                fh.write(text)
+                _write_batch_csv(fh, batch, prov)
         else:
-            sys.stdout.write(text)
+            _write_batch_csv(sys.stdout, batch, prov)
     else:
         payload = {
             "carrier": batch.carrier.to_json(),
             "mode": batch.mode,
-            "samples": [[float(v) for v in row] for row in batch.values],
+            "samples": batch.values.tolist(),
             "provenance": prov,
         }
         _emit_json(payload, args.out)
@@ -270,31 +287,49 @@ def cmd_simulate(args) -> int:
 
 def _read_batch_csv(path: str) -> tuple[Carrier, np.ndarray]:
     labels: Optional[list[str]] = None
-    rows = []
+    blocks = []
     try:
         with open(path) as fh:
             for lineno, line in enumerate(fh, 1):
                 line = line.strip()
-                if not line or line.startswith("#"):
-                    continue
-                cells = line.split(",")
-                if labels is None:
+                if line and line[0] != "#":
+                    cells = line.split(",")
                     if cells[0] != "sample_index":
                         raise SchemaError("$", f"{path} is not a simulation CSV "
                                                f"(header starts with {cells[0]!r})")
                     labels = cells[1:]
-                    continue
-                if len(cells) != len(labels) + 1:
-                    raise ValueError(f"line {lineno} has {len(cells) - 1} values "
-                                     f"for {len(labels)} carrier points")
-                rows.append([float(c) for c in cells[1:]])
+                    break
+            d = len(labels or ())
+            step = _csv_block_rows(d)
+            while lines := list(map(str.strip, islice(fh, step))):
+                rows = [s for s in lines if s and s[0] != "#"]
+                commas = [s.count(",") for s in rows]
+                if commas.count(d) != len(rows):
+                    k = next(k for k, c in enumerate(commas) if c != d)
+                    _csv_values(rows[:k], d)  # a bad cell before it is reported first
+                    linenos = [i for i, s in enumerate(lines, lineno + 1)
+                               if s and s[0] != "#"]
+                    raise ValueError(f"line {linenos[k]} has {commas[k]} values "
+                                     f"for {d} carrier points")
+                if rows:
+                    blocks.append(_csv_values(rows, d))
+                lineno += len(lines)
     except FileNotFoundError:
         raise SchemaError("$", f"cannot read {path}: no such file") from None
+    except SchemaError:
+        raise
     except ValueError as e:
         raise SchemaError("$", f"bad CSV row in {path}: {e}") from None
-    if labels is None or not rows:
+    if labels is None or not blocks:
         raise SchemaError("$", f"{path} contains no samples")
-    return Carrier(tuple(labels)), np.array(rows)
+    return Carrier(tuple(labels)), np.concatenate(blocks)
+
+
+def _csv_values(rows: list[str], d: int) -> np.ndarray:
+    """The (len(rows), d) values of data rows of d + 1 cells each."""
+    cells = ",".join(rows).split(",")
+    del cells[::d + 1]  # the sample index is never parsed
+    return np.fromiter(map(float, cells), float, len(cells)).reshape(len(rows), d)
 
 
 def cmd_estimate(args) -> int:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from crsm.carrier import Carrier, CarrierSizeError
-from crsm.cli import main
+from crsm.cli import _csv_block_rows, _read_batch_csv, _write_batch_csv, main
 from crsm.io import (
     SchemaError,
     capacity_to_json,
@@ -21,6 +21,7 @@ from crsm.io import (
     tdf_to_json,
 )
 from crsm.setfun import Capacity, mobius_inverse
+from crsm.simulate import SampleBatch
 from crsm.tdf import ChoquetTDF, LebesgueTDF, SpectralTDF
 from crsm.transforms import check_stationary
 
@@ -311,6 +312,72 @@ def test_cli_estimate_rejects_ragged_csv(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "line 4 has 1 values for 2 carrier points" in err
     assert "inhomogeneous" not in err
+
+
+def _per_row_csv(batch: SampleBatch, prov: dict) -> str:
+    """The CSV of a batch written one row and one repr call at a time."""
+    lines = ["# provenance: " + json.dumps(prov, sort_keys=True),
+             "sample_index," + ",".join(batch.carrier.labels)]
+    for j in range(batch.n):
+        lines.append(f"{j}," + ",".join(repr(float(v)) for v in batch.values[j]))
+    return "".join(line + "\n" for line in lines)
+
+
+@pytest.mark.parametrize("n", [1, _csv_block_rows(3) - 1, _csv_block_rows(3),
+                               _csv_block_rows(3) + 1])
+def test_batch_csv_matches_per_row_repr_and_reads_back_bit_equal(tmp_path, n):
+    special = [5e-324, 1e-5, 0.1 + 0.2, 1e16, 1.7976931348623157e308,
+               1.0, 3.0e5, 123456789.0]
+    rng = np.random.default_rng(n)
+    values = 1.0 / rng.exponential(size=3 * n)
+    values[:min(3 * n, len(special))] = special[:3 * n]
+    batch = SampleBatch(Carrier(("a", "b", "c")), values.reshape(n, 3), seed=0,
+                        mode="exact")
+    prov = {"tool": "crsm", "seed": 0}
+    path = tmp_path / "batch.csv"
+    with open(path, "w") as fh:
+        _write_batch_csv(fh, batch, prov)
+    assert path.read_text() == _per_row_csv(batch, prov)
+    carrier, back = _read_batch_csv(str(path))
+    assert carrier.labels == ("a", "b", "c")
+    assert back.dtype == np.float64 and back.shape == (n, 3)
+    assert back.tobytes() == batch.values.tobytes()
+
+
+def test_read_batch_csv_skips_comments_blanks_and_whitespace(tmp_path):
+    path = tmp_path / "edge.csv"
+    path.write_bytes(b"# provenance: {}\r\n\r\n  sample_index,a,b \r\n"
+                     b"# note\r\nidx, 1.5 ,2\r\n\r\n   \r\n  # later\r\n"
+                     b"1,\t3e-5,4.0")
+    carrier, values = _read_batch_csv(str(path))
+    assert carrier.labels == ("a", "b")
+    assert values.tolist() == [[1.5, 2.0], [3e-5, 4.0]]
+
+
+def _rows(n: int) -> str:
+    return "".join(f"{j},{j}.5,1.0\n" for j in range(n))
+
+
+@pytest.mark.parametrize("text, message", [
+    (None, "cannot read {path}: no such file"),
+    # reported once, not wrapped in a second "bad CSV row" message
+    ("sample_index0,a\n0,1.0\n",
+     "{path} is not a simulation CSV (header starts with 'sample_index0')"),
+    # the bad cell on line 3 comes before the ragged row on line 4
+    ("sample_index,a,b\n0,1.0,x\n1,2.0\n",
+     "bad CSV row in {path}: could not convert string to float: 'x'"),
+    ("# provenance: {}\nsample_index,a,b\n\n", "{path} contains no samples"),
+    # line numbers count comment and blank lines, also past the first block
+    ("sample_index,a,b\n# c\n\n" + _rows(_csv_block_rows(2)) + "x,1.0\n",
+     "bad CSV row in {path}: "
+     f"line {_csv_block_rows(2) + 4} has 1 values for 2 carrier points"),
+])
+def test_cli_estimate_csv_errors(tmp_path, capsys, text, message):
+    path = tmp_path / "batch.csv"
+    if text is not None:
+        path.write_text(text)
+    assert main(["estimate", "--batch", str(path), "--set", '["a"]']) == 2
+    assert capsys.readouterr().err == f"error: at $: {message.format(path=path)}\n"
 
 
 def test_cli_dual(theta2_file, capsys):

@@ -10,13 +10,12 @@ import math
 import numpy as np
 import pytest
 
-from conftest import carrier_of, random_ca_capacity
+from conftest import carrier_of
 from crsm.carrier import Carrier
 from crsm.setfun import Capacity
 from crsm.simulate import (
     Coupling,
     MaxTermsExceeded,
-    SampleBatch,
     SimConfig,
     SpectralSampler,
     argmax_independence_test,
