@@ -13,7 +13,8 @@ then one row per sample, each value in Python's shortest round-trip
 `repr`, so `estimate` reads back bit-equal values.  The reader ignores `#`
 lines and blank lines anywhere and never parses the index column.
 
-Exit codes: 0 success, 1 failed verification-style checks, 2 malformed
+Exit codes: 0 success, 1 failed verification-style checks or stdout
+closed early by its reader (a broken pipe, as in `| head`), 2 malformed
 input (with a JSONPath-precise message on stderr), 3 refused carrier
 size.
 """
@@ -23,6 +24,7 @@ from __future__ import annotations
 import argparse
 import datetime
 import json
+import os
 import sys
 from itertools import islice
 from typing import Optional, TextIO
@@ -30,7 +32,7 @@ from typing import Optional, TextIO
 import numpy as np
 
 from . import __version__
-from .carrier import Carrier, CarrierSizeError
+from .carrier import Carrier, CarrierSizeError, iter_bits
 from .integrals import choquet_integral, extremal_integral
 from .io import (
     SchemaError,
@@ -39,12 +41,15 @@ from .io import (
     mobius_to_json,
     model_hash,
     parse_capacity,
+    parse_label_set,
     parse_model,
     parse_pairs,
     _parse_point_values,
 )
 from .setfun import (
+    DEFAULT_TOL,
     Capacity,
+    certified_mobius,
     check_complete_alternation_direct,
     classify,
     mobius_inverse,
@@ -221,6 +226,9 @@ def cmd_dual(args) -> int:
 def cmd_cdf(args) -> int:
     model, obj = _load_model(args.model)
     ell = ChoquetTDF(model) if isinstance(model, Capacity) else model
+    if isinstance(ell, ChoquetTDF):
+        # spectral and Lebesgue models are always laws; a capacity only if CA
+        certified_mobius(ell.theta, DEFAULT_TOL)
     pairs = parse_pairs(_inline_json(args.pairs, "--pairs"), ell.carrier, "$.pairs")
     value = joint_cdf(ell, pairs)
     print(json.dumps(value))
@@ -293,7 +301,7 @@ def _read_batch_csv(path: str) -> tuple[Carrier, np.ndarray]:
             for lineno, line in enumerate(fh, 1):
                 line = line.strip()
                 if line and line[0] != "#":
-                    cells = line.split(",")
+                    cells = [c.strip() for c in line.split(",")]
                     if cells[0] != "sample_index":
                         raise SchemaError("$", f"{path} is not a simulation CSV "
                                                f"(header starts with {cells[0]!r})")
@@ -341,17 +349,8 @@ def cmd_estimate(args) -> int:
         z = (values * f[None, :]).max(axis=1)
         stat = "extremal"
     else:
-        labels = _inline_json(args.set, "--set")
-        if not isinstance(labels, list):
-            raise SchemaError("$.set", "expected a list of labels")
-        try:
-            mask = carrier.mask_of(labels)
-        except KeyError as e:
-            raise SchemaError("$.set", e.args[0]) from None
-        if mask == 0:
-            raise SchemaError("$.set", "set must be nonempty")
-        idx = [i for i in range(carrier.size) if mask >> i & 1]
-        z = values[:, idx].max(axis=1)
+        mask = parse_label_set(_inline_json(args.set, "--set"), carrier, "$.set")
+        z = values[:, list(iter_bits(mask))].max(axis=1)
         stat = "sup"
     est = frechet_scale_estimate(z)
     payload = {
@@ -385,13 +384,7 @@ def cmd_couple(args) -> int:
 def cmd_argmax_test(args) -> int:
     model, obj = _load_model(args.model)
     theta = _require_capacity(model, "argmax-test")
-    labels = _inline_json(args.set, "--set")
-    if not isinstance(labels, list):
-        raise SchemaError("$.set", "expected a list of labels")
-    try:
-        region = theta.carrier.mask_of(labels)
-    except KeyError as e:
-        raise SchemaError("$.set", e.args[0]) from None
+    region = parse_label_set(_inline_json(args.set, "--set"), theta.carrier, "$.set")
     config = _config_from_args(args)
     rep = argmax_independence_test(theta, region, config,
                                    negative_control=args.negative_control)
@@ -539,7 +532,13 @@ def main(argv=None) -> int:
         if args.command in RANDOMIZED_COMMANDS and args.seed is None:
             raise ValueError(f"{args.command} is randomized: --seed is required "
                              f"(no implicit entropy)")
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()  # a closed pipe fails here, not at interpreter exit
+        return code
+    except BrokenPipeError:
+        # the reader has gone; silence the final flush of the exit handlers
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except CarrierSizeError as e:
         print(f"error: {e}", file=sys.stderr)
         return 3

@@ -333,6 +333,19 @@ def tdf_to_json(ell: TailDependenceFunctional) -> dict:
     raise TypeError(f"unsupported functional {type(ell).__name__}")
 
 
+def parse_label_set(obj, carrier: Carrier, path: str = "$") -> int:
+    """Subset mask of a nonempty JSON list of carrier labels."""
+    if not isinstance(obj, list) or not obj:
+        raise SchemaError(path, "expected a nonempty list of labels")
+    for i, label in enumerate(obj):
+        if not isinstance(label, str):
+            raise SchemaError(f"{path}[{i}]", f"expected a label string, got {label!r}")
+    try:
+        return carrier.mask_of(obj)
+    except KeyError as e:
+        raise SchemaError(path, e.args[0]) from None
+
+
 def parse_pairs(obj, carrier: Carrier, path: str = "$") -> list[tuple[int, float]]:
     """CDF query: [{"set": [labels], "level": a}, ..]."""
     if not isinstance(obj, list) or not obj:
@@ -340,13 +353,7 @@ def parse_pairs(obj, carrier: Carrier, path: str = "$") -> list[tuple[int, float
     pairs = []
     for i, entry in enumerate(obj):
         loc = f"{path}[{i}]"
-        labels = _need(entry, "set", loc)
-        if not isinstance(labels, list) or not labels:
-            raise SchemaError(f"{loc}.set", "expected a nonempty list of labels")
-        try:
-            mask = carrier.mask_of(labels)
-        except KeyError as e:
-            raise SchemaError(f"{loc}.set", e.args[0]) from None
+        mask = parse_label_set(_need(entry, "set", loc), carrier, f"{loc}.set")
         level = _number(_need(entry, "level", loc), f"{loc}.level", positive=True)
         pairs.append((mask, level))
     return pairs

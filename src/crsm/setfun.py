@@ -227,6 +227,22 @@ def mobius_inverse(theta: Capacity) -> MobiusMeasure:
     return MobiusMeasure(theta.carrier, nu)
 
 
+def certified_mobius(theta: Capacity, tol: float = DEFAULT_TOL) -> MobiusMeasure:
+    """Mobius measure of a capacity certified completely alternating.
+
+    The certificate that theta is the capacity functional of a random
+    sup-measure: every weight is at least -theta.atol(tol).  Raises
+    ValueError naming the smallest weight and its mask otherwise.
+    """
+    nu = mobius_inverse(theta)
+    min_w, witness = nu.min_weight()
+    if min_w < -theta.atol(tol):
+        raise ValueError(
+            f"capacity is not completely alternating (mobius weight {min_w:.3g} "
+            f"at mask {witness:#x}); no random sup-measure has it")
+    return nu
+
+
 def capacity_from_measure(nu: MobiusMeasure) -> Capacity:
     """Capacity theta(K) = sum of nu(F) over F meeting K.
 

@@ -43,7 +43,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .carrier import Carrier, iter_bits
-from .setfun import Capacity, mobius_inverse
+from .setfun import Capacity, certified_mobius, mobius_inverse
 from .tdf import SpectralTDF
 
 CA_SIM_TOL = 1e-9
@@ -325,12 +325,7 @@ def _crsm_atoms(theta: Capacity) -> tuple[np.ndarray, np.ndarray, int]:
     relative tolerance CA_SIM_TOL (slack CA_SIM_TOL * max(1, theta(E)));
     negative weights inside that band are clamped to zero.
     """
-    nu = mobius_inverse(theta)
-    min_w, witness = nu.min_weight()
-    if min_w < -theta.atol(CA_SIM_TOL):
-        raise ValueError(
-            f"capacity is not completely alternating (mobius weight {min_w:.3g} "
-            f"at mask {witness:#x}); no random sup-measure to simulate")
+    nu = certified_mobius(theta, CA_SIM_TOL)
     if theta.total <= 0:
         raise ValueError("capacity is identically zero; nothing to simulate")
     w = np.clip(nu.weights, 0.0, None)

@@ -6,6 +6,10 @@ sup-measure X with unit Frechet margins scaling:
 
     P(extremal integral of f against X <= 1) = exp(-ell(f)).
 
+On sets this is the joint law P(X(K_i) <= a_i for all i) =
+exp(-ell(max_i 1_{K_i} / a_i)); `joint_cdf` evaluates it as it stands,
+whatever the representation.
+
 Three interchangeable finite representations are supported:
 
 * Choquet:  ell(f) = choquet integral of f against a capacity theta,
@@ -56,7 +60,7 @@ import numpy as np
 
 from .carrier import Carrier, as_values, iter_bits
 from .integrals import _as_functional, _vals, choquet_integral
-from .setfun import Capacity, _additive_table, mobius_inverse, subset_max
+from .setfun import Capacity, _additive_table, certified_mobius, subset_max
 
 MAX_ALTERNATION_ORDER = 5
 
@@ -306,12 +310,8 @@ def dual_greedy(theta: Capacity, f, tol: float = 1e-9) -> tuple[DiscreteMeasure,
     tol is relative: both checks allow a slack of tol * max(1, theta(E)).
     """
     v = _vals(f, theta.carrier)
+    certified_mobius(theta, tol)
     atol = theta.atol(tol)
-    min_w, witness = mobius_inverse(theta).min_weight()
-    if min_w < -atol:
-        raise ValueError(
-            f"dual_greedy needs a completely alternating capacity "
-            f"(mobius weight {min_w:.3g} at witness mask {witness:#x})")
     d = theta.carrier.size
     order = np.argsort(-v, kind="stable")
     weights = np.zeros(d)
@@ -420,44 +420,17 @@ def joint_cdf(ell: TailDependenceFunctional,
     """P(X(K_i) <= a_i for all i) for the max-stable RSM attached to ell.
 
     pairs is a list of (subset mask, level a_i) with a_i > 0.  The law is
-    exp(-E) where E is the evaluation of ell at the upper envelope of the
-    indicator spikes 1_{K_i} / a_i; concretely per representation:
+    the defining identity of the TDF,
 
-    * Choquet: E = sum over F of nu(F) * max{1/a_i : F meets K_i},
-    * Spectral: E = sum_j p_j * max_i max_{x in K_i} y_j(x) / a_i,
-    * Lebesgue: E = sum_x mu(x) * max{1/a_i : x in K_i}.
+        P(X(K_i) <= a_i for all i) = exp(-ell(max_i 1_{K_i} / a_i)),
+
+    one evaluation of ell for every representation; no pairs give 1.
     """
-    carrier = ell.carrier
-    masks = []
-    inv = []
+    h = np.zeros(ell.carrier.size)
     for mask, a in pairs:
-        carrier.validate_mask(mask)
+        ell.carrier.validate_mask(mask)
         if not (a > 0.0) or not math.isfinite(a):
             raise ValueError(f"cdf levels must be positive and finite, got {a}")
-        masks.append(mask)
-        inv.append(1.0 / a)
-    if not masks:
-        return 1.0
-    d = carrier.size
-    if isinstance(ell, ChoquetTDF):
-        nu = mobius_inverse(ell.theta)
-        size = 1 << d
-        all_masks = np.arange(size)
-        rate = np.zeros(size)
-        for K, r in zip(masks, inv):
-            hit = (all_masks & K) != 0
-            np.maximum(rate, np.where(hit, r, 0.0), out=rate)
-        exponent = float(nu.weights @ rate)
-    elif isinstance(ell, SpectralTDF):
-        per_atom = subset_max(ell.atoms)  # (m, 2**d)
-        peaks = per_atom[:, masks]  # (m, npairs)
-        exponent = float(ell.probs @ np.max(peaks * np.asarray(inv)[None, :], axis=1))
-    elif isinstance(ell, LebesgueTDF):
-        rate = np.zeros(d)
-        for K, r in zip(masks, inv):
-            sel = [i for i in iter_bits(K)]
-            rate[sel] = np.maximum(rate[sel], r)
-        exponent = float(ell.mu.weights @ rate)
-    else:
-        raise TypeError(f"unsupported functional {type(ell).__name__}")
-    return math.exp(-exponent)
+        for i in iter_bits(mask):
+            h[i] = max(h[i], 1.0 / a)
+    return math.exp(-ell.eval(h))

@@ -1,6 +1,11 @@
 """JSON schemas and the command line, exercised in process."""
 
 import json
+import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -27,6 +32,10 @@ from crsm.transforms import check_stationary
 
 THETA2 = {"kind": "table", "carrier": ["a", "b"],
           "table": {"a": 1.0, "b": 1.0, "a,b": 1.5}}
+# the README's AVaR distortion: monotone and subadditive, not CA
+AVAR4 = {"kind": "distortion", "carrier": ["1", "2", "3", "4"],
+         "mu": {"1": 0.25, "2": 0.25, "3": 0.25, "4": 0.25},
+         "distortion": "avar", "alpha": 0.8}
 
 
 def test_parse_table():
@@ -451,3 +460,84 @@ def test_cli_check_tdf_probe(spectral_file, capsys):
                  "--trials", "200", "--deterministic"]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["max_alternation"]["alternating"] is True
+
+
+def test_cli_estimate_strips_header_labels(tmp_path, theta2_file, capsys):
+    plain = tmp_path / "plain.csv"
+    assert main(["simulate", "--model", theta2_file, "--samples", "300", "--seed", "4",
+                 "--out", str(plain)]) == 0
+    padded = tmp_path / "padded.csv"
+    padded.write_text(plain.read_text().replace("sample_index,a,b\n",
+                                                "sample_index, a, b\n"))
+    capsys.readouterr()
+    outs = []
+    for path in (plain, padded):
+        assert main(["estimate", "--batch", str(path), "--set", '["a"]',
+                     "--deterministic"]) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1]
+
+
+def test_cli_broken_pipe_exits_quietly(theta2_file):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(__file__).resolve().parents[1] / "src")]
+        + [p for p in [env.get("PYTHONPATH")] if p])
+    proc = subprocess.Popen([sys.executable, "-m", "crsm.cli", "simulate", "--model",
+                             theta2_file, "--seed", "0", "--samples", "100000"],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    lines = [proc.stdout.readline() for _ in range(3)]
+    proc.stdout.close()  # the reader goes away long before 100000 rows
+    err = proc.stderr.read()
+    assert proc.wait(timeout=120) == 1
+    assert err == b""
+    assert lines[1] == b"sample_index,a,b\n"
+
+
+@pytest.mark.parametrize("labels, path, message", [
+    ('"a"', "", "expected a nonempty list of labels"),
+    ('[["a"]]', "[0]", "expected a label string, got ['a']"),
+    ('[{"x": 1}]', "[0]", "expected a label string, got {'x': 1}"),
+    ('["z"]', "", "label 'z' not in carrier"),
+    ("[]", "", "expected a nonempty list of labels"),
+])
+def test_cli_label_sets_are_checked_alike(tmp_path, theta2_file, capsys,
+                                          labels, path, message):
+    batch = tmp_path / "batch.csv"
+    batch.write_text("sample_index,a,b\n0,1.0,2.0\n1,3.0,0.5\n")
+    pairs = '[{"set": %s, "level": 1}]' % labels
+    runs = [(["estimate", "--batch", str(batch), "--set", labels], "$.set"),
+            (["argmax-test", "--model", theta2_file, "--seed", "0", "--samples", "10",
+              "--set", labels], "$.set"),
+            (["cdf", "--model", theta2_file, "--pairs", pairs], "$.pairs[0].set")]
+    for argv, root in runs:
+        assert main(argv) == 2, argv[0]
+        assert capsys.readouterr().err == f"error: at {root}{path}: {message}\n"
+
+
+def test_cli_refuses_capacity_that_is_not_completely_alternating(tmp_path, capsys):
+    avar = tmp_path / "avar.json"
+    avar.write_text(json.dumps(AVAR4))
+    choquet = tmp_path / "avar-choquet.json"
+    choquet.write_text(json.dumps({"kind": "choquet", "theta": AVAR4}))
+    runs = [["cdf", "--model", str(avar), "--pairs", '[{"set":["1","2","3"],"level":1}]'],
+            ["cdf", "--model", str(choquet), "--pairs", '[{"set":["1"],"level":1}]'],
+            ["dual", "--model", str(avar), "--f", '{"1":1,"2":2,"3":3,"4":4}'],
+            ["simulate", "--model", str(avar), "--seed", "0", "--samples", "10"]]
+    for argv in runs:
+        assert main(argv) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "not completely alternating (mobius weight -0.25 at mask 0x7)" in captured.err
+
+
+def test_cli_cdf_prints_spectral_and_lebesgue_laws(tmp_path, spectral_file, capsys):
+    leb = tmp_path / "lebesgue.json"
+    leb.write_text(json.dumps({"kind": "lebesgue", "carrier": ["a", "b"],
+                               "mu": {"a": 0.7, "b": 0.3}}))
+    # h = (1/2, 1/4): spectral 0.5 * 0.5 + 0.3 * 0.25 + 0.2 * 0.4, Lebesgue 0.7/2 + 0.3/4
+    pairs = '[{"set":["a"],"level":2},{"set":["a","b"],"level":4}]'
+    for path, exponent in ((spectral_file, 0.405), (str(leb), 0.425)):
+        assert main(["cdf", "--model", path, "--pairs", pairs]) == 0
+        value = float(capsys.readouterr().out)
+        assert value == pytest.approx(math.exp(-exponent), rel=1e-14)

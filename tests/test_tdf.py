@@ -6,10 +6,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import carrier_of, random_ca_capacity, random_f
-from crsm.carrier import Carrier, mask_size
+from conftest import carrier_of, random_ca_capacity, random_capacity, random_f
+from crsm.carrier import Carrier, iter_bits, mask_size
 from crsm.integrals import choquet_integral
-from crsm.setfun import Capacity, classify
+from crsm.setfun import Capacity, classify, mobius_inverse
 from crsm.tdf import (
     ChoquetTDF,
     DiscreteMeasure,
@@ -269,6 +269,42 @@ def test_joint_cdf_validation():
         joint_cdf(ell, [(0b1000, 1.0)])  # mask outside the carrier
     # X on the empty set is 0, so the constraint is vacuous
     assert joint_cdf(ell, [(0, 1.0)]) == 1.0
+
+
+def _exponent_reference(ell, pairs) -> float:
+    """-log P(X(K_i) <= a_i for all i), summed over the atoms of each
+    representation: Mobius sets, spectral atoms or carrier points."""
+    def rate(F):  # max{1/a_i : F meets K_i}, 0 when it meets none
+        return max((1.0 / a for K, a in pairs if F & K), default=0.0)
+
+    d = ell.carrier.size
+    if isinstance(ell, ChoquetTDF):
+        nu = mobius_inverse(ell.theta)
+        return math.fsum(nu.weights[F] * rate(F) for F in range(1, 1 << d))
+    if isinstance(ell, SpectralTDF):
+        return math.fsum(p * max(y[i] / a for K, a in pairs for i in iter_bits(K))
+                         for p, y in zip(ell.probs, ell.atoms))
+    return math.fsum(ell.mu.weights[i] * rate(1 << i) for i in range(d))
+
+
+@pytest.mark.parametrize("seed, kind", enumerate(["choquet-ca", "choquet-monotone",
+                                                   "spectral", "lebesgue"]))
+def test_joint_cdf_matches_per_representation_formulas(seed, kind):
+    rng = np.random.default_rng(seed)
+    for _ in range(100):
+        d = int(rng.integers(1, 7))
+        if kind == "choquet-ca":
+            ell = ChoquetTDF(random_ca_capacity(rng, d))
+        elif kind == "choquet-monotone":  # not CA in general: ell.eval allows it
+            ell = ChoquetTDF(random_capacity(rng, d))
+        elif kind == "spectral":
+            ell = random_spectral(rng, d)
+        else:
+            ell = LebesgueTDF(DiscreteMeasure(carrier_of(d), rng.exponential(1.0, d)))
+        pairs = [(int(rng.integers(1, 1 << d)), float(rng.uniform(0.2, 5.0)))
+                 for _ in range(int(rng.integers(1, 5)))]
+        exponent = -math.log(joint_cdf(ell, pairs))
+        assert exponent == pytest.approx(_exponent_reference(ell, pairs), rel=1e-12)
 
 
 @settings(max_examples=40, deadline=None)
