@@ -58,13 +58,12 @@ from .simulate import (
     STREAM_VERSION,
     SampleBatch,
     SimConfig,
-    SpectralSampler,
     argmax_independence_test,
     couple,
     frechet_scale_estimate,
     simulate_model,
 )
-from .tdf import ChoquetTDF, SpectralTDF, dual_greedy, dual_oracle, joint_cdf
+from .tdf import ChoquetTDF, dual_greedy, dual_oracle, joint_cdf
 from .verify import coupling_violations, verify_model
 
 
@@ -160,7 +159,7 @@ def cmd_check(args) -> int:
         if args.seed is None:
             raise ValueError("probing a functional draws random test families: "
                              "--seed is required (no implicit entropy)")
-        rep = check_max_complete_alternation(model, order=min(args.order, 5),
+        rep = check_max_complete_alternation(model, order=args.order,
                                              trials=args.trials, seed=args.seed)
         payload["max_alternation"] = {
             "alternating": rep.alternating,
@@ -212,7 +211,8 @@ def cmd_dual(args) -> int:
             raise ValueError("the sampled oracle draws randomly: --seed is "
                              "required (no implicit entropy)")
         oracle_value, _ = dual_oracle(theta, f, method=args.oracle,
-                                      trials=args.trials, seed=args.seed)
+                                      trials=args.trials, seed=args.seed,
+                                      tol=args.tolerance)
     payload = {
         "greedy": value,
         "oracle": oracle_value,
@@ -366,12 +366,7 @@ def cmd_estimate(args) -> int:
 
 def cmd_couple(args) -> int:
     model, obj = _load_model(args.model)
-    if isinstance(model, SpectralTDF):
-        sampler = SpectralSampler.from_tdf(model)
-    else:
-        sampler = SpectralSampler.from_capacity(_require_capacity(model, "couple"))
-    config = _config_from_args(args)
-    cpl = couple(sampler, config)
+    cpl = couple(model, _config_from_args(args))
     summary = coupling_violations(cpl)
     ok = (summary["lower_violations"] == 0 and summary["upper_violations"] == 0
           and summary["sup_mismatches"] == 0)

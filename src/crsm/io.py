@@ -118,6 +118,9 @@ def _parse_subset_table(carrier: Carrier, table_obj, path: str,
     size = 1 << carrier.size
     arr = np.zeros(size)
     seen: set[int] = set()
+    # a dict of the 2**d canonical keys pays once the keys name ~2**d labels
+    canonical = (dict(zip(carrier.subset_keys().tolist(), range(size)))
+                 if len(table_obj) * carrier.size >= size else {})
     for key, val in table_obj.items():
         loc = f'{path}["{key}"]'
         if key == "":
@@ -125,7 +128,7 @@ def _parse_subset_table(carrier: Carrier, table_obj, path: str,
                 raise SchemaError(loc, "the empty set must map to 0 (or be omitted)")
             continue
         try:
-            mask = carrier.mask_from_key(key)
+            mask = canonical[key] if key in canonical else carrier.mask_from_key(key)
         except KeyError as e:
             raise SchemaError(loc, e.args[0]) from None
         if mask in seen:

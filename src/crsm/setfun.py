@@ -44,6 +44,8 @@ from .carrier import Carrier
 # involve Monte Carlo use their own, looser tolerances.
 DEFAULT_TOL = 1e-9
 
+MAX_ALTERNATION_ORDER = 5  # order n costs 2**n evaluations per family
+
 
 def _check_table(carrier: Carrier, table: np.ndarray, name: str,
                  nonnegative: bool) -> np.ndarray:
@@ -370,8 +372,8 @@ def check_complete_alternation_direct(theta: Capacity, max_order: int = 3,
     each other (sampled regime: a found violation is always real).
     """
     d = theta.carrier.size
-    if max_order < 2:
-        raise ValueError("alternation starts at order 2")
+    if not 2 <= max_order <= MAX_ALTERNATION_ORDER:
+        raise ValueError(f"order must be in 2..{MAX_ALTERNATION_ORDER}")
     size = 1 << d
     worst = -math.inf
     witness: Optional[tuple[int, tuple[int, ...]]] = None

@@ -11,6 +11,10 @@ draws.  One engine, `_lepage`, runs every sampler:
 * simulate_spectral: arbitrary nonnegative spectral draws with a declared
   essential bound B; `couple` adds the lower and upper coupling columns.
 
+Capacities and Choquet and Lebesgue TDFs are CRSMs: simulate_crsm samples
+them through their capacity, atoms kept as masks.  A CRSM atom is an
+indicator, so its coupling is degenerate: lower = X = upper.
+
 Exactness of the stopping rule: every term is bounded by bound/Gamma_n,
 so once every point that can be positive is positive and bound/Gamma_n
 has dropped strictly below the smallest running maximum, no later term
@@ -43,10 +47,8 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .carrier import Carrier, iter_bits
-from .setfun import Capacity, certified_mobius, mobius_inverse
-from .tdf import SpectralTDF
-
-CA_SIM_TOL = 1e-9
+from .setfun import DEFAULT_TOL, Capacity, certified_mobius, mobius_inverse
+from .tdf import SpectralTDF, extremal_coefficients
 
 STREAM_VERSION = 2
 BLOCK = 1024            # samples per block stream
@@ -322,10 +324,10 @@ def _crsm_atoms(theta: Capacity) -> tuple[np.ndarray, np.ndarray, int]:
     """Positive Mobius atoms (masks ascending, weights), relevant-point mask.
 
     Refuses capacities that are not completely alternating within the
-    relative tolerance CA_SIM_TOL (slack CA_SIM_TOL * max(1, theta(E)));
+    relative tolerance DEFAULT_TOL (slack DEFAULT_TOL * max(1, theta(E)));
     negative weights inside that band are clamped to zero.
     """
-    nu = certified_mobius(theta, CA_SIM_TOL)
+    nu = certified_mobius(theta, DEFAULT_TOL)
     if theta.total <= 0:
         raise ValueError("capacity is identically zero; nothing to simulate")
     w = np.clip(nu.weights, 0.0, None)
@@ -355,9 +357,8 @@ class SpectralSampler:
     of max_x Y_x (required for exact stopping); structural_zeros masks the
     points with Y_x = 0 almost surely; argmax_reachable masks the points
     that can ever realize the maximum of Y (needed by `couple`).  A finite
-    atom table (from_tdf / from_capacity) is validated against these
-    declarations once, at construction; a black-box draw callable is
-    validated on every draw.
+    atom table (from_tdf) is validated against these declarations once, at
+    construction; a black-box draw callable is validated on every draw.
     """
 
     carrier: Carrier
@@ -402,13 +403,6 @@ class SpectralSampler:
         return cls(law.carrier, _AtomTable(atoms, law.probs), float(peaks.max()),
                    zeros, reach)
 
-    @classmethod
-    def from_capacity(cls, theta: Capacity) -> "SpectralSampler":
-        """Indicator atoms theta(E) * 1_F with F ~ nu/theta(E): the CRSM law."""
-        masks, weights, _ = _crsm_atoms(theta)
-        atoms = theta.total * ((masks[:, None] >> np.arange(theta.carrier.size)) & 1)
-        return cls.from_tdf(SpectralTDF(theta.carrier, weights / weights.sum(), atoms))
-
 
 def simulate_spectral(sampler: SpectralSampler, config: SimConfig) -> SampleBatch:
     """LePage series with arbitrary spectral draws.
@@ -427,18 +421,12 @@ def simulate_spectral(sampler: SpectralSampler, config: SimConfig) -> SampleBatc
 
 
 def simulate_model(model, config: SimConfig) -> SampleBatch:
-    """Dispatch: capacities and Choquet/Lebesgue TDFs go through the CRSM
-    path, spectral TDFs through their own atoms."""
-    from .tdf import ChoquetTDF, LebesgueTDF, extremal_coefficients
-    if isinstance(model, Capacity):
-        return simulate_crsm(model, config)
-    if isinstance(model, ChoquetTDF):
-        return simulate_crsm(model.theta, config)
-    if isinstance(model, LebesgueTDF):
-        return simulate_crsm(extremal_coefficients(model), config)
+    """Dispatch: spectral TDFs through their own atoms; every other model
+    is a CRSM, sampled through its capacity."""
     if isinstance(model, SpectralTDF):
         return simulate_spectral(SpectralSampler.from_tdf(model), config)
-    raise TypeError(f"cannot simulate {type(model).__name__}")
+    theta = model if isinstance(model, Capacity) else extremal_coefficients(model)
+    return simulate_crsm(theta, config)
 
 
 @dataclass(frozen=True)
@@ -527,7 +515,7 @@ def argmax_independence_test(theta: Capacity, region: int, config: SimConfig,
 
 @dataclass(frozen=True)
 class Coupling:
-    """Pathwise sandwich from one spectral stream.
+    """Pathwise sandwich from one LePage stream.
 
     lower values use Y(E) on the argmax of Y, upper values use Y(E) on the
     whole support of Y; lower <= exact <= upper holds coordinatewise for
@@ -544,25 +532,31 @@ class Coupling:
     upper: SampleBatch
 
 
-def couple(sampler: SpectralSampler, config: SimConfig) -> Coupling:
+def couple(law, config: SimConfig) -> Coupling:
     """Simulate (lower, X, upper) in one pass of the LePage engine.
 
-    Each draw is widened to (Y, lower, upper) columns and the pass runs
-    until the exact stop of X and of lower; X is therefore bit-equal to
-    simulate_spectral(sampler, config).  Requires a declared bound and the
-    argmax-reachable mask (both derived automatically by from_tdf /
-    from_capacity); samplers without these are rejected.
+    A SpectralSampler (or SpectralTDF) draw is widened to (Y, lower, upper)
+    columns and the pass runs until the exact stop of X and of lower, so X
+    is bit-equal to simulate_spectral; a sampler must declare bound and
+    argmax_reachable, as from_tdf does.  Any other model is a CRSM: lower =
+    X = upper = simulate_model(law, config).
     """
-    if sampler.bound is None or sampler.argmax_reachable is None:
+    if isinstance(law, SpectralTDF):
+        law = SpectralSampler.from_tdf(law)
+    if not isinstance(law, SpectralSampler):
+        # every CRSM atom is an indicator, so its argmax set is its support
+        x = simulate_model(law, config)
+        return Coupling(x, x, x)
+    if law.bound is None or law.argmax_reachable is None:
         raise ValueError(
             "coupling needs declared bound and argmax_reachable; build the "
-            "sampler from atoms / a TDF / a capacity")
-    if sampler.argmax_reachable == 0:
+            "sampler from a spectral TDF")
+    if law.argmax_reachable == 0:
         raise ValueError("no point can realize the spectral argmax")
-    kernel = _RunningMax(sampler, config.samples, config.mode == "exact", True)
+    kernel = _RunningMax(law, config.samples, config.mode == "exact", True)
     terms = _lepage(kernel, config)
     mid, lo, hi = np.split(kernel.x, 3, axis=1)
-    mk = lambda a: _batch(sampler.carrier, a, config, terms)
+    mk = lambda a: _batch(law.carrier, a, config, terms)
     return Coupling(mk(lo), mk(mid), mk(hi))
 
 
@@ -651,7 +645,7 @@ def independence_on_disjoint(theta: Capacity, parts: Sequence[int],
     for p in parts:
         touches += ((all_masks & p) != 0).astype(np.int64)
     cross_mass = float(np.abs(nu.weights[touches >= 2]).sum())
-    expect_independent = cross_mass <= theta.atol(CA_SIM_TOL)
+    expect_independent = cross_mass <= theta.atol(DEFAULT_TOL)
 
     if batch is None:
         batch = simulate_crsm(theta, config)

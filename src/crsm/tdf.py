@@ -60,9 +60,10 @@ import numpy as np
 
 from .carrier import Carrier, as_values, iter_bits
 from .integrals import _as_functional, _vals, choquet_integral
-from .setfun import Capacity, _additive_table, certified_mobius, subset_max
+from .setfun import (MAX_ALTERNATION_ORDER, Capacity, _additive_table, certified_mobius,
+                     subset_max)
 
-MAX_ALTERNATION_ORDER = 5
+PROBE_TOL = 1e-7  # max-alternation probe: a sum above it is a violation
 
 
 @dataclass(frozen=True)
@@ -195,7 +196,7 @@ class LebesgueTDF(TailDependenceFunctional):
 def extremal_coefficients(ell: TailDependenceFunctional) -> Capacity:
     """Capacity theta(K) = ell(indicator of K) over the whole lattice."""
     if isinstance(ell, ChoquetTDF):
-        return Capacity(ell.carrier, ell.theta.table)
+        return ell.theta
     if isinstance(ell, SpectralTDF):
         per_atom = subset_max(ell.atoms)  # (m, 2**d) subset maxima
         return Capacity(ell.carrier, ell.probs @ per_atom)
@@ -227,7 +228,7 @@ class MaxAlternationReport:
 
 
 def check_max_complete_alternation(ell, order: int = 3, trials: int = 1000,
-                                   seed: int = 0, tol: float = 1e-7,
+                                   seed: int = 0, tol: float = PROBE_TOL,
                                    carrier: Optional[Union[Carrier, int]] = None
                                    ) -> MaxAlternationReport:
     """Search for a positive inclusion-exclusion sum of the max-lattice
@@ -239,7 +240,7 @@ def check_max_complete_alternation(ell, order: int = 3, trials: int = 1000,
     certified violation (max-complete alternation fails); a clean sweep is
     evidence, not proof.
     """
-    if order < 2 or order > MAX_ALTERNATION_ORDER:
+    if not 2 <= order <= MAX_ALTERNATION_ORDER:
         raise ValueError(f"order must be in 2..{MAX_ALTERNATION_ORDER}")
     func, carr = _as_functional(ell, carrier)
     d = carr.size
@@ -348,6 +349,7 @@ def dual_oracle(theta: Capacity, f, method: str = "exact",
     method="exact": enumerate candidate vertices of the feasible polytope
     (every d-subset of the active constraint rows), keep the feasible ones,
     return the best objective.  Exponential in d; refused above d = 3.
+    Feasibility allows the slack theta.atol(tol), as in dual_greedy.
 
     method="sampled": rejection-sample the bounding box [0, theta({x})] and
     keep feasible points; a plain lower bound that must never beat greedy.
@@ -357,6 +359,7 @@ def dual_oracle(theta: Capacity, f, method: str = "exact",
     v = _vals(f, theta.carrier)
     d = theta.carrier.size
     size = 1 << d
+    atol = theta.atol(tol)
     if method == "exact":
         if d > 3:
             raise ValueError("exact dual oracle is restricted to d <= 3")
@@ -380,7 +383,7 @@ def dual_oracle(theta: Capacity, f, method: str = "exact",
             if abs(np.linalg.det(sub)) < 1e-12:
                 continue
             mu = np.linalg.solve(sub, b[list(pick)])
-            if np.any(A @ mu > b + tol):
+            if np.any(A @ mu > b + atol):
                 continue
             val = float(v @ mu)
             if val > best:
@@ -403,7 +406,7 @@ def dual_oracle(theta: Capacity, f, method: str = "exact",
         for lo in range(0, trials, 1024):
             block = draws[lo:lo + 1024]
             sums = block @ members.T  # (block, 2**d) subset sums
-            feasible = np.all(sums <= theta.table[None, :] + tol, axis=1)
+            feasible = np.all(sums <= theta.table[None, :] + atol, axis=1)
             if not np.any(feasible):
                 continue
             vals = np.where(feasible, block @ v, -np.inf)

@@ -9,6 +9,10 @@ Monte Carlo comparisons use 3-sigma bands for scale estimates and 4-sigma
 bands for probability and correlation statistics, so a healthy model
 fails any single check with probability well under 1e-4.
 
+Every model but a spectral table is a CRSM, checked through its capacity
+theta = extremal_coefficients(ell) with exact lattice rows; a spectral
+table gets the randomized max-alternation probe and the coupling row.
+
 The battery is deliberately the same code for the CLI `verify` command
 and the test suite: one list of CheckResult rows, pass/fail each.
 """
@@ -24,7 +28,6 @@ import numpy as np
 from .setfun import Capacity, capacity_from_measure, mobius_inverse
 from .simulate import (
     SimConfig,
-    SpectralSampler,
     argmax_independence_test,
     continuity_bound_check,
     couple,
@@ -33,6 +36,7 @@ from .simulate import (
     simulate_model,
 )
 from .tdf import (
+    PROBE_TOL,
     ChoquetTDF,
     SpectralTDF,
     TailDependenceFunctional,
@@ -92,11 +96,12 @@ def verify_model(model: Model, samples: int = 20000, seed: int = 1,
     carrier = ell.carrier
     theta = extremal_coefficients(ell)
 
-    if isinstance(model, Capacity):
-        atol = model.atol(tol)
-        nu = mobius_inverse(model)
+    crsm = not isinstance(model, SpectralTDF)
+    if crsm:
+        atol = theta.atol(tol)
+        nu = mobius_inverse(theta)
         back = capacity_from_measure(nu)
-        err = float(np.max(np.abs(back.table - model.table)))
+        err = float(np.max(np.abs(back.table - theta.table)))
         checks.append(CheckResult("mobius-roundtrip", err, atol, err <= atol))
         min_w, witness = nu.min_weight()
         ca = min_w >= -atol
@@ -107,7 +112,7 @@ def verify_model(model: Model, samples: int = 20000, seed: int = 1,
             return checks
     else:
         arep = check_max_complete_alternation(ell, order=3, trials=300, seed=seed)
-        checks.append(CheckResult("max-alternation", arep.worst_value, 1e-7,
+        checks.append(CheckResult("max-alternation", arep.worst_value, PROBE_TOL,
                                   arep.alternating))
         if not arep.alternating:
             return checks
@@ -157,25 +162,22 @@ def verify_model(model: Model, samples: int = 20000, seed: int = 1,
                                   err <= 4 * sigma,
                                   f"empirical {p_hat:.4f}, exact {p:.4f}"))
 
-    if isinstance(model, Capacity) or isinstance(model, ChoquetTDF):
-        cap = model if isinstance(model, Capacity) else model.theta
-        rep = argmax_independence_test(cap, anchor, config, batch=batch)
+    if crsm:
+        rep = argmax_independence_test(theta, anchor, config, batch=batch)
         checks.append(CheckResult("argmax-independence", abs(rep.z), 4.0, rep.passed,
                                   f"hit rate {rep.hit_rate:.3f}"))
         if relevant_idx.size >= 2:
             other = 1 << int(relevant_idx[1])
             eps = theta.total / 4.0
-            crep = continuity_bound_check(cap, anchor, other, eps, config, batch=batch)
+            crep = continuity_bound_check(theta, anchor, other, eps, config, batch=batch)
             checks.append(CheckResult("continuity-bound", crep.p_hat,
                                       crep.bound + crep.slack, crep.passed))
-            drep = independence_on_disjoint(cap, [anchor, other], config, batch=batch)
+            drep = independence_on_disjoint(theta, [anchor, other], config, batch=batch)
             checks.append(CheckResult(
                 "disjoint-parts", drep.max_z, 4.0, drep.consistent,
                 "independent" if drep.expect_independent else "dependence expected"))
-
-    if isinstance(model, SpectralTDF):
-        sampler = SpectralSampler.from_tdf(model)
-        cpl = couple(sampler, SimConfig(seed=seed + 1, samples=min(samples, 2000)))
+    else:
+        cpl = couple(model, SimConfig(seed=seed + 1, samples=min(samples, 2000)))
         v = coupling_violations(cpl)
         checks.append(CheckResult("coupling-sandwich", v["worst_gap"], 0.0,
                                   v["lower_violations"] == 0 and v["upper_violations"] == 0

@@ -12,7 +12,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import carrier_of, random_ca_capacity
+from conftest import carrier_of, indicator_tdf, random_ca_capacity
 from crsm import simulate as sim
 from crsm.carrier import Carrier, iter_bits, mask_size
 from crsm.setfun import Capacity
@@ -138,10 +138,26 @@ def test_coupling_matches_per_term_reference():
 
 
 def test_couple_exact_is_simulate_spectral():
-    for sampler in (spectral4(), SpectralSampler.from_capacity(skewed3())):
+    for sampler in (spectral4(), SpectralSampler.from_tdf(indicator_tdf(skewed3()))):
         cfg = SimConfig(seed=12, samples=BLOCK + 300)
         assert np.array_equal(couple(sampler, cfg).exact.values,
                               simulate_spectral(sampler, cfg).values)
+
+
+def test_crsm_coupling_is_degenerate_and_matches_dense_reference():
+    # indicator atoms make lower = X = upper; the dense spectral route over
+    # the same atoms and stream gives the same bits and term counts
+    rng = np.random.default_rng(8)
+    cfg = SimConfig(seed=12, samples=BLOCK + 300)
+    for theta in (theta2(), skewed3(), random_ca_capacity(rng, 4),
+                  torus_storm_capacity(5, [([0, 1], 1.0)])):
+        direct = simulate_crsm(theta, cfg)
+        cpl = couple(theta, cfg)
+        dense = couple(SpectralSampler.from_tdf(indicator_tdf(theta)), cfg)
+        for got in (cpl.lower, cpl.exact, cpl.upper, dense.lower, dense.exact,
+                    dense.upper):
+            assert np.array_equal(got.values, direct.values)
+            assert np.array_equal(got.terms, direct.terms)
 
 
 def test_samples_independent_of_count_across_blocks():
@@ -225,7 +241,7 @@ def test_atom_table_validated_at_construction():
         SpectralSampler(carrier_of(2), table, bound=2.0)
     with pytest.raises(ValueError, match="structural zero"):
         SpectralSampler(carrier_of(2), table, bound=3.0, structural_zeros=0b01)
-    sampler = SpectralSampler.from_capacity(skewed3())
+    sampler = SpectralSampler.from_tdf(indicator_tdf(skewed3()))
     assert sampler.bound == 1.52 and sampler.structural_zeros == 0
     assert sampler.argmax_reachable == 0b111
 

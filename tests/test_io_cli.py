@@ -5,11 +5,14 @@ import math
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from conftest import near_ca_table
+from crsm import cli
 from crsm.carrier import Carrier, CarrierSizeError
 from crsm.cli import _csv_block_rows, _read_batch_csv, _write_batch_csv, main
 from crsm.io import (
@@ -116,6 +119,22 @@ def test_duplicate_subset_rejected():
     with pytest.raises(SchemaError, match="twice"):
         parse_capacity({"kind": "table", "carrier": ["a", "b"],
                         "table": {"a,b": 1.5, "b,a": 1.5, "a": 1, "b": 1}})
+    with pytest.raises(SchemaError, match="subset 'a,b' given twice"):
+        parse_capacity({"kind": "table", "carrier": ["a", "b"],
+                        "table": {"b,a": 1.5, "a,b": 1.5, "a": 1, "b": 1}})
+
+
+def test_permuted_subset_key_parses_like_canonical():
+    permuted = parse_capacity({"kind": "table", "carrier": ["a", "b", "c"],
+                               "table": {"a": 1, "b": 1, "c": 1, "b,a": 1.5,
+                                         "c,a": 1.5, "c,b": 1.5, "c,a,b": 2}})
+    canonical = parse_capacity({"kind": "table", "carrier": ["a", "b", "c"],
+                                "table": {"a": 1, "b": 1, "c": 1, "a,b": 1.5,
+                                          "a,c": 1.5, "b,c": 1.5, "a,b,c": 2}})
+    assert np.array_equal(permuted.table, canonical.table)
+    with pytest.raises(SchemaError, match=r"""\$\.table\["a,z"\]: label 'z' not in carrier"""):
+        parse_capacity({"kind": "table", "carrier": ["a", "b"],
+                        "table": {"a": 1, "b": 1, "a,z": 1.5}})
 
 
 def test_size_cap_is_not_a_schema_error():
@@ -417,6 +436,59 @@ def test_cli_couple_and_argmax(spectral_file, theta2_file, capsys):
                  "--deterministic"]) == 1
 
 
+def test_cli_couple_on_every_crsm_model_is_degenerate(tmp_path, theta2_file, capsys):
+    models = {"table": theta2_file}
+    for kind, obj in (("choquet", {"kind": "choquet", "theta": THETA2}),
+                      ("lebesgue", {"kind": "lebesgue", "carrier": ["a", "b"],
+                                    "mu": {"a": 0.7, "b": 0.3}})):
+        models[kind] = str(tmp_path / f"{kind}.json")
+        Path(models[kind]).write_text(json.dumps(obj))
+    for kind, path in models.items():
+        assert main(["couple", "--model", path, "--samples", "2000", "--seed", "4",
+                     "--deterministic"]) == 0, kind
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["passed"] is True and payload["samples"] == 2000
+        assert payload["worst_gap"] == 0.0
+
+
+def test_cli_verify_near_ca_table_fails_alike(tmp_path, capsys):
+    table = tmp_path / "near.json"
+    table.write_text(json.dumps(capacity_to_json(near_ca_table())))
+    wrapped = tmp_path / "near-choquet.json"
+    wrapped.write_text(json.dumps({"kind": "choquet", "theta": json.loads(table.read_text())}))
+    for path in (table, wrapped):
+        assert main(["verify", "--model", str(path), "--seed", "1",
+                     "--samples", "2000"]) == 1
+        out = capsys.readouterr().out.splitlines()
+        assert out[0].startswith("PASS mobius-roundtrip")
+        assert out[1].startswith("FAIL complete-alternation")
+        assert len(out) == 2
+
+
+def test_cli_check_refuses_order_beyond_limit(tmp_path, spectral_file, capsys):
+    table = tmp_path / "three.json"
+    table.write_text(json.dumps({"kind": "table", "carrier": ["a", "b", "c"],
+                                 "table": {"a": 1, "b": 1, "c": 1, "a,b": 1.5, "a,c": 1.5,
+                                           "b,c": 1.5, "a,b,c": 2}}))
+    for argv in (["check", "--model", spectral_file, "--seed", "0", "--order", "7"],
+                 ["check", "--model", str(table), "--direct", "--order", "6"]):
+        t0 = time.perf_counter()
+        assert main(argv) == 2, argv
+        assert time.perf_counter() - t0 < 1.0
+        assert capsys.readouterr().err == "error: order must be in 2..5\n"
+
+
+def test_cli_dual_oracle_gets_the_tolerance(theta2_file, capsys, monkeypatch):
+    seen = []
+    real = cli.dual_oracle
+    monkeypatch.setattr(cli, "dual_oracle",
+                        lambda *a, **kw: seen.append(kw["tol"]) or real(*a, **kw))
+    assert main(["dual", "--model", theta2_file, "--f", '{"a":2,"b":1}',
+                 "--oracle", "exact", "--tolerance", "1e-6"]) == 0
+    assert seen == [1e-6]
+    assert json.loads(capsys.readouterr().out)["oracle"] == 2.5
+
+
 def test_cli_verify_small(theta2_file, capsys):
     assert main(["verify", "--model", theta2_file, "--samples", "5000",
                  "--seed", "7"]) == 0
@@ -483,13 +555,13 @@ def test_cli_broken_pipe_exits_quietly(theta2_file):
     env["PYTHONPATH"] = os.pathsep.join(
         [str(Path(__file__).resolve().parents[1] / "src")]
         + [p for p in [env.get("PYTHONPATH")] if p])
-    proc = subprocess.Popen([sys.executable, "-m", "crsm.cli", "simulate", "--model",
-                             theta2_file, "--seed", "0", "--samples", "100000"],
-                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
-    lines = [proc.stdout.readline() for _ in range(3)]
-    proc.stdout.close()  # the reader goes away long before 100000 rows
-    err = proc.stderr.read()
-    assert proc.wait(timeout=120) == 1
+    with subprocess.Popen([sys.executable, "-m", "crsm.cli", "simulate", "--model",
+                           theta2_file, "--seed", "0", "--samples", "100000"],
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as proc:
+        lines = [proc.stdout.readline() for _ in range(3)]
+        proc.stdout.close()  # the reader goes away long before 100000 rows
+        err = proc.stderr.read()
+        assert proc.wait(timeout=120) == 1
     assert err == b""
     assert lines[1] == b"sample_index,a,b\n"
 

@@ -12,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 from conftest import carrier_of, random_ca_capacity, random_capacity
 from crsm.carrier import Carrier, mask_size
 from crsm.setfun import (
+    MAX_ALTERNATION_ORDER,
     Capacity,
     MobiusMeasure,
     _sweep,
@@ -255,6 +256,14 @@ def test_direct_check_finds_avar_witness():
                                             seed=0)
     assert not rep.alternating
     assert rep.worst_value >= 0.25
+
+
+def test_direct_check_order_is_bounded():
+    # the exhaustive d = 3 search at order 6 would take minutes
+    theta = random_ca_capacity(np.random.default_rng(5), 3)
+    for order in (1, MAX_ALTERNATION_ORDER + 1):
+        with pytest.raises(ValueError, match=f"order must be in 2..{MAX_ALTERNATION_ORDER}"):
+            check_complete_alternation_direct(theta, max_order=order)
 
 
 def test_direct_check_needs_seed_beyond_exhaustive():

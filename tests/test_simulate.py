@@ -6,11 +6,12 @@ suite re-runs them at full scale.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from conftest import carrier_of
+from conftest import carrier_of, indicator_tdf
 from crsm.carrier import Carrier
 from crsm.setfun import Capacity
 from crsm.simulate import (
@@ -29,8 +30,15 @@ from crsm.simulate import (
     simulate_spectral,
     substream,
 )
-from crsm.tdf import ChoquetTDF, SpectralTDF, joint_cdf
-from crsm.transforms import torus_storm_capacity
+from crsm.tdf import (
+    ChoquetTDF,
+    DiscreteMeasure,
+    LebesgueTDF,
+    SpectralTDF,
+    extremal_coefficients,
+    joint_cdf,
+)
+from crsm.transforms import exchangeable_capacity, torus_storm_capacity
 
 
 def theta2() -> Capacity:
@@ -197,22 +205,46 @@ def test_spectral_scale_matches_tdf():
 
 
 def test_simulate_model_dispatch():
-    for model in (theta2(), ChoquetTDF(theta2()), spectral3()):
-        batch = simulate_model(model, SimConfig(seed=1, samples=50))
-        assert batch.values.shape == (50, 2)
+    # every model but a spectral table is sampled as the CRSM of its capacity
+    cfg = SimConfig(seed=1, samples=50)
+    leb = LebesgueTDF(DiscreteMeasure(carrier_of(2), [0.4, 0.6]))
+    for model, theta in ((theta2(), theta2()), (ChoquetTDF(theta2()), theta2()),
+                         (leb, extremal_coefficients(leb))):
+        batch = simulate_model(model, cfg)
+        assert np.array_equal(batch.values, simulate_crsm(theta, cfg).values)
+    batch = simulate_model(spectral3(), cfg)
+    assert np.array_equal(batch.values, simulate_spectral(
+        SpectralSampler.from_tdf(spectral3()), cfg).values)
+
+
+def test_couple_on_capacity_builds_no_dense_atom_table():
+    # d = 20: a dense indicator table holds 2**20 - 1 atoms x 20 points
+    theta = exchangeable_capacity(20, [(0.2, 0.5), (0.5, 0.5)])
+    cfg = SimConfig(seed=3, samples=200)
+    tracemalloc.start()
+    try:
+        cpl = couple(theta, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 64 * 2**20
+    direct = simulate_crsm(theta, cfg)
+    dense = couple(SpectralSampler.from_tdf(indicator_tdf(theta)), cfg)
+    for got in (cpl.lower, cpl.exact, cpl.upper, dense.lower, dense.exact,
+                dense.upper):
+        assert np.array_equal(got.values, direct.values)
+        assert np.array_equal(got.terms, direct.terms)
 
 
 def test_crsm_direct_and_spectral_route_same_law():
     # theta2 sampled natively vs via its indicator spectral representation:
-    # same Frechet scale on every set (different streams, so statistical)
+    # the same stream gives the same bits and term counts
     theta = theta2()
-    native = simulate_crsm(theta, SimConfig(seed=10, samples=30000))
-    routed = simulate_spectral(SpectralSampler.from_capacity(theta),
-                               SimConfig(seed=11, samples=30000))
-    for mask in (1, 2, 3):
-        a = frechet_scale_estimate(native.sup(mask))
-        b = frechet_scale_estimate(routed.sup(mask))
-        assert abs(a.scale - b.scale) < a.half_width + b.half_width
+    config = SimConfig(seed=10, samples=30000)
+    native = simulate_crsm(theta, config)
+    routed = simulate_spectral(SpectralSampler.from_tdf(indicator_tdf(theta)), config)
+    assert np.array_equal(native.values, routed.values)
+    assert np.array_equal(native.terms, routed.terms)
 
 
 def test_frechet_estimator_validations():

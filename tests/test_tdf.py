@@ -99,8 +99,7 @@ def test_spectral_validation():
 
 def test_extremal_coefficients_choquet_is_identity():
     theta = theta2()
-    assert np.array_equal(extremal_coefficients(ChoquetTDF(theta)).table,
-                          theta.table)
+    assert extremal_coefficients(ChoquetTDF(theta)) is theta
 
 
 def test_extremal_coefficients_spectral_bruteforce():
@@ -207,6 +206,20 @@ def test_dual_triple_agreement_small():
         sampled, _ = dual_oracle(theta, f, method="sampled", trials=2000,
                                  seed=int(rng.integers(0, 2**31)))
         assert sampled <= greedy + 1e-8
+
+
+@pytest.mark.parametrize("k", [40, 60])
+def test_dual_oracle_agrees_with_greedy_at_large_scale(k):
+    # the optimal vertex is solved with rounding of order 2**k * 1e-16, so a
+    # bare 1e-9 feasibility slack rejected it; theta.atol(tol) scales along
+    rng = np.random.default_rng(2)
+    for _ in range(300):
+        base = random_ca_capacity(rng, 3, sparsity=0.0)
+        theta = Capacity(base.carrier, base.table * 2.0 ** k)
+        f = rng.exponential(1.0, size=3)
+        _, greedy = dual_greedy(theta, f)
+        exact, _ = dual_oracle(theta, f, method="exact")
+        assert exact == pytest.approx(greedy, rel=1e-9, abs=0.0)
 
 
 def test_dual_oracle_validation():

@@ -1,12 +1,12 @@
 import numpy as np
 import pytest
 
-from conftest import carrier_of
+from conftest import carrier_of, near_ca_table, random_ca_capacity
 from crsm.carrier import Carrier, mask_size
 from crsm.setfun import (Capacity, MobiusMeasure, capacity_from_measure, classify,
                          mobius_inverse)
 from crsm.simulate import SimConfig, independence_on_disjoint, simulate_crsm
-from crsm.tdf import DiscreteMeasure, LebesgueTDF, dual_greedy
+from crsm.tdf import ChoquetTDF, DiscreteMeasure, LebesgueTDF, dual_greedy
 from crsm.verify import CheckResult, verify_model
 
 
@@ -20,10 +20,37 @@ def test_non_ca_model_fails_fast():
     assert "witness" in checks[1].detail
 
 
+CRSM_ROWS = (["mobius-roundtrip", "complete-alternation"]
+             + [f"frechet-scale[{n}]" for n in ("all-ones", "spike@x0", "random-0",
+                                                "random-1", "random-2")]
+             + [f"joint-cdf[grid-{i}]" for i in range(3)]
+             + ["argmax-independence", "continuity-bound", "disjoint-parts"])
+
+
 def test_lebesgue_model_passes():
-    leb = LebesgueTDF(DiscreteMeasure(carrier_of(2), [0.4, 0.6]))
-    checks = verify_model(leb, samples=8000, seed=3)
-    assert checks and all(ch.passed for ch in checks)
+    # a Lebesgue TDF is the completely random CRSM and gets its rows
+    for d in (2, 5):
+        weights = np.random.default_rng(d).uniform(0.2, 1.0, size=d)
+        leb = LebesgueTDF(DiscreteMeasure(carrier_of(d), weights))
+        checks = verify_model(leb, samples=8000, seed=3)
+        assert [ch.name for ch in checks] == CRSM_ROWS
+        assert all(ch.passed for ch in checks)
+
+
+def test_capacity_and_choquet_wrapper_verify_alike():
+    theta = random_ca_capacity(np.random.default_rng(4), 4)
+    rows = verify_model(theta, samples=2000, seed=5)
+    assert [ch.name for ch in rows] == CRSM_ROWS
+    assert verify_model(ChoquetTDF(theta), samples=2000, seed=5) == rows
+
+
+def test_near_ca_violation_fails_for_capacity_and_wrapper():
+    theta = near_ca_table()
+    for model in (theta, ChoquetTDF(theta)):
+        checks = verify_model(model, samples=2000, seed=1)
+        assert [ch.name for ch in checks] == CRSM_ROWS[:2]
+        assert checks[0].passed and not checks[1].passed
+        assert checks[1].detail == "witness {x0,x1,x2}"
 
 
 def test_zero_capacity_reported_untestable():
