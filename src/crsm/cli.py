@@ -135,15 +135,21 @@ def _parse_mode(mode: str) -> tuple[str, Optional[int]]:
 def cmd_check(args) -> int:
     model, obj = _load_model(args.model)
     payload: dict = {"provenance": _provenance(args.seed, obj, args.deterministic)}
+    # the functional probe has a fixed slack and no direct search
+    if args.direct:
+        _require_capacity(model, "check --direct")
+    if args.tolerance is not None:
+        _require_capacity(model, "check --tolerance")
     if isinstance(model, Capacity) or isinstance(model, ChoquetTDF):
         theta = model if isinstance(model, Capacity) else model.theta
-        cls = classify(theta, tol=args.tolerance)
+        tol = DEFAULT_TOL if args.tolerance is None else args.tolerance
+        cls = classify(theta, tol=tol)
         payload["classification"] = cls.summary(theta.carrier)
         if args.direct:
             rep = check_complete_alternation_direct(
                 theta, max_order=args.order, trials=args.trials,
                 seed=args.seed if theta.carrier.size > 3 else None,
-                tol=args.tolerance)
+                tol=tol)
             payload["direct_search"] = {
                 "alternating": rep.alternating,
                 "worst_value": rep.worst_value,
@@ -455,7 +461,8 @@ def build_parser() -> argparse.ArgumentParser:
                     help="also run the successive-difference search")
     sp.add_argument("--order", type=int, default=3)
     sp.add_argument("--trials", type=int, default=10000)
-    sp.set_defaults(fn=cmd_check)
+    # None tells a --tolerance given on a functional model from the default
+    sp.set_defaults(fn=cmd_check, tolerance=None)
 
     sp = sub.add_parser("mobius", help="Mobius measure of a capacity")
     common(sp)

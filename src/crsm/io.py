@@ -29,12 +29,13 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import sys
 from typing import Union
 
 import numpy as np
 
 from .carrier import MAX_CARRIER_SIZE, Carrier, CarrierSizeError, TorusTag, canonical_json
-from .setfun import Capacity, MobiusMeasure
+from .setfun import Capacity, MobiusMeasure, _Owned
 from .tdf import (
     ChoquetTDF,
     DiscreteMeasure,
@@ -111,33 +112,62 @@ def _parse_carrier(obj, path: str) -> Carrier:
         raise SchemaError(f"{path}.carrier", str(e)) from None
 
 
+def _leading_numbers(vals: list, nonneg: bool) -> tuple[np.ndarray, int]:
+    """The values as floats, in one pass, and how many of them come before
+    the first that _number(val, loc, nonneg=nonneg) refuses; only the
+    floats before it are meaningful."""
+    n = len(vals)
+    if not set(map(type, vals)) <= {int, float}:
+        n = next((i for i, v in enumerate(vals)
+                  if isinstance(v, bool) or not isinstance(v, (int, float))), n)
+    try:
+        arr = np.array(vals[:n], dtype=float)
+    except OverflowError:  # an int beyond the float range, as in _number
+        n = next(i for i, v in enumerate(vals) if abs(v) > sys.float_info.max)
+        arr = np.array(vals[:n], dtype=float)
+    bad = ~np.isfinite(arr)
+    if nonneg:
+        bad |= arr < 0
+    return arr, int(np.argmax(bad)) if bad.any() else n
+
+
 def _parse_subset_table(carrier: Carrier, table_obj, path: str,
                         require_complete: bool, nonneg: bool) -> np.ndarray:
     if not isinstance(table_obj, dict):
         raise SchemaError(path, "expected an object mapping subsets to numbers")
     size = 1 << carrier.size
-    arr = np.zeros(size)
-    seen: set[int] = set()
+    values, good = _leading_numbers(list(table_obj.values()), nonneg)
     # a dict of the 2**d canonical keys pays once the keys name ~2**d labels
     canonical = (dict(zip(carrier.subset_keys().tolist(), range(size)))
                  if len(table_obj) * carrier.size >= size else {})
-    for key, val in table_obj.items():
-        loc = f'{path}["{key}"]'
-        if key == "":
-            if _number(val, loc) != 0.0:
-                raise SchemaError(loc, "the empty set must map to 0 (or be omitted)")
-            continue
-        try:
-            mask = canonical[key] if key in canonical else carrier.mask_from_key(key)
-        except KeyError as e:
-            raise SchemaError(loc, e.args[0]) from None
-        if mask in seen:
-            raise SchemaError(loc, f"subset {carrier.subset_key(mask)!r} given twice")
-        seen.add(mask)
-        arr[mask] = _number(val, loc, nonneg=nonneg)
-    if require_complete and len(seen) < size - 1:
-        given = np.zeros(size, dtype=bool)
-        given[list(seen)] = True
+    masks = np.fromiter((canonical.get(key, 0) for key in table_obj),
+                        np.int64, len(table_obj))
+    arr = np.zeros(size)
+    given = np.zeros(size, dtype=bool)
+    given[masks] = True
+    if good == len(masks) and masks.all() and np.count_nonzero(given) == len(masks):
+        # every key canonical, nonempty and distinct, every value accepted
+        arr[masks] = values
+    else:
+        # the first offending entry, in entry order, names the error
+        given[:] = False
+        for i, (key, val) in enumerate(table_obj.items()):
+            loc = f'{path}["{key}"]'
+            if key == "":
+                if _number(val, loc) != 0.0:
+                    raise SchemaError(loc, "the empty set must map to 0 (or be omitted)")
+                continue
+            try:
+                mask = canonical[key] if key in canonical else carrier.mask_from_key(key)
+            except KeyError as e:
+                raise SchemaError(loc, e.args[0]) from None
+            if given[mask]:
+                raise SchemaError(loc, f"subset {carrier.subset_key(mask)!r} given twice")
+            given[mask] = True
+            if i >= good:
+                _number(val, loc, nonneg=nonneg)  # raises, naming this value
+            arr[mask] = values[i]
+    if require_complete and np.count_nonzero(given[1:]) < size - 1:
         missing = np.flatnonzero(~given[1:]) + 1
         shown = ", ".join(repr(carrier.subset_key(int(m))) for m in missing[:5])
         more = "" if len(missing) <= 5 else f" (+{len(missing) - 5} more)"
@@ -172,7 +202,7 @@ def parse_capacity(obj, path: str = "$") -> Capacity:
         table = _parse_subset_table(carrier, _need(obj, "table", path),
                                     f"{path}.table", require_complete=True,
                                     nonneg=True)
-        return Capacity(carrier, table)
+        return Capacity(carrier, _Owned(table))
     if kind == "exchangeable":
         carrier = _parse_carrier(obj, path)
         zeta_obj = _need(obj, "zeta", path)
@@ -304,7 +334,7 @@ def parse_mobius(obj, path: str = "$") -> MobiusMeasure:
     weights = _parse_subset_table(carrier, _need(obj, "weights", path),
                                   f"{path}.weights", require_complete=False,
                                   nonneg=False)
-    return MobiusMeasure(carrier, weights)
+    return MobiusMeasure(carrier, _Owned(weights))
 
 
 def capacity_to_json(theta: Capacity) -> dict:

@@ -47,19 +47,38 @@ DEFAULT_TOL = 1e-9
 MAX_ALTERNATION_ORDER = 5  # order n costs 2**n evaluations per family
 
 
-def _check_table(carrier: Carrier, table: np.ndarray, name: str,
+class _Owned:
+    """An array the library has just built and keeps no other reference to.
+
+    Capacity(carrier, _Owned(arr)) and MobiusMeasure(carrier, _Owned(arr))
+    take arr over, read-only, instead of copying it; a plain array from a
+    caller is always copied.
+    """
+
+    __slots__ = ("arr",)
+
+    def __init__(self, arr: np.ndarray):
+        self.arr = arr
+
+
+def _check_table(carrier: Carrier, table, name: str,
                  nonnegative: bool) -> np.ndarray:
-    arr = np.asarray(table, dtype=float)
+    if isinstance(table, _Owned):
+        arr = np.asarray(table.arr, dtype=float)
+    else:
+        arr = np.array(table, dtype=float)
     want = 1 << carrier.size
     if arr.shape != (want,):
         raise ValueError(f"{name} has shape {arr.shape}, expected ({want},)")
-    if not np.all(np.isfinite(arr)):
+    # two reductions instead of 2**d boolean temporaries; min and max are
+    # nan whenever some entry is
+    lo, hi = arr.min(), arr.max()
+    if not (math.isfinite(lo) and math.isfinite(hi)):
         raise ValueError(f"{name} must be finite")
     if arr[0] != 0.0:
         raise ValueError(f"{name} must vanish on the empty set, got {arr[0]}")
-    if nonnegative and np.any(arr < 0):
+    if nonnegative and lo < 0:
         raise ValueError(f"{name} must be nonnegative")
-    arr = arr.copy()
     arr.setflags(write=False)
     return arr
 
@@ -127,50 +146,86 @@ class MobiusMeasure:
         return float(self.weights.sum())
 
     def min_weight(self) -> tuple[float, int]:
-        """Smallest weight over nonempty sets and its witness mask."""
-        idx = 1 + int(np.argmin(self.weights[1:]))
-        return float(self.weights[idx]), idx
+        """Smallest weight over nonempty sets and its witness, the first mask
+        holding it."""
+        # np.argmin copies a read-only array whole; min does not, and the
+        # search for its first mask compares one chunk at a time
+        rest = self.weights[1:]
+        low = rest.min()
+        start = 0
+        while not (hits := np.flatnonzero(rest[start:start + _CHUNK] == low)).size:
+            start += _CHUNK
+        return float(low), 1 + start + int(hits[0])
 
 
-# Pairs per chunk in _halves: a chunk of each half and any temporary made
-# from it stay in cache, so a check over the halves reads the table once
-# per bit instead of also writing and rereading a half-size temporary.
+# Pairs per chunk of a whole-table pass: a chunk of each half and any
+# temporary made from it stay in cache.
 _CHUNK = 1 << 15
+# Bits below _BLOCK_BITS run block by block, 2**_BLOCK_BITS masks (512 KB of
+# floats) at a time, while the block is in cache; its lowest _LOW_BITS bits
+# run on a transposed copy of it, so that every view holds rows of at least
+# 2**(_BLOCK_BITS - _LOW_BITS) masks.
+_BLOCK_BITS = 16
+_LOW_BITS = 8
 
 
-def _halves(arr: np.ndarray, d: int):
-    """Yield (lo, hi) views of arr pairing each mask without bit b (lo)
-    with the mask plus b (hi), for b from the highest bit down.
+def _pairs(arr: np.ndarray, d: int, write: bool):
+    """Yield (lo, hi) views pairing each mask without bit b (lo) with the
+    mask plus b (hi), over every bit b, in the order of _sweep.
 
     The last axis of arr holds the 2**d masks and must be C-contiguous with
-    any leading (batch) axes.  Each bit comes in chunks of at most _CHUNK
-    pairs.  The views are never 0-d, even at d = 1, so out= can always
-    write to them.
+    any leading (batch) axes.  The lowest bits of each block come as views
+    of a transposed copy; with write=True the copy is written back into arr
+    once its bits are done, so a caller may update hi in place.  The views
+    are never 0-d, even at d = 1, so out= can always write to them.
     """
-    for b in reversed(range(d)):
+    for b in reversed(range(_BLOCK_BITS, d)):
         pairs = arr.reshape(-1, 2, 1 << b)
         rows = max(1, _CHUNK >> b)
         cols = min(1 << b, _CHUNK)
-        # runs of one or two masks go as one strided 1-D view per offset:
-        # a 2-D view with so short an inner loop is several times slower
-        runs = range(1 << b) if b < 2 else [slice(c, c + cols)
-                                            for c in range(0, 1 << b, cols)]
         for r in range(0, pairs.shape[0], rows):
-            for c in runs:
-                yield pairs[r:r + rows, 0, c], pairs[r:r + rows, 1, c]
+            for c in range(0, 1 << b, cols):
+                yield pairs[r:r + rows, 0, c:c + cols], pairs[r:r + rows, 1, c:c + cols]
+    k = min(d, _BLOCK_BITS)
+    low = min(k, _LOW_BITS)
+    rows = arr.reshape(-1, 1 << k)  # one row per batch row and high bits
+    step = max(1, (1 << _BLOCK_BITS) >> k)
+    buf = np.empty(min(step, rows.shape[0]) << k, dtype=arr.dtype)
+    for r in range(0, rows.shape[0], step):
+        block = rows[r:r + step]
+        for b in reversed(range(low, k)):
+            pairs = block.reshape(-1, 2, 1 << b)
+            yield pairs[:, 0], pairs[:, 1]
+        # row c of t holds the masks whose low bits are c, so a low bit
+        # pairs whole rows of t as a higher bit pairs rows of block
+        t = buf[:block.size].reshape(1 << low, -1)
+        np.copyto(t, block.reshape(-1, 1 << low).T)
+        for b in reversed(range(low)):
+            pairs = t.reshape(-1, 2, t.shape[1] << b)
+            yield pairs[:, 0], pairs[:, 1]
+        if write:
+            block.reshape(-1, 1 << low)[...] = t.T
 
 
 def _sweep(arr: np.ndarray, d: int, ufunc: np.ufunc) -> np.ndarray:
-    """In place: hi = ufunc(hi, lo) for every pair of _halves; returns arr.
+    """In place: hi = ufunc(hi, lo) for every pair of _pairs; returns arr.
 
     This is the d * 2**(d-1) subset sweep of Bjorklund, Husfeldt, Kaski
     and Koivisto (STOC 2007): with add it is the zeta transform, with
     subtract the Mobius inverse, and with maximum, minimum or bitwise_or
-    it spreads values from the singletons to every set.  The bits always
-    go from the highest down, so add and subtract keep one fixed rounding
-    order.
+    it spreads values from the singletons to every set.
+
+    Order: the bits from _BLOCK_BITS up go first, highest first, each as
+    one pass over the whole table.  Then each block of 2**_BLOCK_BITS
+    consecutive masks takes its bits _BLOCK_BITS - 1 down to _LOW_BITS in
+    place, and bits _LOW_BITS - 1 down to 0 on a transposed copy that is
+    written back.  Bits below _BLOCK_BITS pair masks of the same block
+    only, and every block has all higher bits done before its own start,
+    so each mask still gets the same ufunc steps on the same operands as
+    in a plain pass per bit from the highest down: add and subtract keep
+    one fixed rounding order and the result is bit-identical.
     """
-    for lo, hi in _halves(arr, d):
+    for lo, hi in _pairs(arr, d, write=True):
         ufunc(hi, lo, out=hi)
     return arr
 
@@ -226,7 +281,7 @@ def mobius_inverse(theta: Capacity) -> MobiusMeasure:
     g = theta.table[-1] - theta.table[::-1]
     nu = _sweep(g, d, np.subtract)
     nu[0] = 0.0  # g(0) = 0 exactly, but keep the slot clean
-    return MobiusMeasure(theta.carrier, nu)
+    return MobiusMeasure(theta.carrier, _Owned(nu))
 
 
 def certified_mobius(theta: Capacity, tol: float = DEFAULT_TOL) -> MobiusMeasure:
@@ -256,7 +311,7 @@ def capacity_from_measure(nu: MobiusMeasure) -> Capacity:
     h = subset_zeta(nu.weights, d)
     table = h[-1] - h[::-1]
     table[0] = 0.0
-    return Capacity(nu.carrier, table)
+    return Capacity(nu.carrier, _Owned(table))
 
 
 def successive_difference(theta: Capacity, base: int,
@@ -310,19 +365,20 @@ def classify(theta: Capacity, tol: float = DEFAULT_TOL) -> Classification:
     tolerance tol (slack tol * max(1, theta(E)), see Capacity.atol).
 
     Monotonicity compares theta(K) with theta(K + x) for every x not in K,
-    on views of the table (_halves).  Complete alternation is certified
-    through the Mobius measure (nu >= -slack entrywise), which is
-    equivalent to every successive difference of order >= 2 being
-    nonpositive.  Maxitivity uses the singleton criterion theta(K) = max
-    over x in K of theta({x}), which is equivalent to the pairwise max
-    property on a finite lattice.  Additivity means nu carried by
-    singletons.
+    on views of the table in the order of the sweeps (_pairs).  Complete
+    alternation is certified through the Mobius measure (nu >= -slack
+    entrywise), which is equivalent to every successive difference of
+    order >= 2 being nonpositive.  Maxitivity uses the singleton criterion
+    theta(K) = max over x in K of theta({x}), which is equivalent to the
+    pairwise max property on a finite lattice.  Additivity means nu
+    carried by singletons.
     """
     d = theta.carrier.size
     table = theta.table
     atol = theta.atol(tol)
 
-    monotone = not any(np.any(lo - hi > atol) for lo, hi in _halves(table, d))
+    monotone = not any(np.any(lo - hi > atol)
+                       for lo, hi in _pairs(table, d, write=False))
 
     nu = mobius_inverse(theta)
     min_w, witness = nu.min_weight()

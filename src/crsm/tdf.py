@@ -60,8 +60,8 @@ import numpy as np
 
 from .carrier import Carrier, as_values, iter_bits
 from .integrals import _as_functional, _vals, choquet_integral
-from .setfun import (MAX_ALTERNATION_ORDER, Capacity, _additive_table, certified_mobius,
-                     subset_max)
+from .setfun import (MAX_ALTERNATION_ORDER, Capacity, _additive_table, _Owned,
+                     certified_mobius, subset_max)
 
 PROBE_TOL = 1e-7  # max-alternation probe: a sum above it is a violation
 
@@ -199,9 +199,9 @@ def extremal_coefficients(ell: TailDependenceFunctional) -> Capacity:
         return ell.theta
     if isinstance(ell, SpectralTDF):
         per_atom = subset_max(ell.atoms)  # (m, 2**d) subset maxima
-        return Capacity(ell.carrier, ell.probs @ per_atom)
+        return Capacity(ell.carrier, _Owned(ell.probs @ per_atom))
     if isinstance(ell, LebesgueTDF):
-        return Capacity(ell.carrier, _additive_table(ell.mu.weights))
+        return Capacity(ell.carrier, _Owned(_additive_table(ell.mu.weights)))
     raise TypeError(f"unsupported functional {type(ell).__name__}")
 
 

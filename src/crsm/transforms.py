@@ -39,7 +39,7 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from .carrier import Carrier, TorusTag, as_carrier, popcounts
-from .setfun import Capacity, _additive_table, _singleton_table, _sweep
+from .setfun import Capacity, _additive_table, _Owned, _singleton_table, _sweep
 from .tdf import DiscreteMeasure
 
 
@@ -86,10 +86,9 @@ class BernsteinFunction:
 
 def compose_capacity(g: BernsteinFunction, theta: Capacity) -> Capacity:
     """g o theta, tablewise.  Preserves complete alternation."""
-    table = g(theta.table)
-    table = np.asarray(table, dtype=float).copy()
+    table = g(theta.table)  # a new array: g never returns its argument
     table[0] = 0.0  # g(0) = 0 identically; keep the slot exact
-    return Capacity(theta.carrier, table)
+    return Capacity(theta.carrier, _Owned(table))
 
 
 def exchangeable_capacity(carrier: Union[Carrier, int],
@@ -116,7 +115,7 @@ def exchangeable_capacity(carrier: Union[Carrier, int],
     survival = (1.0 - vals)[None, :] ** sizes[:, None]  # (d + 1, m)
     table = (scale * (1.0 - survival @ probs))[popcounts(1 << carr.size)]
     table[0] = 0.0
-    return Capacity(carr, table)
+    return Capacity(carr, _Owned(table))
 
 
 def subset_size_capacity(carrier: Union[Carrier, int],
@@ -145,7 +144,7 @@ def subset_size_capacity(carrier: Union[Carrier, int],
         miss[m] = math.fsum(acc)
     table = scale * (1.0 - miss[popcounts(1 << d)])
     table[0] = 0.0
-    return Capacity(carr, table)
+    return Capacity(carr, _Owned(table))
 
 
 def distortion_capacity(mu: Union[DiscreteMeasure, Sequence[float]],
@@ -180,7 +179,7 @@ def distortion_capacity(mu: Union[DiscreteMeasure, Sequence[float]],
     else:
         raise ValueError(f"unknown distortion kind {kind!r}")
     table[0] = 0.0
-    return Capacity(meas.carrier, table)
+    return Capacity(meas.carrier, _Owned(table))
 
 
 def _torus_carrier(n: int, dim: int) -> Carrier:
@@ -242,7 +241,7 @@ def torus_storm_capacity(n: int,
         table += q * np.bitwise_count(reach)
     table *= scale
     table[0] = 0.0
-    return Capacity(carr, table)
+    return Capacity(carr, _Owned(table))
 
 
 def _shift_diff(x: int, s: int, n: int, dim: int) -> int:

@@ -107,6 +107,47 @@ def test_booleans_are_not_numbers():
         parse_capacity({"kind": "table", "carrier": ["a"], "table": {"a": True}})
 
 
+def big_table_with(bad_key: str, bad_value) -> dict:
+    """A d = 14 table whose entry bad_key comes after 10**4 good ones."""
+    keys = Carrier(tuple(f"p{i:02d}" for i in range(14))).subset_keys()[1:].tolist()
+    assert keys.index(bad_key) >= 10 ** 4
+    table = {k: 1.0 + i for i, k in enumerate(keys)}
+    table[bad_key] = bad_value
+    return {"kind": "table", "carrier": [f"p{i:02d}" for i in range(14)], "table": table}
+
+
+@pytest.mark.parametrize("value, message", [
+    ("x", "expected a number, got 'x'"),
+    (True, "expected a number, got True"),
+    (None, "expected a number, got None"),
+    (float("inf"), "number must be finite, got inf"),
+    (float("nan"), "number must be finite, got nan"),
+    (-2.5, "number must be nonnegative, got -2.5"),
+])
+def test_bad_value_deep_in_a_table_is_named(value, message):
+    keys = Carrier(tuple(f"p{i:02d}" for i in range(14))).subset_keys().tolist()
+    bad, later = keys[12000], keys[15000]
+    obj = big_table_with(bad, value)
+    obj["table"][later] = "later"  # only the first bad entry is reported
+    with pytest.raises(SchemaError) as exc:
+        parse_capacity(obj)
+    assert str(exc.value) == f'at $.table["{bad}"]: {message}'
+    # a bad key before the bad value is reported first, as entries come
+    obj = big_table_with(bad, value)
+    table = {"p00,zz" if k == keys[11000] else k: v for k, v in obj["table"].items()}
+    with pytest.raises(SchemaError, match=r'\$\.table\["p00,zz"\]: label \'zz\' not in carrier'):
+        parse_capacity({**obj, "table": table})
+
+
+def test_mobius_weights_deep_in_a_table_may_be_negative():
+    obj = big_table_with("p00,p01,p02,p03,p04,p05,p06,p07,p08,p09,p10,p11,p12,p13", -2.5)
+    nu = parse_mobius({"carrier": obj["carrier"], "weights": obj["table"]})
+    assert nu.weights[-1] == -2.5 and nu.weights[1] == 1.0
+    with pytest.raises(SchemaError, match=r"must be finite, got inf"):
+        parse_mobius({"carrier": obj["carrier"],
+                      "weights": {**obj["table"], "p13": float("inf")}})
+
+
 def test_empty_set_key_must_be_zero():
     parse_capacity({"kind": "table", "carrier": ["a"],
                     "table": {"": 0.0, "a": 1.0}})
@@ -525,6 +566,74 @@ def test_cli_exit_codes(tmp_path, capsys):
     notjson = tmp_path / "garbage.json"
     notjson.write_text("{unbalanced")
     assert main(["mobius", "--model", str(notjson)]) == 2
+
+
+@pytest.mark.parametrize("flags", [["--direct"], ["--tolerance", "1e-9"],
+                                   ["--tolerance", "1e-3", "--direct"]])
+@pytest.mark.parametrize("model", ["spectral", "lebesgue"])
+def test_cli_check_refuses_capacity_flags_on_functionals(tmp_path, spectral_file, capsys,
+                                                        flags, model):
+    path = spectral_file
+    if model == "lebesgue":
+        path = tmp_path / "leb.json"
+        path.write_text(json.dumps({"kind": "lebesgue", "carrier": ["a", "b"],
+                                    "mu": {"a": 1.0, "b": 2.0}}))
+    assert main(["check", "--model", str(path), "--seed", "0", "--trials", "50"] + flags) == 2
+    flag = flags[-1] if flags[-1] == "--direct" else flags[0]
+    name = "SpectralTDF" if model == "spectral" else "LebesgueTDF"
+    assert capsys.readouterr().err == (f"error: at $.kind: check {flag} needs a capacity "
+                                       f"model, not a {name}\n")
+
+
+def test_cli_check_tolerance_still_applies_to_capacities(tmp_path, capsys):
+    # nu({a,b}) = -1e-6: outside the default slack 1e-9 * 2, inside 1e-5 * 2
+    near = tmp_path / "near.json"
+    near.write_text(json.dumps({"kind": "table", "carrier": ["a", "b"],
+                                "table": {"a": 1.0, "b": 1.0, "a,b": 2.0 + 1e-6}}))
+    for extra, ca in (([], False), (["--tolerance", "1e-5"], True)):
+        assert main(["check", "--model", str(near), "--direct"] + extra) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["classification"]["completely_alternating"] is ca
+        assert payload["direct_search"]["alternating"] is ca
+
+
+SPAWN_AND_REPORT_RSS = """
+import os, sys
+pid = os.posix_spawn(sys.executable, [sys.executable] + sys.argv[1:], os.environ,
+                     file_actions=[(os.POSIX_SPAWN_OPEN, 1, os.devnull, os.O_WRONLY, 0)])
+_, status, usage = os.wait4(pid, 0)
+print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)
+"""
+
+
+def test_cli_cdf_holds_the_table_and_one_working_table(tmp_path):
+    # crsm cdf certifies a capacity by its Mobius measure: the capacity's
+    # table plus one working table, not a copy of nu or an argmin copy
+    d = 20
+    model = tmp_path / "exch20.json"
+    model.write_text(json.dumps({"kind": "exchangeable",
+                                 "carrier": [f"x{i}" for i in range(d)],
+                                 "zeta": [[0.2, 0.5], [0.5, 0.5]]}))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(__file__).resolve().parents[1] / "src")]
+        + [p for p in [env.get("PYTHONPATH")] if p])
+
+    def max_rss_mb(argv):
+        # A process's ru_maxrss starts at the high-water RSS of the process
+        # that spawned it, here all of pytest's; a small python in between
+        # spawns the measured one and reports its wait4 figure instead.
+        out = subprocess.run([sys.executable, "-c", SPAWN_AND_REPORT_RSS, *argv], env=env,
+                             capture_output=True, text=True, check=True).stdout
+        code, kilobytes = map(int, out.split())
+        assert code == 0, argv
+        return kilobytes / 1024  # ru_maxrss is in kilobytes on Linux
+
+    base = max_rss_mb(["-c", "import crsm.cli"])
+    cdf = max_rss_mb(["-m", "crsm.cli", "cdf", "--model", str(model),
+                      "--pairs", '[{"set": ["x0", "x3"], "level": 2}]'])
+    table_mb = (8 << d) / 2 ** 20
+    assert cdf <= base + 2.5 * table_mb, (base, cdf)
 
 
 def test_cli_check_tdf_probe(spectral_file, capsys):

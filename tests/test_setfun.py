@@ -2,14 +2,18 @@
 
 The oracle for the Mobius inverse is its defining property: summing nu over
 the sets that meet K must reproduce theta(K).  The zeta/Mobius sweeps are
-checked against literal double loops over subset pairs.
+checked against literal double loops over subset pairs, also with block
+sizes small enough that every stage of the blocked order runs.
 """
+
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import carrier_of, random_ca_capacity, random_capacity
+from crsm import setfun
 from crsm.carrier import Carrier, mask_size
 from crsm.setfun import (
     MAX_ALTERNATION_ORDER,
@@ -17,6 +21,7 @@ from crsm.setfun import (
     MobiusMeasure,
     _sweep,
     capacity_from_measure,
+    certified_mobius,
     check_complete_alternation_direct,
     classify,
     mobius_inverse,
@@ -47,14 +52,18 @@ def avar4() -> Capacity:
 
 def test_capacity_validation():
     c = Carrier(("a", "b"))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="must vanish on the empty set, got 0.1"):
         Capacity(c, [0.1, 1.0, 1.0, 1.5])  # grounding
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="capacity table must be nonnegative"):
         Capacity(c, [0.0, -1.0, 1.0, 1.5])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"has shape \(3,\), expected \(4,\)"):
         Capacity(c, [0.0, 1.0, 1.5])  # wrong length
-    with pytest.raises(ValueError):
-        Capacity(c, [0.0, np.inf, 1.0, 1.5])
+    for bad in (np.inf, -np.inf, np.nan):
+        with pytest.raises(ValueError, match="capacity table must be finite"):
+            Capacity(c, [0.0, bad, 1.0, 1.5])
+    with pytest.raises(ValueError, match="mobius weights must be finite"):
+        MobiusMeasure(c, [0.0, -1.0, np.nan, 1.5])
+    assert MobiusMeasure(c, [0.0, -1.0, 1.0, 1.5]).min_weight() == (-1.0, 1)
 
 
 def test_theta2_mobius_frozen():
@@ -87,8 +96,7 @@ def brute_sweep(row: np.ndarray, d: int, ufunc) -> np.ndarray:
     return out
 
 
-@pytest.mark.parametrize("ufunc", SWEEP_UFUNCS, ids=lambda u: u.__name__)
-def test_sweep_matches_per_mask_oracle(ufunc):
+def check_sweep_against_oracle(ufunc):
     rng = np.random.default_rng(11)
     for d in range(1, 9):
         if ufunc is np.bitwise_or:
@@ -103,6 +111,45 @@ def test_sweep_matches_per_mask_oracle(ufunc):
             # agree bit for bit
             assert np.array_equal(batch[i], expect)
         assert np.array_equal(single, batch[0])
+
+
+@pytest.mark.parametrize("ufunc", SWEEP_UFUNCS, ids=lambda u: u.__name__)
+def test_sweep_matches_per_mask_oracle(ufunc):
+    check_sweep_against_oracle(ufunc)
+
+
+@pytest.mark.parametrize("ufunc", SWEEP_UFUNCS, ids=lambda u: u.__name__)
+@pytest.mark.parametrize("block, low, chunk", [(4, 2, 4), (3, 3, 2), (5, 1, 1 << 15)])
+def test_blocked_sweep_matches_per_mask_oracle(monkeypatch, ufunc, block, low, chunk):
+    # up to d = 8 the real blocks hold the whole table; small ones make
+    # the whole-table, in-block and transposed stages all run, in chunks
+    monkeypatch.setattr(setfun, "_BLOCK_BITS", block)
+    monkeypatch.setattr(setfun, "_LOW_BITS", low)
+    monkeypatch.setattr(setfun, "_CHUNK", chunk)
+    check_sweep_against_oracle(ufunc)
+
+
+def per_bit_sweep(arr: np.ndarray, d: int, ufunc) -> np.ndarray:
+    """One whole-table pass per bit, highest first: the unblocked order."""
+    for b in reversed(range(d)):
+        pairs = arr.reshape(-1, 2, 1 << b)
+        ufunc(pairs[:, 1], pairs[:, 0], out=pairs[:, 1])
+    return arr
+
+
+@pytest.mark.parametrize("ufunc", (np.add, np.subtract, np.bitwise_or),
+                         ids=lambda u: u.__name__)
+def test_sweep_past_the_block_size_is_bit_equal(ufunc):
+    d = 17  # one bit above the real block size
+    assert setfun._BLOCK_BITS < d
+    rng = np.random.default_rng(12)
+    if ufunc is np.bitwise_or:
+        rows = rng.integers(0, 1 << 62, size=(2, 1 << d))
+    else:
+        rows = rng.normal(size=(2, 1 << d)) * np.exp(rng.normal(0, 8, size=(2, 1 << d)))
+    assert np.array_equal(_sweep(rows.copy(), d, ufunc), per_bit_sweep(rows.copy(), d, ufunc))
+    assert np.array_equal(_sweep(rows[1].copy(), d, ufunc),
+                          per_bit_sweep(rows[1].copy(), d, ufunc))
 
 
 def test_sweep_d1_writes_in_place():
@@ -193,6 +240,21 @@ def test_classify_flags_nonmonotone_top_bit(d):
     assert classify(Capacity(carrier_of(d), table)).monotone
 
 
+@pytest.mark.parametrize("block, low", [(3, 1), (4, 2)])
+def test_blocked_classify_flags_a_drop_on_every_bit(monkeypatch, block, low):
+    # with small blocks every bit of d = 7 falls in one of the three
+    # stages of _pairs; a single drop along bit b must be found on each
+    monkeypatch.setattr(setfun, "_BLOCK_BITS", block)
+    monkeypatch.setattr(setfun, "_LOW_BITS", low)
+    d = 7
+    for b in range(d):
+        table = np.arange(1 << d, dtype=float)
+        base = ((1 << d) - 1) ^ (1 << b)  # every point but b
+        table[base] = table[base | 1 << b] + 1e-3
+        assert not classify(Capacity(carrier_of(d), table)).monotone, b
+    assert classify(Capacity(carrier_of(d), np.arange(1 << d, dtype=float))).monotone
+
+
 def test_avar_frozen_values():
     theta = avar4()
     assert theta.table[0b0001] == 0.3125
@@ -275,3 +337,51 @@ def test_min_weight_ignores_empty_set():
     nu = MobiusMeasure(carrier_of(2), [0.0, 0.5, 0.5, 0.5])
     w, witness = nu.min_weight()
     assert w == 0.5 and witness in (1, 2, 3)
+
+
+def test_min_weight_returns_first_minimal_mask(monkeypatch):
+    weights = np.full(64, 2.0)
+    weights[0] = 0.0
+    weights[[37, 38, 50, 63]] = -0.5
+    for chunk in (1 << 15, 4, 1):  # ties within one chunk and across chunks
+        monkeypatch.setattr(setfun, "_CHUNK", chunk)
+        nu = MobiusMeasure(carrier_of(6), weights)
+        assert not nu.weights.flags.writeable
+        assert nu.min_weight() == (-0.5, 37)
+    tied = MobiusMeasure(carrier_of(3), [0.0, 1.0, 0.5, 0.5, 1.0, 0.5, 0.5, 0.5])
+    assert tied.min_weight() == (0.5, 2)
+
+
+def test_constructors_copy_caller_arrays_and_store_them_read_only():
+    table = np.array([0.0, 1.0, 1.0, 1.5])
+    theta = Capacity(Carrier(("a", "b")), table)
+    table[3] = 9.0
+    assert theta.table.tolist() == [0.0, 1.0, 1.0, 1.5]
+    assert not theta.table.flags.writeable
+    with pytest.raises(ValueError):
+        theta.table[1] = 2.0
+    weights = np.array([0.0, 0.5, 0.5, 0.5])
+    nu = MobiusMeasure(Carrier(("a", "b")), weights)
+    weights[1] = -1.0
+    assert nu.weights.tolist() == [0.0, 0.5, 0.5, 0.5]
+    assert not nu.weights.flags.writeable
+    # tables the library builds are read-only too
+    assert not mobius_inverse(theta).weights.flags.writeable
+    assert not capacity_from_measure(nu).table.flags.writeable
+
+
+def test_certified_mobius_holds_one_working_table():
+    # the capacity's table plus one working table: no copy of nu and no
+    # argmin copy (at d = 20 the sweep's 512 KB block is 1/16 of a table)
+    from crsm.transforms import exchangeable_capacity
+    d = 20
+    theta = exchangeable_capacity(d, [(0.2, 0.5), (0.5, 0.5)])
+    table_bytes = 8 << d
+    tracemalloc.start()
+    try:
+        nu = certified_mobius(theta)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert nu.min_weight()[0] >= 0.0
+    assert peak <= 1.1 * table_bytes
