@@ -63,7 +63,7 @@ from .simulate import (
     frechet_scale_estimate,
     simulate_model,
 )
-from .tdf import ChoquetTDF, dual_greedy, dual_oracle, joint_cdf
+from .tdf import ChoquetTDF, as_tdf, dual_greedy, dual_oracle, joint_cdf
 from .verify import coupling_violations, verify_model
 
 
@@ -111,13 +111,19 @@ def _load_model(path: str):
     return parse_model(obj), obj
 
 
-def _require_capacity(model, what: str) -> Capacity:
-    if isinstance(model, Capacity):
-        return model
+def _capacity_of(model) -> Optional[Capacity]:
+    """The capacity of a capacity or Choquet model; None for other laws."""
     if isinstance(model, ChoquetTDF):
         return model.theta
-    raise SchemaError("$.kind", f"{what} needs a capacity model, not a "
-                                f"{type(model).__name__}")
+    return model if isinstance(model, Capacity) else None
+
+
+def _require_capacity(model, what: str) -> Capacity:
+    theta = _capacity_of(model)
+    if theta is None:
+        raise SchemaError("$.kind", f"{what} needs a capacity model, not a "
+                                    f"{type(model).__name__}")
+    return theta
 
 
 def _parse_mode(mode: str) -> tuple[str, Optional[int]]:
@@ -140,8 +146,8 @@ def cmd_check(args) -> int:
         _require_capacity(model, "check --direct")
     if args.tolerance is not None:
         _require_capacity(model, "check --tolerance")
-    if isinstance(model, Capacity) or isinstance(model, ChoquetTDF):
-        theta = model if isinstance(model, Capacity) else model.theta
+    theta = _capacity_of(model)
+    if theta is not None:
         tol = DEFAULT_TOL if args.tolerance is None else args.tolerance
         cls = classify(theta, tol=tol)
         payload["classification"] = cls.summary(theta.carrier)
@@ -231,10 +237,11 @@ def cmd_dual(args) -> int:
 
 def cmd_cdf(args) -> int:
     model, obj = _load_model(args.model)
-    ell = ChoquetTDF(model) if isinstance(model, Capacity) else model
-    if isinstance(ell, ChoquetTDF):
+    ell = as_tdf(model)
+    theta = _capacity_of(model)
+    if theta is not None:
         # spectral and Lebesgue models are always laws; a capacity only if CA
-        certified_mobius(ell.theta, DEFAULT_TOL)
+        certified_mobius(theta, DEFAULT_TOL)
     pairs = parse_pairs(_inline_json(args.pairs, "--pairs"), ell.carrier, "$.pairs")
     value = joint_cdf(ell, pairs)
     print(json.dumps(value))
@@ -443,7 +450,7 @@ def build_parser() -> argparse.ArgumentParser:
         if checks:
             sp.add_argument("--tolerance", type=float, default=1e-9,
                             help="relative lattice comparison tolerance: exact "
-                                 "checks allow tol * max(1, theta(E))")
+                                 "checks allow tol * theta(E)")
         sp.add_argument("--deterministic", action="store_true",
                         help="suppress timestamps for byte-stable output")
         if sim:

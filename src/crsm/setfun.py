@@ -108,12 +108,13 @@ class Capacity:
         return float(self.table[-1])
 
     def atol(self, tol: float) -> float:
-        """Absolute slack of the relative tolerance tol: tol * max(1, theta(E)).
+        """Absolute slack of the relative tolerance tol: tol * theta(E).
 
         Rounding in the lattice sweeps grows with the values swept, so every
-        exact check on this capacity compares against this slack.
+        exact check on this capacity compares against this slack, and no
+        verdict changes when theta is scaled by any c > 0.
         """
-        return tol * max(1.0, self.total)
+        return tol * self.total
 
     def singletons(self) -> np.ndarray:
         """theta({x}) in carrier order."""
@@ -362,7 +363,7 @@ class Classification:
 def classify(theta: Capacity, tol: float = DEFAULT_TOL) -> Classification:
     """Check monotone / completely alternating / maxitive / additive, all
     exhaustively over the subset lattice, each within the relative
-    tolerance tol (slack tol * max(1, theta(E)), see Capacity.atol).
+    tolerance tol (slack tol * theta(E), see Capacity.atol).
 
     Monotonicity compares theta(K) with theta(K + x) for every x not in K,
     on views of the table in the order of the sweeps (_pairs).  Complete

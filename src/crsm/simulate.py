@@ -8,8 +8,8 @@ draws.  One engine, `_lepage`, runs every sampler:
   Mobius measure nu of a completely alternating capacity; X is its Choquet
   random sup-measure, P(X(K_i) <= a_i for all i) =
   exp(-sum_F nu(F) max{1/a_i : F meets K_i}).
-* simulate_spectral: arbitrary nonnegative spectral draws with a declared
-  essential bound B; `couple` adds the lower and upper coupling columns.
+* simulate_spectral: Y drawn from a finite table of spectral atoms
+  (p_j, y_j); `couple` adds the lower and upper coupling columns.
 
 Capacities and Choquet and Lebesgue TDFs are CRSMs: simulate_crsm samples
 them through their capacity, atoms kept as masks.  A CRSM atom is an
@@ -33,21 +33,19 @@ on substream(seed, 2j + 1), in chunks of TAIL, 2 TAIL, .. TAIL_MAX terms,
 spacings first, then picks; odd keys never collide with even block keys.
 A pick maps one uniform by searchsorted on the normalized cumulative
 weights (CRSM atoms in ascending mask order).  So sample j depends only
-on (seed, j), not on the sample count, the other samples or the mode.  A
-black-box draw callable runs on the continuation streams from the first
-term, one call per term in place of the pick uniforms.
+on (seed, j), not on the sample count, the other samples or the mode.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
 from .carrier import Carrier, iter_bits
-from .setfun import DEFAULT_TOL, Capacity, certified_mobius, mobius_inverse
+from .setfun import DEFAULT_TOL, Capacity, certified_mobius
 from .tdf import SpectralTDF, extremal_coefficients
 
 STREAM_VERSION = 2
@@ -161,9 +159,6 @@ class _AtomTable:
     def pick(self, u):
         return np.searchsorted(self.cum, u, side="right")
 
-    def __call__(self, gen: np.random.Generator) -> np.ndarray:
-        return self.rows[self.pick(gen.random())]
-
 
 class _FirstHit:
     """CRSM kernel: X({x}) = theta(E)/Gamma_{tau_x}, tracked by coverage."""
@@ -219,8 +214,7 @@ class _RunningMax:
     def __init__(self, sampler: "SpectralSampler", n: int, exact: bool,
                  coupled: bool):
         d = sampler.carrier.size
-        self.table = sampler.draw if isinstance(sampler.draw, _AtomTable) else None
-        self.checked_draw = sampler.checked_draw
+        self.table = sampler.table
         self.coupled, self.exact, self.bound = coupled, exact, sampler.bound
         self.width = 3 * d if coupled else d
         self.x = np.zeros((n, self.width))
@@ -228,11 +222,8 @@ class _RunningMax:
         self.stop = live if not coupled else np.concatenate(
             [live, d + np.flatnonzero(_bits(sampler.argmax_reachable, d))])
 
-    def draw(self, gen, t):
-        return np.array([self.checked_draw(gen) for _ in range(t)])
-
-    def step(self, lanes, g, p):
-        y = p if self.table is None else self.table.rows[self.table.pick(p)]
+    def step(self, lanes, g, u):
+        y = self.table.rows[self.table.pick(u)]
         if self.coupled:
             y = _coupled_rows(y)
         np.divide(y, g[:, :, None], out=y)
@@ -249,12 +240,11 @@ def _lepage(kernel, config: SimConfig) -> np.ndarray:
     """Run every sample through kernel in the stream-2 layout; returns the
     term counts.
 
-    A kernel holds its samples' state, `table` (the _AtomTable its picks
-    index, or None for a black-box draw(gen, t)), the per-lane `width` of
-    one term's temporaries and a `cost` note for MaxTermsExceeded.
-    step(lanes, g, p) applies terms with arrivals g (terms, lanes) and
-    picks p; in exact mode it returns each lane's stop term counted from
-    the step's first term, 0 while the lane runs on.
+    A kernel holds its samples' state, the per-lane `width` of one term's
+    temporaries and a `cost` note for MaxTermsExceeded.  step(lanes, g, u)
+    applies terms with arrivals g (terms, lanes) and pick uniforms u; in
+    exact mode it returns each lane's stop term counted from the step's
+    first term, 0 while the lane runs on.
     """
     n = config.samples
     exact = config.mode == "exact"
@@ -263,12 +253,12 @@ def _lepage(kernel, config: SimConfig) -> np.ndarray:
     gamma = np.zeros(BLOCK)     # arrival time so far, by lane of the block
     spacings, uniforms = np.empty((ROUND, BLOCK)), np.empty((ROUND, BLOCK))
 
-    def advance(lanes, done, e, p):
+    def advance(lanes, done, e, u):
         """Apply terms done+1 .. done+len(e); True where a lane runs on."""
         e[0] += gamma[lanes % BLOCK]
         g = np.cumsum(e, axis=0, out=e)
         gamma[lanes % BLOCK] = g[-1]
-        stop = kernel.step(lanes, g, p)
+        stop = kernel.step(lanes, g, u)
         if not exact:
             return np.full(lanes.size, done + len(g) < limit)
         stopped = stop > 0
@@ -293,18 +283,17 @@ def _lepage(kernel, config: SimConfig) -> np.ndarray:
         lanes = np.arange(b0, min(b0 + BLOCK, n))
         gamma[:] = 0.0
         done = 0
-        if kernel.table is not None:
-            gen = substream(config.seed, 2 * (b0 // BLOCK))
-            for _ in range(BULK_ROUNDS):
-                gen.standard_exponential(out=spacings, method="inv")
-                gen.random(out=uniforms)
-                t = ROUND if exact else min(ROUND, limit - done)
-                cols = lanes - b0
-                lanes, _ = sweep(lanes, done, t, lambda part: (
-                    spacings[:t, cols[part]], uniforms[:t, cols[part]]))
-                done += ROUND
-                if not lanes.size:
-                    break
+        gen = substream(config.seed, 2 * (b0 // BLOCK))
+        for _ in range(BULK_ROUNDS):
+            gen.standard_exponential(out=spacings, method="inv")
+            gen.random(out=uniforms)
+            t = ROUND if exact else min(ROUND, limit - done)
+            cols = lanes - b0
+            lanes, _ = sweep(lanes, done, t, lambda part: (
+                spacings[:t, cols[part]], uniforms[:t, cols[part]]))
+            done += ROUND
+            if not lanes.size:
+                break
         gens = [substream(config.seed, 2 * j + 1) for j in lanes.tolist()]
         size = TAIL
         while lanes.size:
@@ -312,8 +301,7 @@ def _lepage(kernel, config: SimConfig) -> np.ndarray:
             lanes, keep = sweep(lanes, done, t, lambda part: (
                 np.stack([g.standard_exponential(size, method="inv")[:t]
                           for g in gens[part]], axis=1),
-                np.stack([g.random(t) if kernel.table is not None
-                          else kernel.draw(g, t) for g in gens[part]], axis=1)))
+                np.stack([g.random(t) for g in gens[part]], axis=1)))
             gens = [g for g, k in zip(gens, keep) if k]
             done += size
             size = min(2 * size, TAIL_MAX)
@@ -324,7 +312,7 @@ def _crsm_atoms(theta: Capacity) -> tuple[np.ndarray, np.ndarray, int]:
     """Positive Mobius atoms (masks ascending, weights), relevant-point mask.
 
     Refuses capacities that are not completely alternating within the
-    relative tolerance DEFAULT_TOL (slack DEFAULT_TOL * max(1, theta(E)));
+    relative tolerance DEFAULT_TOL (slack DEFAULT_TOL * theta(E));
     negative weights inside that band are clamped to zero.
     """
     nu = certified_mobius(theta, DEFAULT_TOL)
@@ -351,47 +339,33 @@ def simulate_crsm(theta: Capacity, config: SimConfig) -> SampleBatch:
 
 @dataclass(frozen=True)
 class SpectralSampler:
-    """Spectral draw Y for the LePage series, with its declared envelope.
+    """Finite spectral law of the LePage series, with its declared envelope.
 
-    draw(gen) returns one nonnegative vector.  bound is an essential sup
-    of max_x Y_x (required for exact stopping); structural_zeros masks the
-    points with Y_x = 0 almost surely; argmax_reachable masks the points
-    that can ever realize the maximum of Y (needed by `couple`).  A finite
-    atom table (from_tdf) is validated against these declarations once, at
-    construction; a black-box draw callable is validated on every draw.
+    table holds the atoms y_j as rows, picked with probability p_j.  bound
+    is an essential sup of max_x Y_x; structural_zeros masks the points
+    with Y_x = 0 almost surely; argmax_reachable masks the points that can
+    realize the maximum of Y (used by `couple`).  The rows are checked
+    against these declarations at construction; from_tdf derives them.
     """
 
     carrier: Carrier
-    draw: Callable[[np.random.Generator], np.ndarray]
-    bound: Optional[float] = None
-    structural_zeros: int = 0
-    argmax_reachable: Optional[int] = None
+    table: _AtomTable
+    bound: float
+    structural_zeros: int
+    argmax_reachable: int
 
     def __post_init__(self) -> None:
         self.carrier.validate_mask(self.structural_zeros)
-        if self.argmax_reachable is not None:
-            self.carrier.validate_mask(self.argmax_reachable)
-        if self.bound is not None and not (self.bound > 0 and math.isfinite(self.bound)):
+        self.carrier.validate_mask(self.argmax_reachable)
+        if not (self.bound > 0 and math.isfinite(self.bound)):
             raise ValueError(f"bound must be positive finite, got {self.bound}")
-        if isinstance(self.draw, _AtomTable):
-            self._check_rows(self.draw.rows)
-
-    def _check_rows(self, y: np.ndarray) -> None:
-        """Validate draws (..., d) against the declarations."""
+        y = self.table.rows
         if np.any(y < 0) or not np.all(np.isfinite(y)):
-            raise ValueError("spectral draw must be nonnegative finite")
-        if self.bound is not None and np.any(y > self.bound * (1 + 1e-12)):
-            raise ValueError(
-                f"spectral draw exceeds declared bound {self.bound}")
-        if np.any(y[..., _bits(self.structural_zeros, self.carrier.size)] != 0.0):
-            raise ValueError("spectral draw is positive at a declared structural zero")
-
-    def checked_draw(self, gen: np.random.Generator) -> np.ndarray:
-        y = np.asarray(self.draw(gen), dtype=float)
-        if y.shape != (self.carrier.size,):
-            raise ValueError(f"spectral draw has shape {y.shape}")
-        self._check_rows(y)
-        return y
+            raise ValueError("spectral atoms must be nonnegative finite")
+        if np.any(y > self.bound * (1 + 1e-12)):
+            raise ValueError(f"spectral atom exceeds declared bound {self.bound}")
+        if np.any(y[:, _bits(self.structural_zeros, self.carrier.size)] != 0.0):
+            raise ValueError("spectral atom is positive at a declared structural zero")
 
     @classmethod
     def from_tdf(cls, law: SpectralTDF) -> "SpectralSampler":
@@ -405,14 +379,11 @@ class SpectralSampler:
 
 
 def simulate_spectral(sampler: SpectralSampler, config: SimConfig) -> SampleBatch:
-    """LePage series with arbitrary spectral draws.
+    """LePage series over the sampler's finite atom table.
 
-    Exact mode needs the declared bound; it stops at the first n with
-    bound/Gamma_n strictly below the running maximum at every point that
-    is not a structural zero.
+    Exact mode stops at the first n with bound/Gamma_n strictly below the
+    running maximum at every point that is not a structural zero.
     """
-    if config.mode == "exact" and sampler.bound is None:
-        raise ValueError("exact mode needs a declared spectral bound")
     if sampler.carrier.full_mask & ~sampler.structural_zeros == 0:
         raise ValueError("every point is a structural zero; nothing to simulate")
     kernel = _RunningMax(sampler, config.samples, config.mode == "exact", False)
@@ -537,8 +508,7 @@ def couple(law, config: SimConfig) -> Coupling:
 
     A SpectralSampler (or SpectralTDF) draw is widened to (Y, lower, upper)
     columns and the pass runs until the exact stop of X and of lower, so X
-    is bit-equal to simulate_spectral; a sampler must declare bound and
-    argmax_reachable, as from_tdf does.  Any other model is a CRSM: lower =
+    is bit-equal to simulate_spectral.  Any other model is a CRSM: lower =
     X = upper = simulate_model(law, config).
     """
     if isinstance(law, SpectralTDF):
@@ -547,10 +517,6 @@ def couple(law, config: SimConfig) -> Coupling:
         # every CRSM atom is an indicator, so its argmax set is its support
         x = simulate_model(law, config)
         return Coupling(x, x, x)
-    if law.bound is None or law.argmax_reachable is None:
-        raise ValueError(
-            "coupling needs declared bound and argmax_reachable; build the "
-            "sampler from a spectral TDF")
     if law.argmax_reachable == 0:
         raise ValueError("no point can realize the spectral argmax")
     kernel = _RunningMax(law, config.samples, config.mode == "exact", True)
@@ -620,11 +586,13 @@ def independence_on_disjoint(theta: Capacity, parts: Sequence[int],
     """Factorization test of the CRSM over disjoint parts.
 
     X is independent over the parts iff no Mobius mass touches two of
-    them; that exact criterion (cross_mass) decides what the empirical
-    side must show.  For each pair and quantile q the joint empirical CDF
-    at the exact marginal q-quantiles is compared against the product
-    q**2 with a 4-sigma binomial allowance: independence must stay inside
-    the band, genuine dependence must break it somewhere.
+    them.  cross_mass = sum_i theta(P_i) - theta(union of the P_i) is that
+    mass, each atom counted once per part it meets beyond the first; this
+    exact criterion decides what the empirical side must show.  For each
+    pair and quantile q the joint empirical CDF at the exact marginal
+    q-quantiles is compared against the product q**2 with a 4-sigma
+    binomial allowance: independence must stay inside the band, genuine
+    dependence must break it somewhere.
     """
     if len(parts) < 2:
         raise ValueError("need at least two parts")
@@ -638,13 +606,7 @@ def independence_on_disjoint(theta: Capacity, parts: Sequence[int],
         if theta.table[p] <= 0:
             raise ValueError("parts must carry positive capacity")
         seen |= p
-    nu = mobius_inverse(theta)
-    size = 1 << theta.carrier.size
-    all_masks = np.arange(size)
-    touches = np.zeros(size, dtype=np.int64)
-    for p in parts:
-        touches += ((all_masks & p) != 0).astype(np.int64)
-    cross_mass = float(np.abs(nu.weights[touches >= 2]).sum())
+    cross_mass = sum(float(theta.table[p]) for p in parts) - float(theta.table[seen])
     expect_independent = cross_mass <= theta.atol(DEFAULT_TOL)
 
     if batch is None:

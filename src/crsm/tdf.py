@@ -193,6 +193,11 @@ class LebesgueTDF(TailDependenceFunctional):
         return np.asarray(fs, dtype=float) @ self.mu.weights
 
 
+def as_tdf(model: Union[Capacity, TailDependenceFunctional]) -> TailDependenceFunctional:
+    """The functional of a model; a bare capacity is its Choquet TDF."""
+    return ChoquetTDF(model) if isinstance(model, Capacity) else model
+
+
 def extremal_coefficients(ell: TailDependenceFunctional) -> Capacity:
     """Capacity theta(K) = ell(indicator of K) over the whole lattice."""
     if isinstance(ell, ChoquetTDF):
@@ -308,7 +313,7 @@ def dual_greedy(theta: Capacity, f, tol: float = 1e-9) -> tuple[DiscreteMeasure,
     The value f . mu then equals the Choquet integral, which is the exact
     optimum.  Feasibility of mu is re-verified exhaustively over the whole
     lattice; a violation means the alternation certificate lied and raises.
-    tol is relative: both checks allow a slack of tol * max(1, theta(E)).
+    tol is relative: both checks allow a slack of tol * theta(E).
     """
     v = _vals(f, theta.carrier)
     certified_mobius(theta, tol)

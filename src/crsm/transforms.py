@@ -78,9 +78,12 @@ class BernsteinFunction:
         if self.power is not None:
             out = t ** self.power
         else:
-            out = self.drift * t
+            # drift*t + sum w*(-expm1(-s*t)) in two arrays; x - y is x + (-y)
+            out = np.multiply(self.drift, t, out=np.empty_like(t))
+            buf = np.empty_like(t) if self.atoms else None
             for s, w in self.atoms:
-                out = out + w * -np.expm1(-s * t)
+                np.expm1(np.multiply(-s, t, out=buf), out=buf)
+                np.subtract(out, np.multiply(w, buf, out=buf), out=out)
         return float(out) if out.ndim == 0 else out
 
 

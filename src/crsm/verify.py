@@ -4,7 +4,7 @@ Each check compares an exact quantity (Mobius roundtrip, closed-form
 Frechet scale, joint CDF, independence of the argmax, the continuity
 modulus, factorization over disjoint parts) against the simulation at an
 explicit threshold.  Exact lattice identities use the relative calculus
-tolerance (slack tol * max(1, theta(E)), see Capacity.atol);
+tolerance (slack tol * theta(E), see Capacity.atol);
 Monte Carlo comparisons use 3-sigma bands for scale estimates and 4-sigma
 bands for probability and correlation statistics, so a healthy model
 fails any single check with probability well under 1e-4.
@@ -37,9 +37,9 @@ from .simulate import (
 )
 from .tdf import (
     PROBE_TOL,
-    ChoquetTDF,
     SpectralTDF,
     TailDependenceFunctional,
+    as_tdf,
     check_max_complete_alternation,
     extremal_coefficients,
     joint_cdf,
@@ -61,12 +61,6 @@ class CheckResult:
         extra = f" ({self.detail})" if self.detail else ""
         return (f"{mark} {self.name}: statistic {self.statistic:.6g} vs "
                 f"threshold {self.threshold:.6g}{extra}")
-
-
-def _as_tdf(model: Model) -> TailDependenceFunctional:
-    if isinstance(model, Capacity):
-        return ChoquetTDF(model)
-    return model
 
 
 def _test_vectors(carrier, relevant_idx: np.ndarray, seed: int) -> list[tuple[str, np.ndarray]]:
@@ -92,7 +86,7 @@ def verify_model(model: Model, samples: int = 20000, seed: int = 1,
                  tol: float = 1e-9) -> list[CheckResult]:
     """Run the battery; returns one CheckResult per check, in run order."""
     checks: list[CheckResult] = []
-    ell = _as_tdf(model)
+    ell = as_tdf(model)
     carrier = ell.carrier
     theta = extremal_coefficients(ell)
 

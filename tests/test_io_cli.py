@@ -712,6 +712,21 @@ def test_cli_refuses_capacity_that_is_not_completely_alternating(tmp_path, capsy
         assert "not completely alternating (mobius weight -0.25 at mask 0x7)" in captured.err
 
 
+def test_cli_refuses_tiny_avar(tmp_path, capsys):
+    # the slack is relative, so scaling AVaR down does not make it CA
+    avar = parse_capacity(AVAR4)
+    for k in (-30, -40):
+        path = tmp_path / f"avar{k}.json"
+        path.write_text(json.dumps(capacity_to_json(
+            Capacity(avar.carrier, avar.table * 2.0 ** k))))
+        argv = ["cdf", "--model", str(path), "--pairs", '[{"set":["1"],"level":1}]']
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "not completely alternating (mobius weight -" in captured.err
+        assert "at mask 0x7" in captured.err
+
+
 def test_cli_cdf_prints_spectral_and_lebesgue_laws(tmp_path, spectral_file, capsys):
     leb = tmp_path / "lebesgue.json"
     leb.write_text(json.dumps({"kind": "lebesgue", "carrier": ["a", "b"],

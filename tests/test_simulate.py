@@ -164,35 +164,6 @@ def test_spectral_sampler_from_tdf_declarations():
     assert sampler.structural_zeros == 0
     # atoms peak at a, b, and both jointly
     assert sampler.argmax_reachable == 0b11
-    y = sampler.checked_draw(substream(0, 0))
-    assert y.shape == (2,)
-
-
-def test_checked_draw_validations():
-    c = carrier_of(2)
-    bad_shape = SpectralSampler(c, lambda g: np.ones(3), bound=2.0)
-    with pytest.raises(ValueError):
-        bad_shape.checked_draw(substream(0, 0))
-    negative = SpectralSampler(c, lambda g: np.array([-0.1, 1.0]), bound=2.0)
-    with pytest.raises(ValueError):
-        negative.checked_draw(substream(0, 0))
-    over = SpectralSampler(c, lambda g: np.array([3.0, 0.0]), bound=2.0)
-    with pytest.raises(ValueError):
-        over.checked_draw(substream(0, 0))
-    dirty_zero = SpectralSampler(c, lambda g: np.array([1.0, 0.5]), bound=2.0,
-                                 structural_zeros=0b10)
-    with pytest.raises(ValueError):
-        dirty_zero.checked_draw(substream(0, 0))
-
-
-def test_exact_spectral_needs_bound():
-    sampler = SpectralSampler(carrier_of(2), lambda g: g.random(2))
-    with pytest.raises(ValueError):
-        simulate_spectral(sampler, SimConfig(seed=0, samples=5))
-    # truncated mode works without a bound
-    batch = simulate_spectral(sampler, SimConfig(seed=0, samples=5,
-                                                 mode="truncated", n_terms=10))
-    assert batch.values.shape == (5, 2)
 
 
 def test_spectral_scale_matches_tdf():
@@ -311,9 +282,3 @@ def test_coupling_sandwich_exact():
     # the declared upper bound shares the sup with the exact path bitwise
     assert np.array_equal(cpl.upper.values.max(axis=1),
                           cpl.exact.values.max(axis=1))
-
-
-def test_coupling_needs_bound_and_reach():
-    sampler = SpectralSampler(carrier_of(2), lambda g: g.random(2))
-    with pytest.raises(ValueError):
-        couple(sampler, SimConfig(seed=0, samples=10))

@@ -1,6 +1,7 @@
 """Capacity constructors and the Bernstein composition calculus."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -67,6 +68,23 @@ def test_bernstein_function_matches_closed_form():
     for t in (0.0, 0.3, 1.7, 10.0):
         expect = 0.25 * t + 2.0 * (1 - math.exp(-t)) + 0.5 * (1 - math.exp(-3 * t))
         assert g(t) == pytest.approx(expect, rel=1e-15)
+
+
+def test_bernstein_table_holds_output_and_one_work_array():
+    # d = 20: one table is 8 MB; a temporary per arithmetic step needs three
+    g = BernsteinFunction(drift=0.3, atoms=[(0.5, 1.0), (2.0, 0.25), (7.0, 0.1)])
+    t = np.random.default_rng(0).uniform(0.0, 5.0, size=1 << 20)
+    tracemalloc.start()
+    try:
+        got = g(t)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.25 * t.nbytes
+    expect = 0.3 * t
+    for s, w in g.atoms:
+        expect = expect + w * -np.expm1(-s * t)
+    assert np.array_equal(got, expect)
 
 
 def test_compose_additive_with_sqrt():

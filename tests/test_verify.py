@@ -1,12 +1,16 @@
+import sys
+
 import numpy as np
 import pytest
 
 from conftest import carrier_of, near_ca_table, random_ca_capacity
+from crsm import setfun
 from crsm.carrier import Carrier, mask_size
 from crsm.setfun import (Capacity, MobiusMeasure, capacity_from_measure, classify,
                          mobius_inverse)
 from crsm.simulate import SimConfig, independence_on_disjoint, simulate_crsm
 from crsm.tdf import ChoquetTDF, DiscreteMeasure, LebesgueTDF, dual_greedy
+from crsm.transforms import distortion_capacity
 from crsm.verify import CheckResult, verify_model
 
 
@@ -99,8 +103,8 @@ def test_large_scale_exact_rows_pass():
 
 def test_disjoint_parts_ignore_rounding_dust():
     # Mobius mass only inside the low and the high six points: the two
-    # halves are independent, and the cross mass the sweeps leave behind
-    # (about 2e-5 at theta(E) = 5e7) is rounding dust
+    # halves are independent, and whatever rounding the sweeps leave in
+    # theta(low) + theta(high) - theta(E) stays inside the slack
     rng = np.random.default_rng(0)
     weights = np.zeros(1 << 12)
     for shift in (0, 6):
@@ -108,5 +112,80 @@ def test_disjoint_parts_ignore_rounding_dust():
         weights[masks] = rng.uniform(0.5e6, 1.5e6, size=25)
     theta = capacity_from_measure(MobiusMeasure(carrier_of(12), weights))
     rep = independence_on_disjoint(theta, [0o77, 0o7700], SimConfig(seed=0, samples=4000))
-    assert 1e-9 < rep.cross_mass < theta.atol(1e-9)
+    assert rep.cross_mass <= theta.atol(1e-9)
     assert rep.expect_independent and rep.consistent
+
+
+def avar4() -> Capacity:
+    """The README's AVaR counterexample: Mobius weight -1/4 on every 3-set."""
+    return distortion_capacity(DiscreteMeasure(carrier_of(4), [0.25] * 4),
+                               kind="avar", alpha=0.8)
+
+
+def verdicts(theta: Capacity) -> tuple:
+    """Every scale-free verdict on theta, plus the numbers that scale."""
+    cls = classify(theta)
+    nu = mobius_inverse(theta)
+    outcomes = []
+    for run in (lambda: dual_greedy(theta, np.arange(1.0, theta.carrier.size + 1)),
+                lambda: simulate_crsm(theta, SimConfig(seed=0, samples=5))):
+        try:
+            run()
+            outcomes.append("accepted")
+        except ValueError as e:
+            outcomes.append(str(e).split(" (")[0])
+    rows = verify_model(theta, samples=40, seed=0)
+    flags = (cls.monotone, cls.completely_alternating, cls.maxitive, cls.additive,
+             cls.min_mobius_witness, tuple(outcomes),
+             tuple((r.name, r.passed) for r in rows))
+    scaled = (nu.weights, cls.min_mobius_weight, rows[0].statistic, rows[0].threshold,
+              rows[1].statistic, rows[1].threshold)
+    return flags, scaled
+
+
+@pytest.mark.parametrize("make", [avar4, near_ca_table,
+                                  lambda: random_ca_capacity(np.random.default_rng(7), 4)],
+                         ids=["avar", "near-ca", "random-ca"])
+def test_verdicts_do_not_depend_on_scale(make):
+    # scaling by 2**k is exact in binary floating point, so every verdict
+    # must repeat and every Mobius number must scale by exactly 2**k
+    theta = make()
+    flags, scaled = verdicts(theta)
+    for k in range(-60, 61):
+        c = 2.0 ** k
+        flags_k, scaled_k = verdicts(Capacity(theta.carrier, theta.table * c))
+        assert flags_k == flags, k
+        assert np.array_equal(scaled_k[0], scaled[0] * c), k
+        assert list(scaled_k[1:]) == [v * c for v in scaled[1:]], k
+
+
+def test_tiny_avar_is_refused():
+    # with a slack floored at tol, 2**-30 * AVaR looked completely alternating
+    for k in (-30, -40):
+        theta = Capacity(carrier_of(4), avar4().table * 2.0 ** k)
+        assert not classify(theta).completely_alternating
+        with pytest.raises(ValueError, match="not completely alternating"):
+            dual_greedy(theta, np.ones(4))
+        with pytest.raises(ValueError, match="not completely alternating"):
+            simulate_crsm(theta, SimConfig(seed=0, samples=5))
+
+
+def test_verify_inverts_mobius_twice_on_a_crsm(monkeypatch):
+    # once for the exact rows, once for the sampler's atoms; the disjoint
+    # parts row reads theta directly
+    calls = []
+    real = setfun.mobius_inverse
+
+    def counted(theta):
+        calls.append(theta.carrier.size)
+        return real(theta)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("crsm") and getattr(module, "mobius_inverse", None) is real:
+            monkeypatch.setattr(module, "mobius_inverse", counted)
+    leb = LebesgueTDF(DiscreteMeasure(carrier_of(3), [0.2, 0.3, 0.5]))
+    for model in (random_ca_capacity(np.random.default_rng(2), 3), leb):
+        calls.clear()
+        rows = verify_model(model, samples=500, seed=1)
+        assert [r.name for r in rows] == CRSM_ROWS
+        assert calls == [3, 3]
