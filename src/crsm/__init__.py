@@ -1,6 +1,6 @@
 """Max-stable random sup-measures and Choquet random sup-measures on
 finite carriers: capacity calculus, nonlinear integrals, tail dependence
-functionals, exact LePage simulation and the statistical checks tying
+functionals, exact simulation and the statistical checks tying
 them together."""
 
 __version__ = "0.1.0"

@@ -3,10 +3,12 @@
 Every subcommand reads a model JSON via --model and emits either a bare
 number (choquet, extremal, cdf) or a JSON/CSV artifact.  Artifacts embed
 a provenance block {tool, version, seed, model_sha256, generated_at},
-plus the random stream version `stream` when a seed is given;
+plus the random stream version `stream` when a seed is given, and the
+sampling `method` ("lepage" or "max-linear") for `simulate`;
 --deterministic drops the timestamp so repeated runs are byte-identical.
-`simulate` writes the mean, p50, p99 and max of its LePage term counts to
-stderr.
+`simulate` writes the mean, p50, p99 and max of its term counts to stderr,
+then the method it chose, the atom count m and LePage's lower bound LB on
+E[N].
 
 Simulation CSV: a `# provenance:` line, the header `sample_index,<labels>`,
 then one row per sample, each value in Python's shortest round-trip
@@ -286,6 +288,7 @@ def cmd_simulate(args) -> int:
     config = _config_from_args(args)
     batch = simulate_model(model, config)
     prov = _provenance(args.seed, obj, args.deterministic)
+    prov["method"] = batch.method
     if args.format == "csv":
         if args.out:
             with open(args.out, "w") as fh:
@@ -303,6 +306,12 @@ def cmd_simulate(args) -> int:
     p50, p99 = np.percentile(batch.terms, [50, 99])
     print(f"terms per sample: mean {batch.terms.mean():.6g}, p50 {p50:g}, "
           f"p99 {p99:g}, max {batch.terms.max()}", file=sys.stderr)
+    if batch.method == "max-linear":
+        print(f"method max-linear: {batch.atoms} atoms per sample; LePage needs "
+              f"E[N] >= {batch.lepage_floor:.6g} terms", file=sys.stderr)
+    else:
+        print(f"method lepage: E[N] >= {batch.lepage_floor:.6g} terms per sample; "
+              f"max-linear needs {batch.atoms} atoms", file=sys.stderr)
     return 0
 
 
@@ -458,7 +467,10 @@ def build_parser() -> argparse.ArgumentParser:
             sp.add_argument("--mode", default="exact",
                             help="'exact' or 'truncated:K'")
             sp.add_argument("--max-terms", type=int, default=1_000_000,
-                            dest="max_terms")
+                            dest="max_terms",
+                            help="exact LePage runs fail past this many terms "
+                                 "per sample; max-linear runs draw one number "
+                                 "per atom and ignore it")
         if sim or checks:
             sp.add_argument("--seed", type=int, default=None)
 

@@ -163,7 +163,9 @@ def comonotone_additivity_check(ell, trials: int = 1000, seed: int = 0,
                                 ) -> ComonotoneAdditivityReport:
     """Probe ell(f+g) = ell(f) + ell(g) on random comonotone pairs.
 
-    Returns the worst absolute deviation and a witness pair when it exceeds
+    A pair's deviation is |ell(f+g) - ell(f) - ell(g)| divided by
+    |ell(f+g)| + |ell(f)| + |ell(g)|, so no verdict depends on the scale of
+    ell.  Returns the worst deviation and a witness pair when it exceeds
     tol.  A Choquet integral passes for every capacity; a genuinely
     non-comonotone-additive functional (e.g. an extremal integral against a
     non-maxitive capacity) should be falsified well within the default
@@ -178,7 +180,9 @@ def comonotone_additivity_check(ell, trials: int = 1000, seed: int = 0,
         f, g = _random_step_pair(rng, d)
         if not comonotonic(f, g):  # generator guard, never expected to fire
             raise AssertionError("step-transform pair is not comonotone")
-        dev = abs(func(f + g) - func(f) - func(g))
+        a, b, c = func(f + g), func(f), func(g)
+        scale = abs(a) + abs(b) + abs(c)
+        dev = abs(a - b - c) / scale if scale > 0 else 0.0
         if dev > worst:
             worst = dev
             wf, wg = f, g

@@ -285,14 +285,17 @@ def mobius_inverse(theta: Capacity) -> MobiusMeasure:
     return MobiusMeasure(theta.carrier, _Owned(nu))
 
 
-def certified_mobius(theta: Capacity, tol: float = DEFAULT_TOL) -> MobiusMeasure:
+def certified_mobius(theta: Capacity, tol: float = DEFAULT_TOL,
+                     nu: Optional[MobiusMeasure] = None) -> MobiusMeasure:
     """Mobius measure of a capacity certified completely alternating.
 
     The certificate that theta is the capacity functional of a random
     sup-measure: every weight is at least -theta.atol(tol).  Raises
-    ValueError naming the smallest weight and its mask otherwise.
+    ValueError naming the smallest weight and its mask otherwise.  nu is
+    theta's Mobius measure when the caller has it already.
     """
-    nu = mobius_inverse(theta)
+    if nu is None:
+        nu = mobius_inverse(theta)
     min_w, witness = nu.min_weight()
     if min_w < -theta.atol(tol):
         raise ValueError(

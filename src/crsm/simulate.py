@@ -1,39 +1,56 @@
-"""Exact LePage-series simulation of max-stable random sup-measures.
+"""Exact simulation of max-stable random sup-measures over finite atom tables.
 
 The target law is X = sup_i Gamma_i^{-1} Y_i where Gamma_1 < Gamma_2 < ..
 are the arrivals of a unit Poisson process and the Y_i are iid spectral
-draws.  One engine, `_lepage`, runs every sampler:
+draws from a finite table of atoms (w_j, y_j):
 
-* simulate_crsm: Y = theta(E) * indicator(Xi), Xi ~ nu / theta(E) for the
-  Mobius measure nu of a completely alternating capacity; X is its Choquet
-  random sup-measure, P(X(K_i) <= a_i for all i) =
-  exp(-sum_F nu(F) max{1/a_i : F meets K_i}).
-* simulate_spectral: Y drawn from a finite table of spectral atoms
-  (p_j, y_j); `couple` adds the lower and upper coupling columns.
+* simulate_crsm: y_j = 1_F and w_j = nu(F) over the positive Mobius atoms F
+  of a completely alternating capacity theta, so Y = theta(E) * 1_Xi with
+  Xi ~ nu / theta(E); X is its Choquet random sup-measure,
+  P(X(K_i) <= a_i for all i) = exp(-sum_F nu(F) max{1/a_i : F meets K_i}).
+* simulate_spectral: the rows y_j of a spectral table, picked with
+  probability p_j; `couple` adds the lower and upper coupling columns.
 
 Capacities and Choquet and Lebesgue TDFs are CRSMs: simulate_crsm samples
 them through their capacity, atoms kept as masks.  A CRSM atom is an
 indicator, so its coupling is degenerate: lower = X = upper.
 
-Exactness of the stopping rule: every term is bounded by bound/Gamma_n,
-so once every point that can be positive is positive and bound/Gamma_n
-has dropped strictly below the smallest running maximum, no later term
-can change any coordinate (for the CRSM: N = T + 1, T the term at which
-every relevant point has been hit).  "Exact" mode records that stop term
-per sample and may apply later terms of the same round, which changes no
-bit; "truncated" mode keeps exactly n_terms terms of the same stream, so
-a truncated sample is pathwise dominated by its exact twin.
+Two exact methods sample the same law.  `_lepage` runs the series itself.
+`_max_linear` uses that the series splits by atom into independent Poisson
+streams, so X({x}) = max_j (w_j / E_j) y_j(x) with E_j iid Exp(1) (Wang and
+Stoev 2011): m = number of atoms exponentials per sample, whatever the
+skew.  LePage needs two numbers per term and, by Wald's identity, E[N] >=
+LB = bound / min over live x of ell(1_x) terms per sample (bound is
+theta(E) or max y; ell(1_x) is theta({x}) or sum_j p_j y_j(x)), because
+its stop needs Gamma_N > bound / X(x) and 1/X(x) ~ Exp(ell(1_x)).  So an
+exact run draws max-linearly iff m <= LB; truncated runs and `couple`
+keep LePage for its pathwise stream.
+
+Exactness of the LePage stopping rule: every term is bounded by
+bound/Gamma_n, so once every point that can be positive is positive and
+bound/Gamma_n has dropped strictly below the smallest running maximum, no
+later term can change any coordinate (for the CRSM: N = T + 1, T the term
+at which every relevant point has been hit).  "Exact" mode records that
+stop term per sample and may apply later terms of the same round, which
+changes no bit; "truncated" mode keeps exactly n_terms terms of the same
+stream, so a truncated sample is pathwise dominated by its exact LePage
+twin.
 
 Randomness contract, stream version 2: block b of BLOCK consecutive
-samples draws from substream(seed, 2b).  Each of its BULK_ROUNDS rounds
-draws a (ROUND, BLOCK) array of inverse-CDF exponential spacings, then a
-(ROUND, BLOCK) array of pick uniforms, so every (round, lane) has a fixed
-stream place.  A sample j still running after the bulk rounds continues
-on substream(seed, 2j + 1), in chunks of TAIL, 2 TAIL, .. TAIL_MAX terms,
-spacings first, then picks; odd keys never collide with even block keys.
-A pick maps one uniform by searchsorted on the normalized cumulative
-weights (CRSM atoms in ascending mask order).  So sample j depends only
-on (seed, j), not on the sample count, the other samples or the mode.
+samples draws from substream(seed, 2b).
+* LePage: each of its BULK_ROUNDS rounds draws a (ROUND, BLOCK) array of
+  inverse-CDF exponential spacings, then a (ROUND, BLOCK) array of pick
+  uniforms, so every (round, lane) has a fixed stream place.  A sample j
+  still running after the bulk rounds continues on substream(seed,
+  2j + 1), in chunks of TAIL, 2 TAIL, .. TAIL_MAX terms, spacings first,
+  then picks; odd keys never collide with even block keys.  A pick maps
+  one uniform by searchsorted on the normalized cumulative weights (CRSM
+  atoms in ascending mask order).
+* Max-linear: the block draws a (lanes, m) array of inverse-CDF
+  exponentials in row order, row k for sample b * BLOCK + k, column j for
+  atom j (CRSM atoms in ascending mask order).
+So sample j depends only on (seed, j) and the method, not on the sample
+count or the other samples.
 """
 
 from __future__ import annotations
@@ -45,7 +62,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .carrier import Carrier, iter_bits
-from .setfun import DEFAULT_TOL, Capacity, certified_mobius
+from .setfun import DEFAULT_TOL, Capacity, MobiusMeasure, certified_mobius
 from .tdf import SpectralTDF, extremal_coefficients
 
 STREAM_VERSION = 2
@@ -94,10 +111,15 @@ class SampleBatch:
     """Realizations of a random sup-measure, one row per sample.
 
     values[j, i] = X_j({x_i}); the sup-measure of any set is the row max
-    over the mask.  first_atoms carries the first LePage atom Xi_1 of each
-    sample (CRSM runs only), which is exactly the argmax set of X_j.
-    terms[j] is the LePage term count of sample j: its exact stop term, or
-    n_terms in truncated mode.  It is deterministic given (seed, j).
+    over the mask.  first_atoms carries the atom that realizes the maximum
+    of each sample (CRSM runs only: the first LePage atom Xi_1, or the
+    argmax atom of a max-linear draw), which is exactly the argmax set of
+    X_j.  method is "lepage" or "max-linear".  terms[j] is the number of
+    terms sample j used: its exact LePage stop term, n_terms in truncated
+    mode, or the atom count for max-linear.  It is deterministic given
+    (seed, j).  atoms is the size of the atom table and lepage_floor the
+    lower bound LB on LePage's expected term count; the method was
+    max-linear iff the run was exact and atoms <= lepage_floor.
     """
 
     carrier: Carrier
@@ -107,6 +129,9 @@ class SampleBatch:
     n_terms: Optional[int] = None
     first_atoms: Optional[np.ndarray] = None
     terms: Optional[np.ndarray] = None
+    method: str = "lepage"
+    atoms: Optional[int] = None
+    lepage_floor: Optional[float] = None
 
     @property
     def n(self) -> int:
@@ -127,14 +152,15 @@ class SampleBatch:
         return (self.values * v[None, :]).max(axis=1)
 
 
-def _batch(carrier: Carrier, values: np.ndarray, config: SimConfig,
+def _batch(carrier: Carrier, values: np.ndarray, config: SimConfig, plan: tuple,
            terms: np.ndarray, first: Optional[np.ndarray] = None) -> SampleBatch:
+    """plan is (method, atoms, lepage_floor)."""
     values = np.ascontiguousarray(values)
     for arr in (values, terms, first):
         if arr is not None:
             arr.setflags(write=False)
     return SampleBatch(carrier, values, config.seed, config.mode, config.n_terms,
-                       first, terms)
+                       first, terms, *plan)
 
 
 def _mask_of(flags: np.ndarray) -> int:
@@ -148,16 +174,24 @@ def _bits(mask: int, d: int) -> np.ndarray:
 
 
 class _AtomTable:
-    """rows[k] with probability weights[k]: a uniform u picks the first row
-    whose normalized cumulative weight exceeds u."""
+    """Atoms rows[k] (CRSM masks or spectral rows) with weights[k] > 0.
+
+    A LePage pick takes row k with probability weights[k] / sum: a uniform
+    u picks the first row whose normalized cumulative weight exceeds u.
+    """
 
     def __init__(self, rows: np.ndarray, weights: np.ndarray):
         cum = np.cumsum(weights, dtype=float)
-        self.rows = rows
+        self.rows, self.weights = rows, weights
         self.cum = cum / cum[-1]
 
     def pick(self, u):
         return np.searchsorted(self.cum, u, side="right")
+
+    def dense(self, lo: int, hi: int, d: int) -> np.ndarray:
+        """Rows lo..hi-1 as an (atoms, d) array; a mask becomes its indicator."""
+        rows = self.rows[lo:hi]
+        return rows if rows.ndim == 2 else (rows[:, None] >> np.arange(d)) & 1
 
 
 class _FirstHit:
@@ -165,15 +199,15 @@ class _FirstHit:
 
     width = 1
 
-    def __init__(self, theta: Capacity, n: int, exact: bool):
-        masks, weights, relevant = _crsm_atoms(theta)
+    def __init__(self, theta: Capacity, table: _AtomTable, relevant: int,
+                 ratios: np.ndarray, n: int, exact: bool):
+        """ratios: theta(E)/theta({x}) over the relevant points."""
         d = theta.carrier.size
-        self.table = _AtomTable(masks, weights)
+        self.table = table
         self.total, self.relevant, self.exact = theta.total, relevant, exact
         self.shifts = np.arange(d)
         self.x = np.zeros((n, d))
         self.first = np.zeros(n, dtype=np.int64)
-        ratios = self.total / theta.singletons()[_bits(relevant, d)]
         self.cost = (f"; expected terms E[N] in [{1 + ratios.max():.6g}, "
                      f"{1 + ratios.sum():.6g}] (1 + max_x theta(E)/theta({{x}}) <= "
                      f"E[N] <= 1 + sum_x theta(E)/theta({{x}}))")
@@ -308,14 +342,52 @@ def _lepage(kernel, config: SimConfig) -> np.ndarray:
     return terms
 
 
-def _crsm_atoms(theta: Capacity) -> tuple[np.ndarray, np.ndarray, int]:
+def _max_linear(table: _AtomTable, w: np.ndarray, d: int,
+                config: SimConfig) -> tuple[np.ndarray, np.ndarray]:
+    """X({x}) = max_j (w_j / E_j) y_j(x) in the max-linear stream layout;
+    returns the values and each sample's argmax atom.
+
+    Lanes and atoms go in groups that keep the (lanes, atoms, d) product
+    near _CELLS; the exponentials of a block are drawn group by group in
+    row order, which gives the same numbers as one (lanes, m) draw.
+    """
+    n, m = config.samples, w.size
+    x = np.zeros((n, d))
+    top = np.empty(n, dtype=np.int64)
+    lanes = min(BLOCK, max(1, _CELLS // (m * d)))
+    span = max(1, _CELLS // (lanes * d))
+    for b0 in range(0, n, BLOCK):
+        gen = substream(config.seed, 2 * (b0 // BLOCK))
+        end = min(b0 + BLOCK, n)
+        for s in range(b0, end, lanes):
+            part = slice(s, min(s + lanes, end))
+            z = w / gen.standard_exponential((part.stop - s, m), method="inv")
+            top[part] = z.argmax(axis=1)
+            for a in range(0, m, span):
+                y = table.dense(a, a + span, d)
+                np.maximum(x[part], (z[:, a:a + span, None] * y).max(axis=1),
+                           out=x[part])
+    return x, top
+
+
+def _method(atoms: int, floor: float, config: SimConfig) -> str:
+    """Max-linear iff the run is exact and its one exponential per atom is
+    at most LB = floor draws per sample, Wald's lower bound on LePage's
+    E[N]: LePage, at two numbers per term, then draws at least twice as
+    many."""
+    return "max-linear" if config.mode == "exact" and atoms <= floor else "lepage"
+
+
+def _crsm_atoms(theta: Capacity, mobius: Optional[MobiusMeasure] = None
+                ) -> tuple[np.ndarray, np.ndarray, int]:
     """Positive Mobius atoms (masks ascending, weights), relevant-point mask.
 
     Refuses capacities that are not completely alternating within the
     relative tolerance DEFAULT_TOL (slack DEFAULT_TOL * theta(E));
-    negative weights inside that band are clamped to zero.
+    negative weights inside that band are clamped to zero.  mobius is
+    theta's Mobius measure when the caller has it already.
     """
-    nu = certified_mobius(theta, DEFAULT_TOL)
+    nu = certified_mobius(theta, DEFAULT_TOL, mobius)
     if theta.total <= 0:
         raise ValueError("capacity is identically zero; nothing to simulate")
     w = np.clip(nu.weights, 0.0, None)
@@ -323,18 +395,34 @@ def _crsm_atoms(theta: Capacity) -> tuple[np.ndarray, np.ndarray, int]:
     return masks, w[masks], int(np.bitwise_or.reduce(masks))
 
 
-def simulate_crsm(theta: Capacity, config: SimConfig) -> SampleBatch:
+def simulate_crsm(theta: Capacity, config: SimConfig,
+                  mobius: Optional[MobiusMeasure] = None) -> SampleBatch:
     """Sample the Choquet random sup-measure of a CA capacity.
 
-    Atom sets arrive as Xi ~ nu/theta(E) with common magnitude
+    LePage: atom sets arrive as Xi ~ nu/theta(E) with common magnitude
     theta(E)/Gamma_n, so X({x}) = theta(E)/Gamma_{tau_x} at the first term
     tau_x whose atom contains x.  Exact mode stops at N = T + 1, T the
     term at which every point with theta({x}) > 0 has been hit; E[N] lies
     between 1 + max_x theta(E)/theta({x}) and 1 + sum_x theta(E)/theta({x}).
+    Max-linear: X({x}) = max over atoms F containing x of nu(F)/E_F, chosen
+    for exact runs with m <= LB = max_x theta(E)/theta({x}) atoms.  mobius
+    is theta's Mobius measure when the caller has it already; the atoms
+    are computed once either way.
     """
-    kernel = _FirstHit(theta, config.samples, config.mode == "exact")
+    masks, weights, relevant = _crsm_atoms(theta, mobius)
+    d = theta.carrier.size
+    table = _AtomTable(masks, weights)
+    ratios = theta.total / theta.singletons()[_bits(relevant, d)]
+    floor = float(ratios.max())
+    plan = (_method(masks.size, floor, config), masks.size, floor)
+    if plan[0] == "max-linear":
+        x, top = _max_linear(table, weights, d, config)
+        return _batch(theta.carrier, x, config, plan,
+                      np.full(config.samples, masks.size), masks[top])
+    kernel = _FirstHit(theta, table, relevant, ratios, config.samples,
+                       config.mode == "exact")
     terms = _lepage(kernel, config)
-    return _batch(theta.carrier, kernel.x, config, terms, kernel.first)
+    return _batch(theta.carrier, kernel.x, config, plan, terms, kernel.first)
 
 
 @dataclass(frozen=True)
@@ -378,26 +466,44 @@ class SpectralSampler:
                    zeros, reach)
 
 
-def simulate_spectral(sampler: SpectralSampler, config: SimConfig) -> SampleBatch:
-    """LePage series over the sampler's finite atom table.
+def _spectral_floor(sampler: SpectralSampler) -> tuple[np.ndarray, float]:
+    """Normalized weights p_j and LB = bound / min over live x of
+    sum_j p_j y_j(x) (infinite if a live point has no mass)."""
+    p = sampler.table.weights / sampler.table.weights.sum()
+    live = ~_bits(sampler.structural_zeros, sampler.carrier.size)
+    low = float((p @ sampler.table.rows)[live].min())
+    return p, (sampler.bound / low if low > 0 else math.inf)
 
-    Exact mode stops at the first n with bound/Gamma_n strictly below the
-    running maximum at every point that is not a structural zero.
+
+def simulate_spectral(sampler: SpectralSampler, config: SimConfig) -> SampleBatch:
+    """Exact or truncated sample over the sampler's finite atom table.
+
+    LePage's exact mode stops at the first n with bound/Gamma_n strictly
+    below the running maximum at every point that is not a structural zero.
+    Max-linear, chosen for exact runs with m <= LB = bound / min_x
+    sum_j p_j y_j(x) atoms: X({x}) = max_j (p_j / E_j) y_j(x).
     """
     if sampler.carrier.full_mask & ~sampler.structural_zeros == 0:
         raise ValueError("every point is a structural zero; nothing to simulate")
+    p, floor = _spectral_floor(sampler)
+    plan = (_method(p.size, floor, config), p.size, floor)
+    if plan[0] == "max-linear":
+        x, _ = _max_linear(sampler.table, p, sampler.carrier.size, config)
+        return _batch(sampler.carrier, x, config, plan, np.full(config.samples, p.size))
     kernel = _RunningMax(sampler, config.samples, config.mode == "exact", False)
     terms = _lepage(kernel, config)
-    return _batch(sampler.carrier, kernel.x, config, terms)
+    return _batch(sampler.carrier, kernel.x, config, plan, terms)
 
 
-def simulate_model(model, config: SimConfig) -> SampleBatch:
+def simulate_model(model, config: SimConfig,
+                   mobius: Optional[MobiusMeasure] = None) -> SampleBatch:
     """Dispatch: spectral TDFs through their own atoms; every other model
-    is a CRSM, sampled through its capacity."""
+    is a CRSM, sampled through its capacity (mobius: its Mobius measure,
+    when the caller has it already)."""
     if isinstance(model, SpectralTDF):
         return simulate_spectral(SpectralSampler.from_tdf(model), config)
     theta = model if isinstance(model, Capacity) else extremal_coefficients(model)
-    return simulate_crsm(theta, config)
+    return simulate_crsm(theta, config, mobius)
 
 
 @dataclass(frozen=True)
@@ -454,8 +560,8 @@ def argmax_independence_test(theta: Capacity, region: int, config: SimConfig,
                              ) -> ArgmaxIndependenceReport:
     """Correlation test of {argmax set meets region} against 1/X(E).
 
-    For an exact CRSM sample the argmax set equals the first LePage atom
-    and is independent of X(E); the statistic z = corr * sqrt(n) is
+    For an exact CRSM sample the argmax set equals the atom that realizes
+    the maximum (first_atoms) and is independent of X(E); the statistic z = corr * sqrt(n) is
     asymptotically standard normal, so |z| <= 4 passes.  The negative
     control replaces the indicator with {X(region) > median}, which is
     strongly coupled to X(E) and must blow the same threshold up.
@@ -508,8 +614,9 @@ def couple(law, config: SimConfig) -> Coupling:
 
     A SpectralSampler (or SpectralTDF) draw is widened to (Y, lower, upper)
     columns and the pass runs until the exact stop of X and of lower, so X
-    is bit-equal to simulate_spectral.  Any other model is a CRSM: lower =
-    X = upper = simulate_model(law, config).
+    is bit-equal to simulate_spectral whenever that runs LePage.  Any other
+    model is a CRSM: lower = X = upper = simulate_model(law, config), by
+    whichever method it chooses.
     """
     if isinstance(law, SpectralTDF):
         law = SpectralSampler.from_tdf(law)
@@ -519,10 +626,12 @@ def couple(law, config: SimConfig) -> Coupling:
         return Coupling(x, x, x)
     if law.argmax_reachable == 0:
         raise ValueError("no point can realize the spectral argmax")
+    p, floor = _spectral_floor(law)
+    plan = ("lepage", p.size, floor)
     kernel = _RunningMax(law, config.samples, config.mode == "exact", True)
     terms = _lepage(kernel, config)
     mid, lo, hi = np.split(kernel.x, 3, axis=1)
-    mk = lambda a: _batch(law.carrier, a, config, terms)
+    mk = lambda a: _batch(law.carrier, a, config, plan, terms)
     return Coupling(mk(lo), mk(mid), mk(hi))
 
 

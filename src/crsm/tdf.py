@@ -63,7 +63,7 @@ from .integrals import _as_functional, _vals, choquet_integral
 from .setfun import (MAX_ALTERNATION_ORDER, Capacity, _additive_table, _Owned,
                      certified_mobius, subset_max)
 
-PROBE_TOL = 1e-7  # max-alternation probe: a sum above it is a violation
+PROBE_TOL = 1e-7  # max-alternation probe: a relative sum above it is a violation
 
 
 @dataclass(frozen=True)
@@ -241,9 +241,11 @@ def check_max_complete_alternation(ell, order: int = 3, trials: int = 1000,
 
     Each trial draws a base vector u and n increment vectors and evaluates
     sum over S of (-1)**|S| ell(u or max of the picked increments); 2**n
-    evaluations per trial caps the order at 5.  Any value above tol is a
-    certified violation (max-complete alternation fails); a clean sweep is
-    evidence, not proof.
+    evaluations per trial caps the order at 5.  A trial's value is that sum
+    divided by the sum of the absolute values of its terms, so no verdict
+    depends on the scale of ell; worst_value is the largest.  Any value
+    above tol is a certified violation (max-complete alternation fails); a
+    clean sweep is evidence, not proof.
     """
     if not 2 <= order <= MAX_ALTERNATION_ORDER:
         raise ValueError(f"order must be in 2..{MAX_ALTERNATION_ORDER}")
@@ -256,13 +258,16 @@ def check_max_complete_alternation(ell, order: int = 3, trials: int = 1000,
         n = 2 + t % (order - 1) if order > 2 else 2
         u = random_test_vectors(rng, 1, d)[0]
         incs = random_test_vectors(rng, n, d)
-        total = 0.0
+        total = mass = 0.0
         for picks in itertools.product((0, 1), repeat=n):
             v = u
             for take, inc in zip(picks, incs):
                 if take:
                     v = np.maximum(v, inc)
-            total += (-1.0) ** sum(picks) * func(v)
+            value = func(v)
+            total += (-1.0) ** sum(picks) * value
+            mass += abs(value)
+        total = total / mass if mass > 0 else 0.0
         if total > worst:
             worst = total
             wit_u = u
@@ -281,9 +286,12 @@ class DominationReport:
 def dominates(upper: TailDependenceFunctional, lower, trials: int = 1000,
               seed: int = 0, tol: float = 1e-9,
               carrier: Optional[Union[Carrier, int]] = None) -> DominationReport:
-    """Check upper(f) >= lower(f) - tol on random nonnegative vectors.
+    """Check upper(f) >= lower(f) - tol * (|upper(f)| + |lower(f)|) on
+    random nonnegative vectors.
 
-    Reports the worst margin and the witness vector when domination fails.
+    The margin of f is (upper(f) - lower(f)) / (|upper(f)| + |lower(f)|),
+    so no verdict depends on the common scale.  Reports the worst margin
+    and the witness vector when domination fails.
     """
     up, carr = _as_functional(upper, carrier)
     lo, carr_lo = _as_functional(lower, carr)
@@ -294,7 +302,9 @@ def dominates(upper: TailDependenceFunctional, lower, trials: int = 1000,
     worst = math.inf
     wit = None
     for f in fs:
-        margin = up(f) - lo(f)
+        a, b = up(f), lo(f)
+        scale = abs(a) + abs(b)
+        margin = (a - b) / scale if scale > 0 else 0.0
         if margin < worst:
             worst = margin
             wit = f

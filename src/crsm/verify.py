@@ -91,6 +91,7 @@ def verify_model(model: Model, samples: int = 20000, seed: int = 1,
     theta = extremal_coefficients(ell)
 
     crsm = not isinstance(model, SpectralTDF)
+    nu = None
     if crsm:
         atol = theta.atol(tol)
         nu = mobius_inverse(theta)
@@ -119,7 +120,7 @@ def verify_model(model: Model, samples: int = 20000, seed: int = 1,
         return checks
 
     config = SimConfig(seed=seed, samples=samples)
-    batch = simulate_model(model, config)
+    batch = simulate_model(model, config, nu)
     n = batch.n
 
     for name, f in _test_vectors(carrier, relevant_idx, seed):

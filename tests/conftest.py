@@ -51,6 +51,26 @@ def near_ca_table(d: int = 8) -> Capacity:
     return capacity_from_measure(MobiusMeasure(carrier_of(d), weights))
 
 
+def skewed_capacity(rng: np.random.Generator, d: int, rel_mass: float) -> Capacity:
+    """d - 1 singleton atoms, 12 multi-point atoms on those points and one
+    rare singleton atom at the highest point, of relative mass rel_mass.
+
+    The weights are integers, so the table and its Mobius inversion are
+    exact and no rounding dust adds atoms.
+    """
+    others = d - 1
+    multi = [m for m in range(1, 1 << others) if bin(m).count("1") >= 2]
+    masks = [1 << i for i in range(others)] + list(rng.choice(multi, 12, replace=False))
+    raw = np.concatenate([rng.uniform(0.2, 0.4, others), rng.uniform(0.5, 1.5, 12)])
+    units = round(1.0 / rel_mass) - 1
+    ints = np.maximum(1, np.floor(units * raw / raw.sum()))
+    ints[ints.argmax()] += units - ints.sum()
+    weights = np.zeros(1 << d)
+    weights[masks] = ints
+    weights[1 << others] = 1.0
+    return capacity_from_measure(MobiusMeasure(carrier_of(d), weights))
+
+
 def indicator_tdf(theta: Capacity) -> SpectralTDF:
     """Atoms theta(E) * 1_F with probabilities nu(F) / theta(E), F over the
     positive Mobius weights in ascending mask order: the CRSM of theta."""

@@ -1,4 +1,4 @@
-"""Acceptance gate: ten criteria, one pass/fail line each.
+"""Acceptance gate: eleven criteria, one pass/fail line each.
 
 Run with `pytest tests/test_acceptance.py -v -s`.  Every criterion states
 its tolerance and runtime budget inline; a criterion that cannot meet its
@@ -11,7 +11,8 @@ import time
 import numpy as np
 import pytest
 
-from conftest import carrier_of, random_ca_capacity, random_capacity, random_f
+from conftest import (carrier_of, random_ca_capacity, random_capacity, random_f,
+                      skewed_capacity)
 from crsm.carrier import Carrier, mask_size
 from crsm.integrals import choquet_integral
 from crsm.setfun import (
@@ -327,3 +328,24 @@ def test_10_complete_randomness():
            f"additive max |z| {max(rep_a2.max_z, rep_a3.max_z):.2f} <= 4, "
            f"theta2 dependence z {rep_dep.max_z:.1f} > 4", elapsed, 20.0)
     assert ok and elapsed < 20.0
+
+
+def test_11_skewed_exact_sampling():
+    # LePage needs E[N] >= theta(E)/theta({rare}) = 1e6 terms per sample on
+    # this table; the max-linear draw costs its 20 atoms per sample
+    theta = skewed_capacity(np.random.default_rng(111), 8, 1e-6)
+    n = 10_000
+    t0 = time.perf_counter()
+    batch = simulate_crsm(theta, SimConfig(seed=111, samples=n))
+    elapsed = time.perf_counter() - t0
+    rare = 1 << 7
+    checks = [(0.4, batch.values.max(axis=1) <= theta.total / -math.log(0.4)),
+              (0.5, batch.sup(rare) <= theta(rare) / -math.log(0.5))]
+    margins = [4 * math.sqrt(q * (1 - q) / n) - abs(float(below.mean()) - q)
+               for q, below in checks]
+    ok = batch.method == "max-linear" and min(margins) >= 0
+    report("acceptance-11 skewed-exact-sampling-1e-6", ok,
+           f"method {batch.method}, {batch.atoms} atoms, LePage E[N] >= "
+           f"{batch.lepage_floor:.3g}; P(X(E) <= a), P(X(rare) <= a) 4-sigma "
+           f"slack {min(margins):.4g}", elapsed, 1.0)
+    assert ok and elapsed < 1.0

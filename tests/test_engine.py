@@ -1,20 +1,24 @@
-"""The vectorized LePage engine against exact oracles.
+"""The vectorized LePage and max-linear engines against exact oracles.
 
 A per-sample loop that reads the documented stream-2 layout is the
-reference: the engine must reproduce it bit for bit, stragglers and
-truncation included.  Term counts are checked against the closed-form
+reference: each engine must reproduce it bit for bit, LePage stragglers
+and truncation included.  Term counts are checked against the closed-form
 expectation E[N] = 1 + sum_{S in R} (-1)^{|S|+1} theta(E)/theta(S) and
-its O(d) bounds, and a golden test pins the first rows at seed 0.
+its O(d) bounds, and golden tests pin the first rows at seed 0.  Tests of
+the LePage stream on tables the cost rule sends to max-linear pin the
+method with the `lepage_only` fixture.
 """
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from conftest import carrier_of, indicator_tdf, random_ca_capacity
+from conftest import carrier_of, indicator_tdf, random_ca_capacity, skewed_capacity
 from crsm import simulate as sim
 from crsm.carrier import Carrier, iter_bits, mask_size
+from crsm.io import parse_model
 from crsm.setfun import Capacity
 from crsm.simulate import (
     BLOCK,
@@ -27,6 +31,7 @@ from crsm.simulate import (
     SpectralSampler,
     couple,
     simulate_crsm,
+    simulate_model,
     simulate_spectral,
     substream,
 )
@@ -34,6 +39,17 @@ from crsm.tdf import SpectralTDF
 from crsm.transforms import torus_storm_capacity
 
 BULK_TERMS = ROUND * BULK_ROUNDS
+
+
+@pytest.fixture
+def lepage_only(monkeypatch):
+    monkeypatch.setattr(sim, "_method", lambda atoms, floor, config: "lepage")
+
+
+@pytest.fixture
+def max_linear_only(monkeypatch):
+    monkeypatch.setattr(sim, "_method", lambda atoms, floor, config: (
+        "max-linear" if config.mode == "exact" else "lepage"))
 
 
 def theta2() -> Capacity:
@@ -51,6 +67,25 @@ def spectral4() -> SpectralSampler:
                       [0.8, 0.8, 0.9], [0.2, 0.5, 0.6]])
     return SpectralSampler.from_tdf(
         SpectralTDF(carrier_of(3), np.array([0.4, 0.3, 0.2, 0.1]), atoms))
+
+
+def skewed_spectral() -> SpectralSampler:
+    """Three atoms, LB = 1 / 0.21 = 4.76 >= m: the cost rule picks max-linear."""
+    atoms = np.array([[1.0, 0.2, 0.0], [0.1, 1.0, 0.5], [0.0, 0.0, 1.0]])
+    return SpectralSampler.from_tdf(
+        SpectralTDF(carrier_of(3), np.array([0.6, 0.38, 0.02]), atoms))
+
+
+def benchmark_models(monkeypatch, seed: int) -> dict:
+    """The sampled models of the benchmark's two sampling workloads."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    import workloads
+    models = {}
+    for workload in ("sample-narrow", "sample-wide"):
+        for name, obj in workloads.build(workload, seed).files.items():
+            if name[:-5] in ("theta2", "spec3", "exch12", "exch20", "skew8"):
+                models[name[:-5]] = parse_model(obj)
+    return models
 
 
 def stream_terms(seed: int, j: int):
@@ -108,7 +143,17 @@ def reference_spectral(sampler: SpectralSampler, seed: int, j: int):
             return x, lo, hi, n
 
 
-def test_crsm_matches_per_term_reference():
+def reference_max_linear(rows: np.ndarray, w: np.ndarray, seed: int, j: int):
+    """One sample by the max-linear layout: row j - b * BLOCK of the block's
+    (lanes, m) exponentials; returns (values, argmax atom)."""
+    block, lane = divmod(j, BLOCK)
+    e = substream(seed, 2 * block).standard_exponential((lane + 1, w.size),
+                                                         method="inv")[lane]
+    z = w / e
+    return (z[:, None] * rows).max(axis=0), int(z.argmax())
+
+
+def test_crsm_matches_per_term_reference(lepage_only):
     theta = skewed3()
     n = BLOCK + 40
     batch = simulate_crsm(theta, SimConfig(seed=5, samples=n))
@@ -137,14 +182,14 @@ def test_coupling_matches_per_term_reference():
         assert cpl.exact.terms[j] == terms, j
 
 
-def test_couple_exact_is_simulate_spectral():
+def test_couple_exact_is_simulate_spectral(lepage_only):
     for sampler in (spectral4(), SpectralSampler.from_tdf(indicator_tdf(skewed3()))):
         cfg = SimConfig(seed=12, samples=BLOCK + 300)
         assert np.array_equal(couple(sampler, cfg).exact.values,
                               simulate_spectral(sampler, cfg).values)
 
 
-def test_crsm_coupling_is_degenerate_and_matches_dense_reference():
+def test_crsm_coupling_is_degenerate_and_matches_dense_reference(lepage_only):
     # indicator atoms make lower = X = upper; the dense spectral route over
     # the same atoms and stream gives the same bits and term counts
     rng = np.random.default_rng(8)
@@ -160,7 +205,7 @@ def test_crsm_coupling_is_degenerate_and_matches_dense_reference():
             assert np.array_equal(got.terms, direct.terms)
 
 
-def test_samples_independent_of_count_across_blocks():
+def test_samples_independent_of_count_across_blocks(lepage_only):
     theta = skewed3()
     big = simulate_crsm(theta, SimConfig(seed=4, samples=2 * BLOCK + 3))
     small = simulate_crsm(theta, SimConfig(seed=4, samples=BLOCK + 1))
@@ -171,7 +216,7 @@ def test_samples_independent_of_count_across_blocks():
     assert np.all(trunc.values <= big.values)
 
 
-def test_block_and_continuation_keys_disjoint(monkeypatch):
+def test_block_and_continuation_keys_disjoint(monkeypatch, lepage_only):
     keys = []
     real = sim.substream
     monkeypatch.setattr(sim, "substream",
@@ -185,6 +230,91 @@ def test_block_and_continuation_keys_disjoint(monkeypatch):
     assert set(keys) == blocks | tails and not blocks & tails
 
 
+def test_max_linear_matches_per_sample_reference(monkeypatch):
+    # 8 cells: one lane and two atoms per step; 100: five lanes, a group
+    # count that does not divide the block
+    theta, spec = skewed3(), skewed_spectral()
+    masks, w, _ = sim._crsm_atoms(theta)
+    rows = (masks[:, None] >> np.arange(3)) & 1
+    p = spec.table.weights / spec.table.weights.sum()
+    n = BLOCK + 40
+    for cells in (sim._CELLS, 100, 8):
+        monkeypatch.setattr(sim, "_CELLS", cells)
+        batch = simulate_crsm(theta, SimConfig(seed=5, samples=n))
+        sbatch = simulate_spectral(spec, SimConfig(seed=5, samples=n))
+        assert batch.method == sbatch.method == "max-linear"
+        assert np.all(batch.terms == 6) and np.all(sbatch.terms == 3)
+        for j in list(range(0, n, 17)) + [n - 1]:
+            x, top = reference_max_linear(rows, w, 5, j)
+            assert np.array_equal(batch.values[j], x), (cells, j)
+            assert batch.first_atoms[j] == masks[top], (cells, j)
+            x, _ = reference_max_linear(spec.table.rows, p, 5, j)
+            assert np.array_equal(sbatch.values[j], x), (cells, j)
+    small = simulate_crsm(theta, SimConfig(seed=5, samples=BLOCK + 1))
+    assert np.array_equal(small.values, batch.values[:BLOCK + 1])
+
+
+def test_max_linear_argmax_atom_law(max_linear_only):
+    # the argmax of independent Frechet variables of scales nu(F) is F with
+    # probability nu(F) / theta(E), and it is the argmax set of the sample
+    rng = np.random.default_rng(11)
+    n = 20_000
+    for theta in (theta2(), skewed3(), random_ca_capacity(rng, 3),
+                  random_ca_capacity(rng, 4)):
+        masks, w, _ = sim._crsm_atoms(theta)
+        batch = simulate_crsm(theta, SimConfig(seed=9, samples=n))
+        assert batch.method == "max-linear"
+        counts = (batch.first_atoms[:, None] == masks[None, :]).sum(axis=0)
+        assert counts.sum() == n
+        expect = n * w / theta.total
+        chi2 = float(((counts - expect) ** 2 / expect).sum())
+        k = masks.size - 1
+        # Wilson-Hilferty: (chi2 / k) ** (1/3) is close to normal
+        z = ((chi2 / k) ** (1 / 3) - 1 + 2 / (9 * k)) / math.sqrt(2 / (9 * k))
+        assert z < 4, (theta.table, chi2, k)
+        top = batch.values == batch.values.max(axis=1, keepdims=True)
+        assert np.array_equal(top @ (1 << np.arange(theta.carrier.size)),
+                              batch.first_atoms)
+
+
+def test_max_linear_law_on_skewed_table():
+    # the benchmark's skew8 shape: 20 atoms, rare point of relative mass 1e-4
+    theta = skewed_capacity(np.random.default_rng(0), 8, 1e-4)
+    n = 200_000
+    batch = simulate_crsm(theta, SimConfig(seed=0, samples=n))
+    assert (batch.method, batch.atoms, batch.lepage_floor) == ("max-linear", 20, 1e4)
+    for q, below in ((0.4, batch.values.max(axis=1) <= theta.total / -math.log(0.4)),
+                     (0.5, batch.values[:, 7] <= theta(1 << 7) / -math.log(0.5))):
+        assert abs(below.mean() - q) <= 3 * math.sqrt(q * (1 - q) / n), q
+
+
+def test_cost_rule_on_benchmark_shapes(monkeypatch):
+    want = {"theta2": "lepage", "spec3": "lepage", "exch12": "lepage",
+            "exch20": "lepage", "skew8": "max-linear"}
+    for seed in (1, 2):
+        models = benchmark_models(monkeypatch, seed)
+        got = {role: simulate_model(model, SimConfig(seed=0, samples=1)).method
+               for role, model in models.items()}
+        assert got == want, seed
+    assert simulate_crsm(theta2(), SimConfig(seed=0, samples=1)).lepage_floor == 1.5
+    assert simulate_spectral(spectral4(), SimConfig(seed=0, samples=1)
+                             ).lepage_floor == pytest.approx(1 / 0.28)
+    # truncated runs keep the LePage stream whatever the cost
+    trunc = simulate_crsm(skewed3(), SimConfig(seed=0, samples=3, mode="truncated",
+                                               n_terms=4))
+    assert trunc.method == "lepage" and trunc.lepage_floor == pytest.approx(30.4)
+
+
+def test_lepage_mean_terms_exceed_wald_floor(monkeypatch, lepage_only):
+    # Wald: E[N] = E[Gamma_N] > bound * E[1/X(x)] = bound / ell(1_x)
+    spec3 = benchmark_models(monkeypatch, 1)["spec3"]
+    for sampler in (spectral4(), skewed_spectral(), SpectralSampler.from_tdf(spec3),
+                    SpectralSampler.from_tdf(indicator_tdf(skewed3()))):
+        batch = simulate_spectral(sampler, SimConfig(seed=3, samples=20_000))
+        assert batch.method == "lepage"
+        assert batch.terms.mean() >= batch.lepage_floor, sampler.table.rows
+
+
 def expected_terms(theta: Capacity) -> float:
     """E[N] = 1 + sum over nonempty S in R of (-1)^{|S|+1} theta(E)/theta(S)."""
     rel = [i for i in range(theta.carrier.size) if theta(1 << i) > 0]
@@ -196,7 +326,7 @@ def expected_terms(theta: Capacity) -> float:
 
 
 @pytest.mark.parametrize("name", ["theta2", "skewed3", "storm4", "random3", "random4"])
-def test_mean_terms_match_exact_expectation(name):
+def test_mean_terms_match_exact_expectation(name, lepage_only):
     rng = np.random.default_rng(31)
     theta = {"theta2": theta2(), "skewed3": skewed3(),
              "storm4": torus_storm_capacity(4, [([0, 1], 1.0)]),
@@ -213,7 +343,7 @@ def test_mean_terms_match_exact_expectation(name):
         assert exact == pytest.approx(3.0)
 
 
-def test_max_terms_message_names_sample_and_bounds():
+def test_max_terms_message_names_sample_and_bounds(lepage_only):
     with pytest.raises(MaxTermsExceeded, match=r"sample \d+ did not stop within 20 "
                        r"terms; expected terms E\[N\] in \[31.4, 34.82\]"):
         simulate_crsm(skewed3(), SimConfig(seed=0, samples=50, max_terms=20))
@@ -271,3 +401,21 @@ def test_golden_first_rows_seed_0():
                                          [3.6169329120663125] * 3,
                                          [8.46473524069381] * 3]
     assert cpl.exact.terms.tolist() == [5, 6, 4]
+
+
+def test_golden_max_linear_rows_seed_0():
+    cfg = SimConfig(seed=0, samples=3)
+    batch = simulate_crsm(skewed3(), cfg)
+    assert batch.method == "max-linear"
+    assert batch.values.tolist() == [
+        [58.55034996069691, 2.4547732198012047, 0.030751820805754705],
+        [0.9904639037384949, 0.9904639037384949, 0.09217616525497101],
+        [0.800286849368169, 1.6985264484763025, 0.061029241899246064]]
+    assert batch.terms.tolist() == [6, 6, 6]
+    assert batch.first_atoms.tolist() == [1, 3, 2]
+    spec = simulate_spectral(skewed_spectral(), cfg)
+    assert spec.method == "max-linear"
+    assert spec.values.tolist() == [
+        [51.66207349473257, 10.332414698946515, 0.6872172532925994],
+        [0.7219656626317216, 0.5444767666256566, 0.2722383833128283],
+        [0.20485493420801498, 0.08892131539697719, 0.06830785543024105]]

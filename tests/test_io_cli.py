@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import near_ca_table
+from conftest import near_ca_table, skewed_capacity
 from crsm import cli
 from crsm.carrier import Carrier, CarrierSizeError
 from crsm.cli import _csv_block_rows, _read_batch_csv, _write_batch_csv, main
@@ -344,6 +344,27 @@ def test_cli_deterministic_byte_identical(theta2_file, tmp_path):
                      "--seed", "9", "--format", "json", "--deterministic",
                      "--out", str(out)]) == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_cli_simulate_names_its_method(theta2_file, tmp_path, capsys):
+    # 20 atoms against LePage's E[N] >= 1e4: the cost rule draws max-linearly;
+    # the method enters the artifact, the cost only stderr
+    skew = tmp_path / "skew.json"
+    skew.write_text(json.dumps(capacity_to_json(
+        skewed_capacity(np.random.default_rng(0), 8, 1e-4))))
+    for model, method, note in (
+            (theta2_file, "lepage", "method lepage: E[N] >= 1.5 terms per sample; "
+                                    "max-linear needs 3 atoms"),
+            (str(skew), "max-linear", "method max-linear: 20 atoms per sample; "
+                                      "LePage needs E[N] >= 10000 terms")):
+        outs = []
+        for _ in range(2):
+            assert main(["simulate", "--model", model, "--samples", "30", "--seed", "4",
+                         "--format", "json", "--deterministic"]) == 0
+            outs.append(capsys.readouterr())
+        assert outs[0].out == outs[1].out
+        assert json.loads(outs[0].out)["provenance"]["method"] == method
+        assert outs[0].err.splitlines()[1] == note
 
 
 def test_cli_randomized_commands_require_seed(theta2_file, capsys):

@@ -3,13 +3,17 @@ import sys
 import numpy as np
 import pytest
 
-from conftest import carrier_of, near_ca_table, random_ca_capacity
+from conftest import carrier_of, near_ca_table, random_ca_capacity, skewed_capacity
 from crsm import setfun
 from crsm.carrier import Carrier, mask_size
 from crsm.setfun import (Capacity, MobiusMeasure, capacity_from_measure, classify,
                          mobius_inverse)
-from crsm.simulate import SimConfig, independence_on_disjoint, simulate_crsm
-from crsm.tdf import ChoquetTDF, DiscreteMeasure, LebesgueTDF, dual_greedy
+from crsm.simulate import (SimConfig, independence_on_disjoint, simulate_crsm,
+                           simulate_model)
+from crsm.integrals import comonotone_additivity_check
+from crsm.tdf import (ChoquetTDF, DiscreteMeasure, LebesgueTDF, SpectralTDF,
+                      check_max_complete_alternation, crsm_envelope, dominates,
+                      dual_greedy)
 from crsm.transforms import distortion_capacity
 from crsm.verify import CheckResult, verify_model
 
@@ -29,6 +33,7 @@ CRSM_ROWS = (["mobius-roundtrip", "complete-alternation"]
                                                 "random-1", "random-2")]
              + [f"joint-cdf[grid-{i}]" for i in range(3)]
              + ["argmax-independence", "continuity-bound", "disjoint-parts"])
+SPECTRAL_ROWS = (["max-alternation"] + CRSM_ROWS[2:10] + ["coupling-sandwich"])
 
 
 def test_lebesgue_model_passes():
@@ -55,6 +60,19 @@ def test_near_ca_violation_fails_for_capacity_and_wrapper():
         assert [ch.name for ch in checks] == CRSM_ROWS[:2]
         assert checks[0].passed and not checks[1].passed
         assert checks[1].detail == "witness {x0,x1,x2}"
+
+
+def test_max_linear_models_pass():
+    # the cost rule samples these max-linearly; the battery must not notice
+    theta = skewed_capacity(np.random.default_rng(1), 6, 1e-3)
+    spec = SpectralTDF(carrier_of(3), np.array([0.6, 0.38, 0.02]),
+                       np.array([[1.0, 0.2, 0.0], [0.1, 1.0, 0.5], [0.0, 0.0, 1.0]]))
+    for model, names in ((theta, CRSM_ROWS), (ChoquetTDF(theta), CRSM_ROWS),
+                         (spec, SPECTRAL_ROWS)):
+        assert simulate_model(model, SimConfig(seed=0, samples=1)).method == "max-linear"
+        checks = verify_model(model, samples=20_000, seed=2)
+        assert [ch.name for ch in checks] == names
+        assert all(ch.passed for ch in checks), [ch.line() for ch in checks]
 
 
 def test_zero_capacity_reported_untestable():
@@ -159,6 +177,48 @@ def test_verdicts_do_not_depend_on_scale(make):
         assert list(scaled_k[1:]) == [v * c for v in scaled[1:]], k
 
 
+def scaled_functionals(c: float) -> tuple:
+    """A 5-point spectral TDF, a Choquet TDF and its 1% larger copy, and
+    the non-Choquet (sum of square roots)**2, all scaled by c."""
+    rng = np.random.default_rng(5)
+    spec = SpectralTDF(carrier_of(5), rng.dirichlet(np.ones(4)),
+                       c * rng.exponential(1.0, size=(4, 5)))
+    choquet = ChoquetTDF(Capacity(carrier_of(4),
+                                  c * random_ca_capacity(rng, 4).table))
+    larger = ChoquetTDF(Capacity(choquet.carrier, 1.01 * choquet.theta.table))
+    control = lambda u: c * float(np.sum(np.sqrt(u))) ** 2
+    return spec, choquet, larger, control
+
+
+def probe_verdicts(c: float) -> tuple:
+    """Verdict and worst value of every functional probe at scale c."""
+    spec, choquet, larger, control = scaled_functionals(c)
+    alternation = [check_max_complete_alternation(ell, trials=30, seed=1, carrier=5)
+                   for ell in (spec, control)]
+    additivity = [comonotone_additivity_check(ell, trials=30, seed=2, carrier=4)
+                  for ell in (choquet, control)]
+    domination = [dominates(*pair, trials=30, seed=3)
+                  for pair in ((crsm_envelope(spec), spec), (choquet, larger))]
+    return ([(r.alternating, r.worst_value) for r in alternation],
+            [(r.additive, r.max_deviation) for r in additivity],
+            [(r.dominates, r.min_margin) for r in domination])
+
+
+def test_functional_probes_do_not_depend_on_scale():
+    # each probe divides a trial's value by the sum of the absolute terms
+    # it added, which scaling by 2**k multiplies exactly; at 2**30 the
+    # spectral TDF failed an absolute slack, so verify stopped on it
+    base = probe_verdicts(1.0)
+    assert [[v for v, _ in probe] for probe in base] == [[True, False]] * 3
+    row = verify_model(scaled_functionals(1.0)[0], samples=40, seed=0)[0]
+    assert row.name == "max-alternation" and row.passed
+    for k in range(-60, 61):
+        assert probe_verdicts(2.0 ** k) == base, k
+        if k % 5 == 0:
+            row_k = verify_model(scaled_functionals(2.0 ** k)[0], samples=40, seed=0)[0]
+            assert row_k == row, k
+
+
 def test_tiny_avar_is_refused():
     # with a slack floored at tol, 2**-30 * AVaR looked completely alternating
     for k in (-30, -40):
@@ -170,9 +230,9 @@ def test_tiny_avar_is_refused():
             simulate_crsm(theta, SimConfig(seed=0, samples=5))
 
 
-def test_verify_inverts_mobius_twice_on_a_crsm(monkeypatch):
-    # once for the exact rows, once for the sampler's atoms; the disjoint
-    # parts row reads theta directly
+def test_verify_inverts_mobius_once_on_a_crsm(monkeypatch):
+    # the exact rows' Mobius measure also gives the sampler its atoms; the
+    # disjoint parts row reads theta directly
     calls = []
     real = setfun.mobius_inverse
 
@@ -188,4 +248,4 @@ def test_verify_inverts_mobius_twice_on_a_crsm(monkeypatch):
         calls.clear()
         rows = verify_model(model, samples=500, seed=1)
         assert [r.name for r in rows] == CRSM_ROWS
-        assert calls == [3, 3]
+        assert calls == [3]
