@@ -457,7 +457,7 @@ def build_parser() -> argparse.ArgumentParser:
             sp.add_argument("--model", required=True, help="model JSON path")
         sp.add_argument("--out", help="write the artifact to this path")
         if checks:
-            sp.add_argument("--tolerance", type=float, default=1e-9,
+            sp.add_argument("--tolerance", type=float, default=DEFAULT_TOL,
                             help="relative lattice comparison tolerance: exact "
                                  "checks allow tol * theta(E)")
         sp.add_argument("--deterministic", action="store_true",

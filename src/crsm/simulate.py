@@ -9,7 +9,8 @@ draws from a finite table of atoms (w_j, y_j):
   Xi ~ nu / theta(E); X is its Choquet random sup-measure,
   P(X(K_i) <= a_i for all i) = exp(-sum_F nu(F) max{1/a_i : F meets K_i}).
 * simulate_spectral: the rows y_j of a spectral table, picked with
-  probability p_j; `couple` adds the lower and upper coupling columns.
+  probability p_j; `couple` runs the same kernel on the table of widened
+  rows [y_j, y_j(E) 1_{argmax y_j}, y_j(E) 1_{supp y_j}], built once.
 
 Capacities and Choquet and Lebesgue TDFs are CRSMs: simulate_crsm samples
 them through their capacity, atoms kept as masks.  A CRSM atom is an
@@ -240,26 +241,19 @@ def _coupled_rows(y: np.ndarray) -> np.ndarray:
 
 
 class _RunningMax:
-    """Spectral kernel: X = max_n Y_n / Gamma_n, optionally widened to the
-    coupling columns (X, lower, upper)."""
+    """Spectral kernel: X = max_n y_n / Gamma_n over the rows of any atom
+    table, stopping once bound/Gamma_n is below X at every stop column."""
 
     cost = ""
 
-    def __init__(self, sampler: "SpectralSampler", n: int, exact: bool,
-                 coupled: bool):
-        d = sampler.carrier.size
-        self.table = sampler.table
-        self.coupled, self.exact, self.bound = coupled, exact, sampler.bound
-        self.width = 3 * d if coupled else d
+    def __init__(self, table: _AtomTable, bound: float, stop: np.ndarray, n: int,
+                 exact: bool):
+        self.table, self.bound, self.stop, self.exact = table, bound, stop, exact
+        self.width = table.rows.shape[1]
         self.x = np.zeros((n, self.width))
-        live = np.flatnonzero(~_bits(sampler.structural_zeros, d))
-        self.stop = live if not coupled else np.concatenate(
-            [live, d + np.flatnonzero(_bits(sampler.argmax_reachable, d))])
 
     def step(self, lanes, g, u):
         y = self.table.rows[self.table.pick(u)]
-        if self.coupled:
-            y = _coupled_rows(y)
         np.divide(y, g[:, :, None], out=y)
         run = np.maximum.accumulate(y, axis=0, out=y)
         np.maximum(run, self.x[lanes], out=run)
@@ -427,13 +421,13 @@ def simulate_crsm(theta: Capacity, config: SimConfig,
 
 @dataclass(frozen=True)
 class SpectralSampler:
-    """Finite spectral law of the LePage series, with its declared envelope.
+    """Finite spectral law of the LePage series with its derived envelope.
 
     table holds the atoms y_j as rows, picked with probability p_j.  bound
-    is an essential sup of max_x Y_x; structural_zeros masks the points
-    with Y_x = 0 almost surely; argmax_reachable masks the points that can
-    realize the maximum of Y (used by `couple`).  The rows are checked
-    against these declarations at construction; from_tdf derives them.
+    is max_j max_x y_j(x); structural_zeros masks the points where every
+    atom is 0; argmax_reachable masks the points where some positive atom
+    peaks (used by `couple`).  from_tdf derives all three from a
+    SpectralTDF, whose rows are already checked nonnegative and finite.
     """
 
     carrier: Carrier
@@ -441,19 +435,6 @@ class SpectralSampler:
     bound: float
     structural_zeros: int
     argmax_reachable: int
-
-    def __post_init__(self) -> None:
-        self.carrier.validate_mask(self.structural_zeros)
-        self.carrier.validate_mask(self.argmax_reachable)
-        if not (self.bound > 0 and math.isfinite(self.bound)):
-            raise ValueError(f"bound must be positive finite, got {self.bound}")
-        y = self.table.rows
-        if np.any(y < 0) or not np.all(np.isfinite(y)):
-            raise ValueError("spectral atoms must be nonnegative finite")
-        if np.any(y > self.bound * (1 + 1e-12)):
-            raise ValueError(f"spectral atom exceeds declared bound {self.bound}")
-        if np.any(y[:, _bits(self.structural_zeros, self.carrier.size)] != 0.0):
-            raise ValueError("spectral atom is positive at a declared structural zero")
 
     @classmethod
     def from_tdf(cls, law: SpectralTDF) -> "SpectralSampler":
@@ -466,13 +447,16 @@ class SpectralSampler:
                    zeros, reach)
 
 
-def _spectral_floor(sampler: SpectralSampler) -> tuple[np.ndarray, float]:
-    """Normalized weights p_j and LB = bound / min over live x of
-    sum_j p_j y_j(x) (infinite if a live point has no mass)."""
+def _spectral_plan(sampler: SpectralSampler) -> tuple[np.ndarray, float, np.ndarray]:
+    """Normalized weights p_j, LB = bound / min over live x of sum_j p_j
+    y_j(x) (infinite if a live point has no mass) and the live points; a
+    live point is also one where some positive atom can peak."""
+    live = np.flatnonzero(~_bits(sampler.structural_zeros, sampler.carrier.size))
+    if not live.size:
+        raise ValueError("every point is a structural zero; nothing to simulate")
     p = sampler.table.weights / sampler.table.weights.sum()
-    live = ~_bits(sampler.structural_zeros, sampler.carrier.size)
     low = float((p @ sampler.table.rows)[live].min())
-    return p, (sampler.bound / low if low > 0 else math.inf)
+    return p, (sampler.bound / low if low > 0 else math.inf), live
 
 
 def simulate_spectral(sampler: SpectralSampler, config: SimConfig) -> SampleBatch:
@@ -483,14 +467,13 @@ def simulate_spectral(sampler: SpectralSampler, config: SimConfig) -> SampleBatc
     Max-linear, chosen for exact runs with m <= LB = bound / min_x
     sum_j p_j y_j(x) atoms: X({x}) = max_j (p_j / E_j) y_j(x).
     """
-    if sampler.carrier.full_mask & ~sampler.structural_zeros == 0:
-        raise ValueError("every point is a structural zero; nothing to simulate")
-    p, floor = _spectral_floor(sampler)
+    p, floor, live = _spectral_plan(sampler)
     plan = (_method(p.size, floor, config), p.size, floor)
     if plan[0] == "max-linear":
         x, _ = _max_linear(sampler.table, p, sampler.carrier.size, config)
         return _batch(sampler.carrier, x, config, plan, np.full(config.samples, p.size))
-    kernel = _RunningMax(sampler, config.samples, config.mode == "exact", False)
+    kernel = _RunningMax(sampler.table, sampler.bound, live, config.samples,
+                         config.mode == "exact")
     terms = _lepage(kernel, config)
     return _batch(sampler.carrier, kernel.x, config, plan, terms)
 
@@ -612,11 +595,12 @@ class Coupling:
 def couple(law, config: SimConfig) -> Coupling:
     """Simulate (lower, X, upper) in one pass of the LePage engine.
 
-    A SpectralSampler (or SpectralTDF) draw is widened to (Y, lower, upper)
-    columns and the pass runs until the exact stop of X and of lower, so X
-    is bit-equal to simulate_spectral whenever that runs LePage.  Any other
-    model is a CRSM: lower = X = upper = simulate_model(law, config), by
-    whichever method it chooses.
+    A SpectralSampler (or SpectralTDF) is widened once into the table of
+    rows [Y, Y(E) on the argmax of Y, Y(E) on the support of Y], and the
+    running-max kernel runs on it until the exact stop of X and of lower,
+    so X is bit-equal to simulate_spectral whenever that runs LePage.  Any
+    other model is a CRSM: lower = X = upper = simulate_model(law, config),
+    by whichever method it chooses.
     """
     if isinstance(law, SpectralTDF):
         law = SpectralSampler.from_tdf(law)
@@ -624,11 +608,12 @@ def couple(law, config: SimConfig) -> Coupling:
         # every CRSM atom is an indicator, so its argmax set is its support
         x = simulate_model(law, config)
         return Coupling(x, x, x)
-    if law.argmax_reachable == 0:
-        raise ValueError("no point can realize the spectral argmax")
-    p, floor = _spectral_floor(law)
+    p, floor, live = _spectral_plan(law)
     plan = ("lepage", p.size, floor)
-    kernel = _RunningMax(law, config.samples, config.mode == "exact", True)
+    d = law.carrier.size
+    wide = _AtomTable(_coupled_rows(law.table.rows), law.table.weights)
+    stop = np.concatenate([live, d + np.flatnonzero(_bits(law.argmax_reachable, d))])
+    kernel = _RunningMax(wide, law.bound, stop, config.samples, config.mode == "exact")
     terms = _lepage(kernel, config)
     mid, lo, hi = np.split(kernel.x, 3, axis=1)
     mk = lambda a: _batch(law.carrier, a, config, plan, terms)

@@ -60,8 +60,8 @@ import numpy as np
 
 from .carrier import Carrier, as_values, iter_bits
 from .integrals import _as_functional, _vals, choquet_integral
-from .setfun import (MAX_ALTERNATION_ORDER, Capacity, _additive_table, _Owned,
-                     certified_mobius, subset_max)
+from .setfun import (DEFAULT_TOL, MAX_ALTERNATION_ORDER, Capacity, _additive_table,
+                     _Owned, certified_mobius, subset_max)
 
 PROBE_TOL = 1e-7  # max-alternation probe: a relative sum above it is a violation
 
@@ -311,7 +311,8 @@ def dominates(upper: TailDependenceFunctional, lower, trials: int = 1000,
     return DominationReport(worst >= -tol, worst, wit, trials)
 
 
-def dual_greedy(theta: Capacity, f, tol: float = 1e-9) -> tuple[DiscreteMeasure, float]:
+def dual_greedy(theta: Capacity, f,
+                tol: float = DEFAULT_TOL) -> tuple[DiscreteMeasure, float]:
     """Maximizing measure of max { f . mu : mu >= 0, mu(K) <= theta(K) }.
 
     Requires completely alternating theta.  Walk the points in descending
@@ -358,7 +359,7 @@ def dual_greedy(theta: Capacity, f, tol: float = 1e-9) -> tuple[DiscreteMeasure,
 
 def dual_oracle(theta: Capacity, f, method: str = "exact",
                 trials: int = 10000, seed: Optional[int] = None,
-                tol: float = 1e-9) -> tuple[float, Optional[DiscreteMeasure]]:
+                tol: float = DEFAULT_TOL) -> tuple[float, Optional[DiscreteMeasure]]:
     """Independent solve of the greedy LP.
 
     method="exact": enumerate candidate vertices of the feasible polytope

@@ -25,7 +25,8 @@ from typing import Union
 
 import numpy as np
 
-from .setfun import Capacity, capacity_from_measure, mobius_inverse
+from .setfun import (DEFAULT_TOL, Capacity, MobiusMeasure, _Owned, capacity_from_measure,
+                     mobius_inverse)
 from .simulate import (
     SimConfig,
     argmax_independence_test,
@@ -83,16 +84,16 @@ def _test_vectors(carrier, relevant_idx: np.ndarray, seed: int) -> list[tuple[st
 
 
 def verify_model(model: Model, samples: int = 20000, seed: int = 1,
-                 tol: float = 1e-9) -> list[CheckResult]:
+                 tol: float = DEFAULT_TOL) -> list[CheckResult]:
     """Run the battery; returns one CheckResult per check, in run order."""
     checks: list[CheckResult] = []
     ell = as_tdf(model)
     carrier = ell.carrier
-    theta = extremal_coefficients(ell)
 
     crsm = not isinstance(model, SpectralTDF)
     nu = None
     if crsm:
+        theta = extremal_coefficients(ell)
         atol = theta.atol(tol)
         nu = mobius_inverse(theta)
         back = capacity_from_measure(nu)
@@ -105,6 +106,8 @@ def verify_model(model: Model, samples: int = 20000, seed: int = 1,
             f"witness {{{','.join(sorted(carrier.labels_of(witness)))}}}" if not ca else ""))
         if not ca:
             return checks
+        # the band accepted at tol, clamped to 0 as the sampler clamps its own
+        nu = MobiusMeasure(carrier, _Owned(np.clip(nu.weights, 0.0, None)))
     else:
         arep = check_max_complete_alternation(ell, order=3, trials=300, seed=seed)
         checks.append(CheckResult("max-alternation", arep.worst_value, PROBE_TOL,
@@ -112,7 +115,10 @@ def verify_model(model: Model, samples: int = 20000, seed: int = 1,
         if not arep.alternating:
             return checks
 
-    singles = theta.singletons()
+    # theta(K) = ell(1_K), so a spectral model never builds its lattice table
+    cap = lambda mask: ell.eval((mask >> np.arange(carrier.size)) & 1)
+    total = cap(carrier.full_mask)
+    singles = np.array([cap(1 << i) for i in range(carrier.size)])
     relevant_idx = np.flatnonzero(singles > 0)
     if relevant_idx.size == 0:
         checks.append(CheckResult("nontrivial", 0.0, 0.0, False,
@@ -134,15 +140,13 @@ def verify_model(model: Model, samples: int = 20000, seed: int = 1,
 
     full = carrier.full_mask
     anchor = 1 << int(relevant_idx[0])
-    half = 0
-    for i in relevant_idx[: max(1, relevant_idx.size // 2)]:
-        half |= 1 << int(i)
+    half = sum(1 << int(i) for i in relevant_idx[: max(1, relevant_idx.size // 2)])
     rest = full & ~half
     grids = [
-        [(full, theta.total / -math.log(0.4))],
-        [(half, float(theta.table[half]) / -math.log(0.6))],
-        [(half, float(theta.table[half]) / -math.log(0.5)),
-         (rest, theta.total / -math.log(0.7))],
+        [(full, total / -math.log(0.4))],
+        [(half, cap(half) / -math.log(0.6))],
+        [(half, cap(half) / -math.log(0.5)),
+         (rest, total / -math.log(0.7))],
     ]
     for i, pairs in enumerate(grids):
         pairs = [(m, a) for m, a in pairs if m != 0]
@@ -163,7 +167,7 @@ def verify_model(model: Model, samples: int = 20000, seed: int = 1,
                                   f"hit rate {rep.hit_rate:.3f}"))
         if relevant_idx.size >= 2:
             other = 1 << int(relevant_idx[1])
-            eps = theta.total / 4.0
+            eps = total / 4.0
             crep = continuity_bound_check(theta, anchor, other, eps, config, batch=batch)
             checks.append(CheckResult("continuity-bound", crep.p_hat,
                                       crep.bound + crep.slack, crep.passed))

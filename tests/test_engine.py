@@ -361,19 +361,45 @@ def test_truncated_spectral_runs_are_dominated():
     assert np.all(short.terms == 3) and np.all(long.terms == 90)
 
 
-def test_atom_table_validated_at_construction():
-    c = carrier_of(2)
-    table = sim._AtomTable(np.array([[1.0, 0.5], [0.2, 3.0]]), np.array([0.5, 0.5]))
-    with pytest.raises(ValueError, match="bound"):
-        SpectralSampler(c, table, 2.0, 0, 0b11)
-    with pytest.raises(ValueError, match="structural zero"):
-        SpectralSampler(c, table, 3.0, 0b01, 0b11)
-    negative = sim._AtomTable(np.array([[1.0, 0.5], [-0.5, 1.0]]), np.array([0.5, 0.5]))
-    with pytest.raises(ValueError, match="nonnegative"):
-        SpectralSampler(c, negative, 2.0, 0, 0b11)
+def test_spectral_sampler_derives_its_envelope():
     sampler = SpectralSampler.from_tdf(indicator_tdf(skewed3()))
     assert sampler.bound == 1.52 and sampler.structural_zeros == 0
     assert sampler.argmax_reachable == 0b111
+
+
+def test_couple_widens_the_table_once(monkeypatch):
+    # one widened table per call, whatever the number of terms and steps
+    calls = []
+    real = sim._coupled_rows
+    monkeypatch.setattr(sim, "_coupled_rows", lambda y: calls.append(y.shape) or real(y))
+    cpl = couple(spectral4(), SimConfig(seed=0, samples=3 * BLOCK // 2))
+    assert calls == [(4, 3)]
+    assert cpl.exact.terms.max() > ROUND and cpl.lower.values.shape == (3 * BLOCK // 2, 3)
+
+
+def test_couple_and_sample_refuse_a_law_without_live_points():
+    zero = SpectralTDF(carrier_of(2), np.array([0.5, 0.5]), np.zeros((2, 2)))
+    for run in (simulate_model, couple):
+        with pytest.raises(ValueError, match="every point is a structural zero"):
+            run(zero, SimConfig(seed=0, samples=2))
+
+
+def test_seeded_samples_scale_exactly():
+    # theta(E) 2**k / Gamma and nu(F) 2**k / E scale exactly, the picks
+    # read normalized weights and LB is a ratio: 2**k theta samples the
+    # same stream, by the same method, at 2**k the values
+    rng = np.random.default_rng(3)
+    cfg = SimConfig(seed=4, samples=300)
+    for theta, method in ((random_ca_capacity(rng, 5), "lepage"),
+                          (skewed_capacity(rng, 8, 1e-4), "max-linear")):
+        base = simulate_crsm(theta, cfg)
+        assert base.method == method
+        for k in range(-60, 61):
+            got = simulate_crsm(Capacity(theta.carrier, theta.table * 2.0 ** k), cfg)
+            assert got.method == method, k
+            assert np.array_equal(got.values, base.values * 2.0 ** k), k
+            assert np.array_equal(got.terms, base.terms), k
+            assert np.array_equal(got.first_atoms, base.first_atoms), k
 
 
 def test_golden_first_rows_seed_0():

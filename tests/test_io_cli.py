@@ -527,6 +527,19 @@ def test_cli_verify_near_ca_table_fails_alike(tmp_path, capsys):
         assert len(out) == 2
 
 
+def test_cli_verify_near_ca_table_at_its_tolerance(tmp_path, capsys):
+    # the weight -1e-8 passes at 1e-6, where every row runs, and fails at 1e-10
+    table = tmp_path / "near.json"
+    table.write_text(json.dumps(capacity_to_json(near_ca_table())))
+    argv = ["verify", "--model", str(table), "--seed", "1", "--samples", "2000"]
+    assert main(argv + ["--tolerance", "1e-6"]) in (0, 1)
+    out = capsys.readouterr().out.splitlines()
+    assert len(out) == 13 and out[1].startswith("PASS complete-alternation")
+    assert main(argv + ["--tolerance", "1e-10"]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert len(out) == 2 and out[1].startswith("FAIL complete-alternation")
+
+
 def test_cli_check_refuses_order_beyond_limit(tmp_path, spectral_file, capsys):
     table = tmp_path / "three.json"
     table.write_text(json.dumps({"kind": "table", "carrier": ["a", "b", "c"],

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import carrier_of, random_ca_capacity, random_capacity, random_f
 from crsm.carrier import Carrier, iter_bits, mask_size
-from crsm.integrals import choquet_integral
+from crsm.integrals import choquet_integral, extremal_integral
 from crsm.setfun import Capacity, classify, mobius_inverse
 from crsm.tdf import (
     ChoquetTDF,
@@ -329,3 +329,24 @@ def test_joint_cdf_monotone_in_levels(seed):
     mask = int(rng.integers(1, 1 << d))
     a = float(rng.uniform(0.2, 3.0))
     assert joint_cdf(ell, [(mask, a)]) <= joint_cdf(ell, [(mask, a + 1.0)]) + 1e-15
+
+
+def test_lattice_values_scale_exactly():
+    # scaling theta by 2**k scales every table entry, every layer-cake term
+    # and every greedy increment exactly, so the values scale exactly too
+    rng = np.random.default_rng(7)
+    theta = random_ca_capacity(rng, 5)
+    f = random_f(rng, 5)
+    h = np.maximum(0.0, rng.exponential(1.0, 5) - 0.3)   # a joint_cdf exponent argument
+    base = (choquet_integral(f, theta), extremal_integral(f, theta),
+            dual_greedy(theta, f)[1], ChoquetTDF(theta).eval(h))
+    pairs = [(0b00111, 0.7), (0b11100, 2.5)]
+    cdf = joint_cdf(ChoquetTDF(theta), pairs)
+    for k in range(-60, 61):
+        s = 2.0 ** k
+        scaled = Capacity(theta.carrier, theta.table * s)
+        got = (choquet_integral(f, scaled), extremal_integral(f, scaled),
+               dual_greedy(scaled, f)[1], ChoquetTDF(scaled).eval(h))
+        assert got == tuple(v * s for v in base), k
+        # levels scaled alike leave the probability bit-equal
+        assert joint_cdf(ChoquetTDF(scaled), [(m, a * s) for m, a in pairs]) == cdf, k

@@ -1,4 +1,5 @@
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -60,6 +61,34 @@ def test_near_ca_violation_fails_for_capacity_and_wrapper():
         assert [ch.name for ch in checks] == CRSM_ROWS[:2]
         assert checks[0].passed and not checks[1].passed
         assert checks[1].detail == "witness {x0,x1,x2}"
+
+
+def test_near_ca_table_verifies_at_a_looser_tolerance():
+    # nu({x0, x1, x2}) = -1e-8 against theta(E) = 8.5: inside the band at
+    # 1e-6, so every row runs on the clamped measure; outside it at 1e-10
+    theta = near_ca_table()
+    loose = verify_model(theta, samples=2000, seed=1, tol=1e-6)
+    assert [ch.name for ch in loose] == CRSM_ROWS
+    assert loose[1].passed and loose[1].statistic == pytest.approx(-1e-8)
+    tight = verify_model(theta, samples=2000, seed=1, tol=1e-10)
+    assert [ch.name for ch in tight] == CRSM_ROWS[:2] and not tight[1].passed
+
+
+def test_spectral_verify_builds_no_lattice_table():
+    # theta(K) = ell(1_K) at E, the singletons and one half set: the
+    # (m, 2**d) subset-max table of extremal_coefficients would take
+    # 64 * 2**18 * 8 bytes = 134 MB here
+    rng = np.random.default_rng(0)
+    d, m = 18, 64
+    spec = SpectralTDF(carrier_of(d), np.full(m, 1.0 / m), rng.exponential(size=(m, d)))
+    tracemalloc.start()
+    try:
+        rows = verify_model(spec, samples=2000, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert [ch.name for ch in rows] == SPECTRAL_ROWS
+    assert peak < 16e6, peak
 
 
 def test_max_linear_models_pass():
