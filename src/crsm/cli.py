@@ -75,6 +75,13 @@ from .verify import coupling_violations, verify_model
 RANDOMIZED_COMMANDS = frozenset({"simulate", "couple", "argmax-test", "verify"})
 
 
+def _positive_int(text: str) -> int:
+    """argparse type of a count that must be at least 1."""
+    if not text.isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return int(text)
+
+
 def _provenance(seed: Optional[int], obj, deterministic: bool) -> dict:
     prov = {
         "tool": "crsm",
@@ -479,7 +486,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--direct", action="store_true",
                     help="also run the successive-difference search")
     sp.add_argument("--order", type=int, default=3)
-    sp.add_argument("--trials", type=int, default=10000)
+    sp.add_argument("--trials", type=_positive_int, default=10000)
     # None tells a --tolerance given on a functional model from the default
     sp.set_defaults(fn=cmd_check, tolerance=None)
 
@@ -502,7 +509,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--f", required=True, help="point values (JSON or @file)")
     sp.add_argument("--oracle", choices=["exact", "sampled", "none"],
                     default="none")
-    sp.add_argument("--trials", type=int, default=10000)
+    sp.add_argument("--trials", type=_positive_int, default=10000)
     sp.set_defaults(fn=cmd_dual)
 
     sp = sub.add_parser("cdf", help="joint CDF P(X(K_i) <= a_i)")

@@ -158,7 +158,6 @@ def _random_step_pair(rng: np.random.Generator, d: int) -> tuple[np.ndarray, np.
 
 
 def comonotone_additivity_check(ell, trials: int = 1000, seed: int = 0,
-                                tol: float = 1e-7,
                                 carrier: Optional[Union[Carrier, int]] = None
                                 ) -> ComonotoneAdditivityReport:
     """Probe ell(f+g) = ell(f) + ell(g) on random comonotone pairs.
@@ -166,7 +165,7 @@ def comonotone_additivity_check(ell, trials: int = 1000, seed: int = 0,
     A pair's deviation is |ell(f+g) - ell(f) - ell(g)| divided by
     |ell(f+g)| + |ell(f)| + |ell(g)|, so no verdict depends on the scale of
     ell.  Returns the worst deviation and a witness pair when it exceeds
-    tol.  A Choquet integral passes for every capacity; a genuinely
+    1e-7.  A Choquet integral passes for every capacity; a genuinely
     non-comonotone-additive functional (e.g. an extremal integral against a
     non-maxitive capacity) should be falsified well within the default
     trial budget.
@@ -186,4 +185,4 @@ def comonotone_additivity_check(ell, trials: int = 1000, seed: int = 0,
         if dev > worst:
             worst = dev
             wf, wg = f, g
-    return ComonotoneAdditivityReport(worst <= tol, worst, wf, wg, trials)
+    return ComonotoneAdditivityReport(worst <= 1e-7, worst, wf, wg, trials)

@@ -232,7 +232,8 @@ def parse_capacity(obj, path: str = "$") -> Capacity:
             raise SchemaError(f"{path}.distortion",
                               f"expected 'power' or 'avar', got {dkind!r}")
         alpha = _number(_need(obj, "alpha", path), f"{path}.alpha", positive=True)
-        return _construct(distortion_capacity, path, mu, dkind, alpha, carrier)
+        mu = DiscreteMeasure(carrier, mu)  # _parse_point_values checked the values
+        return _construct(distortion_capacity, path, mu, dkind, alpha)
     if kind == "torus_storm":
         n = _need(obj, "n", path)
         if isinstance(n, bool) or not isinstance(n, int) or n < 1:

@@ -114,6 +114,8 @@ class Capacity:
         exact check on this capacity compares against this slack, and no
         verdict changes when theta is scaled by any c > 0.
         """
+        if not 0.0 <= tol < math.inf:
+            raise ValueError(f"tolerance must be finite and nonnegative, got {tol}")
         return tol * self.total
 
     def singletons(self) -> np.ndarray:
@@ -427,6 +429,7 @@ def check_complete_alternation_direct(theta: Capacity, max_order: int = 3,
     which requires a seed.  Order-1 differences are deliberately excluded:
     they test monotonicity, not alternation.
 
+    A violation exceeds the slack theta.atol(tol) that `classify` uses.
     This is the slow cross-check of the Mobius criterion in `classify`; the
     two must agree on every capacity (exhaustive regime) or never contradict
     each other (sampled regime: a found violation is always real).
@@ -434,6 +437,7 @@ def check_complete_alternation_direct(theta: Capacity, max_order: int = 3,
     d = theta.carrier.size
     if not 2 <= max_order <= MAX_ALTERNATION_ORDER:
         raise ValueError(f"order must be in 2..{MAX_ALTERNATION_ORDER}")
+    atol = theta.atol(tol)
     size = 1 << d
     worst = -math.inf
     witness: Optional[tuple[int, tuple[int, ...]]] = None
@@ -463,7 +467,7 @@ def check_complete_alternation_direct(theta: Capacity, max_order: int = 3,
             incs = tuple(int(rng.integers(1, size)) for _ in range(n))
             consider(base, incs)
 
-    alternating = worst <= tol
+    alternating = worst <= atol
     if witness is None:
         return AlternationReport(True, -math.inf, None, None, 0)
     return AlternationReport(alternating, worst, witness[0], witness[1], checked)

@@ -31,7 +31,9 @@ Exactness of the LePage stopping rule: every term is bounded by
 bound/Gamma_n, so once every point that can be positive is positive and
 bound/Gamma_n has dropped strictly below the smallest running maximum, no
 later term can change any coordinate (for the CRSM: N = T + 1, T the term
-at which every relevant point has been hit).  "Exact" mode records that
+at which every relevant point has been hit).  By the same bound a step's
+final maximum clears bound/Gamma_n only if the running one at term n does,
+so the spectral kernel tests the final maxima.  "Exact" mode records that
 stop term per sample and may apply later terms of the same round, which
 changes no bit; "truncated" mode keeps exactly n_terms terms of the same
 stream, so a truncated sample is pathwise dominated by its exact LePage
@@ -56,6 +58,7 @@ count or the other samples.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -90,8 +93,8 @@ class SimConfig:
     max_terms: int = 1_000_000
 
     def __post_init__(self) -> None:
-        if not isinstance(self.seed, int) or self.seed < 0:
-            raise ValueError("seed must be a nonnegative int")
+        if not isinstance(self.seed, int) or not 0 <= self.seed < 1 << 64:
+            raise ValueError(f"seed must be an int in [0, 2**64), got {self.seed!r}")
         if self.samples < 1:
             raise ValueError("need at least one sample")
         if self.mode not in ("exact", "truncated"):
@@ -103,8 +106,9 @@ class SimConfig:
 
 
 def substream(seed: int, index: int) -> np.random.Generator:
-    """Counter-based generator keyed by (run seed, stream index)."""
-    return np.random.Generator(np.random.Philox(key=[seed, index]))
+    """Counter-based generator keyed by (run seed, stream index), one 128-bit
+    int: numpy rounds a key list with an entry >= 2**63 through float64."""
+    return np.random.Generator(np.random.Philox(key=int(seed) | int(index) << 64))
 
 
 @dataclass(frozen=True)
@@ -112,11 +116,10 @@ class SampleBatch:
     """Realizations of a random sup-measure, one row per sample.
 
     values[j, i] = X_j({x_i}); the sup-measure of any set is the row max
-    over the mask.  first_atoms carries the atom that realizes the maximum
-    of each sample (CRSM runs only: the first LePage atom Xi_1, or the
-    argmax atom of a max-linear draw), which is exactly the argmax set of
-    X_j.  method is "lepage" or "max-linear".  terms[j] is the number of
-    terms sample j used: its exact LePage stop term, n_terms in truncated
+    over the mask.  first_atoms (CRSM runs only) is the argmax set of X_j,
+    read off the values; it is exactly the atom that realizes the maximum.
+    method is "lepage" or "max-linear".  terms[j] is the number of terms
+    sample j used: its exact LePage stop term, n_terms in truncated
     mode, or the atom count for max-linear.  It is deterministic given
     (seed, j).  atoms is the size of the atom table and lepage_floor the
     lower bound LB on LePage's expected term count; the method was
@@ -208,15 +211,12 @@ class _FirstHit:
         self.total, self.relevant, self.exact = theta.total, relevant, exact
         self.shifts = np.arange(d)
         self.x = np.zeros((n, d))
-        self.first = np.zeros(n, dtype=np.int64)
         self.cost = (f"; expected terms E[N] in [{1 + ratios.max():.6g}, "
                      f"{1 + ratios.sum():.6g}] (1 + max_x theta(E)/theta({{x}}) <= "
                      f"E[N] <= 1 + sum_x theta(E)/theta({{x}}))")
 
     def step(self, lanes, g, u):
         m = self.table.rows[self.table.pick(u)]
-        fresh = self.first[lanes] == 0
-        self.first[lanes[fresh]] = m[0, fresh]
         before = (self.x[lanes] > 0.0) @ (1 << self.shifts)   # points already hit
         cov = np.bitwise_or.accumulate(m, axis=0, out=m)
         cov |= before
@@ -255,12 +255,14 @@ class _RunningMax:
     def step(self, lanes, g, u):
         y = self.table.rows[self.table.pick(u)]
         np.divide(y, g[:, :, None], out=y)
-        run = np.maximum.accumulate(y, axis=0, out=y)
-        np.maximum(run, self.x[lanes], out=run)
-        self.x[lanes] = run[-1]
+        x = np.maximum(self.x[lanes], y.max(axis=0))
+        self.x[lanes] = x
         if not self.exact:
             return None
-        ok = self.bound / g < run[:, :, self.stop].min(axis=2)
+        # Entries are <= bound and g is nondecreasing, so no term at or after n
+        # exceeds fl(bound / g_n) (IEEE division is monotone): the final max
+        # clears it at the stop columns exactly when the running max at n does.
+        ok = self.bound / g < x[:, self.stop].min(axis=1)
         return np.where(ok.any(axis=0), ok.argmax(axis=0) + 1, 0)
 
 
@@ -337,9 +339,8 @@ def _lepage(kernel, config: SimConfig) -> np.ndarray:
 
 
 def _max_linear(table: _AtomTable, w: np.ndarray, d: int,
-                config: SimConfig) -> tuple[np.ndarray, np.ndarray]:
-    """X({x}) = max_j (w_j / E_j) y_j(x) in the max-linear stream layout;
-    returns the values and each sample's argmax atom.
+                config: SimConfig) -> np.ndarray:
+    """X({x}) = max_j (w_j / E_j) y_j(x) in the max-linear stream layout.
 
     Lanes and atoms go in groups that keep the (lanes, atoms, d) product
     near _CELLS; the exponentials of a block are drawn group by group in
@@ -347,7 +348,6 @@ def _max_linear(table: _AtomTable, w: np.ndarray, d: int,
     """
     n, m = config.samples, w.size
     x = np.zeros((n, d))
-    top = np.empty(n, dtype=np.int64)
     lanes = min(BLOCK, max(1, _CELLS // (m * d)))
     span = max(1, _CELLS // (lanes * d))
     for b0 in range(0, n, BLOCK):
@@ -356,12 +356,11 @@ def _max_linear(table: _AtomTable, w: np.ndarray, d: int,
         for s in range(b0, end, lanes):
             part = slice(s, min(s + lanes, end))
             z = w / gen.standard_exponential((part.stop - s, m), method="inv")
-            top[part] = z.argmax(axis=1)
             for a in range(0, m, span):
                 y = table.dense(a, a + span, d)
                 np.maximum(x[part], (z[:, a:a + span, None] * y).max(axis=1),
                            out=x[part])
-    return x, top
+    return x
 
 
 def _method(atoms: int, floor: float, config: SimConfig) -> str:
@@ -410,13 +409,16 @@ def simulate_crsm(theta: Capacity, config: SimConfig,
     floor = float(ratios.max())
     plan = (_method(masks.size, floor, config), masks.size, floor)
     if plan[0] == "max-linear":
-        x, top = _max_linear(table, weights, d, config)
-        return _batch(theta.carrier, x, config, plan,
-                      np.full(config.samples, masks.size), masks[top])
-    kernel = _FirstHit(theta, table, relevant, ratios, config.samples,
-                       config.mode == "exact")
-    terms = _lepage(kernel, config)
-    return _batch(theta.carrier, kernel.x, config, plan, terms, kernel.first)
+        x = _max_linear(table, weights, d, config)
+        terms = np.full(config.samples, masks.size)
+    else:
+        kernel = _FirstHit(theta, table, relevant, ratios, config.samples,
+                           config.mode == "exact")
+        terms = _lepage(kernel, config)
+        x = kernel.x
+    top = functools.reduce(np.maximum, x.T)  # x.max(axis=1) is slow on narrow rows
+    first = np.einsum("ij,j->i", x == top[:, None], 1 << np.arange(d))
+    return _batch(theta.carrier, x, config, plan, terms, first)
 
 
 @dataclass(frozen=True)
@@ -470,7 +472,7 @@ def simulate_spectral(sampler: SpectralSampler, config: SimConfig) -> SampleBatc
     p, floor, live = _spectral_plan(sampler)
     plan = (_method(p.size, floor, config), p.size, floor)
     if plan[0] == "max-linear":
-        x, _ = _max_linear(sampler.table, p, sampler.carrier.size, config)
+        x = _max_linear(sampler.table, p, sampler.carrier.size, config)
         return _batch(sampler.carrier, x, config, plan, np.full(config.samples, p.size))
     kernel = _RunningMax(sampler.table, sampler.bound, live, config.samples,
                          config.mode == "exact")
@@ -496,16 +498,16 @@ class FrechetEstimate:
     n: int
 
 
-def frechet_scale_estimate(z: np.ndarray, min_n: int = 30) -> FrechetEstimate:
+def frechet_scale_estimate(z: np.ndarray) -> FrechetEstimate:
     """MLE of the scale a of a unit-shape Frechet sample.
 
     1/z_j are iid Exp(a), so a_hat = n / sum(1/z_j); the reported
     half-width is the 3-sigma band 3 a_hat / sqrt(n).  Requires at least
-    min_n strictly positive observations.
+    30 strictly positive observations.
     """
     z = np.asarray(z, dtype=float)
-    if z.ndim != 1 or z.size < min_n:
-        raise ValueError(f"need at least {min_n} observations, got {z.size}")
+    if z.ndim != 1 or z.size < 30:
+        raise ValueError(f"need at least 30 observations, got {z.size}")
     if np.any(z <= 0) or not np.all(np.isfinite(z)):
         raise ValueError("Frechet scale needs strictly positive finite observations")
     n = z.size
@@ -513,19 +515,14 @@ def frechet_scale_estimate(z: np.ndarray, min_n: int = 30) -> FrechetEstimate:
     return FrechetEstimate(scale, 3.0 * scale / math.sqrt(n), n)
 
 
-def argmax_set(x: np.ndarray, rel_tol: float = 0.0) -> int:
-    """Mask of the points within rel_tol of the maximum of x.
-
-    rel_tol = 0 keeps the exact argmax ties; the zero vector has no argmax
-    and raises.
-    """
+def argmax_set(x: np.ndarray) -> int:
+    """Mask of the points where x attains its maximum, ties included; the
+    zero vector has no argmax and raises."""
     x = np.asarray(x, dtype=float)
     m = float(x.max())
     if m <= 0.0:
         raise ValueError("argmax of the zero vector is undefined")
-    if not 0.0 <= rel_tol < 1.0:
-        raise ValueError("rel_tol must lie in [0, 1)")
-    return _mask_of(x >= (1.0 - rel_tol) * m)
+    return _mask_of(x == m)
 
 
 @dataclass(frozen=True)
@@ -560,15 +557,10 @@ def argmax_independence_test(theta: Capacity, region: int, config: SimConfig,
         stat = batch.sup(region)
         ind = (stat > np.median(stat)).astype(float)
     else:
-        ind = (batch.values[:, list(iter_bits(region))] == xe[:, None]).any(axis=1)
-        ind = ind.astype(float)
+        ind = ((batch.first_atoms & region) != 0).astype(float)
     n = batch.n
-    if ind.std() == 0.0 or t.std() == 0.0:
-        z = 0.0
-        corr = 0.0
-    else:
-        corr = float(np.corrcoef(t, ind)[0, 1])
-        z = corr * math.sqrt(n)
+    flat = ind.std() == 0.0 or t.std() == 0.0
+    z = 0.0 if flat else float(np.corrcoef(t, ind)[0, 1]) * math.sqrt(n)
     return ArgmaxIndependenceReport(z, abs(z) <= 4.0, n, float(ind.mean()),
                                     negative_control)
 
@@ -674,7 +666,6 @@ class DisjointnessReport:
 
 def independence_on_disjoint(theta: Capacity, parts: Sequence[int],
                              config: SimConfig,
-                             quantiles: Sequence[float] = (0.3, 0.5, 0.8),
                              batch: Optional[SampleBatch] = None
                              ) -> DisjointnessReport:
     """Factorization test of the CRSM over disjoint parts.
@@ -683,8 +674,8 @@ def independence_on_disjoint(theta: Capacity, parts: Sequence[int],
     them.  cross_mass = sum_i theta(P_i) - theta(union of the P_i) is that
     mass, each atom counted once per part it meets beyond the first; this
     exact criterion decides what the empirical side must show.  For each
-    pair and quantile q the joint empirical CDF at the exact marginal
-    q-quantiles is compared against the product q**2 with a 4-sigma
+    pair and q in (0.3, 0.5, 0.8) the joint empirical CDF at the exact
+    marginal q-quantiles is compared against the product q**2 with a 4-sigma
     binomial allowance: independence must stay inside the band, genuine
     dependence must break it somewhere.
     """
@@ -712,7 +703,7 @@ def independence_on_disjoint(theta: Capacity, parts: Sequence[int],
     for i in range(len(parts)):
         for j in range(i + 1, len(parts)):
             a, b = parts[i], parts[j]
-            for q in quantiles:
+            for q in (0.3, 0.5, 0.8):
                 s = float(theta.table[a]) / (-math.log(q))
                 t = float(theta.table[b]) / (-math.log(q))
                 p_prod = q * q

@@ -169,11 +169,10 @@ class SpectralTDF(TailDependenceFunctional):
         # (n, m, d) peak memory; fine for the small-d regime this targets
         return np.max(fs[:, None, :] * self.atoms[None, :, :], axis=2) @ self.probs
 
-    def indicator_valued(self, tol: float = 0.0) -> bool:
+    def indicator_valued(self) -> bool:
         """True when every atom is c * indicator (the envelope-tight case)."""
         peaks = self.atoms.max(axis=1, keepdims=True)
-        on = self.atoms > tol
-        return bool(np.all((~on) | (np.abs(self.atoms - peaks) <= tol)))
+        return bool(np.all((self.atoms == 0.0) | (self.atoms == peaks)))
 
 
 @dataclass(frozen=True)
@@ -233,7 +232,7 @@ class MaxAlternationReport:
 
 
 def check_max_complete_alternation(ell, order: int = 3, trials: int = 1000,
-                                   seed: int = 0, tol: float = PROBE_TOL,
+                                   seed: int = 0,
                                    carrier: Optional[Union[Carrier, int]] = None
                                    ) -> MaxAlternationReport:
     """Search for a positive inclusion-exclusion sum of the max-lattice
@@ -244,7 +243,7 @@ def check_max_complete_alternation(ell, order: int = 3, trials: int = 1000,
     evaluations per trial caps the order at 5.  A trial's value is that sum
     divided by the sum of the absolute values of its terms, so no verdict
     depends on the scale of ell; worst_value is the largest.  Any value
-    above tol is a certified violation (max-complete alternation fails); a
+    above PROBE_TOL is a certified violation (max-complete alternation fails); a
     clean sweep is evidence, not proof.
     """
     if not 2 <= order <= MAX_ALTERNATION_ORDER:
@@ -272,7 +271,7 @@ def check_max_complete_alternation(ell, order: int = 3, trials: int = 1000,
             worst = total
             wit_u = u
             wit_inc = tuple(incs)
-    return MaxAlternationReport(worst <= tol, worst, wit_u, wit_inc, trials)
+    return MaxAlternationReport(worst <= PROBE_TOL, worst, wit_u, wit_inc, trials)
 
 
 @dataclass(frozen=True)
@@ -284,10 +283,10 @@ class DominationReport:
 
 
 def dominates(upper: TailDependenceFunctional, lower, trials: int = 1000,
-              seed: int = 0, tol: float = 1e-9,
+              seed: int = 0,
               carrier: Optional[Union[Carrier, int]] = None) -> DominationReport:
-    """Check upper(f) >= lower(f) - tol * (|upper(f)| + |lower(f)|) on
-    random nonnegative vectors.
+    """Check upper(f) >= lower(f) - 1e-9 (|upper(f)| + |lower(f)|) on random
+    nonnegative vectors.
 
     The margin of f is (upper(f) - lower(f)) / (|upper(f)| + |lower(f)|),
     so no verdict depends on the common scale.  Reports the worst margin
@@ -308,7 +307,7 @@ def dominates(upper: TailDependenceFunctional, lower, trials: int = 1000,
         if margin < worst:
             worst = margin
             wit = f
-    return DominationReport(worst >= -tol, worst, wit, trials)
+    return DominationReport(worst >= -1e-9, worst, wit, trials)
 
 
 def dual_greedy(theta: Capacity, f,

@@ -150,9 +150,7 @@ def subset_size_capacity(carrier: Union[Carrier, int],
     return Capacity(carr, _Owned(table))
 
 
-def distortion_capacity(mu: Union[DiscreteMeasure, Sequence[float]],
-                        kind: str, alpha: float,
-                        carrier: Optional[Carrier] = None) -> Capacity:
+def distortion_capacity(mu: DiscreteMeasure, kind: str, alpha: float) -> Capacity:
     """theta(K) = g(mu(K)) for g a distortion of the given kind.
 
     kind="power": g(t) = t**alpha, 0 < alpha < 1.  A Bernstein transform,
@@ -164,13 +162,7 @@ def distortion_capacity(mu: Union[DiscreteMeasure, Sequence[float]],
     with alpha = 0.8 produce Mobius weight -1/4 on every 3-set), which is
     the point of having it.
     """
-    if isinstance(mu, DiscreteMeasure):
-        meas = mu
-    else:
-        if carrier is None:
-            raise ValueError("plain weight vectors need an explicit carrier")
-        meas = DiscreteMeasure(carrier, np.asarray(mu, dtype=float))
-    sums = _additive_table(meas.weights)
+    sums = _additive_table(mu.weights)
     if kind == "power":
         if not 0.0 < alpha < 1.0:
             raise ValueError(f"power distortion needs alpha in (0, 1), got {alpha}")
@@ -182,7 +174,7 @@ def distortion_capacity(mu: Union[DiscreteMeasure, Sequence[float]],
     else:
         raise ValueError(f"unknown distortion kind {kind!r}")
     table[0] = 0.0
-    return Capacity(meas.carrier, _Owned(table))
+    return Capacity(mu.carrier, _Owned(table))
 
 
 def _torus_carrier(n: int, dim: int) -> Carrier:

@@ -91,6 +91,9 @@ def verify_model(model: Model, samples: int = 20000, seed: int = 1,
     carrier = ell.carrier
 
     crsm = not isinstance(model, SpectralTDF)
+    if not crsm and seed + 1 >= 1 << 64:
+        raise ValueError(f"a spectral model's coupling row draws from seed + 1 < 2**64, "
+                         f"got seed {seed}")
     nu = None
     if crsm:
         theta = extremal_coefficients(ell)

@@ -182,6 +182,36 @@ def test_coupling_matches_per_term_reference():
         assert cpl.exact.terms[j] == terms, j
 
 
+def test_long_tails_match_per_term_reference(lepage_only):
+    # a rare atom of probability 1e-4 keeps samples running into the
+    # TAIL_MAX continuation chunks, which start after term 8192
+    theta = skewed_capacity(np.random.default_rng(0), 8, 1e-4)
+    cfg = SimConfig(seed=1, samples=8)
+    batch, cpl = simulate_crsm(theta, cfg), couple(theta, cfg)
+    assert batch.terms.max() > BULK_TERMS + TAIL_MAX - TAIL
+    for j in range(cfg.samples):
+        x, terms, first = reference_crsm(theta, 1, j)
+        assert np.array_equal(batch.values[j], x), j
+        assert batch.terms[j] == terms and batch.first_atoms[j] == first, j
+    for got in (cpl.lower, cpl.exact, cpl.upper):
+        assert np.array_equal(got.values, batch.values)
+        assert np.array_equal(got.terms, batch.terms)
+    sampler = SpectralSampler.from_tdf(SpectralTDF(
+        carrier_of(3), np.array([0.6, 0.3999, 1e-4]),
+        np.array([[1.0, 0.5, 0.0], [0.3, 1.0, 0.0], [0.0, 0.0, 1.0]])))
+    spec, cpl = simulate_spectral(sampler, cfg), couple(sampler, cfg)
+    assert spec.terms.max() > BULK_TERMS + TAIL_MAX - TAIL
+    for j in range(cfg.samples):
+        x, lo, hi, terms = reference_spectral(sampler, 1, j)
+        assert cpl.exact.terms[j] == terms, j
+        assert np.array_equal(spec.values[j], x), j
+        assert np.array_equal(cpl.exact.values[j], x), j
+        assert np.array_equal(cpl.lower.values[j], lo), j
+        assert np.array_equal(cpl.upper.values[j], hi), j
+    # the coupled stop also waits for lower, so it is never earlier
+    assert np.all(cpl.exact.terms >= spec.terms)
+
+
 def test_couple_exact_is_simulate_spectral(lepage_only):
     for sampler in (spectral4(), SpectralSampler.from_tdf(indicator_tdf(skewed3()))):
         cfg = SimConfig(seed=12, samples=BLOCK + 300)

@@ -771,3 +771,50 @@ def test_cli_cdf_prints_spectral_and_lebesgue_laws(tmp_path, spectral_file, caps
         assert main(["cdf", "--model", path, "--pairs", pairs]) == 0
         value = float(capsys.readouterr().out)
         assert value == pytest.approx(math.exp(-exponent), rel=1e-14)
+
+
+@pytest.mark.parametrize("tol", ["-1", "nan", "inf"])
+def test_cli_refuses_tolerances_that_are_not_finite_and_nonnegative(theta2_file, capsys,
+                                                                   tol):
+    runs = [["check", "--direct"], ["dual", "--f", '{"a":2,"b":1}'],
+            ["verify", "--seed", "1", "--samples", "100"]]
+    for argv in runs:
+        assert main(argv + ["--model", theta2_file, "--tolerance", tol]) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"error: tolerance must be finite and nonnegative, "
+                                f"got {float(tol)}\n")
+
+
+@pytest.mark.parametrize("trials", ["0", "-4"])
+def test_cli_trials_must_be_positive(tmp_path, theta2_file, spectral_file, capsys, trials):
+    avar = tmp_path / "avar.json"
+    avar.write_text(json.dumps(AVAR4))
+    runs = [["check", "--model", spectral_file, "--seed", "0"],
+            ["check", "--model", str(avar), "--direct", "--seed", "0"],
+            ["dual", "--model", theta2_file, "--f", '{"a":2,"b":1}', "--oracle", "sampled",
+             "--seed", "0"]]
+    for argv in runs:
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--trials", trials])
+        assert exc.value.code == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"--trials: expected a positive integer, got '{trials}'" in captured.err
+
+
+def test_cli_seeds_are_64_bit(theta2_file, spectral_file, capsys):
+    top = (1 << 64) - 1
+    argv = ["simulate", "--model", theta2_file, "--samples", "5"]
+    assert main(argv + ["--seed", str(top + 1)]) == 2
+    assert capsys.readouterr().err == (f"error: seed must be an int in [0, 2**64), "
+                                       f"got {top + 1}\n")
+    rows = []
+    for seed in (top, 0):
+        assert main(argv + ["--seed", str(seed)]) == 0
+        rows.append(capsys.readouterr().out.split("\n", 1)[1])  # after provenance
+    assert rows[0] != rows[1]  # the top seed keeps all 64 bits of its key
+    # verify draws its coupling row from seed + 1
+    assert main(["verify", "--model", spectral_file, "--samples", "100",
+                 "--seed", str(top)]) == 2
+    assert "draws from seed + 1" in capsys.readouterr().err

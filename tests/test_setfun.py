@@ -385,3 +385,34 @@ def test_certified_mobius_holds_one_working_table():
         tracemalloc.stop()
     assert nu.min_weight()[0] >= 0.0
     assert peak <= 1.1 * table_bytes
+
+
+def test_direct_check_verdict_is_scale_free():
+    # successive differences scale exactly by 2**k, and so does the slack
+    # tol * theta(E): the verdict matches classify at every scale, both in
+    # the exhaustive (d = 3) and the sampled (d = 4) regime
+    rng = np.random.default_rng(9)
+    cases = [(random_ca_capacity(rng, 3), {"max_order": 2}),
+             (random_capacity(rng, 3), {"max_order": 2}),
+             (random_ca_capacity(rng, 4), {"trials": 300, "seed": 0}),
+             (avar4(), {"trials": 300, "seed": 0})]
+    for theta, kw in cases:
+        verdicts = set()
+        for k in range(-60, 61):
+            scaled = Capacity(theta.carrier, theta.table * 2.0 ** k)
+            rep = check_complete_alternation_direct(scaled, **kw)
+            assert rep.alternating == classify(scaled).completely_alternating, k
+            verdicts.add(rep.alternating)
+        assert len(verdicts) == 1
+
+
+@pytest.mark.parametrize("tol", [-1.0, -1e-300, float("nan"), float("inf")])
+def test_tolerance_must_be_finite_and_nonnegative(tol):
+    theta = random_ca_capacity(np.random.default_rng(2), 3)
+    msg = "tolerance must be finite and nonnegative"
+    for check in (theta.atol, lambda t: classify(theta, t),
+                  lambda t: certified_mobius(theta, t),
+                  lambda t: check_complete_alternation_direct(theta, tol=t)):
+        with pytest.raises(ValueError, match=msg):
+            check(tol)
+    assert theta.atol(0.0) == 0.0
