@@ -26,6 +26,7 @@ from __future__ import annotations
 import argparse
 import datetime
 import json
+import math
 import os
 import sys
 from itertools import islice
@@ -60,12 +61,13 @@ from .simulate import (
     STREAM_VERSION,
     SampleBatch,
     SimConfig,
+    _row_max,
     argmax_independence_test,
     couple,
     frechet_scale_estimate,
     simulate_model,
 )
-from .tdf import ChoquetTDF, as_tdf, dual_greedy, dual_oracle, joint_cdf
+from .tdf import ChoquetTDF, SpectralTDF, as_tdf, dual_greedy, dual_oracle, joint_cdf
 from .verify import coupling_violations, verify_model
 
 
@@ -290,6 +292,23 @@ def _write_batch_csv(out: TextIO, batch: SampleBatch, prov: dict) -> None:
         out.write("\n".join(map(",".join, rows)) + "\n")
 
 
+def _percentiles(values: np.ndarray, qs) -> list:
+    """np.percentile(values, qs) by its default linear rule, bit-equal, from
+    the sorted order statistics; np.percentile imports numpy.ma, which
+    costs a simulate process 12-15 ms."""
+    a = np.sort(values)
+    n = a.size
+    out = []
+    for q in qs:
+        h = (n - 1) * (q / 100)
+        lo = min(math.floor(h), n - 1)
+        prev, nxt = a[lo], a[min(lo + 1, n - 1)]
+        diff, g = nxt - prev, h - lo
+        # numpy interpolates from the nearer of the two order statistics
+        out.append(prev + diff * g if g < 0.5 else nxt - diff * (1 - g))
+    return out
+
+
 def cmd_simulate(args) -> int:
     model, obj = _load_model(args.model)
     config = _config_from_args(args)
@@ -310,7 +329,7 @@ def cmd_simulate(args) -> int:
             "provenance": prov,
         }
         _emit_json(payload, args.out)
-    p50, p99 = np.percentile(batch.terms, [50, 99])
+    p50, p99 = _percentiles(batch.terms, (50, 99))
     print(f"terms per sample: mean {batch.terms.mean():.6g}, p50 {p50:g}, "
           f"p99 {p99:g}, max {batch.terms.max()}", file=sys.stderr)
     if batch.method == "max-linear":
@@ -375,11 +394,11 @@ def cmd_estimate(args) -> int:
         raise SchemaError("$", "estimate needs exactly one of --f or --set")
     if args.f is not None:
         f = _parse_point_values(carrier, _inline_json(args.f, "--f"), "$.f")
-        z = (values * f[None, :]).max(axis=1)
+        z = _row_max(values * f[None, :])
         stat = "extremal"
     else:
         mask = parse_label_set(_inline_json(args.set, "--set"), carrier, "$.set")
-        z = values[:, list(iter_bits(mask))].max(axis=1)
+        z = _row_max(values[:, list(iter_bits(mask))])
         stat = "sup"
     est = frechet_scale_estimate(z)
     payload = {
@@ -426,8 +445,12 @@ def cmd_argmax_test(args) -> int:
 
 def cmd_verify(args) -> int:
     model, obj = _load_model(args.model)
-    checks = verify_model(model, samples=args.samples, seed=args.seed,
-                          tol=args.tolerance)
+    # a spectral model has no exact lattice rows for a tolerance to loosen
+    if args.tolerance is not None and isinstance(model, SpectralTDF):
+        raise SchemaError("$.kind", f"verify --tolerance needs a CRSM model, not a "
+                                    f"{type(model).__name__}")
+    tol = DEFAULT_TOL if args.tolerance is None else args.tolerance
+    checks = verify_model(model, samples=args.samples, seed=args.seed, tol=tol)
     for c in checks:
         print(c.line())
     ok = all(c.passed for c in checks)
@@ -544,7 +567,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("verify", help="run the self-verification battery")
     common(sp, checks=True)
     sp.add_argument("--samples", type=int, default=20000)
-    sp.set_defaults(fn=cmd_verify)
+    sp.set_defaults(fn=cmd_verify, tolerance=None)
 
     sp = sub.add_parser("materialize", help="expand a constructor to a table")
     common(sp)

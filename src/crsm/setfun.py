@@ -61,6 +61,15 @@ class _Owned:
         self.arr = arr
 
 
+def _release(nu: "MobiusMeasure") -> np.ndarray:
+    """The weights of a MobiusMeasure the library has just built, handed
+    back writable: the converse of _Owned.  The caller must hold the only
+    reference to nu and drop it; no one else may see the array change."""
+    arr = nu.weights
+    arr.setflags(write=True)
+    return arr
+
+
 def _check_table(carrier: Carrier, table, name: str,
                  nonnegative: bool) -> np.ndarray:
     if isinstance(table, _Owned):

@@ -48,7 +48,8 @@ samples draws from substream(seed, 2b).
   2j + 1), in chunks of TAIL, 2 TAIL, .. TAIL_MAX terms, spacings first,
   then picks; odd keys never collide with even block keys.  A pick maps
   one uniform by searchsorted on the normalized cumulative weights (CRSM
-  atoms in ascending mask order).
+  atoms in ascending mask order; the sampler sums over all 2**d masks,
+  zeros included, which picks the same atom).
 * Max-linear: the block draws a (lanes, m) array of inverse-CDF
   exponentials in row order, row k for sample b * BLOCK + k, column j for
   atom j (CRSM atoms in ascending mask order).
@@ -66,7 +67,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .carrier import Carrier, iter_bits
-from .setfun import DEFAULT_TOL, Capacity, MobiusMeasure, certified_mobius
+from .setfun import DEFAULT_TOL, Capacity, MobiusMeasure, _release, certified_mobius
 from .tdf import SpectralTDF, extremal_coefficients
 
 STREAM_VERSION = 2
@@ -76,6 +77,7 @@ BULK_ROUNDS = 8         # bulk rounds per block before continuation streams
 TAIL = 64               # first continuation chunk; chunks double ...
 TAIL_MAX = 8192         # ... up to this many terms
 _CELLS = 1 << 15        # cap on terms x lanes x width of one engine step
+_SPAN = 1 << 12         # Mobius buffer entries per chunk of an atom pass
 
 
 class MaxTermsExceeded(RuntimeError):
@@ -147,13 +149,18 @@ class SampleBatch:
         if mask == 0:
             return np.zeros(self.n)
         idx = list(iter_bits(mask))
-        return self.values[:, idx].max(axis=1)
+        return _row_max(self.values[:, idx])
 
     def extremal(self, f) -> np.ndarray:
         """Extremal integral of f against each sample: max_x f(x) X_j(x)."""
         from .integrals import _vals
         v = _vals(f, self.carrier)
-        return (self.values * v[None, :]).max(axis=1)
+        return _row_max(self.values * v[None, :])
+
+
+def _row_max(x: np.ndarray) -> np.ndarray:
+    """x.max(axis=1), bit-equal; numpy's row reduction is slow on narrow rows."""
+    return functools.reduce(np.maximum, x.T)
 
 
 def _batch(carrier: Carrier, values: np.ndarray, config: SimConfig, plan: tuple,
@@ -177,17 +184,31 @@ def _bits(mask: int, d: int) -> np.ndarray:
     return (mask >> np.arange(d)) & 1 == 1
 
 
+def _cumulative(weights: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+    """Normalized cumulative weights, written to out (which may be weights)."""
+    cum = np.cumsum(weights, dtype=float, out=out)
+    cum /= cum[-1]  # bit-equal to cum / cum[-1], with no second array
+    return cum
+
+
 class _AtomTable:
     """Atoms rows[k] (CRSM masks or spectral rows) with weights[k] > 0.
 
     A LePage pick takes row k with probability weights[k] / sum: a uniform
     u picks the first row whose normalized cumulative weight exceeds u.
+    That cumulative table is built on the first pick, in an array of its
+    own, so weights (a SpectralTDF's probs, a CRSM's Mobius buffer) are
+    never written and a max-linear run never builds it.  A CRSM on LePage
+    needs no atom table: _FirstHit picks masks straight from the Mobius
+    buffer.
     """
 
     def __init__(self, rows: np.ndarray, weights: np.ndarray):
-        cum = np.cumsum(weights, dtype=float)
         self.rows, self.weights = rows, weights
-        self.cum = cum / cum[-1]
+
+    @functools.cached_property
+    def cum(self) -> np.ndarray:
+        return _cumulative(self.weights)
 
     def pick(self, u):
         return np.searchsorted(self.cum, u, side="right")
@@ -203,11 +224,13 @@ class _FirstHit:
 
     width = 1
 
-    def __init__(self, theta: Capacity, table: _AtomTable, relevant: int,
+    def __init__(self, theta: Capacity, cum: np.ndarray, relevant: int,
                  ratios: np.ndarray, n: int, exact: bool):
-        """ratios: theta(E)/theta({x}) over the relevant points."""
+        """cum: normalized cumulative Mobius weights over all 2**d masks, so
+        a pick's index is its atom's mask; ratios: theta(E)/theta({x}) over
+        the relevant points."""
         d = theta.carrier.size
-        self.table = table
+        self.cum = cum
         self.total, self.relevant, self.exact = theta.total, relevant, exact
         self.shifts = np.arange(d)
         self.x = np.zeros((n, d))
@@ -216,7 +239,9 @@ class _FirstHit:
                      f"E[N] <= 1 + sum_x theta(E)/theta({{x}}))")
 
     def step(self, lanes, g, u):
-        m = self.table.rows[self.table.pick(u)]
+        # cum is flat between atoms, so the first mask whose entry exceeds u
+        # is an atom: the one the compact table's pick would map to
+        m = np.searchsorted(self.cum, u, side="right")
         before = (self.x[lanes] > 0.0) @ (1 << self.shifts)   # points already hit
         cov = np.bitwise_or.accumulate(m, axis=0, out=m)
         cov |= before
@@ -371,21 +396,45 @@ def _method(atoms: int, floor: float, config: SimConfig) -> str:
     return "max-linear" if config.mode == "exact" and atoms <= floor else "lepage"
 
 
-def _crsm_atoms(theta: Capacity, mobius: Optional[MobiusMeasure] = None
-                ) -> tuple[np.ndarray, np.ndarray, int]:
-    """Positive Mobius atoms (masks ascending, weights), relevant-point mask.
+def _mobius_buffer(theta: Capacity, mobius: Optional[MobiusMeasure] = None
+                   ) -> np.ndarray:
+    """theta's Mobius weights, negatives clamped to 0, in a 2**d buffer that
+    the sampler owns and works in.
 
     Refuses capacities that are not completely alternating within the
-    relative tolerance DEFAULT_TOL (slack DEFAULT_TOL * theta(E));
-    negative weights inside that band are clamped to zero.  mobius is
-    theta's Mobius measure when the caller has it already.
+    relative tolerance DEFAULT_TOL (slack DEFAULT_TOL * theta(E)), so the
+    clamp only touches that band.  mobius is theta's Mobius measure when
+    the caller has it already; it is copied, never written.
     """
     nu = certified_mobius(theta, DEFAULT_TOL, mobius)
     if theta.total <= 0:
         raise ValueError("capacity is identically zero; nothing to simulate")
-    w = np.clip(nu.weights, 0.0, None)
-    masks = np.flatnonzero(w > 0).astype(np.int64)
-    return masks, w[masks], int(np.bitwise_or.reduce(masks))
+    buf = np.array(nu.weights) if mobius is not None else _release(nu)
+    return np.maximum(buf, 0.0, out=buf)
+
+
+def _census(buf: np.ndarray) -> tuple[int, int]:
+    """Atom count and relevant-point mask (union of the atoms) of a Mobius
+    buffer, one chunk at a time."""
+    count = relevant = 0
+    for s in range(0, buf.size, _SPAN):
+        hits = np.flatnonzero(buf[s:s + _SPAN] > 0)
+        if hits.size:
+            count += hits.size
+            hits += s
+            relevant |= int(np.bitwise_or.reduce(hits))
+    return count, relevant
+
+
+def _compact(buf: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Atoms of a Mobius buffer: masks ascending and their weights, which
+    move forward into buf itself.  masks[k] > k, so a chunk reads no entry
+    that an earlier chunk has overwritten."""
+    masks = np.flatnonzero(buf > 0)
+    for s in range(0, masks.size, _SPAN):
+        part = masks[s:s + _SPAN]
+        buf[s:s + part.size] = buf[part]
+    return masks, buf[:masks.size]
 
 
 def simulate_crsm(theta: Capacity, config: SimConfig,
@@ -399,24 +448,28 @@ def simulate_crsm(theta: Capacity, config: SimConfig,
     between 1 + max_x theta(E)/theta({x}) and 1 + sum_x theta(E)/theta({x}).
     Max-linear: X({x}) = max over atoms F containing x of nu(F)/E_F, chosen
     for exact runs with m <= LB = max_x theta(E)/theta({x}) atoms.  mobius
-    is theta's Mobius measure when the caller has it already; the atoms
-    are computed once either way.
+    is theta's Mobius measure when the caller has it already.
+
+    Besides theta, a run holds one 2**d Mobius buffer, which becomes the
+    cumulative pick table of LePage or the compact weights of max-linear;
+    max-linear adds the atoms' masks, at most one more 2**d table.
     """
-    masks, weights, relevant = _crsm_atoms(theta, mobius)
+    buf = _mobius_buffer(theta, mobius)
+    atoms, relevant = _census(buf)
     d = theta.carrier.size
-    table = _AtomTable(masks, weights)
     ratios = theta.total / theta.singletons()[_bits(relevant, d)]
     floor = float(ratios.max())
-    plan = (_method(masks.size, floor, config), masks.size, floor)
+    plan = (_method(atoms, floor, config), atoms, floor)
     if plan[0] == "max-linear":
-        x = _max_linear(table, weights, d, config)
-        terms = np.full(config.samples, masks.size)
+        masks, weights = _compact(buf)
+        x = _max_linear(_AtomTable(masks, weights), weights, d, config)
+        terms = np.full(config.samples, atoms)
     else:
-        kernel = _FirstHit(theta, table, relevant, ratios, config.samples,
-                           config.mode == "exact")
+        kernel = _FirstHit(theta, _cumulative(buf, out=buf), relevant, ratios,
+                           config.samples, config.mode == "exact")
         terms = _lepage(kernel, config)
         x = kernel.x
-    top = functools.reduce(np.maximum, x.T)  # x.max(axis=1) is slow on narrow rows
+    top = _row_max(x)
     first = np.einsum("ij,j->i", x == top[:, None], 1 << np.arange(d))
     return _batch(theta.carrier, x, config, plan, terms, first)
 
@@ -544,22 +597,28 @@ def argmax_independence_test(theta: Capacity, region: int, config: SimConfig,
     the maximum (first_atoms) and is independent of X(E); the statistic z = corr * sqrt(n) is
     asymptotically standard normal, so |z| <= 4 passes.  The negative
     control replaces the indicator with {X(region) > median}, which is
-    strongly coupled to X(E) and must blow the same threshold up.
+    strongly coupled to X(E) and must blow the same threshold up.  A flat
+    indicator passes, as independence then holds trivially; fewer than 2
+    samples, or a flat statistic in the negative control, raise.
     """
     theta.carrier.validate_mask(region)
     if region == 0:
         raise ValueError("region must be nonempty")
+    n = config.samples if batch is None else batch.n
+    if n < 2:
+        raise ValueError(f"the argmax test needs at least 2 samples, got {n}")
     if batch is None:
         batch = simulate_crsm(theta, config)
-    xe = batch.values.max(axis=1)
-    t = 1.0 / xe
+    t = 1.0 / _row_max(batch.values)
     if negative_control:
         stat = batch.sup(region)
         ind = (stat > np.median(stat)).astype(float)
     else:
         ind = ((batch.first_atoms & region) != 0).astype(float)
-    n = batch.n
     flat = ind.std() == 0.0 or t.std() == 0.0
+    if flat and negative_control:
+        raise ValueError("the negative control's statistic has no spread over "
+                         f"these {n} samples, so the control cannot fail")
     z = 0.0 if flat else float(np.corrcoef(t, ind)[0, 1]) * math.sqrt(n)
     return ArgmaxIndependenceReport(z, abs(z) <= 4.0, n, float(ind.mean()),
                                     negative_control)

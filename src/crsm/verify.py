@@ -29,6 +29,7 @@ from .setfun import (DEFAULT_TOL, Capacity, MobiusMeasure, _Owned, capacity_from
                      mobius_inverse)
 from .simulate import (
     SimConfig,
+    _row_max,
     argmax_independence_test,
     continuity_bound_check,
     couple,
@@ -195,7 +196,7 @@ def coupling_violations(cpl) -> dict:
     hi = cpl.upper.values
     lower_bad = int(np.sum(np.any(lo > mid, axis=1)))
     upper_bad = int(np.sum(np.any(mid > hi, axis=1)))
-    sup_bad = int(np.sum(hi.max(axis=1) != mid.max(axis=1)))
+    sup_bad = int(np.sum(_row_max(hi) != _row_max(mid)))
     worst = float(max(np.max(lo - mid, initial=0.0), np.max(mid - hi, initial=0.0)))
     return {
         "samples": int(mid.shape[0]),

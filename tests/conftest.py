@@ -71,13 +71,21 @@ def skewed_capacity(rng: np.random.Generator, d: int, rel_mass: float) -> Capaci
     return capacity_from_measure(MobiusMeasure(carrier_of(d), weights))
 
 
+def crsm_atoms(theta: Capacity) -> tuple[np.ndarray, np.ndarray]:
+    """Masks (ascending) and weights of the positive Mobius atoms, with
+    negative weights clamped first: the plain reference for the atom
+    tables the CRSM sampler builds in place."""
+    w = np.clip(mobius_inverse(theta).weights, 0.0, None)
+    masks = np.flatnonzero(w > 0).astype(np.int64)
+    return masks, w[masks]
+
+
 def indicator_tdf(theta: Capacity) -> SpectralTDF:
     """Atoms theta(E) * 1_F with probabilities nu(F) / theta(E), F over the
     positive Mobius weights in ascending mask order: the CRSM of theta."""
-    w = np.clip(mobius_inverse(theta).weights, 0.0, None)
-    masks = np.flatnonzero(w > 0)
+    masks, w = crsm_atoms(theta)
     atoms = theta.total * ((masks[:, None] >> np.arange(theta.carrier.size)) & 1)
-    return SpectralTDF(theta.carrier, w[masks] / w[masks].sum(), atoms)
+    return SpectralTDF(theta.carrier, w / w.sum(), atoms)
 
 
 def random_f(rng: np.random.Generator, d: int, zeros: float = 0.25) -> np.ndarray:

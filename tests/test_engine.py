@@ -10,16 +10,18 @@ method with the `lepage_only` fixture.
 """
 
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from conftest import carrier_of, indicator_tdf, random_ca_capacity, skewed_capacity
+from conftest import (carrier_of, crsm_atoms, indicator_tdf, random_ca_capacity,
+                      skewed_capacity)
 from crsm import simulate as sim
 from crsm.carrier import Carrier, iter_bits, mask_size
 from crsm.io import parse_model
-from crsm.setfun import Capacity
+from crsm.setfun import Capacity, MobiusMeasure, capacity_from_measure, mobius_inverse
 from crsm.simulate import (
     BLOCK,
     BULK_ROUNDS,
@@ -106,7 +108,8 @@ def stream_terms(seed: int, j: int):
 
 def reference_crsm(theta: Capacity, seed: int, j: int, n_terms=None):
     """One sample by the per-term loop: (values, terms, first atom)."""
-    masks, weights, relevant = sim._crsm_atoms(theta)
+    masks, weights = crsm_atoms(theta)
+    relevant = int(np.bitwise_or.reduce(masks))
     cum = np.cumsum(weights) / weights.sum()
     x = np.zeros(theta.carrier.size)
     gamma, covered, first = 0.0, 0, 0
@@ -169,6 +172,107 @@ def test_crsm_matches_per_term_reference(lepage_only):
         x, _, _ = reference_crsm(theta, 5, j, n_terms=BULK_TERMS + 30)
         assert np.array_equal(trunc.values[j], x), j
     assert np.all(trunc.terms == BULK_TERMS + 30)
+
+
+def atom_cases() -> dict:
+    """Mobius tables whose atoms the sampler must find exactly."""
+    rng = np.random.default_rng(21)
+    d = 10
+    dense = rng.uniform(0.5, 1.5, 1 << d)
+    one = np.zeros(1 << d)
+    one[0b1011] = 2.5
+    sparse = np.zeros(1 << d)
+    sparse[rng.choice(np.arange(1, 1 << d), 12, replace=False)] = rng.exponential(1.0, 12)
+    # theta(E) is about 1000, so -1e-9 lies inside the band DEFAULT_TOL * theta(E)
+    band = dense.copy()
+    band[rng.choice(np.arange(3, 1 << d), 40, replace=False)] = -1e-9
+    cases = {"all positive": dense, "one atom": one, "sparse": sparse,
+             "negative in band": band}
+    for w in cases.values():
+        w[0] = 0.0
+    return {name: capacity_from_measure(MobiusMeasure(carrier_of(d), w))
+            for name, w in cases.items()}
+
+
+@pytest.mark.parametrize("span", [3, sim._SPAN])
+@pytest.mark.parametrize("name", ["all positive", "one atom", "sparse", "negative in band"])
+def test_atoms_built_in_place_match_the_clipped_reference(monkeypatch, name, span):
+    # the atoms, their weights and the picks are bit-equal to a plain
+    # clip / flatnonzero / cumsum over a fresh copy of the Mobius table
+    monkeypatch.setattr(sim, "_SPAN", span)
+    theta = atom_cases()[name]
+    masks, weights = crsm_atoms(theta)
+    if name == "negative in band":
+        assert mobius_inverse(theta).min_weight()[0] < 0.0
+    ref_cum = np.cumsum(weights)
+    ref_cum = ref_cum / ref_cum[-1]
+    buf = sim._mobius_buffer(theta)
+    assert sim._census(buf) == (masks.size, int(np.bitwise_or.reduce(masks)))
+    got_masks, got_weights = sim._compact(buf.copy())
+    assert got_masks.dtype == np.int64 and np.array_equal(got_masks, masks)
+    assert got_weights.tobytes() == weights.tobytes()
+    cum = sim._cumulative(buf, out=buf)
+    assert cum[masks].tobytes() == ref_cum.tobytes()
+    u = np.concatenate([np.random.default_rng(1).random(20000), [0.0], ref_cum,
+                        np.nextafter(ref_cum, 0.0)])
+    u = u[u < 1.0]
+    assert np.array_equal(np.searchsorted(cum, u, side="right"),
+                          masks[np.searchsorted(ref_cum, u, side="right")])
+
+
+def test_crsm_sampler_leaves_a_given_mobius_alone(monkeypatch):
+    theta = skewed3()
+    nu = mobius_inverse(theta)
+    before = nu.weights.copy()
+    cfg = SimConfig(seed=3, samples=50)
+    for method in ("lepage", "max-linear"):
+        monkeypatch.setattr(sim, "_method", lambda atoms, floor, config: method)
+        given = simulate_crsm(theta, cfg, nu)
+        assert given.method == method
+        assert np.array_equal(given.values, simulate_crsm(theta, cfg).values)
+        assert nu.weights.tobytes() == before.tobytes()
+        assert not nu.weights.flags.writeable and not theta.table.flags.writeable
+
+
+def test_spectral_tables_never_write_their_weights():
+    law = SpectralTDF(carrier_of(3), np.array([0.5, 0.3, 0.2]),
+                      np.array([[1.0, 0.5, 0.0], [0.3, 1.0, 0.0], [0.0, 0.2, 1.0]]))
+    before = law.probs.copy()
+    sampler = SpectralSampler.from_tdf(law)
+    cfg = SimConfig(seed=2, samples=200)
+    simulate_spectral(sampler, cfg)
+    couple(sampler, cfg)
+    assert sampler.table.weights is law.probs
+    assert law.probs.tobytes() == before.tobytes()
+    assert not np.shares_memory(sampler.table.cum, law.probs)
+
+
+def test_crsm_sampler_memory_on_a_dense_table():
+    # A dense d = 16 table on LePage: past the certificate (mobius_inverse's
+    # table and its sweep's 2**16-entry block) sampling keeps one Mobius
+    # buffer, the cumulative pick table, and holds no atom copies.  The
+    # compact-table layout peaked at 4 tables above theta either way.
+    d = 16
+    w = np.random.default_rng(4).uniform(0.5, 1.5, 1 << d)
+    w[0] = 0.0
+    theta = capacity_from_measure(MobiusMeasure(carrier_of(d), w))
+    nu = mobius_inverse(theta)
+    cfg = SimConfig(seed=1, samples=100)
+    assert simulate_crsm(theta, cfg).method == "lepage"
+
+    def peak_tables(fn) -> float:
+        tracemalloc.start()
+        try:
+            fn()
+            return tracemalloc.get_traced_memory()[1] / (8 << d)
+        finally:
+            tracemalloc.stop()
+
+    certificate = peak_tables(lambda: mobius_inverse(theta))
+    own = peak_tables(lambda: simulate_crsm(theta, cfg))
+    given = peak_tables(lambda: simulate_crsm(theta, cfg, nu))
+    assert own <= certificate + 0.25, (own, certificate)
+    assert given <= 2.25, given
 
 
 def test_coupling_matches_per_term_reference():
@@ -264,7 +368,7 @@ def test_max_linear_matches_per_sample_reference(monkeypatch):
     # 8 cells: one lane and two atoms per step; 100: five lanes, a group
     # count that does not divide the block
     theta, spec = skewed3(), skewed_spectral()
-    masks, w, _ = sim._crsm_atoms(theta)
+    masks, w = crsm_atoms(theta)
     rows = (masks[:, None] >> np.arange(3)) & 1
     p = spec.table.weights / spec.table.weights.sum()
     n = BLOCK + 40
@@ -291,7 +395,7 @@ def test_max_linear_argmax_atom_law(max_linear_only):
     n = 20_000
     for theta in (theta2(), skewed3(), random_ca_capacity(rng, 3),
                   random_ca_capacity(rng, 4)):
-        masks, w, _ = sim._crsm_atoms(theta)
+        masks, w = crsm_atoms(theta)
         batch = simulate_crsm(theta, SimConfig(seed=9, samples=n))
         assert batch.method == "max-linear"
         counts = (batch.first_atoms[:, None] == masks[None, :]).sum(axis=0)

@@ -395,6 +395,50 @@ def test_cli_tolerance_only_on_exact_check_commands(tmp_path, theta2_file, capsy
     assert "--tolerance" in capsys.readouterr().err
 
 
+def test_cli_verify_refuses_a_tolerance_on_a_spectral_model(spectral_file, capsys):
+    # a spectral model has no exact lattice rows, as in `check`
+    argv = ["verify", "--model", spectral_file, "--seed", "1", "--samples", "200"]
+    for tol in ("nan", "1e-6"):
+        assert main(argv + ["--tolerance", tol]) == 2
+        assert capsys.readouterr().err == ("error: at $.kind: verify --tolerance needs a "
+                                           "CRSM model, not a SpectralTDF\n")
+    assert main(argv) == 0
+
+
+def test_cli_argmax_test_refuses_a_single_sample(theta2_file, capsys):
+    argv = ["argmax-test", "--model", theta2_file, "--set", '["a"]', "--seed", "1",
+            "--samples", "1"]
+    for extra in ([], ["--negative-control"]):
+        assert main(argv + extra) == 2
+        assert capsys.readouterr().err == ("error: the argmax test needs at least 2 "
+                                           "samples, got 1\n")
+
+
+@pytest.mark.parametrize("n", [1, 2, 100, 101])
+def test_simulate_percentiles_match_numpy(n):
+    rng = np.random.default_rng(n)
+    for values in (rng.integers(1, 10 ** 6, n), rng.geometric(0.01, n), np.full(n, 7),
+                   rng.exponential(1.0, n)):
+        got = cli._percentiles(values, (50, 99))
+        want = np.percentile(values, [50, 99])
+        assert [np.float64(g).tobytes() for g in got] == [w.tobytes() for w in want]
+
+
+def test_cli_simulate_does_not_import_numpy_ma(theta2_file, spectral_file, tmp_path):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(__file__).resolve().parents[1] / "src")]
+        + [p for p in [env.get("PYTHONPATH")] if p])
+    run = ("import sys; from crsm.cli import main; "
+           "print(main(sys.argv[1:]), 'numpy.ma' in sys.modules)")
+    for model in (theta2_file, spectral_file):
+        out = subprocess.run([sys.executable, "-c", run, "simulate", "--model", model,
+                              "--seed", "1", "--samples", "2000",
+                              "--out", str(tmp_path / "x.csv")],
+                             env=env, capture_output=True, text=True, check=True).stdout
+        assert out.split() == ["0", "False"], model
+
+
 def test_cli_estimate_rejects_ragged_csv(tmp_path, capsys):
     csv = tmp_path / "ragged.csv"
     csv.write_text("# provenance: {}\nsample_index,a,b\n0,1.0,2.0\n1,3.0\n")

@@ -17,7 +17,9 @@ from crsm.setfun import Capacity
 from crsm.simulate import (
     Coupling,
     MaxTermsExceeded,
+    SampleBatch,
     SimConfig,
+    _row_max,
     SpectralSampler,
     argmax_independence_test,
     argmax_set,
@@ -243,6 +245,32 @@ def test_argmax_independence_pass_and_control():
     bad = argmax_independence_test(theta, region, SimConfig(seed=5, samples=30000),
                                    negative_control=True)
     assert not bad.passed and abs(bad.z) > 4
+
+
+def test_argmax_test_refuses_what_it_cannot_test():
+    theta = theta2()
+    region = theta.carrier.mask_of(["a"])
+    for control in (False, True):
+        with pytest.raises(ValueError, match="at least 2 samples, got 1"):
+            argmax_independence_test(theta, region, SimConfig(seed=1, samples=1),
+                                     negative_control=control)
+    # every sample puts its maximum on both points: the indicator is flat,
+    # so independence holds trivially, but the control cannot fail
+    flat = SampleBatch(theta.carrier, np.ones((5, 2)), 0, "exact",
+                       first_atoms=np.full(5, 0b11))
+    cfg = SimConfig(seed=0, samples=5)
+    rep = argmax_independence_test(theta, region, cfg, batch=flat)
+    assert rep.passed and rep.z == 0.0 and rep.hit_rate == 1.0
+    with pytest.raises(ValueError, match="no spread over these 5 samples"):
+        argmax_independence_test(theta, region, cfg, negative_control=True, batch=flat)
+
+
+def test_row_max_is_bit_equal_to_numpy_max():
+    rng = np.random.default_rng(3)
+    for d in (1, 2, 3, 20):
+        x = rng.exponential(1.0, (257, d))
+        x[rng.random(x.shape) < 0.3] = 0.0
+        assert _row_max(x).tobytes() == x.max(axis=1).tobytes(), d
 
 
 def test_continuity_bound_holds():
