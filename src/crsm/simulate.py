@@ -48,8 +48,7 @@ samples draws from substream(seed, 2b).
   2j + 1), in chunks of TAIL, 2 TAIL, .. TAIL_MAX terms, spacings first,
   then picks; odd keys never collide with even block keys.  A pick maps
   one uniform by searchsorted on the normalized cumulative weights (CRSM
-  atoms in ascending mask order; the sampler sums over all 2**d masks,
-  zeros included, which picks the same atom).
+  atoms in ascending mask order).
 * Max-linear: the block draws a (lanes, m) array of inverse-CDF
   exponentials in row order, row k for sample b * BLOCK + k, column j for
   atom j (CRSM atoms in ascending mask order).
@@ -77,7 +76,7 @@ BULK_ROUNDS = 8         # bulk rounds per block before continuation streams
 TAIL = 64               # first continuation chunk; chunks double ...
 TAIL_MAX = 8192         # ... up to this many terms
 _CELLS = 1 << 15        # cap on terms x lanes x width of one engine step
-_SPAN = 1 << 12         # Mobius buffer entries per chunk of an atom pass
+_SPAN = 1 << 12         # least Mobius table entries per chunk of an atom pass
 
 
 class MaxTermsExceeded(RuntimeError):
@@ -197,10 +196,9 @@ class _AtomTable:
     A LePage pick takes row k with probability weights[k] / sum: a uniform
     u picks the first row whose normalized cumulative weight exceeds u.
     That cumulative table is built on the first pick, in an array of its
-    own, so weights (a SpectralTDF's probs, a CRSM's Mobius buffer) are
-    never written and a max-linear run never builds it.  A CRSM on LePage
-    needs no atom table: _FirstHit picks masks straight from the Mobius
-    buffer.
+    own, so weights (a SpectralTDF's probs) are never written and a
+    max-linear run never builds it.  A CRSM on LePage needs no atom table:
+    its cumulative weights overwrite its atom weights (simulate_crsm).
     """
 
     def __init__(self, rows: np.ndarray, weights: np.ndarray):
@@ -224,13 +222,12 @@ class _FirstHit:
 
     width = 1
 
-    def __init__(self, theta: Capacity, cum: np.ndarray, relevant: int,
-                 ratios: np.ndarray, n: int, exact: bool):
-        """cum: normalized cumulative Mobius weights over all 2**d masks, so
-        a pick's index is its atom's mask; ratios: theta(E)/theta({x}) over
-        the relevant points."""
+    def __init__(self, theta: Capacity, masks: np.ndarray, cum: np.ndarray,
+                 relevant: int, ratios: np.ndarray, n: int, exact: bool):
+        """masks: the atoms, ascending; cum: their normalized cumulative
+        weights; ratios: theta(E)/theta({x}) over the relevant points."""
         d = theta.carrier.size
-        self.cum = cum
+        self.masks, self.cum = masks, cum
         self.total, self.relevant, self.exact = theta.total, relevant, exact
         self.shifts = np.arange(d)
         self.x = np.zeros((n, d))
@@ -239,9 +236,7 @@ class _FirstHit:
                      f"E[N] <= 1 + sum_x theta(E)/theta({{x}}))")
 
     def step(self, lanes, g, u):
-        # cum is flat between atoms, so the first mask whose entry exceeds u
-        # is an atom: the one the compact table's pick would map to
-        m = np.searchsorted(self.cum, u, side="right")
+        m = self.masks[np.searchsorted(self.cum, u, side="right")]
         before = (self.x[lanes] > 0.0) @ (1 << self.shifts)   # points already hit
         cov = np.bitwise_or.accumulate(m, axis=0, out=m)
         cov |= before
@@ -396,45 +391,34 @@ def _method(atoms: int, floor: float, config: SimConfig) -> str:
     return "max-linear" if config.mode == "exact" and atoms <= floor else "lepage"
 
 
-def _mobius_buffer(theta: Capacity, mobius: Optional[MobiusMeasure] = None
-                   ) -> np.ndarray:
-    """theta's Mobius weights, negatives clamped to 0, in a 2**d buffer that
-    the sampler owns and works in.
+def _crsm_atoms(theta: Capacity, mobius: Optional[MobiusMeasure] = None
+                ) -> tuple[np.ndarray, np.ndarray, int]:
+    """Positive Mobius atoms: masks ascending (int32, as d <= 24), their
+    weights and the relevant points (the union of the atoms).
 
     Refuses capacities that are not completely alternating within the
     relative tolerance DEFAULT_TOL (slack DEFAULT_TOL * theta(E)), so the
-    clamp only touches that band.  mobius is theta's Mobius measure when
-    the caller has it already; it is copied, never written.
+    negative weights left out lie in that band.  mobius is theta's Mobius
+    measure when the caller has it already; it is never written, and the
+    weights go to an array of their own.  Otherwise they move forward into
+    the Mobius table just built, in 64 chunks of at least _SPAN entries:
+    masks[k] >= k, so a chunk's weights land only on entries already read.
     """
     nu = certified_mobius(theta, DEFAULT_TOL, mobius)
     if theta.total <= 0:
         raise ValueError("capacity is identically zero; nothing to simulate")
-    buf = np.array(nu.weights) if mobius is not None else _release(nu)
-    return np.maximum(buf, 0.0, out=buf)
-
-
-def _census(buf: np.ndarray) -> tuple[int, int]:
-    """Atom count and relevant-point mask (union of the atoms) of a Mobius
-    buffer, one chunk at a time."""
-    count = relevant = 0
-    for s in range(0, buf.size, _SPAN):
-        hits = np.flatnonzero(buf[s:s + _SPAN] > 0)
-        if hits.size:
-            count += hits.size
-            hits += s
-            relevant |= int(np.bitwise_or.reduce(hits))
-    return count, relevant
-
-
-def _compact(buf: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Atoms of a Mobius buffer: masks ascending and their weights, which
-    move forward into buf itself.  masks[k] > k, so a chunk reads no entry
-    that an earlier chunk has overwritten."""
-    masks = np.flatnonzero(buf > 0)
-    for s in range(0, masks.size, _SPAN):
-        part = masks[s:s + _SPAN]
-        buf[s:s + part.size] = buf[part]
-    return masks, buf[:masks.size]
+    w = nu.weights
+    masks = np.empty(np.count_nonzero(w > 0), dtype=np.int32)
+    out = np.empty(masks.size) if mobius is not None else _release(nu)
+    span = max(_SPAN, w.size >> 6)
+    k = 0
+    for s in range(0, w.size, span):
+        hits = np.flatnonzero(w[s:s + span] > 0)
+        hits += s
+        out[k:k + hits.size] = w[hits]
+        masks[k:k + hits.size] = hits
+        k += hits.size
+    return masks, out[:k], int(np.bitwise_or.reduce(masks))
 
 
 def simulate_crsm(theta: Capacity, config: SimConfig,
@@ -450,23 +434,21 @@ def simulate_crsm(theta: Capacity, config: SimConfig,
     for exact runs with m <= LB = max_x theta(E)/theta({x}) atoms.  mobius
     is theta's Mobius measure when the caller has it already.
 
-    Besides theta, a run holds one 2**d Mobius buffer, which becomes the
-    cumulative pick table of LePage or the compact weights of max-linear;
-    max-linear adds the atoms' masks, at most one more 2**d table.
+    Besides theta, a run holds the atoms' weights, in the 2**d Mobius table
+    it builds (on LePage their cumulative pick table overwrites them), and
+    their int32 masks, at most half a 2**d table more.
     """
-    buf = _mobius_buffer(theta, mobius)
-    atoms, relevant = _census(buf)
+    masks, weights, relevant = _crsm_atoms(theta, mobius)
     d = theta.carrier.size
     ratios = theta.total / theta.singletons()[_bits(relevant, d)]
     floor = float(ratios.max())
-    plan = (_method(atoms, floor, config), atoms, floor)
+    plan = (_method(masks.size, floor, config), masks.size, floor)
     if plan[0] == "max-linear":
-        masks, weights = _compact(buf)
         x = _max_linear(_AtomTable(masks, weights), weights, d, config)
-        terms = np.full(config.samples, atoms)
+        terms = np.full(config.samples, masks.size)
     else:
-        kernel = _FirstHit(theta, _cumulative(buf, out=buf), relevant, ratios,
-                           config.samples, config.mode == "exact")
+        kernel = _FirstHit(theta, masks, _cumulative(weights, out=weights),
+                           relevant, ratios, config.samples, config.mode == "exact")
         terms = _lepage(kernel, config)
         x = kernel.x
     top = _row_max(x)

@@ -197,7 +197,7 @@ def atom_cases() -> dict:
 @pytest.mark.parametrize("span", [3, sim._SPAN])
 @pytest.mark.parametrize("name", ["all positive", "one atom", "sparse", "negative in band"])
 def test_atoms_built_in_place_match_the_clipped_reference(monkeypatch, name, span):
-    # the atoms, their weights and the picks are bit-equal to a plain
+    # the atoms, their weights and the pick table are bit-equal to a plain
     # clip / flatnonzero / cumsum over a fresh copy of the Mobius table
     monkeypatch.setattr(sim, "_SPAN", span)
     theta = atom_cases()[name]
@@ -206,18 +206,15 @@ def test_atoms_built_in_place_match_the_clipped_reference(monkeypatch, name, spa
         assert mobius_inverse(theta).min_weight()[0] < 0.0
     ref_cum = np.cumsum(weights)
     ref_cum = ref_cum / ref_cum[-1]
-    buf = sim._mobius_buffer(theta)
-    assert sim._census(buf) == (masks.size, int(np.bitwise_or.reduce(masks)))
-    got_masks, got_weights = sim._compact(buf.copy())
-    assert got_masks.dtype == np.int64 and np.array_equal(got_masks, masks)
-    assert got_weights.tobytes() == weights.tobytes()
-    cum = sim._cumulative(buf, out=buf)
-    assert cum[masks].tobytes() == ref_cum.tobytes()
-    u = np.concatenate([np.random.default_rng(1).random(20000), [0.0], ref_cum,
-                        np.nextafter(ref_cum, 0.0)])
-    u = u[u < 1.0]
-    assert np.array_equal(np.searchsorted(cum, u, side="right"),
-                          masks[np.searchsorted(ref_cum, u, side="right")])
+    nu = mobius_inverse(theta)
+    for given in (None, nu):
+        got_masks, got_weights, relevant = sim._crsm_atoms(theta, given)
+        assert np.array_equal(got_masks, masks)
+        assert relevant == int(np.bitwise_or.reduce(masks))
+        assert got_weights.tobytes() == weights.tobytes()
+        cum = sim._cumulative(got_weights, out=got_weights)
+        assert cum.tobytes() == ref_cum.tobytes()
+    assert not np.shares_memory(got_weights, nu.weights)
 
 
 def test_crsm_sampler_leaves_a_given_mobius_alone(monkeypatch):
@@ -249,9 +246,11 @@ def test_spectral_tables_never_write_their_weights():
 
 def test_crsm_sampler_memory_on_a_dense_table():
     # A dense d = 16 table on LePage: past the certificate (mobius_inverse's
-    # table and its sweep's 2**16-entry block) sampling keeps one Mobius
-    # buffer, the cumulative pick table, and holds no atom copies.  The
-    # compact-table layout peaked at 4 tables above theta either way.
+    # table and its sweep's 2**16-entry block) sampling keeps the Mobius
+    # table, which takes the atom weights and then the pick table, and the
+    # int32 masks (half a table), and holds no atom copies.  Clip and astype
+    # copies, gathered weights and a separate cumulative array peaked at 4
+    # tables above theta.
     d = 16
     w = np.random.default_rng(4).uniform(0.5, 1.5, 1 << d)
     w[0] = 0.0
