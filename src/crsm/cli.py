@@ -52,6 +52,7 @@ from .io import (
 from .setfun import (
     DEFAULT_TOL,
     Capacity,
+    _Owned,
     certified_mobius,
     check_complete_alternation_direct,
     classify,
@@ -249,12 +250,14 @@ def cmd_dual(args) -> int:
 def cmd_cdf(args) -> int:
     model, obj = _load_model(args.model)
     ell = as_tdf(model)
-    theta = _capacity_of(model)
-    if theta is not None:
-        # spectral and Lebesgue models are always laws; a capacity only if CA
-        certified_mobius(theta, DEFAULT_TOL)
     pairs = parse_pairs(_inline_json(args.pairs, "--pairs"), ell.carrier, "$.pairs")
     value = joint_cdf(ell, pairs)
+    theta = _capacity_of(model)
+    if theta is not None:
+        # spectral and Lebesgue models are always laws; a capacity only if
+        # CA.  The certificate sweeps theta's own table: nothing reads theta,
+        # model or ell after it, and nothing is printed unless it passes.
+        certified_mobius(_Owned(theta), DEFAULT_TOL)
     print(json.dumps(value))
     if args.out:
         _emit_json({"value": value,

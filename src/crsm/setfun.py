@@ -34,7 +34,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
@@ -48,16 +48,18 @@ MAX_ALTERNATION_ORDER = 5  # order n costs 2**n evaluations per family
 
 
 class _Owned:
-    """An array the library has just built and keeps no other reference to.
+    """An array or capacity the library has just built and keeps no other
+    reference to.
 
     Capacity(carrier, _Owned(arr)) and MobiusMeasure(carrier, _Owned(arr))
     take arr over, read-only, instead of copying it; a plain array from a
-    caller is always copied.
+    caller is always copied.  mobius_inverse(_Owned(theta)) and
+    certified_mobius(_Owned(theta)) consume theta's table in place.
     """
 
     __slots__ = ("arr",)
 
-    def __init__(self, arr: np.ndarray):
+    def __init__(self, arr):
         self.arr = arr
 
 
@@ -185,14 +187,16 @@ def _pairs(arr: np.ndarray, d: int, write: bool):
     """Yield (lo, hi) views pairing each mask without bit b (lo) with the
     mask plus b (hi), over every bit b, in the order of _sweep.
 
-    The last axis of arr holds the 2**d masks and must be C-contiguous with
-    any leading (batch) axes.  The lowest bits of each block come as views
-    of a transposed copy; with write=True the copy is written back into arr
-    once its bits are done, so a caller may update hi in place.  The views
-    are never 0-d, even at d = 1, so out= can always write to them.
+    The last axis of arr holds the 2**d masks and must be contiguous, in
+    either direction, with any leading (batch) axes: a reversed view works,
+    and every reshape of it is a view or raises.  The lowest bits of each
+    block come as views of a transposed copy; with write=True the copy is
+    written back into arr once its bits are done, so a caller may update hi
+    in place.  The views are never 0-d, even at d = 1, so out= can always
+    write to them.
     """
     for b in reversed(range(_BLOCK_BITS, d)):
-        pairs = arr.reshape(-1, 2, 1 << b)
+        pairs = arr.reshape(-1, 2, 1 << b, copy=False)
         rows = max(1, _CHUNK >> b)
         cols = min(1 << b, _CHUNK)
         for r in range(0, pairs.shape[0], rows):
@@ -200,13 +204,13 @@ def _pairs(arr: np.ndarray, d: int, write: bool):
                 yield pairs[r:r + rows, 0, c:c + cols], pairs[r:r + rows, 1, c:c + cols]
     k = min(d, _BLOCK_BITS)
     low = min(k, _LOW_BITS)
-    rows = arr.reshape(-1, 1 << k)  # one row per batch row and high bits
+    rows = arr.reshape(-1, 1 << k, copy=False)  # one row per batch row and high bits
     step = max(1, (1 << _BLOCK_BITS) >> k)
     buf = np.empty(min(step, rows.shape[0]) << k, dtype=arr.dtype)
     for r in range(0, rows.shape[0], step):
         block = rows[r:r + step]
         for b in reversed(range(low, k)):
-            pairs = block.reshape(-1, 2, 1 << b)
+            pairs = block.reshape(-1, 2, 1 << b, copy=False)
             yield pairs[:, 0], pairs[:, 1]
         # row c of t holds the masks whose low bits are c, so a low bit
         # pairs whole rows of t as a higher bit pairs rows of block
@@ -216,7 +220,7 @@ def _pairs(arr: np.ndarray, d: int, write: bool):
             pairs = t.reshape(-1, 2, t.shape[1] << b)
             yield pairs[:, 0], pairs[:, 1]
         if write:
-            block.reshape(-1, 1 << low)[...] = t.T
+            block.reshape(-1, 1 << low, copy=False)[...] = t.T
 
 
 def _sweep(arr: np.ndarray, d: int, ufunc: np.ufunc) -> np.ndarray:
@@ -281,34 +285,50 @@ def subset_max(singles: np.ndarray) -> np.ndarray:
     return _sweep(out, singles.shape[-1], np.maximum)
 
 
-def mobius_inverse(theta: Capacity) -> MobiusMeasure:
+def mobius_inverse(theta: Union[Capacity, _Owned]) -> MobiusMeasure:
     """Mobius measure of a capacity.
 
     g(A) = theta(E) - theta(E \\ A) accumulates the weight of all nonempty
     subsets of A, so one Mobius sweep recovers nu.  Exact inverse of
     capacity_from_measure up to float rounding.
+
+    mobius_inverse(_Owned(theta)) consumes theta: g is formed and swept in
+    theta's own table, read in reverse, so no second table is built.  nu is
+    bit-identical to mobius_inverse(theta), stored reversed in that memory.
+    The caller must hold the only reference to theta and drop it, since its
+    table no longer holds theta.  A plain Capacity is never written.
     """
-    d = theta.carrier.size
-    # complement(mask) = full - mask, so the complement table is a reversal
-    g = theta.table[-1] - theta.table[::-1]
-    nu = _sweep(g, d, np.subtract)
+    if isinstance(theta, _Owned):
+        theta = theta.arr
+        table = theta.table
+        total = table[-1]  # a scalar copy, read before the slot is overwritten
+        table.setflags(write=True)
+        # complement(mask) = full - mask, so the complement table is a reversal
+        g = table[::-1]
+        np.subtract(total, g, out=g)
+    else:
+        g = theta.table[-1] - theta.table[::-1]
+    nu = _sweep(g, theta.carrier.size, np.subtract)
     nu[0] = 0.0  # g(0) = 0 exactly, but keep the slot clean
     return MobiusMeasure(theta.carrier, _Owned(nu))
 
 
-def certified_mobius(theta: Capacity, tol: float = DEFAULT_TOL,
+def certified_mobius(theta: Union[Capacity, _Owned], tol: float = DEFAULT_TOL,
                      nu: Optional[MobiusMeasure] = None) -> MobiusMeasure:
     """Mobius measure of a capacity certified completely alternating.
 
     The certificate that theta is the capacity functional of a random
     sup-measure: every weight is at least -theta.atol(tol).  Raises
     ValueError naming the smallest weight and its mask otherwise.  nu is
-    theta's Mobius measure when the caller has it already.
+    theta's Mobius measure when the caller has it already.  Without nu,
+    certified_mobius(_Owned(theta)) consumes theta's table as
+    mobius_inverse does, and the caller must drop theta.
     """
+    atol = (theta.arr if isinstance(theta, _Owned) else theta).atol(tol)
     if nu is None:
         nu = mobius_inverse(theta)
     min_w, witness = nu.min_weight()
-    if min_w < -theta.atol(tol):
+    if min_w < -atol:
         raise ValueError(
             f"capacity is not completely alternating (mobius weight {min_w:.3g} "
             f"at mask {witness:#x}); no random sup-measure has it")

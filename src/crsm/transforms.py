@@ -116,9 +116,7 @@ def exchangeable_capacity(carrier: Union[Carrier, int],
     # theta depends on K only through |K|: d + 1 values, gathered by size
     sizes = np.arange(carr.size + 1)
     survival = (1.0 - vals)[None, :] ** sizes[:, None]  # (d + 1, m)
-    table = (scale * (1.0 - survival @ probs))[popcounts(1 << carr.size)]
-    table[0] = 0.0
-    return Capacity(carr, _Owned(table))
+    return Capacity(carr, _Owned(_by_size_table(scale * (1.0 - survival @ probs))))
 
 
 def subset_size_capacity(carrier: Union[Carrier, int],
@@ -145,9 +143,26 @@ def subset_size_capacity(carrier: Union[Carrier, int],
         for k in range(1, d - m + 1):
             acc.append(p[k] * math.comb(d - m, k) / math.comb(d, k))
         miss[m] = math.fsum(acc)
-    table = scale * (1.0 - miss[popcounts(1 << d)])
+    return Capacity(carr, _Owned(_by_size_table(scale * (1.0 - miss))))
+
+
+# Chunks of _by_size_table hold 2**_SIZE_BITS masks, so their sizes (a byte
+# a mask) and gathered values stay under 1 MB whatever d is.
+_SIZE_BITS = 16
+
+
+def _by_size_table(by_size: np.ndarray) -> np.ndarray:
+    """table[K] = by_size[|K|] over the 2**d masks, d = len(by_size) - 1,
+    and table[0] = 0, gathered one chunk of masks at a time."""
+    d = by_size.size - 1
+    low = popcounts(1 << min(d, _SIZE_BITS))
+    table = np.empty(1 << d)
+    for start in range(0, table.size, low.size):
+        # the masks of a chunk share their high bits, start's, so their sizes
+        # are the low-bit sizes shifted by the count of those bits
+        table[start:start + low.size] = by_size[start.bit_count():][low]
     table[0] = 0.0
-    return Capacity(carr, _Owned(table))
+    return table
 
 
 def distortion_capacity(mu: DiscreteMeasure, kind: str, alpha: float) -> Capacity:

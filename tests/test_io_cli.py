@@ -685,8 +685,10 @@ print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)
 
 
 def test_cli_cdf_holds_the_table_and_one_working_table(tmp_path):
-    # crsm cdf certifies a capacity by its Mobius measure: the capacity's
-    # table plus one working table, not a copy of nu or an argmin copy
+    # crsm cdf certifies a capacity by its Mobius measure, swept in the
+    # capacity's own table: that table plus the sweep's 512 KB block (1/16
+    # of a table at d = 20) and numpy's ufunc buffers, not a second table,
+    # a copy of nu or an argmin copy
     d = 20
     model = tmp_path / "exch20.json"
     model.write_text(json.dumps({"kind": "exchangeable",
@@ -711,7 +713,7 @@ def test_cli_cdf_holds_the_table_and_one_working_table(tmp_path):
     cdf = max_rss_mb(["-m", "crsm.cli", "cdf", "--model", str(model),
                       "--pairs", '[{"set": ["x0", "x3"], "level": 2}]'])
     table_mb = (8 << d) / 2 ** 20
-    assert cdf <= base + 2.5 * table_mb, (base, cdf)
+    assert cdf <= base + 1.5 * table_mb, (base, cdf)
 
 
 def test_cli_check_tdf_probe(spectral_file, capsys):
@@ -779,8 +781,11 @@ def test_cli_refuses_capacity_that_is_not_completely_alternating(tmp_path, capsy
     avar.write_text(json.dumps(AVAR4))
     choquet = tmp_path / "avar-choquet.json"
     choquet.write_text(json.dumps({"kind": "choquet", "theta": AVAR4}))
-    runs = [["cdf", "--model", str(avar), "--pairs", '[{"set":["1","2","3"],"level":1}]'],
-            ["cdf", "--model", str(choquet), "--pairs", '[{"set":["1"],"level":1}]'],
+    out = tmp_path / "cdf.json"
+    runs = [["cdf", "--model", str(avar), "--pairs", '[{"set":["1","2","3"],"level":1}]',
+             "--out", str(out)],
+            ["cdf", "--model", str(choquet), "--pairs", '[{"set":["1"],"level":1}]',
+             "--out", str(out)],
             ["dual", "--model", str(avar), "--f", '{"1":1,"2":2,"3":3,"4":4}'],
             ["simulate", "--model", str(avar), "--seed", "0", "--samples", "10"]]
     for argv in runs:
@@ -788,6 +793,15 @@ def test_cli_refuses_capacity_that_is_not_completely_alternating(tmp_path, capsy
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "not completely alternating (mobius weight -0.25 at mask 0x7)" in captured.err
+        assert not out.exists()
+    # cdf parses its pairs before it certifies the capacity
+    for model in (avar, choquet):
+        assert main(["cdf", "--model", str(model), "--pairs", '[{"set":["9"],"level":1}]',
+                     "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: at $.pairs[0].set: label '9' not in carrier\n"
+        assert not out.exists()
 
 
 def test_cli_refuses_tiny_avar(tmp_path, capsys):

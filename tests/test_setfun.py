@@ -19,6 +19,7 @@ from crsm.setfun import (
     MAX_ALTERNATION_ORDER,
     Capacity,
     MobiusMeasure,
+    _Owned,
     _sweep,
     capacity_from_measure,
     certified_mobius,
@@ -372,19 +373,79 @@ def test_constructors_copy_caller_arrays_and_store_them_read_only():
 
 def test_certified_mobius_holds_one_working_table():
     # the capacity's table plus one working table: no copy of nu and no
-    # argmin copy (at d = 20 the sweep's 512 KB block is 1/16 of a table)
+    # argmin copy (at d = 20 the sweep's 512 KB block is 1/16 of a table);
+    # consuming the capacity's own table needs no working table at all
     from crsm.transforms import exchangeable_capacity
     d = 20
-    theta = exchangeable_capacity(d, [(0.2, 0.5), (0.5, 0.5)])
     table_bytes = 8 << d
-    tracemalloc.start()
-    try:
-        nu = certified_mobius(theta)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert nu.min_weight()[0] >= 0.0
-    assert peak <= 1.1 * table_bytes
+    for owned, bound in ((False, 1.1), (True, 0.1)):
+        theta = exchangeable_capacity(d, [(0.2, 0.5), (0.5, 0.5)])
+        tracemalloc.start()
+        try:
+            nu = certified_mobius(_Owned(theta) if owned else theta)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert nu.min_weight()[0] >= 0.0
+        assert peak <= bound * table_bytes, owned
+        del theta, nu
+
+
+@pytest.mark.parametrize("d", [1, 2, 5, 16, 17, 20])
+def test_consuming_mobius_inverse_is_bit_equal_to_the_copying_route(d):
+    # d >= 17 runs whole-table passes for the bits from 16 up and several
+    # 2**16-mask blocks, all over the reversed view of the consumed table: a
+    # reshape that copied would lose the write-back and change the bits
+    rng = np.random.default_rng(d)
+    cases = [random_ca_capacity(rng, d)]
+    if d >= 2:
+        # nu(E) = -1/2 with every singleton weight above 1: theta stays
+        # positive but is not completely alternating
+        weights = rng.exponential(1.0, size=1 << d)
+        weights[0] = 0.0
+        weights[np.left_shift(1, np.arange(d))] += 1.0
+        weights[-1] = -0.5
+        cases.append(capacity_from_measure(MobiusMeasure(carrier_of(d), weights)))
+    if d <= 5:
+        cases.append(random_capacity(rng, d))
+    for theta in cases:
+        ref = mobius_inverse(theta)
+        owned = Capacity(theta.carrier, theta.table)  # a copy this test alone holds
+        got = mobius_inverse(_Owned(owned))
+        assert np.shares_memory(got.weights, owned.table)  # swept in place
+        assert got.weights.tobytes() == ref.weights.tobytes()
+        assert got.min_weight() == ref.min_weight()
+        assert not got.weights.flags.writeable
+        # the certificate takes the same verdict, witness and message
+        try:
+            certified_mobius(theta)
+            want = None
+        except ValueError as e:
+            want = str(e)
+        owned = Capacity(theta.carrier, theta.table)
+        if want is None:
+            nu = certified_mobius(_Owned(owned))
+            assert nu.weights.tobytes() == ref.weights.tobytes()
+        else:
+            with pytest.raises(ValueError) as err:
+                certified_mobius(_Owned(owned))
+            assert str(err.value) == want
+    if d >= 2:
+        assert mobius_inverse(cases[1]).min_weight()[0] < -0.4
+
+
+def test_public_mobius_routes_never_write_a_callers_capacity():
+    rng = np.random.default_rng(4)
+    for theta in (random_ca_capacity(rng, 17), avar4()):
+        before = theta.table.tobytes()
+        mobius_inverse(theta)
+        try:
+            certified_mobius(theta)
+        except ValueError:
+            pass
+        classify(theta)
+        assert theta.table.tobytes() == before
+        assert not theta.table.flags.writeable
 
 
 def test_direct_check_verdict_is_scale_free():

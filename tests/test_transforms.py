@@ -11,6 +11,7 @@ from conftest import carrier_of, random_ca_capacity
 from crsm.carrier import Carrier, mask_size, popcounts
 from crsm.setfun import Capacity, classify, mobius_inverse
 from crsm.tdf import DiscreteMeasure
+from crsm import transforms
 from crsm.transforms import (
     BernsteinFunction,
     check_stationary,
@@ -185,6 +186,38 @@ def test_subset_size_matches_exchangeable():
              for k in range(d + 1)]
         ss = subset_size_capacity(d, p)
         assert np.allclose(exch.table, ss.table, atol=1e-12)
+
+
+@pytest.mark.parametrize("d, bits", [(1, 16), (2, 16), (2, 1), (16, 16), (17, 16), (17, 12)])
+def test_by_size_constructors_match_the_one_shot_gather(monkeypatch, d, bits):
+    # the tables are gathered chunk by chunk; each entry must take the same
+    # operations as the whole-lattice gather by popcounts
+    monkeypatch.setattr(transforms, "_SIZE_BITS", bits)
+    rng = np.random.default_rng(d)
+    sizes = popcounts(1 << d)
+    laws = [[(0.0, 1.0)], [(1.0, 1.0)], [(0.2, 0.5), (0.5, 0.5)],
+            list(zip(rng.uniform(0.0, 1.0, 4), rng.dirichlet(np.ones(4))))]
+    for zeta in laws:
+        scale = rng.uniform(0.5, 2.0)
+        vals = np.array([v for v, _ in zeta])
+        probs = np.array([q for _, q in zeta])
+        survival = (1.0 - vals)[None, :] ** np.arange(d + 1)[:, None]
+        expect = (scale * (1.0 - survival @ probs))[sizes]
+        expect[0] = 0.0
+        got = exchangeable_capacity(d, zeta, scale).table
+        assert got.tobytes() == expect.tobytes()
+    for p in (np.eye(d + 1)[d], np.eye(d + 1)[1], rng.dirichlet(np.ones(d + 1)),
+              [math.comb(d, k) * 0.3**k * 0.7 ** (d - k) for k in range(d + 1)]):
+        p = np.asarray(p, dtype=float)
+        p /= math.fsum(p)
+        scale = rng.uniform(0.5, 2.0)
+        miss = np.array([math.fsum([p[0]] + [p[k] * math.comb(d - m, k) / math.comb(d, k)
+                                             for k in range(1, d - m + 1)])
+                         for m in range(d + 1)])
+        expect = scale * (1.0 - miss[sizes])
+        expect[0] = 0.0
+        got = subset_size_capacity(d, p, scale).table
+        assert got.tobytes() == expect.tobytes()
 
 
 def test_distortion_power():
