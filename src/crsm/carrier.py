@@ -28,46 +28,53 @@ class CarrierSizeError(ValueError):
     """Raised when an operation would require more than 2**24 subset slots."""
 
 
+def _is_int(x) -> bool:
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+
+
 @dataclass(frozen=True)
 class TorusTag:
     """Marks a carrier whose points are the discrete torus (Z_n)**dim.
 
     Point ``(i_1, .., i_dim)`` sits at carrier index
-    ``i_1 * n**(dim-1) + ... + i_dim`` so shifts are pure index arithmetic.
+    ``i_1 * n**(dim-1) + ... + i_dim``, label "i_1" or "i_1.i_2", so
+    shifts are pure index arithmetic.
     """
 
     n: int
     dim: int = 1
 
     def __post_init__(self) -> None:
-        if self.n < 1 or self.dim not in (1, 2):
+        if (not (_is_int(self.n) and _is_int(self.dim))
+                or self.n < 1 or self.dim not in (1, 2)):
             raise ValueError(f"unsupported torus geometry n={self.n} dim={self.dim}")
+        if self.size > MAX_CARRIER_SIZE:
+            raise CarrierSizeError(f"torus with {self.size} points exceeds "
+                                   f"the carrier cap of {MAX_CARRIER_SIZE}")
 
     @property
     def size(self) -> int:
         return self.n ** self.dim
 
-    def shifts(self) -> Iterator[tuple[int, ...]]:
-        if self.dim == 1:
-            for v in range(self.n):
-                yield (v,)
-        else:
-            for v1 in range(self.n):
-                for v2 in range(self.n):
-                    yield (v1, v2)
+    def coords(self, point) -> tuple[int, ...]:
+        """A list or tuple of dim ints (or an int if dim is 1), mod n."""
+        cs = (point,) if self.dim == 1 and _is_int(point) else point
+        if (not isinstance(cs, (list, tuple)) or len(cs) != self.dim
+                or not all(map(_is_int, cs))):
+            raise ValueError(f"not a point of (Z_{self.n})^{self.dim}: {point!r}")
+        return tuple(int(c) % self.n for c in cs)
 
-    def shift_permutation(self, shift: tuple[int, ...]) -> np.ndarray:
+    def carrier(self) -> "Carrier":
+        return Carrier(tuple(".".join(map(str, p)) for p in self.shifts()), torus=self)
+
+    def shifts(self) -> Iterator[tuple[int, ...]]:
+        return np.ndindex((self.n,) * self.dim)
+
+    def shift_permutation(self, shift) -> np.ndarray:
         """Index permutation sending point p to p + shift (mod n per axis)."""
-        n = self.n
-        if self.dim == 1:
-            (v,) = shift
-            return np.array([(i + v) % n for i in range(n)], dtype=np.int64)
-        v1, v2 = shift
-        perm = np.empty(n * n, dtype=np.int64)
-        for i in range(n):
-            for j in range(n):
-                perm[i * n + j] = ((i + v1) % n) * n + (j + v2) % n
-        return perm
+        shape = (self.n,) * self.dim
+        moved = np.indices(shape).reshape(self.dim, -1).T + self.coords(shift)
+        return np.ravel_multi_index(moved.T, shape, mode="wrap")
 
 
 @dataclass(frozen=True)
@@ -168,7 +175,7 @@ class Carrier:
     def from_json(cls, obj) -> "Carrier":
         if isinstance(obj, dict):
             tor = obj.get("torus")
-            tag = TorusTag(n=int(tor["n"]), dim=int(tor["dim"])) if tor else None
+            tag = TorusTag(n=tor["n"], dim=tor["dim"]) if tor else None
             return cls(tuple(obj["labels"]), torus=tag)
         return cls(tuple(obj))
 

@@ -419,12 +419,9 @@ def cmd_couple(args) -> int:
     model, obj = _load_model(args.model)
     cpl = couple(model, _config_from_args(args))
     summary = coupling_violations(cpl)
-    ok = (summary["lower_violations"] == 0 and summary["upper_violations"] == 0
-          and summary["sup_mismatches"] == 0)
-    summary["passed"] = ok
     summary["provenance"] = _provenance(args.seed, obj, args.deterministic)
     _emit_json(summary, args.out)
-    return 0 if ok else 1
+    return 0 if summary["passed"] else 1
 
 
 def cmd_argmax_test(args) -> int:

@@ -10,7 +10,8 @@ Capacities travel as one of six kinds:
 * distortion:        {"mu": {label: w}, "distortion": "power"|"avar",
                      "alpha": a},
 * torus_storm:       {"n": n, "dim": 1|2, "shapes": [{"points": [..],
-                     "p": q}, ..], "scale": c},
+                     "p": q}, ..], "scale": c}; a point is a list of
+                     dim ints, or an int if dim is 1,
 * bernstein_compose: {"base": <capacity>, "bernstein": {"drift": b,
                      "atoms": [[rate, weight], ..]} or {"power": a}}.
 
@@ -34,7 +35,7 @@ from typing import Union
 
 import numpy as np
 
-from .carrier import MAX_CARRIER_SIZE, Carrier, CarrierSizeError, TorusTag, canonical_json
+from .carrier import Carrier, CarrierSizeError, TorusTag, canonical_json
 from .setfun import Capacity, MobiusMeasure, _Owned
 from .tdf import (
     ChoquetTDF,
@@ -97,14 +98,12 @@ def _parse_carrier(obj, path: str) -> Carrier:
     if not isinstance(labels, list) or not all(isinstance(lb, str) for lb in labels):
         raise SchemaError(f"{path}.carrier", "carrier must be a list of strings "
                                              "(or {labels, torus})")
-    tag = None
-    if torus is not None:
-        if (not isinstance(torus, dict) or not isinstance(torus.get("n"), int)
-                or torus.get("dim") not in (1, 2)):
-            raise SchemaError(f"{path}.carrier.torus",
-                              'expected {"n": int, "dim": 1|2}')
-        tag = TorusTag(n=torus["n"], dim=torus["dim"])
+    if torus is not None and (not isinstance(torus, dict)
+                              or not isinstance(torus.get("n"), int)
+                              or torus.get("dim") not in (1, 2)):
+        raise SchemaError(f"{path}.carrier.torus", 'expected {"n": int, "dim": 1|2}')
     try:
+        tag = None if torus is None else TorusTag(n=torus["n"], dim=torus["dim"])
         return Carrier(tuple(labels), torus=tag)
     except CarrierSizeError:
         raise
@@ -239,11 +238,9 @@ def parse_capacity(obj, path: str = "$") -> Capacity:
         if isinstance(n, bool) or not isinstance(n, int) or n < 1:
             raise SchemaError(f"{path}.n", f"expected a positive int, got {n!r}")
         dim = obj.get("dim", 1)
-        if dim not in (1, 2):
+        if type(dim) is not int or dim not in (1, 2):
             raise SchemaError(f"{path}.dim", f"expected 1 or 2, got {dim!r}")
-        if n ** dim > MAX_CARRIER_SIZE:
-            raise CarrierSizeError(f"torus with {n ** dim} points exceeds "
-                                   f"the carrier cap of {MAX_CARRIER_SIZE}")
+        tag = TorusTag(n, dim)
         shapes_obj = _need(obj, "shapes", path)
         if not isinstance(shapes_obj, list) or not shapes_obj:
             raise SchemaError(f"{path}.shapes", "expected a nonempty list of shapes")
@@ -253,6 +250,8 @@ def parse_capacity(obj, path: str = "$") -> Capacity:
             pts = _need(sh, "points", loc)
             if not isinstance(pts, list) or not pts:
                 raise SchemaError(f"{loc}.points", "expected a nonempty list of points")
+            for j, pt in enumerate(pts):
+                _construct(tag.coords, f"{loc}.points[{j}]", pt)
             prob = _number(_need(sh, "p", loc), f"{loc}.p", nonneg=True)
             shapes.append((pts, prob))
         scale = _number(obj.get("scale", 1.0), f"{path}.scale", positive=True)

@@ -192,40 +192,21 @@ def distortion_capacity(mu: DiscreteMeasure, kind: str, alpha: float) -> Capacit
     return Capacity(mu.carrier, _Owned(table))
 
 
-def _torus_carrier(n: int, dim: int) -> Carrier:
-    tag = TorusTag(n, dim)
-    if dim == 1:
-        labels = tuple(str(i) for i in range(n))
-    else:
-        labels = tuple(f"{i}.{j}" for i in range(n) for j in range(n))
-    return Carrier(labels, torus=tag)
-
-
-def _point_index(pt, n: int, dim: int) -> int:
-    if dim == 1:
-        if isinstance(pt, (tuple, list)):
-            (i,) = pt
-        else:
-            i = pt
-        return int(i) % n
-    i, j = pt
-    return (int(i) % n) * n + (int(j) % n)
-
-
 def torus_storm_capacity(n: int,
                          shapes: Sequence[tuple[Sequence, float]],
                          dim: int = 1,
                          scale: float = 1.0) -> Capacity:
     """theta(K) = scale * E #{shifts v : (shape + v) meets K} on (Z_n)**dim.
 
-    shapes is a finite law [(points, prob), ..]; each points entry lists
-    torus points (ints for dim 1, (i, j) pairs for dim 2).  The count for
-    a fixed shape S is |K + reflected S| (Minkowski sum on the torus), so
-    the table is exactly invariant under shifts of K: the same multiset of
-    summands appears in the same order and stationarity holds bit for bit.
+    shapes is a finite law [(points, prob), ..]; a point is dim ints in a
+    list or tuple (or an int if dim is 1), else ValueError (CLI exit 2).
+    The count for a fixed shape S is |K + reflected S| (Minkowski sum on
+    the torus), so the table is exactly invariant under shifts of K: the
+    same multiset of summands appears in the same order and stationarity
+    holds bit for bit.
     """
     tag = TorusTag(n, dim)
-    carr = _torus_carrier(n, dim)
+    carr = tag.carrier()
     d = carr.size
     if not shapes:
         raise ValueError("storm law needs at least one shape")
@@ -235,32 +216,20 @@ def torus_storm_capacity(n: int,
     if not (scale > 0 and math.isfinite(scale)):
         raise ValueError(f"scale must be positive finite, got {scale}")
     table = np.zeros(1 << d)
+    bits = np.left_shift(1, np.arange(d, dtype=np.int64))
     for (points, q) in shapes:
-        idxs = {_point_index(pt, n, dim) for pt in points}
-        if not idxs:
+        if len(points) == 0:
             raise ValueError("shapes must be nonempty")
-        # hit[x] = mask of shifts v with x in shape + v, i.e. v = x - s;
-        # reach[K] = OR of hit over K, the shifts whose shape meets K
+        # hit[x] = mask of shifts v with x in shape + v, so hit[s + v] has
+        # bit v; reach[K] = OR of hit over K, the shifts whose shape meets K
         hit = np.zeros(d, dtype=np.int64)
-        for x in range(d):
-            m = 0
-            for s in idxs:
-                m |= 1 << _shift_diff(x, s, n, dim)
-            hit[x] = m
+        for s in points:
+            hit[tag.shift_permutation(s)] |= bits
         reach = _sweep(_singleton_table(hit, 0), d, np.bitwise_or)
         table += q * np.bitwise_count(reach)
     table *= scale
     table[0] = 0.0
     return Capacity(carr, _Owned(table))
-
-
-def _shift_diff(x: int, s: int, n: int, dim: int) -> int:
-    """Index of the shift v with x = s + v on the torus."""
-    if dim == 1:
-        return (x - s) % n
-    xi, xj = divmod(x, n)
-    si, sj = divmod(s, n)
-    return ((xi - si) % n) * n + (xj - sj) % n
 
 
 def check_stationary(theta: Capacity) -> bool:

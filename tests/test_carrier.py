@@ -149,3 +149,55 @@ def test_mask_label_roundtrip(d, data):
     assert c.mask_of(c.labels_of(mask)) == mask
     if mask:
         assert c.mask_from_key(c.subset_key(mask)) == mask
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("dim", [1, 2])
+def test_shift_permutation_matches_coordinate_formula(n, dim):
+    tag = TorusTag(n=n, dim=dim)
+    for v in np.ndindex((3 * n,) * dim):
+        v = tuple(c - n for c in v)  # every shift, also negative and >= n
+        perm = tag.shift_permutation(v)
+        assert perm.dtype == np.int64
+        for p in range(tag.size):
+            if dim == 1:
+                want = (p + v[0]) % n
+            else:
+                i, j = divmod(p, n)
+                want = ((i + v[0]) % n) * n + (j + v[1]) % n
+            assert perm[p] == want
+
+
+def test_torus_tag_point_forms():
+    line, plane = TorusTag(n=5), TorusTag(n=3, dim=2)
+    assert line.coords(7) == line.coords([7]) == line.coords((np.int64(-3),)) == (2,)
+    assert plane.coords((4, -1)) == plane.coords([np.int32(1), 2]) == (1, 2)
+    for point in (1.7, 1.0, True, None, "1", [1.0], [True], [0, 1], []):
+        with pytest.raises(ValueError, match=r"^not a point of \(Z_5\)\^1: "):
+            line.coords(point)
+    for point in (1, None, [1], [0, 1, 2], [0, "x"], [0, 1.0], [False, 0], "01"):
+        with pytest.raises(ValueError, match=r"^not a point of \(Z_3\)\^2: "):
+            plane.coords(point)
+
+
+def test_torus_tag_carrier_labels():
+    assert TorusTag(n=3).carrier().labels == ("0", "1", "2")
+    plane = TorusTag(n=2, dim=2)
+    assert plane.carrier() == Carrier(("0.0", "0.1", "1.0", "1.1"), torus=plane)
+    assert list(plane.shifts()) == [(0, 0), (0, 1), (1, 0), (1, 1)]
+
+
+def test_torus_tag_refuses_oversized_torus():
+    assert TorusTag(n=24).size == 24
+    for n, dim in ((25, 1), (5, 2), (1000, 2)):
+        with pytest.raises(CarrierSizeError, match=f"^torus with {n ** dim} points exceeds "
+                                                   f"the carrier cap of 24$"):
+            TorusTag(n=n, dim=dim)
+    for n, dim in ((0, 1), (2.0, 1), (True, 1), (3, 3), (2, True), (2, 1.0)):
+        with pytest.raises(ValueError, match="unsupported torus geometry"):
+            TorusTag(n=n, dim=dim)
+    # the torus size is refused before the labels are counted
+    with pytest.raises(CarrierSizeError):
+        Carrier.from_json({"labels": ["a"], "torus": {"n": 25, "dim": 1}})
+    with pytest.raises(ValueError, match="unsupported torus geometry n=2.7"):
+        Carrier.from_json({"labels": ["0", "1"], "torus": {"n": 2.7, "dim": 1}})

@@ -876,3 +876,38 @@ def test_cli_seeds_are_64_bit(theta2_file, spectral_file, capsys):
     assert main(["verify", "--model", spectral_file, "--samples", "100",
                  "--seed", str(top)]) == 2
     assert "draws from seed + 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("dim, points, at, shown", [
+    (2, [1], 0, "1"),
+    (1, [None], 0, "None"),
+    (2, [None], 0, "None"),
+    (1, [1.7, True], 0, "1.7"),
+    (1, [1, True], 1, "True"),
+    (2, [[0, "x"]], 0, "[0, 'x']"),
+    (2, [[0, 0], [0, 0, 0]], 1, "[0, 0, 0]"),
+])
+def test_cli_refuses_malformed_torus_points(tmp_path, capsys, dim, points, at, shown):
+    src = tmp_path / "storm.json"
+    src.write_text(json.dumps({"kind": "torus_storm", "n": 3, "dim": dim, "shapes": [
+        {"points": [0] if dim == 1 else [[0, 0]], "p": 0.5},
+        {"points": points, "p": 0.5}]}))
+    assert main(["materialize", "--model", str(src), "--deterministic"]) == 2
+    assert capsys.readouterr().err == (f"error: at $.shapes[1].points[{at}]: "
+                                       f"not a point of (Z_3)^{dim}: {shown}\n")
+
+
+def test_cli_refuses_an_oversized_torus_carrier_before_its_labels(tmp_path, capsys):
+    src = tmp_path / "tagged.json"
+    src.write_text(json.dumps({"kind": "table", "table": {"a": 1.0},
+                               "carrier": {"labels": ["a"], "torus": {"n": 25, "dim": 1}}}))
+    assert main(["materialize", "--model", str(src), "--deterministic"]) == 3
+    assert capsys.readouterr().err == ("error: torus with 25 points exceeds "
+                                       "the carrier cap of 24\n")
+
+
+def test_torus_dim_is_the_int_1_or_2():
+    for dim in (True, 1.0, 3):
+        with pytest.raises(SchemaError, match=r"^at \$\.dim: expected 1 or 2, got "):
+            parse_capacity({"kind": "torus_storm", "n": 3, "dim": dim,
+                            "shapes": [{"points": [0], "p": 1.0}]})

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import carrier_of, random_ca_capacity
-from crsm.carrier import Carrier, mask_size, popcounts
+from crsm.carrier import Carrier, CarrierSizeError, mask_size, popcounts
 from crsm.setfun import Capacity, classify, mobius_inverse
 from crsm.tdf import DiscreteMeasure
 from crsm import transforms
@@ -378,3 +378,63 @@ def test_stationary_breaks_on_any_perturbed_entry(n, shapes, dim, scale):
     table = theta.table.copy()
     table[full] += 1.0
     assert check_stationary(Capacity(theta.carrier, table))
+
+
+def brute_storm_table(n, shapes, dim, scale):
+    """theta(K) = scale * sum_S q_S #{v : (S + v) meets K}, straight from
+    the definition, accumulated shape by shape as the constructor does."""
+    cells = list(np.ndindex((n,) * dim))
+    index = {c: i for i, c in enumerate(cells)}
+    table = np.zeros(1 << len(cells))
+    for points, q in shapes:
+        pts = [(p,) if dim == 1 else tuple(p) for p in points]
+        moved = [{index[tuple((a + b) % n for a, b in zip(p, v))] for p in pts}
+                 for v in cells]
+        count = np.array([sum(any(mask >> i & 1 for i in m) for m in moved)
+                          for mask in range(table.size)])
+        table += q * count
+    table *= scale
+    table[0] = 0.0
+    return table
+
+
+def random_storm_law(rng, n, dim):
+    k = int(rng.integers(1, 4))
+    probs = rng.dirichlet(np.ones(k))
+    shapes = []
+    for q in probs:
+        # coordinates in [-2n, 2n]: negative, >= n and repeated points
+        pts = rng.integers(-2 * n, 2 * n + 1, size=(int(rng.integers(1, 5)), dim))
+        pts = np.concatenate([pts, pts[:1]]).tolist()
+        shapes.append(([p[0] for p in pts] if dim == 1 else pts, float(q)))
+    return shapes
+
+
+@pytest.mark.parametrize("n, dim", [(n, 1) for n in range(1, 7)] + [(n, 2) for n in (1, 2, 3)])
+def test_storm_table_matches_the_definition(n, dim):
+    rng = np.random.default_rng(100 * dim + n)
+    for _ in range(4):
+        shapes = random_storm_law(rng, n, dim)
+        scale = float(rng.uniform(0.3, 3.0))
+        theta = torus_storm_capacity(n, shapes, dim=dim, scale=scale)
+        assert theta.table.tobytes() == brute_storm_table(n, shapes, dim, scale).tobytes()
+        assert check_stationary(theta)
+
+
+@pytest.mark.parametrize("dim, point", [(2, 1), (1, None), (2, None), (1, 1.7), (1, True),
+                                        (2, [0, "x"]), (2, [0, 0, 0]), (1, [0, 1])])
+def test_storm_refuses_malformed_points(dim, point):
+    with pytest.raises(ValueError, match=rf"^not a point of \(Z_3\)\^{dim}: "):
+        torus_storm_capacity(3, [([0] if dim == 1 else [[0, 0]], 0.5), ([point], 0.5)],
+                             dim=dim)
+
+
+def test_oversized_torus_fails_before_building_labels():
+    tracemalloc.start()
+    try:
+        with pytest.raises(CarrierSizeError, match="torus with 1000000 points"):
+            torus_storm_capacity(1000, [([(0, 0)], 1.0)], dim=2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1e6, peak

@@ -1,5 +1,6 @@
 import sys
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -15,8 +16,8 @@ from crsm.integrals import comonotone_additivity_check
 from crsm.tdf import (ChoquetTDF, DiscreteMeasure, LebesgueTDF, SpectralTDF,
                       check_max_complete_alternation, crsm_envelope, dominates,
                       dual_greedy)
-from crsm.transforms import distortion_capacity
-from crsm.verify import CheckResult, verify_model
+from crsm.transforms import distortion_capacity, exchangeable_capacity
+from crsm.verify import CheckResult, coupling_violations, verify_model
 
 
 def test_non_ca_model_fails_fast():
@@ -278,3 +279,48 @@ def test_verify_inverts_mobius_once_on_a_crsm(monkeypatch):
         rows = verify_model(model, samples=500, seed=1)
         assert [r.name for r in rows] == CRSM_ROWS
         assert calls == [3]
+
+
+def test_verify_builds_a_lebesgue_table_once(monkeypatch):
+    from crsm import tdf
+    calls = []
+    build = tdf._additive_table
+    monkeypatch.setattr(tdf, "_additive_table", lambda w: calls.append(1) or build(w))
+    leb = LebesgueTDF(DiscreteMeasure(carrier_of(6), np.linspace(0.5, 1.5, 6)))
+    rows = verify_model(leb, samples=2000, seed=3)
+    assert [ch.name for ch in rows] == CRSM_ROWS
+    assert len(calls) == 1
+
+
+def test_verify_drops_the_roundtrip_table_before_sampling():
+    # theta, its Mobius table and the sampler's working set: neither the
+    # round-trip capacity nor a second Lebesgue table stays alive to sample
+    d = 16
+    models = {"exchangeable": (exchangeable_capacity(carrier_of(d), [(0.3, 0.5), (0.8, 0.5)]),
+                               5.7),
+              "lebesgue": (LebesgueTDF(DiscreteMeasure(carrier_of(d),
+                                                       np.linspace(0.5, 1.5, d))), 6.0)}
+    for name, (model, bound) in models.items():
+        tracemalloc.start()
+        try:
+            rows = verify_model(model, samples=2000, seed=1)
+            peak = tracemalloc.get_traced_memory()[1] / (8 << d)
+        finally:
+            tracemalloc.stop()
+        assert [ch.name for ch in rows] == CRSM_ROWS, name
+        assert peak < bound, (name, peak)
+
+
+def test_coupling_passes_only_without_violations():
+    mid = np.array([[1.0, 2.0], [3.0, 1.0]])
+    cases = {"clean": (mid - 0.5, mid, mid, True),
+             "lower": (mid + np.array([[0.0, 0.1], [0.0, 0.0]]), mid, mid, False),
+             "upper": (mid, mid, mid - np.array([[0.0, 0.0], [0.1, 0.0]]), False),
+             "sup": (mid, mid, mid + np.array([[0.0, 0.0], [1.0, 0.0]]), False)}
+    for name, (lo, ex, hi, ok) in cases.items():
+        cpl = SimpleNamespace(**{k: SimpleNamespace(values=v)
+                                 for k, v in (("lower", lo), ("exact", ex), ("upper", hi))})
+        v = coupling_violations(cpl)
+        assert v["passed"] is ok, name
+        assert ok == (v["lower_violations"] == v["upper_violations"]
+                      == v["sup_mismatches"] == 0), name
