@@ -60,7 +60,7 @@ def choquet_integral(f, theta: Capacity) -> float:
     v = _vals(f, theta.carrier)
     total = 0.0
     for val, nxt, mask in _layers(v):
-        total += (val - nxt) * float(theta.table[mask])
+        total += (val - nxt) * float(theta.at(mask))
     return total
 
 
@@ -72,7 +72,7 @@ def extremal_integral(f, theta: Capacity) -> float:
     v = _vals(f, theta.carrier)
     best = 0.0
     for val, _, mask in _layers(v):
-        cand = val * float(theta.table[mask])
+        cand = val * float(theta.at(mask))
         if cand > best:
             best = cand
     return best
@@ -119,7 +119,7 @@ def comonotone_formula(f, theta: Capacity) -> float:
     total = 0.0
     for i in order:
         bit = 1 << int(i)
-        total += float(v[i]) * (float(theta.table[mask]) - float(theta.table[mask ^ bit]))
+        total += float(v[i]) * (float(theta.at(mask)) - float(theta.at(mask ^ bit)))
         mask ^= bit
     return total
 

@@ -259,7 +259,7 @@ def parse_capacity(obj, path: str = "$") -> Capacity:
     if kind == "bernstein_compose":
         base = parse_capacity(_need(obj, "base", path), f"{path}.base")
         g = parse_bernstein(_need(obj, "bernstein", path), f"{path}.bernstein")
-        return compose_capacity(g, base)
+        return compose_capacity(g, _Owned(base))
     raise SchemaError(f"{path}.kind",
                       f"unknown capacity kind {kind!r}; expected one of {CAPACITY_KINDS}")
 

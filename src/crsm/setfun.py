@@ -20,6 +20,11 @@ semicontinuity of the functional) hold for free, so complete alternation
 together with theta(empty) = 0 is the *whole* characterization of which
 set functions arise as capacity functionals.
 
+A capacity that depends on a set only through its size, theta(K) =
+phi(|K|), is held as the d + 1 values phi, and so is its Mobius measure;
+every result that has a by-size form is computed from them, bit-equal to
+the table route (see Capacity).
+
 Successive differences use the sign convention
 
     D_{K1..Kn} theta (K) = sum over S subset of {1..n} of
@@ -38,7 +43,7 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .carrier import Carrier
+from .carrier import Carrier, popcounts
 
 # Default comparison slack for the exact lattice calculus.  Checks that
 # involve Monte Carlo use their own, looser tolerances.
@@ -53,8 +58,9 @@ class _Owned:
 
     Capacity(carrier, _Owned(arr)) and MobiusMeasure(carrier, _Owned(arr))
     take arr over, read-only, instead of copying it; a plain array from a
-    caller is always copied.  mobius_inverse(_Owned(theta)) and
-    certified_mobius(_Owned(theta)) consume theta's table in place.
+    caller is always copied.  mobius_inverse(_Owned(theta)),
+    certified_mobius(_Owned(theta)) and compose_capacity(g, _Owned(theta))
+    consume theta's table in place.
     """
 
     __slots__ = ("arr",)
@@ -72,13 +78,15 @@ def _release(nu: "MobiusMeasure") -> np.ndarray:
     return arr
 
 
-def _check_table(carrier: Carrier, table, name: str,
-                 nonnegative: bool) -> np.ndarray:
+def _check_table(carrier: Carrier, table, name: str, nonnegative: bool,
+                 by_size: bool = False) -> np.ndarray:
+    """table as a read-only float array of 2**d entries (d + 1 by_size),
+    finite, 0 at the empty set and, if nonnegative, >= 0."""
     if isinstance(table, _Owned):
         arr = np.asarray(table.arr, dtype=float)
     else:
         arr = np.array(table, dtype=float)
-    want = 1 << carrier.size
+    want = carrier.size + 1 if by_size else 1 << carrier.size
     if arr.shape != (want,):
         raise ValueError(f"{name} has shape {arr.shape}, expected ({want},)")
     # two reductions instead of 2**d boolean temporaries; min and max are
@@ -94,29 +102,96 @@ def _check_table(carrier: Carrier, table, name: str,
     return arr
 
 
-@dataclass(frozen=True)
-class Capacity:
+def _by_size_table(by_size: np.ndarray) -> np.ndarray:
+    """table[K] = by_size[|K|] over the 2**d masks, d = len(by_size) - 1,
+    and table[0] = 0, gathered one block of 2**_BLOCK_BITS masks at a time
+    (their sizes, a byte a mask, and gathered values stay under 1 MB)."""
+    d = by_size.size - 1
+    low = popcounts(1 << min(d, _BLOCK_BITS))
+    table = np.empty(1 << d)
+    for start in range(0, table.size, low.size):
+        # the masks of a block share their high bits, start's, so their sizes
+        # are the low-bit sizes shifted by the count of those bits
+        table[start:start + low.size] = by_size[start.bit_count():][low]
+    table[0] = 0.0
+    return table
+
+
+class _Lattice:
+    """Values on the 2**d masks, held as a table or, when they depend on a
+    mask only through its size, as the d + 1 values by_size[k].
+
+    by_size is None for a table.  Otherwise the table is spread from
+    by_size (_by_size_table) on its first read, once, read-only.
+    """
+
+    __slots__ = ("carrier", "by_size", "_table")
+    _name = ""
+    _nonnegative = False
+
+    def __init__(self, carrier: Carrier, table=None, by_size=None):
+        if (table is None) == (by_size is None):
+            raise TypeError("give exactly one of a table and by_size")
+        self.carrier = carrier
+        self.by_size = self._table = None
+        if by_size is None:
+            self._table = _check_table(carrier, table, self._name, self._nonnegative)
+        else:
+            self.by_size = _check_table(carrier, by_size, self._name, self._nonnegative,
+                                        by_size=True)
+
+    def _full(self) -> np.ndarray:
+        if self._table is None:
+            table = _by_size_table(self.by_size)
+            table.setflags(write=False)
+            self._table = table
+        return self._table
+
+    def at(self, masks):
+        """The value at a mask, or at each mask of an int array; by size,
+        by_size[|K|], with no table built."""
+        phi = self.by_size
+        if phi is None:
+            return self._table[masks]
+        if type(masks) is int:  # the common point read, without a ufunc call
+            return phi[masks.bit_count()]
+        return phi[np.bitwise_count(masks)]
+
+    def __call__(self, mask: int) -> float:
+        self.carrier.validate_mask(mask)
+        return float(self.at(mask))
+
+
+class Capacity(_Lattice):
     """Set function on 2**d subsets, indexed by subset mask.
 
     table[mask] = theta(subset).  table[0] must be 0 and all entries
     finite and nonnegative.  Nothing else is assumed.
+
+    A rearrangement-invariant capacity, theta(K) = phi(|K|), may be held
+    as Capacity(carrier, by_size=phi) instead: d + 1 numbers, phi[0] = 0.
+    Point reads (at, calling theta, total, singletons) then read phi, and
+    mobius_inverse, certified_mobius, capacity_from_measure, classify,
+    dual_greedy and compose_capacity work on phi alone.  Callers that read
+    the whole lattice read table, spread from phi once.
+
+    The two forms give the same bits.  A sweep over a table that is
+    constant on each size class steps every mask of size n, with k of its
+    bits done, from the same two operands (the values at sizes n and n - 1
+    after k - 1 bits), so each class stays constant, and the by-size route
+    performs exactly those float operations once per class.
     """
 
-    carrier: Carrier
-    table: np.ndarray
+    __slots__ = ()
+    _name = "capacity table"
+    _nonnegative = True
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "table",
-                           _check_table(self.carrier, self.table, "capacity table", True))
-
-    def __call__(self, mask: int) -> float:
-        self.carrier.validate_mask(mask)
-        return float(self.table[mask])
+    table = property(_Lattice._full, doc="theta over the 2**d masks, read-only")
 
     @property
     def total(self) -> float:
         """theta(E)."""
-        return float(self.table[-1])
+        return float(self.at(self.carrier.full_mask))
 
     def atol(self, tol: float) -> float:
         """Absolute slack of the relative tolerance tol: tol * theta(E).
@@ -131,37 +206,44 @@ class Capacity:
 
     def singletons(self) -> np.ndarray:
         """theta({x}) in carrier order."""
-        d = self.carrier.size
-        return self.table[np.left_shift(1, np.arange(d))].copy()
+        return self.at(np.left_shift(1, np.arange(self.carrier.size)))
 
 
-@dataclass(frozen=True)
-class MobiusMeasure:
+class MobiusMeasure(_Lattice):
     """Signed measure on the nonempty subsets, indexed by subset mask.
 
     weights[0] is identically 0; nonempty weights may be negative (exactly
     when the originating capacity fails complete alternation).
+
+    The Mobius measure of a capacity held by size is symmetric and held
+    by size too, MobiusMeasure(carrier, by_size=nu): nu[k] is the weight
+    of every k-set, the k-th forward difference of g(j) = phi(d) -
+    phi(d - j), bit-equal to the table sweep (see Capacity).  weights is
+    spread from it on first read.
     """
 
-    carrier: Carrier
-    weights: np.ndarray
+    __slots__ = ()
+    _name = "mobius weights"
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "weights",
-                           _check_table(self.carrier, self.weights, "mobius weights", False))
-
-    def __call__(self, mask: int) -> float:
-        self.carrier.validate_mask(mask)
-        return float(self.weights[mask])
+    weights = property(_Lattice._full, doc="nu over the 2**d masks, read-only")
 
     @property
     def total_mass(self) -> float:
         """Sum of all weights; equals theta(E) of the matching capacity."""
+        if self.by_size is not None:
+            d = self.carrier.size
+            return math.fsum(math.comb(d, k) * w for k, w in enumerate(self.by_size))
         return float(self.weights.sum())
 
     def min_weight(self) -> tuple[float, int]:
         """Smallest weight over nonempty sets and its witness, the first mask
         holding it."""
+        if self.by_size is not None:
+            # the first k-set is 2**k - 1, so the first mask holding the least
+            # weight is that of the smallest size holding it
+            rest = self.by_size[1:]
+            k = 1 + int(np.argmin(rest))
+            return float(rest[k - 1]), (1 << k) - 1
         # np.argmin copies a read-only array whole; min does not, and the
         # search for its first mask compares one chunk at a time
         rest = self.weights[1:]
@@ -285,12 +367,30 @@ def subset_max(singles: np.ndarray) -> np.ndarray:
     return _sweep(out, singles.shape[-1], np.maximum)
 
 
+def _size_sweep(values: np.ndarray, ufunc: np.ufunc) -> np.ndarray:
+    """_sweep(table, d, ufunc) of the table holding values[|K|] at every K,
+    by size: out[k] is the value the sweep leaves at every k-set.
+
+    A sweep step at a mask of size n with k of its bits done reads that
+    mask and the mask without its newest bit, of size n - 1, each after
+    k - 1 bits: row k - 1 of the recurrence below at n and n - 1.  Mask by
+    mask the sweep performs these float operations, so out is bit-equal.
+    """
+    out = np.empty_like(values)
+    row = values  # the values at sizes k..d with k bits done
+    for k in range(values.size):
+        out[k] = row[0]
+        row = ufunc(row[1:], row[:-1])
+    return out
+
+
 def mobius_inverse(theta: Union[Capacity, _Owned]) -> MobiusMeasure:
     """Mobius measure of a capacity.
 
     g(A) = theta(E) - theta(E \\ A) accumulates the weight of all nonempty
     subsets of A, so one Mobius sweep recovers nu.  Exact inverse of
-    capacity_from_measure up to float rounding.
+    capacity_from_measure up to float rounding.  A capacity held by size
+    gets its measure by size, from the d + 1 values of g (_size_sweep).
 
     mobius_inverse(_Owned(theta)) consumes theta: g is formed and swept in
     theta's own table, read in reverse, so no second table is built.  nu is
@@ -298,8 +398,15 @@ def mobius_inverse(theta: Union[Capacity, _Owned]) -> MobiusMeasure:
     The caller must hold the only reference to theta and drop it, since its
     table no longer holds theta.  A plain Capacity is never written.
     """
-    if isinstance(theta, _Owned):
+    owned = isinstance(theta, _Owned)
+    if owned:
         theta = theta.arr
+    phi = theta.by_size
+    if phi is not None:
+        nu = _size_sweep(phi[-1] - phi[::-1], np.subtract)
+        nu[0] = 0.0
+        return MobiusMeasure(theta.carrier, by_size=nu)
+    if owned:
         table = theta.table
         total = table[-1]  # a scalar copy, read before the slot is overwritten
         table.setflags(write=True)
@@ -339,9 +446,14 @@ def capacity_from_measure(nu: MobiusMeasure) -> Capacity:
     """Capacity theta(K) = sum of nu(F) over F meeting K.
 
     Computed as h(E) - h(E \\ K) with h the subset-sum transform of the
-    weights.  Raises if some resulting value is negative (the weights then
-    do not come from a capacity).
+    weights, by size when nu is held by size.  Raises if some resulting
+    value is negative (the weights then do not come from a capacity).
     """
+    if nu.by_size is not None:
+        h = _size_sweep(nu.by_size, np.add)
+        phi = h[-1] - h[::-1]
+        phi[0] = 0.0
+        return Capacity(nu.carrier, by_size=phi)
     d = nu.carrier.size
     h = subset_zeta(nu.weights, d)
     table = h[-1] - h[::-1]
@@ -366,7 +478,7 @@ def successive_difference(theta: Capacity, base: int,
         for take, inc in zip(picks, increments):
             if take:
                 m |= inc
-        terms.append((-1.0) ** sum(picks) * theta.table[m])
+        terms.append((-1.0) ** sum(picks) * theta.at(m))
     return math.fsum(terms)
 
 
@@ -407,13 +519,20 @@ def classify(theta: Capacity, tol: float = DEFAULT_TOL) -> Classification:
     theta(K) = max over x in K of theta({x}), which is equivalent to the
     pairwise max property on a finite lattice.  Additivity means nu
     carried by singletons.
+
+    A capacity held by size takes all four from phi and nu by size, with
+    the same verdicts and witness: monotone iff phi is nondecreasing,
+    maxitive iff phi(k) = phi(1) for k >= 1, additive iff nu_k = 0 for
+    k >= 2; the witness is 2**k - 1, k the least size of least weight.
     """
     d = theta.carrier.size
-    table = theta.table
     atol = theta.atol(tol)
-
-    monotone = not any(np.any(lo - hi > atol)
-                       for lo, hi in _pairs(table, d, write=False))
+    phi = theta.by_size
+    if phi is None:
+        monotone = not any(np.any(lo - hi > atol)
+                           for lo, hi in _pairs(theta.table, d, write=False))
+    else:
+        monotone = not np.any(phi[:-1] - phi[1:] > atol)
 
     nu = mobius_inverse(theta)
     min_w, witness = nu.min_weight()
@@ -423,13 +542,17 @@ def classify(theta: Capacity, tol: float = DEFAULT_TOL) -> Classification:
     # (a nonsingleton once d >= 2), so most capacities skip the full pass
     singles = theta.singletons()
     maxitive = bool(abs(theta.total - max(0.0, singles.max())) <= atol)
-    if maxitive:
-        maxitive = bool(np.all(np.abs(table - subset_max(singles)) <= atol))
+    if maxitive and phi is None:
+        maxitive = bool(np.all(np.abs(theta.table - subset_max(singles)) <= atol))
+    elif maxitive:
+        maxitive = bool(np.all(np.abs(phi[1:] - phi[1]) <= atol))
 
-    additive = d == 1 or bool(abs(nu.weights[-1]) <= atol)
+    weights, singletons = ((nu.weights, np.left_shift(1, np.arange(d))) if phi is None
+                           else (nu.by_size, 1))
+    additive = d == 1 or bool(abs(weights[-1]) <= atol)
     if additive:
-        off = np.abs(nu.weights)
-        off[np.left_shift(1, np.arange(d))] = 0.0
+        off = np.abs(weights)
+        off[singletons] = 0.0
         additive = bool(off.max() <= atol)
 
     return Classification(monotone, completely_alternating, maxitive, additive,

@@ -436,7 +436,8 @@ def simulate_crsm(theta: Capacity, config: SimConfig,
 
     Besides theta, a run holds the atoms' weights, in the 2**d Mobius table
     it builds (on LePage their cumulative pick table overwrites them), and
-    their int32 masks, at most half a 2**d table more.
+    their int32 masks, at most half a 2**d table more.  A capacity held by
+    size builds no table of its own: its Mobius table is spread by size.
     """
     masks, weights, relevant = _crsm_atoms(theta, mobius)
     d = theta.carrier.size
@@ -679,8 +680,8 @@ def continuity_bound_check(theta: Capacity, k1: int, k2: int, eps: float,
     diff = np.abs(batch.sup(k1) - batch.sup(k2))
     p_hat = float((diff > eps).mean())
     n = batch.n
-    bound = (2.0 * float(theta.table[k1 | k2]) - float(theta.table[k1])
-             - float(theta.table[k2])) / eps
+    bound = (2.0 * float(theta.at(k1 | k2)) - float(theta.at(k1))
+             - float(theta.at(k2))) / eps
     slack = 4.0 * math.sqrt(p_hat * (1.0 - p_hat) / n)
     return ContinuityReport(p_hat, bound, slack, p_hat <= bound + slack, n)
 
@@ -729,10 +730,10 @@ def independence_on_disjoint(theta: Capacity, parts: Sequence[int],
             raise ValueError("parts must be nonempty")
         if p & seen:
             raise ValueError("parts overlap")
-        if theta.table[p] <= 0:
+        if theta.at(p) <= 0:
             raise ValueError("parts must carry positive capacity")
         seen |= p
-    cross_mass = sum(float(theta.table[p]) for p in parts) - float(theta.table[seen])
+    cross_mass = sum(float(theta.at(p)) for p in parts) - float(theta.at(seen))
     expect_independent = cross_mass <= theta.atol(DEFAULT_TOL)
 
     if batch is None:
@@ -745,8 +746,8 @@ def independence_on_disjoint(theta: Capacity, parts: Sequence[int],
         for j in range(i + 1, len(parts)):
             a, b = parts[i], parts[j]
             for q in (0.3, 0.5, 0.8):
-                s = float(theta.table[a]) / (-math.log(q))
-                t = float(theta.table[b]) / (-math.log(q))
+                s = float(theta.at(a)) / (-math.log(q))
+                t = float(theta.at(b)) / (-math.log(q))
                 p_prod = q * q
                 p_hat = float(((sups[a] <= s) & (sups[b] <= t)).mean())
                 sigma = math.sqrt(p_prod * (1.0 - p_prod) / n)

@@ -126,8 +126,8 @@ class ChoquetTDF(TailDependenceFunctional):
         for i in range(d - 1, -1, -1):
             acc |= bits[:, i]
             masks[:, i] = acc
-        diffs = self.theta.table[masks] - np.concatenate(
-            [self.theta.table[masks[:, 1:]], np.zeros((n, 1))], axis=1)
+        diffs = self.theta.at(masks) - np.concatenate(
+            [self.theta.at(masks[:, 1:]), np.zeros((n, 1))], axis=1)
         return np.einsum("nd,nd->n", sorted_vals, diffs)
 
 
@@ -322,7 +322,10 @@ def dual_greedy(theta: Capacity, f,
 
     The value f . mu then equals the Choquet integral, which is the exact
     optimum.  Feasibility of mu is re-verified exhaustively over the whole
-    lattice; a violation means the alternation certificate lied and raises.
+    lattice; a violation means the alternation certificate lied and raises,
+    naming the first mask of largest excess.  A capacity held by size
+    checks the d sizes, each on the set of its k largest weights (the lowest
+    points among ties), and names that set at the size of largest excess.
     tol is relative: both checks allow a slack of tol * theta(E).
     """
     v = _vals(f, theta.carrier)
@@ -335,7 +338,7 @@ def dual_greedy(theta: Capacity, f,
     prev = 0.0
     for i in order:
         mask |= 1 << int(i)
-        cur = float(theta.table[mask])
+        cur = float(theta.at(mask))
         weights[int(i)] = cur - prev
         prev = cur
     # CA makes the chain increments nonnegative; anything below rounding
@@ -346,10 +349,17 @@ def dual_greedy(theta: Capacity, f,
             f"(increment {weights.min():.3g})")
     weights = np.clip(weights, 0.0, None)
     mu = DiscreteMeasure(theta.carrier, weights)
-    excess = _additive_table(weights)
-    excess -= theta.table
+    if theta.by_size is None:
+        excess = _additive_table(weights)
+        excess -= theta.table
+    else:
+        # the largest mu(K) over the k-sets is the sum of the k largest weights
+        top = np.argsort(-weights, kind="stable")
+        excess = np.cumsum(weights[top]) - theta.by_size[1:]
     if np.any(excess > atol):
         worst = int(np.argmax(excess))
+        if theta.by_size is not None:
+            worst = int(np.bitwise_or.reduce(np.left_shift(1, top[:worst + 1])))
         raise RuntimeError(
             f"greedy measure violates feasibility at mask {worst:#x}; "
             f"capacity is not completely alternating within {atol:.3g}")
@@ -383,7 +393,7 @@ def dual_oracle(theta: Capacity, f, method: str = "exact",
         for m in range(1, size):
             row = np.array([(m >> i) & 1 for i in range(d)], dtype=float)
             rows.append(row)
-            rhs.append(float(theta.table[m]))
+            rhs.append(float(theta.at(m)))
         for i in range(d):
             row = np.zeros(d)
             row[i] = -1.0

@@ -38,8 +38,9 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .carrier import Carrier, TorusTag, as_carrier, popcounts
-from .setfun import Capacity, _additive_table, _Owned, _singleton_table, _sweep
+from .carrier import Carrier, TorusTag, as_carrier
+from .setfun import (_BLOCK_BITS, Capacity, _additive_table, _Owned, _singleton_table,
+                     _sweep)
 from .tdf import DiscreteMeasure
 
 
@@ -87,11 +88,31 @@ class BernsteinFunction:
         return float(out) if out.ndim == 0 else out
 
 
-def compose_capacity(g: BernsteinFunction, theta: Capacity) -> Capacity:
-    """g o theta, tablewise.  Preserves complete alternation."""
-    table = g(theta.table)  # a new array: g never returns its argument
-    table[0] = 0.0  # g(0) = 0 identically; keep the slot exact
-    return Capacity(theta.carrier, _Owned(table))
+def compose_capacity(g: BernsteinFunction, theta: Union[Capacity, _Owned]) -> Capacity:
+    """g o theta, tablewise.  Preserves complete alternation.
+
+    A capacity held by size gives one held by size, g applied to phi.  A
+    table goes through g 2**_BLOCK_BITS masks at a time, into a new table,
+    or into theta's own table for compose_capacity(g, _Owned(theta)): the
+    caller must then drop theta.  A plain Capacity is never written.  g
+    works entry by entry, so every route gives the bits of g(theta.table).
+    """
+    owned = isinstance(theta, _Owned)
+    if owned:
+        theta = theta.arr
+    if theta.by_size is not None:
+        phi = g(theta.by_size)  # a new array: g never returns its argument
+        phi[0] = 0.0  # g(0) = 0 identically; keep the slot exact
+        return Capacity(theta.carrier, by_size=phi)
+    src = theta.table
+    if owned:
+        src.setflags(write=True)
+    out = src if owned else np.empty_like(src)
+    step = 1 << _BLOCK_BITS
+    for start in range(0, src.size, step):
+        out[start:start + step] = g(src[start:start + step])
+    out[0] = 0.0
+    return Capacity(theta.carrier, _Owned(out))
 
 
 def exchangeable_capacity(carrier: Union[Carrier, int],
@@ -113,10 +134,10 @@ def exchangeable_capacity(carrier: Union[Carrier, int],
         raise ValueError("mixing probabilities must be nonnegative and sum to 1")
     if not (scale > 0 and math.isfinite(scale)):
         raise ValueError(f"scale must be positive finite, got {scale}")
-    # theta depends on K only through |K|: d + 1 values, gathered by size
+    # theta depends on K only through |K|: d + 1 values
     sizes = np.arange(carr.size + 1)
     survival = (1.0 - vals)[None, :] ** sizes[:, None]  # (d + 1, m)
-    return Capacity(carr, _Owned(_by_size_table(scale * (1.0 - survival @ probs))))
+    return _symmetric(carr, scale * (1.0 - survival @ probs))
 
 
 def subset_size_capacity(carrier: Union[Carrier, int],
@@ -143,26 +164,13 @@ def subset_size_capacity(carrier: Union[Carrier, int],
         for k in range(1, d - m + 1):
             acc.append(p[k] * math.comb(d - m, k) / math.comb(d, k))
         miss[m] = math.fsum(acc)
-    return Capacity(carr, _Owned(_by_size_table(scale * (1.0 - miss))))
+    return _symmetric(carr, scale * (1.0 - miss))
 
 
-# Chunks of _by_size_table hold 2**_SIZE_BITS masks, so their sizes (a byte
-# a mask) and gathered values stay under 1 MB whatever d is.
-_SIZE_BITS = 16
-
-
-def _by_size_table(by_size: np.ndarray) -> np.ndarray:
-    """table[K] = by_size[|K|] over the 2**d masks, d = len(by_size) - 1,
-    and table[0] = 0, gathered one chunk of masks at a time."""
-    d = by_size.size - 1
-    low = popcounts(1 << min(d, _SIZE_BITS))
-    table = np.empty(1 << d)
-    for start in range(0, table.size, low.size):
-        # the masks of a chunk share their high bits, start's, so their sizes
-        # are the low-bit sizes shifted by the count of those bits
-        table[start:start + low.size] = by_size[start.bit_count():][low]
-    table[0] = 0.0
-    return table
+def _symmetric(carrier: Carrier, phi: np.ndarray) -> Capacity:
+    """The capacity held by size with phi(k) on every k-set, phi(0) = 0."""
+    phi[0] = 0.0
+    return Capacity(carrier, by_size=phi)
 
 
 def distortion_capacity(mu: DiscreteMeasure, kind: str, alpha: float) -> Capacity:
@@ -178,18 +186,20 @@ def distortion_capacity(mu: DiscreteMeasure, kind: str, alpha: float) -> Capacit
     the point of having it.
     """
     sums = _additive_table(mu.weights)
+    # g runs in the table of sums, so no second table is built
     if kind == "power":
         if not 0.0 < alpha < 1.0:
             raise ValueError(f"power distortion needs alpha in (0, 1), got {alpha}")
-        table = sums ** alpha
+        sums **= alpha
     elif kind == "avar":
         if not 0.0 < alpha <= 1.0:
             raise ValueError(f"avar distortion needs alpha in (0, 1], got {alpha}")
-        table = np.minimum(sums, alpha) / alpha
+        np.minimum(sums, alpha, out=sums)
+        sums /= alpha
     else:
         raise ValueError(f"unknown distortion kind {kind!r}")
-    table[0] = 0.0
-    return Capacity(mu.carrier, _Owned(table))
+    sums[0] = 0.0
+    return Capacity(mu.carrier, _Owned(sums))
 
 
 def torus_storm_capacity(n: int,

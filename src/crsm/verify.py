@@ -100,7 +100,10 @@ def verify_model(model: Model, samples: int = 20000, seed: int = 1,
         theta = extremal_coefficients(ell)
         atol = theta.atol(tol)
         nu = mobius_inverse(theta)
-        err = float(np.max(np.abs(capacity_from_measure(nu).table - theta.table)))
+        # a capacity held by size takes its round trip by size
+        err = float(np.max(np.abs(capacity_from_measure(nu).table - theta.table)
+                           if theta.by_size is None else
+                           np.abs(capacity_from_measure(nu).by_size - theta.by_size)))
         checks.append(CheckResult("mobius-roundtrip", err, atol, err <= atol))
         min_w, witness = nu.min_weight()
         ca = min_w >= -atol
@@ -110,7 +113,9 @@ def verify_model(model: Model, samples: int = 20000, seed: int = 1,
         if not ca:
             return checks
         # the band accepted at tol, clamped to 0 as the sampler clamps its own
-        nu = MobiusMeasure(carrier, _Owned(np.clip(nu.weights, 0.0, None)))
+        nu = (MobiusMeasure(carrier, _Owned(np.clip(nu.weights, 0.0, None)))
+              if nu.by_size is None
+              else MobiusMeasure(carrier, by_size=np.clip(nu.by_size, 0.0, None)))
     else:
         arep = check_max_complete_alternation(ell, order=3, trials=300, seed=seed)
         checks.append(CheckResult("max-alternation", arep.worst_value, PROBE_TOL,

@@ -1,4 +1,4 @@
-"""Acceptance gate: eleven criteria, one pass/fail line each.
+"""Acceptance gate: twelve criteria, one pass/fail line each.
 
 Run with `pytest tests/test_acceptance.py -v -s`.  Every criterion states
 its tolerance and runtime budget inline; a criterion that cannot meet its
@@ -18,6 +18,7 @@ from crsm.integrals import choquet_integral
 from crsm.setfun import (
     Capacity,
     capacity_from_measure,
+    certified_mobius,
     classify,
     mobius_inverse,
     successive_difference,
@@ -349,3 +350,27 @@ def test_11_skewed_exact_sampling():
            f"{batch.lepage_floor:.3g}; P(X(E) <= a), P(X(rare) <= a) 4-sigma "
            f"slack {min(margins):.4g}", elapsed, 1.0)
     assert ok and elapsed < 1.0
+
+
+def test_12_lattice_sweeps_at_d22():
+    # a power distortion is no function of |K| alone, so classify, the dual
+    # and the certificate each sweep its 2**22 table
+    d = 22
+    mu = DiscreteMeasure(carrier_of(d), np.linspace(0.5, 1.5, d))
+    theta = distortion_capacity(mu, kind="power", alpha=0.6)
+    f = np.linspace(2.0, 0.0, d)
+    t0 = time.perf_counter()
+    cls = classify(theta)
+    _, greedy = dual_greedy(theta, f)
+    min_w, witness = certified_mobius(theta).min_weight()
+    elapsed = time.perf_counter() - t0
+    integral = choquet_integral(f, theta)
+    ok = (cls.monotone and cls.completely_alternating and not cls.maxitive
+          and not cls.additive and (min_w, witness) == (cls.min_mobius_weight,
+                                                        cls.min_mobius_witness)
+          and abs(greedy - integral) <= 1e-12 * integral)
+    report("acceptance-12 lattice-sweeps-d22", ok,
+           f"classify, dual_greedy and certified_mobius on 2^22 masks; min nu "
+           f"{min_w:.3g} at {witness:#x}, |greedy - integral| {abs(greedy - integral):.3g}",
+           elapsed, 5.0)
+    assert ok and elapsed < 5.0

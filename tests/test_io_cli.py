@@ -684,36 +684,88 @@ print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)
 """
 
 
-def test_cli_cdf_holds_the_table_and_one_working_table(tmp_path):
-    # crsm cdf certifies a capacity by its Mobius measure, swept in the
-    # capacity's own table: that table plus the sweep's 512 KB block (1/16
-    # of a table at d = 20) and numpy's ufunc buffers, not a second table,
-    # a copy of nu or an argmin copy
-    d = 20
-    model = tmp_path / "exch20.json"
-    model.write_text(json.dumps({"kind": "exchangeable",
-                                 "carrier": [f"x{i}" for i in range(d)],
-                                 "zeta": [[0.2, 0.5], [0.5, 0.5]]}))
+def _max_rss_mb(argv):
+    """Max RSS of `python argv` in MB, by wait4, with src/ on the path.
+
+    A process's ru_maxrss starts at the high-water RSS of the process that
+    spawned it, here all of pytest's; a small python in between spawns the
+    measured one and reports its wait4 figure instead."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(Path(__file__).resolve().parents[1] / "src")]
         + [p for p in [env.get("PYTHONPATH")] if p])
+    out = subprocess.run([sys.executable, "-c", SPAWN_AND_REPORT_RSS, *argv], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    code, kilobytes = map(int, out.split())
+    assert code == 0, argv
+    return kilobytes / 1024  # ru_maxrss is in kilobytes on Linux
 
-    def max_rss_mb(argv):
-        # A process's ru_maxrss starts at the high-water RSS of the process
-        # that spawned it, here all of pytest's; a small python in between
-        # spawns the measured one and reports its wait4 figure instead.
-        out = subprocess.run([sys.executable, "-c", SPAWN_AND_REPORT_RSS, *argv], env=env,
-                             capture_output=True, text=True, check=True).stdout
-        code, kilobytes = map(int, out.split())
-        assert code == 0, argv
-        return kilobytes / 1024  # ru_maxrss is in kilobytes on Linux
 
-    base = max_rss_mb(["-c", "import crsm.cli"])
-    cdf = max_rss_mb(["-m", "crsm.cli", "cdf", "--model", str(model),
-                      "--pairs", '[{"set": ["x0", "x3"], "level": 2}]'])
+def test_cli_cdf_holds_the_table_and_one_working_table(tmp_path):
+    # crsm cdf certifies a capacity by its Mobius measure, swept in the
+    # capacity's own table: that table plus the sweep's 512 KB block (1/16
+    # of a table at d = 20) and numpy's ufunc buffers, not a second table,
+    # a copy of nu or an argmin copy.  A distortion capacity is a table; one
+    # held by size would build none.
+    d = 20
+    labels = [f"x{i}" for i in range(d)]
+    model = tmp_path / "power20.json"
+    model.write_text(json.dumps({"kind": "distortion", "carrier": labels,
+                                 "mu": dict(zip(labels, np.linspace(0.5, 1.5, d).tolist())),
+                                 "distortion": "power", "alpha": 0.5}))
+    base = _max_rss_mb(["-c", "import crsm.cli"])
+    cdf = _max_rss_mb(["-m", "crsm.cli", "cdf", "--model", str(model),
+                       "--pairs", '[{"set": ["x0", "x3"], "level": 2}]'])
     table_mb = (8 << d) / 2 ** 20
     assert cdf <= base + 1.5 * table_mb, (base, cdf)
+
+
+def test_cli_by_size_commands_build_no_table(tmp_path):
+    # an exchangeable capacity on 24 points, and a Bernstein composition of
+    # one, are held as 25 numbers: parse, CDF, certificate, classification
+    # and the dual all run by size, far below one 128 MB table
+    d = 24
+    labels = [f"x{i}" for i in range(d)]
+    exch = {"kind": "exchangeable", "carrier": labels, "zeta": [[0.2, 0.5], [0.5, 0.5]]}
+    (tmp_path / "exch24.json").write_text(json.dumps(exch))
+    (tmp_path / "compose24.json").write_text(json.dumps(
+        {"kind": "bernstein_compose", "base": exch,
+         "bernstein": {"drift": 0.5, "atoms": [[1.5, 0.8]]}}))
+    f = json.dumps(np.linspace(0.0, 2.0, d).tolist())
+    base = _max_rss_mb(["-c", "import crsm.cli"])
+    for name in ("exch24", "compose24"):
+        model = ["--model", str(tmp_path / f"{name}.json")]
+        for argv in (["cdf", "--pairs", '[{"set": ["x0", "x3"], "level": 2}]'],
+                     ["check"], ["dual", "--f", f]):
+            rss = _max_rss_mb(["-m", "crsm.cli", argv[0]] + model + argv[1:])
+            assert rss <= base + 8, (name, argv[0], base, rss)
+
+
+class _Stop(Exception):
+    """Raised by a patched JSON writer: nothing after the warning runs."""
+
+
+@pytest.mark.parametrize("command, writer", [("materialize", "capacity_to_json"),
+                                             ("mobius", "mobius_to_json")])
+def test_cli_warns_before_a_huge_artifact(tmp_path, capsys, monkeypatch, command, writer):
+    def stop(*args):
+        raise _Stop
+    monkeypatch.setattr(cli, writer, stop)
+    for d in (21, 22, 24):
+        model = tmp_path / f"exch{d}.json"
+        model.write_text(json.dumps({"kind": "exchangeable",
+                                     "carrier": [f"x{i}" for i in range(d)],
+                                     "zeta": [[0.2, 0.5], [0.5, 0.5]]}))
+        with pytest.raises(_Stop):
+            main([command, "--model", str(model), "--out", str(tmp_path / "out.json")])
+        out, err = capsys.readouterr()
+        assert out == "" and not (tmp_path / "out.json").exists()
+        if d < 22:
+            assert err == ""
+            continue
+        assert err.count("\n") == 1 and err.startswith(f"warning: {command} writes JSON over all "
+                                                       f"2^{d} = {1 << d} subsets")
+        assert "22 s and 1.85 GB at d = 22" in err and "101 s and 7.3 GB at d = 24" in err
 
 
 def test_cli_check_tdf_probe(spectral_file, capsys):

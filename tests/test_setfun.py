@@ -374,12 +374,15 @@ def test_constructors_copy_caller_arrays_and_store_them_read_only():
 def test_certified_mobius_holds_one_working_table():
     # the capacity's table plus one working table: no copy of nu and no
     # argmin copy (at d = 20 the sweep's 512 KB block is 1/16 of a table);
-    # consuming the capacity's own table needs no working table at all
-    from crsm.transforms import exchangeable_capacity
+    # consuming the capacity's own table needs no working table at all; a
+    # distortion capacity, as one held by size would build no table
+    from crsm.tdf import DiscreteMeasure
+    from crsm.transforms import distortion_capacity
     d = 20
     table_bytes = 8 << d
+    mu = DiscreteMeasure(carrier_of(d), np.linspace(0.5, 1.5, d))
     for owned, bound in ((False, 1.1), (True, 0.1)):
-        theta = exchangeable_capacity(d, [(0.2, 0.5), (0.5, 0.5)])
+        theta = distortion_capacity(mu, "power", 0.5)
         tracemalloc.start()
         try:
             nu = certified_mobius(_Owned(theta) if owned else theta)

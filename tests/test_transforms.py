@@ -11,7 +11,7 @@ from conftest import carrier_of, random_ca_capacity
 from crsm.carrier import Carrier, CarrierSizeError, mask_size, popcounts
 from crsm.setfun import Capacity, classify, mobius_inverse
 from crsm.tdf import DiscreteMeasure
-from crsm import transforms
+from crsm import setfun, transforms
 from crsm.transforms import (
     BernsteinFunction,
     check_stationary,
@@ -118,6 +118,47 @@ def test_compose_preserves_complete_alternation(d, seed):
     assert cls.monotone and cls.completely_alternating
 
 
+@pytest.mark.parametrize("d", [3, 17, 20])
+def test_compose_writes_into_an_owned_base_and_never_a_callers(d):
+    # g runs over blocks of 2**16 masks: into a new table for a caller's
+    # capacity, into the base's own table when it is owned, bit-equal to
+    # g(base.table) either way
+    mu = DiscreteMeasure(carrier_of(d), np.linspace(0.5, 1.5, d))
+    for g in (BernsteinFunction(drift=0.3, atoms=[(1.2, 0.8), (0.4, 2.0)]),
+              BernsteinFunction(power=0.45)):
+        plain = distortion_capacity(mu, "power", 0.5)
+        before = plain.table.tobytes()
+        want = g(plain.table)
+        want[0] = 0.0
+        assert compose_capacity(g, plain).table.tobytes() == want.tobytes()
+        assert plain.table.tobytes() == before and not plain.table.flags.writeable
+        base = distortion_capacity(mu, "power", 0.5)
+        tracemalloc.start()
+        try:
+            out = compose_capacity(g, setfun._Owned(base))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.shares_memory(out.table, base.table)
+        assert out.table.tobytes() == want.tobytes()
+        assert not out.table.flags.writeable
+        if d == 20:
+            assert peak <= 0.25 * (8 << d), peak
+
+
+def test_parsed_compose_base_is_composed_in_place(monkeypatch):
+    from crsm import io
+    compose = io.compose_capacity
+    seen = []
+    monkeypatch.setattr(io, "compose_capacity",
+                        lambda g, base: seen.append(base) or compose(g, base))
+    io.parse_capacity({"kind": "bernstein_compose",
+                       "base": {"kind": "table", "carrier": ["a", "b"],
+                                "table": {"a": 1.0, "b": 1.0, "a,b": 1.5}},
+                       "bernstein": {"power": 0.5}})
+    assert len(seen) == 1 and isinstance(seen[0], setfun._Owned)
+
+
 def test_exchangeable_frozen():
     theta = exchangeable_capacity(2, [(0.5, 1.0)])
     assert theta.table.tolist() == [0.0, 0.5, 0.5, 0.75]
@@ -190,9 +231,9 @@ def test_subset_size_matches_exchangeable():
 
 @pytest.mark.parametrize("d, bits", [(1, 16), (2, 16), (2, 1), (16, 16), (17, 16), (17, 12)])
 def test_by_size_constructors_match_the_one_shot_gather(monkeypatch, d, bits):
-    # the tables are gathered chunk by chunk; each entry must take the same
-    # operations as the whole-lattice gather by popcounts
-    monkeypatch.setattr(transforms, "_SIZE_BITS", bits)
+    # the tables are spread from phi chunk by chunk; each entry must take the
+    # same operations as the whole-lattice gather by popcounts
+    monkeypatch.setattr(setfun, "_BLOCK_BITS", bits)
     rng = np.random.default_rng(d)
     sizes = popcounts(1 << d)
     laws = [[(0.0, 1.0)], [(1.0, 1.0)], [(0.2, 0.5), (0.5, 0.5)],
