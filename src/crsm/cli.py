@@ -9,7 +9,11 @@ sampling `method` ("lepage" or "max-linear") for `simulate`;
 `simulate` writes the mean, p50, p99 and max of its term counts to stderr,
 then the method it chose, the atom count m and LePage's lower bound LB on
 E[N].  `materialize` and `mobius` on 22 or more points first warn on
-stderr that the artifact holds 2^d entries, and what that cost before.
+stderr that the artifact holds 2^d entries, and what that cost before: on
+an exchangeable capacity, about 5 s and 250 MB at d = 20 and 27 s and
+0.9 GB at d = 22 (2 cores).  Every JSON artifact is written in blocks of
+entries, as json.dumps(payload, indent=2, sort_keys=True) would write it,
+so the writer holds one block of text besides the payload dict.
 
 Simulation CSV: a `# provenance:` line, the header `sample_index,<labels>`,
 then one row per sample, each value in Python's shortest round-trip
@@ -100,17 +104,80 @@ def _provenance(seed: Optional[int], obj, deterministic: bool) -> dict:
     return prov
 
 
+# Entries per block that the JSON and CSV writers format, or the CSV reader
+# parses, at once.  Their temporary Python objects take about 100 bytes per
+# entry, so a block stays under 1 MB whatever N and d are.
+_BLOCK_VALUES = 8192
+
+_CONTAINERS = (dict, list, tuple)
+
+
 def _emit_json(payload: dict, out: Optional[str]) -> None:
-    text = json.dumps(payload, indent=2, sort_keys=True)
+    """Write json.dumps(payload, indent=2, sort_keys=True) + "\n" to out, or
+    to stdout, in pieces, without ever holding the whole text.
+
+    The bytes are the same: json's indent=2 encoder writes a nonempty
+    container as its opening bracket, then its members (dicts by sorted key,
+    "key": value) each after ",\n" plus two more spaces than the container's
+    own line ("\n" and those spaces before the first), then "\n", the
+    container's indent and its closing bracket; an empty one is {} or [].
+    A container whose members are all scalars is encoded in blocks of
+    _BLOCK_VALUES members by the C encoder, whose separators are set to that
+    same ",\n" plus indent, and which encodes scalars and coerces keys as the
+    indent encoder does; each block's brackets are dropped.  Any other
+    container recurses member by member, its keys coerced as json does."""
     if out:
         with open(out, "w") as fh:
-            fh.write(text + "\n")
+            _write_json(fh.write, payload, "\n")
+            fh.write("\n")
     else:
-        print(text)
+        _write_json(sys.stdout.write, payload, "\n")
+        sys.stdout.write("\n")
 
 
-# From this carrier size up a whole-lattice JSON artifact costs minutes and
-# gigabytes, measured on an exchangeable capacity as the warning quotes.
+def _write_json(write, obj, newline: str) -> None:
+    """The indent=2, sort_keys=True text of obj, on a line that starts with
+    newline, passed to write in pieces."""
+    if not isinstance(obj, _CONTAINERS):
+        write(json.dumps(obj))
+        return
+    is_dict = isinstance(obj, dict)
+    opening, closing = "{}" if is_dict else "[]"
+    if not obj:
+        write(opening + closing)
+        return
+    keys = sorted(obj) if is_dict else range(len(obj))
+    inner = newline + "  "
+    write(opening)
+    if not any(isinstance(v, _CONTAINERS) for v in (obj.values() if is_dict else obj)):
+        encoder = json.JSONEncoder(separators=("," + inner, ": "))
+        for start in range(0, len(obj), _BLOCK_VALUES):
+            stop = start + _BLOCK_VALUES
+            block = {k: obj[k] for k in keys[start:stop]} if is_dict else obj[start:stop]
+            write(("," if start else "") + inner + encoder.encode(block)[1:-1])
+    else:
+        for i, key in enumerate(keys):
+            write(("," if i else "") + inner)
+            if is_dict:
+                write(_json_key(key) + ": ")
+            _write_json(write, obj[key], inner)
+    write(newline + closing)
+
+
+def _json_key(key) -> str:
+    """A dict key as json writes it: a str as is, an int, float, bool or None
+    as its JSON text."""
+    if not isinstance(key, str):
+        if not (key is None or isinstance(key, (int, float))):
+            raise TypeError(f"keys must be str, int, float, bool or None, "
+                            f"not {type(key).__name__}")
+        key = json.dumps(key)
+    return json.dumps(key)
+
+
+# From this carrier size up a whole-lattice JSON artifact costs half a minute
+# and about a gigabyte, measured on an exchangeable capacity as the warning
+# quotes (wall time and max RSS).
 _HUGE_ARTIFACT_D = 22
 
 
@@ -118,8 +185,8 @@ def _warn_if_huge(command: str, carrier: Carrier) -> None:
     d = carrier.size
     if d >= _HUGE_ARTIFACT_D:
         print(f"warning: {command} writes JSON over all 2^{d} = {1 << d} subsets; "
-              f"materialize took about 22 s and 1.85 GB at d = 22, and about 101 s "
-              f"and 7.3 GB at d = 24 (2 cores, 8 GB)", file=sys.stderr)
+              f"at d = 22 materialize took about 27 s and 0.88 GB, mobius about 27 s "
+              f"and 0.91 GB (2 cores, 8 GB)", file=sys.stderr)
 
 
 def _inline_json(arg: str, what: str):
@@ -210,10 +277,13 @@ def cmd_check(args) -> int:
 
 def cmd_mobius(args) -> int:
     model, obj = _load_model(args.model)
+    prov = _provenance(None, obj, args.deterministic)
+    del obj  # the parsed document is not held while the artifact is built
     theta = _require_capacity(model, "mobius")
     _warn_if_huge("mobius", theta.carrier)
-    payload = mobius_to_json(mobius_inverse(theta))
-    payload["provenance"] = _provenance(None, obj, args.deterministic)
+    # nothing reads theta again, so nu is swept in theta's own table
+    payload = mobius_to_json(mobius_inverse(_Owned(theta)))
+    payload["provenance"] = prov
     _emit_json(payload, args.out)
     return 0
 
@@ -287,14 +357,8 @@ def _config_from_args(args) -> SimConfig:
                      n_terms=n_terms, max_terms=args.max_terms)
 
 
-# Values per block that the CSV writer formats, or the reader parses, at once.
-# Their temporary Python objects take about 100 bytes per value, so a block
-# stays under 1 MB whatever N and d are.
-_CSV_BLOCK_VALUES = 8192
-
-
 def _csv_block_rows(d: int) -> int:
-    return max(1, _CSV_BLOCK_VALUES // max(d, 1))
+    return max(1, _BLOCK_VALUES // max(d, 1))
 
 
 def _write_batch_csv(out: TextIO, batch: SampleBatch, prov: dict) -> None:
@@ -484,9 +548,11 @@ def cmd_verify(args) -> int:
 def cmd_materialize(args) -> int:
     obj = load_json_file(args.model)
     theta = parse_capacity(obj)
+    prov = _provenance(None, obj, args.deterministic)
+    del obj  # the parsed document is not held while the artifact is built
     _warn_if_huge("materialize", theta.carrier)
     payload = capacity_to_json(theta)
-    payload["provenance"] = _provenance(None, obj, args.deterministic)
+    payload["provenance"] = prov
     _emit_json(payload, args.out)
     return 0
 

@@ -69,11 +69,12 @@ class _Owned:
         self.arr = arr
 
 
-def _release(nu: "MobiusMeasure") -> np.ndarray:
-    """The weights of a MobiusMeasure the library has just built, handed
-    back writable: the converse of _Owned.  The caller must hold the only
-    reference to nu and drop it; no one else may see the array change."""
-    arr = nu.weights
+def _release(values: "_Lattice") -> np.ndarray:
+    """The table of a Capacity or MobiusMeasure the library has just built,
+    handed back writable: the converse of _Owned.  The caller must hold the
+    only reference to values and drop it; no one else may see the array
+    change."""
+    arr = values._full()
     arr.setflags(write=True)
     return arr
 

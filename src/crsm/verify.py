@@ -25,8 +25,8 @@ from typing import Union
 
 import numpy as np
 
-from .setfun import (DEFAULT_TOL, Capacity, MobiusMeasure, _Owned, capacity_from_measure,
-                     mobius_inverse)
+from .setfun import (DEFAULT_TOL, Capacity, MobiusMeasure, _Owned, _release,
+                     capacity_from_measure, mobius_inverse)
 from .simulate import (
     SimConfig,
     _row_max,
@@ -100,10 +100,15 @@ def verify_model(model: Model, samples: int = 20000, seed: int = 1,
         theta = extremal_coefficients(ell)
         atol = theta.atol(tol)
         nu = mobius_inverse(theta)
-        # a capacity held by size takes its round trip by size
-        err = float(np.max(np.abs(capacity_from_measure(nu).table - theta.table)
-                           if theta.by_size is None else
-                           np.abs(capacity_from_measure(nu).by_size - theta.by_size)))
+        # a capacity held by size takes its round trip by size; a table's
+        # error is formed in the round-trip table itself
+        if theta.by_size is None:
+            back = _release(capacity_from_measure(nu))
+            np.subtract(back, theta.table, out=back)
+            err = float(np.max(np.abs(back, out=back)))
+            del back
+        else:
+            err = float(np.max(np.abs(capacity_from_measure(nu).by_size - theta.by_size)))
         checks.append(CheckResult("mobius-roundtrip", err, atol, err <= atol))
         min_w, witness = nu.min_weight()
         ca = min_w >= -atol
@@ -112,10 +117,13 @@ def verify_model(model: Model, samples: int = 20000, seed: int = 1,
             f"witness {{{','.join(sorted(carrier.labels_of(witness)))}}}" if not ca else ""))
         if not ca:
             return checks
-        # the band accepted at tol, clamped to 0 as the sampler clamps its own
-        nu = (MobiusMeasure(carrier, _Owned(np.clip(nu.weights, 0.0, None)))
-              if nu.by_size is None
-              else MobiusMeasure(carrier, by_size=np.clip(nu.by_size, 0.0, None)))
+        # the band accepted at tol, clamped to 0 as the sampler clamps its
+        # own; a table is clamped in place
+        if nu.by_size is None:
+            w = _release(nu)
+            nu = MobiusMeasure(carrier, _Owned(np.clip(w, 0.0, None, out=w)))
+        else:
+            nu = MobiusMeasure(carrier, by_size=np.clip(nu.by_size, 0.0, None))
     else:
         arep = check_max_complete_alternation(ell, order=3, trials=300, seed=seed)
         checks.append(CheckResult("max-alternation", arep.worst_value, PROBE_TOL,
@@ -134,7 +142,9 @@ def verify_model(model: Model, samples: int = 20000, seed: int = 1,
         return checks
 
     config = SimConfig(seed=seed, samples=samples)
-    batch = simulate_model(theta if crsm else model, config, nu)
+    # the sampler takes the clamped nu over as its own Mobius table
+    batch = simulate_model(theta if crsm else model, config, _Owned(nu) if crsm else None)
+    del nu
     n = batch.n
 
     for name, f in _test_vectors(carrier, relevant_idx, seed):

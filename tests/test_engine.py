@@ -21,7 +21,8 @@ from conftest import (carrier_of, crsm_atoms, indicator_tdf, random_ca_capacity,
 from crsm import simulate as sim
 from crsm.carrier import Carrier, iter_bits, mask_size
 from crsm.io import parse_model
-from crsm.setfun import Capacity, MobiusMeasure, capacity_from_measure, mobius_inverse
+from crsm.setfun import (Capacity, MobiusMeasure, _Owned, capacity_from_measure,
+                         mobius_inverse)
 from crsm.simulate import (
     BLOCK,
     BULK_ROUNDS,
@@ -206,15 +207,18 @@ def test_atoms_built_in_place_match_the_clipped_reference(monkeypatch, name, spa
         assert mobius_inverse(theta).min_weight()[0] < 0.0
     ref_cum = np.cumsum(weights)
     ref_cum = ref_cum / ref_cum[-1]
-    nu = mobius_inverse(theta)
-    for given in (None, nu):
+    nu, handed = mobius_inverse(theta), mobius_inverse(theta)
+    for given in (None, nu, _Owned(handed)):
         got_masks, got_weights, relevant = sim._crsm_atoms(theta, given)
         assert np.array_equal(got_masks, masks)
         assert relevant == int(np.bitwise_or.reduce(masks))
         assert got_weights.tobytes() == weights.tobytes()
+        # a given measure is never written; a handed-over one holds the atoms
+        assert not np.shares_memory(got_weights, nu.weights)
+        assert np.shares_memory(got_weights, handed.weights) == (given is not nu
+                                                                  and given is not None)
         cum = sim._cumulative(got_weights, out=got_weights)
         assert cum.tobytes() == ref_cum.tobytes()
-    assert not np.shares_memory(got_weights, nu.weights)
 
 
 def test_crsm_sampler_leaves_a_given_mobius_alone(monkeypatch):
@@ -229,6 +233,22 @@ def test_crsm_sampler_leaves_a_given_mobius_alone(monkeypatch):
         assert np.array_equal(given.values, simulate_crsm(theta, cfg).values)
         assert nu.weights.tobytes() == before.tobytes()
         assert not nu.weights.flags.writeable and not theta.table.flags.writeable
+
+
+def test_crsm_sampler_consumes_a_handed_over_mobius(monkeypatch):
+    # _Owned(nu) gives the stream of a run that builds nu itself, on a table
+    # and on a capacity held by size
+    cfg = SimConfig(seed=3, samples=50)
+    exch = parse_model({"kind": "exchangeable", "carrier": ["a", "b", "c", "d"],
+                        "zeta": [[0.2, 0.5], [0.5, 0.5]]})
+    for theta in (skewed3(), exch):
+        for method in ("lepage", "max-linear"):
+            monkeypatch.setattr(sim, "_method", lambda atoms, floor, config: method)
+            own = simulate_crsm(theta, cfg)
+            handed = simulate_crsm(theta, cfg, _Owned(mobius_inverse(theta)))
+            assert handed.method == own.method == method
+            assert np.array_equal(handed.values, own.values)
+            assert np.array_equal(handed.terms, own.terms)
 
 
 def test_spectral_tables_never_write_their_weights():

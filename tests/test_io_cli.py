@@ -346,6 +346,92 @@ def test_cli_deterministic_byte_identical(theta2_file, tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+# Labels that sort below "," (space, "!", "+"), so that sorted keys are not
+# in the order of the label tuples, besides non-ASCII ones, a quote and a
+# backslash.
+ODD_LABELS = ["a", "a b", "a!", "+", "\u00e9", 'q"', "b\\", "\u2603"]
+
+
+def _writer_corpus() -> list:
+    odd = Carrier(tuple(ODD_LABELS))
+    theta = Capacity(odd, np.arange(1 << odd.size, dtype=float))
+    nu = mobius_inverse(theta)
+    specials = [math.nan, math.inf, -math.inf, -0.0, 0.1, 1e300, 5e-324]
+    return [
+        {}, [], {"a": {}, "b": [], "c": [{}], "d": [[]]}, [{}, [], [[]]],
+        [{"a": 1, "b": [1, 2]}, {"c": {"d": None}}], {"x": [1, 2], "y": {"z": [3.5]}},
+        {lb: i for i, lb in enumerate(ODD_LABELS)}, ODD_LABELS,
+        {"v": specials, "w": dict(zip(ODD_LABELS, specials))},
+        {1: "int", 2.5: "float"}, {True: [1], False: {}}, {None: "null"},
+        (1, (2.0, "3"), [True, False, None]),
+        capacity_to_json(theta), mobius_to_json(nu, drop_zeros=False),
+        tdf_to_json(SpectralTDF(odd, np.array([0.25, 0.75]),
+                                np.arange(2.0 * odd.size).reshape(2, odd.size))),
+        {f"k{i}": specials[i % len(specials)] for i in range(3 * cli._BLOCK_VALUES + 5)},
+        [i / 7 for i in range(cli._BLOCK_VALUES + 1)],
+        [[float(i), float(-i)] for i in range(50)],
+        {"checks": [{"name": "n", "statistic": 0.5, "passed": True, "detail": ""}],
+         "provenance": {"tool": "crsm", "seed": None}},
+        "text", 1.5, None, True, 7,
+    ]
+
+
+@pytest.mark.parametrize("block", [3, None])
+def test_json_writer_matches_json_dumps(monkeypatch, tmp_path, capsys, block):
+    # the streamed text is json.dumps(obj, indent=2, sort_keys=True) + "\n",
+    # byte for byte, with blocks of 3 (every container split) and the
+    # module's own size (one dict and one list of several blocks)
+    if block is not None:
+        monkeypatch.setattr(cli, "_BLOCK_VALUES", block)
+    out = tmp_path / "out.json"
+    for i, obj in enumerate(_writer_corpus()):
+        want = json.dumps(obj, indent=2, sort_keys=True) + "\n"
+        cli._emit_json(obj, str(out))
+        assert out.read_bytes() == want.encode(), i
+        cli._emit_json(obj, None)
+        assert capsys.readouterr().out == want, i
+    # keys that json cannot sort or encode fail as json fails
+    for bad in ({1: 0, "a": 1}, {(1, 2): 0, (3, 4): [0]}):
+        with pytest.raises(TypeError):
+            json.dumps(bad, indent=2, sort_keys=True)
+        with pytest.raises(TypeError):
+            cli._emit_json(bad, str(out))
+
+
+def test_every_json_artifact_is_the_indent_encoders_text(tmp_path, theta2_file,
+                                                          spectral_file, capsys):
+    # each command's JSON, on stdout or in --out, reads back to the same text
+    odd = tmp_path / "odd.json"
+    odd.write_text(json.dumps({"kind": "exchangeable", "carrier": ODD_LABELS[:5],
+                               "zeta": [[0.2, 0.5], [0.5, 0.5]]}))
+    model, f = ["--model", str(odd)], json.dumps({lb: 1.0 + i for i, lb in enumerate(ODD_LABELS[:5])})
+    csv, out = tmp_path / "batch.csv", tmp_path / "out.json"
+    assert main(["simulate", *model, "--seed", "1", "--samples", "300", "--out", str(csv)]) == 0
+    runs = [
+        (["check", *model], False), (["check", *model, "--direct", "--seed", "2",
+                                      "--trials", "50"], False),
+        (["check", "--model", spectral_file, "--seed", "1", "--trials", "50"], False),
+        (["dual", *model, "--f", f, "--oracle", "sampled", "--seed", "7",
+          "--trials", "50"], False),
+        (["mobius", *model], False), (["materialize", *model], False),
+        (["cdf", *model, "--pairs", '[{"set": ["a b", "+"], "level": 2}]'], True),
+        (["choquet", *model, "--f", f], True),
+        (["estimate", "--batch", str(csv), "--set", '["\u00e9"]'], False),
+        (["couple", "--model", spectral_file, "--seed", "3", "--samples", "200"], False),
+        (["argmax-test", *model, "--set", '["a!"]', "--seed", "4", "--samples", "500"], False),
+        (["verify", *model, "--seed", "5", "--samples", "500"], True),
+        (["simulate", "--model", theta2_file, "--seed", "6", "--samples", "20",
+          "--format", "json"], False),
+    ]
+    for argv, to_file in runs:
+        if to_file:
+            argv = argv + ["--out", str(out)]
+        assert main(argv) in (0, 1), argv
+        stdout = capsys.readouterr().out
+        text = out.read_text() if to_file else stdout
+        assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n", argv
+
+
 def test_cli_simulate_names_its_method(theta2_file, tmp_path, capsys):
     # 20 atoms against LePage's E[N] >= 1e4: the cost rule draws max-linearly;
     # the method enters the artifact, the cost only stderr
@@ -741,6 +827,29 @@ def test_cli_by_size_commands_build_no_table(tmp_path):
             assert rss <= base + 8, (name, argv[0], base, rss)
 
 
+def test_cli_table_artifacts_hold_no_whole_text(tmp_path):
+    # materialize and mobius on a d = 18 table model: the parsed input is
+    # dropped once hashed, and the artifact goes out in blocks of entries, so
+    # neither the input nor the whole text is held beside the artifact dict.
+    # Max RSS above `import crsm.cli` (wait4, 2 cores): materialize 176.8 MB
+    # and mobius 174.8 MB with the text built whole by json.dumps, 86.3 MB
+    # and 85.9 MB streamed.
+    d = 18
+    labels = [f"x{i}" for i in range(d)]
+    p = [0.0] + [1.0 / k for k in range(1, d + 1)]
+    size_law = tmp_path / "size18.json"
+    size_law.write_text(json.dumps({"kind": "subset_size", "carrier": labels,
+                                    "p": [v / sum(p) for v in p]}))
+    table = tmp_path / "table18.json"
+    _max_rss_mb(["-m", "crsm.cli", "materialize", "--model", str(size_law),
+                 "--out", str(table), "--deterministic"])
+    base = _max_rss_mb(["-c", "import crsm.cli"])
+    for command in ("materialize", "mobius"):
+        rss = _max_rss_mb(["-m", "crsm.cli", command, "--model", str(table),
+                           "--out", str(tmp_path / f"{command}.json"), "--deterministic"])
+        assert rss <= base + 130, (command, base, rss)
+
+
 class _Stop(Exception):
     """Raised by a patched JSON writer: nothing after the warning runs."""
 
@@ -765,7 +874,8 @@ def test_cli_warns_before_a_huge_artifact(tmp_path, capsys, monkeypatch, command
             continue
         assert err.count("\n") == 1 and err.startswith(f"warning: {command} writes JSON over all "
                                                        f"2^{d} = {1 << d} subsets")
-        assert "22 s and 1.85 GB at d = 22" in err and "101 s and 7.3 GB at d = 24" in err
+        assert ("at d = 22 materialize took about 27 s and 0.88 GB, mobius about 27 s "
+                "and 0.91 GB (2 cores, 8 GB)") in err
 
 
 def test_cli_check_tdf_probe(spectral_file, capsys):
