@@ -171,14 +171,6 @@ class Carrier:
         return {"labels": list(self.labels),
                 "torus": {"n": self.torus.n, "dim": self.torus.dim}}
 
-    @classmethod
-    def from_json(cls, obj) -> "Carrier":
-        if isinstance(obj, dict):
-            tor = obj.get("torus")
-            tag = TorusTag(n=tor["n"], dim=tor["dim"]) if tor else None
-            return cls(tuple(obj["labels"]), torus=tag)
-        return cls(tuple(obj))
-
 
 def as_carrier(carrier: "Carrier | int") -> Carrier:
     """The carrier itself, or the carrier x0, .., x{d-1} for an int d."""

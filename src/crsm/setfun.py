@@ -60,7 +60,7 @@ class _Owned:
     take arr over, read-only, instead of copying it; a plain array from a
     caller is always copied.  mobius_inverse(_Owned(theta)),
     certified_mobius(_Owned(theta)) and compose_capacity(g, _Owned(theta))
-    consume theta's table in place.
+    consume theta's table in place (see _release).
     """
 
     __slots__ = ("arr",)
@@ -70,11 +70,14 @@ class _Owned:
 
 
 def _release(values: "_Lattice") -> np.ndarray:
-    """The table of a Capacity or MobiusMeasure the library has just built,
-    handed back writable: the converse of _Owned.  The caller must hold the
-    only reference to values and drop it; no one else may see the array
-    change."""
-    arr = values._full()
+    """The held array of a Capacity or MobiusMeasure the library has just
+    built, handed back writable: the converse of _Owned.  A table is the
+    lattice's own, so the caller must hold the only reference to values
+    and drop it; no one else may see the array change.  The d + 1 numbers
+    of a lattice held by size are copied, and values stays whole."""
+    arr = values._held()
+    if values.by_size is not None:
+        return arr.copy()
     arr.setflags(write=True)
     return arr
 
@@ -124,6 +127,10 @@ class _Lattice:
 
     by_size is None for a table.  Otherwise the table is spread from
     by_size (_by_size_table) on its first read, once, read-only.
+
+    Only this module tells the two forms apart.  Each lattice identity is
+    written once over the operations below and gives the table's bits in
+    either form (see Capacity).
     """
 
     __slots__ = ("carrier", "by_size", "_table")
@@ -147,6 +154,36 @@ class _Lattice:
             table.setflags(write=False)
             self._table = table
         return self._table
+
+    def _held(self) -> np.ndarray:
+        """by_size, or else the table; read-only."""
+        return self._table if self.by_size is None else self.by_size
+
+    def _sweep(self, arr: np.ndarray, ufunc: np.ufunc) -> np.ndarray:
+        """The subset sweep of arr, in place, for arr of the held form."""
+        if self.by_size is None:
+            return _sweep(arr, self.carrier.size, ufunc)
+        return _size_sweep(arr, ufunc)
+
+    def _index(self, masks):
+        """The index in the held array of a mask, or of each mask of an array."""
+        return masks if self.by_size is None else np.bitwise_count(masks)
+
+    def _pairs(self):
+        """(lo, hi) views of the held array, pairing each K with K + x."""
+        if self.by_size is None:
+            return _pairs(self._table, self.carrier.size, write=False)
+        return [(self.by_size[:-1], self.by_size[1:])]
+
+    def _first_mask(self, i: int) -> int:
+        """The first mask at index i of the held array."""
+        return i if self.by_size is None else (1 << i) - 1
+
+    def _new(self, cls: type, arr: np.ndarray) -> "_Lattice":
+        """A cls of this form on this carrier, taking arr over."""
+        if self.by_size is None:
+            return cls(self.carrier, _Owned(arr))
+        return cls(self.carrier, by_size=_Owned(arr))
 
     def at(self, masks):
         """The value at a mask, or at each mask of an int array; by size,
@@ -173,8 +210,9 @@ class Capacity(_Lattice):
     as Capacity(carrier, by_size=phi) instead: d + 1 numbers, phi[0] = 0.
     Point reads (at, calling theta, total, singletons) then read phi, and
     mobius_inverse, certified_mobius, capacity_from_measure, classify,
-    dual_greedy and compose_capacity work on phi alone.  Callers that read
-    the whole lattice read table, spread from phi once.
+    dual_greedy and compose_capacity work on phi alone, mostly through the
+    same code as a table (see _Lattice).  Callers that read the whole
+    lattice read table, spread from phi once.
 
     The two forms give the same bits.  A sweep over a table that is
     constant on each size class steps every mask of size n, with k of its
@@ -220,7 +258,8 @@ class MobiusMeasure(_Lattice):
     by size too, MobiusMeasure(carrier, by_size=nu): nu[k] is the weight
     of every k-set, the k-th forward difference of g(j) = phi(d) -
     phi(d - j), bit-equal to the table sweep (see Capacity).  weights is
-    spread from it on first read.
+    spread from it on first read; min_weight reads the held array either
+    way.
     """
 
     __slots__ = ()
@@ -238,21 +277,15 @@ class MobiusMeasure(_Lattice):
 
     def min_weight(self) -> tuple[float, int]:
         """Smallest weight over nonempty sets and its witness, the first mask
-        holding it."""
-        if self.by_size is not None:
-            # the first k-set is 2**k - 1, so the first mask holding the least
-            # weight is that of the smallest size holding it
-            rest = self.by_size[1:]
-            k = 1 + int(np.argmin(rest))
-            return float(rest[k - 1]), (1 << k) - 1
+        holding it: by size, the first set of the smallest size holding it."""
         # np.argmin copies a read-only array whole; min does not, and the
-        # search for its first mask compares one chunk at a time
-        rest = self.weights[1:]
+        # search for its first index compares one chunk at a time
+        rest = self._held()[1:]
         low = rest.min()
         start = 0
         while not (hits := np.flatnonzero(rest[start:start + _CHUNK] == low)).size:
             start += _CHUNK
-        return float(low), 1 + start + int(hits[0])
+        return float(low), self._first_mask(1 + start + int(hits[0]))
 
 
 # Pairs per chunk of a whole-table pass: a chunk of each half and any
@@ -345,14 +378,20 @@ def _additive_table(weights: np.ndarray) -> np.ndarray:
     return _sweep(_singleton_table(weights, 0.0), weights.shape[-1], np.add)
 
 
-def subset_zeta(arr: np.ndarray, d: int) -> np.ndarray:
-    """h[A] = sum of arr[F] over F subset of A."""
-    return _sweep(np.array(arr, dtype=float), d, np.add)
-
-
-def subset_mobius(arr: np.ndarray, d: int) -> np.ndarray:
-    """Inverse of subset_zeta: out[F] = sum over A subset of F of (-1)**|F\\A| arr[A]."""
-    return _sweep(np.array(arr, dtype=float), d, np.subtract)
+def _max_excess(theta: Capacity, weights: np.ndarray) -> tuple[float, int]:
+    """The largest mu(K) - theta(K) over the masks K, mu the measure with
+    these point weights, and the first mask holding it.  By size, the
+    largest mu(K) over the k-sets is that of the k largest weights (the
+    lowest points among ties), so d sets are checked."""
+    if theta.by_size is None:
+        excess = _additive_table(weights)
+        excess -= theta.table
+        worst = int(np.argmax(excess))
+        return float(excess[worst]), worst
+    top = np.argsort(-weights, kind="stable")
+    excess = np.cumsum(weights[top]) - theta.by_size[1:]
+    k = int(np.argmax(excess))
+    return float(excess[k]), int(np.bitwise_or.reduce(np.left_shift(1, top[:k + 1])))
 
 
 def subset_max(singles: np.ndarray) -> np.ndarray:
@@ -369,56 +408,46 @@ def subset_max(singles: np.ndarray) -> np.ndarray:
 
 
 def _size_sweep(values: np.ndarray, ufunc: np.ufunc) -> np.ndarray:
-    """_sweep(table, d, ufunc) of the table holding values[|K|] at every K,
-    by size: out[k] is the value the sweep leaves at every k-set.
+    """In place: _sweep(table, d, ufunc) of the table holding values[|K|]
+    at every K, by size; afterwards values[k] is the value the sweep
+    leaves at every k-set.  Returns values.
 
+    Step k leaves in values[k:] the values at sizes k..d with k bits done.
     A sweep step at a mask of size n with k of its bits done reads that
     mask and the mask without its newest bit, of size n - 1, each after
-    k - 1 bits: row k - 1 of the recurrence below at n and n - 1.  Mask by
-    mask the sweep performs these float operations, so out is bit-equal.
+    k - 1 bits: the entries at n and n - 1 before step k.  Mask by mask
+    the sweep performs these float operations, so values is bit-equal.
     """
-    out = np.empty_like(values)
-    row = values  # the values at sizes k..d with k bits done
-    for k in range(values.size):
-        out[k] = row[0]
-        row = ufunc(row[1:], row[:-1])
-    return out
+    for k in range(1, values.size):
+        ufunc(values[k:], values[k - 1:-1], out=values[k:])
+    return values
 
 
 def mobius_inverse(theta: Union[Capacity, _Owned]) -> MobiusMeasure:
-    """Mobius measure of a capacity.
+    """Mobius measure of a capacity, held in the form theta is held in.
 
     g(A) = theta(E) - theta(E \\ A) accumulates the weight of all nonempty
     subsets of A, so one Mobius sweep recovers nu.  Exact inverse of
-    capacity_from_measure up to float rounding.  A capacity held by size
-    gets its measure by size, from the d + 1 values of g (_size_sweep).
+    capacity_from_measure up to float rounding.
 
-    mobius_inverse(_Owned(theta)) consumes theta: g is formed and swept in
-    theta's own table, read in reverse, so no second table is built.  nu is
-    bit-identical to mobius_inverse(theta), stored reversed in that memory.
-    The caller must hold the only reference to theta and drop it, since its
-    table no longer holds theta.  A plain Capacity is never written.
+    mobius_inverse(_Owned(theta)) consumes theta's table (_release): g is
+    formed and swept in it, read in reverse, so no second table is built.
+    nu is bit-identical to mobius_inverse(theta), stored reversed in that
+    memory.  The caller must hold the only reference to a theta held as a
+    table and drop it, since its table no longer holds theta.  A plain
+    Capacity, and a capacity held by size, is never written.
     """
-    owned = isinstance(theta, _Owned)
-    if owned:
+    if isinstance(theta, _Owned):
         theta = theta.arr
-    phi = theta.by_size
-    if phi is not None:
-        nu = _size_sweep(phi[-1] - phi[::-1], np.subtract)
-        nu[0] = 0.0
-        return MobiusMeasure(theta.carrier, by_size=nu)
-    if owned:
-        table = theta.table
-        total = table[-1]  # a scalar copy, read before the slot is overwritten
-        table.setflags(write=True)
         # complement(mask) = full - mask, so the complement table is a reversal
-        g = table[::-1]
-        np.subtract(total, g, out=g)
+        g = _release(theta)[::-1]
+        np.subtract(g[0], g, out=g)  # g[0], theta(E), is read as a scalar first
     else:
-        g = theta.table[-1] - theta.table[::-1]
-    nu = _sweep(g, theta.carrier.size, np.subtract)
+        held = theta._held()
+        g = held[-1] - held[::-1]
+    nu = theta._sweep(g, np.subtract)
     nu[0] = 0.0  # g(0) = 0 exactly, but keep the slot clean
-    return MobiusMeasure(theta.carrier, _Owned(nu))
+    return theta._new(MobiusMeasure, nu)
 
 
 def certified_mobius(theta: Union[Capacity, _Owned], tol: float = DEFAULT_TOL,
@@ -444,22 +473,17 @@ def certified_mobius(theta: Union[Capacity, _Owned], tol: float = DEFAULT_TOL,
 
 
 def capacity_from_measure(nu: MobiusMeasure) -> Capacity:
-    """Capacity theta(K) = sum of nu(F) over F meeting K.
+    """Capacity theta(K) = sum of nu(F) over F meeting K, held in the form
+    nu is held in.
 
-    Computed as h(E) - h(E \\ K) with h the subset-sum transform of the
-    weights, by size when nu is held by size.  Raises if some resulting
-    value is negative (the weights then do not come from a capacity).
+    Computed as h(E) - h(E \\ K) with h the subset-sum (zeta) sweep of the
+    held weights.  Raises if some resulting value is negative (the weights
+    then do not come from a capacity).
     """
-    if nu.by_size is not None:
-        h = _size_sweep(nu.by_size, np.add)
-        phi = h[-1] - h[::-1]
-        phi[0] = 0.0
-        return Capacity(nu.carrier, by_size=phi)
-    d = nu.carrier.size
-    h = subset_zeta(nu.weights, d)
-    table = h[-1] - h[::-1]
-    table[0] = 0.0
-    return Capacity(nu.carrier, _Owned(table))
+    h = nu._sweep(nu._held().copy(), np.add)
+    vals = h[-1] - h[::-1]
+    vals[0] = 0.0
+    return nu._new(Capacity, vals)
 
 
 def successive_difference(theta: Capacity, base: int,
@@ -513,27 +537,21 @@ def classify(theta: Capacity, tol: float = DEFAULT_TOL) -> Classification:
     tolerance tol (slack tol * theta(E), see Capacity.atol).
 
     Monotonicity compares theta(K) with theta(K + x) for every x not in K,
-    on views of the table in the order of the sweeps (_pairs).  Complete
-    alternation is certified through the Mobius measure (nu >= -slack
-    entrywise), which is equivalent to every successive difference of
-    order >= 2 being nonpositive.  Maxitivity uses the singleton criterion
-    theta(K) = max over x in K of theta({x}), which is equivalent to the
-    pairwise max property on a finite lattice.  Additivity means nu
-    carried by singletons.
+    on views of the held array in the order of the sweeps (_pairs).
+    Complete alternation is certified through the Mobius measure (nu >=
+    -slack entrywise), which is equivalent to every successive difference
+    of order >= 2 being nonpositive.  Maxitivity uses the singleton
+    criterion theta(K) = max over x in K of theta({x}), which is
+    equivalent to the pairwise max property on a finite lattice.
+    Additivity means nu carried by singletons.
 
     A capacity held by size takes all four from phi and nu by size, with
-    the same verdicts and witness: monotone iff phi is nondecreasing,
-    maxitive iff phi(k) = phi(1) for k >= 1, additive iff nu_k = 0 for
-    k >= 2; the witness is 2**k - 1, k the least size of least weight.
+    the same verdicts and witness: maxitive iff phi(k) = phi(1) for k >= 1,
+    the other three through the same code as a table (see _Lattice).
     """
     d = theta.carrier.size
     atol = theta.atol(tol)
-    phi = theta.by_size
-    if phi is None:
-        monotone = not any(np.any(lo - hi > atol)
-                           for lo, hi in _pairs(theta.table, d, write=False))
-    else:
-        monotone = not np.any(phi[:-1] - phi[1:] > atol)
+    monotone = not any(np.any(lo - hi > atol) for lo, hi in theta._pairs())
 
     nu = mobius_inverse(theta)
     min_w, witness = nu.min_weight()
@@ -541,19 +559,19 @@ def classify(theta: Capacity, tol: float = DEFAULT_TOL) -> Classification:
 
     # E is the cheapest witness against each of the two criteria below
     # (a nonsingleton once d >= 2), so most capacities skip the full pass
-    singles = theta.singletons()
+    singletons = np.left_shift(1, np.arange(d))
+    singles = theta.at(singletons)
     maxitive = bool(abs(theta.total - max(0.0, singles.max())) <= atol)
-    if maxitive and phi is None:
+    if maxitive and theta.by_size is None:
         maxitive = bool(np.all(np.abs(theta.table - subset_max(singles)) <= atol))
     elif maxitive:
-        maxitive = bool(np.all(np.abs(phi[1:] - phi[1]) <= atol))
+        maxitive = bool(np.all(np.abs(theta.by_size[1:] - theta.by_size[1]) <= atol))
 
-    weights, singletons = ((nu.weights, np.left_shift(1, np.arange(d))) if phi is None
-                           else (nu.by_size, 1))
+    weights = nu._held()
     additive = d == 1 or bool(abs(weights[-1]) <= atol)
     if additive:
         off = np.abs(weights)
-        off[singletons] = 0.0
+        off[nu._index(singletons)] = 0.0
         additive = bool(off.max() <= atol)
 
     return Classification(monotone, completely_alternating, maxitive, additive,

@@ -61,12 +61,12 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
 import numpy as np
 
 from .carrier import Carrier, iter_bits
-from .setfun import DEFAULT_TOL, Capacity, MobiusMeasure, _Owned, _release, certified_mobius
+from .setfun import DEFAULT_TOL, Capacity, _Owned, certified_mobius
 from .tdf import SpectralTDF, extremal_coefficients
 
 STREAM_VERSION = 2
@@ -391,42 +391,38 @@ def _method(atoms: int, floor: float, config: SimConfig) -> str:
     return "max-linear" if config.mode == "exact" and atoms <= floor else "lepage"
 
 
-def _crsm_atoms(theta: Capacity, mobius: Union[MobiusMeasure, _Owned, None] = None
+def _crsm_atoms(theta: Capacity, mobius: Optional[_Owned] = None
                 ) -> tuple[np.ndarray, np.ndarray, int]:
     """Positive Mobius atoms: masks ascending (int32, as d <= 24), their
     weights and the relevant points (the union of the atoms).
 
     Refuses capacities that are not completely alternating within the
     relative tolerance DEFAULT_TOL (slack DEFAULT_TOL * theta(E)), so the
-    negative weights left out lie in that band.  mobius is theta's Mobius
-    measure when the caller has it already; it is never written, and the
-    weights go to an array of their own.  Otherwise, or when the caller
-    hands it over as _Owned(mobius), they move forward into the Mobius
-    table, in 64 chunks of at least _SPAN entries: masks[k] >= k, so a
-    chunk's weights land only on entries already read.
+    negative weights left out lie in that band.  mobius, _Owned(nu), hands
+    over theta's Mobius measure when the caller has it already.  Either way
+    the weights move forward into the Mobius table, spread once when nu is
+    held by size, in 64 chunks of at least _SPAN entries: masks[k] >= k,
+    so a chunk's weights land only on entries already read.
     """
-    owned = isinstance(mobius, _Owned)
-    if owned:
-        mobius = mobius.arr
-    nu = certified_mobius(theta, DEFAULT_TOL, mobius)
+    nu = certified_mobius(theta, DEFAULT_TOL, None if mobius is None else mobius.arr)
     if theta.total <= 0:
         raise ValueError("capacity is identically zero; nothing to simulate")
     w = nu.weights
+    w.setflags(write=True)  # nu is this run's own and is dropped on return
     masks = np.empty(np.count_nonzero(w > 0), dtype=np.int32)
-    out = np.empty(masks.size) if mobius is not None and not owned else _release(nu)
     span = max(_SPAN, w.size >> 6)
     k = 0
     for s in range(0, w.size, span):
         hits = np.flatnonzero(w[s:s + span] > 0)
         hits += s
-        out[k:k + hits.size] = w[hits]
+        w[k:k + hits.size] = w[hits]
         masks[k:k + hits.size] = hits
         k += hits.size
-    return masks, out[:k], int(np.bitwise_or.reduce(masks))
+    return masks, w[:k], int(np.bitwise_or.reduce(masks))
 
 
 def simulate_crsm(theta: Capacity, config: SimConfig,
-                  mobius: Union[MobiusMeasure, _Owned, None] = None) -> SampleBatch:
+                  mobius: Optional[_Owned] = None) -> SampleBatch:
     """Sample the Choquet random sup-measure of a CA capacity.
 
     LePage: atom sets arrive as Xi ~ nu/theta(E) with common magnitude
@@ -435,9 +431,9 @@ def simulate_crsm(theta: Capacity, config: SimConfig,
     term at which every point with theta({x}) > 0 has been hit; E[N] lies
     between 1 + max_x theta(E)/theta({x}) and 1 + sum_x theta(E)/theta({x}).
     Max-linear: X({x}) = max over atoms F containing x of nu(F)/E_F, chosen
-    for exact runs with m <= LB = max_x theta(E)/theta({x}) atoms.  mobius
-    is theta's Mobius measure when the caller has it already; _Owned(mobius)
-    hands it over, to be consumed as the run's own Mobius table.
+    for exact runs with m <= LB = max_x theta(E)/theta({x}) atoms.
+    mobius, _Owned(nu), hands over theta's Mobius measure when the caller
+    has it already, to be consumed as the run's own Mobius table.
 
     Besides theta, a run holds the atoms' weights, in the 2**d Mobius table
     it builds (on LePage their cumulative pick table overwrites them), and
@@ -522,7 +518,7 @@ def simulate_spectral(sampler: SpectralSampler, config: SimConfig) -> SampleBatc
 
 
 def simulate_model(model, config: SimConfig,
-                   mobius: Union[MobiusMeasure, _Owned, None] = None) -> SampleBatch:
+                   mobius: Optional[_Owned] = None) -> SampleBatch:
     """Dispatch: spectral TDFs through their own atoms; every other model
     is a CRSM, sampled through its capacity (mobius: its Mobius measure,
     when the caller has it already, as simulate_crsm takes it)."""

@@ -61,7 +61,7 @@ import numpy as np
 from .carrier import Carrier, as_values, iter_bits
 from .integrals import _as_functional, _vals, choquet_integral
 from .setfun import (DEFAULT_TOL, MAX_ALTERNATION_ORDER, Capacity, _additive_table,
-                     _Owned, certified_mobius, subset_max)
+                     _max_excess, _Owned, certified_mobius, subset_max)
 
 PROBE_TOL = 1e-7  # max-alternation probe: a relative sum above it is a violation
 
@@ -323,10 +323,8 @@ def dual_greedy(theta: Capacity, f,
     The value f . mu then equals the Choquet integral, which is the exact
     optimum.  Feasibility of mu is re-verified exhaustively over the whole
     lattice; a violation means the alternation certificate lied and raises,
-    naming the first mask of largest excess.  A capacity held by size
-    checks the d sizes, each on the set of its k largest weights (the lowest
-    points among ties), and names that set at the size of largest excess.
-    tol is relative: both checks allow a slack of tol * theta(E).
+    naming the first mask of largest excess (_max_excess; by size, d sets
+    are checked).  tol is relative: both checks allow a slack of tol * theta(E).
     """
     v = _vals(f, theta.carrier)
     certified_mobius(theta, tol)
@@ -349,17 +347,8 @@ def dual_greedy(theta: Capacity, f,
             f"(increment {weights.min():.3g})")
     weights = np.clip(weights, 0.0, None)
     mu = DiscreteMeasure(theta.carrier, weights)
-    if theta.by_size is None:
-        excess = _additive_table(weights)
-        excess -= theta.table
-    else:
-        # the largest mu(K) over the k-sets is the sum of the k largest weights
-        top = np.argsort(-weights, kind="stable")
-        excess = np.cumsum(weights[top]) - theta.by_size[1:]
-    if np.any(excess > atol):
-        worst = int(np.argmax(excess))
-        if theta.by_size is not None:
-            worst = int(np.bitwise_or.reduce(np.left_shift(1, top[:worst + 1])))
+    excess, worst = _max_excess(theta, weights)
+    if excess > atol:
         raise RuntimeError(
             f"greedy measure violates feasibility at mask {worst:#x}; "
             f"capacity is not completely alternating within {atol:.3g}")

@@ -39,8 +39,8 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from .carrier import Carrier, TorusTag, as_carrier
-from .setfun import (_BLOCK_BITS, Capacity, _additive_table, _Owned, _singleton_table,
-                     _sweep)
+from .setfun import (_BLOCK_BITS, Capacity, _additive_table, _Owned, _release,
+                     _singleton_table, _sweep)
 from .tdf import DiscreteMeasure
 
 
@@ -89,30 +89,26 @@ class BernsteinFunction:
 
 
 def compose_capacity(g: BernsteinFunction, theta: Union[Capacity, _Owned]) -> Capacity:
-    """g o theta, tablewise.  Preserves complete alternation.
+    """g o theta, held in the form theta is held in.  Preserves complete
+    alternation.
 
-    A capacity held by size gives one held by size, g applied to phi.  A
-    table goes through g 2**_BLOCK_BITS masks at a time, into a new table,
-    or into theta's own table for compose_capacity(g, _Owned(theta)): the
-    caller must then drop theta.  A plain Capacity is never written.  g
-    works entry by entry, so every route gives the bits of g(theta.table).
+    g runs over the held values, 2**_BLOCK_BITS at a time, into a new
+    array, or for compose_capacity(g, _Owned(theta)) into the array
+    _release hands back: theta's own table, which the caller must then
+    drop, or a copy of the d + 1 values of a theta held by size.  A plain
+    Capacity is never written.  g works entry by entry, so every route
+    gives the bits of g(theta.table).
     """
     owned = isinstance(theta, _Owned)
     if owned:
         theta = theta.arr
-    if theta.by_size is not None:
-        phi = g(theta.by_size)  # a new array: g never returns its argument
-        phi[0] = 0.0  # g(0) = 0 identically; keep the slot exact
-        return Capacity(theta.carrier, by_size=phi)
-    src = theta.table
-    if owned:
-        src.setflags(write=True)
+    src = _release(theta) if owned else theta._held()
     out = src if owned else np.empty_like(src)
     step = 1 << _BLOCK_BITS
     for start in range(0, src.size, step):
         out[start:start + step] = g(src[start:start + step])
-    out[0] = 0.0
-    return Capacity(theta.carrier, _Owned(out))
+    out[0] = 0.0  # g(0) = 0 identically; keep the slot exact
+    return theta._new(Capacity, out)
 
 
 def exchangeable_capacity(carrier: Union[Carrier, int],

@@ -100,15 +100,10 @@ def verify_model(model: Model, samples: int = 20000, seed: int = 1,
         theta = extremal_coefficients(ell)
         atol = theta.atol(tol)
         nu = mobius_inverse(theta)
-        # a capacity held by size takes its round trip by size; a table's
-        # error is formed in the round-trip table itself
-        if theta.by_size is None:
-            back = _release(capacity_from_measure(nu))
-            np.subtract(back, theta.table, out=back)
-            err = float(np.max(np.abs(back, out=back)))
-            del back
-        else:
-            err = float(np.max(np.abs(capacity_from_measure(nu).by_size - theta.by_size)))
+        # the round trip, held as theta is, holds its own error
+        back = _release(capacity_from_measure(nu))
+        err = float(np.max(np.abs(np.subtract(back, theta._held(), out=back), out=back)))
+        del back
         checks.append(CheckResult("mobius-roundtrip", err, atol, err <= atol))
         min_w, witness = nu.min_weight()
         ca = min_w >= -atol
@@ -118,12 +113,9 @@ def verify_model(model: Model, samples: int = 20000, seed: int = 1,
         if not ca:
             return checks
         # the band accepted at tol, clamped to 0 as the sampler clamps its
-        # own; a table is clamped in place
-        if nu.by_size is None:
-            w = _release(nu)
-            nu = MobiusMeasure(carrier, _Owned(np.clip(w, 0.0, None, out=w)))
-        else:
-            nu = MobiusMeasure(carrier, by_size=np.clip(nu.by_size, 0.0, None))
+        # own, in the array _release hands back
+        w = _release(nu)
+        nu = nu._new(MobiusMeasure, np.clip(w, 0.0, None, out=w))
     else:
         arep = check_max_complete_alternation(ell, order=3, trials=300, seed=seed)
         checks.append(CheckResult("max-alternation", arep.worst_value, PROBE_TOL,

@@ -6,14 +6,17 @@ same capacity gives as a plain 2**d table: verdicts, witnesses, messages,
 Mobius weights, integrals, the dual measure, CDFs and CLI artifacts.
 """
 
+import ast
 import json
 import math
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from conftest import carrier_of
+import crsm
 from crsm import cli
 from crsm.carrier import Carrier
 from crsm.integrals import choquet_integral, comonotone_formula, extremal_integral
@@ -175,12 +178,16 @@ def test_compose_of_a_symmetric_capacity_applies_g_to_phi():
     for d in (1, 3, 9, 16):
         for name, theta in symmetric_models(rng, d)[:4]:
             for g in bernstein_forms(rng):
-                by_size = compose_capacity(g, theta)
-                assert by_size.by_size is not None
-                table = compose_capacity(g, as_table(theta))
                 want = g(theta.table)
                 want[0] = 0.0
-                assert by_size.table.tobytes() == table.table.tobytes() == want.tobytes()
+                phi = theta.by_size.tobytes()
+                # _Owned gives the same bits: phi is copied, a table consumed
+                for given in (theta, _Owned(theta), as_table(theta), _Owned(as_table(theta))):
+                    got = compose_capacity(g, given)
+                    held = given.arr if isinstance(given, _Owned) else given
+                    assert (got.by_size is None) == (held.by_size is None), name
+                    assert got.table.tobytes() == want.tobytes(), name
+                assert theta.by_size.tobytes() == phi
 
 
 def test_avar_by_size_is_refused_alike_with_the_same_witness():
@@ -262,7 +269,9 @@ def test_cli_artifacts_by_size_are_byte_identical(tmp_path, capsys, monkeypatch,
                 "dual": (["dual"] + m + ["--f", f], None),
                 "cdf": (["cdf"] + m + ["--pairs", pairs], tmp_path / "cdf.json"),
                 "mobius": (["mobius"] + m, tmp_path / "mobius.json"),
-                "materialize": (["materialize"] + m, tmp_path / "table.json")}
+                "materialize": (["materialize"] + m, tmp_path / "table.json"),
+                "verify": (["verify"] + m + ["--seed", "1", "--samples", "2000"],
+                           tmp_path / "verify.json")}
         by_size = {k: _cli_bytes(capsys, *v) for k, v in runs.items()}
         with monkeypatch.context() as mp:
             _table_models(mp)
@@ -286,3 +295,18 @@ def test_classify_by_size_allocates_no_table():
     assert nu.min_weight()[1] == cls.min_mobius_witness
     assert theta._table is None and nu._table is None
     assert peak < 1 << 20, peak
+
+
+def representation_reads(package: Path) -> list[str]:
+    """Every read of by_size or _table in the package's modules other than
+    setfun.py, as module:line.attribute."""
+    return [f"{path.name}:{node.lineno}.{node.attr}"
+            for path in sorted(package.glob("*.py")) if path.name != "setfun.py"
+            for node in ast.walk(ast.parse(path.read_text(), str(path)))
+            if isinstance(node, ast.Attribute) and node.attr in ("by_size", "_table")]
+
+
+def test_only_setfun_tells_the_two_forms_apart():
+    # every other module reaches the held form through the _Lattice
+    # operations, so each lattice identity is written once for both forms
+    assert representation_reads(Path(crsm.__file__).parent) == []
