@@ -575,10 +575,10 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--deterministic", action="store_true",
                         help="suppress timestamps for byte-stable output")
         if sim:
-            sp.add_argument("--samples", type=int, default=10000)
+            sp.add_argument("--samples", type=_positive_int, default=10000)
             sp.add_argument("--mode", default="exact",
                             help="'exact' or 'truncated:K'")
-            sp.add_argument("--max-terms", type=int, default=1_000_000,
+            sp.add_argument("--max-terms", type=_positive_int, default=1_000_000,
                             dest="max_terms",
                             help="exact LePage runs fail past this many terms "
                                  "per sample; max-linear runs draw one number "

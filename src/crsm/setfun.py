@@ -267,14 +267,6 @@ class MobiusMeasure(_Lattice):
 
     weights = property(_Lattice._full, doc="nu over the 2**d masks, read-only")
 
-    @property
-    def total_mass(self) -> float:
-        """Sum of all weights; equals theta(E) of the matching capacity."""
-        if self.by_size is not None:
-            d = self.carrier.size
-            return math.fsum(math.comb(d, k) * w for k, w in enumerate(self.by_size))
-        return float(self.weights.sum())
-
     def min_weight(self) -> tuple[float, int]:
         """Smallest weight over nonempty sets and its witness, the first mask
         holding it: by size, the first set of the smallest size holding it."""

@@ -4,9 +4,11 @@ The target law is X = sup_i Gamma_i^{-1} Y_i where Gamma_1 < Gamma_2 < ..
 are the arrivals of a unit Poisson process and the Y_i are iid spectral
 draws from a finite table of atoms (w_j, y_j):
 
-* simulate_crsm: y_j = 1_F and w_j = nu(F) over the positive Mobius atoms F
-  of a completely alternating capacity theta, so Y = theta(E) * 1_Xi with
-  Xi ~ nu / theta(E); X is its Choquet random sup-measure,
+* simulate_crsm: the positive Mobius atoms F of a completely alternating
+  capacity theta, held as masks, with y_j = theta(E) 1_F picked with
+  probability nu(F) / theta(E), so Y = theta(E) * 1_Xi with Xi ~ nu /
+  theta(E) (max-linear reads y_j = 1_F, w_j = nu(F)); X is its Choquet
+  random sup-measure,
   P(X(K_i) <= a_i for all i) = exp(-sum_F nu(F) max{1/a_i : F meets K_i}).
 * simulate_spectral: the rows y_j of a spectral table, picked with
   probability p_j; `couple` runs the same kernel on the table of widened
@@ -30,14 +32,16 @@ keep LePage for its pathwise stream.
 Exactness of the LePage stopping rule: every term is bounded by
 bound/Gamma_n, so once every point that can be positive is positive and
 bound/Gamma_n has dropped strictly below the smallest running maximum, no
-later term can change any coordinate (for the CRSM: N = T + 1, T the term
-at which every relevant point has been hit).  By the same bound a step's
-final maximum clears bound/Gamma_n only if the running one at term n does,
-so the spectral kernel tests the final maxima.  "Exact" mode records that
-stop term per sample and may apply later terms of the same round, which
-changes no bit; "truncated" mode keeps exactly n_terms terms of the same
-stream, so a truncated sample is pathwise dominated by its exact LePage
-twin.
+later term can change any coordinate.  By the same bound a step's final
+maximum clears bound/Gamma_n only if the running one at term n does, so
+the kernel tests the final maxima.  If bound/Gamma_n at a step's last
+term n equals the smallest maximum, no later term can raise X either, and
+the lane stops at N = n + 1 without drawing term n + 1.  For the CRSM the
+smallest maximum is theta(E)/Gamma_T, T the term at which every relevant
+point has been hit, so N = T + 1.  "Exact" mode records that stop term
+per sample and may apply later terms of the same round, which changes no
+bit; "truncated" mode keeps exactly n_terms terms of the same stream, so
+a truncated sample is pathwise dominated by its exact LePage twin.
 
 Randomness contract, stream version 2: block b of BLOCK consecutive
 samples draws from substream(seed, 2b).
@@ -77,6 +81,7 @@ TAIL = 64               # first continuation chunk; chunks double ...
 TAIL_MAX = 8192         # ... up to this many terms
 _CELLS = 1 << 15        # cap on terms x lanes x width of one engine step
 _SPAN = 1 << 12         # least Mobius table entries per chunk of an atom pass
+_FRECHET_MIN = 30       # least observations of a Frechet scale estimate
 
 
 class MaxTermsExceeded(RuntimeError):
@@ -191,66 +196,43 @@ def _cumulative(weights: np.ndarray, out: Optional[np.ndarray] = None) -> np.nda
 
 
 class _AtomTable:
-    """Atoms rows[k] (CRSM masks or spectral rows) with weights[k] > 0.
+    """Atoms rows[k] with weights[k] > 0, picked with probability
+    weights[k] / sum: a uniform u picks the first row whose normalized
+    cumulative weight exceeds u.
 
-    A LePage pick takes row k with probability weights[k] / sum: a uniform
-    u picks the first row whose normalized cumulative weight exceeds u.
-    That cumulative table is built on the first pick, in an array of its
-    own, so weights (a SpectralTDF's probs) are never written and a
-    max-linear run never builds it.  A CRSM on LePage needs no atom table:
-    its cumulative weights overwrite its atom weights (simulate_crsm).
+    rows are spectral rows, an (atoms, width) float array, or the int32
+    masks of CRSM atoms F over width points, whose row is scale * 1_F
+    (scale = theta(E)).  This table is the one place that expands a mask
+    into its indicator.  The cumulative table is built on the first pick:
+    a CRSM's overwrites its atom weights, which are the run's own
+    (simulate_crsm); spectral rows get an array of its own, so a
+    SpectralTDF's probs are never written.  A max-linear run never builds it.
     """
 
-    def __init__(self, rows: np.ndarray, weights: np.ndarray):
-        self.rows, self.weights = rows, weights
+    def __init__(self, rows: np.ndarray, weights: np.ndarray,
+                 width: Optional[int] = None, scale: float = 1.0):
+        self.rows, self.weights, self.scale = rows, weights, scale
+        self.crsm = rows.ndim == 1
+        self.width = width if self.crsm else rows.shape[1]
 
     @functools.cached_property
     def cum(self) -> np.ndarray:
-        return _cumulative(self.weights)
+        return _cumulative(self.weights, out=self.weights if self.crsm else None)
 
-    def pick(self, u):
-        return np.searchsorted(self.cum, u, side="right")
+    def _expand(self, rows: np.ndarray) -> np.ndarray:
+        """Spectral rows as they are; masks as boolean indicators."""
+        if not self.crsm:
+            return rows
+        return rows[..., None] & (1 << np.arange(self.width, dtype=np.int32)) != 0
 
-    def dense(self, lo: int, hi: int, d: int) -> np.ndarray:
-        """Rows lo..hi-1 as an (atoms, d) array; a mask becomes its indicator."""
-        rows = self.rows[lo:hi]
-        return rows if rows.ndim == 2 else (rows[:, None] >> np.arange(d)) & 1
+    def pick(self, u: np.ndarray) -> np.ndarray:
+        """The rows that uniforms u pick, as a new float array."""
+        y = self._expand(self.rows[np.searchsorted(self.cum, u, side="right")])
+        return y * self.scale if self.crsm else y
 
-
-class _FirstHit:
-    """CRSM kernel: X({x}) = theta(E)/Gamma_{tau_x}, tracked by coverage."""
-
-    width = 1
-
-    def __init__(self, theta: Capacity, masks: np.ndarray, cum: np.ndarray,
-                 relevant: int, ratios: np.ndarray, n: int, exact: bool):
-        """masks: the atoms, ascending; cum: their normalized cumulative
-        weights; ratios: theta(E)/theta({x}) over the relevant points."""
-        d = theta.carrier.size
-        self.masks, self.cum = masks, cum
-        self.total, self.relevant, self.exact = theta.total, relevant, exact
-        self.shifts = np.arange(d)
-        self.x = np.zeros((n, d))
-        self.cost = (f"; expected terms E[N] in [{1 + ratios.max():.6g}, "
-                     f"{1 + ratios.sum():.6g}] (1 + max_x theta(E)/theta({{x}}) <= "
-                     f"E[N] <= 1 + sum_x theta(E)/theta({{x}}))")
-
-    def step(self, lanes, g, u):
-        m = self.masks[np.searchsorted(self.cum, u, side="right")]
-        before = (self.x[lanes] > 0.0) @ (1 << self.shifts)   # points already hit
-        cov = np.bitwise_or.accumulate(m, axis=0, out=m)
-        cov |= before
-        new = cov.copy()
-        new[1:] &= ~cov[:-1]
-        new[0] &= ~before
-        tn, ln = np.nonzero(new)
-        r, i = np.nonzero((new[tn, ln][:, None] >> self.shifts) & 1)
-        self.x[lanes[ln[r]], i] = self.total / g[tn[r], ln[r]]
-        if not self.exact:
-            return None
-        # all hit at term T: the check at term T + 1 is the first to pass
-        full = cov == self.relevant
-        return np.where(full[-1], full.argmax(axis=0) + 2, 0)
+    def dense(self, lo: int, hi: int) -> np.ndarray:
+        """Rows lo..hi-1 as an (atoms, width) array; a mask becomes 1_F."""
+        return self._expand(self.rows[lo:hi])
 
 
 def _coupled_rows(y: np.ndarray) -> np.ndarray:
@@ -261,19 +243,16 @@ def _coupled_rows(y: np.ndarray) -> np.ndarray:
 
 
 class _RunningMax:
-    """Spectral kernel: X = max_n y_n / Gamma_n over the rows of any atom
-    table, stopping once bound/Gamma_n is below X at every stop column."""
-
-    cost = ""
+    """The LePage kernel: X = max_n y_n / Gamma_n over the rows of an atom
+    table, stopping once no later term can raise X at a stop column."""
 
     def __init__(self, table: _AtomTable, bound: float, stop: np.ndarray, n: int,
                  exact: bool):
         self.table, self.bound, self.stop, self.exact = table, bound, stop, exact
-        self.width = table.rows.shape[1]
-        self.x = np.zeros((n, self.width))
+        self.x = np.zeros((n, table.width))
 
     def step(self, lanes, g, u):
-        y = self.table.rows[self.table.pick(u)]
+        y = self.table.pick(u)
         np.divide(y, g[:, :, None], out=y)
         x = np.maximum(self.x[lanes], y.max(axis=0))
         self.x[lanes] = x
@@ -282,22 +261,30 @@ class _RunningMax:
         # Entries are <= bound and g is nondecreasing, so no term at or after n
         # exceeds fl(bound / g_n) (IEEE division is monotone): the final max
         # clears it at the stop columns exactly when the running max at n does.
-        ok = self.bound / g < x[:, self.stop].min(axis=1)
-        return np.where(ok.any(axis=0), ok.argmax(axis=0) + 1, 0)
+        # If it equals the final max at the step's last term, no later term can
+        # raise X either, so the lane stops at the next term without drawing it.
+        room = self.bound / g
+        low = x[:, self.stop].min(axis=1)
+        ok = room < low
+        return np.where(ok.any(axis=0), ok.argmax(axis=0) + 1,
+                        np.where(room[-1] == low, len(g) + 1, 0))
 
 
-def _lepage(kernel, config: SimConfig) -> np.ndarray:
-    """Run every sample through kernel in the stream-2 layout; returns the
-    term counts.
+def _lepage(table: _AtomTable, bound: float, stop: np.ndarray, config: SimConfig,
+            cost: str = "") -> tuple[np.ndarray, np.ndarray]:
+    """Run every sample through the running-max kernel over table (bound
+    and stop columns as _RunningMax takes them) in the stream-2 layout;
+    returns the values and the term counts.  cost is a note for
+    MaxTermsExceeded.
 
-    A kernel holds its samples' state, the per-lane `width` of one term's
-    temporaries and a `cost` note for MaxTermsExceeded.  step(lanes, g, u)
-    applies terms with arrivals g (terms, lanes) and pick uniforms u; in
-    exact mode it returns each lane's stop term counted from the step's
-    first term, 0 while the lane runs on.
+    The kernel's step(lanes, g, u) applies terms with arrivals g (terms,
+    lanes) and pick uniforms u; in exact mode it returns each lane's stop
+    term counted from the step's first term, at most one past its last,
+    and 0 while the lane runs on.
     """
     n = config.samples
     exact = config.mode == "exact"
+    kernel = _RunningMax(table, bound, stop, n, exact)
     limit = config.max_terms if exact else config.n_terms
     terms = np.full(n, limit, dtype=np.int64)
     gamma = np.zeros(BLOCK)     # arrival time so far, by lane of the block
@@ -317,12 +304,12 @@ def _lepage(kernel, config: SimConfig) -> np.ndarray:
         late = np.where(stopped, end > limit, done + len(g) >= limit)
         if late.any():
             raise MaxTermsExceeded(f"sample {lanes[late][0]} did not stop within "
-                                   f"{limit} terms{kernel.cost}")
+                                   f"{limit} terms{cost}")
         return ~stopped
 
     def sweep(lanes, done, t, draws):
         """advance() over groups of lanes that keep temporaries near _CELLS."""
-        step = max(1, _CELLS // (t * kernel.width))
+        step = max(1, _CELLS // (t * table.width))
         keep = np.empty(lanes.size, dtype=bool)
         for s in range(0, lanes.size, step):
             part = slice(s, s + step)
@@ -355,18 +342,17 @@ def _lepage(kernel, config: SimConfig) -> np.ndarray:
             gens = [g for g, k in zip(gens, keep) if k]
             done += size
             size = min(2 * size, TAIL_MAX)
-    return terms
+    return kernel.x, terms
 
 
-def _max_linear(table: _AtomTable, w: np.ndarray, d: int,
-                config: SimConfig) -> np.ndarray:
+def _max_linear(table: _AtomTable, w: np.ndarray, config: SimConfig) -> np.ndarray:
     """X({x}) = max_j (w_j / E_j) y_j(x) in the max-linear stream layout.
 
     Lanes and atoms go in groups that keep the (lanes, atoms, d) product
     near _CELLS; the exponentials of a block are drawn group by group in
     row order, which gives the same numbers as one (lanes, m) draw.
     """
-    n, m = config.samples, w.size
+    n, m, d = config.samples, w.size, table.width
     x = np.zeros((n, d))
     lanes = min(BLOCK, max(1, _CELLS // (m * d)))
     span = max(1, _CELLS // (lanes * d))
@@ -377,7 +363,7 @@ def _max_linear(table: _AtomTable, w: np.ndarray, d: int,
             part = slice(s, min(s + lanes, end))
             z = w / gen.standard_exponential((part.stop - s, m), method="inv")
             for a in range(0, m, span):
-                y = table.dense(a, a + span, d)
+                y = table.dense(a, a + span)
                 np.maximum(x[part], (z[:, a:a + span, None] * y).max(axis=1),
                            out=x[part])
     return x
@@ -389,6 +375,25 @@ def _method(atoms: int, floor: float, config: SimConfig) -> str:
     E[N]: LePage, at two numbers per term, then draws at least twice as
     many."""
     return "max-linear" if config.mode == "exact" and atoms <= floor else "lepage"
+
+
+def _sample(carrier: Carrier, table: _AtomTable, w: np.ndarray, floor: float,
+            bound: float, stop: np.ndarray, config: SimConfig,
+            cost: str = "") -> SampleBatch:
+    """The one sampling path of an atom table: the cost rule, then
+    max-linear with weights w or LePage (bound, stop columns and cost as
+    _lepage takes them).  A CRSM's first atoms are the argmax sets of its
+    values."""
+    plan = (_method(w.size, floor, config), w.size, floor)
+    if plan[0] == "max-linear":
+        x, terms = _max_linear(table, w, config), np.full(config.samples, w.size)
+    else:
+        x, terms = _lepage(table, bound, stop, config, cost)
+    first = None
+    if table.crsm:
+        top = _row_max(x)
+        first = np.einsum("ij,j->i", x == top[:, None], 1 << np.arange(table.width))
+    return _batch(carrier, x, config, plan, terms, first)
 
 
 def _crsm_atoms(theta: Capacity, mobius: Optional[_Owned] = None
@@ -425,11 +430,15 @@ def simulate_crsm(theta: Capacity, config: SimConfig,
                   mobius: Optional[_Owned] = None) -> SampleBatch:
     """Sample the Choquet random sup-measure of a CA capacity.
 
-    LePage: atom sets arrive as Xi ~ nu/theta(E) with common magnitude
-    theta(E)/Gamma_n, so X({x}) = theta(E)/Gamma_{tau_x} at the first term
-    tau_x whose atom contains x.  Exact mode stops at N = T + 1, T the
-    term at which every point with theta({x}) > 0 has been hit; E[N] lies
-    between 1 + max_x theta(E)/theta({x}) and 1 + sum_x theta(E)/theta({x}).
+    LePage runs the running-max kernel over the run's own atom table: the
+    int32 masks are the rows, the row of atom F is theta(E) 1_F, the bound
+    is theta(E) and the stop columns are the relevant points.  So atom sets
+    arrive as Xi ~ nu/theta(E) with common magnitude theta(E)/Gamma_n, and
+    X({x}) = theta(E)/Gamma_{tau_x} at the first term tau_x whose atom
+    contains x.  Exact mode stops at N = T + 1, T the term at which every
+    point with theta({x}) > 0 has been hit, without drawing term T + 1 (the
+    kernel's tie rule); E[N] lies between 1 + max_x theta(E)/theta({x})
+    and 1 + sum_x theta(E)/theta({x}).
     Max-linear: X({x}) = max over atoms F containing x of nu(F)/E_F, chosen
     for exact runs with m <= LB = max_x theta(E)/theta({x}) atoms.
     mobius, _Owned(nu), hands over theta's Mobius measure when the caller
@@ -442,20 +451,13 @@ def simulate_crsm(theta: Capacity, config: SimConfig,
     """
     masks, weights, relevant = _crsm_atoms(theta, mobius)
     d = theta.carrier.size
-    ratios = theta.total / theta.singletons()[_bits(relevant, d)]
-    floor = float(ratios.max())
-    plan = (_method(masks.size, floor, config), masks.size, floor)
-    if plan[0] == "max-linear":
-        x = _max_linear(_AtomTable(masks, weights), weights, d, config)
-        terms = np.full(config.samples, masks.size)
-    else:
-        kernel = _FirstHit(theta, masks, _cumulative(weights, out=weights),
-                           relevant, ratios, config.samples, config.mode == "exact")
-        terms = _lepage(kernel, config)
-        x = kernel.x
-    top = _row_max(x)
-    first = np.einsum("ij,j->i", x == top[:, None], 1 << np.arange(d))
-    return _batch(theta.carrier, x, config, plan, terms, first)
+    live = np.flatnonzero(_bits(relevant, d))
+    ratios = theta.total / theta.singletons()[live]
+    cost = (f"; expected terms E[N] in [{1 + ratios.max():.6g}, "
+            f"{1 + ratios.sum():.6g}] (1 + max_x theta(E)/theta({{x}}) <= "
+            f"E[N] <= 1 + sum_x theta(E)/theta({{x}}))")
+    return _sample(theta.carrier, _AtomTable(masks, weights, d, theta.total), weights,
+                   float(ratios.max()), theta.total, live, config, cost)
 
 
 @dataclass(frozen=True)
@@ -507,14 +509,7 @@ def simulate_spectral(sampler: SpectralSampler, config: SimConfig) -> SampleBatc
     sum_j p_j y_j(x) atoms: X({x}) = max_j (p_j / E_j) y_j(x).
     """
     p, floor, live = _spectral_plan(sampler)
-    plan = (_method(p.size, floor, config), p.size, floor)
-    if plan[0] == "max-linear":
-        x = _max_linear(sampler.table, p, sampler.carrier.size, config)
-        return _batch(sampler.carrier, x, config, plan, np.full(config.samples, p.size))
-    kernel = _RunningMax(sampler.table, sampler.bound, live, config.samples,
-                         config.mode == "exact")
-    terms = _lepage(kernel, config)
-    return _batch(sampler.carrier, kernel.x, config, plan, terms)
+    return _sample(sampler.carrier, sampler.table, p, floor, sampler.bound, live, config)
 
 
 def simulate_model(model, config: SimConfig,
@@ -540,11 +535,11 @@ def frechet_scale_estimate(z: np.ndarray) -> FrechetEstimate:
 
     1/z_j are iid Exp(a), so a_hat = n / sum(1/z_j); the reported
     half-width is the 3-sigma band 3 a_hat / sqrt(n).  Requires at least
-    30 strictly positive observations.
+    _FRECHET_MIN strictly positive observations.
     """
     z = np.asarray(z, dtype=float)
-    if z.ndim != 1 or z.size < 30:
-        raise ValueError(f"need at least 30 observations, got {z.size}")
+    if z.ndim != 1 or z.size < _FRECHET_MIN:
+        raise ValueError(f"need at least {_FRECHET_MIN} observations, got {z.size}")
     if np.any(z <= 0) or not np.all(np.isfinite(z)):
         raise ValueError("Frechet scale needs strictly positive finite observations")
     n = z.size
@@ -648,9 +643,8 @@ def couple(law, config: SimConfig) -> Coupling:
     d = law.carrier.size
     wide = _AtomTable(_coupled_rows(law.table.rows), law.table.weights)
     stop = np.concatenate([live, d + np.flatnonzero(_bits(law.argmax_reachable, d))])
-    kernel = _RunningMax(wide, law.bound, stop, config.samples, config.mode == "exact")
-    terms = _lepage(kernel, config)
-    mid, lo, hi = np.split(kernel.x, 3, axis=1)
+    x, terms = _lepage(wide, law.bound, stop, config)
+    mid, lo, hi = np.split(x, 3, axis=1)
     mk = lambda a: _batch(law.carrier, a, config, plan, terms)
     return Coupling(mk(lo), mk(mid), mk(hi))
 

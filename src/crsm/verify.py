@@ -28,6 +28,7 @@ import numpy as np
 from .setfun import (DEFAULT_TOL, Capacity, MobiusMeasure, _Owned, _release,
                      capacity_from_measure, mobius_inverse)
 from .simulate import (
+    _FRECHET_MIN,
     SimConfig,
     _row_max,
     argmax_independence_test,
@@ -86,7 +87,12 @@ def _test_vectors(carrier, relevant_idx: np.ndarray, seed: int) -> list[tuple[st
 
 def verify_model(model: Model, samples: int = 20000, seed: int = 1,
                  tol: float = DEFAULT_TOL) -> list[CheckResult]:
-    """Run the battery; returns one CheckResult per check, in run order."""
+    """Run the battery; returns one CheckResult per check, in run order.
+    Refuses fewer samples than its Frechet scale rows need before any
+    other work."""
+    if samples < _FRECHET_MIN:
+        raise ValueError(f"verify needs at least {_FRECHET_MIN} samples for its "
+                         f"frechet-scale rows, got {samples}")
     checks: list[CheckResult] = []
     ell = as_tdf(model)
     carrier = ell.carrier

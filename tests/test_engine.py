@@ -9,6 +9,8 @@ the LePage stream on tables the cost rule sends to max-linear pin the
 method with the `lepage_only` fixture.
 """
 
+import ast
+import itertools
 import math
 import tracemalloc
 from pathlib import Path
@@ -325,11 +327,15 @@ def test_couple_exact_is_simulate_spectral(lepage_only):
 
 def test_crsm_coupling_is_degenerate_and_matches_dense_reference(lepage_only):
     # indicator atoms make lower = X = upper; the dense spectral route over
-    # the same atoms and stream gives the same bits and term counts
+    # the same atoms and stream gives the same bits and term counts, exact
+    # or truncated
     rng = np.random.default_rng(8)
-    cfg = SimConfig(seed=12, samples=BLOCK + 300)
-    for theta in (theta2(), skewed3(), random_ca_capacity(rng, 4),
-                  torus_storm_capacity(5, [([0, 1], 1.0)])):
+    thetas = (theta2(), skewed3(), random_ca_capacity(rng, 4),
+              torus_storm_capacity(5, [([0, 1], 1.0)]))
+    configs = [SimConfig(seed=12, samples=BLOCK + 300)] + [
+        SimConfig(seed=12, samples=BLOCK + 300, mode="truncated", n_terms=k)
+        for k in (1, 8, 64, 65, 200)]
+    for theta, cfg in itertools.product(thetas, configs):
         direct = simulate_crsm(theta, cfg)
         cpl = couple(theta, cfg)
         dense = couple(SpectralSampler.from_tdf(indicator_tdf(theta)), cfg)
@@ -351,17 +357,37 @@ def test_samples_independent_of_count_across_blocks(lepage_only):
 
 
 def test_block_and_continuation_keys_disjoint(monkeypatch, lepage_only):
-    keys = []
+    # the CRSM and its indicator spectral table open the same keys, in the
+    # same order
     real = sim.substream
-    monkeypatch.setattr(sim, "substream",
-                        lambda seed, index: keys.append(index) or real(seed, index))
-    n = 2 * BLOCK + 5
-    batch = simulate_crsm(skewed3(), SimConfig(seed=0, samples=n))
-    blocks = {2 * b for b in range(3)}
-    # all points hit by term 64 means the stop term 65 needs no more draws
-    tails = {2 * int(j) + 1 for j in np.flatnonzero(batch.terms > BULK_TERMS + 1)}
-    assert tails and len(keys) == len(set(keys))
-    assert set(keys) == blocks | tails and not blocks & tails
+    cfg = SimConfig(seed=0, samples=2 * BLOCK + 5)
+    runs = []
+    for run in (lambda: simulate_crsm(skewed3(), cfg),
+                lambda: simulate_spectral(
+                    SpectralSampler.from_tdf(indicator_tdf(skewed3())), cfg)):
+        keys = []
+        monkeypatch.setattr(sim, "substream",
+                            lambda seed, index: keys.append(index) or real(seed, index))
+        batch = run()
+        blocks = {2 * b for b in range(3)}
+        # all points hit by term 64 means the stop term 65 needs no more draws
+        tails = {2 * int(j) + 1 for j in np.flatnonzero(batch.terms > BULK_TERMS + 1)}
+        assert tails and len(keys) == len(set(keys))
+        assert set(keys) == blocks | tails and not blocks & tails
+        runs.append(keys)
+    assert runs[0] == runs[1]
+
+
+def lepage_kernels(path: Path) -> list[str]:
+    """The classes of a module that define a step method."""
+    return [node.name for node in ast.walk(ast.parse(path.read_text(), str(path)))
+            if isinstance(node, ast.ClassDef)
+            and any(isinstance(f, ast.FunctionDef) and f.name == "step" for f in node.body)]
+
+
+def test_one_lepage_kernel():
+    # CRSMs, spectral tables and couple all run the running-max kernel
+    assert len(lepage_kernels(Path(sim.__file__))) == 1
 
 
 def test_max_linear_matches_per_sample_reference(monkeypatch):

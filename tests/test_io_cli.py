@@ -500,6 +500,37 @@ def test_cli_argmax_test_refuses_a_single_sample(theta2_file, capsys):
                                            "samples, got 1\n")
 
 
+@pytest.mark.parametrize("command", ["simulate", "couple", "argmax-test"])
+def test_cli_sample_counts_are_refused_before_the_model_is_read(tmp_path, capsys,
+                                                                command):
+    # the model path does not exist: only argparse can give this message
+    argv = [command, "--model", str(tmp_path / "missing.json"), "--seed", "1"]
+    if command == "argmax-test":
+        argv += ["--set", '["a"]']
+    for flag, value in (("--samples", "0"), ("--samples", "-3"), ("--samples", "1.5"),
+                        ("--max-terms", "0")):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + [flag, value])
+        assert exc.value.code == 2
+        assert f"{flag}: expected a positive integer, got '{value}'" in \
+            capsys.readouterr().err
+
+
+def test_cli_verify_refuses_too_few_samples_before_any_work(theta2_file, spectral_file,
+                                                            capsys, monkeypatch):
+    # the frechet-scale rows need 30 samples; neither the Mobius round trip,
+    # the probe nor the sample runs first
+    calls = []
+    for name in ("simulate_model", "mobius_inverse", "check_max_complete_alternation"):
+        monkeypatch.setattr(f"crsm.verify.{name}", lambda *a, name=name, **k:
+                            calls.append(name))
+    for model in (theta2_file, spectral_file):
+        assert main(["verify", "--model", model, "--seed", "1", "--samples", "29"]) == 2
+        assert capsys.readouterr().err == ("error: verify needs at least 30 samples "
+                                           "for its frechet-scale rows, got 29\n")
+    assert calls == []
+
+
 @pytest.mark.parametrize("n", [1, 2, 100, 101])
 def test_simulate_percentiles_match_numpy(n):
     rng = np.random.default_rng(n)

@@ -316,8 +316,9 @@ def test_verify_hands_its_clamped_measure_to_the_sampler(monkeypatch):
     # in place and the sampler takes it over as its own Mobius table.  On a
     # d = 16 power distortion (a table of 65535 atoms, sampled by LePage) the
     # peak was 5.40 tables with a clamped copy of nu and the sampler's own
-    # weight array; it is 4.40 now, with the same rows as a sampler that
-    # builds nu itself.
+    # weight array, and 4.40 with a bit-tracking CRSM kernel whose steps
+    # held two (k, d) int64 arrays of newly hit points; it is 3.38 now, with
+    # the same rows as a sampler that builds nu itself.
     def power(d):
         return distortion_capacity(DiscreteMeasure(carrier_of(d), np.linspace(0.5, 1.5, d)),
                                    "power", 0.5)
@@ -331,7 +332,7 @@ def test_verify_hands_its_clamped_measure_to_the_sampler(monkeypatch):
     finally:
         tracemalloc.stop()
     assert [ch.name for ch in rows] == CRSM_ROWS
-    assert peak <= 4.5, peak
+    assert peak <= 3.5, peak
     monkeypatch.setattr("crsm.verify.simulate_model",
                         lambda model, config, mobius=None: simulate_model(model, config))
     assert verify_model(theta, samples=2000, seed=1) == rows
