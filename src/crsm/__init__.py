@@ -9,7 +9,6 @@ from .carrier import (
     Carrier,
     CarrierSizeError,
     TorusTag,
-    enumerate_subsets,
     sup_integral,
 )
 from .setfun import (

@@ -196,19 +196,6 @@ def popcounts(size: int) -> np.ndarray:
     return np.bitwise_count(np.arange(size, dtype=np.uint32))
 
 
-def enumerate_subsets(carrier: Carrier, nonempty_only: bool = False) -> range:
-    """All subset masks of the carrier in mask order.
-
-    The size cap is enforced here as well as at carrier construction so a
-    hand-rolled oversized carrier still fails loudly.
-    """
-    if carrier.size > MAX_CARRIER_SIZE:
-        raise CarrierSizeError(
-            f"refusing to enumerate 2**{carrier.size} subsets (cap d={MAX_CARRIER_SIZE})"
-        )
-    return range(1 if nonempty_only else 0, 1 << carrier.size)
-
-
 def as_values(carrier: Carrier, values: "np.ndarray | Sequence[float] | dict[str, float]",
               name: str = "values") -> np.ndarray:
     """Coerce point values to a read-only float64 array in carrier order.

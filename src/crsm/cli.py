@@ -53,6 +53,7 @@ from .io import (
     parse_model,
     parse_pairs,
     _parse_point_values,
+    _unreadable,
 )
 from .setfun import (
     DEFAULT_TOL,
@@ -452,8 +453,8 @@ def _read_batch_csv(path: str) -> tuple[Carrier, np.ndarray]:
                 if rows:
                     blocks.append(_csv_values(rows, d))
                 lineno += len(lines)
-    except FileNotFoundError:
-        raise SchemaError("$", f"cannot read {path}: no such file") from None
+    except OSError as e:
+        raise _unreadable(path, e) from None
     except SchemaError:
         raise
     except ValueError as e:
@@ -471,9 +472,9 @@ def _csv_values(rows: list[str], d: int) -> np.ndarray:
 
 
 def cmd_estimate(args) -> int:
-    carrier, values = _read_batch_csv(args.batch)
     if (args.f is None) == (args.set is None):
         raise SchemaError("$", "estimate needs exactly one of --f or --set")
+    carrier, values = _read_batch_csv(args.batch)
     if args.f is not None:
         f = _parse_point_values(carrier, _inline_json(args.f, "--f"), "$.f")
         z = _row_max(values * f[None, :])
@@ -672,6 +673,10 @@ def main(argv=None) -> int:
         # the reader has gone; silence the final flush of the exit handlers
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
+    except OSError as e:  # reads fail as SchemaError, so this is a write
+        print(f"error: cannot write {e.filename or 'output'}: {e.strerror}",
+              file=sys.stderr)
+        return 2
     except CarrierSizeError as e:
         print(f"error: {e}", file=sys.stderr)
         return 3

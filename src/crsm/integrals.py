@@ -1,17 +1,23 @@
 """Choquet and extremal integrals of nonnegative vectors against a capacity.
 
-Both integrals only see the capacity through its values on the upper level
-sets {f >= t}:
+Both integrals see the capacity only along the comonotone chain of f: the
+points x_(1), .., x_(d) in descending order of f (ties by carrier index)
+and theta_i = theta({x_(1), .., x_(i)}).  With v_i = f(x_(i)) and
+v_(d+1) = 0, the upper level sets {f >= t} are the prefixes that end a tie
+group (v_i > v_(i+1)), so
 
     choquet(f)  = integral over t > 0 of theta({f >= t}) dt
-                = sum over the descending distinct values v_1 > v_2 > ...
-                  of (v_i - v_{i+1}) * theta({f >= v_i}),
-    extremal(f) = sup over t > 0 of t * theta({f >= t}),
+                = sum over i of (v_i - v_(i+1)) * theta_i,
+    extremal(f) = sup over t > 0 of t * theta({f >= t})
+                = max of 0 and v_i * theta_i over the tie-group ends i.
 
-so on a finite carrier each is a short exact sum / max over at most d
-layers.  The extremal integral also equals
-max over nonempty K of theta(K) * min_{x in K} f(x); that form is exponential
-in d and kept only as a debug oracle.
+`_chain` builds that chain once, for both integrals, for the batched
+ChoquetTDF.eval_batch and for tdf.dual_greedy, whose maximizing measure
+is the chain's increments.  For monotone theta the extremal integral also
+equals max over nonempty K of theta(K) * min_{x in K} f(x); that form is
+exponential in d and kept only as a debug oracle, and for other theta it
+differs: theta({a}) = 1, theta({b}) = 0.2, theta(E) = 0.5 and f = (1, 1)
+give 0.5 by thresholds and 1.0 by sets.
 
 The Choquet integral is additive precisely on comonotone pairs (no pair of
 points ordered oppositely by f and g).  `comonotone_additivity_check` probes
@@ -28,54 +34,46 @@ from typing import Optional, Union
 import numpy as np
 
 from .carrier import Carrier, as_carrier, as_values
-from .setfun import Capacity, _singleton_table, _sweep
+from .setfun import Capacity, _singleton_table, _sweep, _worst
 
 
 def _vals(f, carrier: Carrier) -> np.ndarray:
     return as_values(carrier, f, "integrand")
 
 
-def _layers(v: np.ndarray):
-    """Yield (value, next_value, mask of {f >= value}) over descending
-    distinct positive values."""
-    order = np.argsort(-v, kind="stable")
-    d = len(v)
-    mask = 0
-    j = 0
-    while j < d:
-        val = float(v[order[j]])
-        if val <= 0.0:
-            break
-        while j < d and v[order[j]] == val:
-            mask |= 1 << int(order[j])
-            j += 1
-        nxt = float(v[order[j]]) if j < d else 0.0
-        if nxt < 0.0:
-            nxt = 0.0
-        yield val, nxt, mask
+def _chain(theta: Capacity, fs: np.ndarray):
+    """The comonotone chain of each row of fs, shape (..., d): the points in
+    descending order of value (ties by carrier index), the values in that
+    order with a 0 appended, and theta on the chain's prefixes."""
+    order = np.argsort(-fs, axis=-1, kind="stable")
+    vals = np.take_along_axis(fs, order, axis=-1)
+    vals = np.concatenate([vals, np.zeros(vals.shape[:-1] + (1,))], axis=-1)
+    return order, vals, theta.at(np.bitwise_or.accumulate(np.left_shift(1, order), axis=-1))
+
+
+def _choquet(theta: Capacity, fs: np.ndarray) -> np.ndarray:
+    """The layer-cake sum of each row of fs: (v_i - v_(i+1)) * theta_i added
+    along the chain in order (a cumsum, not a pairwise sum).  Inside a tie
+    the factor is +0.0, so the sum is that over the distinct values."""
+    _, vals, chain = _chain(theta, fs)
+    return np.cumsum((vals[..., :-1] - vals[..., 1:]) * chain, axis=-1)[..., -1]
 
 
 def choquet_integral(f, theta: Capacity) -> float:
     """Layer-cake sum of theta over the upper level sets of f."""
-    v = _vals(f, theta.carrier)
-    total = 0.0
-    for val, nxt, mask in _layers(v):
-        total += (val - nxt) * float(theta.at(mask))
-    return total
+    return float(_choquet(theta, _vals(f, theta.carrier)))
 
 
 def extremal_integral(f, theta: Capacity) -> float:
     """sup over t > 0 of t * theta({f >= t}); 0 for f identically 0.
 
-    The sup is attained at one of the distinct positive values of f.
+    The sup is attained at one of the distinct positive values of f, so
+    only the ends of the chain's tie groups are read: inside a group the
+    prefix is not an upper level set, and theta need not be monotone.
     """
-    v = _vals(f, theta.carrier)
-    best = 0.0
-    for val, _, mask in _layers(v):
-        cand = val * float(theta.at(mask))
-        if cand > best:
-            best = cand
-    return best
+    _, vals, chain = _chain(theta, _vals(f, theta.carrier))
+    ends = vals[:-1] > vals[1:]
+    return float(np.max(vals[:-1] * chain, where=ends, initial=0.0))
 
 
 def extremal_integral_setform(f, theta: Capacity) -> float:
@@ -83,7 +81,9 @@ def extremal_integral_setform(f, theta: Capacity) -> float:
 
     Builds min over K of f for all 2**d - 1 subsets with one minimum
     sweep; intended for cross-checking the threshold form on small
-    carriers, not for production use.
+    carriers, not for production use.  The two forms agree for monotone
+    theta only (see the module docstring for a non-monotone theta where
+    this gives 1.0 and extremal_integral 0.5).
     """
     v = _vals(f, theta.carrier)
     mins = _sweep(_singleton_table(v, np.inf), theta.carrier.size, np.minimum)
@@ -173,16 +173,19 @@ def comonotone_additivity_check(ell, trials: int = 1000, seed: int = 0,
     func, carr = _as_functional(ell, carrier)
     d = carr.size
     rng = np.random.default_rng(seed)
-    worst = 0.0
-    wf = wg = None
-    for _ in range(trials):
+
+    def draw(_) -> tuple[np.ndarray, np.ndarray]:
         f, g = _random_step_pair(rng, d)
         if not comonotonic(f, g):  # generator guard, never expected to fire
             raise AssertionError("step-transform pair is not comonotone")
+        return f, g
+
+    def deviation(pair) -> float:
+        f, g = pair
         a, b, c = func(f + g), func(f), func(g)
         scale = abs(a) + abs(b) + abs(c)
-        dev = abs(a - b - c) / scale if scale > 0 else 0.0
-        if dev > worst:
-            worst = dev
-            wf, wg = f, g
+        return abs(a - b - c) / scale if scale > 0 else 0.0
+
+    worst, witness, _ = _worst(map(draw, range(trials)), deviation, worst=0.0)
+    wf, wg = witness or (None, None)
     return ComonotoneAdditivityReport(worst <= 1e-7, worst, wf, wg, trials)

@@ -397,11 +397,17 @@ def model_hash(obj) -> str:
     return hashlib.sha256(canonical_json(obj).encode()).hexdigest()
 
 
+def _unreadable(path: str, e: OSError) -> SchemaError:
+    """The SchemaError of a file that cannot be read, for any OSError."""
+    why = "no such file" if isinstance(e, FileNotFoundError) else e.strerror
+    return SchemaError("$", f"cannot read {path}: {why}")
+
+
 def load_json_file(path: str) -> dict:
     try:
         with open(path) as fh:
             return json.load(fh)
-    except FileNotFoundError:
-        raise SchemaError("$", f"cannot read {path}: no such file") from None
+    except OSError as e:
+        raise _unreadable(path, e) from None
     except json.JSONDecodeError as e:
         raise SchemaError("$", f"invalid JSON in {path}: {e}") from None

@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
@@ -478,6 +479,30 @@ def capacity_from_measure(nu: MobiusMeasure) -> Capacity:
     return nu._new(Capacity, vals)
 
 
+def _inclusion_exclusion(value, join, base, incs):
+    """Yield (-1)**|S| * value(base joined with incs[i] for i in S) over the
+    subfamilies S of the increments, in itertools.product order.  With
+    join = operator.or_ on masks these are the terms of a successive
+    difference; with np.maximum on vectors, of the max-lattice one."""
+    for picks in itertools.product((0, 1), repeat=len(incs)):
+        m = base
+        for inc in itertools.compress(incs, picks):
+            m = join(m, inc)
+        yield (-1.0) ** sum(picks) * value(m)
+
+
+def _worst(cases, score, worst=-math.inf):
+    """(largest score, the first case holding it, number of cases) over
+    cases; the case is None when no score exceeds the starting worst."""
+    witness = None
+    n = 0
+    for n, case in enumerate(cases, 1):
+        s = score(case)
+        if s > worst:
+            worst, witness = s, case
+    return worst, witness, n
+
+
 def successive_difference(theta: Capacity, base: int,
                           increments: Sequence[int]) -> float:
     """n-th successive difference of theta at base along the increment sets.
@@ -489,14 +514,7 @@ def successive_difference(theta: Capacity, base: int,
     theta.carrier.validate_mask(base)
     for inc in increments:
         theta.carrier.validate_mask(inc)
-    terms = []
-    for picks in itertools.product((0, 1), repeat=len(increments)):
-        m = base
-        for take, inc in zip(picks, increments):
-            if take:
-                m |= inc
-        terms.append((-1.0) ** sum(picks) * theta.at(m))
-    return math.fsum(terms)
+    return math.fsum(_inclusion_exclusion(theta.at, operator.or_, base, increments))
 
 
 @dataclass(frozen=True)
@@ -602,35 +620,23 @@ def check_complete_alternation_direct(theta: Capacity, max_order: int = 3,
         raise ValueError(f"order must be in 2..{MAX_ALTERNATION_ORDER}")
     atol = theta.atol(tol)
     size = 1 << d
-    worst = -math.inf
-    witness: Optional[tuple[int, tuple[int, ...]]] = None
-    checked = 0
-
-    def consider(base: int, incs: tuple[int, ...]) -> None:
-        nonlocal worst, witness, checked
-        val = successive_difference(theta, base, incs)
-        checked += 1
-        if val > worst:
-            worst = val
-            witness = (base, incs)
-
     if d <= 3:
-        nonempty = list(range(1, size))
-        for n in range(2, max_order + 1):
-            for base in range(size):
-                for incs in itertools.product(nonempty, repeat=n):
-                    consider(base, incs)
+        nonempty = range(1, size)
+        families = ((base, incs) for n in range(2, max_order + 1) for base in range(size)
+                    for incs in itertools.product(nonempty, repeat=n))
     else:
         if seed is None:
             raise ValueError("sampled alternation search needs a seed for d > 3")
         rng = np.random.default_rng(seed)
-        for _ in range(trials):
-            n = int(rng.integers(2, max_order + 1))
-            base = int(rng.integers(0, size))
-            incs = tuple(int(rng.integers(1, size)) for _ in range(n))
-            consider(base, incs)
 
-    alternating = worst <= atol
+        def draw():  # the order n, then the base, then the n increments
+            n = int(rng.integers(2, max_order + 1))
+            return int(rng.integers(0, size)), tuple(int(rng.integers(1, size))
+                                                     for _ in range(n))
+        families = (draw() for _ in range(trials))
+
+    worst, witness, checked = _worst(
+        families, lambda fam: successive_difference(theta, *fam))
     if witness is None:
         return AlternationReport(True, -math.inf, None, None, 0)
-    return AlternationReport(alternating, worst, witness[0], witness[1], checked)
+    return AlternationReport(worst <= atol, worst, witness[0], witness[1], checked)

@@ -59,9 +59,10 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from .carrier import Carrier, as_values, iter_bits
-from .integrals import _as_functional, _vals, choquet_integral
+from .integrals import _as_functional, _chain, _choquet, _vals, choquet_integral
 from .setfun import (DEFAULT_TOL, MAX_ALTERNATION_ORDER, Capacity, _additive_table,
-                     _max_excess, _Owned, certified_mobius, subset_max)
+                     _inclusion_exclusion, _max_excess, _Owned, _worst, certified_mobius,
+                     subset_max)
 
 PROBE_TOL = 1e-7  # max-alternation probe: a relative sum above it is a violation
 
@@ -114,21 +115,8 @@ class ChoquetTDF(TailDependenceFunctional):
         return choquet_integral(f, self.theta)
 
     def eval_batch(self, fs: np.ndarray) -> np.ndarray:
-        """Batched layer-cake sum via the ascending rearrangement of each row."""
-        fs = np.asarray(fs, dtype=float)
-        n, d = fs.shape
-        order = np.argsort(fs, axis=1, kind="stable")
-        sorted_vals = np.take_along_axis(fs, order, axis=1)
-        bits = np.left_shift(1, order.astype(np.int64))
-        # survivor masks S_i = {x_(i), .., x_(d)} for each row
-        masks = np.zeros((n, d), dtype=np.int64)
-        acc = np.zeros(n, dtype=np.int64)
-        for i in range(d - 1, -1, -1):
-            acc |= bits[:, i]
-            masks[:, i] = acc
-        diffs = self.theta.at(masks) - np.concatenate(
-            [self.theta.at(masks[:, 1:]), np.zeros((n, 1))], axis=1)
-        return np.einsum("nd,nd->n", sorted_vals, diffs)
+        """choquet_integral of every row, bit for bit, in one pass."""
+        return _choquet(self.theta, np.asarray(fs, dtype=float))
 
 
 @dataclass(frozen=True)
@@ -251,26 +239,20 @@ def check_max_complete_alternation(ell, order: int = 3, trials: int = 1000,
     func, carr = _as_functional(ell, carrier)
     d = carr.size
     rng = np.random.default_rng(seed)
-    worst = -math.inf
-    wit_u = wit_inc = None
-    for t in range(trials):
-        n = 2 + t % (order - 1) if order > 2 else 2
+
+    def draw(t):  # the base, then 2 + t % (order - 1) increments
         u = random_test_vectors(rng, 1, d)[0]
-        incs = random_test_vectors(rng, n, d)
+        return u, tuple(random_test_vectors(rng, 2 + t % (order - 1), d))
+
+    def relative_sum(family) -> float:
         total = mass = 0.0
-        for picks in itertools.product((0, 1), repeat=n):
-            v = u
-            for take, inc in zip(picks, incs):
-                if take:
-                    v = np.maximum(v, inc)
-            value = func(v)
-            total += (-1.0) ** sum(picks) * value
-            mass += abs(value)
-        total = total / mass if mass > 0 else 0.0
-        if total > worst:
-            worst = total
-            wit_u = u
-            wit_inc = tuple(incs)
+        for term in _inclusion_exclusion(func, np.maximum, *family):
+            total += term
+            mass += abs(term)
+        return total / mass if mass > 0 else 0.0
+
+    worst, witness, _ = _worst(map(draw, range(trials)), relative_sum)
+    wit_u, wit_inc = witness or (None, None)
     return MaxAlternationReport(worst <= PROBE_TOL, worst, wit_u, wit_inc, trials)
 
 
@@ -297,26 +279,23 @@ def dominates(upper: TailDependenceFunctional, lower, trials: int = 1000,
     if carr_lo != carr:
         raise ValueError("functionals live on different carriers")
     rng = np.random.default_rng(seed)
-    fs = random_test_vectors(rng, trials, carr.size)
-    worst = math.inf
-    wit = None
-    for f in fs:
+
+    def deficit(f) -> float:  # minus the margin, so the worst is the largest
         a, b = up(f), lo(f)
         scale = abs(a) + abs(b)
-        margin = (a - b) / scale if scale > 0 else 0.0
-        if margin < worst:
-            worst = margin
-            wit = f
-    return DominationReport(worst >= -1e-9, worst, wit, trials)
+        return -((a - b) / scale if scale > 0 else 0.0)
+
+    worst, wit, _ = _worst(random_test_vectors(rng, trials, carr.size), deficit)
+    return DominationReport(-worst >= -1e-9, -worst, wit, trials)
 
 
 def dual_greedy(theta: Capacity, f,
                 tol: float = DEFAULT_TOL) -> tuple[DiscreteMeasure, float]:
     """Maximizing measure of max { f . mu : mu >= 0, mu(K) <= theta(K) }.
 
-    Requires completely alternating theta.  Walk the points in descending
-    f order (ties by carrier index) and give each point the capacity
-    increment of the visited prefix:
+    Requires completely alternating theta.  mu is the increments of theta
+    along the comonotone chain of f (integrals._chain: the points in
+    descending f order, ties by carrier index):
 
         mu(x_(i)) = theta({x_(1)..x_(i)}) - theta({x_(1)..x_(i-1)}).
 
@@ -329,16 +308,9 @@ def dual_greedy(theta: Capacity, f,
     v = _vals(f, theta.carrier)
     certified_mobius(theta, tol)
     atol = theta.atol(tol)
-    d = theta.carrier.size
-    order = np.argsort(-v, kind="stable")
-    weights = np.zeros(d)
-    mask = 0
-    prev = 0.0
-    for i in order:
-        mask |= 1 << int(i)
-        cur = float(theta.at(mask))
-        weights[int(i)] = cur - prev
-        prev = cur
+    order, _, chain = _chain(theta, v)
+    weights = np.empty(theta.carrier.size)
+    weights[order] = np.diff(chain, prepend=0.0)
     # CA makes the chain increments nonnegative; anything below rounding
     # dust means the certificate and the table disagree
     if weights.min() < -theta.atol(1e-7):

@@ -8,7 +8,6 @@ from crsm.carrier import (
     TorusTag,
     as_values,
     canonical_json,
-    enumerate_subsets,
     iter_bits,
     mask_size,
     popcounts,
@@ -54,7 +53,7 @@ def test_size_cap():
     labels = tuple(f"p{i}" for i in range(25))
     with pytest.raises(CarrierSizeError):
         Carrier(labels)
-    # 24 is allowed but enumerate_subsets over 2^24 still works lazily
+    # 24 is allowed
     c = Carrier(labels[:24])
     assert c.size == 24
 
@@ -85,12 +84,6 @@ def test_iter_bits_and_mask_size():
 def test_popcounts():
     pc = popcounts(16)
     assert pc.tolist() == [bin(m).count("1") for m in range(16)]
-
-
-def test_enumerate_subsets():
-    c = Carrier(("a", "b"))
-    assert list(enumerate_subsets(c)) == [0, 1, 2, 3]
-    assert list(enumerate_subsets(c, nonempty_only=True)) == [1, 2, 3]
 
 
 def test_as_values_dict_and_sequence():

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,6 +15,8 @@ from crsm.integrals import (
     extremal_integral_setform,
 )
 from crsm.setfun import Capacity, mobius_inverse
+from crsm.tdf import DiscreteMeasure, dual_greedy
+from crsm.transforms import distortion_capacity, exchangeable_capacity
 
 
 def theta2() -> Capacity:
@@ -179,3 +183,72 @@ def test_additivity_probe_rejects_lp_mixture():
         lambda f: float(np.sqrt(np.sum(f ** 2))), trials=400, seed=7,
         carrier=carrier_of(3))
     assert not rep.additive
+
+
+# float.hex of choquet, extremal and, for the CA capacities, dual_greedy's
+# value and the first 16 hex digits of sha256 of its weights' bytes: ties,
+# zeros, constant f and the all-zero f, on non-monotone tables ("tie" is
+# the example where the set form of the extremal integral gives 1.0) and
+# on capacities held as a table (power4) and by size (exch24)
+PINNED_CHAIN_BITS = {
+    ("tie", 0): ("0x1.0000000000000p-1", "0x1.0000000000000p-1"),
+    ("tie", 1): ("0x1.0000000000000p+0", "0x1.0000000000000p+0"),
+    ("tie", 2): ("0x0.0p+0", "0x0.0p+0"),
+    ("bumpy3", 0): ("0x1.147ae147ae148p-1", "0x1.428f5c28f5c29p-1"),
+    ("bumpy3", 1): ("0x1.6e147ae147ae2p+0", "0x1.6e147ae147ae2p+0"),
+    ("bumpy3", 2): ("0x1.147ae147ae148p-1", "0x1.147ae147ae148p-1"),
+    ("bumpy3", 3): ("0x1.d70a3d70a3d71p-2", "0x1.199999999999ap-1"),
+    ("power4", 0): ("0x1.310693c31bf4ap-1", "0x1.feb17eabb72fbp-2",
+                    "0x1.310693c31bf4ap-1", "efb033e781aa3517"),
+    ("power4", 1): ("0x1.aaf335a992d2fp-1", "0x1.8e855a8c31735p-1",
+                    "0x1.aaf335a992d2ep-1", "e023660169e1e981"),
+    ("power4", 2): ("0x1.dd57059192477p-1", "0x1.dd57059192477p-1",
+                    "0x1.dd57059192478p-1", "f4bef3e62c329ff0"),
+    ("power4", 3): ("0x0.0p+0", "0x0.0p+0",
+                    "0x0.0p+0", "f4bef3e62c329ff0"),
+    ("power4", 4): ("0x1.ae9b0e5da158cp+0", "0x1.7923daf539295p+0",
+                    "0x1.ae9b0e5da158cp+0", "a89c8f5bdb68bd5a"),
+    ("exch24", 0): ("0x1.b2e9b6bcdafa6p+0", "0x1.4118e40c8ec6dp+0",
+                    "0x1.b2e9b6bcdafa7p+0", "c773e4955dff3a00"),
+    ("exch24", 1): ("0x1.98c89d4d86614p+0", "0x1.98c89d4d86614p+0",
+                    "0x1.98c89d4d86614p+0", "94035ff4ac049bd5"),
+    ("exch24", 2): ("0x1.6d916872b020dp-3", "0x1.6d916872b020dp-3",
+                    "0x1.6d916872b020dp-3", "9a4bd6d3b5a9fafa"),
+    ("exch24", 3): ("0x1.af7e02314704cp+1", "0x1.252e25fc1d915p+1",
+                    "0x1.af7e02314704bp+1", "4382d97afa6e0bf5"),
+}
+
+
+def pinned_chain_cases():
+    caps = {
+        "tie": Capacity(carrier_of(2), [0.0, 1.0, 0.2, 0.5]),
+        "bumpy3": Capacity(carrier_of(3), [0.0, 0.3, 1.1, 0.7, 0.2, 0.9, 0.4, 0.6]),
+        "power4": distortion_capacity(
+            DiscreteMeasure(carrier_of(4), [0.1, 0.25, 0.3, 0.45]), "power", 0.37),
+        "exch24": exchangeable_capacity(24, [(0.3, 0.5), (0.05, 0.5)], scale=1.7),
+    }
+    fs = {
+        "tie": [[1.0, 1.0], [1.0, 0.0], [0.0, 0.0]],
+        "bumpy3": [[0.7, 0.3, 0.7], [0.0, 1.3, 0.0], [0.9, 0.9, 0.9], [0.2, 0.5, 0.1]],
+        "power4": [[0.7, 0.3, 0.7, 0.3], [0.0, 1.3, 0.0, 0.2], [0.9] * 4, [0.0] * 4,
+                   [0.11, 0.57, 2.3, 0.57]],
+        # the last sum differs when added pairwise (np.sum) instead of in order
+        "exch24": [[(i % 5) * 0.37 for i in range(24)], [1.1] * 24, [0.0] * 23 + [0.6],
+                   [((7 * i) % 24) * 0.13 for i in range(24)]],
+    }
+    for name, theta in caps.items():
+        for i, f in enumerate(fs[name]):
+            yield (name, i), theta, np.array(f)
+
+
+def test_chain_bits_are_pinned():
+    cases = list(pinned_chain_cases())
+    assert [key for key, _, _ in cases] == list(PINNED_CHAIN_BITS)
+    for key, theta, f in cases:
+        got = [choquet_integral(f, theta).hex(), extremal_integral(f, theta).hex()]
+        if theta.carrier.size > 3:
+            mu, val = dual_greedy(theta, f)
+            got += [val.hex(), hashlib.sha256(mu.weights.tobytes()).hexdigest()[:16]]
+        assert tuple(got) == PINNED_CHAIN_BITS[key], key
+    tie = Capacity(carrier_of(2), [0.0, 1.0, 0.2, 0.5])
+    assert extremal_integral_setform([1.0, 1.0], tie) == 1.0

@@ -631,6 +631,29 @@ def test_cli_estimate_csv_errors(tmp_path, capsys, text, message):
     assert capsys.readouterr().err == f"error: at $: {message.format(path=path)}\n"
 
 
+def test_cli_io_errors_exit_2_with_a_message(tmp_path, theta2_file, capsys):
+    # a directory is no file to read, and a missing directory none to write in
+    for argv in (["check", "--model", str(tmp_path)],
+                 ["estimate", "--batch", str(tmp_path), "--set", '["a"]']):
+        assert main(argv) == 2
+        assert capsys.readouterr().err == (f"error: at $: cannot read {tmp_path}: "
+                                           f"Is a directory\n")
+    out = tmp_path / "missing" / "x.json"
+    assert main(["mobius", "--model", theta2_file, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (f"error: cannot write {out}: "
+                                       f"No such file or directory\n")
+
+
+def test_cli_estimate_checks_its_flags_before_reading_the_batch(tmp_path, capsys):
+    good = tmp_path / "batch.csv"
+    good.write_text("sample_index,a\n0,1.0\n")
+    for path in (good, tmp_path / "missing.csv"):
+        for flags in ([], ["--f", '{"a": 1}', "--set", '["a"]']):
+            assert main(["estimate", "--batch", str(path)] + flags) == 2
+            assert capsys.readouterr().err == ("error: at $: estimate needs exactly "
+                                               "one of --f or --set\n")
+
+
 def test_cli_dual(theta2_file, capsys):
     assert main(["dual", "--model", theta2_file, "--f", '{"a":2,"b":1}',
                  "--oracle", "exact", "--deterministic"]) == 0

@@ -6,7 +6,9 @@ checked against literal double loops over subset pairs, also with block
 sizes small enough that every stage of the blocked order runs.
 """
 
+import ast
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -329,6 +331,26 @@ def test_direct_check_order_is_bounded():
 def test_direct_check_needs_seed_beyond_exhaustive():
     with pytest.raises(ValueError):
         check_complete_alternation_direct(avar4(), max_order=3)
+
+
+def zero_one_products(root: Path) -> list[str]:
+    """Each call product((0, 1), ...) in the modules under root, as path:line."""
+    found = []
+    for path in sorted(root.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if not (isinstance(node, ast.Call) and node.args):
+                continue
+            name = getattr(node.func, "attr", getattr(node.func, "id", None))
+            first = node.args[0]
+            if (name == "product" and isinstance(first, ast.Tuple)
+                    and [getattr(e, "value", None) for e in first.elts] == [0, 1]):
+                found.append(f"{path.name}:{node.lineno}")
+    return found
+
+
+def test_one_inclusion_exclusion():
+    # successive differences and the max-lattice probe share one sum
+    assert len(zero_one_products(Path(setfun.__file__).parent)) == 1
 
 
 def test_min_weight_ignores_empty_set():

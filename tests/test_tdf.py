@@ -77,6 +77,8 @@ def test_eval_batch_agrees_with_eval():
             batch = ell.eval_batch(fs)
             single = np.array([ell.eval(f) for f in fs])
             assert np.allclose(batch, single, atol=1e-12)
+            if isinstance(ell, ChoquetTDF):  # one chain sum for both
+                assert batch.tobytes() == single.tobytes()
 
 
 def test_spectral_eval_against_bruteforce():
