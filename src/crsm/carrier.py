@@ -187,10 +187,6 @@ def iter_bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
-def mask_size(mask: int) -> int:
-    return int(mask).bit_count()
-
-
 def popcounts(size: int) -> np.ndarray:
     """Bit counts of the masks 0..size-1 as a uint8 vector."""
     return np.bitwise_count(np.arange(size, dtype=np.uint32))

@@ -6,14 +6,16 @@ a provenance block {tool, version, seed, model_sha256, generated_at},
 plus the random stream version `stream` when a seed is given, and the
 sampling `method` ("lepage" or "max-linear") for `simulate`;
 --deterministic drops the timestamp so repeated runs are byte-identical.
-`simulate` writes the mean, p50, p99 and max of its term counts to stderr,
-then the method it chose, the atom count m and LePage's lower bound LB on
-E[N].  `materialize` and `mobius` on 22 or more points first warn on
-stderr that the artifact holds 2^d entries, and what that cost before: on
-an exchangeable capacity, about 5 s and 250 MB at d = 20 and 27 s and
-0.9 GB at d = 22 (2 cores).  Every JSON artifact is written in blocks of
-entries, as json.dumps(payload, indent=2, sort_keys=True) would write it,
-so the writer holds one block of text besides the payload dict.
+`simulate` writes the mean, p50, p99 and max of its term counts to stderr
+(with the exact E[N] beside the mean on an exact LePage run of a capacity
+held by size), then the method it chose, the atom count m and LePage's
+lower bound LB on E[N].  `materialize` and `mobius` on 22 or more points
+first warn on stderr that the artifact holds 2^d entries, and what that
+cost before: on an exchangeable capacity, about 5 s and 250 MB at d = 20
+and 27 s and 0.9 GB at d = 22 (2 cores).  Every JSON artifact is written
+in blocks of entries, as json.dumps(payload, indent=2, sort_keys=True)
+would write it, so the writer holds one block of text besides the payload
+dict.
 
 Simulation CSV: a `# provenance:` line, the header `sample_index,<labels>`,
 then one row per sample, each value in Python's shortest round-trip
@@ -413,7 +415,9 @@ def cmd_simulate(args) -> int:
         }
         _emit_json(payload, args.out)
     p50, p99 = _percentiles(batch.terms, (50, 99))
-    print(f"terms per sample: mean {batch.terms.mean():.6g}, p50 {p50:g}, "
+    exact = ("" if batch.expected_terms is None
+             else f" (exact E[N] {batch.expected_terms:.6g})")
+    print(f"terms per sample: mean {batch.terms.mean():.6g}{exact}, p50 {p50:g}, "
           f"p99 {p99:g}, max {batch.terms.max()}", file=sys.stderr)
     if batch.method == "max-linear":
         print(f"method max-linear: {batch.atoms} atoms per sample; LePage needs "

@@ -280,6 +280,23 @@ class MobiusMeasure(_Lattice):
             start += _CHUNK
         return float(low), self._first_mask(1 + start + int(hits[0]))
 
+    def interval_masses(self) -> Optional[np.ndarray]:
+        """For a measure held by size, the (d + 1, d + 1) table S[b, c] =
+        sum over j of nu+[c + j] C(b, j), nu+ the weights clamped at 0: the
+        mass of the masks that share their bits from b up, c of them set.
+        Masks in ascending order that share a prefix form an interval, so
+        S names the mass of each interval without a table.  Rows follow
+        Pascal's rule, S[b, c] = S[b - 1, c] + S[b - 1, c + 1]; entries with
+        b + c > d are never read.  None for a table."""
+        if self.by_size is None:
+            return None
+        d = self.carrier.size
+        s = np.zeros((d + 1, d + 1))
+        np.maximum(self.by_size, 0.0, out=s[0])
+        for b in range(1, d + 1):
+            np.add(s[b - 1, :-1], s[b - 1, 1:], out=s[b, :-1])
+        return s
+
 
 # Pairs per chunk of a whole-table pass: a chunk of each half and any
 # temporary made from it stay in cache.

@@ -5,10 +5,10 @@ are the arrivals of a unit Poisson process and the Y_i are iid spectral
 draws from a finite table of atoms (w_j, y_j):
 
 * simulate_crsm: the positive Mobius atoms F of a completely alternating
-  capacity theta, held as masks, with y_j = theta(E) 1_F picked with
-  probability nu(F) / theta(E), so Y = theta(E) * 1_Xi with Xi ~ nu /
-  theta(E) (max-linear reads y_j = 1_F, w_j = nu(F)); X is its Choquet
-  random sup-measure,
+  capacity theta, held as masks (or by size, when theta is), with y_j =
+  theta(E) 1_F picked with probability nu(F) / theta(E), so Y = theta(E)
+  * 1_Xi with Xi ~ nu / theta(E) (max-linear reads y_j = 1_F, w_j =
+  nu(F)); X is its Choquet random sup-measure,
   P(X(K_i) <= a_i for all i) = exp(-sum_F nu(F) max{1/a_i : F meets K_i}).
 * simulate_spectral: the rows y_j of a spectral table, picked with
   probability p_j; `couple` runs the same kernel on the table of widened
@@ -51,8 +51,11 @@ samples draws from substream(seed, 2b).
   still running after the bulk rounds continues on substream(seed,
   2j + 1), in chunks of TAIL, 2 TAIL, .. TAIL_MAX terms, spacings first,
   then picks; odd keys never collide with even block keys.  A pick maps
-  one uniform by searchsorted on the normalized cumulative weights (CRSM
-  atoms in ascending mask order).
+  one uniform u to the first atom whose normalized cumulative weight
+  exceeds u, CRSM atoms in ascending mask order: by searchsorted on an
+  atom table, or, for a capacity held by size, by a walk over the d bits
+  that reaches the same mask from d + 1 masses (_SizePicks).  The two
+  round differently, so they could differ only for a u at a bucket edge.
 * Max-linear: the block draws a (lanes, m) array of inverse-CDF
   exponentials in row order, row k for sample b * BLOCK + k, column j for
   atom j (CRSM atoms in ascending mask order).
@@ -64,13 +67,13 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .carrier import Carrier, iter_bits
-from .setfun import DEFAULT_TOL, Capacity, _Owned, certified_mobius
+from .setfun import DEFAULT_TOL, Capacity, MobiusMeasure, _Owned, certified_mobius
 from .tdf import SpectralTDF, extremal_coefficients
 
 STREAM_VERSION = 2
@@ -130,6 +133,8 @@ class SampleBatch:
     (seed, j).  atoms is the size of the atom table and lepage_floor the
     lower bound LB on LePage's expected term count; the method was
     max-linear iff the run was exact and atoms <= lepage_floor.
+    expected_terms is the exact E[N] of an exact LePage run when it is
+    known in closed form (a capacity held by size), else None.
     """
 
     carrier: Carrier
@@ -142,6 +147,7 @@ class SampleBatch:
     method: str = "lepage"
     atoms: Optional[int] = None
     lepage_floor: Optional[float] = None
+    expected_terms: Optional[float] = None
 
     @property
     def n(self) -> int:
@@ -214,6 +220,7 @@ class _AtomTable:
         self.rows, self.weights, self.scale = rows, weights, scale
         self.crsm = rows.ndim == 1
         self.width = width if self.crsm else rows.shape[1]
+        self.atoms = rows.shape[0]
 
     @functools.cached_property
     def cum(self) -> np.ndarray:
@@ -233,6 +240,47 @@ class _AtomTable:
     def dense(self, lo: int, hi: int) -> np.ndarray:
         """Rows lo..hi-1 as an (atoms, width) array; a mask becomes 1_F."""
         return self._expand(self.rows[lo:hi])
+
+
+class _SizePicks:
+    """The CRSM atoms of a Mobius measure held by size, picked as an
+    _AtomTable of its positive atoms in ascending mask order would pick
+    them (up to rounding at a bucket edge), with no table: LePage only.
+
+    masses is the measure's interval_masses() S.  A lane walks the bits
+    from the highest down, holding r, the part of u * S[d, 0] (the total
+    mass) not yet passed: at bit b, with c bits set above it, the masks of
+    the lane's interval with bit b clear weigh S[b, c], so the lane sets b,
+    and takes S[b, c] off r, iff r >= S[b, c] and the masks with b set
+    weigh something, S[b, c + 1] > 0.  That keeps every lane inside an
+    interval of positive mass, down to one atom.
+    """
+
+    crsm = True
+
+    def __init__(self, masses: np.ndarray, atoms: int, scale: float):
+        d = masses.shape[0] - 1
+        self.width, self.atoms, self.scale = d, atoms, scale
+        self.total = masses[d, 0]
+        # r <= S[d, 0], so no lane passes the largest float into a set
+        # half of no mass
+        self.clear = np.where(masses[:d, 1:] > 0, masses[:d, :-1], np.finfo(float).max)
+
+    def pick(self, u: np.ndarray) -> np.ndarray:
+        """scale * 1_F for the atom F each uniform of u picks, as a new
+        float array of shape u.shape + (width,)."""
+        r = u.ravel() * self.total
+        c = np.zeros(r.size, dtype=np.intp)
+        bits = np.empty((self.width, r.size), dtype=bool)
+        for b in reversed(range(self.width)):
+            s = self.clear[b].take(c)
+            up = np.greater_equal(r, s, out=bits[b])
+            s *= up  # s, or +0.0, which leaves r as it is
+            r -= s
+            c += up
+        y = np.empty((r.size, self.width))
+        np.multiply(bits.T, self.scale, out=y)
+        return y.reshape(u.shape + (self.width,))
 
 
 def _coupled_rows(y: np.ndarray) -> np.ndarray:
@@ -377,16 +425,18 @@ def _method(atoms: int, floor: float, config: SimConfig) -> str:
     return "max-linear" if config.mode == "exact" and atoms <= floor else "lepage"
 
 
-def _sample(carrier: Carrier, table: _AtomTable, w: np.ndarray, floor: float,
+def _sample(carrier: Carrier, table, w: Optional[np.ndarray], floor: float,
             bound: float, stop: np.ndarray, config: SimConfig,
             cost: str = "") -> SampleBatch:
-    """The one sampling path of an atom table: the cost rule, then
+    """The one sampling path of an atom source (an _AtomTable, or a
+    _SizePicks for LePage only): the cost rule on its atom count, then
     max-linear with weights w or LePage (bound, stop columns and cost as
     _lepage takes them).  A CRSM's first atoms are the argmax sets of its
     values."""
-    plan = (_method(w.size, floor, config), w.size, floor)
+    m = table.atoms
+    plan = (_method(m, floor, config), m, floor)
     if plan[0] == "max-linear":
-        x, terms = _max_linear(table, w, config), np.full(config.samples, w.size)
+        x, terms = _max_linear(table, w, config), np.full(config.samples, m)
     else:
         x, terms = _lepage(table, bound, stop, config, cost)
     first = None
@@ -396,22 +446,29 @@ def _sample(carrier: Carrier, table: _AtomTable, w: np.ndarray, floor: float,
     return _batch(carrier, x, config, plan, terms, first)
 
 
-def _crsm_atoms(theta: Capacity, mobius: Optional[_Owned] = None
-                ) -> tuple[np.ndarray, np.ndarray, int]:
-    """Positive Mobius atoms: masks ascending (int32, as d <= 24), their
-    weights and the relevant points (the union of the atoms).
-
-    Refuses capacities that are not completely alternating within the
-    relative tolerance DEFAULT_TOL (slack DEFAULT_TOL * theta(E)), so the
-    negative weights left out lie in that band.  mobius, _Owned(nu), hands
-    over theta's Mobius measure when the caller has it already.  Either way
-    the weights move forward into the Mobius table, spread once when nu is
-    held by size, in 64 chunks of at least _SPAN entries: masks[k] >= k,
-    so a chunk's weights land only on entries already read.
-    """
+def _certified(theta: Capacity, mobius: Optional[_Owned]) -> MobiusMeasure:
+    """theta's Mobius measure, this run's own: certified completely
+    alternating within the relative tolerance DEFAULT_TOL (slack
+    DEFAULT_TOL * theta(E)), so the negative weights a run leaves out lie
+    in that band.  mobius, _Owned(nu), hands it over when the caller has
+    it already."""
     nu = certified_mobius(theta, DEFAULT_TOL, None if mobius is None else mobius.arr)
     if theta.total <= 0:
         raise ValueError("capacity is identically zero; nothing to simulate")
+    return nu
+
+
+def _crsm_atoms(nu: MobiusMeasure) -> tuple[np.ndarray, np.ndarray, int]:
+    """The atom table of a certified Mobius measure, the run's own: the
+    positive atoms' masks ascending (int32, as d <= 24), their weights and
+    the relevant points (the union of the atoms).
+
+    The weights move forward into the Mobius table, in 64 chunks of at
+    least _SPAN entries: masks[k] >= k, so a chunk's weights land only on
+    entries already read.  A measure held by size is spread into a table
+    first; simulate_crsm does so only for max-linear, and a LePage run by
+    size builds neither table.
+    """
     w = nu.weights
     w.setflags(write=True)  # nu is this run's own and is dropped on return
     masks = np.empty(np.count_nonzero(w > 0), dtype=np.int32)
@@ -444,20 +501,50 @@ def simulate_crsm(theta: Capacity, config: SimConfig,
     mobius, _Owned(nu), hands over theta's Mobius measure when the caller
     has it already, to be consumed as the run's own Mobius table.
 
-    Besides theta, a run holds the atoms' weights, in the 2**d Mobius table
-    it builds (on LePage their cumulative pick table overwrites them), and
-    their int32 masks, at most half a 2**d table more.  A capacity held by
-    size builds no table of its own: its Mobius table is spread by size.
+    Besides theta, a run on a table holds the atoms' weights, in the 2**d
+    Mobius table it builds (on LePage their cumulative pick table
+    overwrites them), and their int32 masks, at most half a 2**d table
+    more.  A capacity held by size has its Mobius measure by size, with m =
+    sum of C(d, k) over the sizes k of positive weight: LePage picks its
+    atoms by size (_SizePicks), holding (d + 1)**2 numbers, and only a
+    max-linear run spreads the Mobius table and builds the masks.  An exact
+    LePage run by size records its exact E[N] (SampleBatch.expected_terms).
     """
-    masks, weights, relevant = _crsm_atoms(theta, mobius)
+    nu = _certified(theta, mobius)
     d = theta.carrier.size
+    masses = nu.interval_masses()
+    if masses is None:
+        masks, weights, relevant = _crsm_atoms(nu)
+        m = masks.size
+    else:  # every point lies in sets of every size
+        m = sum(math.comb(d, k) for k in np.flatnonzero(masses[0] > 0).tolist())
+        relevant = theta.carrier.full_mask
     live = np.flatnonzero(_bits(relevant, d))
     ratios = theta.total / theta.singletons()[live]
-    cost = (f"; expected terms E[N] in [{1 + ratios.max():.6g}, "
+    floor = float(ratios.max())
+    cost = (f"; expected terms E[N] in [{1 + floor:.6g}, "
             f"{1 + ratios.sum():.6g}] (1 + max_x theta(E)/theta({{x}}) <= "
             f"E[N] <= 1 + sum_x theta(E)/theta({{x}}))")
-    return _sample(theta.carrier, _AtomTable(masks, weights, d, theta.total), weights,
-                   float(ratios.max()), theta.total, live, config, cost)
+    if masses is not None and _method(m, floor, config) == "lepage":
+        table, weights = _SizePicks(masses, m, theta.total), None
+    else:
+        if masses is not None:  # max-linear reads a table of the atoms
+            masks, weights, _ = _crsm_atoms(nu)
+        table = _AtomTable(masks, weights, d, theta.total)
+    batch = _sample(theta.carrier, table, weights, floor, theta.total, live, config, cost)
+    if masses is not None and batch.method == "lepage" and config.mode == "exact":
+        batch = replace(batch, expected_terms=_expected_terms(theta))
+    return batch
+
+
+def _expected_terms(theta: Capacity) -> float:
+    """Exact E[N] of an exact LePage run of a capacity held by size with
+    theta({x}) > 0: 1 + theta(E) sum over nonempty S of (-1)**(|S| + 1) /
+    theta(S), that is 1 + phi(d) sum_k (-1)**(k + 1) C(d, k) / phi(k)."""
+    d = theta.carrier.size
+    phi = theta.at(np.left_shift(1, np.arange(d + 1)) - 1).tolist()
+    return 1.0 + phi[d] * math.fsum((-1) ** (k + 1) * math.comb(d, k) / phi[k]
+                                    for k in range(1, d + 1))
 
 
 @dataclass(frozen=True)

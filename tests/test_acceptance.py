@@ -13,7 +13,7 @@ import pytest
 
 from conftest import (carrier_of, random_ca_capacity, random_capacity, random_f,
                       skewed_capacity)
-from crsm.carrier import Carrier, mask_size
+from crsm.carrier import Carrier
 from crsm.integrals import choquet_integral
 from crsm.setfun import (
     Capacity,
@@ -85,7 +85,7 @@ def test_02_avar_counterexample():
     val = successive_difference(theta, 0b1000, (0b0001, 0b0010, 0b0100))
     err = abs(val - 0.25)
     nu = mobius_inverse(theta)
-    three_sets = [m for m in range(16) if mask_size(m) == 3]
+    three_sets = [m for m in range(16) if m.bit_count() == 3]
     nu_ok = all(nu.weights[m] == -0.25 for m in three_sets)
     elapsed = time.perf_counter() - t0
     ok = err <= 1e-12 and nu_ok

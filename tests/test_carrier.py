@@ -9,7 +9,6 @@ from crsm.carrier import (
     as_values,
     canonical_json,
     iter_bits,
-    mask_size,
     popcounts,
     sup_integral,
 )
@@ -75,10 +74,9 @@ def test_validate_mask():
         c.validate_mask(-1)
 
 
-def test_iter_bits_and_mask_size():
+def test_iter_bits():
     assert list(iter_bits(0b10110)) == [1, 2, 4]
-    assert mask_size(0b10110) == 3
-    assert mask_size(0) == 0
+    assert list(iter_bits(0)) == []
 
 
 def test_popcounts():

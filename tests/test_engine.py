@@ -21,7 +21,7 @@ import pytest
 from conftest import (carrier_of, crsm_atoms, indicator_tdf, random_ca_capacity,
                       skewed_capacity)
 from crsm import simulate as sim
-from crsm.carrier import Carrier, iter_bits, mask_size
+from crsm.carrier import Carrier, iter_bits
 from crsm.io import parse_model
 from crsm.setfun import (Capacity, MobiusMeasure, _Owned, capacity_from_measure,
                          mobius_inverse)
@@ -41,7 +41,8 @@ from crsm.simulate import (
     substream,
 )
 from crsm.tdf import SpectralTDF
-from crsm.transforms import torus_storm_capacity
+from crsm.transforms import (BernsteinFunction, compose_capacity, exchangeable_capacity,
+                             subset_size_capacity, torus_storm_capacity)
 
 BULK_TERMS = ROUND * BULK_ROUNDS
 
@@ -211,7 +212,7 @@ def test_atoms_built_in_place_match_the_clipped_reference(monkeypatch, name, spa
     ref_cum = ref_cum / ref_cum[-1]
     handed = mobius_inverse(theta)
     for given in (None, _Owned(handed)):
-        got_masks, got_weights, relevant = sim._crsm_atoms(theta, given)
+        got_masks, got_weights, relevant = sim._crsm_atoms(sim._certified(theta, given))
         assert np.array_equal(got_masks, masks)
         assert relevant == int(np.bitwise_or.reduce(masks))
         assert got_weights.tobytes() == weights.tobytes()
@@ -481,7 +482,7 @@ def expected_terms(theta: Capacity) -> float:
     total = 1.0
     for sub in range(1, 1 << len(rel)):
         mask = sum(1 << rel[k] for k in range(len(rel)) if sub >> k & 1)
-        total += (-1) ** (mask_size(sub) + 1) * theta.total / theta(mask)
+        total += (-1) ** (sub.bit_count() + 1) * theta.total / theta(mask)
     return total
 
 
@@ -507,6 +508,119 @@ def test_max_terms_message_names_sample_and_bounds(lepage_only):
     with pytest.raises(MaxTermsExceeded, match=r"sample \d+ did not stop within 20 "
                        r"terms; expected terms E\[N\] in \[31.4, 34.82\]"):
         simulate_crsm(skewed3(), SimConfig(seed=0, samples=50, max_terms=20))
+
+
+def size_models(d: int) -> dict:
+    """Capacities held by size: the three constructors, a Mobius measure by
+    size with an empty size class (integer weights, so the round trip is
+    exact) and, for d >= 2, one whose singleton weight is negative inside
+    the tolerance band, which the sampler clamps to 0."""
+    c = carrier_of(d)
+    p = np.arange(1.0, d + 2) / np.arange(1.0, d + 2).sum()
+    models = {"exchangeable": exchangeable_capacity(c, [(0.2, 0.5), (0.5, 0.5)]),
+              "subset-size": subset_size_capacity(c, p, 2.0)}
+    models["compose"] = compose_capacity(BernsteinFunction(power=0.6),
+                                         models["exchangeable"])
+    gap = np.array([0.0] + [(k % 3 != 2) * (1.0 + k % 4) for k in range(1, d + 1)])
+    models["gap"] = capacity_from_measure(MobiusMeasure(c, by_size=gap))
+    if d >= 2:
+        band = np.ones(d + 1)
+        band[0] = 0.0
+        band[1] = -0.3e-9 * sum(math.comb(d, k) for k in range(2, d + 1))
+        models["band"] = capacity_from_measure(MobiusMeasure(c, by_size=band))
+    return models
+
+
+def size_picks(theta: Capacity) -> "sim._SizePicks":
+    masses = sim._certified(theta, None).interval_masses()
+    assert masses is not None
+    return sim._SizePicks(masses, 0, 1.0)
+
+
+def picked_masks(picks, u: np.ndarray) -> np.ndarray:
+    return (picks.pick(u) > 0) @ (1 << np.arange(picks.width))
+
+
+@pytest.mark.parametrize("d", [1, 2, 5, 12, 16])
+def test_size_picks_match_the_table_route(d):
+    # the d-step walk over the interval masses picks the mask that
+    # searchsorted picks on the atom table's cumulative weights; the two
+    # round differently, so a lane could differ right at a bucket edge,
+    # but none of these does
+    u = np.random.default_rng(7).random(100_000)
+    for name, theta in size_models(d).items():
+        masks, weights, _ = sim._crsm_atoms(sim._certified(theta, None))
+        cum = sim._cumulative(weights)
+        idx = np.searchsorted(cum, u, side="right")
+        got = picked_masks(size_picks(theta), u)
+        off = np.flatnonzero(got != masks[idx])
+        assert off.size == 0, (name, u[off], cum[idx[off]])
+        sizes = np.bitwise_count(got)
+        if name == "gap":
+            assert not np.any(sizes % 3 == 2)
+        if name == "band":
+            assert mobius_inverse(theta).min_weight()[0] < 0.0
+            assert not np.any(sizes == 1)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_size_picks_chi_square(d):
+    # P(pick = F) = nu+(|F|) / sum of nu+ over the nonempty sets
+    n = 200_000
+    u = np.random.default_rng(100 + d).random(n)
+    for name, theta in size_models(d).items():
+        nu = np.clip(mobius_inverse(theta).weights, 0.0, None)
+        counts = np.bincount(picked_masks(size_picks(theta), u), minlength=1 << d)
+        assert counts.sum() == n and not counts[nu == 0].any(), name
+        live = nu > 0
+        expect = n * nu[live] / nu.sum()
+        chi2 = float(((counts[live] - expect) ** 2 / expect).sum())
+        k = max(1, int(live.sum()) - 1)
+        # Wilson-Hilferty: (chi2 / k) ** (1/3) is close to normal
+        z = ((chi2 / k) ** (1 / 3) - 1 + 2 / (9 * k)) / math.sqrt(2 / (9 * k))
+        assert z < 4, (name, chi2, k)
+
+
+def test_crsm_sampler_by_size_holds_no_table():
+    # LePage on an exchangeable capacity picks by size: no Mobius table and
+    # no masks, so the run peaks far below one 2**20 float table
+    d = 20
+    theta = exchangeable_capacity(d, [(0.2, 0.5), (0.5, 0.5)])
+    cfg = SimConfig(seed=1, samples=100)
+    # the first generator imports modules of about 0.7 MB; import them first
+    simulate_crsm(exchangeable_capacity(2, [(0.5, 1.0)]), cfg)
+    tracemalloc.start()
+    try:
+        batch = simulate_crsm(theta, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert batch.method == "lepage" and batch.atoms == (1 << d) - 1
+    assert peak < 0.1 * (8 << d), peak
+
+
+def test_exact_expected_terms_by_size():
+    # E[N] = 1 + phi(d) sum_k (-1)^(k+1) C(d, k) / phi(k) against the sum
+    # over subsets, its bracket and the simulated mean
+    for d in range(1, 13):
+        for name, theta in size_models(d).items():
+            assert sim._expected_terms(theta) == pytest.approx(
+                expected_terms(theta), rel=1e-9), (d, name)
+    phi = lambda theta, k: theta((1 << k) - 1)
+    for theta in size_models(24).values():
+        exact, ratio = sim._expected_terms(theta), phi(theta, 24) / phi(theta, 1)
+        assert 1 + ratio <= exact <= 1 + 24 * ratio, exact
+    theta = size_models(12)["exchangeable"]
+    batch = simulate_crsm(theta, SimConfig(seed=3, samples=20_000))
+    assert batch.method == "lepage"
+    assert batch.expected_terms == sim._expected_terms(theta)
+    sigma = batch.terms.std() / math.sqrt(batch.terms.size)
+    assert abs(batch.terms.mean() - batch.expected_terms) < 5 * sigma
+    # only an exact LePage run by size knows it
+    truncated = SimConfig(seed=3, samples=5, mode="truncated", n_terms=4)
+    assert simulate_crsm(theta, truncated).expected_terms is None
+    assert simulate_crsm(skewed3(), SimConfig(seed=3, samples=5)).expected_terms is None
+    assert simulate_crsm(theta2(), SimConfig(seed=3, samples=5)).expected_terms is None
 
 
 def test_truncated_spectral_runs_are_dominated():

@@ -453,6 +453,22 @@ def test_cli_simulate_names_its_method(theta2_file, tmp_path, capsys):
         assert outs[0].err.splitlines()[1] == note
 
 
+def test_cli_simulate_prints_the_exact_expected_terms_by_size(theta2_file, tmp_path,
+                                                             capsys):
+    # an exact LePage run of a capacity held by size prints its exact E[N]
+    # beside the mean term count, on stderr only; a table run has none
+    exch = tmp_path / "exch.json"
+    exch.write_text(json.dumps({"kind": "exchangeable", "carrier": list("abcdefghijkl"),
+                                "zeta": [[0.2, 0.5], [0.5, 0.5]]}))
+    argv = ["--samples", "500", "--seed", "1", "--deterministic"]
+    assert main(["simulate", "--model", str(exch)] + argv) == 0
+    out = capsys.readouterr()
+    assert out.err.startswith("terms per sample: mean 8.292 (exact E[N] 8.14963), p50 8, ")
+    assert "E[N]" not in out.out
+    assert main(["simulate", "--model", theta2_file] + argv) == 0
+    assert "exact" not in capsys.readouterr().err
+
+
 def test_cli_randomized_commands_require_seed(theta2_file, capsys):
     extra = {"argmax-test": ["--set", '["a"]']}
     for command in ("simulate", "couple", "argmax-test", "verify"):

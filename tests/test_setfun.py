@@ -16,7 +16,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import carrier_of, random_ca_capacity, random_capacity
 from crsm import setfun
-from crsm.carrier import Carrier, mask_size
+from crsm.carrier import Carrier
 from crsm.setfun import (
     MAX_ALTERNATION_ORDER,
     Capacity,
@@ -47,7 +47,7 @@ def theta2() -> Capacity:
 
 def avar4() -> Capacity:
     c = Carrier(("1", "2", "3", "4"))
-    table = [min(1.0, mask_size(m) * 0.25 / 0.8) for m in range(16)]
+    table = [min(1.0, m.bit_count() * 0.25 / 0.8) for m in range(16)]
     return Capacity(c, table)
 
 
@@ -264,7 +264,7 @@ def test_avar_frozen_values():
     nu = mobius_inverse(theta)
     by_size = {}
     for m in range(1, 16):
-        by_size.setdefault(mask_size(m), set()).add(nu.weights[m])
+        by_size.setdefault(m.bit_count(), set()).add(nu.weights[m])
     assert by_size[1] == {0.0625}
     assert by_size[2] == {0.25}
     assert by_size[3] == {-0.25}
@@ -272,7 +272,7 @@ def test_avar_frozen_values():
     cls = classify(theta)
     assert cls.monotone and not cls.completely_alternating
     assert cls.min_mobius_weight == -0.25
-    assert mask_size(cls.min_mobius_witness) == 3
+    assert cls.min_mobius_witness.bit_count() == 3
 
 
 def test_avar_successive_difference_exact():

@@ -114,8 +114,7 @@ def test_first_atom_is_argmax():
 
 def test_simulate_rejects_non_ca():
     c = Carrier(("1", "2", "3", "4"))
-    from crsm.carrier import mask_size
-    avar = Capacity(c, [min(1.0, mask_size(m) * 0.3125) for m in range(16)])
+    avar = Capacity(c, [min(1.0, m.bit_count() * 0.3125) for m in range(16)])
     with pytest.raises(ValueError):
         simulate_crsm(avar, SimConfig(seed=0, samples=10))
 

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import carrier_of, random_ca_capacity, random_capacity, random_f
-from crsm.carrier import Carrier, iter_bits, mask_size
+from crsm.carrier import Carrier, iter_bits
 from crsm.integrals import choquet_integral, extremal_integral
 from crsm.setfun import Capacity, classify, mobius_inverse
 from crsm.tdf import (
@@ -31,7 +31,7 @@ def theta2() -> Capacity:
 
 def avar4() -> Capacity:
     c = Carrier(("1", "2", "3", "4"))
-    return Capacity(c, [min(1.0, mask_size(m) * 0.3125) for m in range(16)])
+    return Capacity(c, [min(1.0, m.bit_count() * 0.3125) for m in range(16)])
 
 
 def random_spectral(rng, d, m=None, indicators=False) -> SpectralTDF:

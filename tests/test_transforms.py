@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import carrier_of, random_ca_capacity
-from crsm.carrier import Carrier, CarrierSizeError, mask_size, popcounts
+from crsm.carrier import Carrier, CarrierSizeError, popcounts
 from crsm.setfun import Capacity, classify, mobius_inverse
 from crsm.tdf import DiscreteMeasure
 from crsm import setfun, transforms
@@ -211,7 +211,7 @@ def test_subset_size_rearrangement_invariant():
         theta = subset_size_capacity(d, p)
         by_size = {}
         for m in range(1, 1 << d):
-            by_size.setdefault(mask_size(m), set()).add(round(theta(m), 12))
+            by_size.setdefault(m.bit_count(), set()).add(round(theta(m), 12))
         assert all(len(v) == 1 for v in by_size.values())
         assert classify(theta).monotone
 
@@ -298,7 +298,7 @@ def test_torus_point_shape_counts():
     theta = torus_storm_capacity(4, [([0], 1.0)])
     c = theta.carrier
     for m in range(1, 16):
-        assert theta(m) == mask_size(m)
+        assert theta(m) == m.bit_count()
     assert check_stationary(theta)
 
 

@@ -7,7 +7,7 @@ import pytest
 
 from conftest import carrier_of, near_ca_table, random_ca_capacity, skewed_capacity
 from crsm import setfun
-from crsm.carrier import Carrier, mask_size
+from crsm.carrier import Carrier
 from crsm.setfun import (Capacity, MobiusMeasure, capacity_from_measure, classify,
                          mobius_inverse)
 from crsm.simulate import (SimConfig, independence_on_disjoint, simulate_crsm,
@@ -22,7 +22,7 @@ from crsm.verify import CheckResult, coupling_violations, verify_model
 
 def test_non_ca_model_fails_fast():
     c = Carrier(("1", "2", "3", "4"))
-    avar = Capacity(c, [min(1.0, mask_size(m) * 0.3125) for m in range(16)])
+    avar = Capacity(c, [min(1.0, m.bit_count() * 0.3125) for m in range(16)])
     checks = verify_model(avar, samples=100, seed=0)
     names = [ch.name for ch in checks]
     assert names == ["mobius-roundtrip", "complete-alternation"]
