@@ -1,0 +1,92 @@
+"""Check that every benchmark op gives the same output in two checkouts.
+
+    python scripts/compare_ops.py OTHER_DIR SEED [SEED ...]
+
+For each seed and each workload of perfbench/workloads.py (this
+checkout's), the workload's inputs are written into a fresh directory
+per checkout, and its ops run there in job order, each as a fresh
+process with that checkout's src/ on PYTHONPATH, PYTHONHASHSEED=0 and
+one BLAS thread, as perfbench/run.py runs them.  An op differs if its
+exit code, stdout, stderr or the sha256 of its --out file differ between
+the checkouts.  Each differing op is named on stdout and the exit code
+is 1; otherwise it is 0.  Compared with itself, a checkout shows that
+every op is deterministic.
+"""
+
+import argparse
+import hashlib
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "perfbench"))
+
+import workloads  # noqa: E402
+
+
+def child_env(checkout: Path, workdir: Path) -> dict:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(checkout / "src"),
+                                                      env.get("PYTHONPATH")]))
+    env["PYTHONHASHSEED"] = "0"
+    env["TMPDIR"] = str(workdir)
+    for var in workloads.BLAS_THREAD_VARS:
+        env[var] = "1"
+    return env
+
+
+def run_plan(checkout: Path, plan: workloads.Plan, workdir: Path) -> dict:
+    """op name -> (exit code, stdout, stderr, sha256 of --out or None)."""
+    plan.write(workdir)
+    env = child_env(checkout, workdir)
+    results = {}
+    for op in plan.ops:
+        if op.lib:
+            cmd = [sys.executable, str(checkout / "perfbench" / "probe.py"), *op.argv]
+        else:
+            cmd = [sys.executable, "-m", "crsm.cli", *op.argv]
+        proc = subprocess.run(cmd, cwd=workdir, env=env, capture_output=True)
+        digest = None
+        if op.out and (workdir / op.out).exists():
+            digest = hashlib.sha256((workdir / op.out).read_bytes()).hexdigest()
+        results[op.name] = (proc.returncode, proc.stdout, proc.stderr, digest)
+    return results
+
+
+def main(argv=None) -> int:
+    p = argparse.ArgumentParser(description=__doc__,
+                                formatter_class=argparse.RawDescriptionHelpFormatter)
+    p.add_argument("other", type=Path, help="the checkout to compare with")
+    p.add_argument("seeds", type=int, nargs="+", help="workload seeds")
+    args = p.parse_args(argv)
+    other = args.other.resolve()
+    if not (other / "src" / "crsm").is_dir():
+        p.error(f"{other} is no checkout: it has no src/crsm")
+
+    fields = ("exit code", "stdout", "stderr", "--out sha256")
+    compared, differing = 0, []
+    for seed in args.seeds:
+        for workload in workloads.WORKLOADS:
+            plan = workloads.build(workload, seed)
+            with tempfile.TemporaryDirectory() as tmp:
+                runs = []
+                for side, checkout in (("this", ROOT), ("other", other)):
+                    workdir = Path(tmp) / side
+                    workdir.mkdir()
+                    runs.append(run_plan(checkout, plan, workdir))
+            for op in plan.ops:
+                compared += 1
+                diff = [name for name, a, b in zip(fields, runs[0][op.name],
+                                                    runs[1][op.name]) if a != b]
+                if diff:
+                    differing.append(op.name)
+                    print(f"seed {seed} {workload}/{op.name}: {', '.join(diff)} differ")
+    print(f"{compared} ops compared, {len(differing)} differ")
+    return 1 if differing else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -9,7 +9,6 @@ from .carrier import (
     Carrier,
     CarrierSizeError,
     TorusTag,
-    sup_integral,
 )
 from .setfun import (
     Capacity,

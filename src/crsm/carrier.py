@@ -9,8 +9,10 @@ up front.
 
 A nonnegative function on the carrier, such as the integrand f of the
 nonlinear integrals or the point values g({x}) of a sup-measure, is a
-plain float array in carrier order (see ``as_values``); a sup-measure is
-evaluated on a set by ``sup_integral``, the max over the set.
+plain float array in carrier order (see ``as_values``); a sup-measure
+takes the max of its point values over a set.  ``_weighted_max`` reduces
+a batch of point values, one row per sample, to max_x v(x) X(x): the
+sup over K at v = 1_K, the extremal integral of f at v = f.
 """
 
 from __future__ import annotations
@@ -220,16 +222,18 @@ def as_values(carrier: Carrier, values: "np.ndarray | Sequence[float] | dict[str
     return arr
 
 
-def sup_integral(g: np.ndarray, mask: int) -> float:
-    """max of g over the masked points; the empty set gives 0."""
-    if mask == 0:
-        return 0.0
-    best = 0.0
-    for i in iter_bits(mask):
-        v = g[i]
-        if v > best:
-            best = v
-    return float(best)
+def _indicator(mask: int, d: int) -> np.ndarray:
+    return ((mask >> np.arange(d)) & 1).astype(float)
+
+
+def _weighted_max(values: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """max_x v(x) values[j, x] for every row j, bit-equal to the row max of
+    values * v as both are >= 0, one column of v's support at a time: no
+    N x d temporary."""
+    out = np.zeros(values.shape[0])
+    for i in np.flatnonzero(v):
+        np.maximum(out, values[:, i] * v[i], out=out)
+    return out
 
 
 def canonical_json(obj) -> str:

@@ -1,11 +1,15 @@
 """Command-line front end.
 
-Every subcommand reads a model JSON via --model and emits either a bare
-number (choquet, extremal, cdf) or a JSON/CSV artifact.  Artifacts embed
-a provenance block {tool, version, seed, model_sha256, generated_at},
-plus the random stream version `stream` when a seed is given, and the
-sampling `method` ("lepage" or "max-linear") for `simulate`;
---deterministic drops the timestamp so repeated runs are byte-identical.
+Every subcommand evaluates one parsed model and emits either a bare
+number (choquet, extremal, cdf) or a JSON/CSV artifact.  One runner owns
+the protocol: it parses --model, hashes it only when the command writes
+an artifact, drops the parsed document before the command runs, and
+writes the payload the command returns.  Artifacts embed a provenance
+block {tool, version, seed, model_sha256, generated_at}, plus the random
+stream version `stream` when a seed is given, and the sampling `method`
+("lepage" or "max-linear") for `simulate`; --deterministic drops the
+timestamp so repeated runs are byte-identical.  `verify`'s statistics
+reduce the samples column by column and hold no N x d temporary.
 `simulate` writes the mean, p50, p99 and max of its term counts to stderr
 (with the exact E[N] beside the mean on an exact LePage run of a capacity
 held by size), then the method it chose, the atom count m and LePage's
@@ -31,6 +35,7 @@ size.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import datetime
 import json
 import math
@@ -42,7 +47,7 @@ from typing import Optional, TextIO
 import numpy as np
 
 from . import __version__
-from .carrier import Carrier, CarrierSizeError, iter_bits
+from .carrier import Carrier, CarrierSizeError, _indicator, _weighted_max
 from .integrals import choquet_integral, extremal_integral
 from .io import (
     SchemaError,
@@ -70,7 +75,6 @@ from .simulate import (
     STREAM_VERSION,
     SampleBatch,
     SimConfig,
-    _row_max,
     argmax_independence_test,
     couple,
     frechet_scale_estimate,
@@ -202,11 +206,6 @@ def _inline_json(arg: str, what: str):
         raise SchemaError("$", f"invalid JSON for {what}: {e}") from None
 
 
-def _load_model(path: str):
-    obj = load_json_file(path)
-    return parse_model(obj), obj
-
-
 def _capacity_of(model) -> Optional[Capacity]:
     """The capacity of a capacity or Choquet model; None for other laws."""
     if isinstance(model, ChoquetTDF):
@@ -234,9 +233,40 @@ def _parse_mode(mode: str) -> tuple[str, Optional[int]]:
     raise SchemaError("$", f"mode must be 'exact' or 'truncated:K', got {mode!r}")
 
 
-def cmd_check(args) -> int:
-    model, obj = _load_model(args.model)
-    payload: dict = {"provenance": _provenance(args.seed, obj, args.deterministic)}
+# Commands that print their result and write an artifact only with --out.
+_PRINTING = frozenset({"choquet", "extremal", "cdf", "verify"})
+
+
+def _run(args) -> int:
+    """Load and parse --model, hash it only if an artifact will carry the
+    hash, drop the parsed document, run the command, and write the payload
+    it returns, with the provenance block, to --out or stdout.
+
+    A command is cmd(args, model, prov) -> (payload or None, exit code);
+    `simulate` writes its CSV itself, with prov, and `estimate` reads no
+    model."""
+    obj = model = prov = None
+    if getattr(args, "model", None) is not None:
+        obj = load_json_file(args.model)
+        model = parse_capacity(obj) if args.command == "materialize" else parse_model(obj)
+    if args.out or args.command not in _PRINTING:
+        prov = _provenance(getattr(args, "seed", None), obj, args.deterministic)
+    del obj  # the parsed document is not held while the command runs
+    payload, code = args.fn(args, model, prov)
+    if payload is not None:
+        payload["provenance"] = prov
+        _emit_json(payload, args.out)
+    return code
+
+
+def _print_value(args, value: float):
+    """Print a bare number; its artifact is written only with --out."""
+    print(json.dumps(value))
+    return ({"value": value} if args.out else None), 0
+
+
+def cmd_check(args, model, prov):
+    payload: dict = {}
     # the functional probe has a fixed slack and no direct search
     if args.direct:
         _require_capacity(model, "check --direct")
@@ -274,69 +304,46 @@ def cmd_check(args) -> int:
             "worst_value": rep.worst_value,
             "trials": rep.trials,
         }
-    _emit_json(payload, args.out)
-    return 0
+    return payload, 0
 
 
-def cmd_mobius(args) -> int:
-    model, obj = _load_model(args.model)
-    prov = _provenance(None, obj, args.deterministic)
-    del obj  # the parsed document is not held while the artifact is built
+def cmd_mobius(args, model, prov):
     theta = _require_capacity(model, "mobius")
     _warn_if_huge("mobius", theta.carrier)
     # nothing reads theta again, so nu is swept in theta's own table
-    payload = mobius_to_json(mobius_inverse(_Owned(theta)))
-    payload["provenance"] = prov
-    _emit_json(payload, args.out)
-    return 0
+    return mobius_to_json(mobius_inverse(_Owned(theta))), 0
 
 
-def _integral_command(args, fn) -> int:
-    model, obj = _load_model(args.model)
+def _integral_command(args, model, fn):
     theta = _require_capacity(model, "integration")
     f = _parse_point_values(theta.carrier, _inline_json(args.f, "--f"), "$.f")
-    value = fn(f, theta)
-    print(json.dumps(value))
-    if args.out:
-        _emit_json({"value": value,
-                    "provenance": _provenance(None, obj, args.deterministic)},
-                   args.out)
-    return 0
+    return _print_value(args, fn(f, theta))
 
 
-def cmd_choquet(args) -> int:
-    return _integral_command(args, choquet_integral)
+def cmd_choquet(args, model, prov):
+    return _integral_command(args, model, choquet_integral)
 
 
-def cmd_extremal(args) -> int:
-    return _integral_command(args, extremal_integral)
+def cmd_extremal(args, model, prov):
+    return _integral_command(args, model, extremal_integral)
 
 
-def cmd_dual(args) -> int:
-    model, obj = _load_model(args.model)
+def cmd_dual(args, model, prov):
     theta = _require_capacity(model, "dual")
     f = _parse_point_values(theta.carrier, _inline_json(args.f, "--f"), "$.f")
-    mu, value = dual_greedy(theta, f, tol=args.tolerance)
+    tol = DEFAULT_TOL if args.tolerance is None else args.tolerance
+    mu, value = dual_greedy(theta, f, tol=tol)
     oracle_value = None
     if args.oracle != "none":
         if args.oracle == "sampled" and args.seed is None:
             raise ValueError("the sampled oracle draws randomly: --seed is "
                              "required (no implicit entropy)")
         oracle_value, _ = dual_oracle(theta, f, method=args.oracle,
-                                      trials=args.trials, seed=args.seed,
-                                      tol=args.tolerance)
-    payload = {
-        "greedy": value,
-        "oracle": oracle_value,
-        "measure": mu.to_json(),
-        "provenance": _provenance(args.seed, obj, args.deterministic),
-    }
-    _emit_json(payload, args.out)
-    return 0
+                                      trials=args.trials, seed=args.seed, tol=tol)
+    return {"greedy": value, "oracle": oracle_value, "measure": mu.to_json()}, 0
 
 
-def cmd_cdf(args) -> int:
-    model, obj = _load_model(args.model)
+def cmd_cdf(args, model, prov):
     ell = as_tdf(model)
     pairs = parse_pairs(_inline_json(args.pairs, "--pairs"), ell.carrier, "$.pairs")
     value = joint_cdf(ell, pairs)
@@ -346,12 +353,7 @@ def cmd_cdf(args) -> int:
         # CA.  The certificate sweeps theta's own table: nothing reads theta,
         # model or ell after it, and nothing is printed unless it passes.
         certified_mobius(_Owned(theta), DEFAULT_TOL)
-    print(json.dumps(value))
-    if args.out:
-        _emit_json({"value": value,
-                    "provenance": _provenance(None, obj, args.deterministic)},
-                   args.out)
-    return 0
+    return _print_value(args, value)
 
 
 def _config_from_args(args) -> SimConfig:
@@ -394,12 +396,10 @@ def _percentiles(values: np.ndarray, qs) -> list:
     return out
 
 
-def cmd_simulate(args) -> int:
-    model, obj = _load_model(args.model)
-    config = _config_from_args(args)
-    batch = simulate_model(model, config)
-    prov = _provenance(args.seed, obj, args.deterministic)
+def cmd_simulate(args, model, prov):
+    batch = simulate_model(model, _config_from_args(args))
     prov["method"] = batch.method
+    payload = None
     if args.format == "csv":
         if args.out:
             with open(args.out, "w") as fh:
@@ -407,13 +407,8 @@ def cmd_simulate(args) -> int:
         else:
             _write_batch_csv(sys.stdout, batch, prov)
     else:
-        payload = {
-            "carrier": batch.carrier.to_json(),
-            "mode": batch.mode,
-            "samples": batch.values.tolist(),
-            "provenance": prov,
-        }
-        _emit_json(payload, args.out)
+        payload = {"carrier": batch.carrier.to_json(), "mode": batch.mode,
+                   "samples": batch.values.tolist()}
     p50, p99 = _percentiles(batch.terms, (50, 99))
     exact = ("" if batch.expected_terms is None
              else f" (exact E[N] {batch.expected_terms:.6g})")
@@ -425,7 +420,7 @@ def cmd_simulate(args) -> int:
     else:
         print(f"method lepage: E[N] >= {batch.lepage_floor:.6g} terms per sample; "
               f"max-linear needs {batch.atoms} atoms", file=sys.stderr)
-    return 0
+    return payload, 0
 
 
 def _read_batch_csv(path: str) -> tuple[Carrier, np.ndarray]:
@@ -475,60 +470,35 @@ def _csv_values(rows: list[str], d: int) -> np.ndarray:
     return np.fromiter(map(float, cells), float, len(cells)).reshape(len(rows), d)
 
 
-def cmd_estimate(args) -> int:
+def cmd_estimate(args, model, prov):
     if (args.f is None) == (args.set is None):
         raise SchemaError("$", "estimate needs exactly one of --f or --set")
     carrier, values = _read_batch_csv(args.batch)
     if args.f is not None:
-        f = _parse_point_values(carrier, _inline_json(args.f, "--f"), "$.f")
-        z = _row_max(values * f[None, :])
+        v = _parse_point_values(carrier, _inline_json(args.f, "--f"), "$.f")
         stat = "extremal"
     else:
         mask = parse_label_set(_inline_json(args.set, "--set"), carrier, "$.set")
-        z = _row_max(values[:, list(iter_bits(mask))])
+        v = _indicator(mask, carrier.size)
         stat = "sup"
-    est = frechet_scale_estimate(z)
-    payload = {
-        "statistic": stat,
-        "scale": est.scale,
-        "half_width": est.half_width,
-        "n": est.n,
-        "provenance": _provenance(None, None, args.deterministic),
-    }
-    _emit_json(payload, args.out)
-    return 0
+    est = frechet_scale_estimate(_weighted_max(values, v))
+    return {"statistic": stat, **dataclasses.asdict(est)}, 0
 
 
-def cmd_couple(args) -> int:
-    model, obj = _load_model(args.model)
-    cpl = couple(model, _config_from_args(args))
-    summary = coupling_violations(cpl)
-    summary["provenance"] = _provenance(args.seed, obj, args.deterministic)
-    _emit_json(summary, args.out)
-    return 0 if summary["passed"] else 1
+def cmd_couple(args, model, prov):
+    summary = coupling_violations(couple(model, _config_from_args(args)))
+    return summary, 0 if summary["passed"] else 1
 
 
-def cmd_argmax_test(args) -> int:
-    model, obj = _load_model(args.model)
+def cmd_argmax_test(args, model, prov):
     theta = _require_capacity(model, "argmax-test")
     region = parse_label_set(_inline_json(args.set, "--set"), theta.carrier, "$.set")
-    config = _config_from_args(args)
-    rep = argmax_independence_test(theta, region, config,
+    rep = argmax_independence_test(theta, region, _config_from_args(args),
                                    negative_control=args.negative_control)
-    payload = {
-        "z": rep.z,
-        "passed": rep.passed,
-        "n": rep.n,
-        "hit_rate": rep.hit_rate,
-        "negative_control": rep.negative_control,
-        "provenance": _provenance(args.seed, obj, args.deterministic),
-    }
-    _emit_json(payload, args.out)
-    return 0 if rep.passed else 1
+    return dataclasses.asdict(rep), 0 if rep.passed else 1
 
 
-def cmd_verify(args) -> int:
-    model, obj = _load_model(args.model)
+def cmd_verify(args, model, prov):
     # a spectral model has no exact lattice rows for a tolerance to loosen
     if args.tolerance is not None and isinstance(model, SpectralTDF):
         raise SchemaError("$.kind", f"verify --tolerance needs a CRSM model, not a "
@@ -538,28 +508,15 @@ def cmd_verify(args) -> int:
     for c in checks:
         print(c.line())
     ok = all(c.passed for c in checks)
+    payload = None
     if args.out:
-        payload = {
-            "passed": ok,
-            "checks": [{"name": c.name, "statistic": c.statistic,
-                        "threshold": c.threshold, "passed": c.passed,
-                        "detail": c.detail} for c in checks],
-            "provenance": _provenance(args.seed, obj, args.deterministic),
-        }
-        _emit_json(payload, args.out)
-    return 0 if ok else 1
+        payload = {"passed": ok, "checks": [dataclasses.asdict(c) for c in checks]}
+    return payload, 0 if ok else 1
 
 
-def cmd_materialize(args) -> int:
-    obj = load_json_file(args.model)
-    theta = parse_capacity(obj)
-    prov = _provenance(None, obj, args.deterministic)
-    del obj  # the parsed document is not held while the artifact is built
-    _warn_if_huge("materialize", theta.carrier)
-    payload = capacity_to_json(theta)
-    payload["provenance"] = prov
-    _emit_json(payload, args.out)
-    return 0
+def cmd_materialize(args, model, prov):
+    _warn_if_huge("materialize", model.carrier)
+    return capacity_to_json(model), 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -574,9 +531,10 @@ def build_parser() -> argparse.ArgumentParser:
             sp.add_argument("--model", required=True, help="model JSON path")
         sp.add_argument("--out", help="write the artifact to this path")
         if checks:
-            sp.add_argument("--tolerance", type=float, default=DEFAULT_TOL,
+            # None, the default, tells an explicit --tolerance from none
+            sp.add_argument("--tolerance", type=float, default=None,
                             help="relative lattice comparison tolerance: exact "
-                                 "checks allow tol * theta(E)")
+                                 f"checks allow tol * theta(E) (default {DEFAULT_TOL:g})")
         sp.add_argument("--deterministic", action="store_true",
                         help="suppress timestamps for byte-stable output")
         if sim:
@@ -597,8 +555,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="also run the successive-difference search")
     sp.add_argument("--order", type=int, default=3)
     sp.add_argument("--trials", type=_positive_int, default=10000)
-    # None tells a --tolerance given on a functional model from the default
-    sp.set_defaults(fn=cmd_check, tolerance=None)
+    sp.set_defaults(fn=cmd_check)
 
     sp = sub.add_parser("mobius", help="Mobius measure of a capacity")
     common(sp)
@@ -654,7 +611,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("verify", help="run the self-verification battery")
     common(sp, checks=True)
     sp.add_argument("--samples", type=int, default=20000)
-    sp.set_defaults(fn=cmd_verify, tolerance=None)
+    sp.set_defaults(fn=cmd_verify)
 
     sp = sub.add_parser("materialize", help="expand a constructor to a table")
     common(sp)
@@ -670,7 +627,7 @@ def main(argv=None) -> int:
         if args.command in RANDOMIZED_COMMANDS and args.seed is None:
             raise ValueError(f"{args.command} is randomized: --seed is required "
                              f"(no implicit entropy)")
-        code = args.fn(args)
+        code = _run(args)
         sys.stdout.flush()  # a closed pipe fails here, not at interpreter exit
         return code
     except BrokenPipeError:

@@ -343,27 +343,13 @@ def capacity_to_json(theta: Capacity) -> dict:
     return {"kind": "table", "carrier": theta.carrier.to_json(), "table": table}
 
 
-def mobius_to_json(nu: MobiusMeasure, drop_zeros: bool = True) -> dict:
+def mobius_to_json(nu: MobiusMeasure) -> dict:
+    """The nonzero weights of nu, keyed by subset key in mask order."""
     masks = np.arange(1, 1 << nu.carrier.size)
-    if drop_zeros:
-        masks = masks[nu.weights[masks] != 0.0]
+    masks = masks[nu.weights[masks] != 0.0]
     keys = nu.carrier.subset_keys()
     weights = dict(zip(keys[masks].tolist(), nu.weights[masks].tolist()))
     return {"kind": "mobius", "carrier": nu.carrier.to_json(), "weights": weights}
-
-
-def tdf_to_json(ell: TailDependenceFunctional) -> dict:
-    if isinstance(ell, ChoquetTDF):
-        return {"kind": "choquet", "theta": capacity_to_json(ell.theta)}
-    if isinstance(ell, SpectralTDF):
-        atoms = [{"p": float(p), "y": {lb: float(v) for lb, v
-                                       in zip(ell.carrier.labels, row)}}
-                 for p, row in zip(ell.probs, ell.atoms)]
-        return {"kind": "spectral", "carrier": ell.carrier.to_json(), "atoms": atoms}
-    if isinstance(ell, LebesgueTDF):
-        return {"kind": "lebesgue", "carrier": ell.carrier.to_json(),
-                "mu": ell.mu.to_json()}
-    raise TypeError(f"unsupported functional {type(ell).__name__}")
 
 
 def parse_label_set(obj, carrier: Carrier, path: str = "$") -> int:

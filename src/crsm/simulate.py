@@ -72,7 +72,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .carrier import Carrier, iter_bits
+from .carrier import Carrier, _indicator, _weighted_max
 from .setfun import DEFAULT_TOL, Capacity, MobiusMeasure, _Owned, certified_mobius
 from .tdf import SpectralTDF, extremal_coefficients
 
@@ -154,18 +154,15 @@ class SampleBatch:
         return self.values.shape[0]
 
     def sup(self, mask: int) -> np.ndarray:
-        """X_j(K) for every sample j (0 for the empty set)."""
+        """X_j(K) for every sample j (0 for the empty set): the extremal
+        integral of 1_K, bit for bit, since X >= 0."""
         self.carrier.validate_mask(mask)
-        if mask == 0:
-            return np.zeros(self.n)
-        idx = list(iter_bits(mask))
-        return _row_max(self.values[:, idx])
+        return _weighted_max(self.values, _indicator(mask, self.carrier.size))
 
     def extremal(self, f) -> np.ndarray:
         """Extremal integral of f against each sample: max_x f(x) X_j(x)."""
         from .integrals import _vals
-        v = _vals(f, self.carrier)
-        return _row_max(self.values * v[None, :])
+        return _weighted_max(self.values, _vals(f, self.carrier))
 
 
 def _row_max(x: np.ndarray) -> np.ndarray:

@@ -10,7 +10,6 @@ from crsm.carrier import (
     canonical_json,
     iter_bits,
     popcounts,
-    sup_integral,
 )
 from crsm.io import SchemaError, _parse_carrier
 
@@ -99,12 +98,6 @@ def test_as_values_dict_and_sequence():
         as_values(c, [1.0, float("nan")], "f")
     with pytest.raises(KeyError):
         as_values(c, {"z": 1.0}, "f")
-
-
-def test_sup_integral():
-    g = np.array([3.0, 1.0, 2.0])
-    assert sup_integral(g, 0b110) == 2.0
-    assert sup_integral(g, 0) == 0.0
 
 
 def test_torus_tag_1d():

@@ -1,5 +1,6 @@
 """JSON schemas and the command line, exercised in process."""
 
+import ast
 import json
 import math
 import os
@@ -26,7 +27,6 @@ from crsm.io import (
     parse_model,
     parse_pairs,
     parse_tdf,
-    tdf_to_json,
 )
 from crsm.setfun import Capacity, mobius_inverse
 from crsm.simulate import SampleBatch
@@ -208,11 +208,11 @@ def test_parse_tdf_kinds():
     leb = parse_tdf({"kind": "lebesgue", "carrier": ["a", "b"],
                      "mu": {"a": 0.4, "b": 0.6}})
     assert isinstance(leb, LebesgueTDF)
-    for ell in (cho, sp, leb):
-        again = parse_tdf(tdf_to_json(ell))
-        assert type(again) is type(ell)
-        f = np.array([1.0, 2.0])
-        assert again.eval(f) == ell.eval(f)
+    # ell(f) in closed form at f = (1, 2): (2 - 1) theta(b) + 1 theta(a, b);
+    # sum_j p_j max_x f(x) y_j(x); sum_x mu(x) f(x)
+    f = np.array([1.0, 2.0])
+    for ell, want in ((cho, 2.5), (sp, 0.6 * 1.0 + 0.4 * 2.0), (leb, 0.4 + 0.6 * 2.0)):
+        assert ell.eval(f) == pytest.approx(want, rel=1e-15)
 
 
 def test_parse_model_dispatches_on_kind():
@@ -244,11 +244,11 @@ def test_json_keys_follow_subset_key_on_unsorted_labels():
     assert list(obj["table"].values()) == table[1:].tolist()
     assert np.array_equal(parse_capacity(obj).table, table)
     nu = mobius_inverse(theta)
-    full = mobius_to_json(nu, drop_zeros=False)["weights"]
-    assert list(full) == [carrier.subset_key(m) for m in masks]
     kept = mobius_to_json(nu)["weights"]
-    assert kept == {k: w for k, w in full.items() if w != 0.0}
-    assert len(kept) < len(full)
+    nonzero = [m for m in masks if nu.weights[m] != 0.0]
+    assert 0 < len(nonzero) < len(masks)
+    assert list(kept) == [carrier.subset_key(m) for m in nonzero]
+    assert list(kept.values()) == nu.weights[nonzero].tolist()
 
 
 def test_parse_pairs():
@@ -290,6 +290,63 @@ def spectral_file(tmp_path):
                    {"p": 0.3, "y": {"a": 0.4, "b": 1.0}},
                    {"p": 0.2, "y": {"a": 0.8, "b": 0.8}}]}))
     return str(p)
+
+
+def test_one_runner_owns_the_load_hash_emit_protocol():
+    # only cli._run reads --model, parses it, hashes it and writes a
+    # command's JSON; _inline_json also loads @file arguments
+    tree = ast.parse(Path(cli.__file__).read_text())
+    owners: dict = {}
+    for fn in tree.body:
+        if not isinstance(fn, ast.FunctionDef):
+            continue
+        for node in ast.walk(fn):
+            if (isinstance(node, ast.Attribute) and node.attr == "model"
+                    and isinstance(node.value, ast.Name) and node.value.id == "args"):
+                owners.setdefault("args.model", set()).add(fn.name)
+            elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+                name = node.func.id
+                if name == "getattr" and any(isinstance(a, ast.Constant) and a.value == "model"
+                                             for a in node.args):
+                    owners.setdefault("args.model", set()).add(fn.name)
+                elif name in ("load_json_file", "parse_model", "parse_capacity",
+                              "_provenance", "_emit_json"):
+                    owners.setdefault(name, set()).add(fn.name)
+    assert owners == {"args.model": {"_run"}, "load_json_file": {"_run", "_inline_json"},
+                      "parse_model": {"_run"}, "parse_capacity": {"_run"},
+                      "_provenance": {"_run"}, "_emit_json": {"_run"}}
+
+
+def test_cli_hashes_the_model_only_for_an_artifact(tmp_path, theta2_file, capsys,
+                                                   monkeypatch):
+    calls = []
+    real = cli.model_hash
+    monkeypatch.setattr(cli, "model_hash", lambda obj: calls.append(1) or real(obj))
+    model = ["--model", theta2_file]
+    csv = tmp_path / "batch.csv"
+    assert main(["simulate", *model, "--seed", "1", "--samples", "100",
+                 "--out", str(csv)]) == 0
+    assert len(calls) == 1
+    printing = [["choquet", *model, "--f", '{"a":2,"b":1}'],
+                ["extremal", *model, "--f", '{"a":2,"b":1}'],
+                ["cdf", *model, "--pairs", '[{"set": ["a"], "level": 2}]'],
+                ["verify", *model, "--seed", "1", "--samples", "100"]]
+    for argv in printing:
+        for out, hashes in (([], 0), (["--out", str(tmp_path / "out.json")], 1)):
+            calls.clear()
+            assert main(argv + out) in (0, 1), argv
+            assert len(calls) == hashes, argv + out
+    writing = [["check", *model], ["mobius", *model], ["materialize", *model],
+               ["dual", *model, "--f", '{"a":2,"b":1}'],
+               ["couple", *model, "--seed", "1", "--samples", "50"],
+               ["argmax-test", *model, "--set", '["a"]', "--seed", "1", "--samples", "50"]]
+    for argv in writing:
+        calls.clear()
+        assert main(argv) in (0, 1), argv
+        assert len(calls) == 1, argv
+    calls.clear()
+    assert main(["estimate", "--batch", str(csv), "--set", '["a"]']) == 0
+    assert calls == []
 
 
 def test_cli_choquet_prints_bare_number(theta2_file, capsys):
@@ -364,9 +421,10 @@ def _writer_corpus() -> list:
         {"v": specials, "w": dict(zip(ODD_LABELS, specials))},
         {1: "int", 2.5: "float"}, {True: [1], False: {}}, {None: "null"},
         (1, (2.0, "3"), [True, False, None]),
-        capacity_to_json(theta), mobius_to_json(nu, drop_zeros=False),
-        tdf_to_json(SpectralTDF(odd, np.array([0.25, 0.75]),
-                                np.arange(2.0 * odd.size).reshape(2, odd.size))),
+        capacity_to_json(theta), mobius_to_json(nu),
+        {"kind": "spectral", "carrier": ODD_LABELS,
+         "atoms": [{"p": 0.25, "y": {lb: float(i) for i, lb in enumerate(ODD_LABELS)}},
+                   {"p": 0.75, "y": {lb: float(i + 8) for i, lb in enumerate(ODD_LABELS)}}]},
         {f"k{i}": specials[i % len(specials)] for i in range(3 * cli._BLOCK_VALUES + 5)},
         [i / 7 for i in range(cli._BLOCK_VALUES + 1)],
         [[float(i), float(-i)] for i in range(50)],

@@ -14,6 +14,8 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 
 RUNS = {
+    # this checkout against itself: every benchmark op is deterministic
+    "compare_ops.py": [str(ROOT), "1"],
     "coupling_demo.py": ["--samples", "200", "--seed", "1"],
     "run_verification.py": ["--samples", "2000", "--seed", "1"],
     "torus_storm_demo.py": ["--n", "5", "--samples", "200", "--seed", "1"],

@@ -272,6 +272,33 @@ def test_row_max_is_bit_equal_to_numpy_max():
         assert _row_max(x).tobytes() == x.max(axis=1).tobytes(), d
 
 
+def test_extremal_and_sup_hold_no_n_by_d_temporary():
+    # one column of the support at a time: two N-vectors, where the product
+    # values * v (or a copy of K's columns) is one more copy of the samples
+    d, n = 12, 20_000
+    rng = np.random.default_rng(5)
+    values = rng.exponential(1.0, (n, d))
+    values[rng.random(values.shape) < 0.2] = 0.0
+    batch = SampleBatch(Carrier(tuple(f"x{i}" for i in range(d))), values, 0, "exact")
+    f = rng.uniform(0.5, 2.0, d)
+    f[[2, 7]] = 0.0
+    full = batch.carrier.full_mask
+    batch.extremal(f), batch.sup(full)  # warm-up
+    for stat in (lambda: batch.extremal(f), lambda: batch.sup(full)):
+        tracemalloc.start()
+        try:
+            stat()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.25 * values.nbytes
+    assert batch.extremal(f).tobytes() == (values * f).max(axis=1).tobytes()
+    for mask in (1, 0b1010_0110_0001, full):
+        idx = [i for i in range(d) if mask >> i & 1]
+        assert batch.sup(mask).tobytes() == values[:, idx].max(axis=1).tobytes()
+    assert batch.sup(0).tobytes() == np.zeros(n).tobytes()
+
+
 def test_continuity_bound_holds():
     theta = theta2()
     c = theta.carrier
