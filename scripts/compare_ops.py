@@ -8,9 +8,12 @@ per checkout, and its ops run there in job order, each as a fresh
 process with that checkout's src/ on PYTHONPATH, PYTHONHASHSEED=0 and
 one BLAS thread, as perfbench/run.py runs them.  An op differs if its
 exit code, stdout, stderr or the sha256 of its --out file differ between
-the checkouts.  Each differing op is named on stdout and the exit code
-is 1; otherwise it is 0.  Compared with itself, a checkout shows that
-every op is deterministic.
+the checkouts.  Each op is printed with both checkouts' max RSS in MB
+(ru_maxrss from wait4; Linux folds this script's own RSS, about 20 MB
+and below every op's, into it), and each differing op with the fields
+that differ.  The exit code is 1 if any op differs, otherwise 0; the
+RSS figures never change it.  Compared with itself, a checkout shows
+that every op is deterministic.
 """
 
 import argparse
@@ -38,8 +41,20 @@ def child_env(checkout: Path, workdir: Path) -> dict:
     return env
 
 
+def run(cmd: list, workdir: Path, env: dict) -> tuple:
+    """(exit code, stdout, stderr, max RSS in MB) of one child process."""
+    with tempfile.TemporaryFile() as out, tempfile.TemporaryFile() as err:
+        proc = subprocess.Popen(cmd, cwd=workdir, env=env, stdout=out, stderr=err)
+        _, status, usage = os.wait4(proc.pid, 0)
+        proc.returncode = os.waitstatus_to_exitcode(status)
+        out.seek(0)
+        err.seek(0)
+        return proc.returncode, out.read(), err.read(), usage.ru_maxrss / 1024.0
+
+
 def run_plan(checkout: Path, plan: workloads.Plan, workdir: Path) -> dict:
-    """op name -> (exit code, stdout, stderr, sha256 of --out or None)."""
+    """op name -> ((exit code, stdout, stderr, sha256 of --out or None),
+    max RSS in MB)."""
     plan.write(workdir)
     env = child_env(checkout, workdir)
     results = {}
@@ -48,11 +63,11 @@ def run_plan(checkout: Path, plan: workloads.Plan, workdir: Path) -> dict:
             cmd = [sys.executable, str(checkout / "perfbench" / "probe.py"), *op.argv]
         else:
             cmd = [sys.executable, "-m", "crsm.cli", *op.argv]
-        proc = subprocess.run(cmd, cwd=workdir, env=env, capture_output=True)
+        code, stdout, stderr, rss = run(cmd, workdir, env)
         digest = None
         if op.out and (workdir / op.out).exists():
             digest = hashlib.sha256((workdir / op.out).read_bytes()).hexdigest()
-        results[op.name] = (proc.returncode, proc.stdout, proc.stderr, digest)
+        results[op.name] = ((code, stdout, stderr, digest), rss)
     return results
 
 
@@ -79,11 +94,14 @@ def main(argv=None) -> int:
                     runs.append(run_plan(checkout, plan, workdir))
             for op in plan.ops:
                 compared += 1
-                diff = [name for name, a, b in zip(fields, runs[0][op.name],
-                                                    runs[1][op.name]) if a != b]
+                (this, this_rss), (that, that_rss) = runs[0][op.name], runs[1][op.name]
+                diff = [name for name, a, b in zip(fields, this, that) if a != b]
+                line = (f"seed {seed} {workload}/{op.name}: max RSS {this_rss:.2f} MB "
+                        f"here, {that_rss:.2f} MB there")
                 if diff:
                     differing.append(op.name)
-                    print(f"seed {seed} {workload}/{op.name}: {', '.join(diff)} differ")
+                    line += f"; {', '.join(diff)} differ"
+                print(line)
     print(f"{compared} ops compared, {len(differing)} differ")
     return 1 if differing else 0
 

@@ -64,6 +64,7 @@ from .io import (
 )
 from .setfun import (
     DEFAULT_TOL,
+    MAX_ALTERNATION_ORDER,
     Capacity,
     _Owned,
     certified_mobius,
@@ -493,7 +494,8 @@ def cmd_couple(args, model, prov):
 def cmd_argmax_test(args, model, prov):
     theta = _require_capacity(model, "argmax-test")
     region = parse_label_set(_inline_json(args.set, "--set"), theta.carrier, "$.set")
-    rep = argmax_independence_test(theta, region, _config_from_args(args),
+    batch = simulate_model(theta, _config_from_args(args))
+    rep = argmax_independence_test(theta, region, batch,
                                    negative_control=args.negative_control)
     return dataclasses.asdict(rep), 0 if rep.passed else 1
 
@@ -553,7 +555,8 @@ def build_parser() -> argparse.ArgumentParser:
     common(sp, checks=True)
     sp.add_argument("--direct", action="store_true",
                     help="also run the successive-difference search")
-    sp.add_argument("--order", type=int, default=3)
+    sp.add_argument("--order", type=int, choices=range(2, MAX_ALTERNATION_ORDER + 1),
+                    default=3)
     sp.add_argument("--trials", type=_positive_int, default=10000)
     sp.set_defaults(fn=cmd_check)
 

@@ -5,7 +5,8 @@ are the arrivals of a unit Poisson process and the Y_i are iid spectral
 draws from a finite table of atoms (w_j, y_j):
 
 * simulate_crsm: the positive Mobius atoms F of a completely alternating
-  capacity theta, held as masks (or by size, when theta is), with y_j =
+  capacity theta, held as masks (or by size, when theta is: then no run
+  spreads nu into a 2**d table), with y_j =
   theta(E) 1_F picked with probability nu(F) / theta(E), so Y = theta(E)
   * 1_Xi with Xi ~ nu / theta(E) (max-linear reads y_j = 1_F, w_j =
   nu(F)); X is its Choquet random sup-measure,
@@ -16,7 +17,9 @@ draws from a finite table of atoms (w_j, y_j):
 
 Capacities and Choquet and Lebesgue TDFs are CRSMs: simulate_crsm samples
 them through their capacity, atoms kept as masks.  A CRSM atom is an
-indicator, so its coupling is degenerate: lower = X = upper.
+indicator, so its coupling is degenerate: lower = X = upper, and the argmax
+set of a sample (first_atoms, read off the values) is the atom that
+realizes its maximum.
 
 Two exact methods sample the same law.  `_lepage` runs the series itself.
 `_max_linear` uses that the series splits by atom into independent Poisson
@@ -66,6 +69,7 @@ count or the other samples.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass, replace
 from typing import Optional, Sequence
@@ -125,11 +129,10 @@ class SampleBatch:
     """Realizations of a random sup-measure, one row per sample.
 
     values[j, i] = X_j({x_i}); the sup-measure of any set is the row max
-    over the mask.  first_atoms (CRSM runs only) is the argmax set of X_j,
-    read off the values; it is exactly the atom that realizes the maximum.
-    method is "lepage" or "max-linear".  terms[j] is the number of terms
-    sample j used: its exact LePage stop term, n_terms in truncated
-    mode, or the atom count for max-linear.  It is deterministic given
+    over the mask, and first_atoms, derived on first read, masks each
+    row's argmax set.  method is "lepage" or "max-linear".  terms[j] is
+    the number of terms sample j used: its exact LePage stop term, n_terms
+    in truncated mode, or the atom count for max-linear.  It is deterministic given
     (seed, j).  atoms is the size of the atom table and lepage_floor the
     lower bound LB on LePage's expected term count; the method was
     max-linear iff the run was exact and atoms <= lepage_floor.
@@ -142,7 +145,6 @@ class SampleBatch:
     seed: int
     mode: str
     n_terms: Optional[int] = None
-    first_atoms: Optional[np.ndarray] = None
     terms: Optional[np.ndarray] = None
     method: str = "lepage"
     atoms: Optional[int] = None
@@ -164,21 +166,27 @@ class SampleBatch:
         from .integrals import _vals
         return _weighted_max(self.values, _vals(f, self.carrier))
 
-
-def _row_max(x: np.ndarray) -> np.ndarray:
-    """x.max(axis=1), bit-equal; numpy's row reduction is slow on narrow rows."""
-    return functools.reduce(np.maximum, x.T)
+    @functools.cached_property
+    def first_atoms(self) -> np.ndarray:
+        """Mask of the argmax set of each X_j, read off the values on first
+        access, one column at a time; for a CRSM it is exactly the atom
+        that realizes the maximum."""
+        top = self.sup(self.carrier.full_mask)
+        atoms = np.zeros(self.n, dtype=np.int64)
+        for i in range(self.carrier.size):
+            atoms |= (self.values[:, i] == top) << i
+        atoms.setflags(write=False)
+        return atoms
 
 
 def _batch(carrier: Carrier, values: np.ndarray, config: SimConfig, plan: tuple,
-           terms: np.ndarray, first: Optional[np.ndarray] = None) -> SampleBatch:
+           terms: np.ndarray) -> SampleBatch:
     """plan is (method, atoms, lepage_floor)."""
     values = np.ascontiguousarray(values)
-    for arr in (values, terms, first):
-        if arr is not None:
-            arr.setflags(write=False)
+    values.setflags(write=False)
+    terms.setflags(write=False)
     return SampleBatch(carrier, values, config.seed, config.mode, config.n_terms,
-                       first, terms, *plan)
+                       terms, *plan)
 
 
 def _mask_of(flags: np.ndarray) -> int:
@@ -242,7 +250,8 @@ class _AtomTable:
 class _SizePicks:
     """The CRSM atoms of a Mobius measure held by size, picked as an
     _AtomTable of its positive atoms in ascending mask order would pick
-    them (up to rounding at a bucket edge), with no table: LePage only.
+    them (up to rounding at a bucket edge), with no table: LePage only, so
+    it has no dense.
 
     masses is the measure's interval_masses() S.  A lane walks the bits
     from the highest down, holding r, the part of u * S[d, 0] (the total
@@ -252,8 +261,6 @@ class _SizePicks:
     weigh something, S[b, c + 1] > 0.  That keeps every lane inside an
     interval of positive mass, down to one atom.
     """
-
-    crsm = True
 
     def __init__(self, masses: np.ndarray, atoms: int, scale: float):
         d = masses.shape[0] - 1
@@ -425,22 +432,17 @@ def _method(atoms: int, floor: float, config: SimConfig) -> str:
 def _sample(carrier: Carrier, table, w: Optional[np.ndarray], floor: float,
             bound: float, stop: np.ndarray, config: SimConfig,
             cost: str = "") -> SampleBatch:
-    """The one sampling path of an atom source (an _AtomTable, or a
-    _SizePicks for LePage only): the cost rule on its atom count, then
-    max-linear with weights w or LePage (bound, stop columns and cost as
-    _lepage takes them).  A CRSM's first atoms are the argmax sets of its
-    values."""
+    """The one sampling path of an atom source (pick, width, atoms, and
+    dense for max-linear: an _AtomTable, or a _SizePicks for LePage only):
+    the cost rule on its atom count, then max-linear with weights w or
+    LePage (bound, stop columns and cost as _lepage takes them)."""
     m = table.atoms
     plan = (_method(m, floor, config), m, floor)
     if plan[0] == "max-linear":
         x, terms = _max_linear(table, w, config), np.full(config.samples, m)
     else:
         x, terms = _lepage(table, bound, stop, config, cost)
-    first = None
-    if table.crsm:
-        top = _row_max(x)
-        first = np.einsum("ij,j->i", x == top[:, None], 1 << np.arange(table.width))
-    return _batch(carrier, x, config, plan, terms, first)
+    return _batch(carrier, x, config, plan, terms)
 
 
 def _certified(theta: Capacity, mobius: Optional[_Owned]) -> MobiusMeasure:
@@ -456,15 +458,14 @@ def _certified(theta: Capacity, mobius: Optional[_Owned]) -> MobiusMeasure:
 
 
 def _crsm_atoms(nu: MobiusMeasure) -> tuple[np.ndarray, np.ndarray, int]:
-    """The atom table of a certified Mobius measure, the run's own: the
-    positive atoms' masks ascending (int32, as d <= 24), their weights and
-    the relevant points (the union of the atoms).
+    """The atom table of a certified Mobius measure held as a table, the
+    run's own: the positive atoms' masks ascending (int32, as d <= 24),
+    their weights and the relevant points (the union of the atoms).
 
     The weights move forward into the Mobius table, in 64 chunks of at
     least _SPAN entries: masks[k] >= k, so a chunk's weights land only on
-    entries already read.  A measure held by size is spread into a table
-    first; simulate_crsm does so only for max-linear, and a LePage run by
-    size builds neither table.
+    entries already read.  simulate_crsm lists the atoms of a measure held
+    by size itself, so no run spreads it into a table.
     """
     w = nu.weights
     w.setflags(write=True)  # nu is this run's own and is dropped on return
@@ -502,10 +503,11 @@ def simulate_crsm(theta: Capacity, config: SimConfig,
     Mobius table it builds (on LePage their cumulative pick table
     overwrites them), and their int32 masks, at most half a 2**d table
     more.  A capacity held by size has its Mobius measure by size, with m =
-    sum of C(d, k) over the sizes k of positive weight: LePage picks its
-    atoms by size (_SizePicks), holding (d + 1)**2 numbers, and only a
-    max-linear run spreads the Mobius table and builds the masks.  An exact
-    LePage run by size records its exact E[N] (SampleBatch.expected_terms).
+    sum of C(d, k) over the sizes k of positive weight, and never spreads
+    it: LePage picks its atoms by size (_SizePicks), holding (d + 1)**2
+    numbers, and max-linear lists the masks of its m <= LB <= d atoms
+    size class by size class, weight nu(|F|) each.  An exact LePage run by size records
+    its exact E[N] (SampleBatch.expected_terms).
     """
     nu = _certified(theta, mobius)
     d = theta.carrier.size
@@ -514,7 +516,8 @@ def simulate_crsm(theta: Capacity, config: SimConfig,
         masks, weights, relevant = _crsm_atoms(nu)
         m = masks.size
     else:  # every point lies in sets of every size
-        m = sum(math.comb(d, k) for k in np.flatnonzero(masses[0] > 0).tolist())
+        sizes = np.flatnonzero(masses[0] > 0).tolist()
+        m = sum(math.comb(d, k) for k in sizes)
         relevant = theta.carrier.full_mask
     live = np.flatnonzero(_bits(relevant, d))
     ratios = theta.total / theta.singletons()[live]
@@ -525,8 +528,11 @@ def simulate_crsm(theta: Capacity, config: SimConfig,
     if masses is not None and _method(m, floor, config) == "lepage":
         table, weights = _SizePicks(masses, m, theta.total), None
     else:
-        if masses is not None:  # max-linear reads a table of the atoms
-            masks, weights, _ = _crsm_atoms(nu)
+        if masses is not None:  # m <= LB <= d, as theta(E) <= d theta({x})
+            masks = np.sort(np.array([sum(1 << i for i in c) for k in sizes
+                                      for c in itertools.combinations(range(d), k)],
+                                     dtype=np.int32))
+            weights = masses[0][np.bitwise_count(masks)]
         table = _AtomTable(masks, weights, d, theta.total)
     batch = _sample(theta.carrier, table, weights, floor, theta.total, live, config, cost)
     if masses is not None and batch.method == "lepage" and config.mode == "exact":
@@ -650,9 +656,8 @@ class ArgmaxIndependenceReport:
     negative_control: bool
 
 
-def argmax_independence_test(theta: Capacity, region: int, config: SimConfig,
-                             negative_control: bool = False,
-                             batch: Optional[SampleBatch] = None
+def argmax_independence_test(theta: Capacity, region: int, batch: SampleBatch,
+                             negative_control: bool = False
                              ) -> ArgmaxIndependenceReport:
     """Correlation test of {argmax set meets region} against 1/X(E).
 
@@ -667,12 +672,10 @@ def argmax_independence_test(theta: Capacity, region: int, config: SimConfig,
     theta.carrier.validate_mask(region)
     if region == 0:
         raise ValueError("region must be nonempty")
-    n = config.samples if batch is None else batch.n
+    n = batch.n
     if n < 2:
         raise ValueError(f"the argmax test needs at least 2 samples, got {n}")
-    if batch is None:
-        batch = simulate_crsm(theta, config)
-    t = 1.0 / _row_max(batch.values)
+    t = 1.0 / batch.sup(batch.carrier.full_mask)
     if negative_control:
         stat = batch.sup(region)
         ind = (stat > np.median(stat)).astype(float)
@@ -743,8 +746,7 @@ class ContinuityReport:
 
 
 def continuity_bound_check(theta: Capacity, k1: int, k2: int, eps: float,
-                           config: SimConfig,
-                           batch: Optional[SampleBatch] = None) -> ContinuityReport:
+                           batch: SampleBatch) -> ContinuityReport:
     """Empirical check of P(|X(K1) - X(K2)| > eps) <= modulus / eps.
 
     The modulus is 2 theta(K1 | K2) - theta(K1) - theta(K2); the empirical
@@ -754,8 +756,6 @@ def continuity_bound_check(theta: Capacity, k1: int, k2: int, eps: float,
     theta.carrier.validate_mask(k2)
     if not (eps > 0 and math.isfinite(eps)):
         raise ValueError(f"eps must be positive finite, got {eps}")
-    if batch is None:
-        batch = simulate_crsm(theta, config)
     diff = np.abs(batch.sup(k1) - batch.sup(k2))
     p_hat = float((diff > eps).mean())
     n = batch.n
@@ -786,9 +786,7 @@ class DisjointnessReport:
 
 
 def independence_on_disjoint(theta: Capacity, parts: Sequence[int],
-                             config: SimConfig,
-                             batch: Optional[SampleBatch] = None
-                             ) -> DisjointnessReport:
+                             batch: SampleBatch) -> DisjointnessReport:
     """Factorization test of the CRSM over disjoint parts.
 
     X is independent over the parts iff no Mobius mass touches two of
@@ -815,8 +813,6 @@ def independence_on_disjoint(theta: Capacity, parts: Sequence[int],
     cross_mass = sum(float(theta.at(p)) for p in parts) - float(theta.at(seen))
     expect_independent = cross_mass <= theta.atol(DEFAULT_TOL)
 
-    if batch is None:
-        batch = simulate_crsm(theta, config)
     n = batch.n
     sups = {p: batch.sup(p) for p in parts}
     checks = []

@@ -25,12 +25,12 @@ from typing import Union
 
 import numpy as np
 
+from .carrier import _weighted_max
 from .setfun import (DEFAULT_TOL, Capacity, MobiusMeasure, _Owned, _release,
                      capacity_from_measure, mobius_inverse)
 from .simulate import (
     _FRECHET_MIN,
     SimConfig,
-    _row_max,
     argmax_independence_test,
     continuity_bound_check,
     couple,
@@ -178,16 +178,16 @@ def verify_model(model: Model, samples: int = 20000, seed: int = 1,
                                   f"empirical {p_hat:.4f}, exact {p:.4f}"))
 
     if crsm:
-        rep = argmax_independence_test(theta, anchor, config, batch=batch)
+        rep = argmax_independence_test(theta, anchor, batch)
         checks.append(CheckResult("argmax-independence", abs(rep.z), 4.0, rep.passed,
                                   f"hit rate {rep.hit_rate:.3f}"))
         if relevant_idx.size >= 2:
             other = 1 << int(relevant_idx[1])
             eps = total / 4.0
-            crep = continuity_bound_check(theta, anchor, other, eps, config, batch=batch)
+            crep = continuity_bound_check(theta, anchor, other, eps, batch)
             checks.append(CheckResult("continuity-bound", crep.p_hat,
                                       crep.bound + crep.slack, crep.passed))
-            drep = independence_on_disjoint(theta, [anchor, other], config, batch=batch)
+            drep = independence_on_disjoint(theta, [anchor, other], batch)
             checks.append(CheckResult(
                 "disjoint-parts", drep.max_z, 4.0, drep.consistent,
                 "independent" if drep.expect_independent else "dependence expected"))
@@ -207,7 +207,8 @@ def coupling_violations(cpl) -> dict:
     hi = cpl.upper.values
     lower_bad = int(np.sum(np.any(lo > mid, axis=1)))
     upper_bad = int(np.sum(np.any(mid > hi, axis=1)))
-    sup_bad = int(np.sum(_row_max(hi) != _row_max(mid)))
+    ones = np.ones(mid.shape[1])
+    sup_bad = int(np.sum(_weighted_max(hi, ones) != _weighted_max(mid, ones)))
     worst = float(max(np.max(lo - mid, initial=0.0), np.max(mid - hi, initial=0.0)))
     return {
         "samples": int(mid.shape[0]),

@@ -276,9 +276,8 @@ def test_08_argmax_independence():
     for name, theta in models:
         cfg = SimConfig(seed=108, samples=n)
         batch = simulate_crsm(theta, cfg)
-        rep = argmax_independence_test(theta, 1, cfg, batch=batch)
-        ctrl = argmax_independence_test(theta, 1, cfg, negative_control=True,
-                                        batch=batch)
+        rep = argmax_independence_test(theta, 1, batch)
+        ctrl = argmax_independence_test(theta, 1, batch, negative_control=True)
         zs[name] = (rep.z, ctrl.z)
         ok = ok and abs(rep.z) <= 4 and abs(ctrl.z) > 4
     elapsed = time.perf_counter() - t0
@@ -300,8 +299,8 @@ def test_09_continuity_bound():
         k1 = int(rng.integers(1, size))
         k2 = int(rng.integers(1, size))
         eps = float(rng.uniform(0.1, 1.0)) * max(theta.total, 0.1)
-        rep = continuity_bound_check(theta, k1, k2, eps,
-                                     SimConfig(seed=2000 + k, samples=10_000))
+        rep = continuity_bound_check(theta, k1, k2, eps, simulate_crsm(
+            theta, SimConfig(seed=2000 + k, samples=10_000)))
         worst_slack = min(worst_slack, rep.bound + rep.slack - rep.p_hat)
         ok = ok and rep.passed
     elapsed = time.perf_counter() - t0
@@ -318,9 +317,12 @@ def test_10_complete_randomness():
     additive2 = Capacity(c2, [0.0, 0.6, 0.4, 1.0])
     additive3 = Capacity(carrier_of(3),
                          [0.0, 0.5, 0.3, 0.8, 0.2, 0.7, 0.5, 1.0])
-    rep_a2 = independence_on_disjoint(additive2, [0b01, 0b10], cfg)
-    rep_a3 = independence_on_disjoint(additive3, [0b001, 0b110], cfg)
-    rep_dep = independence_on_disjoint(theta2(), [0b01, 0b10], cfg)
+    rep_a2 = independence_on_disjoint(additive2, [0b01, 0b10],
+                                      simulate_crsm(additive2, cfg))
+    rep_a3 = independence_on_disjoint(additive3, [0b001, 0b110],
+                                      simulate_crsm(additive3, cfg))
+    rep_dep = independence_on_disjoint(theta2(), [0b01, 0b10],
+                                       simulate_crsm(theta2(), cfg))
     ok = (rep_a2.expect_independent and rep_a2.consistent
           and rep_a3.expect_independent and rep_a3.consistent
           and not rep_dep.expect_independent and rep_dep.consistent)

@@ -12,6 +12,7 @@ method with the `lepage_only` fixture.
 import ast
 import itertools
 import math
+import re
 import tracemalloc
 from pathlib import Path
 
@@ -278,6 +279,22 @@ def test_crsm_sampler_memory_on_a_dense_table():
     assert own <= certificate + 0.25, (own, certificate)
 
 
+def test_crsm_run_holds_its_values_and_terms_and_little_else():
+    # first_atoms is derived on read: a run builds no N x d argmax mask and
+    # no N-vector of atoms, so on a two-point table it peaks within 1 MB of
+    # the values and terms it returns
+    cfg = SimConfig(seed=1, samples=200_000)
+    simulate_crsm(theta2(), cfg)  # warm-up
+    tracemalloc.start()
+    try:
+        batch = simulate_crsm(theta2(), cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < batch.values.nbytes + batch.terms.nbytes + (1 << 20), peak
+    assert batch.method == "lepage" and "first_atoms" not in batch.__dict__
+
+
 def test_coupling_matches_per_term_reference():
     sampler = spectral4()
     cpl = couple(sampler, SimConfig(seed=6, samples=300))
@@ -389,6 +406,33 @@ def lepage_kernels(path: Path) -> list[str]:
 def test_one_lepage_kernel():
     # CRSMs, spectral tables and couple all run the running-max kernel
     assert len(lepage_kernels(Path(sim.__file__))) == 1
+
+
+def row_max_routes(src: Path) -> list[str]:
+    """The row-max helpers a package defines (functions named like one) and
+    its calls that reduce rows another way: np.einsum, np.maximum.reduce
+    and functools.reduce(np.maximum, ..)."""
+    found = []
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.FunctionDef):
+                if re.search(r"row_?max|weighted_max", node.name):
+                    found.append(f"{path.stem}.{node.name}")
+                continue
+            if not isinstance(node, ast.Call):
+                continue
+            name = getattr(node.func, "attr", getattr(node.func, "id", None))
+            owner = getattr(node.func, "value", None)  # np.maximum of np.maximum.reduce
+            first = node.args[0] if node.args else None
+            if name == "einsum" or name == "reduce" and "maximum" in (
+                    getattr(owner, "attr", None), getattr(first, "attr", None)):
+                found.append(f"{path.stem}:{node.lineno}")
+    return found
+
+
+def test_one_row_max():
+    # every statistic reduces samples through carrier._weighted_max
+    assert row_max_routes(Path(sim.__file__).parent) == ["carrier._weighted_max"]
 
 
 def test_max_linear_matches_per_sample_reference(monkeypatch):
@@ -596,6 +640,40 @@ def test_crsm_sampler_by_size_holds_no_table():
     finally:
         tracemalloc.stop()
     assert batch.method == "lepage" and batch.atoms == (1 << d) - 1
+    assert peak < 0.1 * (8 << d), peak
+
+
+@pytest.mark.parametrize("d", range(1, 13))
+def test_max_linear_by_size_is_bit_equal_to_the_table_route(d, max_linear_only):
+    # max-linear lists the atoms of a measure held by size, size class by
+    # size class, as the table route finds them in the spread Mobius table
+    cfg = SimConfig(seed=d, samples=50)
+    for name, theta in size_models(d).items():
+        by_size = simulate_crsm(theta, cfg)
+        table = simulate_crsm(Capacity(theta.carrier, theta.table), cfg)
+        assert by_size.method == table.method == "max-linear", name
+        assert by_size.atoms == table.atoms, name
+        assert by_size.values.tobytes() == table.values.tobytes(), name
+        assert by_size.terms.tobytes() == table.terms.tobytes(), name
+
+
+def test_max_linear_by_size_holds_no_table():
+    # nu = delta_E at d = 20: one atom, so the cost rule picks max-linear,
+    # which lists that atom without spreading nu over 2**20 masks
+    d = 20
+    by_size = np.zeros(d + 1)
+    by_size[d] = 1.0
+    theta = capacity_from_measure(MobiusMeasure(carrier_of(d), by_size=by_size))
+    cfg = SimConfig(seed=1, samples=100)
+    simulate_crsm(exchangeable_capacity(2, [(0.5, 1.0)]), cfg)  # imports
+    tracemalloc.start()
+    try:
+        batch = simulate_crsm(theta, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert batch.method == "max-linear" and batch.atoms == 1
+    assert np.all(batch.values == batch.values[:, :1])
     assert peak < 0.1 * (8 << d), peak
 
 

@@ -30,7 +30,7 @@ from crsm.io import (
 )
 from crsm.setfun import Capacity, mobius_inverse
 from crsm.simulate import SampleBatch
-from crsm.tdf import ChoquetTDF, LebesgueTDF, SpectralTDF
+from crsm.tdf import ChoquetTDF, LebesgueTDF, SpectralTDF, check_max_complete_alternation
 from crsm.transforms import check_stationary
 
 THETA2 = {"kind": "table", "carrier": ["a", "b"],
@@ -806,9 +806,27 @@ def test_cli_check_refuses_order_beyond_limit(tmp_path, spectral_file, capsys):
     for argv in (["check", "--model", spectral_file, "--seed", "0", "--order", "7"],
                  ["check", "--model", str(table), "--direct", "--order", "6"]):
         t0 = time.perf_counter()
-        assert main(argv) == 2, argv
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2, argv
         assert time.perf_counter() - t0 < 1.0
-        assert capsys.readouterr().err == "error: order must be in 2..5\n"
+        assert f"argument --order: invalid choice: {argv[-1]}" in capsys.readouterr().err
+    # the library refuses it too, for callers that do not come through argparse
+    law = parse_model(json.loads(Path(spectral_file).read_text()))
+    with pytest.raises(ValueError, match="order must be in 2..5"):
+        check_max_complete_alternation(law, order=7, trials=1, seed=0)
+
+
+def test_cli_alternation_order_is_refused_before_the_model_is_read(tmp_path, capsys):
+    # the model path does not exist: only argparse can give this message;
+    # without --direct a capacity's check used to ignore the order
+    for extra in ([], ["--direct"]):
+        argv = ["check", "--model", str(tmp_path / "missing.json"), "--seed", "1", *extra]
+        for value in ("1", "6", "9", "-3", "2.5", "three"):
+            with pytest.raises(SystemExit) as exc:
+                main(argv + ["--order", value])
+            assert exc.value.code == 2
+            assert "argument --order: invalid" in capsys.readouterr().err
 
 
 def test_cli_dual_oracle_gets_the_tolerance(theta2_file, capsys, monkeypatch):

@@ -12,14 +12,13 @@ import numpy as np
 import pytest
 
 from conftest import carrier_of, indicator_tdf
-from crsm.carrier import Carrier
+from crsm.carrier import Carrier, _weighted_max
 from crsm.setfun import Capacity
 from crsm.simulate import (
     Coupling,
     MaxTermsExceeded,
     SampleBatch,
     SimConfig,
-    _row_max,
     SpectralSampler,
     argmax_independence_test,
     argmax_set,
@@ -107,9 +106,21 @@ def test_values_positive_and_finite():
 
 
 def test_first_atom_is_argmax():
-    batch = simulate_crsm(theta2(), SimConfig(seed=2, samples=2000))
-    for j in range(batch.n):
-        assert batch.first_atoms[j] == argmax_set(batch.values[j])
+    # every batch, CRSM or spectral, LePage or max-linear, reads its argmax
+    # sets off its values when first asked, and keeps them
+    cfg = SimConfig(seed=2, samples=2000)
+    skewed = Capacity(carrier_of(2), [0.0, 1.0, 0.01, 1.01])
+    batches = {"lepage": simulate_crsm(theta2(), cfg),
+               "max-linear": simulate_crsm(skewed, cfg),
+               "spectral": simulate_spectral(SpectralSampler.from_tdf(spectral3()), cfg),
+               "coupled": couple(spectral3(), cfg).lower}
+    assert batches["max-linear"].method == "max-linear"
+    assert batches["lepage"].method == batches["spectral"].method == "lepage"
+    for name, batch in batches.items():
+        assert "first_atoms" not in batch.__dict__, name
+        first = batch.first_atoms
+        assert batch.first_atoms is first and not first.flags.writeable, name
+        assert first.tolist() == [argmax_set(row) for row in batch.values], name
 
 
 def test_simulate_rejects_non_ca():
@@ -238,11 +249,11 @@ def test_argmax_set_ties():
 def test_argmax_independence_pass_and_control():
     theta = theta2()
     region = theta.carrier.mask_of(["a"])
-    rep = argmax_independence_test(theta, region, SimConfig(seed=5, samples=30000))
+    batch = simulate_crsm(theta, SimConfig(seed=5, samples=30000))
+    rep = argmax_independence_test(theta, region, batch)
     assert rep.passed and abs(rep.z) <= 4
     assert abs(rep.hit_rate - 2.0 / 3.0) < 0.02
-    bad = argmax_independence_test(theta, region, SimConfig(seed=5, samples=30000),
-                                   negative_control=True)
+    bad = argmax_independence_test(theta, region, batch, negative_control=True)
     assert not bad.passed and abs(bad.z) > 4
 
 
@@ -251,25 +262,25 @@ def test_argmax_test_refuses_what_it_cannot_test():
     region = theta.carrier.mask_of(["a"])
     for control in (False, True):
         with pytest.raises(ValueError, match="at least 2 samples, got 1"):
-            argmax_independence_test(theta, region, SimConfig(seed=1, samples=1),
+            argmax_independence_test(theta, region,
+                                     simulate_crsm(theta, SimConfig(seed=1, samples=1)),
                                      negative_control=control)
     # every sample puts its maximum on both points: the indicator is flat,
     # so independence holds trivially, but the control cannot fail
-    flat = SampleBatch(theta.carrier, np.ones((5, 2)), 0, "exact",
-                       first_atoms=np.full(5, 0b11))
-    cfg = SimConfig(seed=0, samples=5)
-    rep = argmax_independence_test(theta, region, cfg, batch=flat)
+    flat = SampleBatch(theta.carrier, np.ones((5, 2)), 0, "exact")
+    rep = argmax_independence_test(theta, region, flat)
     assert rep.passed and rep.z == 0.0 and rep.hit_rate == 1.0
     with pytest.raises(ValueError, match="no spread over these 5 samples"):
-        argmax_independence_test(theta, region, cfg, negative_control=True, batch=flat)
+        argmax_independence_test(theta, region, flat, negative_control=True)
 
 
 def test_row_max_is_bit_equal_to_numpy_max():
+    # the one row max, X(E), is _weighted_max at v = 1
     rng = np.random.default_rng(3)
     for d in (1, 2, 3, 20):
         x = rng.exponential(1.0, (257, d))
         x[rng.random(x.shape) < 0.3] = 0.0
-        assert _row_max(x).tobytes() == x.max(axis=1).tobytes(), d
+        assert _weighted_max(x, np.ones(d)).tobytes() == x.max(axis=1).tobytes(), d
 
 
 def test_extremal_and_sup_hold_no_n_by_d_temporary():
@@ -302,8 +313,8 @@ def test_extremal_and_sup_hold_no_n_by_d_temporary():
 def test_continuity_bound_holds():
     theta = theta2()
     c = theta.carrier
-    rep = continuity_bound_check(theta, c.mask_of(["a"]), c.mask_of(["b"]),
-                                 0.25, SimConfig(seed=6, samples=20000))
+    rep = continuity_bound_check(theta, c.mask_of(["a"]), c.mask_of(["b"]), 0.25,
+                                 simulate_crsm(theta, SimConfig(seed=6, samples=20000)))
     assert rep.passed
     # bound: (2 theta(K1 u K2) - theta(K1) - theta(K2)) / eps = 1/0.25
     assert rep.bound == pytest.approx(4.0)
@@ -314,9 +325,9 @@ def test_disjoint_factorization_detects_both_ways():
     additive = Capacity(c, [0.0, 1.0, 1.0, 2.0])
     parts = [0b01, 0b10]
     cfg = SimConfig(seed=7, samples=30000)
-    rep = independence_on_disjoint(additive, parts, cfg)
+    rep = independence_on_disjoint(additive, parts, simulate_crsm(additive, cfg))
     assert rep.expect_independent and rep.consistent
-    rep2 = independence_on_disjoint(theta2(), parts, cfg)
+    rep2 = independence_on_disjoint(theta2(), parts, simulate_crsm(theta2(), cfg))
     assert not rep2.expect_independent and rep2.consistent
     assert rep2.max_z > 4
 
@@ -324,7 +335,7 @@ def test_disjoint_factorization_detects_both_ways():
 def test_disjoint_requires_disjoint_parts():
     with pytest.raises(ValueError):
         independence_on_disjoint(theta2(), [0b01, 0b01],
-                                 SimConfig(seed=0, samples=100))
+                                 simulate_crsm(theta2(), SimConfig(seed=0, samples=100)))
 
 
 def test_coupling_sandwich_exact():

@@ -159,7 +159,8 @@ def test_disjoint_parts_ignore_rounding_dust():
         masks = rng.choice(np.arange(1, 1 << 6), size=25, replace=False) << shift
         weights[masks] = rng.uniform(0.5e6, 1.5e6, size=25)
     theta = capacity_from_measure(MobiusMeasure(carrier_of(12), weights))
-    rep = independence_on_disjoint(theta, [0o77, 0o7700], SimConfig(seed=0, samples=4000))
+    rep = independence_on_disjoint(theta, [0o77, 0o7700],
+                                   simulate_crsm(theta, SimConfig(seed=0, samples=4000)))
     assert rep.cross_mass <= theta.atol(1e-9)
     assert rep.expect_independent and rep.consistent
 
