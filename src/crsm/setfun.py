@@ -20,10 +20,11 @@ semicontinuity of the functional) hold for free, so complete alternation
 together with theta(empty) = 0 is the *whole* characterization of which
 set functions arise as capacity functionals.
 
-A capacity that depends on a set only through its size, theta(K) =
-phi(|K|), is held as the d + 1 values phi, and so is its Mobius measure;
-every result that has a by-size form is computed from them, bit-equal to
-the table route (see Capacity).
+A capacity is held as a table, by size (the d + 1 values phi when
+theta(K) = phi(|K|)) or by its atoms (a few positive Mobius weights the
+constructor knows exactly), and its Mobius measure in the same form (see
+_Lattice).  Results with a by-size or an atom form are computed from it,
+bit-equal to the table route or with its verdicts (see classify).
 
 Successive differences use the sign convention
 
@@ -75,9 +76,10 @@ def _release(values: "_Lattice") -> np.ndarray:
     built, handed back writable: the converse of _Owned.  A table is the
     lattice's own, so the caller must hold the only reference to values
     and drop it; no one else may see the array change.  The d + 1 numbers
-    of a lattice held by size are copied, and values stays whole."""
+    of a lattice held by size, and the weights of one held by its atoms,
+    are copied, and values stays whole."""
     arr = values._held()
-    if values.by_size is not None:
+    if arr is not values._table:
         return arr.copy()
     arr.setflags(write=True)
     return arr
@@ -122,43 +124,82 @@ def _by_size_table(by_size: np.ndarray) -> np.ndarray:
     return table
 
 
+def _check_atoms(carrier: Carrier, masks, weights, name: str):
+    """Read-only copies: masks ascending nonempty subsets, int64, and one
+    finite positive weight each."""
+    masks = np.array(masks, dtype=np.int64)
+    weights = np.array(weights, dtype=float)
+    if masks.ndim != 1 or weights.shape != masks.shape:
+        raise ValueError(f"{name}: need one atom weight per atom mask")
+    if masks.size and (masks[0] < 1 or masks[-1] > carrier.full_mask
+                       or np.any(masks[1:] <= masks[:-1])):
+        raise ValueError(f"{name}: atom masks must be ascending nonempty subsets")
+    if not np.all((weights > 0) & (weights < math.inf)):
+        raise ValueError(f"{name}: atom weights must be positive and finite")
+    masks.setflags(write=False)
+    weights.setflags(write=False)
+    return masks, weights
+
+
 class _Lattice:
-    """Values on the 2**d masks, held as a table or, when they depend on a
-    mask only through its size, as the d + 1 values by_size[k].
+    """Values on the 2**d masks, held as a table, as the d + 1 values
+    by_size[k] when they depend on a mask only through its size, or by
+    atoms: ascending masks atom_masks with positive atom_weights.  A
+    MobiusMeasure so held is 0 off its atoms; a Capacity is the capacity
+    its atoms meet, theta(K) = sum of w_F over F & K != 0 (_at_atoms).
 
-    by_size is None for a table.  Otherwise the table is spread from
-    by_size (_by_size_table) on its first read, once, read-only.
+    by_size and atom_masks are None for a table.  Otherwise the table is
+    spread on its first read, once, read-only.
 
-    Only this module tells the two forms apart.  Each lattice identity is
+    Only this module tells the forms apart.  Each lattice identity is
     written once over the operations below and gives the table's bits in
-    either form (see Capacity).
+    either of the first two forms (see Capacity); the atom form takes its
+    own route where an operation reads the atoms.
     """
 
-    __slots__ = ("carrier", "by_size", "_table")
+    __slots__ = ("carrier", "by_size", "atom_masks", "atom_weights", "_parts", "_table")
     _name = ""
     _nonnegative = False
 
-    def __init__(self, carrier: Carrier, table=None, by_size=None):
-        if (table is None) == (by_size is None):
-            raise TypeError("give exactly one of a table and by_size")
+    def __init__(self, carrier: Carrier, table=None, by_size=None, atoms=None):
+        if sum(x is not None for x in (table, by_size, atoms)) != 1:
+            raise TypeError("give exactly one of a table, by_size and atoms")
         self.carrier = carrier
-        self.by_size = self._table = None
-        if by_size is None:
+        self.by_size = self.atom_masks = self.atom_weights = self._parts = self._table = None
+        if table is not None:
             self._table = _check_table(carrier, table, self._name, self._nonnegative)
-        else:
+        elif by_size is not None:
             self.by_size = _check_table(carrier, by_size, self._name, self._nonnegative,
                                         by_size=True)
+        else:
+            self.atom_masks, self.atom_weights = _check_atoms(carrier, *atoms, self._name)
 
     def _full(self) -> np.ndarray:
         if self._table is None:
-            table = _by_size_table(self.by_size)
+            if self.by_size is not None:
+                table = _by_size_table(self.by_size)
+            else:
+                table = np.empty(1 << self.carrier.size)
+                step = 1 << _BLOCK_BITS
+                for start in range(0, table.size, step):
+                    table[start:start + step] = self._at_atoms(
+                        np.arange(start, min(start + step, table.size)))
             table.setflags(write=False)
             self._table = table
         return self._table
 
     def _held(self) -> np.ndarray:
-        """by_size, or else the table; read-only."""
-        return self._table if self.by_size is None else self.by_size
+        """by_size, the atom weights, or else the table; read-only."""
+        if self.by_size is not None:
+            return self.by_size
+        return self._table if self.atom_masks is None else self.atom_weights
+
+    def _entrywise(self) -> "_Lattice":
+        """This lattice, or, held by atoms, its spread table as a lattice:
+        a form whose held entries are values, for a map entry by entry."""
+        if self.atom_masks is None:
+            return self
+        return type(self)(self.carrier, _Owned(self._full()))
 
     def _sweep(self, arr: np.ndarray, ufunc: np.ufunc) -> np.ndarray:
         """The subset sweep of arr, in place, for arr of the held form."""
@@ -181,14 +222,35 @@ class _Lattice:
         return i if self.by_size is None else (1 << i) - 1
 
     def _new(self, cls: type, arr: np.ndarray) -> "_Lattice":
-        """A cls of this form on this carrier, taking arr over."""
+        """A cls of this form on this carrier, taking arr over (held by
+        atoms, as the weights of the same masks)."""
+        if self.atom_masks is not None:
+            return cls(self.carrier, atoms=(self.atom_masks, arr))
         if self.by_size is None:
             return cls(self.carrier, _Owned(arr))
         return cls(self.carrier, by_size=_Owned(arr))
 
+    def _invariant(self, bits: np.ndarray) -> bool:
+        """Whether the value at every K equals, bit for bit, that at K's
+        image under the point permutation x -> bits[x] (one bit each);
+        held by atoms, whether the weighted atom set is invariant."""
+        d = self.carrier.size
+        if self.atom_masks is None:
+            # image[K] = mask of K's image, the OR of the moved point bits
+            image = _sweep(_singleton_table(bits, 0), d, np.bitwise_or)
+            return bool(np.array_equal(self._full()[image], self._full()))
+        masks, weights = self.atom_masks, self.atom_weights
+        image = np.bitwise_or.reduce(np.where(masks[:, None] >> np.arange(d) & 1, bits, 0),
+                                     axis=1)
+        order = np.argsort(image)
+        return bool(np.array_equal(image[order], masks)
+                    and np.array_equal(weights[order], weights))
+
     def at(self, masks):
-        """The value at a mask, or at each mask of an int array; by size,
-        by_size[|K|], with no table built."""
+        """The value at a mask, or at each mask of an int array; by size or
+        by atoms with no table built."""
+        if self.atom_masks is not None:
+            return self._at_atoms(masks)
         phi = self.by_size
         if phi is None:
             return self._table[masks]
@@ -220,6 +282,10 @@ class Capacity(_Lattice):
     bits done, from the same two operands (the values at sizes n and n - 1
     after k - 1 bits), so each class stays constant, and the by-size route
     performs exactly those float operations once per class.
+
+    Capacity(carrier, atoms=(masks, weights)), or atom_capacity, holds
+    the capacity of known Mobius atoms: CA by construction.  Point reads,
+    mobius_inverse, classify and _invariant read the atoms.
     """
 
     __slots__ = ()
@@ -248,6 +314,28 @@ class Capacity(_Lattice):
         """theta({x}) in carrier order."""
         return self.at(np.left_shift(1, np.arange(self.carrier.size)))
 
+    def _at_atoms(self, masks):
+        """theta by the recipe of parts (atom_capacity); atoms given as
+        (masks, weights) are one part each, in descending mask order, so a
+        measure's singletons give the additive sweep's bits."""
+        if self._parts is None:
+            m = self.atom_masks.size
+            self._parts = (self.atom_masks[::-1], np.arange(m), self.atom_weights[::-1], 1.0)
+        copies, starts, q, scale = self._parts
+        k = np.asarray(masks, dtype=np.int64)
+        flat = k.reshape(-1)
+        out = np.zeros(flat.size)
+        cols = max(1, _HITS // max(1, copies.size))
+        for s in range(0, flat.size, cols):
+            part = out[s:s + cols]
+            # hits[j, i]: copy j meets mask i; counts[l, i] sums part l's rows
+            hits = copies[:, None] & flat[None, s:s + cols] != 0
+            counts = np.add.reduceat(hits, starts, axis=0, dtype=np.intp) if q.size else hits
+            for j in range(q.size):
+                part += q[j] * counts[j]
+            part *= scale
+        return out.reshape(k.shape) if k.ndim else out[0]
+
 
 class MobiusMeasure(_Lattice):
     """Signed measure on the nonempty subsets, indexed by subset mask.
@@ -258,9 +346,9 @@ class MobiusMeasure(_Lattice):
     The Mobius measure of a capacity held by size is symmetric and held
     by size too, MobiusMeasure(carrier, by_size=nu): nu[k] is the weight
     of every k-set, the k-th forward difference of g(j) = phi(d) -
-    phi(d - j), bit-equal to the table sweep (see Capacity).  weights is
-    spread from it on first read; min_weight reads the held array either
-    way.
+    phi(d - j), bit-equal to the table sweep (see Capacity).  That of a
+    capacity held by atoms is held by them.  weights is spread on first
+    read; min_weight reads the held form.
     """
 
     __slots__ = ()
@@ -268,9 +356,33 @@ class MobiusMeasure(_Lattice):
 
     weights = property(_Lattice._full, doc="nu over the 2**d masks, read-only")
 
+    def _at_atoms(self, masks):
+        """nu at masks: an atom's weight, else 0."""
+        k = np.asarray(masks, dtype=np.int64)
+        i = np.searchsorted(self.atom_masks, k)
+        # one slot past the last atom, which no mask matches
+        found = np.append(self.atom_masks, -1)[i] == k
+        return np.where(found, np.append(self.atom_weights, 0.0)[i], 0.0)[()]
+
+    def atoms(self) -> Optional[tuple[np.ndarray, np.ndarray]]:
+        """Held by atoms, the masks and a writable copy of the weights;
+        else None."""
+        if self.atom_masks is None:
+            return None
+        return self.atom_masks, self.atom_weights.copy()
+
     def min_weight(self) -> tuple[float, int]:
         """Smallest weight over nonempty sets and its witness, the first mask
-        holding it: by size, the first set of the smallest size holding it."""
+        holding it: by size, the first set of the smallest size holding it;
+        held by atoms, 0 at the first mask that is no atom, if any."""
+        if self.atom_masks is not None:
+            masks = self.atom_masks
+            gaps = np.flatnonzero(masks != np.arange(1, masks.size + 1))
+            gap = int(gaps[0]) + 1 if gaps.size else masks.size + 1
+            if gap <= self.carrier.full_mask:
+                return 0.0, gap
+            k = int(np.argmin(self.atom_weights))
+            return float(self.atom_weights[k]), int(masks[k])
         # np.argmin copies a read-only array whole; min does not, and the
         # search for its first index compares one chunk at a time
         rest = self._held()[1:]
@@ -298,6 +410,7 @@ class MobiusMeasure(_Lattice):
         return s
 
 
+_HITS = 1 << 18  # mask-atom pairs per chunk of _at_atoms
 # Pairs per chunk of a whole-table pass: a chunk of each half and any
 # temporary made from it stay in cache.
 _CHUNK = 1 << 15
@@ -445,13 +558,18 @@ def mobius_inverse(theta: Union[Capacity, _Owned]) -> MobiusMeasure:
     nu is bit-identical to mobius_inverse(theta), stored reversed in that
     memory.  The caller must hold the only reference to a theta held as a
     table and drop it, since its table no longer holds theta.  A plain
-    Capacity, and a capacity held by size, is never written.
+    Capacity, and a capacity held by size, is never written.  Atoms are
+    given back, with no sweep.
     """
     if isinstance(theta, _Owned):
         theta = theta.arr
+        if theta.atom_masks is not None:
+            return mobius_inverse(theta)
         # complement(mask) = full - mask, so the complement table is a reversal
         g = _release(theta)[::-1]
         np.subtract(g[0], g, out=g)  # g[0], theta(E), is read as a scalar first
+    elif theta.atom_masks is not None:
+        return MobiusMeasure(theta.carrier, atoms=(theta.atom_masks, theta.atom_weights))
     else:
         held = theta._held()
         g = held[-1] - held[::-1]
@@ -490,10 +608,37 @@ def capacity_from_measure(nu: MobiusMeasure) -> Capacity:
     held weights.  Raises if some resulting value is negative (the weights
     then do not come from a capacity).
     """
+    if nu.atom_masks is not None:
+        return Capacity(nu.carrier, atoms=(nu.atom_masks, nu.atom_weights))
     h = nu._sweep(nu._held().copy(), np.add)
     vals = h[-1] - h[::-1]
     vals[0] = 0.0
     return nu._new(Capacity, vals)
+
+
+def atom_capacity(carrier: Carrier, parts: Sequence[tuple[float, Sequence[int]]],
+                  scale: float = 1.0) -> Capacity:
+    """theta(K) = scale * sum over the parts (q, masks), in order, of q *
+    #{F in masks : F & K != 0}, held by its atoms; masks may repeat.
+
+    Each value is summed in that order, and atom F weighs scale * sum of q
+    * (F's multiplicity) over the parts, in the same order.  Parts with q
+    = 0 or no masks add exactly 0 and are left out.
+    """
+    kept = [(float(q), np.asarray(f, dtype=np.int64)) for q, f in parts if q > 0 and len(f)]
+    copies = np.concatenate([f for _, f in kept] or [np.zeros(0, dtype=np.int64)])
+    sizes = [f.size for _, f in kept]
+    starts = np.cumsum([0] + sizes)[:-1]
+    q = np.array([q for q, _ in kept])
+    masks, inverse = np.unique(copies, return_inverse=True)
+    weights = np.zeros(masks.size)
+    for j, start in enumerate(starts):
+        weights += q[j] * np.bincount(inverse[start:start + sizes[j]], minlength=masks.size)
+    weights *= scale
+    atoms = weights > 0
+    theta = Capacity(carrier, atoms=(masks[atoms], weights[atoms]))
+    theta._parts = (copies, starts, q, scale)
+    return theta
 
 
 def _inclusion_exclusion(value, join, base, incs):
@@ -575,19 +720,36 @@ def classify(theta: Capacity, tol: float = DEFAULT_TOL) -> Classification:
     A capacity held by size takes all four from phi and nu by size, with
     the same verdicts and witness: maxitive iff phi(k) = phi(1) for k >= 1,
     the other three through the same code as a table (see _Lattice).
+
+    A capacity held by atoms is monotone and CA by construction, with an
+    exact least weight.  It is additive iff no atom above the slack has two
+    points.  theta, also as rounded, is monotone, so the largest theta(K) -
+    max over x in K of theta({x}) lies on a prefix of the points in
+    ascending theta({x}): maxitive reads those d sets (all 0 when the atoms
+    form a chain), with the table route's bits and verdict.
     """
     d = theta.carrier.size
     atol = theta.atol(tol)
-    monotone = not any(np.any(lo - hi > atol) for lo, hi in theta._pairs())
+    atoms = theta.atom_masks is not None
+    monotone = atoms or not any(np.any(lo - hi > atol) for lo, hi in theta._pairs())
 
     nu = mobius_inverse(theta)
     min_w, witness = nu.min_weight()
     completely_alternating = min_w >= -atol
 
-    # E is the cheapest witness against each of the two criteria below
-    # (a nonsingleton once d >= 2), so most capacities skip the full pass
     singletons = np.left_shift(1, np.arange(d))
     singles = theta.at(singletons)
+    if atoms:
+        order = np.argsort(singles, kind="stable")
+        excess = theta.at(np.bitwise_or.accumulate(singletons[order])) - singles[order]
+        maxitive = bool(excess.max() <= atol)
+        wide = theta.atom_weights[np.bitwise_count(theta.atom_masks) > 1]
+        additive = bool(wide.max(initial=0.0) <= atol)
+        return Classification(monotone, completely_alternating, maxitive, additive,
+                              min_w, witness)
+
+    # E is the cheapest witness against each of the two criteria below
+    # (a nonsingleton once d >= 2), so most capacities skip the full pass
     maxitive = bool(abs(theta.total - max(0.0, singles.max())) <= atol)
     if maxitive and theta.by_size is None:
         maxitive = bool(np.all(np.abs(theta.table - subset_max(singles)) <= atol))

@@ -458,15 +458,21 @@ def _certified(theta: Capacity, mobius: Optional[_Owned]) -> MobiusMeasure:
 
 
 def _crsm_atoms(nu: MobiusMeasure) -> tuple[np.ndarray, np.ndarray, int]:
-    """The atom table of a certified Mobius measure held as a table, the
-    run's own: the positive atoms' masks ascending (int32, as d <= 24),
-    their weights and the relevant points (the union of the atoms).
+    """The atom table of a certified Mobius measure held as a table or by
+    its atoms, the run's own: the positive atoms' masks ascending (int32,
+    as d <= 24), their weights and the relevant points (the union of the
+    atoms).
 
-    The weights move forward into the Mobius table, in 64 chunks of at
-    least _SPAN entries: masks[k] >= k, so a chunk's weights land only on
-    entries already read.  simulate_crsm lists the atoms of a measure held
-    by size itself, so no run spreads it into a table.
+    Atoms are taken as they are.  From a table, the weights move forward
+    into the Mobius table, in 64 chunks of at least _SPAN entries:
+    masks[k] >= k, so a chunk's weights land only on entries already read.
+    simulate_crsm lists the atoms of a measure held by size itself, so no
+    run spreads it into a table.
     """
+    held = nu.atoms()
+    if held is not None:
+        masks, w = held
+        return masks.astype(np.int32), w, int(np.bitwise_or.reduce(masks, initial=0))
     w = nu.weights
     w.setflags(write=True)  # nu is this run's own and is dropped on return
     masks = np.empty(np.count_nonzero(w > 0), dtype=np.int32)
@@ -662,7 +668,9 @@ def argmax_independence_test(theta: Capacity, region: int, batch: SampleBatch,
     """Correlation test of {argmax set meets region} against 1/X(E).
 
     For an exact CRSM sample the argmax set equals the atom that realizes
-    the maximum (first_atoms) and is independent of X(E); the statistic z = corr * sqrt(n) is
+    the maximum (first_atoms) and is independent of X(E).  It meets region
+    iff X(region) = X(E), which is how the indicator is read, with no mask
+    per sample.  The statistic z = corr * sqrt(n) is
     asymptotically standard normal, so |z| <= 4 passes.  The negative
     control replaces the indicator with {X(region) > median}, which is
     strongly coupled to X(E) and must blow the same threshold up.  A flat
@@ -675,17 +683,22 @@ def argmax_independence_test(theta: Capacity, region: int, batch: SampleBatch,
     n = batch.n
     if n < 2:
         raise ValueError(f"the argmax test needs at least 2 samples, got {n}")
-    t = 1.0 / batch.sup(batch.carrier.full_mask)
+    # 1/X(E) and the indicator are written as the rows of the one array
+    # corrcoef reads, and the two sups are dropped before it copies it
+    rows = np.empty((2, n))
+    t, ind = rows
+    top, stat = batch.sup(batch.carrier.full_mask), batch.sup(region)
     if negative_control:
-        stat = batch.sup(region)
-        ind = (stat > np.median(stat)).astype(float)
+        np.greater(stat, np.median(stat), out=ind)
     else:
-        ind = ((batch.first_atoms & region) != 0).astype(float)
+        np.equal(stat, top, out=ind)
+    np.divide(1.0, top, out=t)
+    del top, stat
     flat = ind.std() == 0.0 or t.std() == 0.0
     if flat and negative_control:
         raise ValueError("the negative control's statistic has no spread over "
                          f"these {n} samples, so the control cannot fail")
-    z = 0.0 if flat else float(np.corrcoef(t, ind)[0, 1]) * math.sqrt(n)
+    z = 0.0 if flat else float(np.corrcoef(rows)[0, 1]) * math.sqrt(n)
     return ArgmaxIndependenceReport(z, abs(z) <= 4.0, n, float(ind.mean()),
                                     negative_control)
 

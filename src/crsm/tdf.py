@@ -60,9 +60,8 @@ import numpy as np
 
 from .carrier import Carrier, as_values, iter_bits
 from .integrals import _as_functional, _chain, _choquet, _vals, choquet_integral
-from .setfun import (DEFAULT_TOL, MAX_ALTERNATION_ORDER, Capacity, _additive_table,
-                     _inclusion_exclusion, _max_excess, _Owned, _worst, certified_mobius,
-                     subset_max)
+from .setfun import (DEFAULT_TOL, MAX_ALTERNATION_ORDER, Capacity, _inclusion_exclusion,
+                     _max_excess, _Owned, _worst, certified_mobius, subset_max)
 
 PROBE_TOL = 1e-7  # max-alternation probe: a relative sum above it is a violation
 
@@ -193,7 +192,10 @@ def extremal_coefficients(ell: TailDependenceFunctional) -> Capacity:
         per_atom = subset_max(ell.atoms)  # (m, 2**d) subset maxima
         return Capacity(ell.carrier, _Owned(ell.probs @ per_atom))
     if isinstance(ell, LebesgueTDF):
-        return Capacity(ell.carrier, _Owned(_additive_table(ell.mu.weights)))
+        # held by its d singletons (fewer where mu vanishes); its table has
+        # the bits of the additive sweep
+        points = np.flatnonzero(ell.mu.weights > 0)
+        return Capacity(ell.carrier, atoms=(np.left_shift(1, points), ell.mu.weights[points]))
     raise TypeError(f"unsupported functional {type(ell).__name__}")
 
 

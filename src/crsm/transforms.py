@@ -39,8 +39,7 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from .carrier import Carrier, TorusTag, as_carrier
-from .setfun import (_BLOCK_BITS, Capacity, _additive_table, _Owned, _release,
-                     _singleton_table, _sweep)
+from .setfun import _BLOCK_BITS, Capacity, _additive_table, _Owned, _release, atom_capacity
 from .tdf import DiscreteMeasure
 
 
@@ -96,12 +95,12 @@ def compose_capacity(g: BernsteinFunction, theta: Union[Capacity, _Owned]) -> Ca
     array, or for compose_capacity(g, _Owned(theta)) into the array
     _release hands back: theta's own table, which the caller must then
     drop, or a copy of the d + 1 values of a theta held by size.  A plain
-    Capacity is never written.  g works entry by entry, so every route
-    gives the bits of g(theta.table).
+    Capacity is never written.  g o theta has no atoms, so a theta held by
+    its atoms is composed as its table.  g works entry by entry, so every
+    route gives the bits of g(theta.table).
     """
     owned = isinstance(theta, _Owned)
-    if owned:
-        theta = theta.arr
+    theta = (theta.arr if owned else theta)._entrywise()
     src = _release(theta) if owned else theta._held()
     out = src if owned else np.empty_like(src)
     step = 1 << _BLOCK_BITS
@@ -206,14 +205,16 @@ def torus_storm_capacity(n: int,
 
     shapes is a finite law [(points, prob), ..]; a point is dim ints in a
     list or tuple (or an int if dim is 1), else ValueError (CLI exit 2).
-    The count for a fixed shape S is |K + reflected S| (Minkowski sum on
-    the torus), so the table is exactly invariant under shifts of K: the
-    same multiset of summands appears in the same order and stationarity
-    holds bit for bit.
+    The capacity is held by its atoms (atom_capacity), with one part per
+    shape: the masks of shape + v over every shift v, weighted by prob.
+    So nu(F) = scale * sum of prob * #{v : shape + v = F}, exactly, and
+    theta(K) sums prob * |K + reflected shape| (Minkowski sum on the
+    torus) shape by shape, then times scale.  Each part is invariant
+    under shifts, so the values at K and K + v are the same float
+    operations on the same operands and stationarity holds bit for bit.
     """
     tag = TorusTag(n, dim)
     carr = tag.carrier()
-    d = carr.size
     if not shapes:
         raise ValueError("storm law needs at least one shape")
     probs = np.array([q for _, q in shapes], dtype=float)
@@ -221,21 +222,15 @@ def torus_storm_capacity(n: int,
         raise ValueError("shape probabilities must be nonnegative and sum to 1")
     if not (scale > 0 and math.isfinite(scale)):
         raise ValueError(f"scale must be positive finite, got {scale}")
-    table = np.zeros(1 << d)
-    bits = np.left_shift(1, np.arange(d, dtype=np.int64))
+    parts = []
     for (points, q) in shapes:
         if len(points) == 0:
             raise ValueError("shapes must be nonempty")
-        # hit[x] = mask of shifts v with x in shape + v, so hit[s + v] has
-        # bit v; reach[K] = OR of hit over K, the shifts whose shape meets K
-        hit = np.zeros(d, dtype=np.int64)
-        for s in points:
-            hit[tag.shift_permutation(s)] |= bits
-        reach = _sweep(_singleton_table(hit, 0), d, np.bitwise_or)
-        table += q * np.bitwise_count(reach)
-    table *= scale
-    table[0] = 0.0
-    return Capacity(carr, _Owned(table))
+        # row s holds the bit of s + v at column v, so the OR over the
+        # shape's points is the mask of shape + v
+        moved = np.left_shift(1, np.array([tag.shift_permutation(s) for s in points]))
+        parts.append((q, np.bitwise_or.reduce(moved, axis=0)))
+    return atom_capacity(carr, parts, scale)
 
 
 def check_stationary(theta: Capacity) -> bool:
@@ -245,16 +240,13 @@ def check_stationary(theta: Capacity) -> bool:
     generating shift v (one step along each torus axis); equality is
     transitive, so this holds for every group shift exactly when it holds
     for the generators.  No tolerance, since the constructors above
-    produce exactly equal floats for shifted arguments.
+    produce exactly equal floats for shifted arguments.  A capacity held
+    by its atoms checks that its weighted atom set is invariant, with no
+    table built (_Lattice._invariant).
     """
     tag = theta.carrier.torus
     if tag is None:
         raise ValueError("carrier lacks torus tag")
-    d = theta.carrier.size
-    for shift in ((1,),) if tag.dim == 1 else ((1, 0), (0, 1)):
-        # shifted[K] = mask of K + shift, the OR of the moved point bits
-        bits = np.left_shift(1, tag.shift_permutation(shift))
-        shifted = _sweep(_singleton_table(bits, 0), d, np.bitwise_or)
-        if not np.array_equal(theta.table[shifted], theta.table):
-            return False
-    return True
+    shifts = ((1,),) if tag.dim == 1 else ((1, 0), (0, 1))
+    return all(theta._invariant(np.left_shift(1, tag.shift_permutation(shift)))
+               for shift in shifts)

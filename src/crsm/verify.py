@@ -106,7 +106,8 @@ def verify_model(model: Model, samples: int = 20000, seed: int = 1,
         theta = extremal_coefficients(ell)
         atol = theta.atol(tol)
         nu = mobius_inverse(theta)
-        # the round trip, held as theta is, holds its own error
+        # the round trip, held as theta is, holds its own error (held by
+        # atoms, the weights come back as they are: 0)
         back = _release(capacity_from_measure(nu))
         err = float(np.max(np.abs(np.subtract(back, theta._held(), out=back), out=back)))
         del back
@@ -146,8 +147,7 @@ def verify_model(model: Model, samples: int = 20000, seed: int = 1,
     n = batch.n
 
     for name, f in _test_vectors(carrier, relevant_idx, seed):
-        z = batch.extremal(f)
-        est = frechet_scale_estimate(z)
+        est = frechet_scale_estimate(batch.extremal(f))
         target = ell.eval(f)
         err = abs(est.scale - target)
         checks.append(CheckResult(f"frechet-scale[{name}]", err, est.half_width,

@@ -296,15 +296,16 @@ def test_classify_by_size_allocates_no_table():
 
 
 def representation_reads(package: Path) -> list[str]:
-    """Every read of by_size or _table in the package's modules other than
-    setfun.py, as module:line.attribute."""
+    """Every read of by_size, the atom arrays or _table in the package's
+    modules other than setfun.py, as module:line.attribute."""
     return [f"{path.name}:{node.lineno}.{node.attr}"
             for path in sorted(package.glob("*.py")) if path.name != "setfun.py"
             for node in ast.walk(ast.parse(path.read_text(), str(path)))
-            if isinstance(node, ast.Attribute) and node.attr in ("by_size", "_table")]
+            if isinstance(node, ast.Attribute) and node.attr in (
+                "by_size", "atom_masks", "atom_weights", "_parts", "_table")]
 
 
 def test_only_setfun_tells_the_two_forms_apart():
     # every other module reaches the held form through the _Lattice
-    # operations, so each lattice identity is written once for both forms
+    # operations, so each lattice identity is written once for every form
     assert representation_reads(Path(crsm.__file__).parent) == []

@@ -282,15 +282,18 @@ def test_verify_inverts_mobius_once_on_a_crsm(monkeypatch):
         assert calls == [3]
 
 
-def test_verify_builds_a_lebesgue_table_once(monkeypatch):
-    from crsm import tdf
-    calls = []
-    build = tdf._additive_table
-    monkeypatch.setattr(tdf, "_additive_table", lambda w: calls.append(1) or build(w))
+def test_verify_builds_no_lebesgue_table(monkeypatch):
+    # a Lebesgue capacity and its Mobius measure are held by their d
+    # singletons from the constructor through the sampler
+    from crsm import verify
+    held = []
+    for name in ("extremal_coefficients", "mobius_inverse"):
+        real = getattr(verify, name)
+        monkeypatch.setattr(verify, name, lambda x, real=real: held.append(real(x)) or held[-1])
     leb = LebesgueTDF(DiscreteMeasure(carrier_of(6), np.linspace(0.5, 1.5, 6)))
     rows = verify_model(leb, samples=2000, seed=3)
     assert [ch.name for ch in rows] == CRSM_ROWS
-    assert len(calls) == 1
+    assert len(held) == 2 and all(lattice._table is None for lattice in held)
 
 
 def test_verify_drops_the_roundtrip_table_before_sampling():
