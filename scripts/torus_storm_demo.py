@@ -11,9 +11,10 @@ import sys
 
 import numpy as np
 
-from crsm.simulate import SimConfig, frechet_scale_estimate, simulate_crsm
+from crsm.simulate import SimConfig, simulate_crsm
 from crsm.tdf import ChoquetTDF
 from crsm.transforms import check_stationary, torus_storm_capacity
+from crsm.verify import frechet_scale_estimate
 
 
 def main(argv=None) -> int:

@@ -55,17 +55,20 @@ from .simulate import (
     SampleBatch,
     SimConfig,
     SpectralSampler,
-    argmax_independence_test,
-    argmax_set,
-    continuity_bound_check,
     couple,
-    frechet_scale_estimate,
-    independence_on_disjoint,
     simulate_crsm,
     simulate_model,
     simulate_spectral,
     substream,
 )
-from .verify import CheckResult, verify_model
+from .verify import (
+    CheckResult,
+    argmax_independence_test,
+    argmax_set,
+    continuity_bound_check,
+    frechet_scale_estimate,
+    independence_on_disjoint,
+    verify_model,
+)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -16,10 +16,10 @@ held by size), then the method it chose, the atom count m and LePage's
 lower bound LB on E[N].  `materialize` and `mobius` on 22 or more points
 first warn on stderr that the artifact holds 2^d entries, and what that
 cost before: on an exchangeable capacity, about 5 s and 250 MB at d = 20
-and 27 s and 0.9 GB at d = 22 (2 cores).  Every JSON artifact is written
-in blocks of entries, as json.dumps(payload, indent=2, sort_keys=True)
-would write it, so the writer holds one block of text besides the payload
-dict.
+and 27 s and 0.9 GB at d = 22 (2 cores); `mobius` skips it for few
+entries, such as a storm's atoms.  Every JSON artifact is written in
+blocks of entries, as json.dumps(payload, indent=2, sort_keys=True) would
+write it, so the writer holds one block of text besides the payload dict.
 
 Simulation CSV: a `# provenance:` line, the header `sample_index,<labels>`,
 then one row per sample, each value in Python's shortest round-trip
@@ -59,6 +59,7 @@ from .io import (
     parse_label_set,
     parse_model,
     parse_pairs,
+    _few_keys,
     _parse_point_values,
     _unreadable,
 )
@@ -72,17 +73,10 @@ from .setfun import (
     classify,
     mobius_inverse,
 )
-from .simulate import (
-    STREAM_VERSION,
-    SampleBatch,
-    SimConfig,
-    argmax_independence_test,
-    couple,
-    frechet_scale_estimate,
-    simulate_model,
-)
+from .simulate import STREAM_VERSION, SampleBatch, SimConfig, couple, simulate_model
 from .tdf import ChoquetTDF, SpectralTDF, as_tdf, dual_greedy, dual_oracle, joint_cdf
-from .verify import coupling_violations, verify_model
+from .verify import (argmax_independence_test, coupling_violations, frechet_scale_estimate,
+                     verify_model)
 
 
 # Commands that always draw random numbers.  `dual --oracle sampled` and
@@ -189,9 +183,9 @@ def _json_key(key) -> str:
 _HUGE_ARTIFACT_D = 22
 
 
-def _warn_if_huge(command: str, carrier: Carrier) -> None:
+def _warn_if_huge(command: str, carrier: Carrier, entries: int) -> None:
     d = carrier.size
-    if d >= _HUGE_ARTIFACT_D:
+    if d >= _HUGE_ARTIFACT_D and not _few_keys(carrier, entries):
         print(f"warning: {command} writes JSON over all 2^{d} = {1 << d} subsets; "
               f"at d = 22 materialize took about 27 s and 0.88 GB, mobius about 27 s "
               f"and 0.91 GB (2 cores, 8 GB)", file=sys.stderr)
@@ -310,9 +304,10 @@ def cmd_check(args, model, prov):
 
 def cmd_mobius(args, model, prov):
     theta = _require_capacity(model, "mobius")
-    _warn_if_huge("mobius", theta.carrier)
     # nothing reads theta again, so nu is swept in theta's own table
-    return mobius_to_json(mobius_inverse(_Owned(theta))), 0
+    nu = mobius_inverse(_Owned(theta))
+    _warn_if_huge("mobius", nu.carrier, nu.support_size())
+    return mobius_to_json(nu), 0
 
 
 def _integral_command(args, model, fn):
@@ -517,7 +512,7 @@ def cmd_verify(args, model, prov):
 
 
 def cmd_materialize(args, model, prov):
-    _warn_if_huge("materialize", model.carrier)
+    _warn_if_huge("materialize", model.carrier, 1 << model.carrier.size)
     return capacity_to_json(model), 0
 
 

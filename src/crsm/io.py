@@ -111,6 +111,11 @@ def _parse_carrier(obj, path: str) -> Carrier:
         raise SchemaError(f"{path}.carrier", str(e)) from None
 
 
+def _few_keys(carrier: Carrier, count: int) -> bool:
+    """Whether count subset keys cost less one by one than all 2**d at once."""
+    return count * carrier.size < 1 << carrier.size
+
+
 def _leading_numbers(vals: list, nonneg: bool) -> tuple[np.ndarray, int]:
     """The values as floats, in one pass, and how many of them come before
     the first that _number(val, loc, nonneg=nonneg) refuses; only the
@@ -136,9 +141,8 @@ def _parse_subset_table(carrier: Carrier, table_obj, path: str,
         raise SchemaError(path, "expected an object mapping subsets to numbers")
     size = 1 << carrier.size
     values, good = _leading_numbers(list(table_obj.values()), nonneg)
-    # a dict of the 2**d canonical keys pays once the keys name ~2**d labels
-    canonical = (dict(zip(carrier.subset_keys().tolist(), range(size)))
-                 if len(table_obj) * carrier.size >= size else {})
+    canonical = ({} if _few_keys(carrier, len(table_obj))
+                 else dict(zip(carrier.subset_keys().tolist(), range(size))))
     masks = np.fromiter((canonical.get(key, 0) for key in table_obj),
                         np.int64, len(table_obj))
     arr = np.zeros(size)
@@ -344,12 +348,14 @@ def capacity_to_json(theta: Capacity) -> dict:
 
 
 def mobius_to_json(nu: MobiusMeasure) -> dict:
-    """The nonzero weights of nu, keyed by subset key in mask order."""
-    masks = np.arange(1, 1 << nu.carrier.size)
-    masks = masks[nu.weights[masks] != 0.0]
-    keys = nu.carrier.subset_keys()
-    weights = dict(zip(keys[masks].tolist(), nu.weights[masks].tolist()))
-    return {"kind": "mobius", "carrier": nu.carrier.to_json(), "weights": weights}
+    """The nonzero weights of nu, keyed by subset key in mask order; few
+    keys are built one by one, so a measure held by atoms spreads nothing."""
+    c = nu.carrier
+    masks, weights = nu.support()
+    keys = ([c.subset_key(m) for m in masks.tolist()] if _few_keys(c, masks.size)
+            else c.subset_keys()[masks].tolist())
+    weights = dict(zip(keys, weights.tolist()))
+    return {"kind": "mobius", "carrier": c.to_json(), "weights": weights}
 
 
 def parse_label_set(obj, carrier: Carrier, path: str = "$") -> int:

@@ -348,7 +348,7 @@ class MobiusMeasure(_Lattice):
     of every k-set, the k-th forward difference of g(j) = phi(d) -
     phi(d - j), bit-equal to the table sweep (see Capacity).  That of a
     capacity held by atoms is held by them.  weights is spread on first
-    read; min_weight reads the held form.
+    read; min_weight and support_size read the held form, support atoms.
     """
 
     __slots__ = ()
@@ -364,12 +364,19 @@ class MobiusMeasure(_Lattice):
         found = np.append(self.atom_masks, -1)[i] == k
         return np.where(found, np.append(self.atom_weights, 0.0)[i], 0.0)[()]
 
-    def atoms(self) -> Optional[tuple[np.ndarray, np.ndarray]]:
-        """Held by atoms, the masks and a writable copy of the weights;
-        else None."""
-        if self.atom_masks is None:
-            return None
-        return self.atom_masks, self.atom_weights.copy()
+    def support_size(self) -> int:
+        """The number of nonzero weights, with no table spread."""
+        if self.by_size is None:
+            return int(np.count_nonzero(self._held()))
+        sizes = np.flatnonzero(self.by_size).tolist()
+        return sum(math.comb(self.carrier.size, k) for k in sizes)
+
+    def support(self) -> tuple[np.ndarray, np.ndarray]:
+        """The masks of the nonzero weights, ascending, and the weights."""
+        if self.atom_masks is not None:
+            return self.atom_masks, self.atom_weights
+        masks = np.flatnonzero(self.weights)  # weights[0] is 0
+        return masks, self.weights[masks]
 
     def min_weight(self) -> tuple[float, int]:
         """Smallest weight over nonempty sets and its witness, the first mask
@@ -411,6 +418,7 @@ class MobiusMeasure(_Lattice):
 
 
 _HITS = 1 << 18  # mask-atom pairs per chunk of _at_atoms
+_SPAN = 1 << 12  # least Mobius table entries per chunk of positive_atoms
 # Pairs per chunk of a whole-table pass: a chunk of each half and any
 # temporary made from it stay in cache.
 _CHUNK = 1 << 15
@@ -501,20 +509,24 @@ def _additive_table(weights: np.ndarray) -> np.ndarray:
     return _sweep(_singleton_table(weights, 0.0), weights.shape[-1], np.add)
 
 
-def _max_excess(theta: Capacity, weights: np.ndarray) -> tuple[float, int]:
-    """The largest mu(K) - theta(K) over the masks K, mu the measure with
-    these point weights, and the first mask holding it.  By size, the
-    largest mu(K) over the k-sets is that of the k largest weights (the
-    lowest points among ties), so d sets are checked."""
-    if theta.by_size is None:
+def _max_excess(theta: Capacity, weights: np.ndarray, chain: np.ndarray) -> tuple[float, int]:
+    """The largest mu(K) - theta(K) over the masks K and the first mask
+    holding it; mu has these point weights, theta's increments along the
+    chain.  By size, the largest mu(K) over the k-sets is that of the k
+    largest weights (the lowest points among ties); by atoms, mu(K) sums
+    the atoms whose first chain point lies in K, so mu <= theta with
+    equality on the chain's prefixes.  Either way d sets are checked."""
+    if theta.by_size is None and theta.atom_masks is None:
         excess = _additive_table(weights)
         excess -= theta.table
         worst = int(np.argmax(excess))
         return float(excess[worst]), worst
-    top = np.argsort(-weights, kind="stable")
-    excess = np.cumsum(weights[top]) - theta.by_size[1:]
+    if theta.atom_masks is None:
+        chain = np.argsort(-weights, kind="stable")
+    prefixes = np.bitwise_or.accumulate(np.left_shift(1, chain))
+    excess = np.cumsum(weights[chain]) - theta.at(prefixes)
     k = int(np.argmax(excess))
-    return float(excess[k]), int(np.bitwise_or.reduce(np.left_shift(1, top[:k + 1])))
+    return float(excess[k]), int(prefixes[k])
 
 
 def subset_max(singles: np.ndarray) -> np.ndarray:
@@ -561,15 +573,14 @@ def mobius_inverse(theta: Union[Capacity, _Owned]) -> MobiusMeasure:
     Capacity, and a capacity held by size, is never written.  Atoms are
     given back, with no sweep.
     """
-    if isinstance(theta, _Owned):
-        theta = theta.arr
-        if theta.atom_masks is not None:
-            return mobius_inverse(theta)
+    owned = isinstance(theta, _Owned)
+    theta = theta.arr if owned else theta
+    if theta.atom_masks is not None:
+        return MobiusMeasure(theta.carrier, atoms=(theta.atom_masks, theta.atom_weights))
+    if owned:
         # complement(mask) = full - mask, so the complement table is a reversal
         g = _release(theta)[::-1]
         np.subtract(g[0], g, out=g)  # g[0], theta(E), is read as a scalar first
-    elif theta.atom_masks is not None:
-        return MobiusMeasure(theta.carrier, atoms=(theta.atom_masks, theta.atom_weights))
     else:
         held = theta._held()
         g = held[-1] - held[::-1]
@@ -598,6 +609,51 @@ def certified_mobius(theta: Union[Capacity, _Owned], tol: float = DEFAULT_TOL,
             f"capacity is not completely alternating (mobius weight {min_w:.3g} "
             f"at mask {witness:#x}); no random sup-measure has it")
     return nu
+
+
+def _roundtrip_error(theta: Capacity, nu: MobiusMeasure) -> float:
+    """max |capacity_from_measure(nu) - theta| over the held array, nu
+    theta's Mobius measure.  Held by atoms, whose weights come back as they
+    are, it reads theta by its own recipe on the singletons and on the
+    prefixes of the points in ascending theta({x}), the last of them E."""
+    back = capacity_from_measure(nu)
+    if theta.atom_masks is not None:
+        singletons = np.left_shift(1, np.arange(theta.carrier.size))
+        order = np.argsort(theta.at(singletons), kind="stable")
+        probes = np.concatenate([singletons, np.bitwise_or.accumulate(singletons[order])])
+        return float(np.max(np.abs(back.at(probes) - theta.at(probes))))
+    back = _release(back)
+    return float(np.max(np.abs(np.subtract(back, theta._held(), out=back), out=back)))
+
+
+def positive_atoms(nu: _Owned) -> tuple[np.ndarray, np.ndarray, int]:
+    """The positive atoms of a Mobius measure handed over, _Owned(nu), in
+    any held form: masks ascending (int32, as d <= 24), weights the caller
+    may overwrite, and their union.  A table is taken over (_release; drop
+    nu): its weights move forward in place, in 64 chunks of at least _SPAN
+    entries, and masks[k] >= k, so a chunk lands only on entries already
+    read.  By size, the C(d, k) masks of each positive size k are listed."""
+    nu = nu.arr
+    if nu.by_size is not None:
+        sizes, d = np.flatnonzero(nu.by_size > 0).tolist(), nu.carrier.size
+        masks = np.array(sorted(sum(1 << i for i in c) for k in sizes
+                                for c in itertools.combinations(range(d), k)), np.int32)
+        w = nu.by_size[np.bitwise_count(masks)]
+    elif nu.atom_masks is not None:
+        masks, w = nu.atom_masks.astype(np.int32), _release(nu)
+    else:
+        w = _release(nu)
+        masks = np.empty(np.count_nonzero(w > 0), dtype=np.int32)
+        span = max(_SPAN, w.size >> 6)
+        k = 0
+        for s in range(0, w.size, span):
+            hits = np.flatnonzero(w[s:s + span] > 0)
+            hits += s
+            w[k:k + hits.size] = w[hits]
+            masks[k:k + hits.size] = hits
+            k += hits.size
+        w = w[:k]
+    return masks, w, int(np.bitwise_or.reduce(masks))
 
 
 def capacity_from_measure(nu: MobiusMeasure) -> Capacity:

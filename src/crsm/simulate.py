@@ -5,11 +5,11 @@ are the arrivals of a unit Poisson process and the Y_i are iid spectral
 draws from a finite table of atoms (w_j, y_j):
 
 * simulate_crsm: the positive Mobius atoms F of a completely alternating
-  capacity theta, held as masks (or by size, when theta is: then no run
-  spreads nu into a 2**d table), with y_j =
-  theta(E) 1_F picked with probability nu(F) / theta(E), so Y = theta(E)
-  * 1_Xi with Xi ~ nu / theta(E) (max-linear reads y_j = 1_F, w_j =
-  nu(F)); X is its Choquet random sup-measure,
+  capacity theta, as setfun.positive_atoms lists them (or by size, when
+  theta is: then no run spreads nu into a 2**d table), with y_j = theta(E)
+  1_F picked with probability nu(F) / theta(E), so Y = theta(E) 1_Xi with
+  Xi ~ nu / theta(E) (max-linear reads y_j = 1_F, w_j = nu(F)); X is its
+  Choquet random sup-measure,
   P(X(K_i) <= a_i for all i) = exp(-sum_F nu(F) max{1/a_i : F meets K_i}).
 * simulate_spectral: the rows y_j of a spectral table, picked with
   probability p_j; `couple` runs the same kernel on the table of widened
@@ -19,7 +19,8 @@ Capacities and Choquet and Lebesgue TDFs are CRSMs: simulate_crsm samples
 them through their capacity, atoms kept as masks.  A CRSM atom is an
 indicator, so its coupling is degenerate: lower = X = upper, and the argmax
 set of a sample (first_atoms, read off the values) is the atom that
-realizes its maximum.
+realizes its maximum.  This module only samples: the statistics a batch
+must pass live in verify.
 
 Two exact methods sample the same law.  `_lepage` runs the series itself.
 `_max_linear` uses that the series splits by atom into independent Poisson
@@ -69,15 +70,15 @@ count or the other samples.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass, replace
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
 from .carrier import Carrier, _indicator, _weighted_max
-from .setfun import DEFAULT_TOL, Capacity, MobiusMeasure, _Owned, certified_mobius
+from .setfun import (DEFAULT_TOL, Capacity, MobiusMeasure, _Owned, certified_mobius,
+                     positive_atoms)
 from .tdf import SpectralTDF, extremal_coefficients
 
 STREAM_VERSION = 2
@@ -87,8 +88,6 @@ BULK_ROUNDS = 8         # bulk rounds per block before continuation streams
 TAIL = 64               # first continuation chunk; chunks double ...
 TAIL_MAX = 8192         # ... up to this many terms
 _CELLS = 1 << 15        # cap on terms x lanes x width of one engine step
-_SPAN = 1 << 12         # least Mobius table entries per chunk of an atom pass
-_FRECHET_MIN = 30       # least observations of a Frechet scale estimate
 
 
 class MaxTermsExceeded(RuntimeError):
@@ -457,36 +456,6 @@ def _certified(theta: Capacity, mobius: Optional[_Owned]) -> MobiusMeasure:
     return nu
 
 
-def _crsm_atoms(nu: MobiusMeasure) -> tuple[np.ndarray, np.ndarray, int]:
-    """The atom table of a certified Mobius measure held as a table or by
-    its atoms, the run's own: the positive atoms' masks ascending (int32,
-    as d <= 24), their weights and the relevant points (the union of the
-    atoms).
-
-    Atoms are taken as they are.  From a table, the weights move forward
-    into the Mobius table, in 64 chunks of at least _SPAN entries:
-    masks[k] >= k, so a chunk's weights land only on entries already read.
-    simulate_crsm lists the atoms of a measure held by size itself, so no
-    run spreads it into a table.
-    """
-    held = nu.atoms()
-    if held is not None:
-        masks, w = held
-        return masks.astype(np.int32), w, int(np.bitwise_or.reduce(masks, initial=0))
-    w = nu.weights
-    w.setflags(write=True)  # nu is this run's own and is dropped on return
-    masks = np.empty(np.count_nonzero(w > 0), dtype=np.int32)
-    span = max(_SPAN, w.size >> 6)
-    k = 0
-    for s in range(0, w.size, span):
-        hits = np.flatnonzero(w[s:s + span] > 0)
-        hits += s
-        w[k:k + hits.size] = w[hits]
-        masks[k:k + hits.size] = hits
-        k += hits.size
-    return masks, w[:k], int(np.bitwise_or.reduce(masks))
-
-
 def simulate_crsm(theta: Capacity, config: SimConfig,
                   mobius: Optional[_Owned] = None) -> SampleBatch:
     """Sample the Choquet random sup-measure of a CA capacity.
@@ -508,22 +477,20 @@ def simulate_crsm(theta: Capacity, config: SimConfig,
     Besides theta, a run on a table holds the atoms' weights, in the 2**d
     Mobius table it builds (on LePage their cumulative pick table
     overwrites them), and their int32 masks, at most half a 2**d table
-    more.  A capacity held by size has its Mobius measure by size, with m =
-    sum of C(d, k) over the sizes k of positive weight, and never spreads
-    it: LePage picks its atoms by size (_SizePicks), holding (d + 1)**2
-    numbers, and max-linear lists the masks of its m <= LB <= d atoms
-    size class by size class, weight nu(|F|) each.  An exact LePage run by size records
-    its exact E[N] (SampleBatch.expected_terms).
+    more.  Held by size, with m = sum of C(d, k) over the sizes k of
+    positive weight, nothing is spread: LePage picks by size (_SizePicks)
+    from (d + 1)**2 numbers, an exact run recording its exact E[N]
+    (SampleBatch.expected_terms), and max-linear lists its m <= LB <= d
+    atoms.
     """
     nu = _certified(theta, mobius)
     d = theta.carrier.size
     masses = nu.interval_masses()
     if masses is None:
-        masks, weights, relevant = _crsm_atoms(nu)
+        masks, weights, relevant = positive_atoms(_Owned(nu))
         m = masks.size
     else:  # every point lies in sets of every size
-        sizes = np.flatnonzero(masses[0] > 0).tolist()
-        m = sum(math.comb(d, k) for k in sizes)
+        m = sum(math.comb(d, k) for k in np.flatnonzero(masses[0] > 0).tolist())
         relevant = theta.carrier.full_mask
     live = np.flatnonzero(_bits(relevant, d))
     ratios = theta.total / theta.singletons()[live]
@@ -531,17 +498,15 @@ def simulate_crsm(theta: Capacity, config: SimConfig,
     cost = (f"; expected terms E[N] in [{1 + floor:.6g}, "
             f"{1 + ratios.sum():.6g}] (1 + max_x theta(E)/theta({{x}}) <= "
             f"E[N] <= 1 + sum_x theta(E)/theta({{x}}))")
-    if masses is not None and _method(m, floor, config) == "lepage":
+    by_size = masses is not None and _method(m, floor, config) == "lepage"
+    if by_size:
         table, weights = _SizePicks(masses, m, theta.total), None
     else:
         if masses is not None:  # m <= LB <= d, as theta(E) <= d theta({x})
-            masks = np.sort(np.array([sum(1 << i for i in c) for k in sizes
-                                      for c in itertools.combinations(range(d), k)],
-                                     dtype=np.int32))
-            weights = masses[0][np.bitwise_count(masks)]
+            masks, weights, _ = positive_atoms(_Owned(nu))
         table = _AtomTable(masks, weights, d, theta.total)
     batch = _sample(theta.carrier, table, weights, floor, theta.total, live, config, cost)
-    if masses is not None and batch.method == "lepage" and config.mode == "exact":
+    if by_size and config.mode == "exact":
         batch = replace(batch, expected_terms=_expected_terms(theta))
     return batch
 
@@ -620,90 +585,6 @@ def simulate_model(model, config: SimConfig,
 
 
 @dataclass(frozen=True)
-class FrechetEstimate:
-    scale: float
-    half_width: float
-    n: int
-
-
-def frechet_scale_estimate(z: np.ndarray) -> FrechetEstimate:
-    """MLE of the scale a of a unit-shape Frechet sample.
-
-    1/z_j are iid Exp(a), so a_hat = n / sum(1/z_j); the reported
-    half-width is the 3-sigma band 3 a_hat / sqrt(n).  Requires at least
-    _FRECHET_MIN strictly positive observations.
-    """
-    z = np.asarray(z, dtype=float)
-    if z.ndim != 1 or z.size < _FRECHET_MIN:
-        raise ValueError(f"need at least {_FRECHET_MIN} observations, got {z.size}")
-    if np.any(z <= 0) or not np.all(np.isfinite(z)):
-        raise ValueError("Frechet scale needs strictly positive finite observations")
-    n = z.size
-    scale = n / float((1.0 / z).sum())
-    return FrechetEstimate(scale, 3.0 * scale / math.sqrt(n), n)
-
-
-def argmax_set(x: np.ndarray) -> int:
-    """Mask of the points where x attains its maximum, ties included; the
-    zero vector has no argmax and raises."""
-    x = np.asarray(x, dtype=float)
-    m = float(x.max())
-    if m <= 0.0:
-        raise ValueError("argmax of the zero vector is undefined")
-    return _mask_of(x == m)
-
-
-@dataclass(frozen=True)
-class ArgmaxIndependenceReport:
-    z: float
-    passed: bool
-    n: int
-    hit_rate: float
-    negative_control: bool
-
-
-def argmax_independence_test(theta: Capacity, region: int, batch: SampleBatch,
-                             negative_control: bool = False
-                             ) -> ArgmaxIndependenceReport:
-    """Correlation test of {argmax set meets region} against 1/X(E).
-
-    For an exact CRSM sample the argmax set equals the atom that realizes
-    the maximum (first_atoms) and is independent of X(E).  It meets region
-    iff X(region) = X(E), which is how the indicator is read, with no mask
-    per sample.  The statistic z = corr * sqrt(n) is
-    asymptotically standard normal, so |z| <= 4 passes.  The negative
-    control replaces the indicator with {X(region) > median}, which is
-    strongly coupled to X(E) and must blow the same threshold up.  A flat
-    indicator passes, as independence then holds trivially; fewer than 2
-    samples, or a flat statistic in the negative control, raise.
-    """
-    theta.carrier.validate_mask(region)
-    if region == 0:
-        raise ValueError("region must be nonempty")
-    n = batch.n
-    if n < 2:
-        raise ValueError(f"the argmax test needs at least 2 samples, got {n}")
-    # 1/X(E) and the indicator are written as the rows of the one array
-    # corrcoef reads, and the two sups are dropped before it copies it
-    rows = np.empty((2, n))
-    t, ind = rows
-    top, stat = batch.sup(batch.carrier.full_mask), batch.sup(region)
-    if negative_control:
-        np.greater(stat, np.median(stat), out=ind)
-    else:
-        np.equal(stat, top, out=ind)
-    np.divide(1.0, top, out=t)
-    del top, stat
-    flat = ind.std() == 0.0 or t.std() == 0.0
-    if flat and negative_control:
-        raise ValueError("the negative control's statistic has no spread over "
-                         f"these {n} samples, so the control cannot fail")
-    z = 0.0 if flat else float(np.corrcoef(rows)[0, 1]) * math.sqrt(n)
-    return ArgmaxIndependenceReport(z, abs(z) <= 4.0, n, float(ind.mean()),
-                                    negative_control)
-
-
-@dataclass(frozen=True)
 class Coupling:
     """Pathwise sandwich from one LePage stream.
 
@@ -747,100 +628,3 @@ def couple(law, config: SimConfig) -> Coupling:
     mid, lo, hi = np.split(x, 3, axis=1)
     mk = lambda a: _batch(law.carrier, a, config, plan, terms)
     return Coupling(mk(lo), mk(mid), mk(hi))
-
-
-@dataclass(frozen=True)
-class ContinuityReport:
-    p_hat: float
-    bound: float
-    slack: float
-    passed: bool
-    n: int
-
-
-def continuity_bound_check(theta: Capacity, k1: int, k2: int, eps: float,
-                           batch: SampleBatch) -> ContinuityReport:
-    """Empirical check of P(|X(K1) - X(K2)| > eps) <= modulus / eps.
-
-    The modulus is 2 theta(K1 | K2) - theta(K1) - theta(K2); the empirical
-    side gets a 4-sigma binomial allowance on top of the bound.
-    """
-    theta.carrier.validate_mask(k1)
-    theta.carrier.validate_mask(k2)
-    if not (eps > 0 and math.isfinite(eps)):
-        raise ValueError(f"eps must be positive finite, got {eps}")
-    diff = np.abs(batch.sup(k1) - batch.sup(k2))
-    p_hat = float((diff > eps).mean())
-    n = batch.n
-    bound = (2.0 * float(theta.at(k1 | k2)) - float(theta.at(k1))
-             - float(theta.at(k2))) / eps
-    slack = 4.0 * math.sqrt(p_hat * (1.0 - p_hat) / n)
-    return ContinuityReport(p_hat, bound, slack, p_hat <= bound + slack, n)
-
-
-@dataclass(frozen=True)
-class DisjointnessCheck:
-    part_a: int
-    part_b: int
-    level_a: float
-    level_b: float
-    p_product: float
-    p_hat: float
-    sigma: float
-
-
-@dataclass(frozen=True)
-class DisjointnessReport:
-    cross_mass: float
-    expect_independent: bool
-    max_z: float
-    consistent: bool
-    checks: tuple[DisjointnessCheck, ...]
-
-
-def independence_on_disjoint(theta: Capacity, parts: Sequence[int],
-                             batch: SampleBatch) -> DisjointnessReport:
-    """Factorization test of the CRSM over disjoint parts.
-
-    X is independent over the parts iff no Mobius mass touches two of
-    them.  cross_mass = sum_i theta(P_i) - theta(union of the P_i) is that
-    mass, each atom counted once per part it meets beyond the first; this
-    exact criterion decides what the empirical side must show.  For each
-    pair and q in (0.3, 0.5, 0.8) the joint empirical CDF at the exact
-    marginal q-quantiles is compared against the product q**2 with a 4-sigma
-    binomial allowance: independence must stay inside the band, genuine
-    dependence must break it somewhere.
-    """
-    if len(parts) < 2:
-        raise ValueError("need at least two parts")
-    seen = 0
-    for p in parts:
-        theta.carrier.validate_mask(p)
-        if p == 0:
-            raise ValueError("parts must be nonempty")
-        if p & seen:
-            raise ValueError("parts overlap")
-        if theta.at(p) <= 0:
-            raise ValueError("parts must carry positive capacity")
-        seen |= p
-    cross_mass = sum(float(theta.at(p)) for p in parts) - float(theta.at(seen))
-    expect_independent = cross_mass <= theta.atol(DEFAULT_TOL)
-
-    n = batch.n
-    sups = {p: batch.sup(p) for p in parts}
-    checks = []
-    max_z = 0.0
-    for i in range(len(parts)):
-        for j in range(i + 1, len(parts)):
-            a, b = parts[i], parts[j]
-            for q in (0.3, 0.5, 0.8):
-                s = float(theta.at(a)) / (-math.log(q))
-                t = float(theta.at(b)) / (-math.log(q))
-                p_prod = q * q
-                p_hat = float(((sups[a] <= s) & (sups[b] <= t)).mean())
-                sigma = math.sqrt(p_prod * (1.0 - p_prod) / n)
-                checks.append(DisjointnessCheck(a, b, s, t, p_prod, p_hat, sigma))
-                max_z = max(max_z, abs(p_hat - p_prod) / sigma)
-    consistent = (max_z <= 4.0) if expect_independent else (max_z > 4.0)
-    return DisjointnessReport(cross_mass, expect_independent, max_z, consistent,
-                              tuple(checks))

@@ -304,8 +304,8 @@ def dual_greedy(theta: Capacity, f,
     The value f . mu then equals the Choquet integral, which is the exact
     optimum.  Feasibility of mu is re-verified exhaustively over the whole
     lattice; a violation means the alternation certificate lied and raises,
-    naming the first mask of largest excess (_max_excess; by size, d sets
-    are checked).  tol is relative: both checks allow a slack of tol * theta(E).
+    naming the first mask of largest excess (_max_excess; by size or atoms,
+    d sets are checked).  tol is relative: both allow tol * theta(E).
     """
     v = _vals(f, theta.carrier)
     certified_mobius(theta, tol)
@@ -321,7 +321,7 @@ def dual_greedy(theta: Capacity, f,
             f"(increment {weights.min():.3g})")
     weights = np.clip(weights, 0.0, None)
     mu = DiscreteMeasure(theta.carrier, weights)
-    excess, worst = _max_excess(theta, weights)
+    excess, worst = _max_excess(theta, weights, order)
     if excess > atol:
         raise RuntimeError(
             f"greedy measure violates feasibility at mask {worst:#x}; "
@@ -351,22 +351,13 @@ def dual_oracle(theta: Capacity, f, method: str = "exact",
     if method == "exact":
         if d > 3:
             raise ValueError("exact dual oracle is restricted to d <= 3")
-        rows = []
-        rhs = []
-        for m in range(1, size):
-            row = np.array([(m >> i) & 1 for i in range(d)], dtype=float)
-            rows.append(row)
-            rhs.append(float(theta.at(m)))
-        for i in range(d):
-            row = np.zeros(d)
-            row[i] = -1.0
-            rows.append(row)
-            rhs.append(0.0)
-        A = np.array(rows)
-        b = np.array(rhs)
-        best = -math.inf
-        best_mu = None
-        for pick in itertools.combinations(range(len(rows)), d):
+        # mu(K) <= theta(K) over the nonempty K, then -mu(x) <= 0
+        masks = np.arange(1, size)
+        A = np.concatenate([(masks[:, None] >> np.arange(d) & 1).astype(float),
+                            -np.eye(d) + 0.0])  # + 0.0 clears the -0.0 entries
+        b = np.concatenate([theta.at(masks), np.zeros(d)])
+        best, best_mu = -math.inf, None
+        for pick in itertools.combinations(range(len(A)), d):
             sub = A[list(pick)]
             if abs(np.linalg.det(sub)) < 1e-12:
                 continue
@@ -375,8 +366,7 @@ def dual_oracle(theta: Capacity, f, method: str = "exact",
                 continue
             val = float(v @ mu)
             if val > best:
-                best = val
-                best_mu = np.clip(mu, 0.0, None)
+                best, best_mu = val, np.clip(mu, 0.0, None)
         if best_mu is None:  # mu = 0 is always feasible, so this cannot happen
             raise RuntimeError("vertex enumeration found no feasible vertex")
         return best, DiscreteMeasure(theta.carrier, best_mu)

@@ -1,13 +1,14 @@
 """Self-verification battery: does a model behave like its own law?
 
+This module owns the statistics of a sample batch; simulate samples.
 Each check compares an exact quantity (Mobius roundtrip, closed-form
 Frechet scale, joint CDF, independence of the argmax, the continuity
 modulus, factorization over disjoint parts) against the simulation at an
 explicit threshold.  Exact lattice identities use the relative calculus
-tolerance (slack tol * theta(E), see Capacity.atol);
-Monte Carlo comparisons use 3-sigma bands for scale estimates and 4-sigma
-bands for probability and correlation statistics, so a healthy model
-fails any single check with probability well under 1e-4.
+tolerance (slack tol * theta(E), see Capacity.atol); Monte Carlo
+comparisons use the two bands named below, 3 sigma for scale estimates
+and 4 sigma for probability and correlation statistics, so a healthy
+model fails any single check with probability well under 1e-4.
 
 Every model but a spectral table is a CRSM, checked through its capacity
 theta = extremal_coefficients(ell) with exact lattice rows; a spectral
@@ -21,32 +22,20 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Union
+from typing import Sequence, Union
 
 import numpy as np
 
 from .carrier import _weighted_max
 from .setfun import (DEFAULT_TOL, Capacity, MobiusMeasure, _Owned, _release,
-                     capacity_from_measure, mobius_inverse)
-from .simulate import (
-    _FRECHET_MIN,
-    SimConfig,
-    argmax_independence_test,
-    continuity_bound_check,
-    couple,
-    frechet_scale_estimate,
-    independence_on_disjoint,
-    simulate_model,
-)
-from .tdf import (
-    PROBE_TOL,
-    SpectralTDF,
-    TailDependenceFunctional,
-    as_tdf,
-    check_max_complete_alternation,
-    extremal_coefficients,
-    joint_cdf,
-)
+                     _roundtrip_error, mobius_inverse)
+from .simulate import SampleBatch, SimConfig, _mask_of, couple, simulate_model
+from .tdf import (PROBE_TOL, SpectralTDF, TailDependenceFunctional, as_tdf,
+                  check_max_complete_alternation, extremal_coefficients, joint_cdf)
+
+_FRECHET_MIN = 30   # least observations of a Frechet scale estimate
+_SCALE_BAND = 3.0   # sigmas of a Frechet scale band
+_BAND = 4.0         # sigmas of a probability or correlation band
 
 Model = Union[Capacity, TailDependenceFunctional]
 
@@ -106,11 +95,7 @@ def verify_model(model: Model, samples: int = 20000, seed: int = 1,
         theta = extremal_coefficients(ell)
         atol = theta.atol(tol)
         nu = mobius_inverse(theta)
-        # the round trip, held as theta is, holds its own error (held by
-        # atoms, the weights come back as they are: 0)
-        back = _release(capacity_from_measure(nu))
-        err = float(np.max(np.abs(np.subtract(back, theta._held(), out=back), out=back)))
-        del back
+        err = _roundtrip_error(theta, nu)
         checks.append(CheckResult("mobius-roundtrip", err, atol, err <= atol))
         min_w, witness = nu.min_weight()
         ca = min_w >= -atol
@@ -173,13 +158,13 @@ def verify_model(model: Model, samples: int = 20000, seed: int = 1,
         p_hat = float(hit.mean())
         sigma = math.sqrt(max(p * (1 - p), 1e-12) / n)
         err = abs(p_hat - p)
-        checks.append(CheckResult(f"joint-cdf[grid-{i}]", err, 4 * sigma,
-                                  err <= 4 * sigma,
+        checks.append(CheckResult(f"joint-cdf[grid-{i}]", err, _BAND * sigma,
+                                  err <= _BAND * sigma,
                                   f"empirical {p_hat:.4f}, exact {p:.4f}"))
 
     if crsm:
         rep = argmax_independence_test(theta, anchor, batch)
-        checks.append(CheckResult("argmax-independence", abs(rep.z), 4.0, rep.passed,
+        checks.append(CheckResult("argmax-independence", abs(rep.z), _BAND, rep.passed,
                                   f"hit rate {rep.hit_rate:.3f}"))
         if relevant_idx.size >= 2:
             other = 1 << int(relevant_idx[1])
@@ -189,7 +174,7 @@ def verify_model(model: Model, samples: int = 20000, seed: int = 1,
                                       crep.bound + crep.slack, crep.passed))
             drep = independence_on_disjoint(theta, [anchor, other], batch)
             checks.append(CheckResult(
-                "disjoint-parts", drep.max_z, 4.0, drep.consistent,
+                "disjoint-parts", drep.max_z, _BAND, drep.consistent,
                 "independent" if drep.expect_independent else "dependence expected"))
     else:
         cpl = couple(model, SimConfig(seed=seed + 1, samples=min(samples, 2000)))
@@ -218,3 +203,184 @@ def coupling_violations(cpl) -> dict:
         "worst_gap": worst,
         "passed": lower_bad == 0 and upper_bad == 0 and sup_bad == 0,
     }
+
+
+@dataclass(frozen=True)
+class FrechetEstimate:
+    scale: float
+    half_width: float
+    n: int
+
+
+def frechet_scale_estimate(z: np.ndarray) -> FrechetEstimate:
+    """MLE of the scale a of a unit-shape Frechet sample.
+
+    1/z_j are iid Exp(a), so a_hat = n / sum(1/z_j); the reported
+    half-width is the _SCALE_BAND-sigma band, 3 a_hat / sqrt(n).  Requires at least
+    _FRECHET_MIN strictly positive observations.
+    """
+    z = np.asarray(z, dtype=float)
+    if z.ndim != 1 or z.size < _FRECHET_MIN:
+        raise ValueError(f"need at least {_FRECHET_MIN} observations, got {z.size}")
+    if np.any(z <= 0) or not np.all(np.isfinite(z)):
+        raise ValueError("Frechet scale needs strictly positive finite observations")
+    n = z.size
+    scale = n / float((1.0 / z).sum())
+    return FrechetEstimate(scale, _SCALE_BAND * scale / math.sqrt(n), n)
+
+
+def argmax_set(x: np.ndarray) -> int:
+    """Mask of the points where x attains its maximum, ties included; the
+    zero vector has no argmax and raises."""
+    x = np.asarray(x, dtype=float)
+    m = float(x.max())
+    if m <= 0.0:
+        raise ValueError("argmax of the zero vector is undefined")
+    return _mask_of(x == m)
+
+
+@dataclass(frozen=True)
+class ArgmaxIndependenceReport:
+    z: float
+    passed: bool
+    n: int
+    hit_rate: float
+    negative_control: bool
+
+
+def argmax_independence_test(theta: Capacity, region: int, batch: SampleBatch,
+                             negative_control: bool = False
+                             ) -> ArgmaxIndependenceReport:
+    """Correlation test of {argmax set meets region} against 1/X(E).
+
+    For an exact CRSM sample the argmax set equals the atom that realizes
+    the maximum (first_atoms) and is independent of X(E).  It meets region
+    iff X(region) = X(E), which is how the indicator is read, with no mask
+    per sample.  The statistic z = corr * sqrt(n) is
+    asymptotically standard normal, so |z| <= _BAND passes.  The negative
+    control replaces the indicator with {X(region) > median}, which is
+    strongly coupled to X(E) and must blow the same threshold up.  A flat
+    indicator passes, as independence then holds trivially; fewer than 2
+    samples, or a flat statistic in the negative control, raise.
+    """
+    theta.carrier.validate_mask(region)
+    if region == 0:
+        raise ValueError("region must be nonempty")
+    n = batch.n
+    if n < 2:
+        raise ValueError(f"the argmax test needs at least 2 samples, got {n}")
+    # 1/X(E) and the indicator are written as the rows of the one array
+    # corrcoef reads, and the two sups are dropped before it copies it
+    rows = np.empty((2, n))
+    t, ind = rows
+    top, stat = batch.sup(batch.carrier.full_mask), batch.sup(region)
+    if negative_control:
+        np.greater(stat, np.median(stat), out=ind)
+    else:
+        np.equal(stat, top, out=ind)
+    np.divide(1.0, top, out=t)
+    del top, stat
+    flat = ind.std() == 0.0 or t.std() == 0.0
+    if flat and negative_control:
+        raise ValueError("the negative control's statistic has no spread over "
+                         f"these {n} samples, so the control cannot fail")
+    z = 0.0 if flat else float(np.corrcoef(rows)[0, 1]) * math.sqrt(n)
+    return ArgmaxIndependenceReport(z, abs(z) <= _BAND, n, float(ind.mean()),
+                                    negative_control)
+
+
+@dataclass(frozen=True)
+class ContinuityReport:
+    p_hat: float
+    bound: float
+    slack: float
+    passed: bool
+    n: int
+
+
+def continuity_bound_check(theta: Capacity, k1: int, k2: int, eps: float,
+                           batch: SampleBatch) -> ContinuityReport:
+    """Empirical check of P(|X(K1) - X(K2)| > eps) <= modulus / eps.
+
+    The modulus is 2 theta(K1 | K2) - theta(K1) - theta(K2); the empirical
+    side gets a _BAND-sigma binomial allowance on top of the bound.
+    """
+    theta.carrier.validate_mask(k1)
+    theta.carrier.validate_mask(k2)
+    if not (eps > 0 and math.isfinite(eps)):
+        raise ValueError(f"eps must be positive finite, got {eps}")
+    diff = np.abs(batch.sup(k1) - batch.sup(k2))
+    p_hat = float((diff > eps).mean())
+    n = batch.n
+    bound = (2.0 * float(theta.at(k1 | k2)) - float(theta.at(k1))
+             - float(theta.at(k2))) / eps
+    slack = _BAND * math.sqrt(p_hat * (1.0 - p_hat) / n)
+    return ContinuityReport(p_hat, bound, slack, p_hat <= bound + slack, n)
+
+
+@dataclass(frozen=True)
+class DisjointnessCheck:
+    part_a: int
+    part_b: int
+    level_a: float
+    level_b: float
+    p_product: float
+    p_hat: float
+    sigma: float
+
+
+@dataclass(frozen=True)
+class DisjointnessReport:
+    cross_mass: float
+    expect_independent: bool
+    max_z: float
+    consistent: bool
+    checks: tuple[DisjointnessCheck, ...]
+
+
+def independence_on_disjoint(theta: Capacity, parts: Sequence[int],
+                             batch: SampleBatch) -> DisjointnessReport:
+    """Factorization test of the CRSM over disjoint parts.
+
+    X is independent over the parts iff no Mobius mass touches two of
+    them.  cross_mass = sum_i theta(P_i) - theta(union of the P_i) is that
+    mass, each atom counted once per part it meets beyond the first; this
+    exact criterion decides what the empirical side must show.  For each
+    pair and q in (0.3, 0.5, 0.8) the joint empirical CDF at the exact
+    marginal q-quantiles is compared against the product q**2 with a
+    _BAND-sigma binomial allowance: independence must stay inside the
+    band, genuine dependence must break it somewhere.
+    """
+    if len(parts) < 2:
+        raise ValueError("need at least two parts")
+    seen = 0
+    for p in parts:
+        theta.carrier.validate_mask(p)
+        if p == 0:
+            raise ValueError("parts must be nonempty")
+        if p & seen:
+            raise ValueError("parts overlap")
+        if theta.at(p) <= 0:
+            raise ValueError("parts must carry positive capacity")
+        seen |= p
+    cross_mass = sum(float(theta.at(p)) for p in parts) - float(theta.at(seen))
+    expect_independent = cross_mass <= theta.atol(DEFAULT_TOL)
+
+    n = batch.n
+    sups = {p: batch.sup(p) for p in parts}
+    checks = []
+    max_z = 0.0
+    for i in range(len(parts)):
+        for j in range(i + 1, len(parts)):
+            a, b = parts[i], parts[j]
+            for q in (0.3, 0.5, 0.8):
+                s = float(theta.at(a)) / (-math.log(q))
+                t = float(theta.at(b)) / (-math.log(q))
+                p_prod = q * q
+                p_hat = float(((sups[a] <= s) & (sups[b] <= t)).mean())
+                sigma = math.sqrt(p_prod * (1.0 - p_prod) / n)
+                checks.append(DisjointnessCheck(a, b, s, t, p_prod, p_hat, sigma))
+                max_z = max(max_z, abs(p_hat - p_prod) / sigma)
+    consistent = (max_z <= _BAND) if expect_independent else (max_z > _BAND)
+    return DisjointnessReport(cross_mass, expect_independent, max_z, consistent,
+                              tuple(checks))

@@ -23,16 +23,7 @@ from crsm.setfun import (
     mobius_inverse,
     successive_difference,
 )
-from crsm.simulate import (
-    SimConfig,
-    SpectralSampler,
-    argmax_independence_test,
-    continuity_bound_check,
-    couple,
-    frechet_scale_estimate,
-    independence_on_disjoint,
-    simulate_crsm,
-)
+from crsm.simulate import SimConfig, SpectralSampler, couple, simulate_crsm
 from crsm.tdf import (
     ChoquetTDF,
     SpectralTDF,
@@ -49,7 +40,13 @@ from crsm.transforms import (
     torus_storm_capacity,
 )
 from crsm.tdf import DiscreteMeasure
-from crsm.verify import coupling_violations
+from crsm.verify import (
+    argmax_independence_test,
+    continuity_bound_check,
+    coupling_violations,
+    frechet_scale_estimate,
+    independence_on_disjoint,
+)
 
 
 def report(name: str, ok: bool, detail: str, elapsed: float, budget: float) -> None:

@@ -16,7 +16,7 @@ import pytest
 
 from conftest import carrier_of, random_f
 from test_transforms import random_storm_law
-from crsm.io import parse_model
+from crsm.io import mobius_to_json, parse_model
 from crsm.integrals import choquet_integral, extremal_integral, extremal_integral_setform
 from crsm.setfun import (Capacity, MobiusMeasure, _additive_table, _Owned, atom_capacity,
                          capacity_from_measure, classify, mobius_inverse)
@@ -310,3 +310,36 @@ def test_classify_and_stationarity_of_a_parsed_storm_allocate_no_table():
     assert (cls.min_mobius_weight, cls.min_mobius_witness) == (0.0, 1)
     assert theta._table is None
     assert peak < 1 << 20, peak
+
+
+@pytest.mark.parametrize("name, build", MODELS, ids=IDS)
+def test_mobius_artifact_of_atoms_matches_the_spread_route(name, build):
+    # the atoms give the dict, and the bytes, that the spread weights and
+    # the table of every subset key give
+    nu = mobius_inverse(build())
+    c = nu.carrier
+    weights = nu.weights
+    masks = np.flatnonzero(weights)
+    spread = {"kind": "mobius", "carrier": c.to_json(),
+              "weights": dict(zip(c.subset_keys()[masks].tolist(), weights[masks].tolist()))}
+    got = mobius_to_json(mobius_inverse(build()))
+    assert json.dumps(got, indent=2) == json.dumps(spread, indent=2)
+
+
+def test_dual_and_mobius_of_a_parsed_storm_allocate_no_table():
+    model = {"dim": 1, "kind": "torus_storm", "n": 20, "scale": 1.5,
+             "shapes": [{"p": 0.6, "points": [0, 3, 7]}, {"p": 0.4, "points": [1, 2]}]}
+    f = np.random.default_rng(3).uniform(0.0, 2.0, 20)
+    tracemalloc.start()
+    try:
+        theta = parse_model(model)
+        mu, value = dual_greedy(theta, f)
+        nu = mobius_inverse(theta)
+        artifact = mobius_to_json(nu)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert theta._table is None and nu._table is None
+    assert peak < 1 << 20, peak
+    assert len(artifact["weights"]) == 40
+    assert math.isclose(value, choquet_integral(f, theta), rel_tol=1e-12)

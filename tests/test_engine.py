@@ -21,11 +21,12 @@ import pytest
 
 from conftest import (carrier_of, crsm_atoms, indicator_tdf, random_ca_capacity,
                       skewed_capacity)
+from crsm import setfun
 from crsm import simulate as sim
 from crsm.carrier import Carrier, iter_bits
 from crsm.io import parse_model
 from crsm.setfun import (Capacity, MobiusMeasure, _Owned, capacity_from_measure,
-                         mobius_inverse)
+                         mobius_inverse, positive_atoms)
 from crsm.simulate import (
     BLOCK,
     BULK_ROUNDS,
@@ -199,12 +200,12 @@ def atom_cases() -> dict:
             for name, w in cases.items()}
 
 
-@pytest.mark.parametrize("span", [3, sim._SPAN])
+@pytest.mark.parametrize("span", [3, setfun._SPAN])
 @pytest.mark.parametrize("name", ["all positive", "one atom", "sparse", "negative in band"])
 def test_atoms_built_in_place_match_the_clipped_reference(monkeypatch, name, span):
     # the atoms, their weights and the pick table are bit-equal to a plain
     # clip / flatnonzero / cumsum over a fresh copy of the Mobius table
-    monkeypatch.setattr(sim, "_SPAN", span)
+    monkeypatch.setattr(setfun, "_SPAN", span)
     theta = atom_cases()[name]
     masks, weights = crsm_atoms(theta)
     if name == "negative in band":
@@ -213,7 +214,7 @@ def test_atoms_built_in_place_match_the_clipped_reference(monkeypatch, name, spa
     ref_cum = ref_cum / ref_cum[-1]
     handed = mobius_inverse(theta)
     for given in (None, _Owned(handed)):
-        got_masks, got_weights, relevant = sim._crsm_atoms(sim._certified(theta, given))
+        got_masks, got_weights, relevant = positive_atoms(_Owned(sim._certified(theta, given)))
         assert np.array_equal(got_masks, masks)
         assert relevant == int(np.bitwise_or.reduce(masks))
         assert got_weights.tobytes() == weights.tobytes()
@@ -593,7 +594,7 @@ def test_size_picks_match_the_table_route(d):
     # but none of these does
     u = np.random.default_rng(7).random(100_000)
     for name, theta in size_models(d).items():
-        masks, weights, _ = sim._crsm_atoms(sim._certified(theta, None))
+        masks, weights, _ = positive_atoms(_Owned(sim._certified(theta, None)))
         cum = sim._cumulative(weights)
         idx = np.searchsorted(cum, u, side="right")
         got = picked_masks(size_picks(theta), u)

@@ -1024,6 +1024,17 @@ def test_cli_warns_before_a_huge_artifact(tmp_path, capsys, monkeypatch, command
                 "and 0.91 GB (2 cores, 8 GB)") in err
 
 
+def test_cli_mobius_of_atoms_skips_the_huge_warning(tmp_path, capsys):
+    # a storm's artifact holds its atoms, not 2^22 entries
+    model = tmp_path / "storm22.json"
+    model.write_text(json.dumps({"kind": "torus_storm", "n": 22, "scale": 1.5, "shapes": [
+        {"p": 0.6, "points": [0, 3, 7]}, {"p": 0.4, "points": [1, 2]}]}))
+    out = tmp_path / "nu.json"
+    assert main(["mobius", "--model", str(model), "--out", str(out), "--deterministic"]) == 0
+    assert capsys.readouterr().err == ""
+    assert len(json.loads(out.read_text())["weights"]) == 44
+
+
 def test_cli_check_tdf_probe(spectral_file, capsys):
     assert main(["check", "--model", spectral_file, "--seed", "0",
                  "--trials", "200", "--deterministic"]) == 0

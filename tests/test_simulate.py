@@ -5,13 +5,16 @@ bands and fixed seeds, so they are deterministic here while the acceptance
 suite re-runs them at full scale.
 """
 
+import ast
 import math
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from conftest import carrier_of, indicator_tdf
+import crsm
 from crsm.carrier import Carrier, _weighted_max
 from crsm.setfun import Capacity
 from crsm.simulate import (
@@ -20,12 +23,7 @@ from crsm.simulate import (
     SampleBatch,
     SimConfig,
     SpectralSampler,
-    argmax_independence_test,
-    argmax_set,
-    continuity_bound_check,
     couple,
-    frechet_scale_estimate,
-    independence_on_disjoint,
     simulate_crsm,
     simulate_model,
     simulate_spectral,
@@ -40,6 +38,13 @@ from crsm.tdf import (
     joint_cdf,
 )
 from crsm.transforms import exchangeable_capacity, torus_storm_capacity
+from crsm.verify import (
+    argmax_independence_test,
+    argmax_set,
+    continuity_bound_check,
+    frechet_scale_estimate,
+    independence_on_disjoint,
+)
 
 
 def theta2() -> Capacity:
@@ -347,3 +352,38 @@ def test_coupling_sandwich_exact():
     # the declared upper bound shares the sup with the exact path bitwise
     assert np.array_equal(cpl.upper.values.max(axis=1),
                           cpl.exact.values.max(axis=1))
+
+
+def sampler_overreach(package: Path) -> list[str]:
+    """Every public module-level function outside verify.py with a
+    SampleBatch parameter, and every setflags(write=True) call or
+    itertools import in simulate.py, as module:line.what."""
+    found = []
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        if path.name != "verify.py":
+            for node in tree.body:
+                if (isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
+                        and any(a.annotation is not None
+                                and "SampleBatch" in ast.unparse(a.annotation)
+                                for a in node.args.args + node.args.kwonlyargs)):
+                    found.append(f"{path.name}:{node.lineno}.{node.name}")
+        if path.name != "simulate.py":
+            continue
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                    and node.func.attr == "setflags"
+                    and any(k.arg == "write" and ast.literal_eval(k.value) is True
+                            for k in node.keywords)):
+                found.append(f"{path.name}:{node.lineno}.setflags")
+            names = ([a.name for a in node.names] if isinstance(node, ast.Import)
+                     else [node.module] if isinstance(node, ast.ImportFrom) else [])
+            if "itertools" in names:
+                found.append(f"{path.name}:{node.lineno}.itertools")
+    return found
+
+
+def test_simulate_only_samples():
+    # the statistics a batch must pass live in verify.py, and setfun lists
+    # a measure's atoms: simulate.py samples
+    assert sampler_overreach(Path(crsm.__file__).parent) == []

@@ -10,14 +10,14 @@ from crsm import setfun
 from crsm.carrier import Carrier
 from crsm.setfun import (Capacity, MobiusMeasure, capacity_from_measure, classify,
                          mobius_inverse)
-from crsm.simulate import (SimConfig, independence_on_disjoint, simulate_crsm,
-                           simulate_model)
+from crsm.simulate import SimConfig, simulate_crsm, simulate_model
 from crsm.integrals import comonotone_additivity_check
 from crsm.tdf import (ChoquetTDF, DiscreteMeasure, LebesgueTDF, SpectralTDF,
                       check_max_complete_alternation, crsm_envelope, dominates,
                       dual_greedy)
-from crsm.transforms import distortion_capacity, exchangeable_capacity
-from crsm.verify import CheckResult, coupling_violations, verify_model
+from crsm.transforms import distortion_capacity, exchangeable_capacity, torus_storm_capacity
+from crsm.verify import (CheckResult, coupling_violations, independence_on_disjoint,
+                         verify_model)
 
 
 def test_non_ca_model_fails_fast():
@@ -355,3 +355,20 @@ def test_coupling_passes_only_without_violations():
         assert v["passed"] is ok, name
         assert ok == (v["lower_violations"] == v["upper_violations"]
                       == v["sup_mismatches"] == 0), name
+
+
+def test_roundtrip_row_reads_the_recipe_of_an_atom_capacity():
+    # held by atoms, the row compares theta's own recipe with the capacity
+    # of its Mobius atoms on singletons and one chain, so a recipe whose
+    # two shapes' q are swapped fails it
+    def storm():
+        return torus_storm_capacity(10, [([0, 3, 7], 0.6), ([1, 2], 0.4)], scale=1.5)
+
+    row = verify_model(storm(), samples=200, seed=1)[0]
+    assert row.name == "mobius-roundtrip" and row.passed
+    tampered = storm()
+    copies, starts, q, scale = tampered._parts
+    tampered._parts = (copies, starts, q[::-1].copy(), scale)
+    row = verify_model(tampered, samples=200, seed=1)[0]
+    assert row.name == "mobius-roundtrip" and not row.passed
+    assert row.statistic > 0.1
