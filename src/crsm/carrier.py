@@ -17,13 +17,17 @@ sup over K at v = 1_K, the extremal integral of f at v = f.
 
 from __future__ import annotations
 
-import json
+import operator
 from dataclasses import dataclass, field
+from itertools import chain, repeat
 from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
 MAX_CARRIER_SIZE = 24
+
+# Subset keys are built and read in blocks of 2**_KEY_BLOCK_BITS masks.
+_KEY_BLOCK_BITS = 12
 
 
 class CarrierSizeError(ValueError):
@@ -144,24 +148,37 @@ class Carrier:
         return ",".join(sorted(self.labels_of(mask)))
 
     def subset_keys(self) -> np.ndarray:
-        """subset_key of every mask 0..2**d - 1, as an object array.
+        """subset_key of every mask 0..2**d - 1, as an object array."""
+        keys = np.empty(1 << self.size, dtype=object)
+        for masks, block in self.subset_key_blocks():
+            keys[masks] = list(block)
+        return keys
 
-        Keys are built by doubling once per label in sorted label order,
-        where appending the next label keeps each key sorted; a second
-        doubling maps carrier masks to masks over that sorted order.
+    def subset_key_blocks(self) -> Iterator[tuple[np.ndarray, Iterable[str]]]:
+        """Blocks (masks, keys) that cover each mask once, keys yielding the
+        subset_key of each mask.  The first holds the subsets of the lowest
+        _KEY_BLOCK_BITS labels in sorted order; each other block appends a
+        subset of the rest to those keys, one key at a time as it is read.
         """
         order = sorted(range(self.size), key=self.labels.__getitem__)
+        base_masks, base = self._doubled(order[:_KEY_BLOCK_BITS])
+        high_masks, highs = self._doubled(order[_KEY_BLOCK_BITS:])
+        yield base_masks, base
+        for high_mask, high in zip(high_masks[1:].tolist(), highs[1:]):
+            yield (base_masks | high_mask,
+                   chain((high,), map(operator.add, base[1:], repeat("," + high))))
+
+    def _doubled(self, points: list[int]) -> tuple[np.ndarray, list[str]]:
+        """Masks and keys of the subsets of points, given in sorted label
+        order, by doubling: appending the next label keeps each key sorted."""
+        masks = np.zeros(1, dtype=np.int64)
         keys = np.array([""], dtype=object)
-        for i in order:
+        for i in points:
             more = keys + ("," + self.labels[i])
             more[0] = self.labels[i]
+            masks = np.concatenate([masks, masks | (1 << i)])
             keys = np.concatenate([keys, more])
-        rank = np.empty(self.size, dtype=np.int64)
-        rank[order] = np.arange(self.size)
-        sorted_mask = np.zeros(1, dtype=np.int64)
-        for r in rank.tolist():
-            sorted_mask = np.concatenate([sorted_mask, sorted_mask | (1 << r)])
-        return keys[sorted_mask]
+        return masks, keys.tolist()
 
     def mask_from_key(self, key: str) -> int:
         return self.mask_of(key.split(","))
@@ -234,8 +251,3 @@ def _weighted_max(values: np.ndarray, v: np.ndarray) -> np.ndarray:
     for i in np.flatnonzero(v):
         np.maximum(out, values[:, i] * v[i], out=out)
     return out
-
-
-def canonical_json(obj) -> str:
-    """Deterministic JSON encoding used for hashing and byte-stable artifacts."""
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))

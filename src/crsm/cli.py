@@ -37,6 +37,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import datetime
+import hashlib
 import json
 import math
 import os
@@ -54,7 +55,6 @@ from .io import (
     capacity_to_json,
     load_json_file,
     mobius_to_json,
-    model_hash,
     parse_capacity,
     parse_label_set,
     parse_model,
@@ -106,10 +106,10 @@ def _provenance(seed: Optional[int], obj, deterministic: bool) -> dict:
     return prov
 
 
-# Entries per block that the JSON and CSV writers format, or the CSV reader
-# parses, at once.  Their temporary Python objects take about 100 bytes per
-# entry, so a block stays under 1 MB whatever N and d are.
-_BLOCK_VALUES = 8192
+# Scalars (a dict entry counts two) per block that the JSON and CSV writers
+# format, or the CSV reader parses, at once: about 120 bytes of temporary
+# Python objects each, so a block stays near 0.25 MB whatever N and d are.
+_BLOCK_VALUES = 2048
 
 _CONTAINERS = (dict, list, tuple)
 
@@ -124,7 +124,7 @@ def _emit_json(payload: dict, out: Optional[str]) -> None:
     own line ("\n" and those spaces before the first), then "\n", the
     container's indent and its closing bracket; an empty one is {} or [].
     A container whose members are all scalars is encoded in blocks of
-    _BLOCK_VALUES members by the C encoder, whose separators are set to that
+    _BLOCK_VALUES scalars by the C encoder, whose separators are set to that
     same ",\n" plus indent, and which encodes scalars and coerces keys as the
     indent encoder does; each block's brackets are dropped.  Any other
     container recurses member by member, its keys coerced as json does."""
@@ -137,9 +137,17 @@ def _emit_json(payload: dict, out: Optional[str]) -> None:
         sys.stdout.write("\n")
 
 
-def _write_json(write, obj, newline: str) -> None:
+def model_hash(obj) -> str:
+    """sha256 of json.dumps(obj, sort_keys=True, separators=(",", ":")),
+    streamed by the compact writer."""
+    h = hashlib.sha256()
+    _write_json(lambda text: h.update(text.encode()), obj, "", ":")
+    return h.hexdigest()
+
+
+def _write_json(write, obj, newline: str, colon: str = ": ") -> None:
     """The indent=2, sort_keys=True text of obj, on a line that starts with
-    newline, passed to write in pieces."""
+    newline, passed to write in pieces; compact with newline "", colon ":"."""
     if not isinstance(obj, _CONTAINERS):
         write(json.dumps(obj))
         return
@@ -149,20 +157,21 @@ def _write_json(write, obj, newline: str) -> None:
         write(opening + closing)
         return
     keys = sorted(obj) if is_dict else range(len(obj))
-    inner = newline + "  "
+    inner = newline + "  " if newline else ""
     write(opening)
     if not any(isinstance(v, _CONTAINERS) for v in (obj.values() if is_dict else obj)):
-        encoder = json.JSONEncoder(separators=("," + inner, ": "))
-        for start in range(0, len(obj), _BLOCK_VALUES):
-            stop = start + _BLOCK_VALUES
+        encoder = json.JSONEncoder(separators=("," + inner, colon))
+        step = _BLOCK_VALUES // 2 if is_dict else _BLOCK_VALUES
+        for start in range(0, len(obj), step):
+            stop = start + step
             block = {k: obj[k] for k in keys[start:stop]} if is_dict else obj[start:stop]
             write(("," if start else "") + inner + encoder.encode(block)[1:-1])
     else:
         for i, key in enumerate(keys):
             write(("," if i else "") + inner)
             if is_dict:
-                write(_json_key(key) + ": ")
-            _write_json(write, obj[key], inner)
+                write(_json_key(key) + colon)
+            _write_json(write, obj[key], inner, colon)
     write(newline + closing)
 
 

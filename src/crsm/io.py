@@ -27,15 +27,15 @@ refused size (CLI exit 3).
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 import sys
+from itertools import repeat
 from typing import Union
 
 import numpy as np
 
-from .carrier import Carrier, CarrierSizeError, TorusTag, canonical_json
+from .carrier import Carrier, CarrierSizeError, TorusTag
 from .setfun import Capacity, MobiusMeasure, _Owned
 from .tdf import (
     ChoquetTDF,
@@ -116,19 +116,19 @@ def _few_keys(carrier: Carrier, count: int) -> bool:
     return count * carrier.size < 1 << carrier.size
 
 
-def _leading_numbers(vals: list, nonneg: bool) -> tuple[np.ndarray, int]:
-    """The values as floats, in one pass, and how many of them come before
-    the first that _number(val, loc, nonneg=nonneg) refuses; only the
-    floats before it are meaningful."""
+def _leading_numbers(vals, nonneg: bool) -> tuple[np.ndarray, int]:
+    """The values (a list or a dict's values) as floats, in one pass, and how
+    many of them come before the first that _number(val, loc, nonneg=nonneg)
+    refuses; only the floats before it are meaningful."""
     n = len(vals)
     if not set(map(type, vals)) <= {int, float}:
         n = next((i for i, v in enumerate(vals)
                   if isinstance(v, bool) or not isinstance(v, (int, float))), n)
     try:
-        arr = np.array(vals[:n], dtype=float)
+        arr = np.fromiter(vals, float, n)
     except OverflowError:  # an int beyond the float range, as in _number
         n = next(i for i, v in enumerate(vals) if abs(v) > sys.float_info.max)
-        arr = np.array(vals[:n], dtype=float)
+        arr = np.fromiter(vals, float, n)
     bad = ~np.isfinite(arr)
     if nonneg:
         bad |= arr < 0
@@ -140,20 +140,26 @@ def _parse_subset_table(carrier: Carrier, table_obj, path: str,
     if not isinstance(table_obj, dict):
         raise SchemaError(path, "expected an object mapping subsets to numbers")
     size = 1 << carrier.size
-    values, good = _leading_numbers(list(table_obj.values()), nonneg)
-    canonical = ({} if _few_keys(carrier, len(table_obj))
-                 else dict(zip(carrier.subset_keys().tolist(), range(size))))
-    masks = np.fromiter((canonical.get(key, 0) for key in table_obj),
-                        np.int64, len(table_obj))
-    arr = np.zeros(size)
-    given = np.zeros(size, dtype=bool)
-    given[masks] = True
-    if good == len(masks) and masks.all() and np.count_nonzero(given) == len(masks):
-        # every key canonical, nonempty and distinct, every value accepted
-        arr[masks] = values
-    else:
+    good = _leading_numbers(table_obj.values(), nonneg)[1]
+    given = None
+    if good == len(table_obj) and not _few_keys(carrier, good):
+        # every value is accepted, so nan marks a subset whose canonical key
+        # the document lacks; each key is looked up in the document's dict
+        arr = np.empty(size)
+        get = table_obj.get
+        for masks, keys in carrier.subset_key_blocks():
+            arr[masks] = np.fromiter(map(get, keys, repeat(math.nan)), float, masks.size)
+        arr[0] = 0.0
+        absent = np.isnan(arr)
+        if size - 1 - np.count_nonzero(absent) == good:
+            # so every key is canonical and nonempty
+            arr[absent] = 0.0
+            given = ~absent
+    if given is None:
         # the first offending entry, in entry order, names the error
-        given[:] = False
+        values = _leading_numbers(table_obj.values(), nonneg)[0]
+        arr = np.zeros(size)
+        given = np.zeros(size, dtype=bool)
         for i, (key, val) in enumerate(table_obj.items()):
             loc = f'{path}["{key}"]'
             if key == "":
@@ -161,7 +167,7 @@ def _parse_subset_table(carrier: Carrier, table_obj, path: str,
                     raise SchemaError(loc, "the empty set must map to 0 (or be omitted)")
                 continue
             try:
-                mask = canonical[key] if key in canonical else carrier.mask_from_key(key)
+                mask = carrier.mask_from_key(key)
             except KeyError as e:
                 raise SchemaError(loc, e.args[0]) from None
             if given[mask]:
@@ -382,11 +388,6 @@ def parse_pairs(obj, carrier: Carrier, path: str = "$") -> list[tuple[int, float
         level = _number(_need(entry, "level", loc), f"{loc}.level", positive=True)
         pairs.append((mask, level))
     return pairs
-
-
-def model_hash(obj) -> str:
-    """sha256 of the canonical (sorted, compact) JSON encoding."""
-    return hashlib.sha256(canonical_json(obj).encode()).hexdigest()
 
 
 def _unreadable(path: str, e: OSError) -> SchemaError:

@@ -270,16 +270,18 @@ def argmax_independence_test(theta: Capacity, region: int, batch: SampleBatch,
     if n < 2:
         raise ValueError(f"the argmax test needs at least 2 samples, got {n}")
     # 1/X(E) and the indicator are written as the rows of the one array
-    # corrcoef reads, and the two sups are dropped before it copies it
+    # corrcoef reads; X(E) is copied in before X(region) is formed, and
+    # X(region) is dropped before corrcoef copies the rows
     rows = np.empty((2, n))
     t, ind = rows
-    top, stat = batch.sup(batch.carrier.full_mask), batch.sup(region)
+    t[:] = batch.sup(batch.carrier.full_mask)
+    stat = batch.sup(region)
     if negative_control:
         np.greater(stat, np.median(stat), out=ind)
     else:
-        np.equal(stat, top, out=ind)
-    np.divide(1.0, top, out=t)
-    del top, stat
+        np.equal(stat, t, out=ind)
+    np.divide(1.0, t, out=t)
+    del stat
     flat = ind.std() == 0.0 or t.std() == 0.0
     if flat and negative_control:
         raise ValueError("the negative control's statistic has no spread over "

@@ -2,12 +2,12 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+import crsm.carrier as carrier_module
 from crsm.carrier import (
     Carrier,
     CarrierSizeError,
     TorusTag,
     as_values,
-    canonical_json,
     iter_bits,
     popcounts,
 )
@@ -34,6 +34,21 @@ def test_subset_key_sorted():
     assert c.subset_key(0b11) == "a,b"
     assert c.mask_from_key("a,b") == 0b11
     assert c.mask_from_key("b") == 0b01
+
+
+@pytest.mark.parametrize("bits", [0, 2, carrier_module._KEY_BLOCK_BITS])
+def test_subset_key_blocks_cover_every_mask_once(monkeypatch, bits):
+    # unsorted labels, some sorting below ",", so sorted order is not bit order
+    monkeypatch.setattr(carrier_module, "_KEY_BLOCK_BITS", bits)
+    c = Carrier(("z", "b", "ab", "a", "q", "B", "a b", "+"))
+    masks, keys = [], []
+    for block_masks, block in c.subset_key_blocks():
+        masks += block_masks.tolist()
+        keys += list(block)
+        assert len(masks) == len(keys)
+    assert sorted(masks) == list(range(1 << c.size))
+    assert keys == [c.subset_key(m) for m in masks]
+    assert c.subset_keys().tolist() == [c.subset_key(m) for m in range(1 << c.size)]
 
 
 def test_label_validation():
@@ -124,12 +139,6 @@ def test_carrier_json_roundtrip():
     assert c2 == c
     plain = Carrier(("a", "b"))
     assert parse_carrier(plain.to_json()) == plain
-
-
-def test_canonical_json_stable():
-    s1 = canonical_json({"b": 1, "a": [1.5, 2]})
-    s2 = canonical_json({"a": [1.5, 2], "b": 1})
-    assert s1 == s2
 
 
 @given(st.integers(min_value=1, max_value=10), st.data())

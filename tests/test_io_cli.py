@@ -1,26 +1,28 @@
 """JSON schemas and the command line, exercised in process."""
 
 import ast
+import hashlib
 import json
 import math
 import os
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from conftest import near_ca_table, skewed_capacity
+import crsm.carrier as carrier_module
 from crsm import cli
 from crsm.carrier import Carrier, CarrierSizeError
-from crsm.cli import _csv_block_rows, _read_batch_csv, _write_batch_csv, main
+from crsm.cli import _csv_block_rows, _read_batch_csv, _write_batch_csv, main, model_hash
 from crsm.io import (
     SchemaError,
     capacity_to_json,
     mobius_to_json,
-    model_hash,
     parse_bernstein,
     parse_capacity,
     parse_mobius,
@@ -31,7 +33,7 @@ from crsm.io import (
 from crsm.setfun import Capacity, mobius_inverse
 from crsm.simulate import SampleBatch
 from crsm.tdf import ChoquetTDF, LebesgueTDF, SpectralTDF, check_max_complete_alternation
-from crsm.transforms import check_stationary
+from crsm.transforms import check_stationary, exchangeable_capacity
 
 THETA2 = {"kind": "table", "carrier": ["a", "b"],
           "table": {"a": 1.0, "b": 1.0, "a,b": 1.5}}
@@ -176,6 +178,83 @@ def test_permuted_subset_key_parses_like_canonical():
     with pytest.raises(SchemaError, match=r"""\$\.table\["a,z"\]: label 'z' not in carrier"""):
         parse_capacity({"kind": "table", "carrier": ["a", "b"],
                         "table": {"a": 1, "b": 1, "a,z": 1.5}})
+
+
+# 11 labels, so 2047 keys take the lookup route, and in string order "x10"
+# sorts before "x2"
+LABELS11 = [f"x{i}" for i in range(11)]
+
+
+def _table11() -> dict:
+    keys = Carrier(tuple(LABELS11)).subset_keys()[1:].tolist()
+    return {k: 1.0 + i / 7 for i, k in enumerate(keys)}
+
+
+def _entry_order(carrier: Carrier, table: dict) -> np.ndarray:
+    """The table as the entry-order route reads it, one key at a time."""
+    arr = np.zeros(1 << carrier.size)
+    for key, val in table.items():
+        if key:
+            arr[carrier.mask_from_key(key)] = float(val)
+    return arr
+
+
+@pytest.mark.parametrize("bits", [2, None])
+def test_lookup_route_reads_what_the_entry_order_route_reads(monkeypatch, bits):
+    # the lookup route, with small key blocks and the module's own, on
+    # shuffled entries of an unsorted carrier, ints beyond 2**53 among the
+    # values, and sparse Mobius weights; adding the key "" sends the same
+    # document down the entry-order route
+    if bits is not None:
+        monkeypatch.setattr(carrier_module, "_KEY_BLOCK_BITS", bits)
+    rng = np.random.default_rng(7)
+    labels = ["z", "b", "ab", "a", "q", "B", "a b", "+", "x10", "x2", "\u00e9"]
+    c = Carrier(tuple(labels))
+    keys = c.subset_keys()[1:].tolist()
+    ints = [2 ** 53 + 1, 2 ** 60 + 3, 0, 7, 2 ** 53 - 1]
+    values = [ints[i % 5] if i % 3 == 0 else float(rng.random()) for i in range(len(keys))]
+    items = list(zip(keys, values))
+    rng.shuffle(items)
+    table = dict(items)
+    theta = parse_capacity({"kind": "table", "carrier": labels, "table": table})
+    want = _entry_order(c, table)
+    assert theta.table.tobytes() == want.tobytes()
+    assert theta.table[c.mask_from_key(keys[0])] == float(2 ** 53 + 1) == 2.0 ** 53
+    again = parse_capacity({"kind": "table", "carrier": labels, "table": {"": 0, **table}})
+    assert again.table.tobytes() == want.tobytes()
+    sparse = {k: -v if i % 2 else v for i, (k, v) in enumerate(items[::3])}
+    nu = parse_mobius({"carrier": labels, "weights": sparse})
+    assert nu.weights.tobytes() == _entry_order(c, sparse).tobytes()
+    assert parse_mobius({"carrier": labels, "weights": {**sparse, "": 0.0}}
+                        ).weights.tobytes() == nu.weights.tobytes()
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda t: {**t, "x3,x3": 1.0}, '["x3,x3"]: subset \'x3\' given twice'),
+    (lambda t: {**t, "x2,x1": 1.0}, '["x2,x1"]: subset \'x1,x2\' given twice'),
+    (lambda t: {"x2,x1": 1.0, **t}, '["x1,x2"]: subset \'x1,x2\' given twice'),
+    (lambda t: {**t, "": 0.5}, '[""]: the empty set must map to 0 (or be omitted)'),
+    (lambda t: {("x1,zz" if k == "x1,x7" else k): v for k, v in t.items()},
+     '["x1,zz"]: label \'zz\' not in carrier'),
+    (lambda t: {**t, "x4": True}, '["x4"]: expected a number, got True'),
+    (lambda t: {k: v for k, v in t.items() if k not in ("x0,x5", "x10")},
+     ": missing subsets: 'x0,x5', 'x10'"),
+    (lambda t: {("x9,x3" if k == "x3,x9" else k): v for k, v in t.items()
+                if k != "x0,x10,x2"}, ": missing subsets: 'x0,x10,x2'"),
+])
+def test_table_errors_name_the_first_offending_entry(edit, message):
+    with pytest.raises(SchemaError) as exc:
+        parse_capacity({"kind": "table", "carrier": LABELS11, "table": edit(_table11())})
+    assert str(exc.value) == "at $.table" + message
+
+
+def test_noncanonical_keys_parse_like_canonical_ones():
+    # a permuted or repeated label names the same subset, when it is the
+    # only key that does
+    table = _table11()
+    edited = {{"x1,x2": "x2,x1", "x3": "x3,x3"}.get(k, k): v for k, v in table.items()}
+    theta = parse_capacity({"kind": "table", "carrier": LABELS11, "table": edited})
+    assert theta.table.tobytes() == _entry_order(Carrier(tuple(LABELS11)), table).tobytes()
 
 
 def test_size_cap_is_not_a_schema_error():
@@ -454,6 +533,44 @@ def test_json_writer_matches_json_dumps(monkeypatch, tmp_path, capsys, block):
             json.dumps(bad, indent=2, sort_keys=True)
         with pytest.raises(TypeError):
             cli._emit_json(bad, str(out))
+
+
+@pytest.mark.parametrize("block", [3, None])
+def test_model_hash_is_the_sha256_of_the_compact_sorted_json(monkeypatch, block):
+    # the hash streams the artifact writer's compact text, which is
+    # json.dumps(obj, sort_keys=True, separators=(",", ":")) byte for byte
+    if block is not None:
+        monkeypatch.setattr(cli, "_BLOCK_VALUES", block)
+    for i, obj in enumerate(_writer_corpus()):
+        text = json.dumps(obj, sort_keys=True, separators=(",", ":"))
+        assert model_hash(obj) == hashlib.sha256(text.encode()).hexdigest(), i
+    for bad in ({1: 0, "a": 1}, {(1, 2): 0, (3, 4): [0]}):
+        with pytest.raises(TypeError):
+            json.dumps(bad, sort_keys=True, separators=(",", ":"))
+        with pytest.raises(TypeError):
+            model_hash(bad)
+
+
+def test_reading_a_table_holds_the_document_and_one_table():
+    # a 2^16 table document of 3.3 MB: hashing it holds one block of text,
+    # and parsing it the 512 KB table and one block of keys, no second copy
+    # of the document's keys or text
+    c = Carrier(tuple(f"x{i}" for i in range(16)))
+    doc = capacity_to_json(exchangeable_capacity(c, [(0.3, 0.5), (0.05, 0.5)], 1.0))
+    want = hashlib.sha256(json.dumps(doc, sort_keys=True, separators=(",", ":")).encode())
+    tracemalloc.start()
+    try:
+        digest = model_hash(doc)
+        hash_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        theta = parse_model(doc)
+        parse_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert digest == want.hexdigest()
+    assert theta.table.tobytes() == _entry_order(c, doc["table"]).tobytes()
+    assert hash_peak < 1 << 20, hash_peak
+    assert parse_peak < 1.5 * (1 << 20), parse_peak
 
 
 def test_every_json_artifact_is_the_indent_encoders_text(tmp_path, theta2_file,
