@@ -11,7 +11,9 @@ exit code, stdout, stderr or the sha256 of its --out file differ between
 the checkouts.  Each op is printed with both checkouts' max RSS in MB
 (ru_maxrss from wait4; Linux folds this script's own RSS, about 20 MB
 and below every op's, into it), and each differing op with the fields
-that differ.  The exit code is 1 if any op differs, otherwise 0; the
+that differ.  Then each seed and workload is printed with the largest
+max RSS of its ops on each side, the figure perfbench/run.py reports as
+peak_rss_mb.  The exit code is 1 if any op differs, otherwise 0; the
 RSS figures never change it.  Compared with itself, a checkout shows
 that every op is deterministic.
 """
@@ -82,7 +84,7 @@ def main(argv=None) -> int:
         p.error(f"{other} is no checkout: it has no src/crsm")
 
     fields = ("exit code", "stdout", "stderr", "--out sha256")
-    compared, differing = 0, []
+    compared, differing, peaks = 0, [], []
     for seed in args.seeds:
         for workload in workloads.WORKLOADS:
             plan = workloads.build(workload, seed)
@@ -92,6 +94,8 @@ def main(argv=None) -> int:
                     workdir = Path(tmp) / side
                     workdir.mkdir()
                     runs.append(run_plan(checkout, plan, workdir))
+            peaks.append((seed, workload, max(r[1] for r in runs[0].values()),
+                          max(r[1] for r in runs[1].values())))
             for op in plan.ops:
                 compared += 1
                 (this, this_rss), (that, that_rss) = runs[0][op.name], runs[1][op.name]
@@ -102,6 +106,9 @@ def main(argv=None) -> int:
                     differing.append(op.name)
                     line += f"; {', '.join(diff)} differ"
                 print(line)
+    for seed, workload, this_peak, that_peak in peaks:
+        print(f"seed {seed} {workload}: peak max RSS {this_peak:.2f} MB here, "
+              f"{that_peak:.2f} MB there")
     print(f"{compared} ops compared, {len(differing)} differ")
     return 1 if differing else 0
 

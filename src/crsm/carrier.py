@@ -246,8 +246,9 @@ def _indicator(mask: int, d: int) -> np.ndarray:
 def _weighted_max(values: np.ndarray, v: np.ndarray) -> np.ndarray:
     """max_x v(x) values[j, x] for every row j, bit-equal to the row max of
     values * v as both are >= 0, one column of v's support at a time: no
-    N x d temporary."""
+    N x d temporary, and no product where v(x) = 1, since x * 1.0 = x."""
     out = np.zeros(values.shape[0])
     for i in np.flatnonzero(v):
-        np.maximum(out, values[:, i] * v[i], out=out)
+        col = values[:, i]
+        np.maximum(out, col if v[i] == 1.0 else col * v[i], out=out)
     return out

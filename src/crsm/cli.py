@@ -10,6 +10,12 @@ stream version `stream` when a seed is given, and the sampling `method`
 ("lepage" or "max-linear") for `simulate`; --deterministic drops the
 timestamp so repeated runs are byte-identical.  `verify`'s statistics
 reduce the samples column by column and hold no N x d temporary.
+Each command loads only what it runs: `crsm.simulate` and `crsm.verify`
+inside `simulate`, `couple`, `argmax-test`, `verify` and `estimate`, and
+`crsm.simulate` for the provenance's stream version when a seed is
+given; `hashlib` (OpenSSL) inside `model_hash`, so `choquet`, `extremal`
+and `cdf` without --out never load it, and the rest load it after the
+model document is parsed.
 `simulate` writes the mean, p50, p99 and max of its term counts to stderr
 (with the exact E[N] beside the mean on an exact LePage run of a capacity
 held by size), then the method it chose, the atom count m and LePage's
@@ -37,13 +43,12 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import datetime
-import hashlib
 import json
 import math
 import os
 import sys
 from itertools import islice
-from typing import Optional, TextIO
+from typing import TYPE_CHECKING, Optional, TextIO
 
 import numpy as np
 
@@ -73,10 +78,10 @@ from .setfun import (
     classify,
     mobius_inverse,
 )
-from .simulate import STREAM_VERSION, SampleBatch, SimConfig, couple, simulate_model
 from .tdf import ChoquetTDF, SpectralTDF, as_tdf, dual_greedy, dual_oracle, joint_cdf
-from .verify import (argmax_independence_test, coupling_violations, frechet_scale_estimate,
-                     verify_model)
+
+if TYPE_CHECKING:
+    from .simulate import SampleBatch, SimConfig
 
 
 # Commands that always draw random numbers.  `dual --oracle sampled` and
@@ -100,6 +105,7 @@ def _provenance(seed: Optional[int], obj, deterministic: bool) -> dict:
         "model_sha256": model_hash(obj) if obj is not None else None,
     }
     if seed is not None:
+        from .simulate import STREAM_VERSION
         prov["stream"] = STREAM_VERSION
     if not deterministic:
         prov["generated_at"] = datetime.datetime.now(datetime.timezone.utc).isoformat()
@@ -140,6 +146,7 @@ def _emit_json(payload: dict, out: Optional[str]) -> None:
 def model_hash(obj) -> str:
     """sha256 of json.dumps(obj, sort_keys=True, separators=(",", ":")),
     streamed by the compact writer."""
+    import hashlib  # OpenSSL: only a process that hashes loads it
     h = hashlib.sha256()
     _write_json(lambda text: h.update(text.encode()), obj, "", ":")
     return h.hexdigest()
@@ -362,6 +369,7 @@ def cmd_cdf(args, model, prov):
 
 
 def _config_from_args(args) -> SimConfig:
+    from .simulate import SimConfig
     mode, n_terms = _parse_mode(args.mode)
     return SimConfig(seed=args.seed, samples=args.samples, mode=mode,
                      n_terms=n_terms, max_terms=args.max_terms)
@@ -387,14 +395,22 @@ def _write_batch_csv(out: TextIO, batch: SampleBatch, prov: dict) -> None:
 def _percentiles(values: np.ndarray, qs) -> list:
     """np.percentile(values, qs) by its default linear rule, bit-equal, from
     the sorted order statistics; np.percentile imports numpy.ma, which
-    costs a simulate process 12-15 ms."""
-    a = np.sort(values)
+    costs a simulate process 12-15 ms.  Integers are sorted in the narrowest
+    type that holds their min and max (uint8 for most term counts), not in a
+    copy of their own width."""
+    kind = values.dtype
+    if kind.kind in "iu":
+        kind = np.result_type(np.min_scalar_type(values.min()),
+                              np.min_scalar_type(values.max()))
+    a = values.astype(kind)
+    a.sort()
     n = a.size
+    cast = values.dtype.type  # the arithmetic below runs in values' own type
     out = []
     for q in qs:
         h = (n - 1) * (q / 100)
         lo = min(math.floor(h), n - 1)
-        prev, nxt = a[lo], a[min(lo + 1, n - 1)]
+        prev, nxt = cast(a[lo]), cast(a[min(lo + 1, n - 1)])
         diff, g = nxt - prev, h - lo
         # numpy interpolates from the nearer of the two order statistics
         out.append(prev + diff * g if g < 0.5 else nxt - diff * (1 - g))
@@ -402,6 +418,7 @@ def _percentiles(values: np.ndarray, qs) -> list:
 
 
 def cmd_simulate(args, model, prov):
+    from .simulate import simulate_model
     batch = simulate_model(model, _config_from_args(args))
     prov["method"] = batch.method
     payload = None
@@ -478,6 +495,7 @@ def _csv_values(rows: list[str], d: int) -> np.ndarray:
 def cmd_estimate(args, model, prov):
     if (args.f is None) == (args.set is None):
         raise SchemaError("$", "estimate needs exactly one of --f or --set")
+    from .verify import frechet_scale_estimate
     carrier, values = _read_batch_csv(args.batch)
     if args.f is not None:
         v = _parse_point_values(carrier, _inline_json(args.f, "--f"), "$.f")
@@ -491,6 +509,8 @@ def cmd_estimate(args, model, prov):
 
 
 def cmd_couple(args, model, prov):
+    from .simulate import couple
+    from .verify import coupling_violations
     summary = coupling_violations(couple(model, _config_from_args(args)))
     return summary, 0 if summary["passed"] else 1
 
@@ -498,6 +518,8 @@ def cmd_couple(args, model, prov):
 def cmd_argmax_test(args, model, prov):
     theta = _require_capacity(model, "argmax-test")
     region = parse_label_set(_inline_json(args.set, "--set"), theta.carrier, "$.set")
+    from .simulate import simulate_model
+    from .verify import argmax_independence_test
     batch = simulate_model(theta, _config_from_args(args))
     rep = argmax_independence_test(theta, region, batch,
                                    negative_control=args.negative_control)
@@ -510,6 +532,7 @@ def cmd_verify(args, model, prov):
         raise SchemaError("$.kind", f"verify --tolerance needs a CRSM model, not a "
                                     f"{type(model).__name__}")
     tol = DEFAULT_TOL if args.tolerance is None else args.tolerance
+    from .verify import verify_model
     checks = verify_model(model, samples=args.samples, seed=args.seed, tol=tol)
     for c in checks:
         print(c.line())

@@ -78,7 +78,11 @@ def _need(obj: dict, key: str, path: str):
 def _number(val, path: str, nonneg: bool = False, positive: bool = False) -> float:
     if isinstance(val, bool) or not isinstance(val, (int, float)):
         raise SchemaError(path, f"expected a number, got {val!r}")
-    x = float(val)
+    try:
+        x = float(val)
+    except OverflowError:  # an int beyond the float range
+        raise SchemaError(path, "number must be finite, got an integer beyond "
+                                "the float range") from None
     if not math.isfinite(x):
         raise SchemaError(path, f"number must be finite, got {x}")
     if nonneg and x < 0:

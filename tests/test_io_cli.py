@@ -125,6 +125,8 @@ def big_table_with(bad_key: str, bad_value) -> dict:
     (float("inf"), "number must be finite, got inf"),
     (float("nan"), "number must be finite, got nan"),
     (-2.5, "number must be nonnegative, got -2.5"),
+    pytest.param(10 ** 400, "number must be finite, got an integer beyond the float range",
+                 id="int-beyond-float"),
 ])
 def test_bad_value_deep_in_a_table_is_named(value, message):
     keys = Carrier(tuple(f"p{i:02d}" for i in range(14))).subset_keys().tolist()
@@ -745,6 +747,87 @@ def test_cli_simulate_does_not_import_numpy_ma(theta2_file, spectral_file, tmp_p
                               "--out", str(tmp_path / "x.csv")],
                              env=env, capture_output=True, text=True, check=True).stdout
         assert out.split() == ["0", "False"], model
+
+
+# the public names of crsm, as the package listed them when it imported
+# every module eagerly
+PUBLIC_NAMES = [
+    "BernsteinFunction", "Capacity", "Carrier", "CarrierSizeError", "CheckResult",
+    "ChoquetTDF", "Coupling", "DiscreteMeasure", "LebesgueTDF", "MaxTermsExceeded",
+    "MobiusMeasure", "SampleBatch", "SimConfig", "SpectralSampler", "SpectralTDF",
+    "TorusTag", "argmax_independence_test", "argmax_set", "capacity_from_measure",
+    "carrier", "check_complete_alternation_direct", "check_max_complete_alternation",
+    "check_stationary", "choquet_integral", "classify", "comonotone_additivity_check",
+    "comonotone_formula", "comonotonic", "compose_capacity", "continuity_bound_check",
+    "couple", "crsm_envelope", "distortion_capacity", "dominates", "dual_greedy",
+    "dual_oracle", "exchangeable_capacity", "extremal_coefficients", "extremal_integral",
+    "extremal_integral_setform", "frechet_scale_estimate", "independence_on_disjoint",
+    "integrals", "joint_cdf", "mobius_inverse", "setfun", "simulate", "simulate_crsm",
+    "simulate_model", "simulate_spectral", "subset_size_capacity", "substream",
+    "successive_difference", "tdf", "torus_storm_capacity", "transforms", "verify",
+    "verify_model",
+]
+
+
+def test_lattice_commands_load_neither_sampler_nor_openssl(theta2_file, spectral_file,
+                                                           tmp_path):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(__file__).resolve().parents[1] / "src")]
+        + [p for p in [env.get("PYTHONPATH")] if p])
+    run = ("import json, sys; from crsm.cli import main; "
+           "codes = [main(argv) for argv in json.loads(sys.argv[1])]; "
+           "print(json.dumps([codes, sorted(m for m in "
+           "('crsm.simulate', 'crsm.verify', '_hashlib') if m in sys.modules)]))")
+
+    def loaded(*argvs):
+        out = subprocess.run([sys.executable, "-c", run, json.dumps(argvs)], env=env,
+                             capture_output=True, text=True, check=True).stdout
+        codes, modules = json.loads(out.splitlines()[-1])
+        assert codes == [0] * len(argvs)
+        return modules
+
+    pairs = ["--pairs", '[{"set": ["a"], "level": 2}]']
+    # printing a number hashes nothing, so OpenSSL stays unloaded
+    assert loaded(["cdf", "--model", theta2_file, *pairs],
+                  ["cdf", "--model", spectral_file, *pairs]) == []
+    out = [["--out", str(tmp_path / f"{i}.json")] for i in range(6)]
+    assert loaded(["check", "--model", theta2_file, *out[0]],
+                  ["cdf", "--model", theta2_file, *pairs, *out[1]],
+                  ["dual", "--model", theta2_file, "--f", '{"a": 2, "b": 1}', *out[2]],
+                  ["materialize", "--model", theta2_file, *out[3]],
+                  ["mobius", "--model", theta2_file, *out[4]],
+                  ["cdf", "--model", spectral_file, *pairs, *out[5]]) == ["_hashlib"]
+
+
+def test_public_names_resolve_on_first_use():
+    import importlib
+    import crsm
+    assert crsm.__all__ == PUBLIC_NAMES
+    assert set(PUBLIC_NAMES) <= set(dir(crsm))
+    for name in PUBLIC_NAMES:
+        obj = getattr(crsm, name)
+        if name in crsm._EXPORTS:
+            assert obj is importlib.import_module(f"crsm.{name}")
+        else:
+            assert obj is getattr(importlib.import_module(obj.__module__), name), name
+            assert name in crsm._EXPORTS[obj.__module__.removeprefix("crsm.")], name
+    with pytest.raises(AttributeError, match="has no attribute 'nope'"):
+        crsm.nope
+
+
+def test_out_of_range_integer_is_a_schema_error(tmp_path, capsys):
+    # an int that float() cannot hold is refused with its path, exit 2
+    huge = 10 ** 400
+    model = tmp_path / "huge.json"
+    model.write_text(json.dumps({**THETA2, "table": {"a": 1, "b": 1, "a,b": huge}}))
+    assert main(["check", "--model", str(model)]) == 2
+    assert capsys.readouterr().err == (
+        'error: at $.table["a,b"]: number must be finite, got an integer beyond the '
+        'float range\n')
+    with pytest.raises(SchemaError, match=r"at \$\.scale: number must be finite"):
+        parse_capacity({"kind": "exchangeable", "carrier": ["a"],
+                        "zeta": [[0.3, 0.5]], "scale": huge})
 
 
 def test_cli_estimate_rejects_ragged_csv(tmp_path, capsys):

@@ -35,3 +35,13 @@ def test_script_runs(script, tmp_path):
                           cwd=tmp_path, env=env, capture_output=True, text=True,
                           timeout=120)
     assert proc.returncode == 0, proc.stderr
+    if script == "compare_ops.py":
+        # after the per-op lines, one peak line per workload, each side's
+        # largest max RSS: the figure perfbench reports as peak_rss_mb
+        lines = proc.stdout.splitlines()
+        peaks = [line for line in lines if ": peak max RSS " in line]
+        assert [line.split(":")[0] for line in peaks] == [
+            "seed 1 sample-narrow", "seed 1 sample-wide", "seed 1 lattice-wide"]
+        assert all(line.endswith(" MB there") for line in peaks)
+        assert lines.index(peaks[0]) > max(i for i, line in enumerate(lines)
+                                           if "/" in line.split(":")[0])

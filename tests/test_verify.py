@@ -372,3 +372,21 @@ def test_roundtrip_row_reads_the_recipe_of_an_atom_capacity():
     row = verify_model(tampered, samples=200, seed=1)[0]
     assert row.name == "mobius-roundtrip" and not row.passed
     assert row.statistic > 0.1
+
+
+def test_corrcoef_steps_match_numpy_bit_for_bit():
+    # argmax_independence_test runs numpy's cov and corrcoef steps on the
+    # rows it owns, in place, instead of letting np.corrcoef copy them
+    from crsm.verify import _corrcoef
+    rng = np.random.default_rng(2024)
+    for case in range(300):
+        n = int(rng.integers(2, 3000))
+        rows = np.empty((2, n))
+        rows[0] = 1.0 / rng.exponential(rng.uniform(0.1, 10.0), n)
+        if case % 2:
+            rows[1] = rng.random(n) < rng.uniform(0.01, 0.99)  # an indicator
+            rows[1, :2] = 0.0, 1.0  # never flat
+        else:
+            rows[1] = rng.uniform(-2, 2) * rows[0] + rng.normal(0, rng.uniform(0.1, 5), n)
+        want = np.corrcoef(rows)
+        assert _corrcoef(rows).tobytes() == want.tobytes(), case
