@@ -13,6 +13,7 @@ plain float array in carrier order (see ``as_values``); a sup-measure
 takes the max of its point values over a set.  ``_weighted_max`` reduces
 a batch of point values, one row per sample, to max_x v(x) X(x): the
 sup over K at v = 1_K, the extremal integral of f at v = f.
+``_indicator`` and ``_mask_of`` turn a mask into its point vector and back.
 """
 
 from __future__ import annotations
@@ -239,8 +240,14 @@ def as_values(carrier: Carrier, values: "np.ndarray | Sequence[float] | dict[str
     return arr
 
 
-def _indicator(mask: int, d: int) -> np.ndarray:
-    return ((mask >> np.arange(d)) & 1).astype(float)
+def _indicator(mask, d: int) -> np.ndarray:
+    """1_K as floats over d points; one row per mask for an array of masks."""
+    return ((np.asarray(mask)[..., None] >> np.arange(d)) & 1).astype(float)
+
+
+def _mask_of(flags: np.ndarray) -> int:
+    """Bit mask of the True entries of a boolean vector."""
+    return int(np.bitwise_or.reduce(np.left_shift(1, np.flatnonzero(flags))))
 
 
 def _weighted_max(values: np.ndarray, v: np.ndarray) -> np.ndarray:

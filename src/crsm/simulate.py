@@ -22,7 +22,8 @@ set of a sample (first_atoms, read off the values) is the atom that
 realizes its maximum.  This module only samples: the statistics a batch
 must pass live in verify.
 
-Two exact methods sample the same law.  `_lepage` runs the series itself.
+Two exact methods sample the same law, held in one SpectralSampler record,
+all that `_sample` reads.  `_lepage` runs the series itself.
 `_max_linear` uses that the series splits by atom into independent Poisson
 streams, so X({x}) = max_j (w_j / E_j) y_j(x) with E_j iid Exp(1) (Wang and
 Stoev 2011): m = number of atoms exponentials per sample, whatever the
@@ -71,8 +72,8 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, replace
-from typing import Optional
+from dataclasses import dataclass
+from typing import Optional, Union
 
 import numpy as np
 
@@ -131,12 +132,12 @@ class SampleBatch:
     over the mask, and first_atoms, derived on first read, masks each
     row's argmax set.  method is "lepage" or "max-linear".  terms[j] is
     the number of terms sample j used: its exact LePage stop term, n_terms
-    in truncated mode, or the atom count for max-linear.  It is deterministic given
-    (seed, j).  atoms is the size of the atom table and lepage_floor the
-    lower bound LB on LePage's expected term count; the method was
-    max-linear iff the run was exact and atoms <= lepage_floor.
-    expected_terms is the exact E[N] of an exact LePage run when it is
-    known in closed form (a capacity held by size), else None.
+    in truncated mode, or the atom count for max-linear.  It is
+    deterministic given (seed, j).  atoms, lepage_floor (LB) and
+    expected_terms (the exact E[N], known for a capacity held by size) come
+    from the run's SpectralSampler; the method was max-linear iff the run
+    was exact and atoms <= lepage_floor, and only an exact LePage run
+    keeps expected_terms.
     """
 
     carrier: Carrier
@@ -178,24 +179,16 @@ class SampleBatch:
         return atoms
 
 
-def _batch(carrier: Carrier, values: np.ndarray, config: SimConfig, plan: tuple,
+def _batch(law: "SpectralSampler", values: np.ndarray, config: SimConfig, method: str,
            terms: np.ndarray) -> SampleBatch:
-    """plan is (method, atoms, lepage_floor)."""
+    """A run of law by method; only an exact LePage run has an E[N]."""
     values = np.ascontiguousarray(values)
     values.setflags(write=False)
     terms.setflags(write=False)
-    return SampleBatch(carrier, values, config.seed, config.mode, config.n_terms,
-                       terms, *plan)
-
-
-def _mask_of(flags: np.ndarray) -> int:
-    """Bit mask of the True entries of a boolean vector."""
-    return int(np.bitwise_or.reduce(np.left_shift(1, np.flatnonzero(flags))))
-
-
-def _bits(mask: int, d: int) -> np.ndarray:
-    """Boolean vector of the bits of mask over d points."""
-    return (mask >> np.arange(d)) & 1 == 1
+    known = method == "lepage" and config.mode == "exact"
+    return SampleBatch(law.carrier, values, config.seed, config.mode, config.n_terms,
+                       terms, method, law.table.atoms, law.floor,
+                       law.expected_terms if known else None)
 
 
 def _cumulative(weights: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
@@ -247,23 +240,26 @@ class _AtomTable:
 
 
 class _SizePicks:
-    """The CRSM atoms of a Mobius measure held by size, picked as an
+    """The CRSM atoms of a Mobius measure nu held by size, picked as an
     _AtomTable of its positive atoms in ascending mask order would pick
-    them (up to rounding at a bucket edge), with no table: LePage only, so
-    it has no dense.
+    them (up to rounding at a bucket edge), with no table.  Max-linear
+    reads the atoms themselves (weights, dense): they are listed on first
+    read, which the cost rule allows only for m <= LB <= d atoms, as
+    theta(E) <= d theta({x}).
 
-    masses is the measure's interval_masses() S.  A lane walks the bits
-    from the highest down, holding r, the part of u * S[d, 0] (the total
-    mass) not yet passed: at bit b, with c bits set above it, the masks of
-    the lane's interval with bit b clear weigh S[b, c], so the lane sets b,
-    and takes S[b, c] off r, iff r >= S[b, c] and the masks with b set
-    weigh something, S[b, c + 1] > 0.  That keeps every lane inside an
-    interval of positive mass, down to one atom.
+    masses is nu.interval_masses() S.  A lane walks the bits from the
+    highest down, holding r, the part of u * S[d, 0] (the total mass) not
+    yet passed: at bit b, with c bits set above it, the masks of the lane's
+    interval with bit b clear weigh S[b, c], so the lane sets b, and takes
+    S[b, c] off r, iff r >= S[b, c] and the masks with b set weigh
+    something, S[b, c + 1] > 0.  That keeps every lane inside an interval
+    of positive mass, down to one atom.
     """
 
-    def __init__(self, masses: np.ndarray, atoms: int, scale: float):
+    def __init__(self, nu: MobiusMeasure, masses: np.ndarray, scale: float):
         d = masses.shape[0] - 1
-        self.width, self.atoms, self.scale = d, atoms, scale
+        self.nu, self.width, self.scale = nu, d, scale
+        self.atoms = sum(math.comb(d, k) for k in np.flatnonzero(masses[0] > 0).tolist())
         self.total = masses[d, 0]
         # r <= S[d, 0], so no lane passes the largest float into a set
         # half of no mass
@@ -284,6 +280,16 @@ class _SizePicks:
         y = np.empty((r.size, self.width))
         np.multiply(bits.T, self.scale, out=y)
         return y.reshape(u.shape + (self.width,))
+
+    @functools.cached_property
+    def listed(self) -> _AtomTable:
+        masks, weights, _ = positive_atoms(_Owned(self.nu))
+        return _AtomTable(masks, weights, self.width, self.scale)
+
+    weights = property(lambda self: self.listed.weights)
+
+    def dense(self, lo: int, hi: int) -> np.ndarray:
+        return self.listed.dense(lo, hi)
 
 
 def _coupled_rows(y: np.ndarray) -> np.ndarray:
@@ -428,87 +434,61 @@ def _method(atoms: int, floor: float, config: SimConfig) -> str:
     return "max-linear" if config.mode == "exact" and atoms <= floor else "lepage"
 
 
-def _sample(carrier: Carrier, table, w: Optional[np.ndarray], floor: float,
-            bound: float, stop: np.ndarray, config: SimConfig,
-            cost: str = "") -> SampleBatch:
-    """The one sampling path of an atom source (pick, width, atoms, and
-    dense for max-linear: an _AtomTable, or a _SizePicks for LePage only):
-    the cost rule on its atom count, then max-linear with weights w or
-    LePage (bound, stop columns and cost as _lepage takes them)."""
-    m = table.atoms
-    plan = (_method(m, floor, config), m, floor)
-    if plan[0] == "max-linear":
-        x, terms = _max_linear(table, w, config), np.full(config.samples, m)
+def _sample(law: "SpectralSampler", config: SimConfig) -> SampleBatch:
+    """The one sampling path of a law record: the cost rule on its atom
+    count, then max-linear or LePage over its atom source."""
+    table = law.table
+    method = _method(table.atoms, law.floor, config)
+    if method == "max-linear":
+        w = table.weights if law.weights is None else law.weights
+        x, terms = _max_linear(table, w, config), np.full(config.samples, table.atoms)
     else:
-        x, terms = _lepage(table, bound, stop, config, cost)
-    return _batch(carrier, x, config, plan, terms)
-
-
-def _certified(theta: Capacity, mobius: Optional[_Owned]) -> MobiusMeasure:
-    """theta's Mobius measure, this run's own: certified completely
-    alternating within the relative tolerance DEFAULT_TOL (slack
-    DEFAULT_TOL * theta(E)), so the negative weights a run leaves out lie
-    in that band.  mobius, _Owned(nu), hands it over when the caller has
-    it already."""
-    nu = certified_mobius(theta, DEFAULT_TOL, None if mobius is None else mobius.arr)
-    if theta.total <= 0:
-        raise ValueError("capacity is identically zero; nothing to simulate")
-    return nu
+        x, terms = _lepage(table, law.bound, law.live, config, law.cost)
+    return _batch(law, x, config, method, terms)
 
 
 def simulate_crsm(theta: Capacity, config: SimConfig,
                   mobius: Optional[_Owned] = None) -> SampleBatch:
-    """Sample the Choquet random sup-measure of a CA capacity.
+    """Sample the Choquet random sup-measure of a CA capacity (_crsm_law).
 
-    LePage runs the running-max kernel over the run's own atom table: the
-    int32 masks are the rows, the row of atom F is theta(E) 1_F, the bound
-    is theta(E) and the stop columns are the relevant points.  So atom sets
-    arrive as Xi ~ nu/theta(E) with common magnitude theta(E)/Gamma_n, and
+    LePage runs the running-max kernel over the run's own atom table: atom
+    sets arrive as Xi ~ nu/theta(E) with magnitude theta(E)/Gamma_n, so
     X({x}) = theta(E)/Gamma_{tau_x} at the first term tau_x whose atom
-    contains x.  Exact mode stops at N = T + 1, T the term at which every
-    point with theta({x}) > 0 has been hit, without drawing term T + 1 (the
-    kernel's tie rule); E[N] lies between 1 + max_x theta(E)/theta({x})
-    and 1 + sum_x theta(E)/theta({x}).
-    Max-linear: X({x}) = max over atoms F containing x of nu(F)/E_F, chosen
-    for exact runs with m <= LB = max_x theta(E)/theta({x}) atoms.
-    mobius, _Owned(nu), hands over theta's Mobius measure when the caller
-    has it already, to be consumed as the run's own Mobius table.
-
-    Besides theta, a run on a table holds the atoms' weights, in the 2**d
-    Mobius table it builds (on LePage their cumulative pick table
-    overwrites them), and their int32 masks, at most half a 2**d table
-    more.  Held by size, with m = sum of C(d, k) over the sizes k of
-    positive weight, nothing is spread: LePage picks by size (_SizePicks)
-    from (d + 1)**2 numbers, an exact run recording its exact E[N]
-    (SampleBatch.expected_terms), and max-linear lists its m <= LB <= d
-    atoms.
+    contains x, and E[N] lies between 1 + max_x theta(E)/theta({x}) and
+    1 + sum_x theta(E)/theta({x}).  mobius, _Owned(nu), hands over theta's
+    Mobius measure, consumed as the run's own Mobius table.  Besides theta,
+    a run on a table holds the atoms' weights, in that table (on LePage
+    their cumulative pick table overwrites them), and their int32 masks, at
+    most half a 2**d table more; held by size, it spreads nothing.
     """
-    nu = _certified(theta, mobius)
+    return _sample(_crsm_law(theta, mobius), config)
+
+
+def _crsm_law(theta: Capacity, mobius: Optional[_Owned]) -> "SpectralSampler":
+    """theta's law record: nu (mobius, _Owned(nu), hands it over) certified
+    completely alternating within slack DEFAULT_TOL * theta(E), so the
+    negative weights left out lie in that band, then its positive atoms as
+    int32 masks or, held by size, picks by size."""
+    nu = certified_mobius(theta, DEFAULT_TOL, None if mobius is None else mobius.arr)
+    if theta.total <= 0:
+        raise ValueError("capacity is identically zero; nothing to simulate")
     d = theta.carrier.size
     masses = nu.interval_masses()
     if masses is None:
         masks, weights, relevant = positive_atoms(_Owned(nu))
-        m = masks.size
+        table, live, exact = (_AtomTable(masks, weights, d, theta.total),
+                              np.flatnonzero(_indicator(relevant, d)), None)
     else:  # every point lies in sets of every size
-        m = sum(math.comb(d, k) for k in np.flatnonzero(masses[0] > 0).tolist())
-        relevant = theta.carrier.full_mask
-    live = np.flatnonzero(_bits(relevant, d))
+        table, live = _SizePicks(nu, masses, theta.total), np.arange(d)
+        exact = _expected_terms(theta)
     ratios = theta.total / theta.singletons()[live]
     floor = float(ratios.max())
     cost = (f"; expected terms E[N] in [{1 + floor:.6g}, "
             f"{1 + ratios.sum():.6g}] (1 + max_x theta(E)/theta({{x}}) <= "
             f"E[N] <= 1 + sum_x theta(E)/theta({{x}}))")
-    by_size = masses is not None and _method(m, floor, config) == "lepage"
-    if by_size:
-        table, weights = _SizePicks(masses, m, theta.total), None
-    else:
-        if masses is not None:  # m <= LB <= d, as theta(E) <= d theta({x})
-            masks, weights, _ = positive_atoms(_Owned(nu))
-        table = _AtomTable(masks, weights, d, theta.total)
-    batch = _sample(theta.carrier, table, weights, floor, theta.total, live, config, cost)
-    if by_size and config.mode == "exact":
-        batch = replace(batch, expected_terms=_expected_terms(theta))
-    return batch
+    # an atom 1_F peaks on all of F, so every live point is reached
+    return SpectralSampler(theta.carrier, table, None, theta.total, live, live, floor,
+                           exact, cost)
 
 
 def _expected_terms(theta: Capacity) -> float:
@@ -523,54 +503,51 @@ def _expected_terms(theta: Capacity) -> float:
 
 @dataclass(frozen=True)
 class SpectralSampler:
-    """Finite spectral law of the LePage series with its derived envelope.
+    """The atom law of a sampling run, the one record every sampler reads.
 
-    table holds the atoms y_j as rows, picked with probability p_j.  bound
-    is max_j max_x y_j(x); structural_zeros masks the points where every
-    atom is 0; argmax_reachable masks the points where some positive atom
-    peaks (used by `couple`).  from_tdf derives all three from a
-    SpectralTDF, whose rows are already checked nonnegative and finite.
+    table is the atom source: an _AtomTable of spectral rows or CRSM atom
+    masks, or a _SizePicks.  weights are the max-linear weights p_j of
+    spectral rows, None for CRSM atoms, whose weights nu(F) the source
+    holds.  bound is max_j max_x y_j(x); live (the stop columns) indexes
+    the points some atom makes positive, reach those where a positive atom
+    peaks (for `couple`).  floor is LB; expected_terms is E[N] when known
+    in closed form; cost is the MaxTermsExceeded note.  from_tdf builds a
+    SpectralTDF's record (its rows checked nonnegative and finite).
     """
 
     carrier: Carrier
-    table: _AtomTable
+    table: Union[_AtomTable, _SizePicks]
+    weights: Optional[np.ndarray]
     bound: float
-    structural_zeros: int
-    argmax_reachable: int
+    live: np.ndarray
+    reach: np.ndarray
+    floor: float
+    expected_terms: Optional[float] = None
+    cost: str = ""
 
     @classmethod
     def from_tdf(cls, law: SpectralTDF) -> "SpectralSampler":
-        """Finite spectral law; bound, zeros and argmax reach are derived."""
+        """p, bound, live points, reach and LB (infinite if a live point
+        has no mass) derived from a finite spectral law."""
         atoms = law.atoms
         peaks = atoms.max(axis=1, keepdims=True)
-        zeros = _mask_of(atoms.max(axis=0) == 0.0)
-        reach = _mask_of(((atoms == peaks) & (peaks > 0)).any(axis=0))
-        return cls(law.carrier, _AtomTable(atoms, law.probs), float(peaks.max()),
-                   zeros, reach)
-
-
-def _spectral_plan(sampler: SpectralSampler) -> tuple[np.ndarray, float, np.ndarray]:
-    """Normalized weights p_j, LB = bound / min over live x of sum_j p_j
-    y_j(x) (infinite if a live point has no mass) and the live points; a
-    live point is also one where some positive atom can peak."""
-    live = np.flatnonzero(~_bits(sampler.structural_zeros, sampler.carrier.size))
-    if not live.size:
-        raise ValueError("every point is a structural zero; nothing to simulate")
-    p = sampler.table.weights / sampler.table.weights.sum()
-    low = float((p @ sampler.table.rows)[live].min())
-    return p, (sampler.bound / low if low > 0 else math.inf), live
+        live = np.flatnonzero(atoms.max(axis=0) > 0.0)
+        if not live.size:
+            raise ValueError("every point is a structural zero; nothing to simulate")
+        reach = np.flatnonzero(((atoms == peaks) & (peaks > 0)).any(axis=0))
+        bound = float(peaks.max())
+        p = law.probs / law.probs.sum()
+        low = float((p @ atoms)[live].min())
+        return cls(law.carrier, _AtomTable(atoms, law.probs), p, bound, live, reach,
+                   bound / low if low > 0 else math.inf)
 
 
 def simulate_spectral(sampler: SpectralSampler, config: SimConfig) -> SampleBatch:
-    """Exact or truncated sample over the sampler's finite atom table.
-
-    LePage's exact mode stops at the first n with bound/Gamma_n strictly
-    below the running maximum at every point that is not a structural zero.
-    Max-linear, chosen for exact runs with m <= LB = bound / min_x
-    sum_j p_j y_j(x) atoms: X({x}) = max_j (p_j / E_j) y_j(x).
-    """
-    p, floor, live = _spectral_plan(sampler)
-    return _sample(sampler.carrier, sampler.table, p, floor, sampler.bound, live, config)
+    """Exact or truncated sample of the sampler's law: LePage, whose exact
+    mode stops at the first n with bound/Gamma_n strictly below the running
+    maximum at every live point, or max-linear, X({x}) = max_j (p_j / E_j)
+    y_j(x), for exact runs with m <= LB = bound / min_x sum_j p_j y_j(x)."""
+    return _sample(sampler, config)
 
 
 def simulate_model(model, config: SimConfig,
@@ -619,12 +596,9 @@ def couple(law, config: SimConfig) -> Coupling:
         # every CRSM atom is an indicator, so its argmax set is its support
         x = simulate_model(law, config)
         return Coupling(x, x, x)
-    p, floor, live = _spectral_plan(law)
-    plan = ("lepage", p.size, floor)
-    d = law.carrier.size
     wide = _AtomTable(_coupled_rows(law.table.rows), law.table.weights)
-    stop = np.concatenate([live, d + np.flatnonzero(_bits(law.argmax_reachable, d))])
-    x, terms = _lepage(wide, law.bound, stop, config)
+    stop = np.concatenate([law.live, law.carrier.size + law.reach])
+    x, terms = _lepage(wide, law.bound, stop, config, law.cost)
     mid, lo, hi = np.split(x, 3, axis=1)
-    mk = lambda a: _batch(law.carrier, a, config, plan, terms)
+    mk = lambda a: _batch(law, a, config, "lepage", terms)
     return Coupling(mk(lo), mk(mid), mk(hi))

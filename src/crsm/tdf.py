@@ -58,7 +58,7 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .carrier import Carrier, as_values, iter_bits
+from .carrier import Carrier, _indicator, as_values, iter_bits
 from .integrals import _as_functional, _chain, _choquet, _vals, choquet_integral
 from .setfun import (DEFAULT_TOL, MAX_ALTERNATION_ORDER, Capacity, _inclusion_exclusion,
                      _max_excess, _Owned, _worst, certified_mobius, subset_max)
@@ -353,8 +353,7 @@ def dual_oracle(theta: Capacity, f, method: str = "exact",
             raise ValueError("exact dual oracle is restricted to d <= 3")
         # mu(K) <= theta(K) over the nonempty K, then -mu(x) <= 0
         masks = np.arange(1, size)
-        A = np.concatenate([(masks[:, None] >> np.arange(d) & 1).astype(float),
-                            -np.eye(d) + 0.0])  # + 0.0 clears the -0.0 entries
+        A = np.concatenate([_indicator(masks, d), -np.eye(d) + 0.0])  # + 0.0 clears the -0.0 entries
         b = np.concatenate([theta.at(masks), np.zeros(d)])
         best, best_mu = -math.inf, None
         for pick in itertools.combinations(range(len(A)), d):
@@ -378,7 +377,7 @@ def dual_oracle(theta: Capacity, f, method: str = "exact",
         rng = np.random.default_rng(seed)
         box = theta.singletons()
         draws = rng.random((trials, d)) * box[None, :]
-        members = ((np.arange(size)[:, None] >> np.arange(d)[None, :]) & 1).astype(float)
+        members = _indicator(np.arange(size), d)
         best_val = 0.0  # mu = 0 is always feasible
         best_mu = np.zeros(d)
         for lo in range(0, trials, 1024):

@@ -110,6 +110,16 @@ def compose_capacity(g: BernsteinFunction, theta: Union[Capacity, _Owned]) -> Ca
     return theta._new(Capacity, out)
 
 
+def _check_law(probs: np.ndarray, what: str) -> None:
+    if np.any(probs < 0) or abs(probs.sum() - 1.0) > 1e-9:
+        raise ValueError(f"{what} probabilities must be nonnegative and sum to 1")
+
+
+def _check_scale(scale: float) -> None:
+    if not (scale > 0 and math.isfinite(scale)):
+        raise ValueError(f"scale must be positive finite, got {scale}")
+
+
 def exchangeable_capacity(carrier: Union[Carrier, int],
                           zeta: Sequence[tuple[float, float]],
                           scale: float = 1.0) -> Capacity:
@@ -125,10 +135,8 @@ def exchangeable_capacity(carrier: Union[Carrier, int],
     probs = np.array([q for _, q in zeta], dtype=float)
     if np.any(vals < 0) or np.any(vals > 1):
         raise ValueError("mixing values must lie in [0, 1]")
-    if np.any(probs < 0) or abs(probs.sum() - 1.0) > 1e-9:
-        raise ValueError("mixing probabilities must be nonnegative and sum to 1")
-    if not (scale > 0 and math.isfinite(scale)):
-        raise ValueError(f"scale must be positive finite, got {scale}")
+    _check_law(probs, "mixing")
+    _check_scale(scale)
     # theta depends on K only through |K|: d + 1 values
     sizes = np.arange(carr.size + 1)
     survival = (1.0 - vals)[None, :] ** sizes[:, None]  # (d + 1, m)
@@ -148,10 +156,8 @@ def subset_size_capacity(carrier: Union[Carrier, int],
     p = np.asarray(p, dtype=float)
     if p.shape != (d + 1,):
         raise ValueError(f"size law needs d+1 = {d + 1} entries, got {p.shape}")
-    if np.any(p < 0) or abs(p.sum() - 1.0) > 1e-9:
-        raise ValueError("size probabilities must be nonnegative and sum to 1")
-    if not (scale > 0 and math.isfinite(scale)):
-        raise ValueError(f"scale must be positive finite, got {scale}")
+    _check_law(p, "size")
+    _check_scale(scale)
     # miss[m] = P(random set avoids a fixed set of size m)
     miss = np.zeros(d + 1)
     for m in range(d + 1):
@@ -218,10 +224,8 @@ def torus_storm_capacity(n: int,
     if not shapes:
         raise ValueError("storm law needs at least one shape")
     probs = np.array([q for _, q in shapes], dtype=float)
-    if np.any(probs < 0) or abs(probs.sum() - 1.0) > 1e-9:
-        raise ValueError("shape probabilities must be nonnegative and sum to 1")
-    if not (scale > 0 and math.isfinite(scale)):
-        raise ValueError(f"scale must be positive finite, got {scale}")
+    _check_law(probs, "shape")
+    _check_scale(scale)
     parts = []
     for (points, q) in shapes:
         if len(points) == 0:

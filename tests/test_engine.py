@@ -136,8 +136,9 @@ def reference_spectral(sampler: SpectralSampler, seed: int, j: int):
     """One coupled sample by the per-term loop: (X, lower, upper, terms)."""
     atoms = sampler.table.rows
     d = atoms.shape[1]
-    live = [i for i in range(d) if not sampler.structural_zeros >> i & 1]
-    reach = list(iter_bits(sampler.argmax_reachable))
+    # points some atom makes positive, and points where a positive atom peaks
+    live = [i for i in range(d) if any(row[i] > 0 for row in atoms)]
+    reach = [i for i in range(d) if any(0 < row.max() == row[i] for row in atoms)]
     x, lo, hi = np.zeros(d), np.zeros(d), np.zeros(d)
     gamma = 0.0
     for n, (e, u) in enumerate(stream_terms(seed, j), start=1):
@@ -214,7 +215,8 @@ def test_atoms_built_in_place_match_the_clipped_reference(monkeypatch, name, spa
     ref_cum = ref_cum / ref_cum[-1]
     handed = mobius_inverse(theta)
     for given in (None, _Owned(handed)):
-        got_masks, got_weights, relevant = positive_atoms(_Owned(sim._certified(theta, given)))
+        nu = setfun.certified_mobius(theta, nu=None if given is None else given.arr)
+        got_masks, got_weights, relevant = positive_atoms(_Owned(nu))
         assert np.array_equal(got_masks, masks)
         assert relevant == int(np.bitwise_or.reduce(masks))
         assert got_weights.tobytes() == weights.tobytes()
@@ -409,6 +411,27 @@ def test_one_lepage_kernel():
     assert len(lepage_kernels(Path(sim.__file__))) == 1
 
 
+def engine_calls(path: Path) -> list[str]:
+    """"caller:callee" for each call of the cost rule or an engine in a
+    module, by top-level function or method (a nested function counts as
+    its enclosing one)."""
+    tree = ast.parse(path.read_text(), str(path))
+    defs = [(f"{node.name}.{f.name}", f) for node in tree.body if isinstance(node, ast.ClassDef)
+            for f in node.body if isinstance(f, ast.FunctionDef)]
+    defs += [(node.name, node) for node in tree.body if isinstance(node, ast.FunctionDef)]
+    return sorted(f"{name}:{node.func.id}" for name, fn in defs for node in ast.walk(fn)
+                  if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                  and node.func.id in ("_method", "_max_linear", "_lepage"))
+
+
+def test_one_atom_law():
+    # every run samples a SpectralSampler record through _sample, which
+    # applies the cost rule once; couple alone runs LePage over the
+    # widened table it builds
+    assert engine_calls(Path(sim.__file__)) == [
+        "_sample:_lepage", "_sample:_max_linear", "_sample:_method", "couple:_lepage"]
+
+
 def row_max_routes(src: Path) -> list[str]:
     """The row-max helpers a package defines (functions named like one) and
     its calls that reduce rows another way: np.einsum, np.maximum.reduce
@@ -577,9 +600,10 @@ def size_models(d: int) -> dict:
 
 
 def size_picks(theta: Capacity) -> "sim._SizePicks":
-    masses = sim._certified(theta, None).interval_masses()
+    nu = setfun.certified_mobius(theta)
+    masses = nu.interval_masses()
     assert masses is not None
-    return sim._SizePicks(masses, 0, 1.0)
+    return sim._SizePicks(nu, masses, 1.0)
 
 
 def picked_masks(picks, u: np.ndarray) -> np.ndarray:
@@ -594,7 +618,7 @@ def test_size_picks_match_the_table_route(d):
     # but none of these does
     u = np.random.default_rng(7).random(100_000)
     for name, theta in size_models(d).items():
-        masks, weights, _ = positive_atoms(_Owned(sim._certified(theta, None)))
+        masks, weights, _ = positive_atoms(_Owned(setfun.certified_mobius(theta)))
         cum = sim._cumulative(weights)
         idx = np.searchsorted(cum, u, side="right")
         got = picked_masks(size_picks(theta), u)
@@ -716,8 +740,8 @@ def test_truncated_spectral_runs_are_dominated():
 
 def test_spectral_sampler_derives_its_envelope():
     sampler = SpectralSampler.from_tdf(indicator_tdf(skewed3()))
-    assert sampler.bound == 1.52 and sampler.structural_zeros == 0
-    assert sampler.argmax_reachable == 0b111
+    assert sampler.bound == 1.52 and sampler.live.tolist() == [0, 1, 2]
+    assert sampler.reach.tolist() == [0, 1, 2]
 
 
 def test_couple_widens_the_table_once(monkeypatch):

@@ -714,9 +714,9 @@ def test_cli_verify_refuses_too_few_samples_before_any_work(theta2_file, spectra
     # the frechet-scale rows need 30 samples; neither the Mobius round trip,
     # the probe nor the sample runs first
     calls = []
-    for name in ("simulate_model", "mobius_inverse", "check_max_complete_alternation"):
-        monkeypatch.setattr(f"crsm.verify.{name}", lambda *a, name=name, **k:
-                            calls.append(name))
+    for target in ("crsm.simulate.simulate_model", "crsm.verify.mobius_inverse",
+                   "crsm.verify.check_max_complete_alternation"):
+        monkeypatch.setattr(target, lambda *a, name=target, **k: calls.append(name))
     for model in (theta2_file, spectral_file):
         assert main(["verify", "--model", model, "--seed", "1", "--samples", "29"]) == 2
         assert capsys.readouterr().err == ("error: verify needs at least 30 samples "
@@ -798,6 +798,11 @@ def test_lattice_commands_load_neither_sampler_nor_openssl(theta2_file, spectral
                   ["materialize", "--model", theta2_file, *out[3]],
                   ["mobius", "--model", theta2_file, *out[4]],
                   ["cdf", "--model", spectral_file, *pairs, *out[5]]) == ["_hashlib"]
+    # estimate reads a CSV: its statistic loads crsm.verify, but no sampler
+    csv = str(tmp_path / "batch.csv")
+    assert main(["simulate", "--model", theta2_file, "--seed", "1", "--samples", "50",
+                 "--out", csv]) == 0
+    assert loaded(["estimate", "--batch", csv, "--set", '["a"]']) == ["crsm.verify"]
 
 
 def test_public_names_resolve_on_first_use():

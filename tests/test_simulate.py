@@ -178,9 +178,9 @@ def test_spectral_sampler_from_tdf_declarations():
     sp = spectral3()
     sampler = SpectralSampler.from_tdf(sp)
     assert sampler.bound == 1.0
-    assert sampler.structural_zeros == 0
+    assert sampler.live.tolist() == [0, 1]
     # atoms peak at a, b, and both jointly
-    assert sampler.argmax_reachable == 0b11
+    assert sampler.reach.tolist() == [0, 1]
 
 
 def test_spectral_scale_matches_tdf():

@@ -337,7 +337,7 @@ def test_verify_hands_its_clamped_measure_to_the_sampler(monkeypatch):
         tracemalloc.stop()
     assert [ch.name for ch in rows] == CRSM_ROWS
     assert peak <= 3.5, peak
-    monkeypatch.setattr("crsm.verify.simulate_model",
+    monkeypatch.setattr("crsm.simulate.simulate_model",
                         lambda model, config, mobius=None: simulate_model(model, config))
     assert verify_model(theta, samples=2000, seed=1) == rows
 
