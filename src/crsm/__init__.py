@@ -10,6 +10,8 @@ never loads the samplers."""
 import importlib
 
 __version__ = "0.1.0"
+# the random stream layout of crsm.simulate, read without loading it
+STREAM_VERSION = 2
 
 # module -> the public names it exports here
 _EXPORTS = {

@@ -241,8 +241,15 @@ def as_values(carrier: Carrier, values: "np.ndarray | Sequence[float] | dict[str
 
 
 def _indicator(mask, d: int) -> np.ndarray:
-    """1_K as floats over d points; one row per mask for an array of masks."""
-    return ((np.asarray(mask)[..., None] >> np.arange(d)) & 1).astype(float)
+    """1_K as floats over d points; one row per mask for an array of masks.
+    The bits are ANDed in the masks' own integer width straight into a
+    boolean array (numpy casts through its small buffer), so an array of
+    int32 masks costs one byte and then eight per entry."""
+    masks = np.asarray(mask)
+    bits = np.empty(masks.shape + (d,), dtype=bool)
+    np.bitwise_and(masks[..., None], 1 << np.arange(d, dtype=masks.dtype), out=bits,
+                   casting="unsafe")
+    return bits.astype(float)
 
 
 def _mask_of(flags: np.ndarray) -> int:

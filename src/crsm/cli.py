@@ -11,11 +11,11 @@ stream version `stream` when a seed is given, and the sampling `method`
 timestamp so repeated runs are byte-identical.  `verify`'s statistics
 reduce the samples column by column and hold no N x d temporary.
 Each command loads only what it runs: `crsm.simulate` and `crsm.verify`
-inside `simulate`, `couple`, `argmax-test`, `verify` and `estimate`, and
-`crsm.simulate` for the provenance's stream version when a seed is
-given; `hashlib` (OpenSSL) inside `model_hash`, so `choquet`, `extremal`
-and `cdf` without --out never load it, and the rest load it after the
-model document is parsed.
+inside `simulate`, `couple`, `argmax-test`, `verify` and `estimate` (the
+stream version is `crsm.STREAM_VERSION`, so a seeded `check` or `dual`
+loads no sampler); `hashlib` (OpenSSL) inside `model_hash`, so `choquet`,
+`extremal` and `cdf` without --out never load it, and the rest load it
+after the model document is parsed.
 `simulate` writes the mean, p50, p99 and max of its term counts to stderr
 (with the exact E[N] beside the mean on an exact LePage run of a capacity
 held by size), then the method it chose, the atom count m and LePage's
@@ -52,7 +52,7 @@ from typing import TYPE_CHECKING, Optional, TextIO
 
 import numpy as np
 
-from . import __version__
+from . import STREAM_VERSION, __version__
 from .carrier import Carrier, CarrierSizeError, _indicator, _weighted_max
 from .integrals import choquet_integral, extremal_integral
 from .io import (
@@ -105,7 +105,6 @@ def _provenance(seed: Optional[int], obj, deterministic: bool) -> dict:
         "model_sha256": model_hash(obj) if obj is not None else None,
     }
     if seed is not None:
-        from .simulate import STREAM_VERSION
         prov["stream"] = STREAM_VERSION
     if not deterministic:
         prov["generated_at"] = datetime.datetime.now(datetime.timezone.utc).isoformat()

@@ -120,9 +120,9 @@ def _few_keys(carrier: Carrier, count: int) -> bool:
     return count * carrier.size < 1 << carrier.size
 
 
-def _leading_numbers(vals, nonneg: bool) -> tuple[np.ndarray, int]:
+def _leading_numbers(vals) -> tuple[np.ndarray, int]:
     """The values (a list or a dict's values) as floats, in one pass, and how
-    many of them come before the first that _number(val, loc, nonneg=nonneg)
+    many of them come before the first that _number(val, loc, nonneg=True)
     refuses; only the floats before it are meaningful."""
     n = len(vals)
     if not set(map(type, vals)) <= {int, float}:
@@ -134,17 +134,15 @@ def _leading_numbers(vals, nonneg: bool) -> tuple[np.ndarray, int]:
         n = next(i for i, v in enumerate(vals) if abs(v) > sys.float_info.max)
         arr = np.fromiter(vals, float, n)
     bad = ~np.isfinite(arr)
-    if nonneg:
-        bad |= arr < 0
+    bad |= arr < 0
     return arr, int(np.argmax(bad)) if bad.any() else n
 
 
-def _parse_subset_table(carrier: Carrier, table_obj, path: str,
-                        require_complete: bool, nonneg: bool) -> np.ndarray:
+def _parse_subset_table(carrier: Carrier, table_obj, path: str) -> np.ndarray:
     if not isinstance(table_obj, dict):
         raise SchemaError(path, "expected an object mapping subsets to numbers")
     size = 1 << carrier.size
-    good = _leading_numbers(table_obj.values(), nonneg)[1]
+    good = _leading_numbers(table_obj.values())[1]
     given = None
     if good == len(table_obj) and not _few_keys(carrier, good):
         # every value is accepted, so nan marks a subset whose canonical key
@@ -161,7 +159,7 @@ def _parse_subset_table(carrier: Carrier, table_obj, path: str,
             given = ~absent
     if given is None:
         # the first offending entry, in entry order, names the error
-        values = _leading_numbers(table_obj.values(), nonneg)[0]
+        values = _leading_numbers(table_obj.values())[0]
         arr = np.zeros(size)
         given = np.zeros(size, dtype=bool)
         for i, (key, val) in enumerate(table_obj.items()):
@@ -178,9 +176,9 @@ def _parse_subset_table(carrier: Carrier, table_obj, path: str,
                 raise SchemaError(loc, f"subset {carrier.subset_key(mask)!r} given twice")
             given[mask] = True
             if i >= good:
-                _number(val, loc, nonneg=nonneg)  # raises, naming this value
+                _number(val, loc, nonneg=True)  # raises, naming this value
             arr[mask] = values[i]
-    if require_complete and np.count_nonzero(given[1:]) < size - 1:
+    if np.count_nonzero(given[1:]) < size - 1:
         missing = np.flatnonzero(~given[1:]) + 1
         shown = ", ".join(repr(carrier.subset_key(int(m))) for m in missing[:5])
         more = "" if len(missing) <= 5 else f" (+{len(missing) - 5} more)"
@@ -212,9 +210,7 @@ def parse_capacity(obj, path: str = "$") -> Capacity:
     kind = _need(obj, "kind", path)
     if kind == "table":
         carrier = _parse_carrier(obj, path)
-        table = _parse_subset_table(carrier, _need(obj, "table", path),
-                                    f"{path}.table", require_complete=True,
-                                    nonneg=True)
+        table = _parse_subset_table(carrier, _need(obj, "table", path), f"{path}.table")
         return Capacity(carrier, _Owned(table))
     if kind == "exchangeable":
         carrier = _parse_carrier(obj, path)
@@ -341,14 +337,6 @@ def parse_model(obj, path: str = "$") -> Union[Capacity, TailDependenceFunctiona
     raise SchemaError(f"{path}.kind",
                       f"unknown model kind {kind!r}; expected one of "
                       f"{CAPACITY_KINDS + TDF_KINDS}")
-
-
-def parse_mobius(obj, path: str = "$") -> MobiusMeasure:
-    carrier = _parse_carrier(obj, path)
-    weights = _parse_subset_table(carrier, _need(obj, "weights", path),
-                                  f"{path}.weights", require_complete=False,
-                                  nonneg=False)
-    return MobiusMeasure(carrier, _Owned(weights))
 
 
 def capacity_to_json(theta: Capacity) -> dict:

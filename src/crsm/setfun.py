@@ -45,7 +45,7 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .carrier import Carrier, popcounts
+from .carrier import Carrier, _indicator, popcounts
 
 # Default comparison slack for the exact lattice calculus.  Checks that
 # involve Monte Carlo use their own, looser tolerances.
@@ -240,8 +240,7 @@ class _Lattice:
             image = _sweep(_singleton_table(bits, 0), d, np.bitwise_or)
             return bool(np.array_equal(self._full()[image], self._full()))
         masks, weights = self.atom_masks, self.atom_weights
-        image = np.bitwise_or.reduce(np.where(masks[:, None] >> np.arange(d) & 1, bits, 0),
-                                     axis=1)
+        image = np.bitwise_or.reduce(np.where(_indicator(masks, d), bits, 0), axis=1)
         order = np.argsort(image)
         return bool(np.array_equal(image[order], masks)
                     and np.array_equal(weights[order], weights))

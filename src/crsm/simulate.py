@@ -12,7 +12,7 @@ draws from a finite table of atoms (w_j, y_j):
   Choquet random sup-measure,
   P(X(K_i) <= a_i for all i) = exp(-sum_F nu(F) max{1/a_i : F meets K_i}).
 * simulate_spectral: the rows y_j of a spectral table, picked with
-  probability p_j; `couple` runs the same kernel on the table of widened
+  probability p_j; `couple` runs the same LePage loop on the table of widened
   rows [y_j, y_j(E) 1_{argmax y_j}, y_j(E) 1_{supp y_j}], built once.
 
 Capacities and Choquet and Lebesgue TDFs are CRSMs: simulate_crsm samples
@@ -39,7 +39,7 @@ bound/Gamma_n, so once every point that can be positive is positive and
 bound/Gamma_n has dropped strictly below the smallest running maximum, no
 later term can change any coordinate.  By the same bound a step's final
 maximum clears bound/Gamma_n only if the running one at term n does, so
-the kernel tests the final maxima.  If bound/Gamma_n at a step's last
+_lepage tests the final maxima.  If bound/Gamma_n at a step's last
 term n equals the smallest maximum, no later term can raise X either, and
 the lane stops at N = n + 1 without drawing term n + 1.  For the CRSM the
 smallest maximum is theta(E)/Gamma_T, T the term at which every relevant
@@ -77,12 +77,12 @@ from typing import Optional, Union
 
 import numpy as np
 
+from . import STREAM_VERSION  # noqa: F401  (the stream this module draws)
 from .carrier import Carrier, _indicator, _weighted_max
 from .setfun import (DEFAULT_TOL, Capacity, MobiusMeasure, _Owned, certified_mobius,
                      positive_atoms)
 from .tdf import SpectralTDF, extremal_coefficients
 
-STREAM_VERSION = 2
 BLOCK = 1024            # samples per block stream
 ROUND = 8               # terms per bulk round
 BULK_ROUNDS = 8         # bulk rounds per block before continuation streams
@@ -205,11 +205,12 @@ class _AtomTable:
 
     rows are spectral rows, an (atoms, width) float array, or the int32
     masks of CRSM atoms F over width points, whose row is scale * 1_F
-    (scale = theta(E)).  This table is the one place that expands a mask
-    into its indicator.  The cumulative table is built on the first pick:
-    a CRSM's overwrites its atom weights, which are the run's own
-    (simulate_crsm); spectral rows get an array of its own, so a
-    SpectralTDF's probs are never written.  A max-linear run never builds it.
+    (scale = theta(E)), expanded by carrier._indicator.  The cumulative
+    table is built on the first pick: a CRSM's overwrites its atom weights,
+    which are the run's own (simulate_crsm), and drops them, so no later
+    run reads the sums as weights; spectral rows get an array of its own,
+    so a SpectralTDF's probs are never written.  A max-linear run never
+    builds it.
     """
 
     def __init__(self, rows: np.ndarray, weights: np.ndarray,
@@ -221,22 +222,23 @@ class _AtomTable:
 
     @functools.cached_property
     def cum(self) -> np.ndarray:
-        return _cumulative(self.weights, out=self.weights if self.crsm else None)
-
-    def _expand(self, rows: np.ndarray) -> np.ndarray:
-        """Spectral rows as they are; masks as boolean indicators."""
         if not self.crsm:
-            return rows
-        return rows[..., None] & (1 << np.arange(self.width, dtype=np.int32)) != 0
+            return _cumulative(self.weights)
+        cum, self.weights = _cumulative(self.weights, out=self.weights), None
+        return cum
 
     def pick(self, u: np.ndarray) -> np.ndarray:
         """The rows that uniforms u pick, as a new float array."""
-        y = self._expand(self.rows[np.searchsorted(self.cum, u, side="right")])
-        return y * self.scale if self.crsm else y
+        y = self.rows[np.searchsorted(self.cum, u, side="right")]
+        if self.crsm:
+            y = _indicator(y, self.width)
+            y *= self.scale
+        return y
 
     def dense(self, lo: int, hi: int) -> np.ndarray:
         """Rows lo..hi-1 as an (atoms, width) array; a mask becomes 1_F."""
-        return self._expand(self.rows[lo:hi])
+        rows = self.rows[lo:hi]
+        return _indicator(rows, self.width) if self.crsm else rows
 
 
 class _SizePicks:
@@ -299,64 +301,46 @@ def _coupled_rows(y: np.ndarray) -> np.ndarray:
                            np.where(y > 0.0, peak, 0.0)], axis=-1)
 
 
-class _RunningMax:
-    """The LePage kernel: X = max_n y_n / Gamma_n over the rows of an atom
-    table, stopping once no later term can raise X at a stop column."""
-
-    def __init__(self, table: _AtomTable, bound: float, stop: np.ndarray, n: int,
-                 exact: bool):
-        self.table, self.bound, self.stop, self.exact = table, bound, stop, exact
-        self.x = np.zeros((n, table.width))
-
-    def step(self, lanes, g, u):
-        y = self.table.pick(u)
-        np.divide(y, g[:, :, None], out=y)
-        x = np.maximum(self.x[lanes], y.max(axis=0))
-        self.x[lanes] = x
-        if not self.exact:
-            return None
-        # Entries are <= bound and g is nondecreasing, so no term at or after n
-        # exceeds fl(bound / g_n) (IEEE division is monotone): the final max
-        # clears it at the stop columns exactly when the running max at n does.
-        # If it equals the final max at the step's last term, no later term can
-        # raise X either, so the lane stops at the next term without drawing it.
-        room = self.bound / g
-        low = x[:, self.stop].min(axis=1)
-        ok = room < low
-        return np.where(ok.any(axis=0), ok.argmax(axis=0) + 1,
-                        np.where(room[-1] == low, len(g) + 1, 0))
-
-
 def _lepage(table: _AtomTable, bound: float, stop: np.ndarray, config: SimConfig,
             cost: str = "") -> tuple[np.ndarray, np.ndarray]:
-    """Run every sample through the running-max kernel over table (bound
-    and stop columns as _RunningMax takes them) in the stream-2 layout;
-    returns the values and the term counts.  cost is a note for
-    MaxTermsExceeded.
-
-    The kernel's step(lanes, g, u) applies terms with arrivals g (terms,
-    lanes) and pick uniforms u; in exact mode it returns each lane's stop
-    term counted from the step's first term, at most one past its last,
-    and 0 while the lane runs on.
+    """Run every sample through the LePage series over table in the
+    stream-2 layout, X = max_n y_n / Gamma_n over its rows, stopping once
+    no later term can raise X at a stop column (entries of the rows are at
+    most bound); returns the values and the term counts.  cost is a note
+    for MaxTermsExceeded.
     """
     n = config.samples
     exact = config.mode == "exact"
-    kernel = _RunningMax(table, bound, stop, n, exact)
+    x = np.zeros((n, table.width))
     limit = config.max_terms if exact else config.n_terms
     terms = np.full(n, limit, dtype=np.int64)
     gamma = np.zeros(BLOCK)     # arrival time so far, by lane of the block
     spacings, uniforms = np.empty((ROUND, BLOCK)), np.empty((ROUND, BLOCK))
 
     def advance(lanes, done, e, u):
-        """Apply terms done+1 .. done+len(e); True where a lane runs on."""
+        """Apply terms done+1 .. done+len(e), with pick uniforms u, to the
+        running max; True where a lane runs on."""
         e[0] += gamma[lanes % BLOCK]
         g = np.cumsum(e, axis=0, out=e)
         gamma[lanes % BLOCK] = g[-1]
-        stop = kernel.step(lanes, g, u)
+        y = table.pick(u)
+        np.divide(y, g[:, :, None], out=y)
+        top = np.maximum(x[lanes], y.max(axis=0))
+        x[lanes] = top
         if not exact:
             return np.full(lanes.size, done + len(g) < limit)
-        stopped = stop > 0
-        end = done + stop
+        # Entries are <= bound and g is nondecreasing, so no term at or after n
+        # exceeds fl(bound / g_n) (IEEE division is monotone): the final max
+        # clears it at the stop columns exactly when the running max at n does.
+        # If it equals the final max at the step's last term, no later term can
+        # raise X either, so the lane stops at the next term without drawing it.
+        room = bound / g
+        low = top[:, stop].min(axis=1)
+        ok = room < low
+        at = np.where(ok.any(axis=0), ok.argmax(axis=0) + 1,
+                      np.where(room[-1] == low, len(g) + 1, 0))
+        stopped = at > 0
+        end = done + at
         terms[lanes[stopped]] = end[stopped]
         late = np.where(stopped, end > limit, done + len(g) >= limit)
         if late.any():
@@ -399,7 +383,7 @@ def _lepage(table: _AtomTable, bound: float, stop: np.ndarray, config: SimConfig
             gens = [g for g, k in zip(gens, keep) if k]
             done += size
             size = min(2 * size, TAIL_MAX)
-    return kernel.x, terms
+    return x, terms
 
 
 def _max_linear(table: _AtomTable, w: np.ndarray, config: SimConfig) -> np.ndarray:
@@ -441,6 +425,10 @@ def _sample(law: "SpectralSampler", config: SimConfig) -> SampleBatch:
     method = _method(table.atoms, law.floor, config)
     if method == "max-linear":
         w = table.weights if law.weights is None else law.weights
+        if w is None:
+            raise ValueError("this law record's atom weights became its LePage pick "
+                             "table in an earlier run; build a new record to run it "
+                             "max-linearly")
         x, terms = _max_linear(table, w, config), np.full(config.samples, table.atoms)
     else:
         x, terms = _lepage(table, law.bound, law.live, config, law.cost)
@@ -451,7 +439,7 @@ def simulate_crsm(theta: Capacity, config: SimConfig,
                   mobius: Optional[_Owned] = None) -> SampleBatch:
     """Sample the Choquet random sup-measure of a CA capacity (_crsm_law).
 
-    LePage runs the running-max kernel over the run's own atom table: atom
+    LePage runs _lepage over the run's own atom table: atom
     sets arrive as Xi ~ nu/theta(E) with magnitude theta(E)/Gamma_n, so
     X({x}) = theta(E)/Gamma_{tau_x} at the first term tau_x whose atom
     contains x, and E[N] lies between 1 + max_x theta(E)/theta({x}) and
@@ -585,7 +573,7 @@ def couple(law, config: SimConfig) -> Coupling:
 
     A SpectralSampler (or SpectralTDF) is widened once into the table of
     rows [Y, Y(E) on the argmax of Y, Y(E) on the support of Y], and the
-    running-max kernel runs on it until the exact stop of X and of lower,
+    LePage loop runs on it until the exact stop of X and of lower,
     so X is bit-equal to simulate_spectral whenever that runs LePage.  Any
     other model is a CRSM: lower = X = upper = simulate_model(law, config),
     by whichever method it chooses.

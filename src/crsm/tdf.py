@@ -97,10 +97,6 @@ class TailDependenceFunctional:
     def eval(self, f) -> float:
         raise NotImplementedError
 
-    def eval_batch(self, fs: np.ndarray) -> np.ndarray:
-        """Evaluate rows of an (n, d) array; the generic path just loops."""
-        return np.array([self.eval(row) for row in np.asarray(fs, dtype=float)])
-
 
 @dataclass(frozen=True)
 class ChoquetTDF(TailDependenceFunctional):

@@ -3,14 +3,13 @@
 This module owns the statistics of a sample batch; simulate samples.
 Each check compares an exact quantity (Mobius roundtrip, closed-form
 Frechet scale, joint CDF, independence of the argmax, the continuity
-modulus, factorization over disjoint parts) against the simulation at an
+modulus, the joint law of disjoint parts) against the simulation at an
 explicit threshold.  Exact lattice identities use the relative calculus
 tolerance (slack tol * theta(E), see Capacity.atol).  Monte Carlo
 comparisons use the two bands named below.  A healthy model fails each
 3-sigma frechet-scale row with probability about 2.7e-3, so one of the
 five in about 1.3% of runs before correlation, and a 4-sigma probability
-or correlation statistic about 6.3e-5 of the time.  The dependence branch
-of disjoint-parts is a power test with no bounded false-FAIL rate.
+or correlation statistic about 6.3e-5 of the time.
 
 Every model but a spectral table is a CRSM, checked through its capacity
 theta = extremal_coefficients(ell) with exact lattice rows; a spectral
@@ -178,9 +177,11 @@ def verify_model(model: Model, samples: int = 20000, seed: int = 1,
             checks.append(CheckResult("continuity-bound", crep.p_hat,
                                       crep.bound + crep.slack, crep.passed))
             drep = independence_on_disjoint(theta, [anchor, other], batch)
+            # on independent parts the exact law is the product law
             checks.append(CheckResult(
-                "disjoint-parts", drep.max_z, _BAND, drep.consistent,
-                "independent" if drep.expect_independent else "dependence expected"))
+                "disjoint-parts", drep.law_z, _BAND, drep.consistent,
+                "independent" if drep.expect_independent else
+                f"dependence expected, z against the product law {drep.max_z:.3g}"))
     else:
         cpl = couple(model, SimConfig(seed=seed + 1, samples=min(samples, 2000)))
         v = coupling_violations(cpl)
@@ -343,6 +344,7 @@ class DisjointnessCheck:
     level_a: float
     level_b: float
     p_product: float
+    p_exact: float
     p_hat: float
     sigma: float
 
@@ -352,6 +354,7 @@ class DisjointnessReport:
     cross_mass: float
     expect_independent: bool
     max_z: float
+    law_z: float
     consistent: bool
     checks: tuple[DisjointnessCheck, ...]
 
@@ -363,11 +366,13 @@ def independence_on_disjoint(theta: Capacity, parts: Sequence[int],
     X is independent over the parts iff no Mobius mass touches two of
     them.  cross_mass = sum_i theta(P_i) - theta(union of the P_i) is that
     mass, each atom counted once per part it meets beyond the first; this
-    exact criterion decides what the empirical side must show.  For each
-    pair and q in (0.3, 0.5, 0.8) the joint empirical CDF at the exact
-    marginal q-quantiles is compared against the product q**2 with a
-    _BAND-sigma binomial allowance: independence must stay inside the
-    band, genuine dependence must break it somewhere.
+    exact criterion sets expect_independent.  For each pair and q in
+    (0.3, 0.5, 0.8) the joint empirical CDF at the exact marginal
+    q-quantiles is compared with the exact joint law (joint_cdf), whose
+    sigma is that of the joint-cdf rows: consistent iff the largest z,
+    law_z, is at most _BAND.  max_z is the largest z against the product
+    q**2, the power to see the dependence: about 0 on independent parts,
+    and it grows like sqrt(N) where cross_mass > 0.
     """
     if len(parts) < 2:
         raise ValueError("need at least two parts")
@@ -384,10 +389,11 @@ def independence_on_disjoint(theta: Capacity, parts: Sequence[int],
     cross_mass = sum(float(theta.at(p)) for p in parts) - float(theta.at(seen))
     expect_independent = cross_mass <= theta.atol(DEFAULT_TOL)
 
+    ell = as_tdf(theta)
     n = batch.n
     sups = {p: batch.sup(p) for p in parts}
     checks = []
-    max_z = 0.0
+    max_z = law_z = 0.0
     for i in range(len(parts)):
         for j in range(i + 1, len(parts)):
             a, b = parts[i], parts[j]
@@ -395,10 +401,12 @@ def independence_on_disjoint(theta: Capacity, parts: Sequence[int],
                 s = float(theta.at(a)) / (-math.log(q))
                 t = float(theta.at(b)) / (-math.log(q))
                 p_prod = q * q
+                p = joint_cdf(ell, [(a, s), (b, t)])
                 p_hat = float(((sups[a] <= s) & (sups[b] <= t)).mean())
-                sigma = math.sqrt(p_prod * (1.0 - p_prod) / n)
-                checks.append(DisjointnessCheck(a, b, s, t, p_prod, p_hat, sigma))
-                max_z = max(max_z, abs(p_hat - p_prod) / sigma)
-    consistent = (max_z <= _BAND) if expect_independent else (max_z > _BAND)
-    return DisjointnessReport(cross_mass, expect_independent, max_z, consistent,
-                              tuple(checks))
+                sigma = math.sqrt(max(p * (1.0 - p), 1e-12) / n)
+                checks.append(DisjointnessCheck(a, b, s, t, p_prod, p, p_hat, sigma))
+                law_z = max(law_z, abs(p_hat - p) / sigma)
+                power = abs(p_hat - p_prod) / math.sqrt(p_prod * (1.0 - p_prod) / n)
+                max_z = max(max_z, power)
+    return DisjointnessReport(cross_mass, expect_independent, max_z, law_z,
+                              law_z <= _BAND, tuple(checks))

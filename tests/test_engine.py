@@ -282,6 +282,22 @@ def test_crsm_sampler_memory_on_a_dense_table():
     assert own <= certificate + 0.25, (own, certificate)
 
 
+def test_a_crsm_law_record_sampled_twice():
+    # a LePage run builds the record's pick table in place of its atom
+    # weights and drops them, so a later max-linear run of the same record,
+    # which would read the cumulative sums as weights, is refused, while
+    # LePage runs it again on the same picks
+    theta = skewed3()
+    law = sim._crsm_law(theta, None)
+    truncated = SimConfig(seed=0, samples=5, mode="truncated", n_terms=3)
+    first = sim._sample(law, truncated)
+    with pytest.raises(ValueError, match="build a new record"):
+        sim._sample(law, SimConfig(seed=0, samples=5))
+    assert np.array_equal(sim._sample(law, truncated).values, first.values)
+    fresh = sim._sample(sim._crsm_law(theta, None), SimConfig(seed=0, samples=5))
+    assert fresh.method == "max-linear"
+
+
 def test_crsm_run_holds_its_values_and_terms_and_little_else():
     # first_atoms is derived on read: a run builds no N x d argmax mask and
     # no N-vector of atoms, so on a two-point table it peaks within 1 MB of
@@ -399,29 +415,28 @@ def test_block_and_continuation_keys_disjoint(monkeypatch, lepage_only):
     assert runs[0] == runs[1]
 
 
-def lepage_kernels(path: Path) -> list[str]:
-    """The classes of a module that define a step method."""
-    return [node.name for node in ast.walk(ast.parse(path.read_text(), str(path)))
-            if isinstance(node, ast.ClassDef)
-            and any(isinstance(f, ast.FunctionDef) and f.name == "step" for f in node.body)]
-
-
-def test_one_lepage_kernel():
-    # CRSMs, spectral tables and couple all run the running-max kernel
-    assert len(lepage_kernels(Path(sim.__file__))) == 1
-
-
-def engine_calls(path: Path) -> list[str]:
-    """"caller:callee" for each call of the cost rule or an engine in a
-    module, by top-level function or method (a nested function counts as
-    its enclosing one)."""
+def top_defs(path: Path) -> list:
+    """(name, node) of each top-level function and method of a module; a
+    nested function belongs to its enclosing one."""
     tree = ast.parse(path.read_text(), str(path))
     defs = [(f"{node.name}.{f.name}", f) for node in tree.body if isinstance(node, ast.ClassDef)
             for f in node.body if isinstance(f, ast.FunctionDef)]
-    defs += [(node.name, node) for node in tree.body if isinstance(node, ast.FunctionDef)]
-    return sorted(f"{name}:{node.func.id}" for name, fn in defs for node in ast.walk(fn)
-                  if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
-                  and node.func.id in ("_method", "_max_linear", "_lepage"))
+    return defs + [(node.name, node) for node in tree.body if isinstance(node, ast.FunctionDef)]
+
+
+def engine_calls(path: Path, names=("_method", "_max_linear", "_lepage")) -> list[str]:
+    """"caller:callee" for each call of a function or method named in names
+    in a module, by top_defs."""
+    return sorted(f"{name}:{callee}" for name, fn in top_defs(path) for node in ast.walk(fn)
+                  if isinstance(node, ast.Call)
+                  and (callee := getattr(node.func, "id", getattr(node.func, "attr", None)))
+                  in names)
+
+
+def test_one_lepage_kernel():
+    # CRSMs, spectral tables and couple all run the one LePage loop: no
+    # code but _lepage picks atoms
+    assert engine_calls(Path(sim.__file__), ("pick",)) == ["_lepage:pick"]
 
 
 def test_one_atom_law():
@@ -430,6 +445,44 @@ def test_one_atom_law():
     # widened table it builds
     assert engine_calls(Path(sim.__file__)) == [
         "_sample:_lepage", "_sample:_max_linear", "_sample:_method", "couple:_lepage"]
+
+
+def mask_expansions(src: Path) -> list[str]:
+    """The top-level functions and methods of a package that spread masks
+    into bits: a shift by np.arange (operator or np.right_shift), or an
+    AND (operator or np.bitwise_and) with 1 << np.arange."""
+    def name(node):
+        return getattr(node, "attr", getattr(node, "id", None))
+
+    def arange(node):
+        return isinstance(node, ast.Call) and name(node.func) == "arange"
+
+    def powers(node):  # 1 << np.arange(..), either way it is written
+        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.LShift):
+            return arange(node.right)
+        return (isinstance(node, ast.Call) and name(node.func) == "left_shift"
+                and len(node.args) == 2 and arange(node.args[1]))
+
+    def expands(node):
+        if isinstance(node, ast.BinOp):
+            if isinstance(node.op, ast.RShift):
+                return arange(node.right)
+            return isinstance(node.op, ast.BitAnd) and (powers(node.left)
+                                                        or powers(node.right))
+        if isinstance(node, ast.Call) and len(node.args) >= 2:
+            if name(node.func) == "right_shift":
+                return arange(node.args[1])
+            return name(node.func) == "bitwise_and" and any(map(powers, node.args[:2]))
+        return False
+
+    return [f"{path.stem}.{fname}" for path in sorted(src.glob("*.py"))
+            for fname, fn in top_defs(path) if any(map(expands, ast.walk(fn)))]
+
+
+def test_one_mask_expansion():
+    # carrier._indicator is the one place that turns masks into point
+    # vectors: the LePage pick, max-linear and the invariance check call it
+    assert mask_expansions(Path(sim.__file__).parent) == ["carrier._indicator"]
 
 
 def row_max_routes(src: Path) -> list[str]:

@@ -10,7 +10,7 @@ from crsm import setfun
 from crsm.carrier import Carrier
 from crsm.setfun import (Capacity, MobiusMeasure, capacity_from_measure, classify,
                          mobius_inverse)
-from crsm.simulate import SimConfig, simulate_crsm, simulate_model
+from crsm.simulate import SampleBatch, SimConfig, simulate_crsm, simulate_model
 from crsm.integrals import comonotone_additivity_check
 from crsm.tdf import (ChoquetTDF, DiscreteMeasure, LebesgueTDF, SpectralTDF,
                       check_max_complete_alternation, crsm_envelope, dominates,
@@ -163,6 +163,29 @@ def test_disjoint_parts_ignore_rounding_dust():
                                    simulate_crsm(theta, SimConfig(seed=0, samples=4000)))
     assert rep.cross_mass <= theta.atol(1e-9)
     assert rep.expect_independent and rep.consistent
+
+
+def test_disjoint_parts_are_judged_by_their_exact_joint_law():
+    # Two points of a Z_24 storm share little Mobius mass, so at N = 2000
+    # the z against the product law stays near 3.5 and a demand for z > 4
+    # failed most seeds; p_hat against the exact joint law passes them all
+    storm = torus_storm_capacity(24, [([0, 3, 7], 0.6), ([1, 2], 0.4)], 1, 1.5)
+    powers = []
+    for seed in range(1, 9):
+        rep = independence_on_disjoint(
+            storm, [0b01, 0b10], simulate_crsm(storm, SimConfig(seed=seed, samples=2000)))
+        assert not rep.expect_independent and rep.consistent, (seed, rep.law_z)
+        powers.append(rep.max_z)
+    assert min(powers) < 4
+    # a planted dependence bug, one part's column shuffled against the
+    # other's, breaks the exact law
+    theta = Capacity(Carrier(("a", "b")), [0.0, 1.0, 1.0, 1.5])
+    batch = simulate_crsm(theta, SimConfig(seed=1, samples=30000))
+    values = batch.values.copy()
+    np.random.default_rng(1).shuffle(values[:, 1])
+    rep = independence_on_disjoint(theta, [0b01, 0b10],
+                                   SampleBatch(batch.carrier, values, 1, "exact"))
+    assert not rep.consistent and rep.law_z > 10
 
 
 def avar4() -> Capacity:
