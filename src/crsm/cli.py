@@ -360,9 +360,9 @@ def cmd_cdf(args, model, prov):
     value = joint_cdf(ell, pairs)
     theta = _capacity_of(model)
     if theta is not None:
-        # spectral and Lebesgue models are always laws; a capacity only if
-        # CA.  The certificate sweeps theta's own table: nothing reads theta,
-        # model or ell after it, and nothing is printed unless it passes.
+        # a spectral model is always a law; a capacity only if CA.  The
+        # certificate sweeps theta's own table: nothing reads theta, model
+        # or ell after it, and nothing is printed unless it passes.
         certified_mobius(_Owned(theta), DEFAULT_TOL)
     return _print_value(args, value)
 

@@ -17,7 +17,8 @@ Capacities travel as one of six kinds:
 
 Tail dependence functionals use kinds "choquet" ({"theta": <capacity>}),
 "spectral" ({"atoms": [{"p": q, "y": {label: val}}, ..]}) and "lebesgue"
-({"mu": {label: w}}).
+({"mu": {label: w}}), the completely random case: the Choquet TDF of the
+additive capacity held by the singletons of positive mass.
 
 Every parse failure raises SchemaError carrying a JSONPath-style location
 ($.table["a,b"] and friends); oversized carriers raise CarrierSizeError
@@ -37,13 +38,7 @@ import numpy as np
 
 from .carrier import Carrier, CarrierSizeError, TorusTag
 from .setfun import Capacity, MobiusMeasure, _Owned
-from .tdf import (
-    ChoquetTDF,
-    DiscreteMeasure,
-    LebesgueTDF,
-    SpectralTDF,
-    TailDependenceFunctional,
-)
+from .tdf import ChoquetTDF, DiscreteMeasure, SpectralTDF, TailDependenceFunctional
 from .transforms import (
     BernsteinFunction,
     compose_capacity,
@@ -274,9 +269,9 @@ def parse_capacity(obj, path: str = "$") -> Capacity:
                       f"unknown capacity kind {kind!r}; expected one of {CAPACITY_KINDS}")
 
 
-def _construct(fn, path: str, *args):
+def _construct(fn, path: str, *args, **kwargs):
     try:
-        return fn(*args)
+        return fn(*args, **kwargs)
     except CarrierSizeError:
         raise
     except ValueError as e:
@@ -323,7 +318,9 @@ def parse_tdf(obj, path: str = "$") -> TailDependenceFunctional:
     if kind == "lebesgue":
         carrier = _parse_carrier(obj, path)
         mu = _parse_point_values(carrier, _need(obj, "mu", path), f"{path}.mu")
-        return LebesgueTDF(DiscreteMeasure(carrier, mu))
+        points = np.flatnonzero(mu > 0)
+        atoms = (np.left_shift(1, points), mu[points])
+        return ChoquetTDF(_construct(Capacity, path, carrier, atoms=atoms))
     raise SchemaError(f"{path}.kind",
                       f"unknown functional kind {kind!r}; expected one of {TDF_KINDS}")
 

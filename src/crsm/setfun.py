@@ -126,7 +126,7 @@ def _by_size_table(by_size: np.ndarray) -> np.ndarray:
 
 def _check_atoms(carrier: Carrier, masks, weights, name: str):
     """Read-only copies: masks ascending nonempty subsets, int64, and one
-    finite positive weight each."""
+    finite positive weight each, with a finite sum."""
     masks = np.array(masks, dtype=np.int64)
     weights = np.array(weights, dtype=float)
     if masks.ndim != 1 or weights.shape != masks.shape:
@@ -136,6 +136,9 @@ def _check_atoms(carrier: Carrier, masks, weights, name: str):
         raise ValueError(f"{name}: atom masks must be ascending nonempty subsets")
     if not np.all((weights > 0) & (weights < math.inf)):
         raise ValueError(f"{name}: atom weights must be positive and finite")
+    with np.errstate(over="ignore"):  # theta(E) is their sum
+        if weights.sum() == math.inf:
+            raise ValueError(f"{name}: atom weights sum to inf, beyond the float range")
     masks.setflags(write=False)
     weights.setflags(write=False)
     return masks, weights

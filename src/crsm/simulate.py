@@ -15,8 +15,8 @@ draws from a finite table of atoms (w_j, y_j):
   probability p_j; `couple` runs the same LePage loop on the table of widened
   rows [y_j, y_j(E) 1_{argmax y_j}, y_j(E) 1_{supp y_j}], built once.
 
-Capacities and Choquet and Lebesgue TDFs are CRSMs: simulate_crsm samples
-them through their capacity, atoms kept as masks.  A CRSM atom is an
+Capacities and Choquet TDFs are CRSMs: simulate_crsm samples them
+through their capacity, atoms kept as masks.  A CRSM atom is an
 indicator, so its coupling is degenerate: lower = X = upper, and the argmax
 set of a sample (first_atoms, read off the values) is the atom that
 realizes its maximum.  This module only samples: the statistics a batch

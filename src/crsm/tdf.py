@@ -10,12 +10,14 @@ On sets this is the joint law P(X(K_i) <= a_i for all i) =
 exp(-ell(max_i 1_{K_i} / a_i)); `joint_cdf` evaluates it as it stands,
 whatever the representation.
 
-Three interchangeable finite representations are supported:
+Two interchangeable finite representations are supported:
 
 * Choquet:  ell(f) = choquet integral of f against a capacity theta,
 * Spectral: ell(f) = sum_j p_j * max_x f(x) * y_j(x) over finitely many
-  spectral atoms (p_j, y_j),
-* Lebesgue: ell(f) = sum_x f(x) * mu(x) (the completely random case).
+  spectral atoms (p_j, y_j).
+
+The completely random case, ell(f) = sum_x f(x) * mu(x), is the Choquet
+TDF of the additive capacity theta = mu, held by its singleton atoms.
 
 Every TDF is dominated by the Choquet TDF of its extremal coefficient
 capacity theta(K) = ell(indicator of K); that envelope is the largest
@@ -90,7 +92,7 @@ class DiscreteMeasure:
 
 
 class TailDependenceFunctional:
-    """Common interface of the three representations."""
+    """Common interface of the two representations."""
 
     carrier: Carrier
 
@@ -158,23 +160,6 @@ class SpectralTDF(TailDependenceFunctional):
         return bool(np.all((self.atoms == 0.0) | (self.atoms == peaks)))
 
 
-@dataclass(frozen=True)
-class LebesgueTDF(TailDependenceFunctional):
-    """Completely random case: ell(f) = sum f * mu."""
-
-    mu: DiscreteMeasure
-
-    @property
-    def carrier(self) -> Carrier:
-        return self.mu.carrier
-
-    def eval(self, f) -> float:
-        return float(_vals(f, self.carrier) @ self.mu.weights)
-
-    def eval_batch(self, fs: np.ndarray) -> np.ndarray:
-        return np.asarray(fs, dtype=float) @ self.mu.weights
-
-
 def as_tdf(model: Union[Capacity, TailDependenceFunctional]) -> TailDependenceFunctional:
     """The functional of a model; a bare capacity is its Choquet TDF."""
     return ChoquetTDF(model) if isinstance(model, Capacity) else model
@@ -187,11 +172,6 @@ def extremal_coefficients(ell: TailDependenceFunctional) -> Capacity:
     if isinstance(ell, SpectralTDF):
         per_atom = subset_max(ell.atoms)  # (m, 2**d) subset maxima
         return Capacity(ell.carrier, _Owned(ell.probs @ per_atom))
-    if isinstance(ell, LebesgueTDF):
-        # held by its d singletons (fewer where mu vanishes); its table has
-        # the bits of the additive sweep
-        points = np.flatnonzero(ell.mu.weights > 0)
-        return Capacity(ell.carrier, atoms=(np.left_shift(1, points), ell.mu.weights[points]))
     raise TypeError(f"unsupported functional {type(ell).__name__}")
 
 

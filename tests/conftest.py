@@ -5,19 +5,30 @@ monotone table (no alternation guarantee), `random_ca_capacity` draws
 nonnegative Mobius weights and rebuilds the table, so complete alternation
 holds by construction.  Both are deterministic given the rng.
 
-`indicator_tdf` writes the CRSM of a capacity as a dense spectral table,
-the reference against which the CRSM sampler and `couple` are checked.
+`lebesgue_tdf` reads the completely random law of point masses from its
+model document.  `indicator_tdf` writes the CRSM of a capacity as a dense
+spectral table, the reference against which the CRSM sampler and `couple`
+are checked.
 """
 
 import numpy as np
 
 from crsm.carrier import Carrier
+from crsm.io import parse_model
 from crsm.setfun import Capacity, MobiusMeasure, capacity_from_measure, mobius_inverse
-from crsm.tdf import SpectralTDF
+from crsm.tdf import ChoquetTDF, SpectralTDF
 
 
 def carrier_of(d: int) -> Carrier:
     return Carrier(tuple(f"x{i}" for i in range(d)))
+
+
+def lebesgue_tdf(weights) -> ChoquetTDF:
+    """The completely random law of the point masses weights on
+    carrier_of(len(weights)), read from a `lebesgue` model document."""
+    mu = [float(w) for w in weights]
+    return parse_model({"kind": "lebesgue", "carrier": list(carrier_of(len(mu)).labels),
+                        "mu": mu})
 
 
 def random_capacity(rng: np.random.Generator, d: int) -> Capacity:

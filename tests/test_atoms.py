@@ -1,6 +1,6 @@
 """Capacities held by their atoms against brute force and the table route.
 
-A torus storm, a Lebesgue measure and any Capacity(carrier, atoms=...)
+A torus storm, a `lebesgue` model and any Capacity(carrier, atoms=...)
 keep their Mobius atoms: ascending masks with positive weights.  Point
 reads must carry the bits of the table the same capacity spreads, every
 classify verdict must be the one the table route gives, and each result
@@ -14,15 +14,14 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import carrier_of, random_f
+from conftest import carrier_of, lebesgue_tdf, random_f
 from test_transforms import random_storm_law
 from crsm.io import mobius_to_json, parse_model
 from crsm.integrals import choquet_integral, extremal_integral, extremal_integral_setform
 from crsm.setfun import (Capacity, MobiusMeasure, _additive_table, _Owned, atom_capacity,
                          capacity_from_measure, classify, mobius_inverse)
 from crsm.simulate import SimConfig, simulate_crsm
-from crsm.tdf import (ChoquetTDF, DiscreteMeasure, LebesgueTDF, dual_greedy,
-                      extremal_coefficients, joint_cdf)
+from crsm.tdf import ChoquetTDF, dual_greedy, joint_cdf
 from crsm.transforms import (BernsteinFunction, check_stationary, compose_capacity,
                              torus_storm_capacity)
 
@@ -68,8 +67,7 @@ def atom_models():
         w = rng.exponential(1.0, d)
         w[rng.random(d) < 0.3] = 0.0
         w[0] = 0.7
-        mu = DiscreteMeasure(carrier_of(d), w)
-        models.append((f"lebesgue-{d}", lambda mu=mu: extremal_coefficients(LebesgueTDF(mu))))
+        models.append((f"lebesgue-{d}", lambda w=w: lebesgue_tdf(w).theta))
     for d in (1, 3, 7, 10):
         atoms = chain_atoms(rng, d)
         models.append((f"chain-{d}",
@@ -234,7 +232,7 @@ def test_lebesgue_keeps_its_singletons_and_the_additive_bits():
     for d in (1, 2, 6, 11):
         w = rng.exponential(1.0, d)
         w[rng.random(d) < 0.3] = 0.0
-        theta = extremal_coefficients(LebesgueTDF(DiscreteMeasure(carrier_of(d), w)))
+        theta = lebesgue_tdf(w).theta
         assert np.array_equal(theta.atom_masks, np.left_shift(1, np.flatnonzero(w > 0)))
         assert theta.at(np.arange(1 << d)).tobytes() == _additive_table(w).tobytes()
         assert theta.table.tobytes() == _additive_table(w).tobytes()
@@ -242,8 +240,7 @@ def test_lebesgue_keeps_its_singletons_and_the_additive_bits():
 
 def test_lebesgue_on_24_points_runs_max_linear_on_its_atoms():
     d = 24
-    theta = extremal_coefficients(LebesgueTDF(DiscreteMeasure(carrier_of(d),
-                                                              np.linspace(0.5, 1.5, d))))
+    theta = lebesgue_tdf(np.linspace(0.5, 1.5, d)).theta
     batch = simulate_crsm(theta, SimConfig(seed=1, samples=50))
     assert batch.method == "max-linear" and np.all(batch.terms == d)
     assert theta._table is None
@@ -277,6 +274,17 @@ def test_mobius_measure_atoms_read_and_spread():
 def test_atoms_are_checked(masks, weights, match):
     with pytest.raises(ValueError, match=match):
         Capacity(carrier_of(3), atoms=(masks, weights))
+
+
+def test_atoms_whose_total_overflows_are_refused():
+    # every weight is finite, theta(E), their sum, is not
+    c = carrier_of(3)
+    for lattice in (Capacity, MobiusMeasure):
+        with pytest.raises(ValueError, match="sum to inf, beyond the float range"):
+            lattice(c, atoms=([1, 2], [1e308, 1e308]))
+    with pytest.raises(ValueError, match="sum to inf, beyond the float range"):
+        atom_capacity(c, [(1.0, [1, 2, 4])], scale=1e308)
+    assert Capacity(c, atoms=([1, 2], [1e308, 7e307])).total == 1e308 + 7e307
 
 
 def test_atom_capacity_sums_part_by_part():

@@ -31,7 +31,7 @@ from crsm.io import (
 )
 from crsm.setfun import Capacity, mobius_inverse
 from crsm.simulate import SampleBatch
-from crsm.tdf import ChoquetTDF, LebesgueTDF, SpectralTDF, check_max_complete_alternation
+from crsm.tdf import ChoquetTDF, SpectralTDF, check_max_complete_alternation
 from crsm.transforms import check_stationary, exchangeable_capacity
 
 THETA2 = {"kind": "table", "carrier": ["a", "b"],
@@ -271,20 +271,24 @@ def test_parse_tdf_kinds():
                     "atoms": [{"p": 0.6, "y": {"a": 1.0, "b": 0.2}},
                               {"p": 0.4, "y": {"a": 0.0, "b": 1.0}}]})
     assert isinstance(sp, SpectralTDF)
-    leb = parse_tdf({"kind": "lebesgue", "carrier": ["a", "b"],
-                     "mu": {"a": 0.4, "b": 0.6}})
-    assert isinstance(leb, LebesgueTDF)
+    leb = parse_tdf({"kind": "lebesgue", "carrier": ["a", "b", "c"],
+                     "mu": {"a": 0.4, "b": 0.6, "c": 0.0}})
+    # the completely random law: the capacity of its positive singletons
+    assert isinstance(leb, ChoquetTDF)
+    assert leb.theta.atom_masks.tolist() == [1, 2]
+    assert leb.theta.atom_weights.tolist() == [0.4, 0.6]
     # ell(f) in closed form at f = (1, 2): (2 - 1) theta(b) + 1 theta(a, b);
     # sum_j p_j max_x f(x) y_j(x); sum_x mu(x) f(x)
     f = np.array([1.0, 2.0])
-    for ell, want in ((cho, 2.5), (sp, 0.6 * 1.0 + 0.4 * 2.0), (leb, 0.4 + 0.6 * 2.0)):
+    for ell, want in ((cho, 2.5), (sp, 0.6 * 1.0 + 0.4 * 2.0)):
         assert ell.eval(f) == pytest.approx(want, rel=1e-15)
+    assert leb.eval([1.0, 2.0, 5.0]) == pytest.approx(0.4 + 0.6 * 2.0, rel=1e-15)
 
 
 def test_parse_model_dispatches_on_kind():
     assert isinstance(parse_model(THETA2), Capacity)
     assert isinstance(parse_model({"kind": "lebesgue", "carrier": ["a"],
-                                   "mu": {"a": 1.0}}), LebesgueTDF)
+                                   "mu": {"a": 1.0}}), ChoquetTDF)
     with pytest.raises(SchemaError):
         parse_model({"kind": "nope"})
     with pytest.raises(SchemaError):
@@ -736,7 +740,7 @@ def test_cli_simulate_does_not_import_numpy_ma(theta2_file, spectral_file, tmp_p
 # every module eagerly
 PUBLIC_NAMES = [
     "BernsteinFunction", "Capacity", "Carrier", "CarrierSizeError", "CheckResult",
-    "ChoquetTDF", "Coupling", "DiscreteMeasure", "LebesgueTDF", "MaxTermsExceeded",
+    "ChoquetTDF", "Coupling", "DiscreteMeasure", "MaxTermsExceeded",
     "MobiusMeasure", "SampleBatch", "SimConfig", "SpectralSampler", "SpectralTDF",
     "TorusTag", "argmax_independence_test", "argmax_set", "capacity_from_measure",
     "carrier", "check_complete_alternation_direct", "check_max_complete_alternation",
@@ -1074,19 +1078,13 @@ def test_cli_exit_codes(tmp_path, capsys):
 
 @pytest.mark.parametrize("flags", [["--direct"], ["--tolerance", "1e-9"],
                                    ["--tolerance", "1e-3", "--direct"]])
-@pytest.mark.parametrize("model", ["spectral", "lebesgue"])
-def test_cli_check_refuses_capacity_flags_on_functionals(tmp_path, spectral_file, capsys,
-                                                        flags, model):
-    path = spectral_file
-    if model == "lebesgue":
-        path = tmp_path / "leb.json"
-        path.write_text(json.dumps({"kind": "lebesgue", "carrier": ["a", "b"],
-                                    "mu": {"a": 1.0, "b": 2.0}}))
-    assert main(["check", "--model", str(path), "--seed", "0", "--trials", "50"] + flags) == 2
+@pytest.mark.parametrize("model", ["spectral"])  # the one model kind with no capacity
+def test_cli_check_refuses_capacity_flags_on_functionals(spectral_file, capsys, flags, model):
+    assert main(["check", "--model", spectral_file, "--seed", "0", "--trials", "50"]
+                + flags) == 2
     flag = flags[-1] if flags[-1] == "--direct" else flags[0]
-    name = "SpectralTDF" if model == "spectral" else "LebesgueTDF"
     assert capsys.readouterr().err == (f"error: at $.kind: check {flag} needs a capacity "
-                                       f"model, not a {name}\n")
+                                       f"model, not a SpectralTDF\n")
 
 
 def test_cli_check_tolerance_still_applies_to_capacities(tmp_path, capsys):
@@ -1336,12 +1334,64 @@ def test_cli_cdf_prints_spectral_and_lebesgue_laws(tmp_path, spectral_file, caps
     leb = tmp_path / "lebesgue.json"
     leb.write_text(json.dumps({"kind": "lebesgue", "carrier": ["a", "b"],
                                "mu": {"a": 0.7, "b": 0.3}}))
-    # h = (1/2, 1/4): spectral 0.5 * 0.5 + 0.3 * 0.25 + 0.2 * 0.4, Lebesgue 0.7/2 + 0.3/4
+    # h = (1/2, 1/4): spectral 0.5 * 0.5 + 0.3 * 0.25 + 0.2 * 0.4, lebesgue 0.7/2 + 0.3/4
     pairs = '[{"set":["a"],"level":2},{"set":["a","b"],"level":4}]'
     for path, exponent in ((spectral_file, 0.405), (str(leb), 0.425)):
         assert main(["cdf", "--model", path, "--pairs", pairs]) == 0
         value = float(capsys.readouterr().out)
         assert value == pytest.approx(math.exp(-exponent), rel=1e-14)
+
+
+def test_cli_capacity_commands_read_a_lebesgue_model(tmp_path, capsys):
+    # a lebesgue model is the Choquet TDF of its singleton atoms, so every
+    # capacity command reads it; b has no mass
+    mu = {"a": 0.7, "b": 0.0, "c": 0.3}
+    path = tmp_path / "lebesgue.json"
+    path.write_text(json.dumps({"kind": "lebesgue", "carrier": ["a", "b", "c"], "mu": mu}))
+    model = ["--model", str(path), "--deterministic"]
+    f = {"a": 1.0, "b": 2.0, "c": 3.0}
+    dot = math.fsum(f[x] * mu[x] for x in mu)
+
+    def run(*argv) -> str:
+        assert main([*argv, *model]) == 0, argv
+        return capsys.readouterr().out
+
+    # the exact classification, with no --seed and no probe
+    for flags in ([], ["--direct"], ["--tolerance", "1e-6"]):
+        payload = json.loads(run("check", *flags))
+        assert "max_alternation" not in payload
+        assert payload["classification"] | {"witness": None} == {
+            "monotone": True, "completely_alternating": True, "maxitive": False,
+            "additive": True, "witness": None}
+        assert ("direct_search" in payload) == (flags == ["--direct"])
+    # the positive singletons, in mask order
+    weights = json.loads(run("mobius"))["weights"]
+    assert list(weights.items()) == [("a", 0.7), ("c", 0.3)]
+    dual = json.loads(run("dual", "--f", json.dumps(f)))
+    assert dual["measure"] == mu and dual["greedy"] == pytest.approx(dot, rel=1e-15)
+    assert float(run("choquet", "--f", json.dumps(f))) == pytest.approx(dot, rel=1e-15)
+    # max over t of t * mu({f >= t}): t = 1 holds all the mass
+    assert float(run("extremal", "--f", json.dumps(f))) == 1.0
+    assert json.loads(run("argmax-test", "--set", '["a"]', "--samples", "2000",
+                          "--seed", "1"))["passed"] is True
+
+
+@pytest.mark.parametrize("doc", [
+    {"kind": "torus_storm", "n": 3, "dim": 1, "shapes": [{"points": [0], "p": 1.0}],
+     "scale": 1e308},
+    {"kind": "lebesgue", "carrier": ["a", "b"], "mu": {"a": 1e308, "b": 1e308}},
+], ids=["torus_storm", "lebesgue"])
+def test_atoms_whose_total_overflows_are_refused_at_parse(tmp_path, capsys, doc):
+    # each atom weight is finite but theta(E) is not: simulate wrote Infinity
+    # or NaN and exited 0, and verify read a nan round-trip error
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(doc))
+    for argv in (["simulate", "--samples", "3"], ["verify", "--samples", "100"]):
+        assert main([*argv, "--model", str(path), "--seed", "1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: at $: capacity table: atom weights sum to inf, "
+                                "beyond the float range\n")
 
 
 @pytest.mark.parametrize("tol", ["-1", "nan", "inf"])

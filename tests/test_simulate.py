@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import carrier_of, indicator_tdf
+from conftest import carrier_of, indicator_tdf, lebesgue_tdf
 import crsm
 from crsm.carrier import Carrier, _weighted_max
 from crsm.setfun import Capacity
@@ -29,14 +29,7 @@ from crsm.simulate import (
     simulate_spectral,
     substream,
 )
-from crsm.tdf import (
-    ChoquetTDF,
-    DiscreteMeasure,
-    LebesgueTDF,
-    SpectralTDF,
-    extremal_coefficients,
-    joint_cdf,
-)
+from crsm.tdf import ChoquetTDF, SpectralTDF, joint_cdf
 from crsm.transforms import exchangeable_capacity, torus_storm_capacity
 from crsm.verify import (
     argmax_independence_test,
@@ -195,9 +188,9 @@ def test_spectral_scale_matches_tdf():
 def test_simulate_model_dispatch():
     # every model but a spectral table is sampled as the CRSM of its capacity
     cfg = SimConfig(seed=1, samples=50)
-    leb = LebesgueTDF(DiscreteMeasure(carrier_of(2), [0.4, 0.6]))
+    leb = lebesgue_tdf([0.4, 0.6])
     for model, theta in ((theta2(), theta2()), (ChoquetTDF(theta2()), theta2()),
-                         (leb, extremal_coefficients(leb))):
+                         (leb, leb.theta)):
         batch = simulate_model(model, cfg)
         assert np.array_equal(batch.values, simulate_crsm(theta, cfg).values)
     batch = simulate_model(spectral3(), cfg)

@@ -1,19 +1,20 @@
 """Tail dependence functionals: representations, envelope, duality, CDFs."""
 
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import carrier_of, random_ca_capacity, random_capacity, random_f
+from conftest import carrier_of, lebesgue_tdf, random_ca_capacity, random_capacity, random_f
+import crsm
 from crsm.carrier import Carrier, iter_bits
 from crsm.integrals import choquet_integral, extremal_integral
-from crsm.setfun import Capacity, classify, mobius_inverse
+from crsm.setfun import Capacity, _additive_table, classify, mobius_inverse
 from crsm.tdf import (
     ChoquetTDF,
-    DiscreteMeasure,
-    LebesgueTDF,
     SpectralTDF,
     check_max_complete_alternation,
     crsm_envelope,
@@ -70,7 +71,7 @@ def test_eval_batch_agrees_with_eval():
         models = [
             ChoquetTDF(random_ca_capacity(rng, d)),
             random_spectral(rng, d),
-            LebesgueTDF(DiscreteMeasure(carrier_of(d), rng.exponential(size=d))),
+            lebesgue_tdf(rng.exponential(size=d)),
         ]
         fs = np.array([random_f(rng, d) for _ in range(30)])
         for ell in models:
@@ -116,10 +117,75 @@ def test_extremal_coefficients_spectral_bruteforce():
 
 
 def test_extremal_coefficients_lebesgue_additive():
-    mu = DiscreteMeasure(carrier_of(3), [0.2, 0.3, 0.5])
-    theta = extremal_coefficients(LebesgueTDF(mu))
+    theta = extremal_coefficients(lebesgue_tdf([0.2, 0.3, 0.5]))
     assert classify(theta).additive
     assert theta.total == pytest.approx(1.0)
+
+
+def random_masses(rng, d: int) -> np.ndarray:
+    """Point masses with about a third of the points massless."""
+    mu = rng.exponential(1.0, d)
+    mu[rng.random(d) < 0.3] = 0.0
+    return mu
+
+
+def test_lebesgue_model_is_the_choquet_integral_of_its_masses():
+    # complete randomness: ell(f) = sum_x f(x) mu(x) is the Choquet integral
+    # against the additive capacity theta = mu
+    rng = np.random.default_rng(31)
+    for d in range(1, 13):
+        for _ in range(10):
+            mu = random_masses(rng, d)
+            ell = lebesgue_tdf(mu)
+            for _ in range(10):
+                f = random_f(rng, d)
+                want = math.fsum(f * mu)
+                assert abs(ell.eval(f) - want) <= 1e-15 * want, (d, mu, f)
+
+
+def test_lebesgue_model_classifies_as_its_additive_table():
+    # the atoms give an exact 0 where the table gives rounding dust, so
+    # the verdicts agree and the witnesses need not
+    rng = np.random.default_rng(32)
+    fields = ("monotone", "completely_alternating", "maxitive", "additive")
+    for d in range(1, 13):
+        for _ in range(8):
+            mu = random_masses(rng, d)
+            got = classify(lebesgue_tdf(mu).theta)
+            want = classify(Capacity(carrier_of(d), _additive_table(mu)))
+            assert [getattr(got, k) for k in fields] == [getattr(want, k) for k in fields]
+            assert got.additive and got.completely_alternating and got.monotone
+            assert got.maxitive == (np.count_nonzero(mu) <= 1)
+    # one point with mass: additive and maxitive at once
+    single = classify(lebesgue_tdf([0.0, 0.0, 2.5, 0.0]).theta)
+    assert single.maxitive and single.additive
+
+
+def functional_classes(src: Path) -> list[str]:
+    """The classes of a package that derive, directly or through one
+    another, from TailDependenceFunctional."""
+    bases = {}
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.ClassDef):
+                bases[f"{path.stem}.{node.name}"] = [
+                    getattr(b, "id", getattr(b, "attr", None)) for b in node.bases]
+    found = {"TailDependenceFunctional"}
+    while grown := {name.split(".")[1] for name, of in bases.items()
+                    if found.intersection(of)} - found:
+        found |= grown
+    return sorted(name for name, of in bases.items() if found.intersection(of))
+
+
+def test_one_functional_class_per_representation():
+    # a lebesgue model is the Choquet TDF of its singleton atoms, so the
+    # Choquet and spectral representations are the only functional classes
+    src = Path(crsm.__file__).parent
+    assert functional_classes(src) == ["tdf.ChoquetTDF", "tdf.SpectralTDF"]
+    root = src.parents[1]
+    named = [str(path.relative_to(root)) for top in ("src", "scripts")
+             for path in sorted((root / top).rglob("*.py")) if "LebesgueTDF" in path.read_text()]
+    assert named == []
 
 
 def test_envelope_dominates_spectral():
@@ -154,7 +220,7 @@ def test_max_alternation_accepts_all_representations():
     models = [
         ChoquetTDF(random_ca_capacity(rng, 3)),
         random_spectral(rng, 3),
-        LebesgueTDF(DiscreteMeasure(carrier_of(3), [0.1, 0.5, 0.4])),
+        lebesgue_tdf([0.1, 0.5, 0.4]),
     ]
     for ell in models:
         rep = check_max_complete_alternation(ell, order=4, trials=400, seed=7)
@@ -264,14 +330,13 @@ def test_joint_cdf_representations_agree():
     rng = np.random.default_rng(12)
     sp = random_spectral(rng, 3, indicators=True)
     env = crsm_envelope(sp)
-    c = sp.carrier
     pairs = [(0b011, 1.3), (0b110, 0.9)]
     assert joint_cdf(sp, pairs) == pytest.approx(joint_cdf(env, pairs), abs=1e-12)
 
-    mu = DiscreteMeasure(c, [0.2, 0.3, 0.5])
-    leb = LebesgueTDF(mu)
-    cho = ChoquetTDF(extremal_coefficients(leb))
-    assert joint_cdf(leb, pairs) == pytest.approx(joint_cdf(cho, pairs), abs=1e-12)
+    # the completely random law: each point is its own atom
+    mu = [0.2, 0.3, 0.5]
+    exponent = sum(w * max(1.0 / a for K, a in pairs if K >> i & 1) for i, w in enumerate(mu))
+    assert joint_cdf(lebesgue_tdf(mu), pairs) == pytest.approx(math.exp(-exponent), abs=1e-12)
 
 
 def test_joint_cdf_validation():
@@ -286,20 +351,21 @@ def test_joint_cdf_validation():
     assert joint_cdf(ell, [(0, 1.0)]) == 1.0
 
 
-def _exponent_reference(ell, pairs) -> float:
+def _exponent_reference(ell, pairs, mu=None) -> float:
     """-log P(X(K_i) <= a_i for all i), summed over the atoms of each
-    representation: Mobius sets, spectral atoms or carrier points."""
+    representation: Mobius sets, spectral atoms or, given point masses mu,
+    carrier points."""
     def rate(F):  # max{1/a_i : F meets K_i}, 0 when it meets none
         return max((1.0 / a for K, a in pairs if F & K), default=0.0)
 
     d = ell.carrier.size
+    if mu is not None:
+        return math.fsum(mu[i] * rate(1 << i) for i in range(d))
     if isinstance(ell, ChoquetTDF):
         nu = mobius_inverse(ell.theta)
         return math.fsum(nu.weights[F] * rate(F) for F in range(1, 1 << d))
-    if isinstance(ell, SpectralTDF):
-        return math.fsum(p * max(y[i] / a for K, a in pairs for i in iter_bits(K))
-                         for p, y in zip(ell.probs, ell.atoms))
-    return math.fsum(ell.mu.weights[i] * rate(1 << i) for i in range(d))
+    return math.fsum(p * max(y[i] / a for K, a in pairs for i in iter_bits(K))
+                     for p, y in zip(ell.probs, ell.atoms))
 
 
 @pytest.mark.parametrize("seed, kind", enumerate(["choquet-ca", "choquet-monotone",
@@ -308,6 +374,7 @@ def test_joint_cdf_matches_per_representation_formulas(seed, kind):
     rng = np.random.default_rng(seed)
     for _ in range(100):
         d = int(rng.integers(1, 7))
+        mu = None
         if kind == "choquet-ca":
             ell = ChoquetTDF(random_ca_capacity(rng, d))
         elif kind == "choquet-monotone":  # not CA in general: ell.eval allows it
@@ -315,11 +382,12 @@ def test_joint_cdf_matches_per_representation_formulas(seed, kind):
         elif kind == "spectral":
             ell = random_spectral(rng, d)
         else:
-            ell = LebesgueTDF(DiscreteMeasure(carrier_of(d), rng.exponential(1.0, d)))
+            mu = rng.exponential(1.0, d)
+            ell = lebesgue_tdf(mu)
         pairs = [(int(rng.integers(1, 1 << d)), float(rng.uniform(0.2, 5.0)))
                  for _ in range(int(rng.integers(1, 5)))]
         exponent = -math.log(joint_cdf(ell, pairs))
-        assert exponent == pytest.approx(_exponent_reference(ell, pairs), rel=1e-12)
+        assert exponent == pytest.approx(_exponent_reference(ell, pairs, mu), rel=1e-12)
 
 
 @settings(max_examples=40, deadline=None)

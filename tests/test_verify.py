@@ -5,14 +5,15 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from conftest import carrier_of, near_ca_table, random_ca_capacity, skewed_capacity
+from conftest import (carrier_of, lebesgue_tdf, near_ca_table, random_ca_capacity,
+                      skewed_capacity)
 from crsm import setfun
 from crsm.carrier import Carrier
 from crsm.setfun import (Capacity, MobiusMeasure, capacity_from_measure, classify,
                          mobius_inverse)
 from crsm.simulate import SampleBatch, SimConfig, simulate_crsm, simulate_model
 from crsm.integrals import comonotone_additivity_check
-from crsm.tdf import (ChoquetTDF, DiscreteMeasure, LebesgueTDF, SpectralTDF,
+from crsm.tdf import (ChoquetTDF, DiscreteMeasure, SpectralTDF,
                       check_max_complete_alternation, crsm_envelope, dominates,
                       dual_greedy)
 from crsm.transforms import distortion_capacity, exchangeable_capacity, torus_storm_capacity
@@ -39,10 +40,10 @@ SPECTRAL_ROWS = (["max-alternation"] + CRSM_ROWS[2:10] + ["coupling-sandwich"])
 
 
 def test_lebesgue_model_passes():
-    # a Lebesgue TDF is the completely random CRSM and gets its rows
+    # a lebesgue model is the completely random CRSM and gets its rows
     for d in (2, 5):
         weights = np.random.default_rng(d).uniform(0.2, 1.0, size=d)
-        leb = LebesgueTDF(DiscreteMeasure(carrier_of(d), weights))
+        leb = lebesgue_tdf(weights)
         checks = verify_model(leb, samples=8000, seed=3)
         assert [ch.name for ch in checks] == CRSM_ROWS
         assert all(ch.passed for ch in checks)
@@ -297,7 +298,7 @@ def test_verify_inverts_mobius_once_on_a_crsm(monkeypatch):
     for name, module in list(sys.modules.items()):
         if name.startswith("crsm") and getattr(module, "mobius_inverse", None) is real:
             monkeypatch.setattr(module, "mobius_inverse", counted)
-    leb = LebesgueTDF(DiscreteMeasure(carrier_of(3), [0.2, 0.3, 0.5]))
+    leb = lebesgue_tdf([0.2, 0.3, 0.5])
     for model in (random_ca_capacity(np.random.default_rng(2), 3), leb):
         calls.clear()
         rows = verify_model(model, samples=500, seed=1)
@@ -306,14 +307,14 @@ def test_verify_inverts_mobius_once_on_a_crsm(monkeypatch):
 
 
 def test_verify_builds_no_lebesgue_table(monkeypatch):
-    # a Lebesgue capacity and its Mobius measure are held by their d
+    # a lebesgue model's capacity and its Mobius measure are held by their d
     # singletons from the constructor through the sampler
     from crsm import verify
     held = []
     for name in ("extremal_coefficients", "mobius_inverse"):
         real = getattr(verify, name)
         monkeypatch.setattr(verify, name, lambda x, real=real: held.append(real(x)) or held[-1])
-    leb = LebesgueTDF(DiscreteMeasure(carrier_of(6), np.linspace(0.5, 1.5, 6)))
+    leb = lebesgue_tdf(np.linspace(0.5, 1.5, 6))
     rows = verify_model(leb, samples=2000, seed=3)
     assert [ch.name for ch in rows] == CRSM_ROWS
     assert len(held) == 2 and all(lattice._table is None for lattice in held)
@@ -321,12 +322,11 @@ def test_verify_builds_no_lebesgue_table(monkeypatch):
 
 def test_verify_drops_the_roundtrip_table_before_sampling():
     # theta, its Mobius table and the sampler's working set: neither the
-    # round-trip capacity nor a second Lebesgue table stays alive to sample
+    # round-trip capacity nor a second lebesgue table stays alive to sample
     d = 16
     models = {"exchangeable": (exchangeable_capacity(carrier_of(d), [(0.3, 0.5), (0.8, 0.5)]),
                                5.7),
-              "lebesgue": (LebesgueTDF(DiscreteMeasure(carrier_of(d),
-                                                       np.linspace(0.5, 1.5, d))), 6.0)}
+              "lebesgue": (lebesgue_tdf(np.linspace(0.5, 1.5, d)), 6.0)}
     for name, (model, bound) in models.items():
         tracemalloc.start()
         try:
