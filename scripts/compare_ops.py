@@ -16,6 +16,11 @@ max RSS of its ops on each side, the figure perfbench/run.py reports as
 peak_rss_mb.  The exit code is 1 if any op differs, otherwise 0; the
 RSS figures never change it.  Compared with itself, a checkout shows
 that every op is deterministic.
+
+Max RSS also moves with the length of the checkout's absolute path, with
+the source byte for byte the same, so RSS figures compare only between
+checkouts whose paths are equally long; the script warns on stderr when
+they are not.
 """
 
 import argparse
@@ -82,6 +87,9 @@ def main(argv=None) -> int:
     other = args.other.resolve()
     if not (other / "src" / "crsm").is_dir():
         p.error(f"{other} is no checkout: it has no src/crsm")
+    if len(str(other)) != len(str(ROOT)):
+        print(f"warning: {ROOT} and {other} differ in path length, which moves "
+              f"max RSS: compare RSS only between equally long paths", file=sys.stderr)
 
     fields = ("exit code", "stdout", "stderr", "--out sha256")
     compared, differing, peaks = 0, [], []

@@ -13,9 +13,12 @@ reduce the samples column by column and hold no N x d temporary.
 Each command loads only what it runs: `crsm.simulate` and `crsm.verify`
 inside `simulate`, `couple`, `argmax-test`, `verify` and `estimate` (the
 stream version is `crsm.STREAM_VERSION`, so a seeded `check` or `dual`
-loads no sampler); `hashlib` (OpenSSL) inside `model_hash`, so `choquet`,
-`extremal` and `cdf` without --out never load it, and the rest load it
-after the model document is parsed.
+loads no sampler); `crsm.integrals` and `crsm.tdf` inside `choquet`,
+`extremal`, `dual`, `cdf` and `verify`, or when a functional or a
+`distortion` model is parsed, so `check`, `mobius` and `materialize` of a
+capacity load neither.  `model_hash` runs on CPython's own SHA-256
+(`_sha2`, `_sha256` before 3.12), so no command maps OpenSSL to hash its
+model; it is a little slower per byte than OpenSSL's.
 `simulate` writes the mean, p50, p99 and max of its term counts to stderr
 (with the exact E[N] beside the mean on an exact LePage run of a capacity
 held by size), then the method it chose, the atom count m and LePage's
@@ -54,7 +57,6 @@ import numpy as np
 
 from . import STREAM_VERSION, __version__
 from .carrier import Carrier, CarrierSizeError, _indicator, _weighted_max
-from .integrals import choquet_integral, extremal_integral
 from .io import (
     SchemaError,
     capacity_to_json,
@@ -78,7 +80,6 @@ from .setfun import (
     classify,
     mobius_inverse,
 )
-from .tdf import ChoquetTDF, SpectralTDF, as_tdf, dual_greedy, dual_oracle, joint_cdf
 
 if TYPE_CHECKING:
     from .simulate import SampleBatch, SimConfig
@@ -142,11 +143,23 @@ def _emit_json(payload: dict, out: Optional[str]) -> None:
         sys.stdout.write("\n")
 
 
+def _sha256():
+    """A new sha256 from CPython's own module (_sha2 from 3.12, _sha256
+    before), which maps no OpenSSL; hashlib's only on a build without it."""
+    try:
+        from _sha2 import sha256
+    except ImportError:
+        try:
+            from _sha256 import sha256
+        except ImportError:
+            from hashlib import sha256
+    return sha256()
+
+
 def model_hash(obj) -> str:
     """sha256 of json.dumps(obj, sort_keys=True, separators=(",", ":")),
     streamed by the compact writer."""
-    import hashlib  # OpenSSL: only a process that hashes loads it
-    h = hashlib.sha256()
+    h = _sha256()
     _write_json(lambda text: h.update(text.encode()), obj, "", ":")
     return h.hexdigest()
 
@@ -218,9 +231,10 @@ def _inline_json(arg: str, what: str):
 
 def _capacity_of(model) -> Optional[Capacity]:
     """The capacity of a capacity or Choquet model; None for other laws."""
-    if isinstance(model, ChoquetTDF):
-        return model.theta
-    return model if isinstance(model, Capacity) else None
+    if isinstance(model, Capacity):
+        return model
+    from .tdf import ChoquetTDF  # a functional model has loaded it
+    return model.theta if isinstance(model, ChoquetTDF) else None
 
 
 def _require_capacity(model, what: str) -> Capacity:
@@ -332,14 +346,17 @@ def _integral_command(args, model, fn):
 
 
 def cmd_choquet(args, model, prov):
+    from .integrals import choquet_integral
     return _integral_command(args, model, choquet_integral)
 
 
 def cmd_extremal(args, model, prov):
+    from .integrals import extremal_integral
     return _integral_command(args, model, extremal_integral)
 
 
 def cmd_dual(args, model, prov):
+    from .tdf import dual_greedy, dual_oracle
     theta = _require_capacity(model, "dual")
     f = _parse_point_values(theta.carrier, _inline_json(args.f, "--f"), "$.f")
     tol = DEFAULT_TOL if args.tolerance is None else args.tolerance
@@ -355,6 +372,7 @@ def cmd_dual(args, model, prov):
 
 
 def cmd_cdf(args, model, prov):
+    from .tdf import as_tdf, joint_cdf
     ell = as_tdf(model)
     pairs = parse_pairs(_inline_json(args.pairs, "--pairs"), ell.carrier, "$.pairs")
     value = joint_cdf(ell, pairs)
@@ -526,6 +544,7 @@ def cmd_argmax_test(args, model, prov):
 
 
 def cmd_verify(args, model, prov):
+    from .tdf import SpectralTDF
     # a spectral model has no exact lattice rows for a tolerance to loosen
     if args.tolerance is not None and isinstance(model, SpectralTDF):
         raise SchemaError("$.kind", f"verify --tolerance needs a CRSM model, not a "

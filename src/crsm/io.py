@@ -32,13 +32,12 @@ import json
 import math
 import sys
 from itertools import repeat
-from typing import Union
+from typing import TYPE_CHECKING, Union
 
 import numpy as np
 
 from .carrier import Carrier, CarrierSizeError, TorusTag
 from .setfun import Capacity, MobiusMeasure, _Owned
-from .tdf import ChoquetTDF, DiscreteMeasure, SpectralTDF, TailDependenceFunctional
 from .transforms import (
     BernsteinFunction,
     compose_capacity,
@@ -47,6 +46,9 @@ from .transforms import (
     subset_size_capacity,
     torus_storm_capacity,
 )
+
+if TYPE_CHECKING:
+    from .tdf import TailDependenceFunctional
 
 CAPACITY_KINDS = ("table", "exchangeable", "subset_size", "distortion",
                   "torus_storm", "bernstein_compose")
@@ -236,6 +238,7 @@ def parse_capacity(obj, path: str = "$") -> Capacity:
             raise SchemaError(f"{path}.distortion",
                               f"expected 'power' or 'avar', got {dkind!r}")
         alpha = _number(_need(obj, "alpha", path), f"{path}.alpha", positive=True)
+        from .tdf import DiscreteMeasure
         mu = DiscreteMeasure(carrier, mu)  # _parse_point_values checked the values
         return _construct(distortion_capacity, path, mu, dkind, alpha)
     if kind == "torus_storm":
@@ -299,6 +302,7 @@ def parse_bernstein(obj, path: str = "$") -> BernsteinFunction:
 
 
 def parse_tdf(obj, path: str = "$") -> TailDependenceFunctional:
+    from .tdf import ChoquetTDF, SpectralTDF  # only a functional loads tdf
     kind = _need(obj, "kind", path)
     if kind == "choquet":
         theta = parse_capacity(_need(obj, "theta", path), f"{path}.theta")

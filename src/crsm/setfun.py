@@ -695,6 +695,12 @@ def atom_capacity(carrier: Carrier, parts: Sequence[tuple[float, Sequence[int]]]
     weights *= scale
     atoms = weights > 0
     theta = Capacity(carrier, atoms=(masks[atoms], weights[atoms]))
+    total = 0.0
+    for qj, f in kept:  # theta(E), summed and scaled as _at_atoms reads it
+        total += qj * f.size
+    if total * scale == math.inf:
+        raise ValueError("atom_capacity: theta(E) = scale * (sum of q * part size) "
+                         "overflows to inf, beyond the float range")
     theta._parts = (copies, starts, q, scale)
     return theta
 

@@ -34,13 +34,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from typing import TYPE_CHECKING, Optional, Sequence, Union
 
 import numpy as np
 
 from .carrier import Carrier, TorusTag, as_carrier
 from .setfun import _BLOCK_BITS, Capacity, _additive_table, _Owned, _release, atom_capacity
-from .tdf import DiscreteMeasure
+
+if TYPE_CHECKING:
+    from .tdf import DiscreteMeasure
 
 
 @dataclass(frozen=True)

@@ -284,6 +284,11 @@ def test_atoms_whose_total_overflows_are_refused():
             lattice(c, atoms=([1, 2], [1e308, 1e308]))
     with pytest.raises(ValueError, match="sum to inf, beyond the float range"):
         atom_capacity(c, [(1.0, [1, 2, 4])], scale=1e308)
+    # the weights 1e298 sum to 3e298, but the unscaled part sum 3e308 does not
+    # fit, and theta is read part by part before it is scaled
+    with pytest.raises(ValueError, match="overflows to inf, beyond the float range"):
+        atom_capacity(c, [(1e308, [1, 2, 4])], scale=1e-10)
+    assert atom_capacity(c, [(1e307, [1, 2, 4])], scale=1e-10).total == 1e307 * 3 * 1e-10
     assert Capacity(c, atoms=([1, 2], [1e308, 7e307])).total == 1e308 + 7e307
 
 

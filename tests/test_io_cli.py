@@ -16,10 +16,11 @@ import pytest
 
 from conftest import near_ca_table, skewed_capacity
 import crsm.carrier as carrier_module
-from crsm import cli
+from crsm import cli, tdf
 from crsm.carrier import Carrier, CarrierSizeError
 from crsm.cli import _csv_block_rows, _read_batch_csv, _write_batch_csv, main, model_hash
 from crsm.io import (
+    CAPACITY_KINDS,
     SchemaError,
     capacity_to_json,
     mobius_to_json,
@@ -540,6 +541,43 @@ def test_model_hash_is_the_sha256_of_the_compact_sorted_json(monkeypatch, block)
             model_hash(bad)
 
 
+# one model document of each shape the hash meets: a table, a constructor,
+# a functional and a nested constructor
+HASHED_MODELS = [
+    THETA2,
+    {"kind": "torus_storm", "n": 5, "dim": 1, "scale": 0.7,
+     "shapes": [{"points": [0, 1], "p": 0.4}, {"points": [2], "p": 0.6}]},
+    {"kind": "spectral", "carrier": ["a", "b"],
+     "atoms": [{"p": 0.5, "y": {"a": 1.0, "b": 0.3}},
+               {"p": 0.5, "y": {"a": 0.4, "b": 1.0}}]},
+    {"kind": "bernstein_compose",
+     "base": {"kind": "exchangeable", "carrier": ["a", "b", "c"],
+              "zeta": [[0.25, 0.5], [1.0, 0.5]], "scale": 2.0},
+     "bernstein": {"drift": 0.5, "atoms": [[1.0, 0.25], [3.0, 1e-3]]}},
+]
+
+
+def _compact_sha256(doc) -> str:
+    text = json.dumps(doc, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("doc", HASHED_MODELS, ids=lambda doc: doc["kind"])
+def test_model_hash_keeps_its_digest_on_the_builtin_sha256(doc, monkeypatch):
+    # CPython's own sha256 module hashes, with OpenSSL's digest; a build
+    # without that module falls back to hashlib, with the same digest
+    want = _compact_sha256(doc)
+    assert type(cli._sha256()).__module__ in ("_sha2", "_sha256")
+    assert model_hash(doc) == want
+    fallback = []
+    real = hashlib.sha256
+    monkeypatch.setattr(hashlib, "sha256", lambda: fallback.append(1) or real())
+    for name in ("_sha2", "_sha256"):
+        monkeypatch.setitem(sys.modules, name, None)  # import raises ImportError
+    assert model_hash(doc) == want
+    assert fallback == [1]
+
+
 def test_reading_a_table_holds_the_document_and_one_table():
     # a 2^16 table document of 3.3 MB: hashing it holds one block of text,
     # and parsing it the 512 KB table and one block of keys, no second copy
@@ -762,40 +800,59 @@ def test_lattice_commands_load_neither_sampler_nor_openssl(theta2_file, spectral
     env["PYTHONPATH"] = os.pathsep.join(
         [str(Path(__file__).resolve().parents[1] / "src")]
         + [p for p in [env.get("PYTHONPATH")] if p])
-    run = ("import json, sys; from crsm.cli import main; "
-           "codes = [main(argv) for argv in json.loads(sys.argv[1])]; "
-           "print(json.dumps([codes, sorted(m for m in "
-           "('crsm.simulate', 'crsm.verify', '_hashlib') if m in sys.modules)]))")
+    watched = ("crsm.simulate", "crsm.verify", "crsm.tdf", "crsm.integrals", "_hashlib")
+    report = f"print(json.dumps(sorted(m for m in {watched!r} if m in sys.modules)))"
+
+    def child(script, arg):
+        """The watched modules a fresh process loads to run script on arg."""
+        out = subprocess.run([sys.executable, "-c", "import json, sys; " + script + report,
+                              json.dumps(arg)], env=env, capture_output=True, text=True,
+                             check=True).stdout
+        return json.loads(out.splitlines()[-1])
 
     def loaded(*argvs):
-        out = subprocess.run([sys.executable, "-c", run, json.dumps(argvs)], env=env,
-                             capture_output=True, text=True, check=True).stdout
-        codes, modules = json.loads(out.splitlines()[-1])
-        assert codes == [0] * len(argvs)
-        return modules
+        return child("from crsm.cli import main; codes = [main(argv) for argv in "
+                     "json.loads(sys.argv[1])]; assert codes == [0] * len(codes), codes; ",
+                     argvs)
 
+    functional = ["crsm.integrals", "crsm.tdf"]
     pairs = ["--pairs", '[{"set": ["a"], "level": 2}]']
-    # printing a number hashes nothing, so OpenSSL stays unloaded
-    assert loaded(["cdf", "--model", theta2_file, *pairs],
-                  ["cdf", "--model", spectral_file, *pairs]) == []
     out = [["--out", str(tmp_path / f"{i}.json")] for i in range(6)]
+    # a capacity command reads the capacity alone, and the model hash runs on
+    # CPython's own sha256, so neither OpenSSL nor the functional layer loads
     assert loaded(["check", "--model", theta2_file, *out[0]],
-                  ["cdf", "--model", theta2_file, *pairs, *out[1]],
-                  ["dual", "--model", theta2_file, "--f", '{"a": 2, "b": 1}', *out[2]],
-                  ["materialize", "--model", theta2_file, *out[3]],
-                  ["mobius", "--model", theta2_file, *out[4]],
-                  ["cdf", "--model", spectral_file, *pairs, *out[5]]) == ["_hashlib"]
-    # estimate reads a CSV: its statistic loads crsm.verify, but no sampler
+                  ["materialize", "--model", theta2_file, *out[1]],
+                  ["mobius", "--model", theta2_file, *out[2]]) == []
+    # the dual and the cdf run in crsm.tdf, and still hash without OpenSSL
+    assert loaded(["dual", "--model", theta2_file, "--f", '{"a": 2, "b": 1}', *out[3]],
+                  ["cdf", "--model", theta2_file, *pairs, *out[4]],
+                  ["cdf", "--model", spectral_file, *pairs, *out[5]]) == functional
+    assert loaded(["cdf", "--model", theta2_file, *pairs],
+                  ["cdf", "--model", spectral_file, *pairs]) == functional
+    # estimate reads a CSV: its statistic loads crsm.verify, and the
+    # functional layer that imports, but no sampler
     csv = str(tmp_path / "batch.csv")
     assert main(["simulate", "--model", theta2_file, "--seed", "1", "--samples", "50",
                  "--out", csv]) == 0
-    assert loaded(["estimate", "--batch", csv, "--set", '["a"]']) == ["crsm.verify"]
+    assert loaded(["estimate", "--batch", csv, "--set", '["a"]']) == [*functional,
+                                                                      "crsm.verify"]
     # a seed puts the stream version in the provenance, and loads no sampler
     seeded = [["--seed", "1", "--out", str(tmp_path / f"s{i}.json")] for i in range(2)]
-    assert loaded(["check", "--model", theta2_file, *seeded[0]],
-                  ["dual", "--model", theta2_file, "--f", '{"a": 2, "b": 1}',
-                   *seeded[1]]) == ["_hashlib"]
+    assert loaded(["check", "--model", theta2_file, *seeded[0]]) == []
+    assert loaded(["dual", "--model", theta2_file, "--f", '{"a": 2, "b": 1}',
+                   *seeded[1]]) == functional
     assert json.loads((tmp_path / "s1.json").read_text())["provenance"]["stream"] == 2
+    # parsing any capacity kind but distortion, whose measure is a
+    # tdf.DiscreteMeasure, loads no functional layer
+    docs = [THETA2, HASHED_MODELS[1], HASHED_MODELS[3],
+            {"kind": "exchangeable", "carrier": ["a", "b"], "zeta": [[0.5, 1.0]]},
+            {"kind": "subset_size", "carrier": ["a", "b"], "p": [0.2, 0.3, 0.5]},
+            AVAR4]
+    assert {doc["kind"] for doc in docs} == set(CAPACITY_KINDS)
+    for doc in docs:
+        want = functional if doc["kind"] == "distortion" else []
+        assert child("from crsm.io import parse_model; "
+                     "parse_model(json.loads(sys.argv[1])); ", doc) == want, doc["kind"]
 
 
 def test_public_names_resolve_on_first_use():
@@ -1029,8 +1086,8 @@ def test_cli_alternation_order_is_refused_before_the_model_is_read(tmp_path, cap
 
 def test_cli_dual_oracle_gets_the_tolerance(theta2_file, capsys, monkeypatch):
     seen = []
-    real = cli.dual_oracle
-    monkeypatch.setattr(cli, "dual_oracle",
+    real = tdf.dual_oracle
+    monkeypatch.setattr(tdf, "dual_oracle",
                         lambda *a, **kw: seen.append(kw["tol"]) or real(*a, **kw))
     assert main(["dual", "--model", theta2_file, "--f", '{"a":2,"b":1}',
                  "--oracle", "exact", "--tolerance", "1e-6"]) == 0

@@ -36,6 +36,7 @@ def test_script_runs(script, tmp_path):
                           timeout=120)
     assert proc.returncode == 0, proc.stderr
     if script == "compare_ops.py":
+        assert "path length" not in proc.stderr  # the same checkout, the same path
         # after the per-op lines, one peak line per workload, each side's
         # largest max RSS: the figure perfbench reports as peak_rss_mb
         lines = proc.stdout.splitlines()
@@ -45,3 +46,19 @@ def test_script_runs(script, tmp_path):
         assert all(line.endswith(" MB there") for line in peaks)
         assert lines.index(peaks[0]) > max(i for i, line in enumerate(lines)
                                            if "/" in line.split(":")[0])
+
+
+def test_compare_ops_warns_when_the_path_lengths_differ(tmp_path, monkeypatch, capsys):
+    # max RSS moves with the checkout's path length, so RSS figures of two
+    # checkouts whose paths differ in length come with a warning
+    import importlib.util
+    spec = importlib.util.spec_from_file_location("compare_ops",
+                                                  ROOT / "scripts" / "compare_ops.py")
+    compare_ops = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(compare_ops)
+    monkeypatch.setattr(compare_ops.workloads, "WORKLOADS", ())  # compare no op
+    monkeypatch.setattr(compare_ops, "ROOT", tmp_path / "z")
+    for name, warned in (("a", False), ("bb", True)):
+        (tmp_path / name / "src" / "crsm").mkdir(parents=True)
+        assert compare_ops.main([str(tmp_path / name), "1"]) == 0
+        assert ("differ in path length" in capsys.readouterr().err) == warned, name
