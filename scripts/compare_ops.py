@@ -8,10 +8,12 @@ per checkout, and its ops run there in job order, each as a fresh
 process with that checkout's src/ on PYTHONPATH, PYTHONHASHSEED=0 and
 one BLAS thread, as perfbench/run.py runs them.  An op differs if its
 exit code, stdout, stderr or the sha256 of its --out file differ between
-the checkouts.  Each op is printed with both checkouts' max RSS in MB
-(ru_maxrss from wait4; Linux folds this script's own RSS, about 20 MB
-and below every op's, into it), and each differing op with the fields
-that differ.  Then each seed and workload is printed with the largest
+the checkouts.  Each op is printed with both checkouts' wall seconds,
+from starting the process to wait4's return, and max RSS in MB
+(ru_maxrss from that wait4; Linux folds this script's own RSS, about
+20 MB and below every op's, into it), and each differing op with the
+fields that differ.  One run's time only points to where time moved
+between the checkouts; perfbench/run.py measures it.  Then each seed and workload is printed with the largest
 max RSS of its ops on each side, the figure perfbench/run.py reports as
 peak_rss_mb.  The exit code is 1 if any op differs, otherwise 0; the
 RSS figures never change it.  Compared with itself, a checkout shows
@@ -29,6 +31,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -49,19 +52,22 @@ def child_env(checkout: Path, workdir: Path) -> dict:
 
 
 def run(cmd: list, workdir: Path, env: dict) -> tuple:
-    """(exit code, stdout, stderr, max RSS in MB) of one child process."""
+    """(exit code, stdout, stderr, wall seconds, max RSS in MB) of one
+    child process."""
     with tempfile.TemporaryFile() as out, tempfile.TemporaryFile() as err:
+        start = time.perf_counter()
         proc = subprocess.Popen(cmd, cwd=workdir, env=env, stdout=out, stderr=err)
         _, status, usage = os.wait4(proc.pid, 0)
+        wall = time.perf_counter() - start
         proc.returncode = os.waitstatus_to_exitcode(status)
         out.seek(0)
         err.seek(0)
-        return proc.returncode, out.read(), err.read(), usage.ru_maxrss / 1024.0
+        return proc.returncode, out.read(), err.read(), wall, usage.ru_maxrss / 1024.0
 
 
 def run_plan(checkout: Path, plan: workloads.Plan, workdir: Path) -> dict:
     """op name -> ((exit code, stdout, stderr, sha256 of --out or None),
-    max RSS in MB)."""
+    wall seconds, max RSS in MB)."""
     plan.write(workdir)
     env = child_env(checkout, workdir)
     results = {}
@@ -70,11 +76,11 @@ def run_plan(checkout: Path, plan: workloads.Plan, workdir: Path) -> dict:
             cmd = [sys.executable, str(checkout / "perfbench" / "probe.py"), *op.argv]
         else:
             cmd = [sys.executable, "-m", "crsm.cli", *op.argv]
-        code, stdout, stderr, rss = run(cmd, workdir, env)
+        code, stdout, stderr, wall, rss = run(cmd, workdir, env)
         digest = None
         if op.out and (workdir / op.out).exists():
             digest = hashlib.sha256((workdir / op.out).read_bytes()).hexdigest()
-        results[op.name] = ((code, stdout, stderr, digest), rss)
+        results[op.name] = ((code, stdout, stderr, digest), wall, rss)
     return results
 
 
@@ -102,14 +108,16 @@ def main(argv=None) -> int:
                     workdir = Path(tmp) / side
                     workdir.mkdir()
                     runs.append(run_plan(checkout, plan, workdir))
-            peaks.append((seed, workload, max(r[1] for r in runs[0].values()),
-                          max(r[1] for r in runs[1].values())))
+            peaks.append((seed, workload, max(r[2] for r in runs[0].values()),
+                          max(r[2] for r in runs[1].values())))
             for op in plan.ops:
                 compared += 1
-                (this, this_rss), (that, that_rss) = runs[0][op.name], runs[1][op.name]
+                (this, this_s, this_rss), (that, that_s, that_rss) = (runs[0][op.name],
+                                                                      runs[1][op.name])
                 diff = [name for name, a, b in zip(fields, this, that) if a != b]
-                line = (f"seed {seed} {workload}/{op.name}: max RSS {this_rss:.2f} MB "
-                        f"here, {that_rss:.2f} MB there")
+                line = (f"seed {seed} {workload}/{op.name}: wall {this_s:.3f} s here, "
+                        f"{that_s:.3f} s there; max RSS {this_rss:.2f} MB here, "
+                        f"{that_rss:.2f} MB there")
                 if diff:
                     differing.append(op.name)
                     line += f"; {', '.join(diff)} differ"

@@ -29,6 +29,11 @@ and 27 s and 0.9 GB at d = 22 (2 cores); `mobius` skips it for few
 entries, such as a storm's atoms.  Every JSON artifact is written in
 blocks of entries, as json.dumps(payload, indent=2, sort_keys=True) would
 write it, so the writer holds one block of text besides the payload dict.
+A table of str keys and float values (a capacity or Mobius table, and the
+hashed model document's) formats each distinct value of a block once: a
+by-size or parametric table has few, 16 in the 65535 entries of an
+exchangeable d = 16 table.  0.0 and -0.0 are one dict key, so a block that
+holds a zero formats every value.
 
 Simulation CSV: a `# provenance:` line, the header `sample_index,<labels>`,
 then one row per sample, each value in Python's shortest round-trip
@@ -50,7 +55,8 @@ import json
 import math
 import os
 import sys
-from itertools import islice
+from itertools import chain, islice, repeat
+from json.encoder import encode_basestring_ascii
 from typing import TYPE_CHECKING, Optional, TextIO
 
 import numpy as np
@@ -132,8 +138,13 @@ def _emit_json(payload: dict, out: Optional[str]) -> None:
     A container whose members are all scalars is encoded in blocks of
     _BLOCK_VALUES scalars by the C encoder, whose separators are set to that
     same ",\n" plus indent, and which encodes scalars and coerces keys as the
-    indent encoder does; each block's brackets are dropped.  Any other
-    container recurses member by member, its keys coerced as json does."""
+    indent encoder does; each block's brackets are dropped.  A dict whose
+    keys are all str and whose values are all float is written in blocks of
+    _BLOCK_VALUES // 2 entries from its escaped keys and the text of each
+    distinct value of the block, one C-encoder call per block; a block
+    whose values all differ, or that holds 0.0 or -0.0 (one dict key, two
+    texts), encodes every value.  Any other container recurses member by
+    member, its keys coerced as json does."""
     if out:
         with open(out, "w") as fh:
             _write_json(fh.write, payload, "\n")
@@ -178,7 +189,9 @@ def _write_json(write, obj, newline: str, colon: str = ": ") -> None:
     keys = sorted(obj) if is_dict else range(len(obj))
     inner = newline + "  " if newline else ""
     write(opening)
-    if not any(isinstance(v, _CONTAINERS) for v in (obj.values() if is_dict else obj)):
+    if is_dict and {*map(type, obj)} == {str} and {*map(type, obj.values())} == {float}:
+        _write_float_entries(write, obj, keys, "," + inner, colon)
+    elif not any(isinstance(v, _CONTAINERS) for v in (obj.values() if is_dict else obj)):
         encoder = json.JSONEncoder(separators=("," + inner, colon))
         step = _BLOCK_VALUES // 2 if is_dict else _BLOCK_VALUES
         for start in range(0, len(obj), step):
@@ -192,6 +205,29 @@ def _write_json(write, obj, newline: str, colon: str = ": ") -> None:
                 write(_json_key(key) + colon)
             _write_json(write, obj[key], inner, colon)
     write(newline + closing)
+
+
+# The one encoder of a float table's values: a list of floats encodes as
+# "[a, b, ...]", each value as the indent and compact encoders write it.
+_FLOATS = json.JSONEncoder()
+
+
+def _write_float_entries(write, obj: dict, keys: list, sep: str, colon: str) -> None:
+    """The members of a dict of str keys and float values, each after sep,
+    as _emit_json describes: each distinct value of a block encoded once."""
+    step = _BLOCK_VALUES // 2
+    for start in range(0, len(keys), step):
+        names = keys[start:start + step]
+        values = list(map(obj.__getitem__, names))
+        distinct = dict.fromkeys(values)
+        if len(distinct) == len(values) or 0.0 in distinct:
+            texts = _FLOATS.encode(values)[1:-1].split(", ")
+        else:
+            text_of = dict(zip(distinct, _FLOATS.encode(list(distinct))[1:-1].split(", ")))
+            texts = map(text_of.__getitem__, values)
+        text = "".join(chain.from_iterable(zip(
+            repeat(sep), map(encode_basestring_ascii, names), repeat(colon), texts)))
+        write(text if start else text[1:])  # the first entry follows no ","
 
 
 def _json_key(key) -> str:

@@ -30,17 +30,16 @@ import numpy as np
 from .carrier import _indicator, _mask_of, _weighted_max
 from .setfun import (DEFAULT_TOL, Capacity, MobiusMeasure, _Owned, _release,
                      _roundtrip_error, mobius_inverse)
-from .tdf import (PROBE_TOL, SpectralTDF, TailDependenceFunctional, as_tdf,
-                  check_max_complete_alternation, extremal_coefficients, joint_cdf)
 
-if TYPE_CHECKING:  # the samplers load only for verify_model
+if TYPE_CHECKING:  # the samplers and the functional layer load where they run
     from .simulate import SampleBatch
+    from .tdf import TailDependenceFunctional
+
+    Model = Union[Capacity, TailDependenceFunctional]
 
 _FRECHET_MIN = 30   # least observations of a Frechet scale estimate
 _SCALE_BAND = 3.0   # sigmas of a Frechet scale band
 _BAND = 4.0         # sigmas of a probability or correlation band
-
-Model = Union[Capacity, TailDependenceFunctional]
 
 
 @dataclass(frozen=True)
@@ -83,6 +82,8 @@ def verify_model(model: Model, samples: int = 20000, seed: int = 1,
     Refuses fewer samples than its Frechet scale rows need before any
     other work."""
     from .simulate import SimConfig, couple, simulate_model
+    from .tdf import (PROBE_TOL, SpectralTDF, as_tdf, check_max_complete_alternation,
+                      extremal_coefficients, joint_cdf)
     if samples < _FRECHET_MIN:
         raise ValueError(f"verify needs at least {_FRECHET_MIN} samples for its "
                          f"frechet-scale rows, got {samples}")
@@ -389,6 +390,7 @@ def independence_on_disjoint(theta: Capacity, parts: Sequence[int],
     cross_mass = sum(float(theta.at(p)) for p in parts) - float(theta.at(seen))
     expect_independent = cross_mass <= theta.atol(DEFAULT_TOL)
 
+    from .tdf import as_tdf, joint_cdf
     ell = as_tdf(theta)
     n = batch.n
     sups = {p: batch.sup(p) for p in parts}

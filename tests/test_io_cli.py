@@ -483,6 +483,13 @@ def _writer_corpus() -> list:
     theta = Capacity(odd, np.arange(1 << odd.size, dtype=float))
     nu = mobius_inverse(theta)
     specials = [math.nan, math.inf, -math.inf, -0.0, 0.1, 1e300, 5e-324]
+    # float tables that take the writer's distinct-value route: a few values
+    # over several blocks, with 0.0 and -0.0 (one dict key) in one block
+    n = 3 * cli._BLOCK_VALUES
+    few = [math.nan, math.inf, -math.inf, 5e-324, 1e300, 0.1, float("nan")]
+    values = [few[i % len(few)] for i in range(n)]
+    values[n // 2:n // 2 + 2] = 0.0, -0.0
+    odd_keys = ODD_LABELS + ["\n", "\x00", "\x7f", "\U0001f600"]
     return [
         {}, [], {"a": {}, "b": [], "c": [{}], "d": [[]]}, [{}, [], [[]]],
         [{"a": 1, "b": [1, 2]}, {"c": {"d": None}}], {"x": [1, 2], "y": {"z": [3.5]}},
@@ -496,6 +503,11 @@ def _writer_corpus() -> list:
                    {"p": 0.75, "y": {lb: float(i + 8) for i, lb in enumerate(ODD_LABELS)}}]},
         {f"k{i}": specials[i % len(specials)] for i in range(3 * cli._BLOCK_VALUES + 5)},
         [i / 7 for i in range(cli._BLOCK_VALUES + 1)],
+        {f"f{i:05d}": v for i, v in enumerate(values)},
+        {f"d{i}": (i + 1) / 7 for i in range(cli._BLOCK_VALUES + 3)},
+        # 1, 1.0 and true are one dict key but three texts
+        {"a": 1.0, "b": 1, "c": 1.0, "d": 2.0}, {"a": 1.0, "b": True, "c": 1.0},
+        {key: [0.5, 2.0][i % 2] for i, key in enumerate(odd_keys)},
         [[float(i), float(-i)] for i in range(50)],
         {"checks": [{"name": "n", "statistic": 0.5, "passed": True, "detail": ""}],
          "provenance": {"tool": "crsm", "seed": None}},
@@ -598,6 +610,36 @@ def test_reading_a_table_holds_the_document_and_one_table():
     assert theta.table.tobytes() == _entry_order(c, doc["table"]).tobytes()
     assert hash_peak < 1 << 20, hash_peak
     assert parse_peak < 1.5 * (1 << 20), parse_peak
+    # a table whose 65535 values all differ encodes every value, one block
+    # at a time too
+    distinct = {**doc, "table": dict(zip(doc["table"],
+                                         np.linspace(1.0, 2.0, len(doc["table"])).tolist()))}
+    tracemalloc.start()
+    try:
+        digest = model_hash(distinct)
+        hash_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert digest == _compact_sha256(distinct)
+    assert hash_peak < 1 << 20, hash_peak
+
+
+def test_model_hash_encodes_each_distinct_value_of_a_block_once(monkeypatch):
+    # the 2^16 table of a capacity held by size has one value per subset
+    # size, so each block of entries hands the float encoder at most 17
+    c = Carrier(tuple(f"x{i}" for i in range(16)))
+    doc = capacity_to_json(exchangeable_capacity(c, [(0.3, 0.5), (0.05, 0.5)], 1.0))
+    real, counts = cli._FLOATS, []
+
+    class Counted:
+        def encode(self, values):
+            counts.append(len(values))
+            return real.encode(values)
+
+    monkeypatch.setattr(cli, "_FLOATS", Counted())
+    assert model_hash(doc) == _compact_sha256(doc)
+    step = cli._BLOCK_VALUES // 2
+    assert len(counts) == -(-len(doc["table"]) // step) and max(counts) <= 17, counts
 
 
 def test_every_json_artifact_is_the_indent_encoders_text(tmp_path, theta2_file,
@@ -740,7 +782,7 @@ def test_cli_verify_refuses_too_few_samples_before_any_work(theta2_file, spectra
     # the probe nor the sample runs first
     calls = []
     for target in ("crsm.simulate.simulate_model", "crsm.verify.mobius_inverse",
-                   "crsm.verify.check_max_complete_alternation"):
+                   "crsm.tdf.check_max_complete_alternation"):
         monkeypatch.setattr(target, lambda *a, name=target, **k: calls.append(name))
     for model in (theta2_file, spectral_file):
         assert main(["verify", "--model", model, "--seed", "1", "--samples", "29"]) == 2
@@ -829,13 +871,12 @@ def test_lattice_commands_load_neither_sampler_nor_openssl(theta2_file, spectral
                   ["cdf", "--model", spectral_file, *pairs, *out[5]]) == functional
     assert loaded(["cdf", "--model", theta2_file, *pairs],
                   ["cdf", "--model", spectral_file, *pairs]) == functional
-    # estimate reads a CSV: its statistic loads crsm.verify, and the
-    # functional layer that imports, but no sampler
+    # estimate reads a CSV: its statistic loads crsm.verify, which imports
+    # the functional layer only where it runs, and no sampler
     csv = str(tmp_path / "batch.csv")
     assert main(["simulate", "--model", theta2_file, "--seed", "1", "--samples", "50",
                  "--out", csv]) == 0
-    assert loaded(["estimate", "--batch", csv, "--set", '["a"]']) == [*functional,
-                                                                      "crsm.verify"]
+    assert loaded(["estimate", "--batch", csv, "--set", '["a"]']) == ["crsm.verify"]
     # a seed puts the stream version in the provenance, and loads no sampler
     seeded = [["--seed", "1", "--out", str(tmp_path / f"s{i}.json")] for i in range(2)]
     assert loaded(["check", "--model", theta2_file, *seeded[0]]) == []

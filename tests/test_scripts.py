@@ -5,6 +5,7 @@ they still use fails here rather than for the next reader who runs them.
 """
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -40,12 +41,16 @@ def test_script_runs(script, tmp_path):
         # after the per-op lines, one peak line per workload, each side's
         # largest max RSS: the figure perfbench reports as peak_rss_mb
         lines = proc.stdout.splitlines()
+        # each op line gives both sides' wall seconds beside their max RSS
+        ops = [line for line in lines if "/" in line.split(":")[0]]
+        assert ops and all(re.search(r": wall \d+\.\d{3} s here, \d+\.\d{3} s there; "
+                                     r"max RSS \d+\.\d{2} MB here, \d+\.\d{2} MB there$",
+                                     line) for line in ops), ops
         peaks = [line for line in lines if ": peak max RSS " in line]
         assert [line.split(":")[0] for line in peaks] == [
             "seed 1 sample-narrow", "seed 1 sample-wide", "seed 1 lattice-wide"]
         assert all(line.endswith(" MB there") for line in peaks)
-        assert lines.index(peaks[0]) > max(i for i, line in enumerate(lines)
-                                           if "/" in line.split(":")[0])
+        assert lines.index(peaks[0]) > lines.index(ops[-1])
 
 
 def test_compare_ops_warns_when_the_path_lengths_differ(tmp_path, monkeypatch, capsys):

@@ -309,11 +309,11 @@ def test_verify_inverts_mobius_once_on_a_crsm(monkeypatch):
 def test_verify_builds_no_lebesgue_table(monkeypatch):
     # a lebesgue model's capacity and its Mobius measure are held by their d
     # singletons from the constructor through the sampler
-    from crsm import verify
+    from crsm import tdf, verify
     held = []
-    for name in ("extremal_coefficients", "mobius_inverse"):
-        real = getattr(verify, name)
-        monkeypatch.setattr(verify, name, lambda x, real=real: held.append(real(x)) or held[-1])
+    for module, name in ((tdf, "extremal_coefficients"), (verify, "mobius_inverse")):
+        real = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda x, real=real: held.append(real(x)) or held[-1])
     leb = lebesgue_tdf(np.linspace(0.5, 1.5, 6))
     rows = verify_model(leb, samples=2000, seed=3)
     assert [ch.name for ch in rows] == CRSM_ROWS
