@@ -14,11 +14,12 @@ Each command loads only what it runs: `crsm.simulate` and `crsm.verify`
 inside `simulate`, `couple`, `argmax-test`, `verify` and `estimate` (the
 stream version is `crsm.STREAM_VERSION`, so a seeded `check` or `dual`
 loads no sampler); `crsm.integrals` and `crsm.tdf` inside `choquet`,
-`extremal`, `dual`, `cdf` and `verify`, or when a functional or a
+`extremal`, `dual`, `cdf` and `verify`, or when a `spectral` or
 `distortion` model is parsed, so `check`, `mobius` and `materialize` of a
-capacity load neither.  `model_hash` runs on CPython's own SHA-256
-(`_sha2`, `_sha256` before 3.12), so no command maps OpenSSL to hash its
-model; it is a little slower per byte than OpenSSL's.
+capacity load neither, nor `check` and `mobius` of a `choquet` or
+`lebesgue` model, read as its capacity.  `model_hash` runs on CPython's
+own SHA-256 (`_sha2`, `_sha256` before 3.12), so no command maps OpenSSL
+to hash its model; it is a little slower per byte than OpenSSL's.
 `simulate` writes the mean, p50, p99 and max of its term counts to stderr
 (with the exact E[N] beside the mean on an exact LePage run of a capacity
 held by size), then the method it chose, the atom count m and LePage's
@@ -265,20 +266,11 @@ def _inline_json(arg: str, what: str):
         raise SchemaError("$", f"invalid JSON for {what}: {e}") from None
 
 
-def _capacity_of(model) -> Optional[Capacity]:
-    """The capacity of a capacity or Choquet model; None for other laws."""
-    if isinstance(model, Capacity):
-        return model
-    from .tdf import ChoquetTDF  # a functional model has loaded it
-    return model.theta if isinstance(model, ChoquetTDF) else None
-
-
 def _require_capacity(model, what: str) -> Capacity:
-    theta = _capacity_of(model)
-    if theta is None:
+    if not isinstance(model, Capacity):
         raise SchemaError("$.kind", f"{what} needs a capacity model, not a "
                                     f"{type(model).__name__}")
-    return theta
+    return model
 
 
 def _parse_mode(mode: str) -> tuple[str, Optional[int]]:
@@ -332,8 +324,8 @@ def cmd_check(args, model, prov):
         _require_capacity(model, "check --direct")
     if args.tolerance is not None:
         _require_capacity(model, "check --tolerance")
-    theta = _capacity_of(model)
-    if theta is not None:
+    if isinstance(model, Capacity):
+        theta = model
         tol = DEFAULT_TOL if args.tolerance is None else args.tolerance
         cls = classify(theta, tol=tol)
         payload["classification"] = cls.summary(theta.carrier)
@@ -412,12 +404,11 @@ def cmd_cdf(args, model, prov):
     ell = as_tdf(model)
     pairs = parse_pairs(_inline_json(args.pairs, "--pairs"), ell.carrier, "$.pairs")
     value = joint_cdf(ell, pairs)
-    theta = _capacity_of(model)
-    if theta is not None:
+    if isinstance(model, Capacity):
         # a spectral model is always a law; a capacity only if CA.  The
-        # certificate sweeps theta's own table: nothing reads theta, model
+        # certificate sweeps the capacity's own table: nothing reads model
         # or ell after it, and nothing is printed unless it passes.
-        certified_mobius(_Owned(theta), DEFAULT_TOL)
+        certified_mobius(_Owned(model), DEFAULT_TOL)
     return _print_value(args, value)
 
 
@@ -580,9 +571,8 @@ def cmd_argmax_test(args, model, prov):
 
 
 def cmd_verify(args, model, prov):
-    from .tdf import SpectralTDF
     # a spectral model has no exact lattice rows for a tolerance to loosen
-    if args.tolerance is not None and isinstance(model, SpectralTDF):
+    if args.tolerance is not None and not isinstance(model, Capacity):
         raise SchemaError("$.kind", f"verify --tolerance needs a CRSM model, not a "
                                     f"{type(model).__name__}")
     tol = DEFAULT_TOL if args.tolerance is None else args.tolerance

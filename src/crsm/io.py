@@ -17,8 +17,10 @@ Capacities travel as one of six kinds:
 
 Tail dependence functionals use kinds "choquet" ({"theta": <capacity>}),
 "spectral" ({"atoms": [{"p": q, "y": {label: val}}, ..]}) and "lebesgue"
-({"mu": {label: w}}), the completely random case: the Choquet TDF of the
-additive capacity held by the singletons of positive mass.
+({"mu": {label: w}}).  A Choquet functional is the law of its capacity, so
+parse_model reads a "choquet" document as its theta and a "lebesgue" one,
+the completely random case, as the additive capacity held by its
+singletons of positive mass; only "spectral" is read as a functional.
 
 Every parse failure raises SchemaError carrying a JSONPath-style location
 ($.table["a,b"] and friends); oversized carriers raise CarrierSizeError
@@ -48,7 +50,7 @@ from .transforms import (
 )
 
 if TYPE_CHECKING:
-    from .tdf import TailDependenceFunctional
+    from .tdf import SpectralTDF
 
 CAPACITY_KINDS = ("table", "exchangeable", "subset_size", "distortion",
                   "torus_storm", "bernstein_compose")
@@ -301,13 +303,17 @@ def parse_bernstein(obj, path: str = "$") -> BernsteinFunction:
     return _construct(BernsteinFunction, path, drift, tuple(atoms), None)
 
 
-def parse_tdf(obj, path: str = "$") -> TailDependenceFunctional:
-    from .tdf import ChoquetTDF, SpectralTDF  # only a functional loads tdf
+def parse_model(obj, path: str = "$") -> Union[Capacity, SpectralTDF]:
+    """The law a model document describes: a capacity kind, or a `choquet`
+    or `lebesgue` document, as its Capacity; a `spectral` one as a
+    SpectralTDF.  Only `spectral` and `distortion` load crsm.tdf."""
     kind = _need(obj, "kind", path)
+    if kind in CAPACITY_KINDS:
+        return parse_capacity(obj, path)
     if kind == "choquet":
-        theta = parse_capacity(_need(obj, "theta", path), f"{path}.theta")
-        return ChoquetTDF(theta)
+        return parse_capacity(_need(obj, "theta", path), f"{path}.theta")
     if kind == "spectral":
+        from .tdf import SpectralTDF
         carrier = _parse_carrier(obj, path)
         atoms_obj = _need(obj, "atoms", path)
         if not isinstance(atoms_obj, list) or not atoms_obj:
@@ -324,17 +330,7 @@ def parse_tdf(obj, path: str = "$") -> TailDependenceFunctional:
         mu = _parse_point_values(carrier, _need(obj, "mu", path), f"{path}.mu")
         points = np.flatnonzero(mu > 0)
         atoms = (np.left_shift(1, points), mu[points])
-        return ChoquetTDF(_construct(Capacity, path, carrier, atoms=atoms))
-    raise SchemaError(f"{path}.kind",
-                      f"unknown functional kind {kind!r}; expected one of {TDF_KINDS}")
-
-
-def parse_model(obj, path: str = "$") -> Union[Capacity, TailDependenceFunctional]:
-    kind = _need(obj, "kind", path)
-    if kind in CAPACITY_KINDS:
-        return parse_capacity(obj, path)
-    if kind in TDF_KINDS:
-        return parse_tdf(obj, path)
+        return _construct(Capacity, path, carrier, atoms=atoms)
     raise SchemaError(f"{path}.kind",
                       f"unknown model kind {kind!r}; expected one of "
                       f"{CAPACITY_KINDS + TDF_KINDS}")

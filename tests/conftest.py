@@ -6,9 +6,9 @@ nonnegative Mobius weights and rebuilds the table, so complete alternation
 holds by construction.  Both are deterministic given the rng.
 
 `lebesgue_tdf` reads the completely random law of point masses from its
-model document.  `indicator_tdf` writes the CRSM of a capacity as a dense
-spectral table, the reference against which the CRSM sampler and `couple`
-are checked.
+model document, as a functional.  `indicator_tdf` writes the CRSM of a
+capacity as a dense spectral table, the reference against which the CRSM
+sampler and `couple` are checked.
 """
 
 import numpy as np
@@ -25,10 +25,11 @@ def carrier_of(d: int) -> Carrier:
 
 def lebesgue_tdf(weights) -> ChoquetTDF:
     """The completely random law of the point masses weights on
-    carrier_of(len(weights)), read from a `lebesgue` model document."""
+    carrier_of(len(weights)): the Choquet TDF of the capacity a `lebesgue`
+    model document is read as."""
     mu = [float(w) for w in weights]
-    return parse_model({"kind": "lebesgue", "carrier": list(carrier_of(len(mu)).labels),
-                        "mu": mu})
+    return ChoquetTDF(parse_model({"kind": "lebesgue",
+                                   "carrier": list(carrier_of(len(mu)).labels), "mu": mu}))
 
 
 def random_capacity(rng: np.random.Generator, d: int) -> Capacity:

@@ -16,6 +16,7 @@ import pytest
 
 from conftest import near_ca_table, skewed_capacity
 import crsm.carrier as carrier_module
+import crsm.io as io_module
 from crsm import cli, tdf
 from crsm.carrier import Carrier, CarrierSizeError
 from crsm.cli import _csv_block_rows, _read_batch_csv, _write_batch_csv, main, model_hash
@@ -28,11 +29,10 @@ from crsm.io import (
     parse_capacity,
     parse_model,
     parse_pairs,
-    parse_tdf,
 )
 from crsm.setfun import Capacity, mobius_inverse
 from crsm.simulate import SampleBatch
-from crsm.tdf import ChoquetTDF, SpectralTDF, check_max_complete_alternation
+from crsm.tdf import SpectralTDF, as_tdf, check_max_complete_alternation
 from crsm.transforms import check_stationary, exchangeable_capacity
 
 THETA2 = {"kind": "table", "carrier": ["a", "b"],
@@ -265,35 +265,52 @@ def test_parse_bernstein_forms():
         parse_bernstein({"atoms": [[2.0]]})
 
 
-def test_parse_tdf_kinds():
-    cho = parse_tdf({"kind": "choquet", "theta": THETA2})
-    assert isinstance(cho, ChoquetTDF)
-    sp = parse_tdf({"kind": "spectral", "carrier": ["a", "b"],
-                    "atoms": [{"p": 0.6, "y": {"a": 1.0, "b": 0.2}},
-                              {"p": 0.4, "y": {"a": 0.0, "b": 1.0}}]})
-    assert isinstance(sp, SpectralTDF)
-    leb = parse_tdf({"kind": "lebesgue", "carrier": ["a", "b", "c"],
-                     "mu": {"a": 0.4, "b": 0.6, "c": 0.0}})
-    # the completely random law: the capacity of its positive singletons
-    assert isinstance(leb, ChoquetTDF)
-    assert leb.theta.atom_masks.tolist() == [1, 2]
-    assert leb.theta.atom_weights.tolist() == [0.4, 0.6]
-    # ell(f) in closed form at f = (1, 2): (2 - 1) theta(b) + 1 theta(a, b);
-    # sum_j p_j max_x f(x) y_j(x); sum_x mu(x) f(x)
-    f = np.array([1.0, 2.0])
-    for ell, want in ((cho, 2.5), (sp, 0.6 * 1.0 + 0.4 * 2.0)):
-        assert ell.eval(f) == pytest.approx(want, rel=1e-15)
-    assert leb.eval([1.0, 2.0, 5.0]) == pytest.approx(0.4 + 0.6 * 2.0, rel=1e-15)
+def _held_form(theta: Capacity) -> tuple:
+    """A capacity's carrier, the form it is held in and its held bits."""
+    masks = None if theta.atom_masks is None else theta.atom_masks.tolist()
+    return theta.carrier, theta.by_size is not None, masks, theta._held().tobytes()
 
 
 def test_parse_model_dispatches_on_kind():
-    assert isinstance(parse_model(THETA2), Capacity)
-    assert isinstance(parse_model({"kind": "lebesgue", "carrier": ["a"],
-                                   "mu": {"a": 1.0}}), ChoquetTDF)
-    with pytest.raises(SchemaError):
+    # a choquet document is the law of its capacity: the same capacity, in
+    # the same held form, as its inner document parsed alone
+    for inner in (THETA2, {"kind": "exchangeable", "carrier": ["a", "b", "c"],
+                           "zeta": [[0.3, 0.5], [0.9, 0.5]], "scale": 2.0},
+                  {"kind": "torus_storm", "n": 5, "dim": 1, "scale": 0.7,
+                   "shapes": [{"points": [0, 1], "p": 0.4}, {"points": [2], "p": 0.6}]}):
+        cho = parse_model({"kind": "choquet", "theta": inner})
+        assert type(cho) is Capacity, inner["kind"]
+        assert _held_form(cho) == _held_form(parse_model(inner)), inner["kind"]
+    # the completely random law: the capacity of its positive singletons
+    leb = parse_model({"kind": "lebesgue", "carrier": ["a", "b", "c"],
+                       "mu": {"a": 0.4, "b": 0.6, "c": 0.0}})
+    assert type(leb) is Capacity
+    assert leb.atom_masks.tolist() == [1, 2]
+    assert leb.atom_weights.tolist() == [0.4, 0.6]
+    sp = parse_model({"kind": "spectral", "carrier": ["a", "b"],
+                      "atoms": [{"p": 0.6, "y": {"a": 1.0, "b": 0.2}},
+                                {"p": 0.4, "y": {"a": 0.0, "b": 1.0}}]})
+    assert isinstance(sp, SpectralTDF)
+    # ell(f) in closed form at f = (1, 2): (2 - 1) theta(b) + 1 theta(a, b);
+    # sum_j p_j max_x f(x) y_j(x); sum_x mu(x) f(x)
+    f = np.array([1.0, 2.0])
+    cho = as_tdf(parse_model({"kind": "choquet", "theta": THETA2}))
+    for ell, want in ((cho, 2.5), (sp, 0.6 * 1.0 + 0.4 * 2.0)):
+        assert ell.eval(f) == pytest.approx(want, rel=1e-15)
+    assert as_tdf(leb).eval([1.0, 2.0, 5.0]) == pytest.approx(0.4 + 0.6 * 2.0, rel=1e-15)
+    with pytest.raises(SchemaError, match="unknown model kind 'nope'"):
         parse_model({"kind": "nope"})
     with pytest.raises(SchemaError):
         parse_model([1, 2])
+
+
+def test_one_runtime_form_of_a_choquet_model():
+    # the reader and the commands hold a choquet or lebesgue model as its
+    # capacity; only the library wraps one in a functional
+    for module in (io_module, cli):
+        text = Path(module.__file__).read_text()
+        named = [name for name in ("ChoquetTDF", "TailDependenceFunctional") if name in text]
+        assert named == [], module.__name__
 
 
 def test_mobius_json_roundtrip_drops_zeros():
@@ -890,10 +907,22 @@ def test_lattice_commands_load_neither_sampler_nor_openssl(theta2_file, spectral
             {"kind": "subset_size", "carrier": ["a", "b"], "p": [0.2, 0.3, 0.5]},
             AVAR4]
     assert {doc["kind"] for doc in docs} == set(CAPACITY_KINDS)
-    for doc in docs:
+    # a choquet or lebesgue document is read as its capacity, so its parse
+    # and its capacity commands load no functional layer either
+    wrapped = [{"kind": "choquet", "theta": THETA2},
+               {"kind": "choquet", "theta": docs[3]},
+               {"kind": "lebesgue", "carrier": ["a", "b", "c"],
+                "mu": {"a": 0.4, "b": 0.6, "c": 0.0}}]
+    for doc in docs + wrapped:
         want = functional if doc["kind"] == "distortion" else []
         assert child("from crsm.io import parse_model; "
-                     "parse_model(json.loads(sys.argv[1])); ", doc) == want, doc["kind"]
+                     "parse_model(json.loads(sys.argv[1])); ", doc) == want, doc
+    for i, doc in enumerate(wrapped[1:]):
+        path = tmp_path / f"{doc['kind']}.json"
+        path.write_text(json.dumps(doc))
+        outs = [str(tmp_path / f"{cmd}-{i}.json") for cmd in ("check", "mobius")]
+        assert loaded(["check", "--model", str(path), "--out", outs[0]],
+                      ["mobius", "--model", str(path), "--out", outs[1]]) == [], doc["kind"]
 
 
 def test_public_names_resolve_on_first_use():
@@ -1079,6 +1108,41 @@ def test_cli_verify_near_ca_table_fails_alike(tmp_path, capsys):
         assert out[0].startswith("PASS mobius-roundtrip")
         assert out[1].startswith("FAIL complete-alternation")
         assert len(out) == 2
+
+
+@pytest.mark.parametrize("inner", [THETA2, {"kind": "exchangeable",
+                                             "carrier": ["a", "b", "c", "d"],
+                                             "zeta": [[0.3, 0.5], [0.9, 0.5]]}],
+                         ids=lambda doc: doc["kind"])
+def test_cli_choquet_model_runs_as_its_capacity(tmp_path, capsys, inner):
+    # every capacity command gives a choquet document and its inner capacity
+    # the same exit code, stdout, stderr and artifact; only the model hash
+    # in the provenance differs, since the documents do
+    f, region = '{"a": 2, "b": 1}', '["a"]'
+    commands = [["check", "--seed", "1"], ["check", "--direct", "--seed", "1"],
+                ["mobius"], ["dual", "--f", f, "--oracle", "sampled", "--seed", "1",
+                             "--trials", "200"],
+                ["choquet", "--f", f], ["extremal", "--f", f],
+                ["cdf", "--pairs", '[{"set": ["a", "b"], "level": 3}]'],
+                ["simulate", "--seed", "1", "--samples", "200"],
+                ["couple", "--seed", "1", "--samples", "200"],
+                ["verify", "--seed", "1", "--samples", "2000"],
+                ["argmax-test", "--set", region, "--seed", "5", "--samples", "2000"]]
+    docs = {"capacity": inner, "choquet": {"kind": "choquet", "theta": inner}}
+    for name, doc in docs.items():
+        (tmp_path / f"{name}.json").write_text(json.dumps(doc))
+
+    def run(name, argv):
+        out = tmp_path / f"{name}.out"
+        out.unlink(missing_ok=True)  # every command writes its own artifact
+        code = main([argv[0], "--model", str(tmp_path / f"{name}.json"), *argv[1:],
+                     "--out", str(out), "--deterministic"])
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err, out.read_text().replace(
+            model_hash(docs[name]), "<model_sha256>")
+
+    for argv in commands:
+        assert run("choquet", argv) == run("capacity", argv), argv
 
 
 def test_cli_verify_near_ca_table_at_its_tolerance(tmp_path, capsys):
