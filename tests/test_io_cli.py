@@ -281,7 +281,15 @@ def test_parse_model_dispatches_on_kind():
         cho = parse_model({"kind": "choquet", "theta": inner})
         assert type(cho) is Capacity, inner["kind"]
         assert _held_form(cho) == _held_form(parse_model(inner)), inner["kind"]
-    # the completely random law: the capacity of its positive singletons
+    with pytest.raises(SchemaError, match="unknown model kind 'nope'"):
+        parse_model({"kind": "nope"})
+    with pytest.raises(SchemaError):
+        parse_model([1, 2])
+
+
+def test_parse_tdf_kinds():
+    # the choquet, spectral and lebesgue kinds, each read by parse_model;
+    # the completely random law is the capacity of its positive singletons
     leb = parse_model({"kind": "lebesgue", "carrier": ["a", "b", "c"],
                        "mu": {"a": 0.4, "b": 0.6, "c": 0.0}})
     assert type(leb) is Capacity
@@ -298,10 +306,6 @@ def test_parse_model_dispatches_on_kind():
     for ell, want in ((cho, 2.5), (sp, 0.6 * 1.0 + 0.4 * 2.0)):
         assert ell.eval(f) == pytest.approx(want, rel=1e-15)
     assert as_tdf(leb).eval([1.0, 2.0, 5.0]) == pytest.approx(0.4 + 0.6 * 2.0, rel=1e-15)
-    with pytest.raises(SchemaError, match="unknown model kind 'nope'"):
-        parse_model({"kind": "nope"})
-    with pytest.raises(SchemaError):
-        parse_model([1, 2])
 
 
 def test_one_runtime_form_of_a_choquet_model():
