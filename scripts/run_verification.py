@@ -8,7 +8,7 @@ import sys
 
 from crsm.carrier import Carrier
 from crsm.setfun import Capacity
-from crsm.tdf import ChoquetTDF, SpectralTDF
+from crsm.tdf import SpectralTDF
 from crsm.transforms import exchangeable_capacity, torus_storm_capacity
 from crsm.verify import verify_model
 
@@ -17,11 +17,11 @@ import numpy as np
 
 def stock_models():
     c2 = Carrier(("a", "b"))
-    yield "theta2", ChoquetTDF(Capacity(c2, [0.0, 1.0, 1.0, 1.5]))
-    yield "full-dependence", ChoquetTDF(exchangeable_capacity(c2, [(1.0, 1.0)]))
+    yield "theta2", Capacity(c2, [0.0, 1.0, 1.0, 1.5])
+    yield "full-dependence", exchangeable_capacity(c2, [(1.0, 1.0)])
     # complete randomness: the additive capacity of mu = (0.6, 0.4)
-    yield "lebesgue", ChoquetTDF(Capacity(c2, atoms=([1, 2], [0.6, 0.4])))
-    yield "torus-storm", ChoquetTDF(torus_storm_capacity(4, [([0, 1], 1.0)]))
+    yield "lebesgue", Capacity(c2, atoms=([1, 2], [0.6, 0.4]))
+    yield "torus-storm", torus_storm_capacity(4, [([0, 1], 1.0)])
     c3 = Carrier(("a", "b", "c"))
     atoms = np.array([[1.0, 0.2, 0.0], [0.3, 1.0, 0.5], [0.0, 0.4, 1.0]])
     yield "spectral", SpectralTDF(c3, np.array([0.5, 0.3, 0.2]), atoms)

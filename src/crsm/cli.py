@@ -16,10 +16,10 @@ stream version is `crsm.STREAM_VERSION`, so a seeded `check` or `dual`
 loads no sampler); `crsm.integrals` and `crsm.tdf` inside `choquet`,
 `extremal`, `dual`, `cdf` and `verify`, or when a `spectral` or
 `distortion` model is parsed, so `check`, `mobius` and `materialize` of a
-capacity load neither, nor `check` and `mobius` of a `choquet` or
-`lebesgue` model, read as its capacity.  `model_hash` runs on CPython's
-own SHA-256 (`_sha2`, `_sha256` before 3.12), so no command maps OpenSSL
-to hash its model; it is a little slower per byte than OpenSSL's.
+capacity load neither, nor of a `choquet` or `lebesgue` model, read as
+its capacity.  `model_hash` runs on CPython's own SHA-256 (`_sha2`,
+`_sha256` before 3.12), so no command maps OpenSSL to hash its model; it
+is a little slower per byte than OpenSSL's.
 `simulate` writes the mean, p50, p99 and max of its term counts to stderr
 (with the exact E[N] beside the mean on an exact LePage run of a capacity
 held by size), then the method it chose, the atom count m and LePage's
@@ -69,7 +69,6 @@ from .io import (
     capacity_to_json,
     load_json_file,
     mobius_to_json,
-    parse_capacity,
     parse_label_set,
     parse_model,
     parse_pairs,
@@ -300,7 +299,7 @@ def _run(args) -> int:
     obj = model = prov = None
     if getattr(args, "model", None) is not None:
         obj = load_json_file(args.model)
-        model = parse_capacity(obj) if args.command == "materialize" else parse_model(obj)
+        model = parse_model(obj)
     if args.out or args.command not in _PRINTING:
         prov = _provenance(getattr(args, "seed", None), obj, args.deterministic)
     del obj  # the parsed document is not held while the command runs
@@ -400,14 +399,13 @@ def cmd_dual(args, model, prov):
 
 
 def cmd_cdf(args, model, prov):
-    from .tdf import as_tdf, joint_cdf
-    ell = as_tdf(model)
-    pairs = parse_pairs(_inline_json(args.pairs, "--pairs"), ell.carrier, "$.pairs")
-    value = joint_cdf(ell, pairs)
+    from .tdf import joint_cdf
+    pairs = parse_pairs(_inline_json(args.pairs, "--pairs"), model.carrier, "$.pairs")
+    value = joint_cdf(model, pairs)
     if isinstance(model, Capacity):
         # a spectral model is always a law; a capacity only if CA.  The
         # certificate sweeps the capacity's own table: nothing reads model
-        # or ell after it, and nothing is printed unless it passes.
+        # after it, and nothing is printed unless it passes.
         certified_mobius(_Owned(model), DEFAULT_TOL)
     return _print_value(args, value)
 
@@ -588,8 +586,9 @@ def cmd_verify(args, model, prov):
 
 
 def cmd_materialize(args, model, prov):
-    _warn_if_huge("materialize", model.carrier, 1 << model.carrier.size)
-    return capacity_to_json(model), 0
+    theta = _require_capacity(model, "materialize")
+    _warn_if_huge("materialize", theta.carrier, 1 << theta.carrier.size)
+    return capacity_to_json(theta), 0
 
 
 def build_parser() -> argparse.ArgumentParser:

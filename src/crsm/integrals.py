@@ -12,7 +12,7 @@ group (v_i > v_(i+1)), so
                 = max of 0 and v_i * theta_i over the tie-group ends i.
 
 `_chain` builds that chain once, for both integrals, for the batched
-ChoquetTDF.eval_batch and for tdf.dual_greedy, whose maximizing measure
+Capacity.eval_batch and for tdf.dual_greedy, whose maximizing measure
 is the chain's increments.  For monotone theta the extremal integral also
 equals max over nonempty K of theta(K) * min_{x in K} f(x); that form is
 exponential in d and kept only as a debug oracle, and for other theta it

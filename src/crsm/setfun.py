@@ -316,6 +316,17 @@ class Capacity(_Lattice):
         """theta({x}) in carrier order."""
         return self.at(np.left_shift(1, np.arange(self.carrier.size)))
 
+    # A capacity is its own tail dependence functional, ell(f) = choquet
+    # integral of f against theta; integrals loads only where it is evaluated.
+    def eval(self, f) -> float:
+        from .integrals import choquet_integral
+        return choquet_integral(f, self)
+
+    def eval_batch(self, fs: np.ndarray) -> np.ndarray:
+        """choquet_integral of every row, bit for bit, in one pass."""
+        from .integrals import _choquet
+        return _choquet(self, np.asarray(fs, float))
+
     def _at_atoms(self, masks):
         """theta by the recipe of parts (atom_capacity); atoms given as
         (masks, weights) are one part each, in descending mask order, so a

@@ -15,8 +15,8 @@ draws from a finite table of atoms (w_j, y_j):
   probability p_j; `couple` runs the same LePage loop on the table of widened
   rows [y_j, y_j(E) 1_{argmax y_j}, y_j(E) 1_{supp y_j}], built once.
 
-Capacities and Choquet TDFs are CRSMs: simulate_crsm samples them
-through their capacity, atoms kept as masks.  A CRSM atom is an
+A completely alternating capacity is a CRSM: simulate_crsm samples it
+through its Mobius atoms, kept as masks.  A CRSM atom is an
 indicator, so its coupling is degenerate: lower = X = upper, and the argmax
 set of a sample (first_atoms, read off the values) is the atom that
 realizes its maximum.  This module only samples: the statistics a batch
@@ -81,7 +81,7 @@ from . import STREAM_VERSION  # noqa: F401  (the stream this module draws)
 from .carrier import Carrier, _indicator, _weighted_max
 from .setfun import (DEFAULT_TOL, Capacity, MobiusMeasure, _Owned, certified_mobius,
                      positive_atoms)
-from .tdf import SpectralTDF, extremal_coefficients
+from .tdf import SpectralTDF
 
 BLOCK = 1024            # samples per block stream
 ROUND = 8               # terms per bulk round
@@ -540,13 +540,12 @@ def simulate_spectral(sampler: SpectralSampler, config: SimConfig) -> SampleBatc
 
 def simulate_model(model, config: SimConfig,
                    mobius: Optional[_Owned] = None) -> SampleBatch:
-    """Dispatch: spectral TDFs through their own atoms; every other model
-    is a CRSM, sampled through its capacity (mobius: its Mobius measure,
-    when the caller has it already, as simulate_crsm takes it)."""
+    """Dispatch: spectral TDFs through their own atoms; a capacity is a
+    CRSM, sampled by simulate_crsm (mobius: its Mobius measure, when the
+    caller has it already, as simulate_crsm takes it)."""
     if isinstance(model, SpectralTDF):
         return simulate_spectral(SpectralSampler.from_tdf(model), config)
-    theta = model if isinstance(model, Capacity) else extremal_coefficients(model)
-    return simulate_crsm(theta, config, mobius)
+    return simulate_crsm(model, config, mobius)
 
 
 @dataclass(frozen=True)

@@ -10,21 +10,23 @@ On sets this is the joint law P(X(K_i) <= a_i for all i) =
 exp(-ell(max_i 1_{K_i} / a_i)); `joint_cdf` evaluates it as it stands,
 whatever the representation.
 
-Two interchangeable finite representations are supported:
+Two interchangeable finite representations are supported, and each is
+its own functional (`eval`, `eval_batch`):
 
-* Choquet:  ell(f) = choquet integral of f against a capacity theta,
-* Spectral: ell(f) = sum_j p_j * max_x f(x) * y_j(x) over finitely many
-  spectral atoms (p_j, y_j).
+* a Capacity theta: ell(f) = choquet integral of f against theta, since
+  theta fixes the law of its Choquet random sup-measure,
+* a SpectralTDF: ell(f) = sum_j p_j * max_x f(x) * y_j(x) over finitely
+  many spectral atoms (p_j, y_j).
 
-The completely random case, ell(f) = sum_x f(x) * mu(x), is the Choquet
-TDF of the additive capacity theta = mu, held by its singleton atoms.
+The completely random case, ell(f) = sum_x f(x) * mu(x), is the additive
+capacity theta = mu, held by its singleton atoms.
 
 Every TDF is dominated by the Choquet TDF of its extremal coefficient
 capacity theta(K) = ell(indicator of K); that envelope is the largest
 exponent (most dependence) compatible with the given coefficients, with
 equality exactly on indicator-valued spectral atoms.  `crsm_envelope`
-materializes it, `dominates` tests the ordering pointwise on random
-vectors.
+returns that capacity (a capacity is its own), `dominates` tests the
+ordering pointwise on random vectors.
 
 The defining property of a Choquet TDF among all TDFs is max-complete
 alternation of ell itself: the inclusion-exclusion sums
@@ -61,7 +63,7 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from .carrier import Carrier, _indicator, as_values, iter_bits
-from .integrals import _as_functional, _chain, _choquet, _vals, choquet_integral
+from .integrals import _as_functional, _chain, _vals
 from .setfun import (DEFAULT_TOL, MAX_ALTERNATION_ORDER, Capacity, _inclusion_exclusion,
                      _max_excess, _Owned, _worst, certified_mobius, subset_max)
 
@@ -91,33 +93,14 @@ class DiscreteMeasure:
         return {lb: float(w) for lb, w in zip(self.carrier.labels, self.weights)}
 
 
-class TailDependenceFunctional:
-    """Common interface of the two representations."""
-
-    carrier: Carrier
-
-    def eval(self, f) -> float:
-        raise NotImplementedError
+def ChoquetTDF(theta: Capacity) -> Capacity:
+    """The Choquet TDF of theta, which is theta itself: the name is kept for
+    callers that wrap a capacity before evaluating it."""
+    return theta
 
 
 @dataclass(frozen=True)
-class ChoquetTDF(TailDependenceFunctional):
-    theta: Capacity
-
-    @property
-    def carrier(self) -> Carrier:
-        return self.theta.carrier
-
-    def eval(self, f) -> float:
-        return choquet_integral(f, self.theta)
-
-    def eval_batch(self, fs: np.ndarray) -> np.ndarray:
-        """choquet_integral of every row, bit for bit, in one pass."""
-        return _choquet(self.theta, np.asarray(fs, dtype=float))
-
-
-@dataclass(frozen=True)
-class SpectralTDF(TailDependenceFunctional):
+class SpectralTDF:
     """Finitely supported spectral representation: atoms y_j with
     probabilities p_j.  ell(f) = sum_j p_j * max_x f(x) y_j(x)."""
 
@@ -160,24 +143,20 @@ class SpectralTDF(TailDependenceFunctional):
         return bool(np.all((self.atoms == 0.0) | (self.atoms == peaks)))
 
 
-def as_tdf(model: Union[Capacity, TailDependenceFunctional]) -> TailDependenceFunctional:
-    """The functional of a model; a bare capacity is its Choquet TDF."""
-    return ChoquetTDF(model) if isinstance(model, Capacity) else model
-
-
-def extremal_coefficients(ell: TailDependenceFunctional) -> Capacity:
-    """Capacity theta(K) = ell(indicator of K) over the whole lattice."""
-    if isinstance(ell, ChoquetTDF):
-        return ell.theta
+def extremal_coefficients(ell: Union[Capacity, SpectralTDF]) -> Capacity:
+    """Capacity theta(K) = ell(indicator of K) over the whole lattice; a
+    capacity is its own."""
+    if isinstance(ell, Capacity):
+        return ell
     if isinstance(ell, SpectralTDF):
         per_atom = subset_max(ell.atoms)  # (m, 2**d) subset maxima
         return Capacity(ell.carrier, _Owned(ell.probs @ per_atom))
     raise TypeError(f"unsupported functional {type(ell).__name__}")
 
 
-def crsm_envelope(ell: TailDependenceFunctional) -> ChoquetTDF:
+def crsm_envelope(ell: Union[Capacity, SpectralTDF]) -> Capacity:
     """The dominating Choquet TDF with the same extremal coefficients."""
-    return ChoquetTDF(extremal_coefficients(ell))
+    return extremal_coefficients(ell)
 
 
 def random_test_vectors(rng: np.random.Generator, n: int, d: int) -> np.ndarray:
@@ -242,7 +221,7 @@ class DominationReport:
     trials: int
 
 
-def dominates(upper: TailDependenceFunctional, lower, trials: int = 1000,
+def dominates(upper, lower, trials: int = 1000,
               seed: int = 0,
               carrier: Optional[Union[Carrier, int]] = None) -> DominationReport:
     """Check upper(f) >= lower(f) - 1e-9 (|upper(f)| + |lower(f)|) on random
@@ -371,7 +350,7 @@ def dual_oracle(theta: Capacity, f, method: str = "exact",
     raise ValueError(f"unknown dual oracle method {method!r}")
 
 
-def joint_cdf(ell: TailDependenceFunctional,
+def joint_cdf(ell: Union[Capacity, SpectralTDF],
               pairs: Sequence[tuple[int, float]]) -> float:
     """P(X(K_i) <= a_i for all i) for the max-stable RSM attached to ell.
 

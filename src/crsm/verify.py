@@ -11,9 +11,9 @@ comparisons use the two bands named below.  A healthy model fails each
 five in about 1.3% of runs before correlation, and a 4-sigma probability
 or correlation statistic about 6.3e-5 of the time.
 
-Every model but a spectral table is a CRSM, checked through its capacity
-theta = extremal_coefficients(ell) with exact lattice rows; a spectral
-table gets the randomized max-alternation probe and the coupling row.
+Every model but a spectral table is a capacity, checked as the law of
+its CRSM with exact lattice rows; a spectral table gets the randomized
+max-alternation probe and the coupling row.
 
 The battery is deliberately the same code for the CLI `verify` command
 and the test suite: one list of CheckResult rows, pass/fail each.
@@ -33,9 +33,9 @@ from .setfun import (DEFAULT_TOL, Capacity, MobiusMeasure, _Owned, _release,
 
 if TYPE_CHECKING:  # the samplers and the functional layer load where they run
     from .simulate import SampleBatch
-    from .tdf import TailDependenceFunctional
+    from .tdf import SpectralTDF
 
-    Model = Union[Capacity, TailDependenceFunctional]
+    Model = Union[Capacity, SpectralTDF]
 
 _FRECHET_MIN = 30   # least observations of a Frechet scale estimate
 _SCALE_BAND = 3.0   # sigmas of a Frechet scale band
@@ -82,14 +82,13 @@ def verify_model(model: Model, samples: int = 20000, seed: int = 1,
     Refuses fewer samples than its Frechet scale rows need before any
     other work."""
     from .simulate import SimConfig, couple, simulate_model
-    from .tdf import (PROBE_TOL, SpectralTDF, as_tdf, check_max_complete_alternation,
+    from .tdf import (PROBE_TOL, SpectralTDF, check_max_complete_alternation,
                       extremal_coefficients, joint_cdf)
     if samples < _FRECHET_MIN:
         raise ValueError(f"verify needs at least {_FRECHET_MIN} samples for its "
                          f"frechet-scale rows, got {samples}")
     checks: list[CheckResult] = []
-    ell = as_tdf(model)
-    carrier = ell.carrier
+    carrier = model.carrier
 
     crsm = not isinstance(model, SpectralTDF)
     if not crsm and seed + 1 >= 1 << 64:
@@ -97,7 +96,7 @@ def verify_model(model: Model, samples: int = 20000, seed: int = 1,
                          f"got seed {seed}")
     nu = None
     if crsm:
-        theta = extremal_coefficients(ell)
+        theta = extremal_coefficients(model)
         atol = theta.atol(tol)
         nu = mobius_inverse(theta)
         err = _roundtrip_error(theta, nu)
@@ -114,14 +113,14 @@ def verify_model(model: Model, samples: int = 20000, seed: int = 1,
         w = _release(nu)
         nu = nu._new(MobiusMeasure, np.clip(w, 0.0, None, out=w))
     else:
-        arep = check_max_complete_alternation(ell, order=3, trials=300, seed=seed)
+        arep = check_max_complete_alternation(model, order=3, trials=300, seed=seed)
         checks.append(CheckResult("max-alternation", arep.worst_value, PROBE_TOL,
                                   arep.alternating))
         if not arep.alternating:
             return checks
 
     # theta(K) = ell(1_K), so a spectral model never builds its lattice table
-    cap = lambda mask: ell.eval(_indicator(mask, carrier.size))
+    cap = lambda mask: model.eval(_indicator(mask, carrier.size))
     total = cap(carrier.full_mask)
     singles = np.array([cap(1 << i) for i in range(carrier.size)])
     relevant_idx = np.flatnonzero(singles > 0)
@@ -132,13 +131,13 @@ def verify_model(model: Model, samples: int = 20000, seed: int = 1,
 
     config = SimConfig(seed=seed, samples=samples)
     # the sampler takes the clamped nu over as its own Mobius table
-    batch = simulate_model(theta if crsm else model, config, _Owned(nu) if crsm else None)
+    batch = simulate_model(model, config, _Owned(nu) if crsm else None)
     del nu
     n = batch.n
 
     for name, f in _test_vectors(carrier, relevant_idx, seed):
         est = frechet_scale_estimate(batch.extremal(f))
-        target = ell.eval(f)
+        target = model.eval(f)
         err = abs(est.scale - target)
         checks.append(CheckResult(f"frechet-scale[{name}]", err, est.half_width,
                                   err <= est.half_width,
@@ -156,7 +155,7 @@ def verify_model(model: Model, samples: int = 20000, seed: int = 1,
     ]
     for i, pairs in enumerate(grids):
         pairs = [(m, a) for m, a in pairs if m != 0]
-        p = joint_cdf(ell, pairs)
+        p = joint_cdf(model, pairs)
         hit = np.ones(n, dtype=bool)
         for m, a in pairs:
             hit &= batch.sup(m) <= a
@@ -390,8 +389,7 @@ def independence_on_disjoint(theta: Capacity, parts: Sequence[int],
     cross_mass = sum(float(theta.at(p)) for p in parts) - float(theta.at(seen))
     expect_independent = cross_mass <= theta.atol(DEFAULT_TOL)
 
-    from .tdf import as_tdf, joint_cdf
-    ell = as_tdf(theta)
+    from .tdf import joint_cdf
     n = batch.n
     sups = {p: batch.sup(p) for p in parts}
     checks = []
@@ -403,7 +401,7 @@ def independence_on_disjoint(theta: Capacity, parts: Sequence[int],
                 s = float(theta.at(a)) / (-math.log(q))
                 t = float(theta.at(b)) / (-math.log(q))
                 p_prod = q * q
-                p = joint_cdf(ell, [(a, s), (b, t)])
+                p = joint_cdf(theta, [(a, s), (b, t)])
                 p_hat = float(((sups[a] <= s) & (sups[b] <= t)).mean())
                 sigma = math.sqrt(max(p * (1.0 - p), 1e-12) / n)
                 checks.append(DisjointnessCheck(a, b, s, t, p_prod, p, p_hat, sigma))

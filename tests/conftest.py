@@ -5,8 +5,8 @@ monotone table (no alternation guarantee), `random_ca_capacity` draws
 nonnegative Mobius weights and rebuilds the table, so complete alternation
 holds by construction.  Both are deterministic given the rng.
 
-`lebesgue_tdf` reads the completely random law of point masses from its
-model document, as a functional.  `indicator_tdf` writes the CRSM of a
+`lebesgue_capacity` reads the completely random law of point masses from
+its model document, as the capacity that is its functional.  `indicator_tdf` writes the CRSM of a
 capacity as a dense spectral table, the reference against which the CRSM
 sampler and `couple` are checked.
 """
@@ -16,20 +16,20 @@ import numpy as np
 from crsm.carrier import Carrier
 from crsm.io import parse_model
 from crsm.setfun import Capacity, MobiusMeasure, capacity_from_measure, mobius_inverse
-from crsm.tdf import ChoquetTDF, SpectralTDF
+from crsm.tdf import SpectralTDF
 
 
 def carrier_of(d: int) -> Carrier:
     return Carrier(tuple(f"x{i}" for i in range(d)))
 
 
-def lebesgue_tdf(weights) -> ChoquetTDF:
+def lebesgue_capacity(weights) -> Capacity:
     """The completely random law of the point masses weights on
-    carrier_of(len(weights)): the Choquet TDF of the capacity a `lebesgue`
-    model document is read as."""
+    carrier_of(len(weights)): the capacity a `lebesgue` model document is
+    read as."""
     mu = [float(w) for w in weights]
-    return ChoquetTDF(parse_model({"kind": "lebesgue",
-                                   "carrier": list(carrier_of(len(mu)).labels), "mu": mu}))
+    return parse_model({"kind": "lebesgue",
+                        "carrier": list(carrier_of(len(mu)).labels), "mu": mu})
 
 
 def random_capacity(rng: np.random.Generator, d: int) -> Capacity:

@@ -25,7 +25,6 @@ from crsm.setfun import (
 )
 from crsm.simulate import SimConfig, SpectralSampler, couple, simulate_crsm
 from crsm.tdf import (
-    ChoquetTDF,
     SpectralTDF,
     crsm_envelope,
     dual_greedy,
@@ -177,12 +176,11 @@ def test_05_simulation_vs_closed_form():
     worst_scale_margin = math.inf
     worst_cdf_margin = math.inf
     for name, theta in _closed_form_models():
-        ell = ChoquetTDF(theta)
         d = theta.carrier.size
         batch = simulate_crsm(theta, SimConfig(seed=105, samples=n))
         for j, f in enumerate(_fixed_test_functions(d)):
             est = frechet_scale_estimate(batch.extremal(f))
-            err = abs(est.scale - ell.eval(f))
+            err = abs(est.scale - theta.eval(f))
             worst_scale_margin = min(worst_scale_margin, est.half_width - err)
             if err > est.half_width:
                 failures.append(f"{name} f{j} err {err:.4g} > {est.half_width:.4g}")
@@ -195,7 +193,7 @@ def test_05_simulation_vs_closed_form():
              (full & ~single, theta.total / -math.log(0.7))],
         ]
         for g, pairs in enumerate(grids):
-            p = joint_cdf(ell, pairs)
+            p = joint_cdf(theta, pairs)
             hit = np.ones(n, dtype=bool)
             for mask, a in pairs:
                 hit &= batch.sup(mask) <= a

@@ -14,14 +14,14 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import carrier_of, lebesgue_tdf, random_f
+from conftest import carrier_of, lebesgue_capacity, random_f
 from test_transforms import random_storm_law
 from crsm.io import mobius_to_json, parse_model
 from crsm.integrals import choquet_integral, extremal_integral, extremal_integral_setform
 from crsm.setfun import (Capacity, MobiusMeasure, _additive_table, _Owned, atom_capacity,
                          capacity_from_measure, classify, mobius_inverse)
 from crsm.simulate import SimConfig, simulate_crsm
-from crsm.tdf import ChoquetTDF, dual_greedy, joint_cdf
+from crsm.tdf import dual_greedy, joint_cdf
 from crsm.transforms import (BernsteinFunction, check_stationary, compose_capacity,
                              torus_storm_capacity)
 
@@ -67,7 +67,7 @@ def atom_models():
         w = rng.exponential(1.0, d)
         w[rng.random(d) < 0.3] = 0.0
         w[0] = 0.7
-        models.append((f"lebesgue-{d}", lambda w=w: lebesgue_tdf(w).theta))
+        models.append((f"lebesgue-{d}", lambda w=w: lebesgue_capacity(w)))
     for d in (1, 3, 7, 10):
         atoms = chain_atoms(rng, d)
         models.append((f"chain-{d}",
@@ -169,8 +169,8 @@ def test_integrals_cdf_and_dual_match_the_table_route(name, build):
             for i in range(d):
                 if mask >> i & 1:
                     h[i] = max(h[i], 1.0 / a)
-        cdf = joint_cdf(ChoquetTDF(theta), pairs)
-        assert cdf == joint_cdf(ChoquetTDF(table), pairs)
+        cdf = joint_cdf(theta, pairs)
+        assert cdf == joint_cdf(table, pairs)
         assert math.isclose(cdf, math.exp(-atom_integral(theta, h)), rel_tol=1e-12)
         mu, val = dual_greedy(theta, f)
         mu_t, val_t = dual_greedy(table, f)
@@ -232,7 +232,7 @@ def test_lebesgue_keeps_its_singletons_and_the_additive_bits():
     for d in (1, 2, 6, 11):
         w = rng.exponential(1.0, d)
         w[rng.random(d) < 0.3] = 0.0
-        theta = lebesgue_tdf(w).theta
+        theta = lebesgue_capacity(w)
         assert np.array_equal(theta.atom_masks, np.left_shift(1, np.flatnonzero(w > 0)))
         assert theta.at(np.arange(1 << d)).tobytes() == _additive_table(w).tobytes()
         assert theta.table.tobytes() == _additive_table(w).tobytes()
@@ -240,7 +240,7 @@ def test_lebesgue_keeps_its_singletons_and_the_additive_bits():
 
 def test_lebesgue_on_24_points_runs_max_linear_on_its_atoms():
     d = 24
-    theta = lebesgue_tdf(np.linspace(0.5, 1.5, d)).theta
+    theta = lebesgue_capacity(np.linspace(0.5, 1.5, d))
     batch = simulate_crsm(theta, SimConfig(seed=1, samples=50))
     assert batch.method == "max-linear" and np.all(batch.terms == d)
     assert theta._table is None

@@ -29,7 +29,7 @@ from crsm.setfun import (
     mobius_inverse,
     successive_difference,
 )
-from crsm.tdf import ChoquetTDF, DiscreteMeasure, dual_greedy, joint_cdf
+from crsm.tdf import DiscreteMeasure, dual_greedy, joint_cdf
 from crsm.transforms import (
     BernsteinFunction,
     compose_capacity,
@@ -154,18 +154,17 @@ def test_every_lattice_result_by_size_is_bit_equal_to_the_table_route(d):
             assert bits(outcome(certified_mobius, sym, tol)) == \
                 bits(outcome(certified_mobius, tab, tol)), ctx
 
-        ell_s, ell_t = ChoquetTDF(sym), ChoquetTDF(tab)
         fs = rng.exponential(1.0, (20, d))
         fs[rng.random((20, d)) < 0.25] = 0.0
         fs[::3] = np.round(fs[::3])  # ties
-        assert bits(ell_s.eval_batch(fs)) == bits(ell_t.eval_batch(fs)), ctx
+        assert bits(sym.eval_batch(fs)) == bits(tab.eval_batch(fs)), ctx
         for f in fs:
             for integral in (choquet_integral, extremal_integral, comonotone_formula):
                 assert bits(integral(f, sym)) == bits(integral(f, tab)), ctx
             assert bits(outcome(dual_greedy, sym, f)) == bits(outcome(dual_greedy, tab, f)), ctx
             pairs = [(int(rng.integers(1, 1 << d)), float(rng.uniform(0.2, 3.0)))
                      for _ in range(int(rng.integers(1, 4)))]
-            assert bits(joint_cdf(ell_s, pairs)) == bits(joint_cdf(ell_t, pairs)), ctx
+            assert bits(joint_cdf(sym, pairs)) == bits(joint_cdf(tab, pairs)), ctx
         base, incs = int(rng.integers(0, 1 << d)), rng.integers(1, 1 << d, 3).tolist()
         assert bits(successive_difference(sym, base, incs)) == \
             bits(successive_difference(tab, base, incs)), ctx
@@ -232,7 +231,6 @@ def _table_models(monkeypatch):
             return as_table(m) if isinstance(m, Capacity) and m.by_size is not None else m
         return wrapped
     monkeypatch.setattr(cli, "parse_model", tabled(cli.parse_model))
-    monkeypatch.setattr(cli, "parse_capacity", tabled(cli.parse_capacity))
 
 
 def _cli_bytes(capsys, argv, out):

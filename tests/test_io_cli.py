@@ -32,7 +32,7 @@ from crsm.io import (
 )
 from crsm.setfun import Capacity, mobius_inverse
 from crsm.simulate import SampleBatch
-from crsm.tdf import SpectralTDF, as_tdf, check_max_complete_alternation
+from crsm.tdf import SpectralTDF, check_max_complete_alternation
 from crsm.transforms import check_stationary, exchangeable_capacity
 
 THETA2 = {"kind": "table", "carrier": ["a", "b"],
@@ -302,19 +302,22 @@ def test_parse_tdf_kinds():
     # ell(f) in closed form at f = (1, 2): (2 - 1) theta(b) + 1 theta(a, b);
     # sum_j p_j max_x f(x) y_j(x); sum_x mu(x) f(x)
     f = np.array([1.0, 2.0])
-    cho = as_tdf(parse_model({"kind": "choquet", "theta": THETA2}))
+    cho = parse_model({"kind": "choquet", "theta": THETA2})
     for ell, want in ((cho, 2.5), (sp, 0.6 * 1.0 + 0.4 * 2.0)):
         assert ell.eval(f) == pytest.approx(want, rel=1e-15)
-    assert as_tdf(leb).eval([1.0, 2.0, 5.0]) == pytest.approx(0.4 + 0.6 * 2.0, rel=1e-15)
+    assert leb.eval([1.0, 2.0, 5.0]) == pytest.approx(0.4 + 0.6 * 2.0, rel=1e-15)
 
 
 def test_one_runtime_form_of_a_choquet_model():
-    # the reader and the commands hold a choquet or lebesgue model as its
-    # capacity; only the library wraps one in a functional
-    for module in (io_module, cli):
-        text = Path(module.__file__).read_text()
+    # the whole package holds a choquet or lebesgue model as its capacity:
+    # no module names a wrapper, and the one name kept, tdf.ChoquetTDF,
+    # hands its capacity back
+    for path in sorted(Path(io_module.__file__).parent.glob("*.py")):
+        text = path.read_text()
         named = [name for name in ("ChoquetTDF", "TailDependenceFunctional") if name in text]
-        assert named == [], module.__name__
+        assert named == (["ChoquetTDF"] if path.name == "tdf.py" else []), path.name
+    theta = parse_model({"kind": "choquet", "theta": THETA2})
+    assert tdf.ChoquetTDF(theta) is theta
 
 
 def test_mobius_json_roundtrip_drops_zeros():
@@ -403,8 +406,8 @@ def test_one_runner_owns_the_load_hash_emit_protocol():
                               "_provenance", "_emit_json"):
                     owners.setdefault(name, set()).add(fn.name)
     assert owners == {"args.model": {"_run"}, "load_json_file": {"_run", "_inline_json"},
-                      "parse_model": {"_run"}, "parse_capacity": {"_run"},
-                      "_provenance": {"_run"}, "_emit_json": {"_run"}}
+                      "parse_model": {"_run"}, "_provenance": {"_run"},
+                      "_emit_json": {"_run"}}
 
 
 def test_cli_hashes_the_model_only_for_an_artifact(tmp_path, theta2_file, capsys,
@@ -841,7 +844,7 @@ def test_cli_simulate_does_not_import_numpy_ma(theta2_file, spectral_file, tmp_p
 # every module eagerly
 PUBLIC_NAMES = [
     "BernsteinFunction", "Capacity", "Carrier", "CarrierSizeError", "CheckResult",
-    "ChoquetTDF", "Coupling", "DiscreteMeasure", "MaxTermsExceeded",
+    "Coupling", "DiscreteMeasure", "MaxTermsExceeded",
     "MobiusMeasure", "SampleBatch", "SimConfig", "SpectralSampler", "SpectralTDF",
     "TorusTag", "argmax_independence_test", "argmax_set", "capacity_from_measure",
     "carrier", "check_complete_alternation_direct", "check_max_complete_alternation",
@@ -886,6 +889,13 @@ def test_lattice_commands_load_neither_sampler_nor_openssl(theta2_file, spectral
     assert loaded(["check", "--model", theta2_file, *out[0]],
                   ["materialize", "--model", theta2_file, *out[1]],
                   ["mobius", "--model", theta2_file, *out[2]]) == []
+    # so does materialize of a choquet or lebesgue model, read as its capacity
+    wrapped = {"choquet": {"kind": "choquet", "theta": json.loads(Path(theta2_file).read_text())},
+               "lebesgue": {"kind": "lebesgue", "carrier": ["a", "b"], "mu": {"a": 1, "b": 2}}}
+    for kind, doc in wrapped.items():
+        (tmp_path / f"{kind}.json").write_text(json.dumps(doc))
+    assert loaded(*[["materialize", "--model", str(tmp_path / f"{kind}.json"), *out[0]]
+                    for kind in wrapped]) == []
     # the dual and the cdf run in crsm.tdf, and still hash without OpenSSL
     assert loaded(["dual", "--model", theta2_file, "--f", '{"a": 2, "b": 1}', *out[3]],
                   ["cdf", "--model", theta2_file, *pairs, *out[4]],
@@ -1131,7 +1141,8 @@ def test_cli_choquet_model_runs_as_its_capacity(tmp_path, capsys, inner):
                 ["simulate", "--seed", "1", "--samples", "200"],
                 ["couple", "--seed", "1", "--samples", "200"],
                 ["verify", "--seed", "1", "--samples", "2000"],
-                ["argmax-test", "--set", region, "--seed", "5", "--samples", "2000"]]
+                ["argmax-test", "--set", region, "--seed", "5", "--samples", "2000"],
+                ["materialize"]]
     docs = {"capacity": inner, "choquet": {"kind": "choquet", "theta": inner}}
     for name, doc in docs.items():
         (tmp_path / f"{name}.json").write_text(json.dumps(doc))
@@ -1220,6 +1231,19 @@ def test_cli_materialize(tmp_path, capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["kind"] == "table"
     assert payload["table"]["a,b"] == 0.75
+    # a lebesgue model is read as its capacity and written as the additive
+    # table of its masses; a spectral model has no capacity to write
+    src.write_text(json.dumps({"kind": "lebesgue", "carrier": ["a", "b", "c"],
+                               "mu": {"a": 0.25, "b": 0.5, "c": 0.0}}))
+    assert main(["materialize", "--model", str(src), "--deterministic"]) == 0
+    table = json.loads(capsys.readouterr().out)["table"]
+    assert table == {"a": 0.25, "b": 0.5, "a,b": 0.75, "c": 0.0, "a,c": 0.25,
+                     "b,c": 0.5, "a,b,c": 0.75}
+    src.write_text(json.dumps({"kind": "spectral", "carrier": ["a", "b"],
+                               "atoms": [{"p": 1.0, "y": {"a": 1.0, "b": 0.5}}]}))
+    assert main(["materialize", "--model", str(src), "--deterministic"]) == 2
+    assert capsys.readouterr().err == ("error: at $.kind: materialize needs a capacity "
+                                       "model, not a SpectralTDF\n")
 
 
 def test_cli_exit_codes(tmp_path, capsys):

@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import carrier_of, indicator_tdf, lebesgue_tdf
+from conftest import carrier_of, indicator_tdf, lebesgue_capacity
 import crsm
 from crsm.carrier import Carrier, _weighted_max
 from crsm.setfun import Capacity
@@ -29,7 +29,7 @@ from crsm.simulate import (
     simulate_spectral,
     substream,
 )
-from crsm.tdf import ChoquetTDF, SpectralTDF, joint_cdf
+from crsm.tdf import SpectralTDF, joint_cdf
 from crsm.transforms import exchangeable_capacity, torus_storm_capacity
 from crsm.verify import (
     argmax_independence_test,
@@ -141,20 +141,18 @@ def test_max_terms_exceeded():
 
 def test_scale_matches_closed_form():
     theta = theta2()
-    ell = ChoquetTDF(theta)
     batch = simulate_crsm(theta, SimConfig(seed=4, samples=40000))
     for f in ([1.0, 1.0], [2.0, 1.0], [1.0, 0.0]):
         est = frechet_scale_estimate(batch.extremal(np.array(f)))
-        assert abs(est.scale - ell.eval(np.array(f))) < est.half_width
+        assert abs(est.scale - theta.eval(np.array(f))) < est.half_width
 
 
 def test_empirical_cdf_matches_joint_cdf():
     theta = theta2()
-    ell = ChoquetTDF(theta)
     batch = simulate_crsm(theta, SimConfig(seed=6, samples=40000))
     c = theta.carrier
     pairs = [(c.mask_of(["a"]), 2.0), (c.mask_of(["b"]), 3.0)]
-    p = joint_cdf(ell, pairs)
+    p = joint_cdf(theta, pairs)
     hit = (batch.sup(pairs[0][0]) <= 2.0) & (batch.sup(pairs[1][0]) <= 3.0)
     sigma = math.sqrt(p * (1 - p) / batch.n)
     assert abs(hit.mean() - p) < 4 * sigma
@@ -186,12 +184,10 @@ def test_spectral_scale_matches_tdf():
 
 
 def test_simulate_model_dispatch():
-    # every model but a spectral table is sampled as the CRSM of its capacity
+    # every model but a spectral table is a capacity, sampled as its CRSM
     cfg = SimConfig(seed=1, samples=50)
-    leb = lebesgue_tdf([0.4, 0.6])
-    for model, theta in ((theta2(), theta2()), (ChoquetTDF(theta2()), theta2()),
-                         (leb, leb.theta)):
-        batch = simulate_model(model, cfg)
+    for theta in (theta2(), lebesgue_capacity([0.4, 0.6])):
+        batch = simulate_model(theta, cfg)
         assert np.array_equal(batch.values, simulate_crsm(theta, cfg).values)
     batch = simulate_model(spectral3(), cfg)
     assert np.array_equal(batch.values, simulate_spectral(

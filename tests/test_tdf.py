@@ -8,10 +8,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import carrier_of, lebesgue_tdf, random_ca_capacity, random_capacity, random_f
+from conftest import carrier_of, lebesgue_capacity, random_ca_capacity, random_capacity, random_f
 import crsm
 from crsm.carrier import Carrier, iter_bits
-from crsm.integrals import choquet_integral, extremal_integral
+from crsm.integrals import choquet_integral, comonotone_additivity_check, extremal_integral
+from crsm.io import parse_model
 from crsm.setfun import Capacity, _additive_table, classify, mobius_inverse
 from crsm.tdf import (
     ChoquetTDF,
@@ -58,7 +59,7 @@ def spectral_eval_brute(sp: SpectralTDF, f: np.ndarray) -> float:
 
 
 def test_choquet_tdf_matches_integral():
-    ell = ChoquetTDF(theta2())
+    ell = theta2()
     f = np.array([2.0, 1.0])
     assert ell.eval(f) == choquet_integral(f, theta2()) == 2.5
     batch = np.array([[2.0, 1.0], [0.0, 1.0], [1.0, 1.0]])
@@ -69,16 +70,16 @@ def test_eval_batch_agrees_with_eval():
     rng = np.random.default_rng(0)
     for d in (2, 3, 5):
         models = [
-            ChoquetTDF(random_ca_capacity(rng, d)),
+            random_ca_capacity(rng, d),
             random_spectral(rng, d),
-            lebesgue_tdf(rng.exponential(size=d)),
+            lebesgue_capacity(rng.exponential(size=d)),
         ]
         fs = np.array([random_f(rng, d) for _ in range(30)])
         for ell in models:
             batch = ell.eval_batch(fs)
             single = np.array([ell.eval(f) for f in fs])
             assert np.allclose(batch, single, atol=1e-12)
-            if isinstance(ell, ChoquetTDF):  # one chain sum for both
+            if isinstance(ell, Capacity):  # one chain sum for both
                 assert batch.tobytes() == single.tobytes()
 
 
@@ -101,8 +102,10 @@ def test_spectral_validation():
 
 
 def test_extremal_coefficients_choquet_is_identity():
+    # a capacity is its own Choquet TDF, and the kept name ChoquetTDF says so
     theta = theta2()
-    assert extremal_coefficients(ChoquetTDF(theta)) is theta
+    assert extremal_coefficients(theta) is theta
+    assert ChoquetTDF(theta) is theta
 
 
 def test_extremal_coefficients_spectral_bruteforce():
@@ -117,7 +120,7 @@ def test_extremal_coefficients_spectral_bruteforce():
 
 
 def test_extremal_coefficients_lebesgue_additive():
-    theta = extremal_coefficients(lebesgue_tdf([0.2, 0.3, 0.5]))
+    theta = extremal_coefficients(lebesgue_capacity([0.2, 0.3, 0.5]))
     assert classify(theta).additive
     assert theta.total == pytest.approx(1.0)
 
@@ -136,7 +139,7 @@ def test_lebesgue_model_is_the_choquet_integral_of_its_masses():
     for d in range(1, 13):
         for _ in range(10):
             mu = random_masses(rng, d)
-            ell = lebesgue_tdf(mu)
+            ell = lebesgue_capacity(mu)
             for _ in range(10):
                 f = random_f(rng, d)
                 want = math.fsum(f * mu)
@@ -151,41 +154,48 @@ def test_lebesgue_model_classifies_as_its_additive_table():
     for d in range(1, 13):
         for _ in range(8):
             mu = random_masses(rng, d)
-            got = classify(lebesgue_tdf(mu).theta)
+            got = classify(lebesgue_capacity(mu))
             want = classify(Capacity(carrier_of(d), _additive_table(mu)))
             assert [getattr(got, k) for k in fields] == [getattr(want, k) for k in fields]
             assert got.additive and got.completely_alternating and got.monotone
             assert got.maxitive == (np.count_nonzero(mu) <= 1)
     # one point with mass: additive and maxitive at once
-    single = classify(lebesgue_tdf([0.0, 0.0, 2.5, 0.0]).theta)
+    single = classify(lebesgue_capacity([0.0, 0.0, 2.5, 0.0]))
     assert single.maxitive and single.additive
 
 
 def functional_classes(src: Path) -> list[str]:
-    """The classes of a package that derive, directly or through one
-    another, from TailDependenceFunctional."""
-    bases = {}
-    for path in sorted(src.glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(), str(path))):
-            if isinstance(node, ast.ClassDef):
-                bases[f"{path.stem}.{node.name}"] = [
-                    getattr(b, "id", getattr(b, "attr", None)) for b in node.bases]
-    found = {"TailDependenceFunctional"}
-    while grown := {name.split(".")[1] for name, of in bases.items()
-                    if found.intersection(of)} - found:
-        found |= grown
-    return sorted(name for name, of in bases.items() if found.intersection(of))
+    """The classes of a package that define eval: its functionals."""
+    return sorted(f"{path.stem}.{node.name}" for path in sorted(src.glob("*.py"))
+                  for node in ast.walk(ast.parse(path.read_text(), str(path)))
+                  if isinstance(node, ast.ClassDef)
+                  and any(isinstance(item, ast.FunctionDef) and item.name == "eval"
+                          for item in node.body))
 
 
 def test_one_functional_class_per_representation():
-    # a lebesgue model is the Choquet TDF of its singleton atoms, so the
-    # Choquet and spectral representations are the only functional classes
+    # a capacity is its own Choquet TDF and a lebesgue model the capacity of
+    # its singleton atoms, so Capacity and SpectralTDF are the only
+    # functional classes, and no wrapper class or name is left beside them
     src = Path(crsm.__file__).parent
-    assert functional_classes(src) == ["tdf.ChoquetTDF", "tdf.SpectralTDF"]
+    assert functional_classes(src) == ["setfun.Capacity", "tdf.SpectralTDF"]
     root = src.parents[1]
-    named = [str(path.relative_to(root)) for top in ("src", "scripts")
-             for path in sorted((root / top).rglob("*.py")) if "LebesgueTDF" in path.read_text()]
-    assert named == []
+    files = [path for top in ("src", "scripts") for path in sorted((root / top).rglob("*.py"))]
+    for name in ("TailDependenceFunctional", "as_tdf", "LebesgueTDF"):
+        named = [str(path.relative_to(root)) for path in files if name in path.read_text()]
+        assert named == [], name
+    named = [str(path.relative_to(root)) for path in files if "ChoquetTDF" in path.read_text()]
+    assert named == ["src/crsm/tdf.py"]
+
+
+def test_a_choquet_document_is_its_functional():
+    # parse_model's capacity goes to the functional layer as it is
+    theta = parse_model({"kind": "choquet", "theta": {
+        "kind": "table", "carrier": ["a", "b"], "table": {"a": 1, "b": 1, "a,b": 1.5}}})
+    assert joint_cdf(theta, [(0b11, 3.0)]) == math.exp(-0.5)
+    assert dominates(theta, theta2(), trials=50, seed=1).dominates
+    assert check_max_complete_alternation(theta, trials=50, seed=2).alternating
+    assert comonotone_additivity_check(theta, trials=50, seed=3).additive
 
 
 def test_envelope_dominates_spectral():
@@ -211,16 +221,15 @@ def test_envelope_equality_on_indicator_atoms():
 
 def test_envelope_of_choquet_is_itself():
     theta = theta2()
-    env = crsm_envelope(ChoquetTDF(theta))
-    assert np.array_equal(env.theta.table, theta.table)
+    assert crsm_envelope(theta) is theta
 
 
 def test_max_alternation_accepts_all_representations():
     rng = np.random.default_rng(6)
     models = [
-        ChoquetTDF(random_ca_capacity(rng, 3)),
+        random_ca_capacity(rng, 3),
         random_spectral(rng, 3),
-        lebesgue_tdf([0.1, 0.5, 0.4]),
+        lebesgue_capacity([0.1, 0.5, 0.4]),
     ]
     for ell in models:
         rep = check_max_complete_alternation(ell, order=4, trials=400, seed=7)
@@ -301,7 +310,7 @@ def test_dual_oracle_validation():
 
 
 def test_joint_cdf_frozen_theta2():
-    ell = ChoquetTDF(theta2())
+    ell = theta2()
     c = ell.carrier
     pairs = [(c.mask_of(["a"]), 2.0), (c.mask_of(["b"]), 3.0)]
     # rate: 0.5/2 + 0.5/3 + 0.5 * max(1/2, 1/3) = 2/3
@@ -310,7 +319,7 @@ def test_joint_cdf_frozen_theta2():
 
 
 def test_joint_cdf_marginal_is_frechet():
-    ell = ChoquetTDF(theta2())
+    ell = theta2()
     full = ell.carrier.full_mask
     for a in (0.5, 1.0, 4.0):
         assert joint_cdf(ell, [(full, a)]) == pytest.approx(math.exp(-1.5 / a),
@@ -319,7 +328,7 @@ def test_joint_cdf_marginal_is_frechet():
 
 def test_joint_cdf_additive_factorizes():
     c = carrier_of(2)
-    ell = ChoquetTDF(Capacity(c, [0.0, 0.7, 0.3, 1.0]))
+    ell = Capacity(c, [0.0, 0.7, 0.3, 1.0])
     p_joint = joint_cdf(ell, [(0b01, 2.0), (0b10, 3.0)])
     p1 = joint_cdf(ell, [(0b01, 2.0)])
     p2 = joint_cdf(ell, [(0b10, 3.0)])
@@ -336,11 +345,11 @@ def test_joint_cdf_representations_agree():
     # the completely random law: each point is its own atom
     mu = [0.2, 0.3, 0.5]
     exponent = sum(w * max(1.0 / a for K, a in pairs if K >> i & 1) for i, w in enumerate(mu))
-    assert joint_cdf(lebesgue_tdf(mu), pairs) == pytest.approx(math.exp(-exponent), abs=1e-12)
+    assert joint_cdf(lebesgue_capacity(mu), pairs) == pytest.approx(math.exp(-exponent), abs=1e-12)
 
 
 def test_joint_cdf_validation():
-    ell = ChoquetTDF(theta2())
+    ell = theta2()
     with pytest.raises(ValueError):
         joint_cdf(ell, [(0b01, 0.0)])
     with pytest.raises(ValueError):
@@ -361,8 +370,8 @@ def _exponent_reference(ell, pairs, mu=None) -> float:
     d = ell.carrier.size
     if mu is not None:
         return math.fsum(mu[i] * rate(1 << i) for i in range(d))
-    if isinstance(ell, ChoquetTDF):
-        nu = mobius_inverse(ell.theta)
+    if isinstance(ell, Capacity):
+        nu = mobius_inverse(ell)
         return math.fsum(nu.weights[F] * rate(F) for F in range(1, 1 << d))
     return math.fsum(p * max(y[i] / a for K, a in pairs for i in iter_bits(K))
                      for p, y in zip(ell.probs, ell.atoms))
@@ -376,14 +385,14 @@ def test_joint_cdf_matches_per_representation_formulas(seed, kind):
         d = int(rng.integers(1, 7))
         mu = None
         if kind == "choquet-ca":
-            ell = ChoquetTDF(random_ca_capacity(rng, d))
+            ell = random_ca_capacity(rng, d)
         elif kind == "choquet-monotone":  # not CA in general: ell.eval allows it
-            ell = ChoquetTDF(random_capacity(rng, d))
+            ell = random_capacity(rng, d)
         elif kind == "spectral":
             ell = random_spectral(rng, d)
         else:
             mu = rng.exponential(1.0, d)
-            ell = lebesgue_tdf(mu)
+            ell = lebesgue_capacity(mu)
         pairs = [(int(rng.integers(1, 1 << d)), float(rng.uniform(0.2, 5.0)))
                  for _ in range(int(rng.integers(1, 5)))]
         exponent = -math.log(joint_cdf(ell, pairs))
@@ -395,7 +404,7 @@ def test_joint_cdf_matches_per_representation_formulas(seed, kind):
 def test_joint_cdf_monotone_in_levels(seed):
     rng = np.random.default_rng(seed)
     d = int(rng.integers(1, 5))
-    ell = ChoquetTDF(random_ca_capacity(rng, d))
+    ell = random_ca_capacity(rng, d)
     mask = int(rng.integers(1, 1 << d))
     a = float(rng.uniform(0.2, 3.0))
     assert joint_cdf(ell, [(mask, a)]) <= joint_cdf(ell, [(mask, a + 1.0)]) + 1e-15
@@ -409,14 +418,14 @@ def test_lattice_values_scale_exactly():
     f = random_f(rng, 5)
     h = np.maximum(0.0, rng.exponential(1.0, 5) - 0.3)   # a joint_cdf exponent argument
     base = (choquet_integral(f, theta), extremal_integral(f, theta),
-            dual_greedy(theta, f)[1], ChoquetTDF(theta).eval(h))
+            dual_greedy(theta, f)[1], theta.eval(h))
     pairs = [(0b00111, 0.7), (0b11100, 2.5)]
-    cdf = joint_cdf(ChoquetTDF(theta), pairs)
+    cdf = joint_cdf(theta, pairs)
     for k in range(-60, 61):
         s = 2.0 ** k
         scaled = Capacity(theta.carrier, theta.table * s)
         got = (choquet_integral(f, scaled), extremal_integral(f, scaled),
-               dual_greedy(scaled, f)[1], ChoquetTDF(scaled).eval(h))
+               dual_greedy(scaled, f)[1], scaled.eval(h))
         assert got == tuple(v * s for v in base), k
         # levels scaled alike leave the probability bit-equal
-        assert joint_cdf(ChoquetTDF(scaled), [(m, a * s) for m, a in pairs]) == cdf, k
+        assert joint_cdf(scaled, [(m, a * s) for m, a in pairs]) == cdf, k

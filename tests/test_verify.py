@@ -5,15 +5,16 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from conftest import (carrier_of, lebesgue_tdf, near_ca_table, random_ca_capacity,
+from conftest import (carrier_of, lebesgue_capacity, near_ca_table, random_ca_capacity,
                       skewed_capacity)
 from crsm import setfun
 from crsm.carrier import Carrier
+from crsm.io import capacity_to_json, parse_model
 from crsm.setfun import (Capacity, MobiusMeasure, capacity_from_measure, classify,
                          mobius_inverse)
 from crsm.simulate import SampleBatch, SimConfig, simulate_crsm, simulate_model
 from crsm.integrals import comonotone_additivity_check
-from crsm.tdf import (ChoquetTDF, DiscreteMeasure, SpectralTDF,
+from crsm.tdf import (DiscreteMeasure, SpectralTDF,
                       check_max_complete_alternation, crsm_envelope, dominates,
                       dual_greedy)
 from crsm.transforms import distortion_capacity, exchangeable_capacity, torus_storm_capacity
@@ -43,22 +44,28 @@ def test_lebesgue_model_passes():
     # a lebesgue model is the completely random CRSM and gets its rows
     for d in (2, 5):
         weights = np.random.default_rng(d).uniform(0.2, 1.0, size=d)
-        leb = lebesgue_tdf(weights)
+        leb = lebesgue_capacity(weights)
         checks = verify_model(leb, samples=8000, seed=3)
         assert [ch.name for ch in checks] == CRSM_ROWS
         assert all(ch.passed for ch in checks)
+
+
+def choquet_document_model(theta: Capacity) -> Capacity:
+    """theta written as a table and read back from a `choquet` document
+    wrapping that table."""
+    return parse_model({"kind": "choquet", "theta": capacity_to_json(theta)})
 
 
 def test_capacity_and_choquet_wrapper_verify_alike():
     theta = random_ca_capacity(np.random.default_rng(4), 4)
     rows = verify_model(theta, samples=2000, seed=5)
     assert [ch.name for ch in rows] == CRSM_ROWS
-    assert verify_model(ChoquetTDF(theta), samples=2000, seed=5) == rows
+    assert verify_model(choquet_document_model(theta), samples=2000, seed=5) == rows
 
 
 def test_near_ca_violation_fails_for_capacity_and_wrapper():
     theta = near_ca_table()
-    for model in (theta, ChoquetTDF(theta)):
+    for model in (theta, choquet_document_model(theta)):
         checks = verify_model(model, samples=2000, seed=1)
         assert [ch.name for ch in checks] == CRSM_ROWS[:2]
         assert checks[0].passed and not checks[1].passed
@@ -98,8 +105,7 @@ def test_max_linear_models_pass():
     theta = skewed_capacity(np.random.default_rng(1), 6, 1e-3)
     spec = SpectralTDF(carrier_of(3), np.array([0.6, 0.38, 0.02]),
                        np.array([[1.0, 0.2, 0.0], [0.1, 1.0, 0.5], [0.0, 0.0, 1.0]]))
-    for model, names in ((theta, CRSM_ROWS), (ChoquetTDF(theta), CRSM_ROWS),
-                         (spec, SPECTRAL_ROWS)):
+    for model, names in ((theta, CRSM_ROWS), (spec, SPECTRAL_ROWS)):
         assert simulate_model(model, SimConfig(seed=0, samples=1)).method == "max-linear"
         checks = verify_model(model, samples=20_000, seed=2)
         assert [ch.name for ch in checks] == names
@@ -233,14 +239,14 @@ def test_verdicts_do_not_depend_on_scale(make):
 
 
 def scaled_functionals(c: float) -> tuple:
-    """A 5-point spectral TDF, a Choquet TDF and its 1% larger copy, and
-    the non-Choquet (sum of square roots)**2, all scaled by c."""
+    """A 5-point spectral TDF, a capacity (its own Choquet TDF) and its 1%
+    larger copy, and the non-Choquet (sum of square roots)**2, all scaled
+    by c."""
     rng = np.random.default_rng(5)
     spec = SpectralTDF(carrier_of(5), rng.dirichlet(np.ones(4)),
                        c * rng.exponential(1.0, size=(4, 5)))
-    choquet = ChoquetTDF(Capacity(carrier_of(4),
-                                  c * random_ca_capacity(rng, 4).table))
-    larger = ChoquetTDF(Capacity(choquet.carrier, 1.01 * choquet.theta.table))
+    choquet = Capacity(carrier_of(4), c * random_ca_capacity(rng, 4).table)
+    larger = Capacity(choquet.carrier, 1.01 * choquet.table)
     control = lambda u: c * float(np.sum(np.sqrt(u))) ** 2
     return spec, choquet, larger, control
 
@@ -298,7 +304,7 @@ def test_verify_inverts_mobius_once_on_a_crsm(monkeypatch):
     for name, module in list(sys.modules.items()):
         if name.startswith("crsm") and getattr(module, "mobius_inverse", None) is real:
             monkeypatch.setattr(module, "mobius_inverse", counted)
-    leb = lebesgue_tdf([0.2, 0.3, 0.5])
+    leb = lebesgue_capacity([0.2, 0.3, 0.5])
     for model in (random_ca_capacity(np.random.default_rng(2), 3), leb):
         calls.clear()
         rows = verify_model(model, samples=500, seed=1)
@@ -314,7 +320,7 @@ def test_verify_builds_no_lebesgue_table(monkeypatch):
     for module, name in ((tdf, "extremal_coefficients"), (verify, "mobius_inverse")):
         real = getattr(module, name)
         monkeypatch.setattr(module, name, lambda x, real=real: held.append(real(x)) or held[-1])
-    leb = lebesgue_tdf(np.linspace(0.5, 1.5, 6))
+    leb = lebesgue_capacity(np.linspace(0.5, 1.5, 6))
     rows = verify_model(leb, samples=2000, seed=3)
     assert [ch.name for ch in rows] == CRSM_ROWS
     assert len(held) == 2 and all(lattice._table is None for lattice in held)
@@ -326,7 +332,7 @@ def test_verify_drops_the_roundtrip_table_before_sampling():
     d = 16
     models = {"exchangeable": (exchangeable_capacity(carrier_of(d), [(0.3, 0.5), (0.8, 0.5)]),
                                5.7),
-              "lebesgue": (lebesgue_tdf(np.linspace(0.5, 1.5, d)), 6.0)}
+              "lebesgue": (lebesgue_capacity(np.linspace(0.5, 1.5, d)), 6.0)}
     for name, (model, bound) in models.items():
         tracemalloc.start()
         try:
