@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass, field
-from itertools import chain, repeat
+from itertools import repeat
 from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
@@ -156,30 +156,57 @@ class Carrier:
         return keys
 
     def subset_key_blocks(self) -> Iterator[tuple[np.ndarray, Iterable[str]]]:
-        """Blocks (masks, keys) that cover each mask once, keys yielding the
-        subset_key of each mask.  The first holds the subsets of the lowest
-        _KEY_BLOCK_BITS labels in sorted order; each other block appends a
-        subset of the rest to those keys, one key at a time as it is read.
+        """Blocks (int64 masks, keys), made as they are read, that cover each
+        mask once, keys yielding the subset_key of each mask one at a time,
+        at most 2**_KEY_BLOCK_BITS of them per block.
+
+        The walk is the preorder of the subsets as tuples of their labels
+        sorted as strings: a subset, then each subset that extends it by
+        larger labels.  That is the order of sorted() on the keys, which
+        json's sort_keys writes, whenever no label holds a character below
+        ","; otherwise it is the order of the label tuples.  Each subset of
+        all but the last _KEY_BLOCK_BITS labels is one block, followed
+        after its extensions by the block of it joined with each nonempty
+        subset of the last labels, whose keys are built once.
         """
         order = sorted(range(self.size), key=self.labels.__getitem__)
-        base_masks, base = self._doubled(order[:_KEY_BLOCK_BITS])
-        high_masks, highs = self._doubled(order[_KEY_BLOCK_BITS:])
-        yield base_masks, base
-        for high_mask, high in zip(high_masks[1:].tolist(), highs[1:]):
-            yield (base_masks | high_mask,
-                   chain((high,), map(operator.add, base[1:], repeat("," + high))))
+        cut = max(self.size - _KEY_BLOCK_BITS, 0)
+        tail_masks, tails = self._preorder(order[cut:])
 
-    def _doubled(self, points: list[int]) -> tuple[np.ndarray, list[str]]:
-        """Masks and keys of the subsets of points, given in sorted label
-        order, by doubling: appending the next label keeps each key sorted."""
+        def walk(mask: int, key: str, start: int):
+            yield np.array([mask], dtype=np.int64), (key,)
+            for j in range(start, cut):
+                label = self.labels[order[j]]
+                yield from walk(mask | 1 << order[j], f"{key},{label}" if key else label,
+                                j + 1)
+            yield (tail_masks | mask,
+                   map(operator.add, repeat(key + ","), tails) if key else iter(tails))
+
+        return walk(0, "", 0)
+
+    def walk_positions(self, masks: np.ndarray) -> np.ndarray:
+        """The place of each nonempty mask (int64) in subset_key_blocks' walk.
+        With r_1 < .. < r_k the ranks of its labels among the sorted labels
+        and v the sum of 2**(d-1-r_i), the walk meets the k prefixes and
+        2**d - v - 2**(d-1-r_k) other subsets first."""
+        order = sorted(range(self.size), key=self.labels.__getitem__)
+        v = np.zeros_like(masks)
+        for r, i in enumerate(order):
+            v |= (masks >> i & 1) << (self.size - 1 - r)
+        return (1 << self.size) - v - (v & -v) + np.bitwise_count(v)
+
+    def _preorder(self, points: list[int]) -> tuple[np.ndarray, list[str]]:
+        """Masks and keys of the nonempty subsets of points, given in sorted
+        label order, in preorder: the subsets holding the first point (it
+        alone, then it joined with each of the rest's), then the rest's."""
         masks = np.zeros(1, dtype=np.int64)
         keys = np.array([""], dtype=object)
-        for i in points:
-            more = keys + ("," + self.labels[i])
+        for i in reversed(points):
+            more = (self.labels[i] + ",") + keys
             more[0] = self.labels[i]
-            masks = np.concatenate([masks, masks | (1 << i)])
-            keys = np.concatenate([keys, more])
-        return masks, keys.tolist()
+            masks = np.concatenate([masks[:1], masks | (1 << i), masks[1:]])
+            keys = np.concatenate([keys[:1], more, keys[1:]])
+        return masks[1:], keys[1:].tolist()
 
     def mask_from_key(self, key: str) -> int:
         return self.mask_of(key.split(","))

@@ -140,11 +140,14 @@ def _emit_json(payload: dict, out: Optional[str]) -> None:
     same ",\n" plus indent, and which encodes scalars and coerces keys as the
     indent encoder does; each block's brackets are dropped.  A dict whose
     keys are all str and whose values are all float is written in blocks of
-    _BLOCK_VALUES // 2 entries from its escaped keys and the text of each
-    distinct value of the block, one C-encoder call per block; a block
-    whose values all differ, or that holds 0.0 or -0.0 (one dict key, two
-    texts), encodes every value.  Any other container recurses member by
-    member, its keys coerced as json does."""
+    _BLOCK_VALUES // 2 entries from its keys and the text of each distinct
+    value of the block, one C-encoder call per block; a block whose values
+    all differ, or that holds 0.0 or -0.0 (one dict key, two texts),
+    encodes every value.  The keys are escaped per block: one
+    encode_basestring_ascii call on the block's joined keys, and if that
+    escapes no character (each escape is longer than its character) the
+    keys are quoted as they are, else each is escaped alone.  Any other
+    container recurses member by member, its keys coerced as json does."""
     if out:
         with open(out, "w") as fh:
             _write_json(fh.write, payload, "\n")
@@ -225,8 +228,13 @@ def _write_float_entries(write, obj: dict, keys: list, sep: str, colon: str) -> 
         else:
             text_of = dict(zip(distinct, _FLOATS.encode(list(distinct))[1:-1].split(", ")))
             texts = map(text_of.__getitem__, values)
-        text = "".join(chain.from_iterable(zip(
-            repeat(sep), map(encode_basestring_ascii, names), repeat(colon), texts)))
+        joined = "".join(names)
+        if len(encode_basestring_ascii(joined)) == len(joined) + 2:
+            # no key escapes a character, as each escape is longer than it
+            entries = zip(repeat(sep + '"'), names, repeat('"' + colon), texts)
+        else:
+            entries = zip(repeat(sep), map(encode_basestring_ascii, names), repeat(colon), texts)
+        text = "".join(chain.from_iterable(entries))
         write(text if start else text[1:])  # the first entry follows no ","
 
 

@@ -33,7 +33,9 @@ from __future__ import annotations
 import json
 import math
 import sys
-from itertools import repeat
+from functools import partial
+from itertools import chain, compress, islice, repeat, takewhile
+from operator import eq, truth
 from typing import TYPE_CHECKING, Union
 
 import numpy as np
@@ -145,12 +147,27 @@ def _parse_subset_table(carrier: Carrier, table_obj, path: str) -> np.ndarray:
     given = None
     if good == len(table_obj) and not _few_keys(carrier, good):
         # every value is accepted, so nan marks a subset whose canonical key
-        # the document lacks; each key is looked up in the document's dict
+        # the document lacks.  The walk's keys are compared with the
+        # document's one at a time, the walk's first, the empty set, with a
+        # 0 put before them; while they agree the values are read in entry
+        # order, and from the first that differs each key is looked up in
+        # the document's dict
         arr = np.empty(size)
         get = table_obj.get
+        doc_keys, doc_values = chain(("",), table_obj), chain((0.0,), table_obj.values())
+        in_order = True
         for masks, keys in carrier.subset_key_blocks():
+            if in_order:
+                keys = iter(keys)
+                same = sum(takewhile(truth, map(eq, keys, islice(doc_keys, masks.size))))
+                arr[masks[:same]] = np.fromiter(doc_values, float, same)
+                if same == masks.size:
+                    continue
+                # the compare has read the walk's key at the first difference
+                in_order = False
+                keys = chain((carrier.subset_key(int(masks[same])),), keys)
+                masks = masks[same:]
             arr[masks] = np.fromiter(map(get, keys, repeat(math.nan)), float, masks.size)
-        arr[0] = 0.0
         absent = np.isnan(arr)
         if size - 1 - np.count_nonzero(absent) == good:
             # so every key is canonical and nonempty
@@ -337,19 +354,32 @@ def parse_model(obj, path: str = "$") -> Union[Capacity, SpectralTDF]:
 
 
 def capacity_to_json(theta: Capacity) -> dict:
-    keys = theta.carrier.subset_keys()
-    table = dict(zip(keys[1:].tolist(), theta.table[1:].tolist()))
+    """theta's value at every nonempty subset, keyed by subset key, in the
+    order of Carrier.subset_key_blocks; each block's values are read from
+    the held form (theta.at), so no table is spread."""
+    blocks = (zip(keys, theta.at(masks).tolist())
+              for masks, keys in theta.carrier.subset_key_blocks())
+    table = dict(islice(chain.from_iterable(blocks), 1, None))  # the walk starts at the empty set
     return {"kind": "table", "carrier": theta.carrier.to_json(), "table": table}
 
 
 def mobius_to_json(nu: MobiusMeasure) -> dict:
-    """The nonzero weights of nu, keyed by subset key in mask order; few
-    keys are built one by one, so a measure held by atoms spreads nothing."""
+    """The nonzero weights of nu, keyed by subset key, in the order of
+    Carrier.subset_key_blocks.  Few keys are put in the walk's order by
+    Carrier.walk_positions and built one by one, so a measure held by atoms
+    spreads nothing; else each block's weights are read from the held form
+    (nu.at)."""
     c = nu.carrier
-    masks, weights = nu.support()
-    keys = ([c.subset_key(m) for m in masks.tolist()] if _few_keys(c, masks.size)
-            else c.subset_keys()[masks].tolist())
-    weights = dict(zip(keys, weights.tolist()))
+    if _few_keys(c, nu.support_size()):
+        masks, weights = nu.support()
+        order = np.argsort(c.walk_positions(masks))
+        weights = dict(zip(map(c.subset_key, masks[order].tolist()), weights[order].tolist()))
+    else:
+        weights = {}
+        for masks, keys in c.subset_key_blocks():
+            values = nu.at(masks)
+            kept = values != 0.0
+            weights.update(zip(compress(keys, kept.tolist()), values[kept].tolist()))
     return {"kind": "mobius", "carrier": c.to_json(), "weights": weights}
 
 
@@ -379,6 +409,10 @@ def parse_pairs(obj, carrier: Carrier, path: str = "$") -> list[tuple[int, float
     return pairs
 
 
+# Characters per read of a JSON file (see load_json_file).
+_READ_CHARS = 1 << 16
+
+
 def _unreadable(path: str, e: OSError) -> SchemaError:
     """The SchemaError of a file that cannot be read, for any OSError."""
     why = "no such file" if isinstance(e, FileNotFoundError) else e.strerror
@@ -386,9 +420,20 @@ def _unreadable(path: str, e: OSError) -> SchemaError:
 
 
 def load_json_file(path: str) -> dict:
+    """The document in path, its text read _READ_CHARS at a time.  Reading
+    a large file whole frees a bytes block of its size before the parse,
+    and glibc then raises its mmap threshold to that size: the parse's
+    growing dict tables come from the heap, where each table it outgrows
+    stays resident (about 1 MB of peak RSS on a d = 16 table)."""
     try:
         with open(path) as fh:
-            return json.load(fh)
+            try:
+                text = "".join(iter(partial(fh.read, _READ_CHARS), ""))
+            except UnicodeDecodeError:
+                fh.seek(0)
+                fh.read()  # the same error, at its position in the whole file
+                raise
+        return json.loads(text)
     except OSError as e:
         raise _unreadable(path, e) from None
     except json.JSONDecodeError as e:

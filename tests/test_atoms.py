@@ -16,6 +16,7 @@ import pytest
 
 from conftest import carrier_of, lebesgue_capacity, random_f
 from test_transforms import random_storm_law
+import crsm.io as io_module
 from crsm.io import mobius_to_json, parse_model
 from crsm.integrals import choquet_integral, extremal_integral, extremal_integral_setform
 from crsm.setfun import (Capacity, MobiusMeasure, _additive_table, _Owned, atom_capacity,
@@ -326,9 +327,10 @@ def test_classify_and_stationarity_of_a_parsed_storm_allocate_no_table():
 
 
 @pytest.mark.parametrize("name, build", MODELS, ids=IDS)
-def test_mobius_artifact_of_atoms_matches_the_spread_route(name, build):
-    # the atoms give the dict, and the bytes, that the spread weights and
-    # the table of every subset key give
+def test_mobius_artifact_of_atoms_matches_the_spread_route(name, build, monkeypatch):
+    # the atoms give the dict, and the sort_keys bytes, that the spread
+    # weights and the table of every subset key give, with the keys in the
+    # order of the key walk, as the spread measure's block route writes them
     nu = mobius_inverse(build())
     c = nu.carrier
     weights = nu.weights
@@ -336,7 +338,14 @@ def test_mobius_artifact_of_atoms_matches_the_spread_route(name, build):
     spread = {"kind": "mobius", "carrier": c.to_json(),
               "weights": dict(zip(c.subset_keys()[masks].tolist(), weights[masks].tolist()))}
     got = mobius_to_json(mobius_inverse(build()))
-    assert json.dumps(got, indent=2) == json.dumps(spread, indent=2)
+    assert got == spread
+    assert (json.dumps(got, indent=2, sort_keys=True)
+            == json.dumps(spread, indent=2, sort_keys=True))
+    walk = np.concatenate([m for m, _ in c.subset_key_blocks()])
+    walked = walk[weights[walk] != 0.0].tolist()
+    assert list(got["weights"]) == [c.subset_key(m) for m in walked]
+    monkeypatch.setattr(io_module, "_few_keys", lambda carrier, count: False)
+    assert json.dumps(mobius_to_json(nu), indent=2) == json.dumps(got, indent=2)
 
 
 def test_dual_and_mobius_of_a_parsed_storm_allocate_no_table():

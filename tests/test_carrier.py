@@ -1,3 +1,6 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -36,19 +39,51 @@ def test_subset_key_sorted():
     assert c.mask_from_key("b") == 0b01
 
 
-@pytest.mark.parametrize("bits", [0, 2, carrier_module._KEY_BLOCK_BITS])
-def test_subset_key_blocks_cover_every_mask_once(monkeypatch, bits):
-    # unsorted labels, some sorting below ",", so sorted order is not bit order
-    monkeypatch.setattr(carrier_module, "_KEY_BLOCK_BITS", bits)
-    c = Carrier(("z", "b", "ab", "a", "q", "B", "a b", "+"))
+def walked(c: Carrier) -> tuple[list[int], list[str]]:
+    """The masks and keys of every block of the walk, in order, each block
+    at most 2**_KEY_BLOCK_BITS keys of int64 masks."""
     masks, keys = [], []
     for block_masks, block in c.subset_key_blocks():
+        assert block_masks.dtype == np.int64
         masks += block_masks.tolist()
         keys += list(block)
         assert len(masks) == len(keys)
+        assert block_masks.size <= 1 << carrier_module._KEY_BLOCK_BITS
+    return masks, keys
+
+
+@pytest.mark.parametrize("bits", [0, 2, carrier_module._KEY_BLOCK_BITS])
+def test_subset_key_blocks_cover_every_mask_once(monkeypatch, bits):
+    # unsorted labels, some sorting below ",", so sorted order is neither
+    # bit order nor the walk's: the walk is the order of the label tuples
+    monkeypatch.setattr(carrier_module, "_KEY_BLOCK_BITS", bits)
+    c = Carrier(("z", "b", "ab", "a", "q", "B", "a b", "+"))
+    masks, keys = walked(c)
     assert sorted(masks) == list(range(1 << c.size))
     assert keys == [c.subset_key(m) for m in masks]
+    assert keys[0] == "" and keys != sorted(keys)
+    tuples = [tuple(sorted(c.labels_of(m))) for m in masks]
+    assert tuples == sorted(tuples)
+    assert c.walk_positions(np.array(masks[1:])).tolist() == list(range(1, len(masks)))
     assert c.subset_keys().tolist() == [c.subset_key(m) for m in range(1 << c.size)]
+    # labels that all sort above ",", here with "x10" before "x2" and "a"
+    # a prefix of "ab", walk in the order sort_keys writes
+    plain = Carrier(("x2", "b", "x10", "ab", "a", "B", "z-", "z", "\u00e9"))
+    masks, keys = walked(plain)
+    assert sorted(masks) == list(range(1 << plain.size))
+    assert keys == [plain.subset_key(m) for m in masks]
+    assert keys == sorted(keys)
+
+
+def test_one_subset_key_walk():
+    # Carrier.subset_key_blocks is the one walk over all subset keys: no
+    # module but carrier builds the mask-ordered array of every key
+    src = Path(carrier_module.__file__).parent
+    callers = [f"{path.name}:{node.lineno}" for path in sorted(src.glob("*.py"))
+               for node in ast.walk(ast.parse(path.read_text(), str(path)))
+               if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "subset_keys"
+               and path.name != "carrier.py"]
+    assert callers == []
 
 
 def test_label_validation():

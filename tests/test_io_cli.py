@@ -24,6 +24,7 @@ from crsm.io import (
     CAPACITY_KINDS,
     SchemaError,
     capacity_to_json,
+    load_json_file,
     mobius_to_json,
     parse_bernstein,
     parse_capacity,
@@ -33,7 +34,7 @@ from crsm.io import (
 from crsm.setfun import Capacity, mobius_inverse
 from crsm.simulate import SampleBatch
 from crsm.tdf import SpectralTDF, check_max_complete_alternation
-from crsm.transforms import check_stationary, exchangeable_capacity
+from crsm.transforms import check_stationary, exchangeable_capacity, subset_size_capacity
 
 THETA2 = {"kind": "table", "carrier": ["a", "b"],
           "table": {"a": 1.0, "b": 1.0, "a,b": 1.5}}
@@ -236,6 +237,69 @@ def test_table_errors_name_the_first_offending_entry(edit, message):
     assert str(exc.value) == "at $.table" + message
 
 
+# Labels like ODD_LABELS (some sorting below ",", a quote, a backslash,
+# non-ASCII), with "b" so that "b,a" names {a, b}, and "x10" before "x2"
+WALK_LABELS = ["x2", "a", "a b", "a!", "+", "\u00e9", 'q"', "b\\", "b", "x10"]
+
+
+class _CountedGets(dict):
+    """A document's table that counts the keys looked up in it."""
+    gets = 0
+
+    def get(self, *args):
+        self.gets += 1
+        return super().get(*args)
+
+
+def _parsed_or_error(table: dict):
+    try:
+        theta = parse_capacity({"kind": "table", "carrier": WALK_LABELS, "table": table})
+    except SchemaError as e:
+        return str(e)
+    return theta.table.tobytes()
+
+
+@pytest.mark.parametrize("bits", [2, None])
+def test_the_lookup_route_reads_in_order_then_looks_up(monkeypatch, bits):
+    # the walk's keys are compared with the document's and read in entry
+    # order until one differs, then looked up; every document parses to
+    # the entry-order route's table, or raises its exact error, with small
+    # key blocks and the module's own
+    if bits is not None:
+        monkeypatch.setattr(carrier_module, "_KEY_BLOCK_BITS", bits)
+    c = Carrier(tuple(WALK_LABELS))
+    keys = [key for _, block in c.subset_key_blocks() for key in block][1:]
+    rng = np.random.default_rng(11)
+    ints = [2 ** 53 + 1, 2 ** 60 + 3, 0, 7]
+    values = [ints[i % 4] if i % 5 == 0 else float(rng.random()) for i in range(len(keys))]
+    walk = list(zip(keys, values))
+    shuffled = list(walk)
+    rng.shuffle(shuffled)
+    missing = walk[:500] + walk[501:]
+    documents = {
+        "walk": (walk, 0),
+        "sorted": (sorted(walk), None),
+        "shuffled": (shuffled, None),
+        "last swapped": (walk[:-2] + walk[-1:] + walk[-2:-1], 2),
+        "missing": (missing, None),
+        "empty first": ([("", 0)] + walk, len(walk)),
+        "b,a": ([("b,a" if key == "a,b" else key, v) for key, v in walk], None),
+    }
+    for name, (items, gets) in documents.items():
+        table = _CountedGets(items)
+        got = _parsed_or_error(table)
+        if gets is not None:
+            assert table.gets == gets, name
+        with monkeypatch.context() as m:
+            m.setattr(io_module, "_few_keys", lambda carrier, count: True)
+            assert got == _parsed_or_error(dict(items)), name
+        if name == "missing":
+            assert got == f"at $.table: missing subsets: {keys[500]!r}"
+        else:
+            assert got == _entry_order(c, dict(items)).tobytes(), name
+    assert walk != sorted(walk)
+
+
 def test_noncanonical_keys_parse_like_canonical_ones():
     # a permuted or repeated label names the same subset, when it is the
     # only key that does
@@ -328,13 +392,21 @@ def test_mobius_json_roundtrip_drops_zeros():
 
 
 def test_json_keys_follow_subset_key_on_unsorted_labels():
-    carrier = Carrier(("z", "b", "ab", "a", "q", "B"))
+    # each key is the subset_key of its mask and carries that mask's value,
+    # in the order of the key walk: the label tuples' order, which is not
+    # sorted() order here ("a b" and "+" sort below ",")
+    carrier = Carrier(("z", "b", "ab", "a", "q", "B", "a b", "+"))
     table = np.arange(1 << carrier.size, dtype=float)
     theta = Capacity(carrier, table)
     obj = capacity_to_json(theta)
-    masks = range(1, 1 << carrier.size)
+    walk = np.concatenate([m for m, _ in carrier.subset_key_blocks()]).tolist()
+    assert walk[0] == 0 and sorted(walk) == list(range(1 << carrier.size))
+    tuples = [tuple(sorted(carrier.labels_of(m))) for m in walk]
+    assert tuples == sorted(tuples)
+    masks = walk[1:]
     assert list(obj["table"]) == [carrier.subset_key(m) for m in masks]
-    assert list(obj["table"].values()) == table[1:].tolist()
+    assert list(obj["table"]) != sorted(obj["table"])
+    assert list(obj["table"].values()) == table[masks].tolist()
     assert np.array_equal(parse_capacity(obj).table, table)
     nu = mobius_inverse(theta)
     kept = mobius_to_json(nu)["weights"]
@@ -646,6 +718,30 @@ def test_reading_a_table_holds_the_document_and_one_table():
         tracemalloc.stop()
     assert digest == _compact_sha256(distinct)
     assert hash_peak < 1 << 20, hash_peak
+
+
+@pytest.mark.parametrize("held", ["by size", "table"])
+def test_writing_a_table_holds_one_block_beside_its_dict(held):
+    # capacity_to_json and mobius_to_json of a d = 16 subset_size capacity
+    # read their values and keys a block at a time: beyond the dict each
+    # returns they allocate under 1 MB (2.4 and 2.9 MB with the keys of the
+    # whole lattice built first), and a capacity held by size stays so
+    c = Carrier(tuple(f"x{i}" for i in range(16)))
+    p = [0.0] + [1.0 / k for k in range(1, 17)]
+    theta = subset_size_capacity(c, [v / sum(p) for v in p], 1.0)
+    if held == "table":
+        theta = Capacity(c, theta.table)
+    nu = mobius_inverse(theta)
+    for write, lattice in ((capacity_to_json, theta), (mobius_to_json, nu)):
+        tracemalloc.start()
+        try:
+            obj = write(lattice)
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - kept < 1 << 20, (write.__name__, peak - kept)
+        assert (lattice._table is None) == (held == "by size")
+    assert len(obj["weights"]) == (1 << 16) - 1
 
 
 def test_model_hash_encodes_each_distinct_value_of_a_block_once(monkeypatch):
@@ -1055,6 +1151,25 @@ def test_cli_io_errors_exit_2_with_a_message(tmp_path, theta2_file, capsys):
     assert main(["mobius", "--model", theta2_file, "--out", str(out)]) == 2
     assert capsys.readouterr().err == (f"error: cannot write {out}: "
                                        f"No such file or directory\n")
+
+
+@pytest.mark.parametrize("chars", [3, io_module._READ_CHARS])
+def test_a_json_file_is_read_in_pieces_as_one_text(tmp_path, monkeypatch, chars):
+    # read a few characters at a time, a document, with multi-byte and
+    # "\r\n" line ends across the reads, is the one json.load gives; a bad
+    # byte is reported at its place in the whole file
+    monkeypatch.setattr(io_module, "_READ_CHARS", chars)
+    doc = {"kind": "table", "carrier": ["é", "€", "a"],
+           "table": {"a": 1.0, "é": 2.5, "€": 0.5, "a,é": 3.0,
+                     "a,€": 1.5, "é,€": 3.0, "a,é,€": 4.0}}
+    path = tmp_path / "m.json"
+    text = json.dumps(doc, indent=2, ensure_ascii=False).replace("\n", "\r\n")
+    path.write_bytes(text.encode())
+    assert load_json_file(str(path)) == doc
+    raw = json.dumps({"pad": "x" * 100000}).encode()
+    path.write_bytes(raw[:90000] + b"\xff" + raw[90001:])
+    with pytest.raises(UnicodeDecodeError, match="in position 90000:"):
+        load_json_file(str(path))
 
 
 def test_cli_estimate_checks_its_flags_before_reading_the_batch(tmp_path, capsys):
