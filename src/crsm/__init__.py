@@ -28,7 +28,7 @@ _EXPORTS = {
         "comonotonic", "extremal_integral", "extremal_integral_setform",
     ),
     "tdf": (
-        "DiscreteMeasure", "SpectralTDF",
+        "SpectralTDF",
         "check_max_complete_alternation", "crsm_envelope", "dominates",
         "dual_greedy", "dual_oracle", "extremal_coefficients", "joint_cdf",
     ),

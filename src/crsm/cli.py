@@ -14,12 +14,12 @@ Each command loads only what it runs: `crsm.simulate` and `crsm.verify`
 inside `simulate`, `couple`, `argmax-test`, `verify` and `estimate` (the
 stream version is `crsm.STREAM_VERSION`, so a seeded `check` or `dual`
 loads no sampler); `crsm.integrals` and `crsm.tdf` inside `choquet`,
-`extremal`, `dual`, `cdf` and `verify`, or when a `spectral` or
-`distortion` model is parsed, so `check`, `mobius` and `materialize` of a
-capacity load neither, nor of a `choquet` or `lebesgue` model, read as
-its capacity.  `model_hash` runs on CPython's own SHA-256 (`_sha2`,
-`_sha256` before 3.12), so no command maps OpenSSL to hash its model; it
-is a little slower per byte than OpenSSL's.
+`extremal`, `dual`, `cdf` and `verify`, or when a `spectral` model is
+parsed, so `check`, `mobius` and `materialize` of a capacity (a
+`distortion` one included) load neither, nor of a `choquet` or `lebesgue`
+model, read as its capacity.  `model_hash` runs on CPython's own SHA-256
+(`_sha2`, `_sha256` before 3.12), so no command maps OpenSSL to hash its
+model; it is a little slower per byte than OpenSSL's.
 `simulate` writes the mean, p50, p99 and max of its term counts to stderr
 (with the exact E[N] beside the mean on an exact LePage run of a capacity
 held by size), then the method it chose, the atom count m and LePage's
@@ -395,7 +395,7 @@ def cmd_dual(args, model, prov):
     theta = _require_capacity(model, "dual")
     f = _parse_point_values(theta.carrier, _inline_json(args.f, "--f"), "$.f")
     tol = DEFAULT_TOL if args.tolerance is None else args.tolerance
-    mu, value = dual_greedy(theta, f, tol=tol)
+    weights, value = dual_greedy(theta, f, tol=tol)
     oracle_value = None
     if args.oracle != "none":
         if args.oracle == "sampled" and args.seed is None:
@@ -403,7 +403,8 @@ def cmd_dual(args, model, prov):
                              "required (no implicit entropy)")
         oracle_value, _ = dual_oracle(theta, f, method=args.oracle,
                                       trials=args.trials, seed=args.seed, tol=tol)
-    return {"greedy": value, "oracle": oracle_value, "measure": mu.to_json()}, 0
+    measure = dict(zip(theta.carrier.labels, weights.tolist()))
+    return {"greedy": value, "oracle": oracle_value, "measure": measure}, 0
 
 
 def cmd_cdf(args, model, prov):

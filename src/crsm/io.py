@@ -257,9 +257,7 @@ def parse_capacity(obj, path: str = "$") -> Capacity:
             raise SchemaError(f"{path}.distortion",
                               f"expected 'power' or 'avar', got {dkind!r}")
         alpha = _number(_need(obj, "alpha", path), f"{path}.alpha", positive=True)
-        from .tdf import DiscreteMeasure
-        mu = DiscreteMeasure(carrier, mu)  # _parse_point_values checked the values
-        return _construct(distortion_capacity, path, mu, dkind, alpha)
+        return _construct(distortion_capacity, path, carrier, mu, dkind, alpha)
     if kind == "torus_storm":
         n = _need(obj, "n", path)
         if isinstance(n, bool) or not isinstance(n, int) or n < 1:
@@ -323,7 +321,7 @@ def parse_bernstein(obj, path: str = "$") -> BernsteinFunction:
 def parse_model(obj, path: str = "$") -> Union[Capacity, SpectralTDF]:
     """The law a model document describes: a capacity kind, or a `choquet`
     or `lebesgue` document, as its Capacity; a `spectral` one as a
-    SpectralTDF.  Only `spectral` and `distortion` load crsm.tdf."""
+    SpectralTDF.  Only `spectral` loads crsm.tdf."""
     kind = _need(obj, "kind", path)
     if kind in CAPACITY_KINDS:
         return parse_capacity(obj, path)

@@ -41,9 +41,10 @@ indicators yet strictly superadditive.
 The dual side: for completely alternating theta the Choquet integral is
 the support function of the core-like polytope
 {mu >= 0 : mu(K) <= theta(K) for all K}; `dual_greedy` builds the
-maximizing discrete measure directly from the descending rearrangement of
-f, `dual_oracle` re-derives the optimum by vertex enumeration (exact,
-d <= 3) or feasible sampling (lower bound, any d).
+maximizing mu, a vector of point weights in carrier order, directly from
+the descending rearrangement of f, `dual_oracle` re-derives the optimum
+by vertex enumeration (exact, d <= 3) or feasible sampling (lower bound,
+any d).
 
 Two things this module deliberately does not do.  Spectral tables are not
 canonical: many (probs, atoms) tables induce the same functional and no
@@ -62,35 +63,12 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .carrier import Carrier, _indicator, as_values, iter_bits
+from .carrier import Carrier, _indicator, iter_bits
 from .integrals import _as_functional, _chain, _vals
 from .setfun import (DEFAULT_TOL, MAX_ALTERNATION_ORDER, Capacity, _inclusion_exclusion,
                      _max_excess, _Owned, _worst, certified_mobius, subset_max)
 
 PROBE_TOL = 1e-7  # max-alternation probe: a relative sum above it is a violation
-
-
-@dataclass(frozen=True)
-class DiscreteMeasure:
-    """Nonnegative weights on carrier points; sets get the sum."""
-
-    carrier: Carrier
-    weights: np.ndarray
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "weights",
-                           as_values(self.carrier, self.weights, "measure weights"))
-
-    def measure_of(self, mask: int) -> float:
-        self.carrier.validate_mask(mask)
-        return float(sum(self.weights[i] for i in iter_bits(mask)))
-
-    @property
-    def total(self) -> float:
-        return float(self.weights.sum())
-
-    def to_json(self) -> dict[str, float]:
-        return {lb: float(w) for lb, w in zip(self.carrier.labels, self.weights)}
 
 
 def ChoquetTDF(theta: Capacity) -> Capacity:
@@ -247,8 +225,9 @@ def dominates(upper, lower, trials: int = 1000,
 
 
 def dual_greedy(theta: Capacity, f,
-                tol: float = DEFAULT_TOL) -> tuple[DiscreteMeasure, float]:
-    """Maximizing measure of max { f . mu : mu >= 0, mu(K) <= theta(K) }.
+                tol: float = DEFAULT_TOL) -> tuple[np.ndarray, float]:
+    """(weights, value) of max { f . mu : mu >= 0, mu(K) <= theta(K) }:
+    the maximizing mu as its read-only point weights in carrier order.
 
     Requires completely alternating theta.  mu is the increments of theta
     along the comonotone chain of f (integrals._chain: the points in
@@ -275,19 +254,20 @@ def dual_greedy(theta: Capacity, f,
             f"capacity decreases along the greedy chain "
             f"(increment {weights.min():.3g})")
     weights = np.clip(weights, 0.0, None)
-    mu = DiscreteMeasure(theta.carrier, weights)
+    weights.setflags(write=False)
     excess, worst = _max_excess(theta, weights, order)
     if excess > atol:
         raise RuntimeError(
             f"greedy measure violates feasibility at mask {worst:#x}; "
             f"capacity is not completely alternating within {atol:.3g}")
-    return mu, float(v @ weights)
+    return weights, float(v @ weights)
 
 
 def dual_oracle(theta: Capacity, f, method: str = "exact",
                 trials: int = 10000, seed: Optional[int] = None,
-                tol: float = DEFAULT_TOL) -> tuple[float, Optional[DiscreteMeasure]]:
-    """Independent solve of the greedy LP.
+                tol: float = DEFAULT_TOL) -> tuple[float, Optional[np.ndarray]]:
+    """Independent solve of the greedy LP: (value, weights), the best
+    feasible mu found as its read-only point weights in carrier order.
 
     method="exact": enumerate candidate vertices of the feasible polytope
     (every d-subset of the active constraint rows), keep the feasible ones,
@@ -323,7 +303,8 @@ def dual_oracle(theta: Capacity, f, method: str = "exact",
                 best, best_mu = val, np.clip(mu, 0.0, None)
         if best_mu is None:  # mu = 0 is always feasible, so this cannot happen
             raise RuntimeError("vertex enumeration found no feasible vertex")
-        return best, DiscreteMeasure(theta.carrier, best_mu)
+        best_mu.setflags(write=False)
+        return best, best_mu
     if method == "sampled":
         if seed is None:
             raise ValueError("sampled dual oracle needs a seed")
@@ -345,8 +326,9 @@ def dual_oracle(theta: Capacity, f, method: str = "exact",
             k = int(np.argmax(vals))
             if vals[k] > best_val:
                 best_val = float(vals[k])
-                best_mu = block[k]
-        return best_val, DiscreteMeasure(theta.carrier, best_mu)
+                best_mu = block[k].copy()
+        best_mu.setflags(write=False)
+        return best_val, best_mu
     raise ValueError(f"unknown dual oracle method {method!r}")
 
 

@@ -34,15 +34,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional, Sequence, Union
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .carrier import Carrier, TorusTag, as_carrier
+from .carrier import Carrier, TorusTag, as_carrier, as_values
 from .setfun import _BLOCK_BITS, Capacity, _additive_table, _Owned, _release, atom_capacity
-
-if TYPE_CHECKING:
-    from .tdf import DiscreteMeasure
 
 
 @dataclass(frozen=True)
@@ -176,8 +173,14 @@ def _symmetric(carrier: Carrier, phi: np.ndarray) -> Capacity:
     return Capacity(carrier, by_size=phi)
 
 
-def distortion_capacity(mu: DiscreteMeasure, kind: str, alpha: float) -> Capacity:
+def distortion_capacity(carrier: Union[Carrier, int],
+                        mu: Union[Sequence[float], np.ndarray, dict[str, float]],
+                        kind: str, alpha: float) -> Capacity:
     """theta(K) = g(mu(K)) for g a distortion of the given kind.
+
+    mu is the base measure's point weights, in carrier order or as a
+    label -> weight dict (as_values); they must be finite and nonnegative,
+    and so must their total mu(E).
 
     kind="power": g(t) = t**alpha, 0 < alpha < 1.  A Bernstein transform,
     so the result is completely alternating.
@@ -188,7 +191,12 @@ def distortion_capacity(mu: DiscreteMeasure, kind: str, alpha: float) -> Capacit
     with alpha = 0.8 produce Mobius weight -1/4 on every 3-set), which is
     the point of having it.
     """
-    sums = _additive_table(mu.weights)
+    carr = as_carrier(carrier)
+    # the sweep's adds are monotone, so mu(E) is the table's largest entry
+    with np.errstate(over="ignore"):
+        sums = _additive_table(as_values(carr, mu, "measure weights"))
+    if sums[-1] == math.inf:
+        raise ValueError("measure weights sum to inf, beyond the float range")
     # g runs in the table of sums, so no second table is built
     if kind == "power":
         if not 0.0 < alpha < 1.0:
@@ -202,7 +210,7 @@ def distortion_capacity(mu: DiscreteMeasure, kind: str, alpha: float) -> Capacit
     else:
         raise ValueError(f"unknown distortion kind {kind!r}")
     sums[0] = 0.0
-    return Capacity(mu.carrier, _Owned(sums))
+    return Capacity(carr, _Owned(sums))
 
 
 def torus_storm_capacity(n: int,

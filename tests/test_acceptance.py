@@ -38,7 +38,6 @@ from crsm.transforms import (
     exchangeable_capacity,
     torus_storm_capacity,
 )
-from crsm.tdf import DiscreteMeasure
 from crsm.verify import (
     argmax_independence_test,
     continuity_bound_check,
@@ -75,8 +74,8 @@ def test_01_choquet_theorem_roundtrip():
 
 def test_02_avar_counterexample():
     t0 = time.perf_counter()
-    mu = DiscreteMeasure(Carrier(("1", "2", "3", "4")), [0.25] * 4)
-    theta = distortion_capacity(mu, kind="avar", alpha=0.8)
+    theta = distortion_capacity(Carrier(("1", "2", "3", "4")), [0.25] * 4,
+                                kind="avar", alpha=0.8)
     # Delta over the fourth singleton with the other three as increments
     val = successive_difference(theta, 0b1000, (0b0001, 0b0010, 0b0100))
     err = abs(val - 0.25)
@@ -353,8 +352,7 @@ def test_12_lattice_sweeps_at_d22():
     # a power distortion is no function of |K| alone, so classify, the dual
     # and the certificate each sweep its 2**22 table
     d = 22
-    mu = DiscreteMeasure(carrier_of(d), np.linspace(0.5, 1.5, d))
-    theta = distortion_capacity(mu, kind="power", alpha=0.6)
+    theta = distortion_capacity(d, np.linspace(0.5, 1.5, d), kind="power", alpha=0.6)
     f = np.linspace(2.0, 0.0, d)
     t0 = time.perf_counter()
     cls = classify(theta)

@@ -29,7 +29,7 @@ from crsm.setfun import (
     mobius_inverse,
     successive_difference,
 )
-from crsm.tdf import DiscreteMeasure, dual_greedy, joint_cdf
+from crsm.tdf import dual_greedy, joint_cdf
 from crsm.transforms import (
     BernsteinFunction,
     compose_capacity,
@@ -110,8 +110,6 @@ def bits(x):
         return x.tobytes()
     if isinstance(x, (Capacity, MobiusMeasure)):
         return bits(x.table if isinstance(x, Capacity) else x.weights)
-    if isinstance(x, DiscreteMeasure):
-        return x.weights.tobytes()
     return repr(x)
 
 
@@ -190,7 +188,7 @@ def test_compose_of_a_symmetric_capacity_applies_g_to_phi():
 def test_avar_by_size_is_refused_alike_with_the_same_witness():
     c = Carrier(("1", "2", "3", "4"))
     sym = Capacity(c, by_size=AVAR4_PHI)
-    tab = distortion_capacity(DiscreteMeasure(c, [0.25] * 4), kind="avar", alpha=0.8)
+    tab = distortion_capacity(c, [0.25] * 4, kind="avar", alpha=0.8)
     assert sym.table.tobytes() == tab.table.tobytes()
     nu = mobius_inverse(sym)
     assert nu.by_size.tolist() == [0.0, 0.0625, 0.25, -0.25, 0.25]

@@ -940,7 +940,7 @@ def test_cli_simulate_does_not_import_numpy_ma(theta2_file, spectral_file, tmp_p
 # every module eagerly
 PUBLIC_NAMES = [
     "BernsteinFunction", "Capacity", "Carrier", "CarrierSizeError", "CheckResult",
-    "Coupling", "DiscreteMeasure", "MaxTermsExceeded",
+    "Coupling", "MaxTermsExceeded",
     "MobiusMeasure", "SampleBatch", "SimConfig", "SpectralSampler", "SpectralTDF",
     "TorusTag", "argmax_independence_test", "argmax_set", "capacity_from_measure",
     "carrier", "check_complete_alternation_direct", "check_max_complete_alternation",
@@ -1010,8 +1010,7 @@ def test_lattice_commands_load_neither_sampler_nor_openssl(theta2_file, spectral
     assert loaded(["dual", "--model", theta2_file, "--f", '{"a": 2, "b": 1}',
                    *seeded[1]]) == functional
     assert json.loads((tmp_path / "s1.json").read_text())["provenance"]["stream"] == 2
-    # parsing any capacity kind but distortion, whose measure is a
-    # tdf.DiscreteMeasure, loads no functional layer
+    # parsing any capacity kind loads no functional layer
     docs = [THETA2, HASHED_MODELS[1], HASHED_MODELS[3],
             {"kind": "exchangeable", "carrier": ["a", "b"], "zeta": [[0.5, 1.0]]},
             {"kind": "subset_size", "carrier": ["a", "b"], "p": [0.2, 0.3, 0.5]},
@@ -1024,9 +1023,8 @@ def test_lattice_commands_load_neither_sampler_nor_openssl(theta2_file, spectral
                {"kind": "lebesgue", "carrier": ["a", "b", "c"],
                 "mu": {"a": 0.4, "b": 0.6, "c": 0.0}}]
     for doc in docs + wrapped:
-        want = functional if doc["kind"] == "distortion" else []
         assert child("from crsm.io import parse_model; "
-                     "parse_model(json.loads(sys.argv[1])); ", doc) == want, doc
+                     "parse_model(json.loads(sys.argv[1])); ", doc) == [], doc
     for i, doc in enumerate(wrapped[1:]):
         path = tmp_path / f"{doc['kind']}.json"
         path.write_text(json.dumps(doc))
@@ -1681,22 +1679,38 @@ def test_cli_capacity_commands_read_a_lebesgue_model(tmp_path, capsys):
                           "--seed", "1"))["passed"] is True
 
 
-@pytest.mark.parametrize("doc", [
-    {"kind": "torus_storm", "n": 3, "dim": 1, "shapes": [{"points": [0], "p": 1.0}],
-     "scale": 1e308},
-    {"kind": "lebesgue", "carrier": ["a", "b"], "mu": {"a": 1e308, "b": 1e308}},
-], ids=["torus_storm", "lebesgue"])
-def test_atoms_whose_total_overflows_are_refused_at_parse(tmp_path, capsys, doc):
+@pytest.mark.parametrize("doc, what", [
+    ({"kind": "torus_storm", "n": 3, "dim": 1, "shapes": [{"points": [0], "p": 1.0}],
+      "scale": 1e308}, "capacity table: atom weights"),
+    ({"kind": "lebesgue", "carrier": ["a", "b"], "mu": {"a": 1e308, "b": 1e308}},
+     "capacity table: atom weights"),
+    ({"kind": "distortion", "carrier": ["a", "b"], "mu": {"a": 1e308, "b": 1e308},
+      "distortion": "power", "alpha": 0.5}, "measure weights"),
+    ({"kind": "distortion", "carrier": ["a", "b"], "mu": {"a": 1e308, "b": 1e308},
+      "distortion": "avar", "alpha": 0.5}, "measure weights"),
+], ids=["torus_storm", "lebesgue", "distortion-power", "distortion-avar"])
+def test_atoms_whose_total_overflows_are_refused_at_parse(tmp_path, capsys, doc, what):
     # each atom weight is finite but theta(E) is not: simulate wrote Infinity
-    # or NaN and exited 0, and verify read a nan round-trip error
+    # or NaN and exited 0, and verify read a nan round-trip error.  A
+    # distortion's mu(E) overflowed in its table of sums: check warned, then
+    # exited 2 on a power distortion ("capacity table must be finite") and
+    # 0 on an avar one
     path = tmp_path / "model.json"
     path.write_text(json.dumps(doc))
-    for argv in (["simulate", "--samples", "3"], ["verify", "--samples", "100"]):
+    for argv in (["simulate", "--samples", "3"], ["verify", "--samples", "100"], ["check"]):
         assert main([*argv, "--model", str(path), "--seed", "1"]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == ("error: at $: capacity table: atom weights sum to inf, "
-                                "beyond the float range\n")
+        assert captured.err == f"error: at $: {what} sum to inf, beyond the float range\n"
+
+
+def test_a_negative_distortion_weight_is_named_by_its_path(tmp_path, capsys):
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps({**AVAR4, "mu": {"1": 0.25, "2": -0.25, "3": 0.25, "4": 0.25}}))
+    assert main(["check", "--model", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == 'error: at $.mu["2"]: number must be nonnegative, got -0.25\n'
 
 
 @pytest.mark.parametrize("tol", ["-1", "nan", "inf"])

@@ -395,13 +395,12 @@ def test_certified_mobius_holds_one_working_table():
     # argmin copy (at d = 20 the sweep's 512 KB block is 1/16 of a table);
     # consuming the capacity's own table needs no working table at all; a
     # distortion capacity, as one held by size would build no table
-    from crsm.tdf import DiscreteMeasure
     from crsm.transforms import distortion_capacity
     d = 20
     table_bytes = 8 << d
-    mu = DiscreteMeasure(carrier_of(d), np.linspace(0.5, 1.5, d))
+    mu = np.linspace(0.5, 1.5, d)
     for owned, bound in ((False, 1.1), (True, 0.1)):
-        theta = distortion_capacity(mu, "power", 0.5)
+        theta = distortion_capacity(d, mu, "power", 0.5)
         tracemalloc.start()
         try:
             nu = certified_mobius(_Owned(theta) if owned else theta)

@@ -10,7 +10,6 @@ from hypothesis import given, settings, strategies as st
 from conftest import carrier_of, random_ca_capacity
 from crsm.carrier import Carrier, CarrierSizeError, popcounts
 from crsm.setfun import Capacity, classify, mobius_inverse
-from crsm.tdf import DiscreteMeasure
 from crsm import setfun, transforms
 from crsm.transforms import (
     BernsteinFunction,
@@ -123,16 +122,16 @@ def test_compose_writes_into_an_owned_base_and_never_a_callers(d):
     # g runs over blocks of 2**16 masks: into a new table for a caller's
     # capacity, into the base's own table when it is owned, bit-equal to
     # g(base.table) either way
-    mu = DiscreteMeasure(carrier_of(d), np.linspace(0.5, 1.5, d))
+    mu = np.linspace(0.5, 1.5, d)
     for g in (BernsteinFunction(drift=0.3, atoms=[(1.2, 0.8), (0.4, 2.0)]),
               BernsteinFunction(power=0.45)):
-        plain = distortion_capacity(mu, "power", 0.5)
+        plain = distortion_capacity(d, mu, "power", 0.5)
         before = plain.table.tobytes()
         want = g(plain.table)
         want[0] = 0.0
         assert compose_capacity(g, plain).table.tobytes() == want.tobytes()
         assert plain.table.tobytes() == before and not plain.table.flags.writeable
-        base = distortion_capacity(mu, "power", 0.5)
+        base = distortion_capacity(d, mu, "power", 0.5)
         tracemalloc.start()
         try:
             out = compose_capacity(g, setfun._Owned(base))
@@ -262,15 +261,15 @@ def test_by_size_constructors_match_the_one_shot_gather(monkeypatch, d, bits):
 
 
 def test_distortion_power():
-    mu = DiscreteMeasure(Carrier(("1", "2", "3", "4")), [0.25] * 4)
-    theta = distortion_capacity(mu, kind="power", alpha=0.5)
+    theta = distortion_capacity(Carrier(("1", "2", "3", "4")), [0.25] * 4,
+                                kind="power", alpha=0.5)
     assert theta(0b0011) == pytest.approx(math.sqrt(0.5), abs=1e-15)
     assert classify(theta).completely_alternating
 
 
 def test_distortion_avar_frozen():
-    mu = DiscreteMeasure(Carrier(("1", "2", "3", "4")), [0.25] * 4)
-    theta = distortion_capacity(mu, kind="avar", alpha=0.8)
+    theta = distortion_capacity(Carrier(("1", "2", "3", "4")), [0.25] * 4,
+                                kind="avar", alpha=0.8)
     assert [theta(m) for m in (0b0001, 0b0011, 0b0111, 0b1111)] == [
         0.3125, 0.625, 0.9375, 1.0]
     cls = classify(theta)
@@ -279,19 +278,36 @@ def test_distortion_avar_frozen():
 
 
 def test_distortion_avar_alpha_one_is_additive():
-    mu = DiscreteMeasure(carrier_of(3), [0.2, 0.3, 0.5])
-    theta = distortion_capacity(mu, kind="avar", alpha=1.0)
+    theta = distortion_capacity(carrier_of(3), [0.2, 0.3, 0.5], kind="avar", alpha=1.0)
     assert classify(theta).additive
 
 
 def test_distortion_validation():
-    mu = DiscreteMeasure(carrier_of(2), [0.5, 0.5])
+    mu = [0.5, 0.5]
     with pytest.raises(ValueError):
-        distortion_capacity(mu, kind="power", alpha=1.0)
+        distortion_capacity(2, mu, kind="power", alpha=1.0)
     with pytest.raises(ValueError):
-        distortion_capacity(mu, kind="avar", alpha=0.0)
+        distortion_capacity(2, mu, kind="avar", alpha=0.0)
     with pytest.raises(ValueError):
-        distortion_capacity(mu, kind="huber", alpha=0.5)
+        distortion_capacity(2, mu, kind="huber", alpha=0.5)
+
+
+@pytest.mark.parametrize("mu, error, message", [
+    ([0.5, -0.5, 0.5], ValueError, "measure weights must be nonnegative"),
+    ([0.5, math.nan, 0.5], ValueError, "measure weights must be finite"),
+    ([0.5, math.inf, 0.5], ValueError, "measure weights must be finite"),
+    ([0.5, 0.5], ValueError, r"measure weights has shape \(2,\), expected \(3,\)"),
+    # an unknown label is the carrier's KeyError, as in every as_values caller
+    ({"x0": 0.5, "z": 0.5}, KeyError, "label 'z' not in carrier"),
+    ([1e308, 1e308, 0.0], ValueError, "measure weights sum to inf"),
+    # np.sum adds in index order and keeps the largest float; the table's
+    # sweep adds the two quarter ulps first, and their half ulp rounds up
+    ([np.finfo(float).max, 2.0 ** 969, 2.0 ** 969], ValueError, "measure weights sum to inf"),
+], ids=["negative", "nan", "inf", "length", "label", "total", "total-in-sweep-order"])
+def test_distortion_refuses_bad_measure_weights(mu, error, message):
+    for kind in ("power", "avar"):
+        with pytest.raises(error, match=message):
+            distortion_capacity(3, mu, kind=kind, alpha=0.5)
 
 
 def test_torus_point_shape_counts():

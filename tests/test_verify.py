@@ -14,7 +14,7 @@ from crsm.setfun import (Capacity, MobiusMeasure, capacity_from_measure, classif
                          mobius_inverse)
 from crsm.simulate import SampleBatch, SimConfig, simulate_crsm, simulate_model
 from crsm.integrals import comonotone_additivity_check
-from crsm.tdf import (DiscreteMeasure, SpectralTDF,
+from crsm.tdf import (SpectralTDF,
                       check_max_complete_alternation, crsm_envelope, dominates,
                       dual_greedy)
 from crsm.transforms import distortion_capacity, exchangeable_capacity, torus_storm_capacity
@@ -197,8 +197,7 @@ def test_disjoint_parts_are_judged_by_their_exact_joint_law():
 
 def avar4() -> Capacity:
     """The README's AVaR counterexample: Mobius weight -1/4 on every 3-set."""
-    return distortion_capacity(DiscreteMeasure(carrier_of(4), [0.25] * 4),
-                               kind="avar", alpha=0.8)
+    return distortion_capacity(carrier_of(4), [0.25] * 4, kind="avar", alpha=0.8)
 
 
 def verdicts(theta: Capacity) -> tuple:
@@ -353,8 +352,7 @@ def test_verify_hands_its_clamped_measure_to_the_sampler(monkeypatch):
     # held two (k, d) int64 arrays of newly hit points; it is 3.38 now, with
     # the same rows as a sampler that builds nu itself.
     def power(d):
-        return distortion_capacity(DiscreteMeasure(carrier_of(d), np.linspace(0.5, 1.5, d)),
-                                   "power", 0.5)
+        return distortion_capacity(d, np.linspace(0.5, 1.5, d), "power", 0.5)
     verify_model(power(4), samples=200, seed=1)  # lazy imports stay untraced
     d = 16
     theta = power(d)
